@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import Field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from .landmarks import GraphError, LandmarkConfig, load_landmark_graph
 from .localization import LocalizationConfig, evaluate, knn_localize, vectorize_map
-from .pdr import (HeadingSource, PdrConfig, Trajectory, attach_periodicities,
-                  dump_trajectory, load_trajectory, run_pdr, trajectory_errors)
+from .pdr import (HEADING_THRESHOLD_DEG, HeadingSource, PdrConfig,
+                  attach_periodicities, dump_trajectory, load_trajectory,
+                  run_pdr, trajectory_errors)
 from .radiomap import (MapFormatError, QualityConfig, build_radio_map,
                        load_radio_map, save_radio_map, segment_belief)
 from .sensors import SensorConfig, TraceError, detect_steps, dump_trace, load_trace
@@ -32,50 +34,35 @@ from .sim import ScenarioError, generate_trace, load_scenario
 CONFIG_VERSION = 1
 
 
+# Tree section -> the stage config dataclass it builds; each field is one
+# leaf, addressable as a dotted --set key, with the field default as its own.
+SECTIONS = {
+    "sensors": SensorConfig,
+    "landmarks": LandmarkConfig,
+    "pdr": PdrConfig,
+    "quality": QualityConfig,
+    "localization": LocalizationConfig,
+}
+
+
+def _leaf(cls: type, f: Field) -> tuple[str, object, Callable]:
+    """Tree key, tree default and tree-to-field conversion of one config
+    field. The heading gate is set in degrees and an enum field by its
+    value; every other leaf is the field itself."""
+    if (cls, f.name) == (PdrConfig, "heading_threshold"):
+        return "heading_threshold_deg", HEADING_THRESHOLD_DEG, math.radians
+    if isinstance(f.default, enum.Enum):
+        return f.name, f.default.value, type(f.default)
+    return f.name, f.default, lambda value: value
+
+
 def default_config() -> dict:
-    """Fresh copy of the full parameter tree; every leaf is addressable
-    as a dotted --set key."""
-    return {
-        "version": CONFIG_VERSION,
-        "sensors": {
-            "acc_window": 50,
-            "variance_threshold": 0.5,
-            "walking_threshold_s": 2.0,
-            "still_min_s": 1.0,
-            "still_max_s": 8.0,
-            "gyro_window": 10,
-        },
-        "landmarks": {
-            "walking_min_s": 2.0,
-            "still_min_s": 1.0,
-            "still_max_s": 8.0,
-            "gyro_rate_threshold": 1.1,
-            "baro_window_s": 1.0,
-            "baro_flat_threshold": 0.05,
-            "baro_change_threshold": 0.3,
-        },
-        "pdr": {
-            "initial_step_length": 0.63,
-            "pressure_per_floor": 0.45,
-            "heading_threshold_deg": 30.0,
-            "confidence_threshold": 0.25,
-            "distance_floor": 0.1,
-            "min_steps_for_update": 3,
-            "heading_source": "landmark",
-        },
-        "quality": {
-            "period_min": 0.4,
-            "period_max": 1.0,
-            "sigma_floor": 0.005,
-            "belief_threshold": 15.0,
-        },
-        "localization": {
-            "k": 1,
-            "metric": "euclidean",
-            "tau": -90.0,
-            "tau_scope": "both",
-        },
-    }
+    """Fresh copy of the full parameter tree."""
+    tree: dict = {"version": CONFIG_VERSION}
+    for section, cls in SECTIONS.items():
+        tree[section] = {key: default for key, default, _ in
+                         (_leaf(cls, f) for f in fields(cls))}
+    return tree
 
 
 class CliError(Exception):
@@ -157,43 +144,22 @@ def effective_config(args) -> tuple[dict, dict]:
     return tree, overrides
 
 
-def _configs(tree: dict):
-    s = tree["sensors"]
-    l = tree["landmarks"]
-    p = tree["pdr"]
-    q = tree["quality"]
-    z = tree["localization"]
-    sensor_cfg = SensorConfig(
-        acc_window=s["acc_window"], variance_threshold=s["variance_threshold"],
-        walking_threshold_s=s["walking_threshold_s"], still_min_s=s["still_min_s"],
-        still_max_s=s["still_max_s"], gyro_window=s["gyro_window"])
-    landmark_cfg = LandmarkConfig(
-        walking_min_s=l["walking_min_s"], still_min_s=l["still_min_s"],
-        still_max_s=l["still_max_s"], gyro_rate_threshold=l["gyro_rate_threshold"],
-        baro_window_s=l["baro_window_s"],
-        baro_flat_threshold=l["baro_flat_threshold"],
-        baro_change_threshold=l["baro_change_threshold"])
-    try:
-        source = HeadingSource(p["heading_source"])
-    except ValueError:
-        raise CliError(f"unknown heading source {p['heading_source']!r}")
-    pdr_cfg = PdrConfig(
-        initial_step_length=p["initial_step_length"],
-        pressure_per_floor=p["pressure_per_floor"],
-        heading_threshold=math.radians(p["heading_threshold_deg"]),
-        confidence_threshold=p["confidence_threshold"],
-        distance_floor=p["distance_floor"],
-        min_steps_for_update=p["min_steps_for_update"],
-        heading_source=source)
-    quality_cfg = QualityConfig(
-        period_min=q["period_min"], period_max=q["period_max"],
-        sigma_floor=q["sigma_floor"], belief_threshold=q["belief_threshold"])
-    try:
-        loc_cfg = LocalizationConfig(k=z["k"], metric=z["metric"],
-                                     tau=z["tau"], tau_scope=z["tau_scope"])
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return sensor_cfg, landmark_cfg, pdr_cfg, quality_cfg, loc_cfg
+def _configs(tree: dict) -> tuple:
+    """One config object per tree section, in SECTIONS order."""
+    out = []
+    for section, cls in SECTIONS.items():
+        kwargs = {}
+        for f in fields(cls):
+            key, _, convert = _leaf(cls, f)
+            try:
+                kwargs[f.name] = convert(tree[section][key])
+            except ValueError as exc:
+                raise CliError(f"config key '{section}.{key}': {exc}")
+        try:
+            out.append(cls(**kwargs))
+        except ValueError as exc:
+            raise CliError(str(exc))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +321,9 @@ def cmd_build_map(args) -> int:
     radio_map = build_radio_map(traj, trace.wifi, quality_cfg)
     if not radio_map.entries:
         print("warning: radio map is empty", file=sys.stderr)
-    rows = []
-    for idx, seg in enumerate(traj.segments):
-        belief = segment_belief(seg, quality_cfg)
-        single = Trajectory(poses=[], segments=[seg])
-        accepted = len(build_radio_map(single, trace.wifi, quality_cfg).entries)
-        rows.append([str(idx), _fmt(belief), str(accepted)])
+    rows = [[str(idx), _fmt(segment_belief(seg, quality_cfg)), str(accepted)]
+            for idx, (seg, accepted) in enumerate(
+                zip(traj.segments, radio_map.segment_scans))]
     out = _out_dir(args)
     outs = _Outputs(out)
     buf = io.StringIO()
@@ -389,6 +352,15 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
     return fp
 
 
+def _fingerprint(raw, where: str) -> dict[str, int]:
+    if not isinstance(raw, dict):
+        raise CliError(f"{where}: fingerprint must be an object of mac: rss")
+    try:
+        return {str(mac): int(rss) for mac, rss in raw.items()}
+    except (TypeError, ValueError):
+        raise CliError(f"{where}: fingerprint RSS values must be integers")
+
+
 def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[str, int]]]:
     """Query JSONL: one {"x", "y", "floor", "fp"} object per line."""
     queries = []
@@ -402,9 +374,12 @@ def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[
                 raise CliError(f"{path}:{ln}: invalid JSON: {exc}")
             if not isinstance(rec, dict) or set(rec) != {"x", "y", "floor", "fp"}:
                 raise CliError(f"{path}:{ln}: query needs exactly x, y, floor, fp")
-            fp = {str(mac): int(rss) for mac, rss in rec["fp"].items()}
-            queries.append(((float(rec["x"]), float(rec["y"]),
-                             int(rec["floor"])), fp))
+            fp = _fingerprint(rec["fp"], f"{path}:{ln}")
+            try:
+                truth = (float(rec["x"]), float(rec["y"]), int(rec["floor"]))
+            except (TypeError, ValueError):
+                raise CliError(f"{path}:{ln}: x, y and floor must be numbers")
+            queries.append((truth, fp))
     return queries
 
 
@@ -415,9 +390,9 @@ def cmd_localize(args) -> int:
     if args.rss:
         fp = _parse_rss(args.rss)
     elif args.fingerprint:
-        with open(_require_file(args.fingerprint, "fingerprint file")) as fh:
-            raw = json.load(fh)
-        fp = {str(m): int(r) for m, r in raw.items()}
+        path = _require_file(args.fingerprint, "fingerprint file")
+        with open(path) as fh:
+            fp = _fingerprint(json.load(fh), f"fingerprint file {path}")
     else:
         raise CliError("pass a fingerprint via --rss or --fingerprint")
     result = knn_localize(fp, radio_map, loc_cfg)
@@ -449,16 +424,6 @@ _REPORT_HEADER = ["query_id", "truth_x", "truth_y", "truth_floor",
                   "est_x", "est_y", "est_floor", "error_m", "floor_correct"]
 
 
-def _summary_dict(report) -> dict:
-    return {
-        "floor_accuracy": report.floor_accuracy,
-        "mean_error_m": report.mean_error_m,
-        "p50": report.p50,
-        "p75": report.p75,
-        "p90": report.p90,
-    }
-
-
 def cmd_evaluate(args) -> int:
     tree, overrides = effective_config(args)
     *_, loc_cfg = _configs(tree)
@@ -468,7 +433,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     outs = _Outputs(out)
     outs.add_csv("report.csv", _REPORT_HEADER, _report_rows(report))
-    outs.add_json("summary.json", _summary_dict(report))
+    outs.add_json("summary.json", report.summary())
     outs.add_json("manifest.json", _manifest(
         "evaluate", {"map": args.map, "queries": args.queries},
         outs.names() + ["manifest.json"], args, tree, overrides))
@@ -480,35 +445,26 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_one(task: tuple[str, str, str, float]) -> list[str]:
-    map_path, queries_path, tree_json, tau = task
-    tree = json.loads(tree_json)
-    tree["localization"]["tau"] = tau
-    *_, loc_cfg = _configs(tree)
-    radio_map = load_radio_map(map_path)
-    queries = load_queries(queries_path)
-    report = evaluate(queries, vectorize_map(radio_map, loc_cfg), loc_cfg)
-    return [_fmt(tau), _fmt(report.floor_accuracy), _fmt(report.mean_error_m),
-            _fmt(report.p50), _fmt(report.p75), _fmt(report.p90)]
-
-
 def cmd_sweep(args) -> int:
     tree, overrides = effective_config(args)
-    _require_file(args.map, "map file")
-    _require_file(args.queries, "queries file")
+    *_, loc_cfg = _configs(tree)
+    map_path = _require_file(args.map, "map file")
+    queries_path = _require_file(args.queries, "queries file")
     try:
         taus = [float(v) for v in args.taus.split(",") if v.strip()]
     except ValueError:
         raise CliError("--taus must be a comma-separated number list")
     if not taus:
         raise CliError("--taus list is empty")
-    tree_json = json.dumps(tree)
-    tasks = [(args.map, args.queries, tree_json, tau) for tau in taus]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_one, tasks))
-    else:
-        rows = [_sweep_one(t) for t in tasks]
+    radio_map = load_radio_map(map_path)
+    queries = load_queries(queries_path)
+    rows = []
+    for tau in taus:
+        cfg = replace(loc_cfg, tau=tau)
+        report = evaluate(queries, vectorize_map(radio_map, cfg), cfg)
+        rows.append([_fmt(tau), _fmt(report.floor_accuracy),
+                     _fmt(report.mean_error_m), _fmt(report.p50),
+                     _fmt(report.p75), _fmt(report.p90)])
     out = _out_dir(args)
     outs = _Outputs(out)
     outs.add_csv("sweep.csv", ["tau", "floor_accuracy", "mean_error_m",
@@ -531,8 +487,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="override one dotted config key (repeatable)")
     sub.add_argument("--seed", type=int, help="override the scenario RNG seed")
     sub.add_argument("--out", help="output directory (default: current)")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for batch commands")
 
 
 def build_parser() -> argparse.ArgumentParser:

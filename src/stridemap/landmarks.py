@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -227,7 +228,12 @@ def _inside_confirmed_stop(
 
 
 def _baro_window_means(trace: SensorTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Means of tumbling pressure windows and each window's end time."""
+    """Means of tumbling pressure windows and each window's end time.
+
+    A window with no samples (a gap in the channel) is left out of both
+    arrays, so the windows on either side of a gap are compared as
+    neighbours: a gap neither breaks nor ends a flat run or a ramp.
+    """
     t = trace.baro.t
     if len(t) == 0:
         return np.empty(0), np.empty(0)
@@ -237,10 +243,8 @@ def _baro_window_means(trace: SensorTrace, window_s: float) -> tuple[np.ndarray,
     sums = np.bincount(idx, weights=trace.baro.v, minlength=n_win)
     counts = np.bincount(idx, minlength=n_win)
     full = counts > 0
-    means = np.full(n_win, np.nan)
-    means[full] = sums[full] / counts[full]
     ends = t0 + (np.arange(n_win) + 1) * window_s
-    return means, ends
+    return sums[full] / counts[full], ends[full]
 
 
 def detect_baro_landmarks(
@@ -257,13 +261,8 @@ def detect_baro_landmarks(
     """
     p, ends = _baro_window_means(trace, cfg.baro_window_s)
     n = len(p)
-    if n < 3 or np.any(np.isnan(p)):
-        return [] if n < 3 else _detect_baro(p[~np.isnan(p)], ends, cfg)
-    return _detect_baro(p, ends, cfg)
-
-
-def _detect_baro(p: np.ndarray, ends: np.ndarray, cfg: LandmarkConfig) -> list[LandmarkEvent]:
-    n = len(p)
+    if n < 3:
+        return []
     d = np.diff(p)  # d[i] = p[i+1] - p[i]
     events: list[LandmarkEvent] = []
     vertical: bool | None = None  # None until first event
@@ -337,6 +336,19 @@ def circular_diff(a: float, b: float) -> float:
     return min(d, 2 * math.pi - d)
 
 
+@contextmanager
+def _malformed(what: str):
+    """Report a missing field or a malformed value as a GraphError."""
+    try:
+        yield
+    except GraphError:
+        raise
+    except KeyError as exc:
+        raise GraphError(f"{what}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"{what}: malformed: {exc}") from None
+
+
 def graph_from_dict(data: dict) -> LandmarkGraph:
     """Build and validate a landmark graph from its JSON object form."""
     try:
@@ -344,25 +356,29 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
         edge_list = data["edges"]
     except (KeyError, TypeError):
         raise GraphError("graph object requires 'nodes' and 'edges'") from None
+    if not isinstance(node_list, list) or not isinstance(edge_list, list):
+        raise GraphError("graph 'nodes' and 'edges' must be arrays")
     auto_reverse = bool(data.get("auto_reverse", False))
 
     nodes: dict[str, Landmark] = {}
-    for nd in node_list:
-        lid = nd["id"]
-        if lid in nodes:
-            raise GraphError(f"duplicate landmark id {lid!r}")
-        rules = tuple(_parse_rule(r) for r in nd.get("rules", []))
-        nodes[lid] = Landmark(id=lid, x=float(nd["x"]), y=float(nd["y"]),
-                              floor=int(nd["floor"]), rules=rules)
+    for i, nd in enumerate(node_list):
+        with _malformed(f"node {i}"):
+            lid = nd["id"]
+            if lid in nodes:
+                raise GraphError(f"duplicate landmark id {lid!r}")
+            rules = tuple(_parse_rule(r) for r in nd.get("rules", []))
+            nodes[lid] = Landmark(id=lid, x=float(nd["x"]), y=float(nd["y"]),
+                                  floor=int(nd["floor"]), rules=rules)
 
     edges: list[Edge] = []
-    for ed in edge_list:
-        frm, to = ed["from"], ed["to"]
-        for endpoint in (frm, to):
-            if endpoint not in nodes:
-                raise GraphError(f"edge references unknown landmark {endpoint!r}")
-        heading = math.radians(float(ed["heading_deg"])) % (2 * math.pi)
-        distance = float(ed["distance_m"])
+    for i, ed in enumerate(edge_list):
+        with _malformed(f"edge {i}"):
+            frm, to = ed["from"], ed["to"]
+            for endpoint in (frm, to):
+                if endpoint not in nodes:
+                    raise GraphError(f"edge references unknown landmark {endpoint!r}")
+            heading = math.radians(float(ed["heading_deg"])) % (2 * math.pi)
+            distance = float(ed["distance_m"])
         if distance <= 0:
             raise GraphError(f"edge {frm!r}->{to!r} has non-positive distance")
         a, b = nodes[frm], nodes[to]

@@ -39,7 +39,14 @@ from .sensors import (
     TraceError,
     classify_motion,
     detect_steps,
+    write_text,
 )
+
+
+# Heading agreement gate, degrees; PdrConfig holds it in radians.
+HEADING_THRESHOLD_DEG = 30.0
+# Moving-average span of the pressure used for floor tracking, seconds.
+BARO_SMOOTH_S = 2.0
 
 
 class HeadingSource(enum.Enum):
@@ -54,8 +61,7 @@ class PdrConfig:
 
     initial_step_length: float = 0.63     # meters
     pressure_per_floor: float = 0.45      # hPa between adjacent floors
-    baro_smooth_s: float = 2.0            # moving-average span for floor tracking
-    heading_threshold: float = math.radians(30.0)  # heading agreement gate
+    heading_threshold: float = math.radians(HEADING_THRESHOLD_DEG)
     confidence_threshold: float = 0.25    # minimum landmark match score
     distance_floor: float = 0.1           # meters, caps the distance term
     min_steps_for_update: int = 3         # step-length calibration gate
@@ -246,61 +252,37 @@ def round_floor(f: float, prev: int) -> int:
     return math.floor(f + 0.5)
 
 
-class _Compass:
-    """Azimuth lookup by linear interpolation of the mag vector."""
-
-    def __init__(self, trace: SensorTrace):
-        if len(trace.mag) == 0:
-            raise TraceError("trace has no magnetometer channel")
-        self.t = trace.mag.t
-        self.mx = trace.mag.v[:, 0]
-        self.my = trace.mag.v[:, 1]
-
-    def at(self, t: float) -> float:
-        mx = float(np.interp(t, self.t, self.mx))
-        my = float(np.interp(t, self.t, self.my))
-        return compass_heading(mx, my)
-
-
-class _TurnIntegral:
-    """Cumulative signed vertical rotation from the gyroscope."""
-
-    def __init__(self, trace: SensorTrace):
-        t = trace.gyro.t
-        if len(t) < 2:
-            self.t = np.array([0.0, 1.0])
-            self.g = np.zeros(2)
-            return
-        wz = trace.gyro.v[:, 2]
-        g = np.empty(len(t))
-        g[0] = 0.0
-        np.cumsum(wz[:-1] * np.diff(t), out=g[1:])
-        self.t = t
-        self.g = g
-
-    def between(self, t0: float, t1: float) -> float:
-        return float(np.interp(t1, self.t, self.g) - np.interp(t0, self.t, self.g))
+def _turn_integral(trace: SensorTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Gyro sample times and the cumulative signed vertical rotation at
+    each; zero throughout without at least two gyro samples."""
+    t = trace.gyro.t
+    if len(t) < 2:
+        return np.array([0.0, 1.0]), np.zeros(2)
+    wz = trace.gyro.v[:, 2]
+    g = np.empty(len(t))
+    g[0] = 0.0
+    np.cumsum(wz[:-1] * np.diff(t), out=g[1:])
+    return t, g
 
 
 def _select_heading(
     mode: HeadingSource,
-    ts: float,
-    compass: _Compass,
-    turns: _TurnIntegral,
+    comp: float,
+    turned: float,
+    turned_since_ref: float,
     theta0: float,
-    t_start: float,
     state: MatchState,
-    t_ref: float,
     graph: LandmarkGraph | None,
     cfg: PdrConfig,
 ) -> float:
+    """Heading of one step from its compass azimuth and the rotation since
+    the walk started and since the last landmark."""
     if mode is HeadingSource.COMPASS:
-        return compass.at(ts)
+        return comp
     if mode is HeadingSource.GYRO:
-        return (theta0 + turns.between(t_start, ts)) % (2 * math.pi)
-    comp = compass.at(ts)
+        return (theta0 + turned) % (2 * math.pi)
     if graph is not None and state.last_landmark is not None:
-        if abs(turns.between(t_ref, ts)) < cfg.heading_threshold:
+        if abs(turned_since_ref) < cfg.heading_threshold:
             best: tuple[float, float] | None = None
             for e in graph.out_edges(state.last_landmark):
                 dh = circular_diff(e.heading, comp)
@@ -311,9 +293,7 @@ def _select_heading(
     return comp
 
 
-def _still_run_bounds(
-    motion: list[tuple[float, MotionState]], cfg: SensorConfig
-) -> list[float]:
+def _still_run_bounds(motion: list[tuple[float, MotionState]]) -> list[float]:
     """Start and end times of every maximal run of Still windows.
 
     A trailing run has no following Walking window; it ends one window
@@ -356,12 +336,22 @@ def run_pdr(
     if mode is HeadingSource.LANDMARK and graph is None:
         raise ValueError("landmark heading mode requires a landmark graph")
 
+    if len(trace.mag) == 0:
+        raise TraceError("trace has no magnetometer channel")
+
     steps = detect_steps(trace, sensor_cfg)
     motion = classify_motion(trace, sensor_cfg)
-    compass = _Compass(trace)
-    turns = _TurnIntegral(trace)
     t_start = float(trace.accel.t[0])
-    theta0 = compass.at(t_start)
+    # every time a heading is read at is known up front: the start of the
+    # walk (index 0) and each step; interpolate the compass and the turn
+    # integral at all of them in one pass
+    at = np.array([t_start] + [s.t for s in steps])
+    mx = np.interp(at, trace.mag.t, trace.mag.v[:, 0]).tolist()
+    my = np.interp(at, trace.mag.t, trace.mag.v[:, 1]).tolist()
+    compass = [compass_heading(a, b) for a, b in zip(mx, my)]
+    gyro_t, gyro_turn = _turn_integral(trace)
+    turn = np.interp(at, gyro_t, gyro_turn).tolist()
+    theta0 = compass[0]
 
     events: list[LandmarkEvent] = []
     if mode is HeadingSource.LANDMARK:
@@ -378,9 +368,10 @@ def run_pdr(
 
     # holds before steps before events at equal timestamps: a hold never
     # moves the pose, and the snap must win the pose
-    items: list[tuple[float, int, object]] = [(s.t, 0, s) for s in steps]
+    items: list[tuple[float, int, object]] = [
+        (s.t, 0, k) for k, s in enumerate(steps, start=1)]
     items += [(e.t, 1, e) for e in events]
-    for wt in _still_run_bounds(motion, sensor_cfg):
+    for wt in _still_run_bounds(motion):
         items.append((wt, -1, None))
     items.sort(key=lambda it: (it[0], it[1]))
 
@@ -391,7 +382,7 @@ def run_pdr(
         # rounded floor from drifting across a half-floor boundary
         bt, bv = trace.baro.t, trace.baro.v
         dt = float(np.median(np.diff(bt)))
-        win = max(1, int(round(cfg.baro_smooth_s / dt))) if dt > 0 else 1
+        win = max(1, int(round(BARO_SMOOTH_S / dt))) if dt > 0 else 1
         if win > 1:
             bv = uniform_filter1d(bv, size=win, mode="nearest")
         p_of = lambda t: float(np.interp(t, bt, bv))
@@ -405,7 +396,7 @@ def run_pdr(
                        floor=round_floor(pose.floor, int(round(f0))),
                        fallback_heading=theta0)
     p_prev = p_of(t_start)
-    t_ref = t_start
+    turn_ref = turn[0]
     n_steps_since = 0
 
     poses = [pose]
@@ -434,8 +425,10 @@ def run_pdr(
                 cur_points.append(pose)
             continue
         if prio == 0:
-            heading = _select_heading(mode, ts, compass, turns, theta0,
-                                      t_start, state, t_ref, graph, cfg)
+            k = item
+            heading = _select_heading(mode, compass[k], turn[k] - turn[0],
+                                      turn[k] - turn_ref, theta0, state,
+                                      graph, cfg)
             new_floor = pose.floor
             if has_baro:
                 p_now = p_of(ts)
@@ -446,8 +439,9 @@ def run_pdr(
             pose = Pose(t=ts, x=stepped.x, y=stepped.y, floor=new_floor)
             poses.append(pose)
             cur_points.append(pose)
-            if item.periodicity is not None:
-                cur_periods.append(item.periodicity)
+            periodicity = steps[k - 1].periodicity
+            if periodicity is not None:
+                cur_periods.append(periodicity)
             state.traveled += step_length
             state.heading_x += math.cos(heading)
             state.heading_y += math.sin(heading)
@@ -487,7 +481,8 @@ def run_pdr(
         state = MatchState(anchor_x=lm.x, anchor_y=lm.y, floor=lm.floor,
                            last_landmark=lm.id,
                            fallback_heading=state.fallback_heading)
-        t_ref = ev.t_end if ev.t_end > ev.t else ev.t
+        # later turns are measured from where the event's motion ends
+        turn_ref = float(np.interp(max(ev.t, ev.t_end), gyro_t, gyro_turn))
         n_steps_since = 0
         cur_points = [pose]
         cur_periods = []
@@ -515,12 +510,7 @@ def dump_trajectory(traj: Trajectory, path) -> None:
         for pose in seg.points:
             lines.append(json.dumps({"t": pose.t, "x": pose.x, "y": pose.y,
                                      "floor": pose.floor, "segment": k}))
-    text = "".join(line + "\n" for line in lines)
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_trajectory(path: str | Path) -> Trajectory:

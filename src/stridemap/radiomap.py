@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sensors import WifiScan
+from .sensors import WifiScan, write_text
 
 if TYPE_CHECKING:  # no runtime dependency on the trajectory module
     from .pdr import PathSegment, Pose, Trajectory
@@ -48,8 +48,17 @@ class RadioMapEntry:
 
 @dataclass
 class RadioMap:
+    """Map entries plus the quality config they were built under.
+
+    segment_scans is filled by build_radio_map and never saved: the number
+    of scans each trajectory segment accepted, deduplicated only within
+    that segment, so a scan landing exactly on a snap shared by two
+    segments counts in both while the map holds it once.
+    """
+
     entries: list[RadioMapEntry] = field(default_factory=list)
     config: dict[str, float] = field(default_factory=dict)
+    segment_scans: list[int] = field(default_factory=list, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -121,7 +130,10 @@ def build_radio_map(
     ordered = sorted(scans, key=lambda s: s.t)
     entries: list[RadioMapEntry] = []
     seen: set[tuple[float, float, int, float]] = set()
+    placed_by_segment: list[set[tuple[float, float, int, float]]] = []
     for seg in trajectory.segments:
+        placed: set[tuple[float, float, int, float]] = set()
+        placed_by_segment.append(placed)
         belief = segment_belief(seg, cfg)
         if not belief_filter(belief):
             continue
@@ -136,6 +148,7 @@ def build_radio_map(
             x, y, f = interpolate_rp(pts[j], pts[j + 1], scan.t)
             floor = _round_half_up(f)
             key = (x, y, floor, scan.t)
+            placed.add(key)
             if key in seen:
                 continue
             seen.add(key)
@@ -147,7 +160,8 @@ def build_radio_map(
               "period_min": cfg.period_min,
               "period_max": cfg.period_max,
               "sigma_floor": cfg.sigma_floor}
-    return RadioMap(entries=entries, config=config)
+    return RadioMap(entries=entries, config=config,
+                    segment_scans=[len(p) for p in placed_by_segment])
 
 
 def merge_radio_maps(maps: Iterable[RadioMap]) -> RadioMap:
@@ -192,11 +206,7 @@ def save_radio_map(radio_map: RadioMap, path) -> None:
             for e in radio_map.entries
         ],
     }
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        Path(path).write_text(text)
+    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def load_radio_map(path: str | Path) -> RadioMap:

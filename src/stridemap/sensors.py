@@ -44,9 +44,6 @@ class SensorConfig:
 
     acc_window: int = 50            # samples per motion/variance window
     variance_threshold: float = 0.5  # (m/s^2)^2, walking vs still
-    walking_threshold_s: float = 2.0  # min walking run around a pause
-    still_min_s: float = 1.0        # shortest pause that counts as a stop
-    still_max_s: float = 8.0        # longest pause that counts as a stop
     gyro_window: int = 10           # samples per angular-rate window
 
 
@@ -246,7 +243,11 @@ def dump_trace(trace: SensorTrace, path) -> None:
                 [float(trace.truth.xy[i, 0]), float(trace.truth.xy[i, 1]),
                  float(trace.truth.floor[i])], 5)
     rows.sort(key=lambda r: (r[0], r[1]))
-    text = "".join(line + "\n" for _, _, line in rows)
+    write_text(path, "".join(line + "\n" for _, _, line in rows))
+
+
+def write_text(path, text: str) -> None:
+    """Write text to an open file, or replace the file at a path."""
     if hasattr(path, "write"):
         path.write(text)
     else:

@@ -1,9 +1,16 @@
 import csv
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
-from stridemap.cli import default_config, main
+from stridemap.cli import (SECTIONS, _configs, build_parser, default_config,
+                           effective_config, main)
+from stridemap.pdr import (HeadingSource, Trajectory, attach_periodicities,
+                           load_trajectory)
+from stridemap.radiomap import build_radio_map
+from stridemap.sensors import detect_steps, load_trace
 from test_sim import corridor_dict
 
 
@@ -69,6 +76,18 @@ def test_build_map_outputs(flow):
     assert len(seg_rows) - 1 >= 2  # the turn at b closes a segment
 
 
+def test_segment_counts_match_one_segment_builds(flow):
+    traj = load_trajectory(flow / "trajectory.jsonl")
+    trace = load_trace(flow / "trace.jsonl")
+    attach_periodicities(traj, detect_steps(trace))
+    expected = [len(build_radio_map(Trajectory(poses=[], segments=[seg]),
+                                    trace.wifi))
+                for seg in traj.segments]
+    rows = read_csv(flow / "segments.csv")[1:]
+    assert [int(r[2]) for r in rows] == expected
+    assert sum(expected) > 0
+
+
 def test_evaluate_exact_queries(flow, tmp_path):
     assert main(["evaluate", str(flow / "map.json"),
                  str(flow / "queries.jsonl"), "--out", str(tmp_path)]) == 0
@@ -81,6 +100,7 @@ def test_evaluate_exact_queries(flow, tmp_path):
     n_queries = len((flow / "queries.jsonl").read_text().splitlines())
     assert len(rows) - 1 == n_queries
     assert all(r[-1] == "1" for r in rows[1:])
+    assert summary["n_queries"] == n_queries
 
 
 def test_localize_known_fingerprint(flow, capsys):
@@ -110,15 +130,6 @@ def test_sweep_report(flow, tmp_path):
     rows = read_csv(tmp_path / "sweep.csv")
     assert rows[0][0] == "tau"
     assert [r[0] for r in rows[1:]] == ["-90.0", "-80.0", "-70.0"]
-
-
-def test_sweep_parallel_matches_serial(flow, tmp_path):
-    a, b = tmp_path / "serial", tmp_path / "parallel"
-    args = ["sweep", str(flow / "map.json"), str(flow / "queries.jsonl"),
-            "--taus=-90,-75"]
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--jobs", "2"]) == 0
-    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
 def test_reruns_are_byte_identical(flow, tmp_path):
@@ -193,13 +204,77 @@ def test_evaluate_empty_map_fails(flow, tmp_path, capsys):
     "localization.k=3.5",        # non-integral for an int key
     "localization.k=true",       # bools never coerce
     "localization.k",            # missing value
+    "pdr.heading_source=sextant",  # not a HeadingSource value
+    "sensors.walking_threshold_s=2.0",  # removed: nothing read them
+    "sensors.still_min_s=1.0",
+    "sensors.still_max_s=8.0",
+    "pdr.baro_smooth_s=2.0",     # a constant, not a setting
+    "pdr.heading_threshold=0.5",  # set in degrees, as heading_threshold_deg
 ])
 def test_bad_set_flags(flow, tmp_path, capsys, assignment):
     code = main(["evaluate", str(flow / "map.json"),
                  str(flow / "queries.jsonl"), "--out", str(tmp_path),
                  "--set", assignment])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_every_set_key_reaches_its_field():
+    strings = {"pdr.heading_source": "pdr-gyro",
+               "localization.metric": "sorensen",
+               "localization.tau_scope": "map"}
+    assignments = []
+    for section, leaves in default_config().items():
+        if section == "version":
+            continue
+        for key, default in leaves.items():
+            dotted = f"{section}.{key}"
+            value = strings[dotted] if dotted in strings else default + 1
+            assignments += ["--set", f"{dotted}={value}"]
+    args = build_parser().parse_args(["evaluate", "map.json", "q.jsonl",
+                                      *assignments])
+    tree, overrides = effective_config(args)
+    assert len(overrides) == 25
+    assert tree["pdr"]["heading_threshold_deg"] == 31.0
+    for (section, cls), cfg in zip(SECTIONS.items(), _configs(tree)):
+        assert type(cfg) is cls
+        assert len(tree[section]) == len(fields(cls))
+        for f in fields(cls):
+            value = getattr(cfg, f.name)
+            assert value != f.default, f.name
+            if f.name == "heading_threshold":
+                assert value == math.radians(31.0)
+            elif f.name == "heading_source":
+                assert value is HeadingSource.GYRO
+            else:
+                assert value == tree[section][f.name]
+
+
+def test_default_tree_is_exact():
+    tree = default_config()
+    assert tree["pdr"]["heading_threshold_deg"] == 30.0
+    assert tree["pdr"]["heading_source"] == "landmark"
+    assert sorted(tree["sensors"]) == ["acc_window", "gyro_window",
+                                       "variance_threshold"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "s.json"],
+    ["track", "t.jsonl"],
+    ["build-map", "trajectory.jsonl", "t.jsonl"],
+    ["localize", "map.json"],
+    ["evaluate", "map.json", "q.jsonl"],
+    ["sweep", "map.json", "q.jsonl", "--taus=-90"],
+])
+def test_no_subcommand_accepts_jobs(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--jobs" in errors[0]
 
 
 def test_config_file_unknown_key(flow, tmp_path, capsys):
@@ -261,3 +336,45 @@ def test_sweep_rejects_bad_tau_list(flow, tmp_path, capsys):
     assert main(["sweep", str(flow / "map.json"), str(flow / "queries.jsonl"),
                  "--taus", "abc", "--out", str(tmp_path)]) == 1
     assert "--taus" in capsys.readouterr().err
+
+
+GOOD_QUERY = '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -50}}\n'
+
+# case -> (bad file text, argv after the subcommand with BAD for the file,
+# text the one error line must hold)
+MALFORMED = {
+    "graph node without id": (
+        json.dumps({"nodes": [{"x": 0, "y": 0, "floor": 1}], "edges": []}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "node 0"),
+    "graph edge without to": (
+        json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1}],
+                    "edges": [{"from": "a"}]}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "edge 0"),
+    "graph nodes not an array": (
+        json.dumps({"nodes": 3, "edges": []}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "arrays"),
+    "query fp is a list": (
+        GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": [["ap-w", -50]]}\n',
+        ["evaluate", "FLOW/map.json", "BAD"], ":2:"),
+    "query x is text": (
+        GOOD_QUERY + '{"x": "east", "y": 0, "floor": 1, "fp": {}}\n',
+        ["evaluate", "FLOW/map.json", "BAD"], ":2:"),
+    "query rss is text": (
+        GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": "loud"}}\n',
+        ["sweep", "FLOW/map.json", "BAD", "--taus=-90"], ":2:"),
+    "fingerprint is a list": (
+        '[["ap-w", -50]]\n',
+        ["localize", "FLOW/map.json", "--fingerprint", "BAD"], "fingerprint"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_gives_one_error_line(flow, tmp_path, capsys, case):
+    text, argv, needle = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = [a.replace("FLOW", str(flow)).replace("BAD", str(bad)) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and needle in err[0]

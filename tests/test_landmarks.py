@@ -155,6 +155,33 @@ def test_events_alternate_in_out():
                      RuleKind.BARO_IN, RuleKind.BARO_OUT]
 
 
+def test_gap_before_ramp_keeps_event_times():
+    # 10 Hz, flat until 25 s, a 0.5 hPa ramp from 25 to 30 s, flat after;
+    # a gap must not shift the events onto the windows before it
+    t = np.arange(400) / 10.0
+    p = 1013.0 - 0.1 * np.clip(t - 25.0, 0.0, 5.0)
+    gap = (t >= 10.0) & (t < 20.0)
+    for keep in (np.ones(len(t), bool), ~gap):
+        trace = SensorTrace(baro=ScalarChannel(t=t[keep], v=p[keep]))
+        evs = detect_baro_landmarks(trace)
+        assert [(e.kind, e.t) for e in evs] == [
+            (RuleKind.BARO_IN, pytest.approx(25.0)),
+            (RuleKind.BARO_OUT, pytest.approx(31.0))]
+
+
+def test_gap_does_not_break_a_flat_run():
+    # the windows on either side of a gap are neighbours: equal pressure
+    # across it is flat, so a ramp right after the gap still has its
+    # entrance, stamped at the last window before the gap
+    t = np.arange(300) / 10.0
+    p = 1013.0 - 0.1 * np.clip(t - 20.0, 0.0, 5.0)
+    keep = ~((t >= 10.0) & (t < 20.0))
+    evs = detect_baro_landmarks(SensorTrace(baro=ScalarChannel(t=t[keep], v=p[keep])))
+    assert [(e.kind, e.t) for e in evs] == [
+        (RuleKind.BARO_IN, pytest.approx(10.0)),
+        (RuleKind.BARO_OUT, pytest.approx(26.0))]
+
+
 # ---------------------------------------------------------------------------
 # angles
 

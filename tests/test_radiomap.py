@@ -182,6 +182,30 @@ def test_boundary_scan_enters_once():
     assert rm.entries[0].x == pytest.approx(12.6)
 
 
+def test_boundary_scan_counts_in_both_segments():
+    # each segment's accepted count is deduplicated only within the
+    # segment: the seam scan counts for both, the map holds it once
+    traj = Trajectory(poses=[], segments=[
+        seg(GOOD, t0=0, t1=10, x0=0, x1=12.6),
+        seg(GOOD, t0=10, t1=20, x0=12.6, x1=25.2),
+        seg(POOR, t0=20, t1=30, x0=25.2, x1=0),
+    ])
+    rm = build_radio_map(traj, scans_at(5.0, 10.0, 15.0, 18.0, 25.0))
+    assert len(rm) == 4
+    assert rm.segment_scans == [2, 3, 0]
+    for k, segment in enumerate(traj.segments):
+        single = Trajectory(poses=[], segments=[segment])
+        alone = build_radio_map(single, scans_at(5.0, 10.0, 15.0, 18.0, 25.0))
+        assert len(alone) == rm.segment_scans[k]
+
+
+def test_repeated_scan_time_counts_once_per_segment():
+    traj = Trajectory(poses=[], segments=[seg(GOOD)])
+    rm = build_radio_map(traj, scans_at(5.0, 5.0))
+    assert len(rm) == 1
+    assert rm.segment_scans == [1]
+
+
 def test_scan_outside_every_segment_dropped():
     traj = Trajectory(poses=[], segments=[seg(GOOD, t0=0, t1=10)])
     rm = build_radio_map(traj, scans_at(11.0))
