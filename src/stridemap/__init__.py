@@ -70,14 +70,13 @@ from .radiomap import (
     segment_belief,
 )
 from .sensors import (
+    Channel,
     MotionState,
-    ScalarChannel,
     SensorConfig,
     SensorTrace,
     StepEvent,
     TraceError,
     TruthChannel,
-    VectorChannel,
     WifiScan,
     classify_motion,
     detect_steps,

@@ -21,15 +21,16 @@ from dataclasses import Field, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .landmarks import GraphError, LandmarkConfig, load_landmark_graph
+from .landmarks import LandmarkConfig, load_landmark_graph
 from .localization import LocalizationConfig, evaluate, knn_localize, vectorize_map
 from .pdr import (HEADING_THRESHOLD_DEG, HeadingSource, PdrConfig,
                   attach_periodicities, dump_trajectory, load_trajectory,
                   run_pdr, trajectory_errors)
-from .radiomap import (MapFormatError, QualityConfig, build_radio_map,
+from .radiomap import (QualityConfig, build_radio_map,
                        load_radio_map, save_radio_map, segment_belief)
-from .sensors import SensorConfig, TraceError, detect_steps, dump_trace, load_trace
-from .sim import ScenarioError, generate_trace, load_scenario
+from .sensors import (SensorConfig, detect_steps, dump_trace, load_trace,
+                      read_jsonl)
+from .sim import generate_trace, load_scenario
 
 CONFIG_VERSION = 1
 
@@ -357,29 +358,22 @@ def _fingerprint(raw, where: str) -> dict[str, int]:
         raise CliError(f"{where}: fingerprint must be an object of mac: rss")
     try:
         return {str(mac): int(rss) for mac, rss in raw.items()}
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise CliError(f"{where}: fingerprint RSS values must be integers")
 
 
 def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[str, int]]]:
     """Query JSONL: one {"x", "y", "floor", "fp"} object per line."""
     queries = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{path}:{ln}: invalid JSON: {exc}")
-            if not isinstance(rec, dict) or set(rec) != {"x", "y", "floor", "fp"}:
-                raise CliError(f"{path}:{ln}: query needs exactly x, y, floor, fp")
-            fp = _fingerprint(rec["fp"], f"{path}:{ln}")
-            try:
-                truth = (float(rec["x"]), float(rec["y"]), int(rec["floor"]))
-            except (TypeError, ValueError):
-                raise CliError(f"{path}:{ln}: x, y and floor must be numbers")
-            queries.append((truth, fp))
+    for ln, rec in read_jsonl(path, CliError, f"{path}:"):
+        if not isinstance(rec, dict) or set(rec) != {"x", "y", "floor", "fp"}:
+            raise CliError(f"{path}:{ln}: query needs exactly x, y, floor, fp")
+        fp = _fingerprint(rec["fp"], f"{path}:{ln}")
+        try:
+            truth = (float(rec["x"]), float(rec["y"]), int(rec["floor"]))
+        except (TypeError, ValueError, OverflowError):
+            raise CliError(f"{path}:{ln}: x, y and floor must be numbers")
+        queries.append((truth, fp))
     return queries
 
 
@@ -546,13 +540,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ScenarioError, GraphError, TraceError, MapFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
+        # every loader's typed error (TraceError, GraphError...) is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 import enum
 import json
 import math
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -179,52 +182,40 @@ def detect_gyro_landmarks(
     dt[-1] = dt[-2] if len(t) > 1 else 0.0
 
     events = []
-    i = 0
-    while i < n_win:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_win and above[j + 1]:
-            j += 1
-        lo = i * w
-        hi = (j + 1) * w  # exclusive
-        angle = float(np.sum(wz[lo:hi] * dt[lo:hi]))
-        t_start = float(t[lo])
-        t_end = float(t[hi - 1] + dt[hi - 1])
-        events.append(LandmarkEvent(t=t_start, kind=RuleKind.GYRO,
-                                    auxiliary=angle, t_end=t_end))
-        i = j + 1
+    hi = 0  # exclusive end of the current run of windows, in samples
+    for is_turn, run in groupby(above.tolist()):
+        lo, hi = hi, hi + w * len(list(run))
+        if is_turn:
+            angle = float(np.sum(wz[lo:hi] * dt[lo:hi]))
+            events.append(LandmarkEvent(
+                t=float(t[lo]), kind=RuleKind.GYRO, auxiliary=angle,
+                t_end=float(t[hi - 1] + dt[hi - 1])))
 
     if motion:
+        starts, reach = _confirmed_stops(motion)
+        # an event is inside a stop when one starting at or before it ends
+        # at or after it; reach[k] is the latest end of stops 0..k
         events = [ev for ev in events
-                  if not _inside_confirmed_stop(ev, motion)]
+                  if not ((k := bisect_right(starts, ev.t))
+                          and reach[k - 1] >= ev.t_end)]
     return events
 
 
-def _inside_confirmed_stop(
-    ev: LandmarkEvent, motion: list[tuple[float, MotionState]]
-) -> bool:
-    if len(motion) < 2:
-        return False
-    hop = motion[1][0] - motion[0][0]
-    run_start = None
-    run_len = 0
-    for t, state in motion:
-        if state is MotionState.STILL:
-            if run_start is None:
-                run_start = t
-                run_len = 0
-            run_len += 1
-        else:
-            if run_start is not None and run_len >= STILL_SUPPRESS_LABELS:
-                if ev.t >= run_start and ev.t_end <= run_start + run_len * hop:
-                    return True
-            run_start = None
-    if run_start is not None and run_len >= STILL_SUPPRESS_LABELS:
-        if ev.t >= run_start and ev.t_end <= run_start + run_len * hop:
-            return True
-    return False
+def _confirmed_stops(
+    motion: list[tuple[float, MotionState]]
+) -> tuple[list[float], list[float]]:
+    """Start times of the runs of at least STILL_SUPPRESS_LABELS Still
+    windows, and the latest end time among the runs up to each."""
+    starts: list[float] = []
+    reach: list[float] = []
+    hop = motion[1][0] - motion[0][0] if len(motion) > 1 else 0.0
+    for state, run in groupby(motion, key=itemgetter(1)):
+        times = [t for t, _ in run]
+        if state is MotionState.STILL and len(times) >= STILL_SUPPRESS_LABELS:
+            end = times[0] + len(times) * hop
+            starts.append(times[0])
+            reach.append(max(reach[-1], end) if reach else end)
+    return starts, reach
 
 
 def _baro_window_means(trace: SensorTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,10 @@ import enum
 import heapq
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,7 @@ from .sensors import (
     TraceError,
     classify_motion,
     detect_steps,
+    read_jsonl,
     write_text,
 )
 
@@ -300,19 +304,15 @@ def _still_run_bounds(motion: list[tuple[float, MotionState]]) -> list[float]:
     length past its last label.
     """
     bounds: list[float] = []
-    run_start: float | None = None
-    window_s = 0.0
-    for i, (wt, label) in enumerate(motion):
-        if i:
-            window_s = wt - motion[i - 1][0]
-        if label is MotionState.STILL:
-            if run_start is None:
-                run_start = wt
-        elif run_start is not None:
-            bounds += [run_start, wt]
-            run_start = None
-    if run_start is not None:
-        bounds += [run_start, motion[-1][0] + window_s]
+    runs = [(state, [t for t, _ in run])
+            for state, run in groupby(motion, key=itemgetter(1))]
+    for k, (state, times) in enumerate(runs):
+        if state is MotionState.STILL:
+            if k + 1 < len(runs):
+                bounds += [times[0], runs[k + 1][1][0]]
+            else:
+                window_s = times[-1] - motion[-2][0] if len(motion) > 1 else 0.0
+                bounds += [times[0], times[-1] + window_s]
     return bounds
 
 
@@ -518,32 +518,35 @@ def load_trajectory(path: str | Path) -> Trajectory:
     file format and must be reattached from the trace if needed."""
     segs: dict[int, list[Pose]] = {}
     poses: list[Pose] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            pose = Pose(t=float(rec["t"]), x=float(rec["x"]), y=float(rec["y"]),
-                        floor=float(rec["floor"]))
-            poses.append(pose)
-            segs.setdefault(int(rec["segment"]), []).append(pose)
+    for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
+        try:
+            values = [float(rec[k]) for k in ("t", "x", "y", "floor")]
+            segment = int(rec["segment"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            values = [math.nan]
+        if not all(map(math.isfinite, values)):
+            raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
+                             f"floor and an integer segment")
+        pose = Pose(*values)
+        poses.append(pose)
+        segs.setdefault(segment, []).append(pose)
     segments = [PathSegment(points=segs[k], periodicities=[])
                 for k in sorted(segs)]
     return Trajectory(poses=poses, segments=segments)
 
 
 def attach_periodicities(traj: Trajectory, steps) -> None:
-    """Fill segment periodicities from detected steps by time span."""
+    """Fill segment periodicities from detected steps by time span: the
+    steps after a segment's first pose up to and including its last."""
+    steps = sorted(steps, key=lambda s: s.t)
+    times = [s.t for s in steps]
     for seg in traj.segments:
         if not seg.points:
             continue
-        t_open = seg.points[0].t
-        t_close = seg.points[-1].t
-        seg.periodicities = [
-            s.periodicity for s in steps
-            if t_open < s.t <= t_close and s.periodicity is not None
-        ]
+        lo = bisect_right(times, seg.points[0].t)
+        hi = bisect_right(times, seg.points[-1].t)
+        seg.periodicities = [s.periodicity for s in steps[lo:hi]
+                             if s.periodicity is not None]
 
 
 def trajectory_errors(traj: Trajectory, trace: SensorTrace) -> np.ndarray:

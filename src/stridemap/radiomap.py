@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -128,6 +128,7 @@ def build_radio_map(
         belief_filter = lambda b: b is not None and b > cfg.belief_threshold
 
     ordered = sorted(scans, key=lambda s: s.t)
+    scan_t = [s.t for s in ordered]
     entries: list[RadioMapEntry] = []
     seen: set[tuple[float, float, int, float]] = set()
     placed_by_segment: list[set[tuple[float, float, int, float]]] = []
@@ -141,9 +142,8 @@ def build_radio_map(
         if len(pts) < 2:
             continue
         times = [p.t for p in pts]
-        for scan in ordered:
-            if scan.t < times[0] or scan.t > times[-1]:
-                continue
+        lo = bisect_left(scan_t, times[0])
+        for scan in ordered[lo:bisect_right(scan_t, times[-1], lo)]:
             j = min(max(bisect_right(times, scan.t) - 1, 0), len(pts) - 2)
             x, y, f = interpolate_rp(pts[j], pts[j + 1], scan.t)
             floor = _round_half_up(f)

@@ -9,7 +9,12 @@ Traces are JSON-lines files with one record per line:
     {"ch": "wifi",  "t": 1.234, "v": [["aa:bb:cc:dd:ee:ff", -67], ...]}
     {"ch": "truth", "t": 1.234, "v": [x, y, floor]}
 
-Timestamps are seconds and must be non-decreasing within each channel.
+CHANNELS holds the values per sample (one is a bare number) and the
+channel order at equal timestamps. On load, t (seconds) and every value
+must be finite numbers, samples must have their channel's width, t must not
+decrease within a channel, and a WiFi reading must be a [mac, rss] pair
+(unique non-empty string MAC, integer RSS <= 0); a violation raises
+TraceError naming the first bad line.
 """
 
 from __future__ import annotations
@@ -17,8 +22,12 @@ from __future__ import annotations
 import enum
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
@@ -27,10 +36,13 @@ from scipy.ndimage import uniform_filter1d
 SMOOTHING_WIDTH = 5
 # Two accepted step peaks closer than this are jitter, seconds.
 MIN_STEP_GAP_S = 0.3
+# The trace format: values per sample of each channel, in write order at
+# equal timestamps; a WiFi sample (None) is a scan of any length.
+CHANNELS = {"accel": 3, "gyro": 3, "mag": 3, "baro": 1, "wifi": None, "truth": 3}
 
 
 class TraceError(ValueError):
-    """Raised when a trace file violates the channel contracts."""
+    """Raised when a trace or trajectory file violates its format."""
 
 
 class MotionState(enum.Enum):
@@ -48,19 +60,9 @@ class SensorConfig:
 
 
 @dataclass(frozen=True)
-class VectorChannel:
-    """Time series of 3-vectors, shape (n,) and (n, 3)."""
-
-    t: np.ndarray
-    v: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-@dataclass(frozen=True)
-class ScalarChannel:
-    """Time series of scalars, shape (n,) and (n,)."""
+class Channel:
+    """Time series of samples: t has shape (n,), v shape (n, width), or
+    (n,) for a channel of one value per sample."""
 
     t: np.ndarray
     v: np.ndarray
@@ -89,22 +91,24 @@ class TruthChannel:
         return len(self.t)
 
 
-def _empty_vector() -> VectorChannel:
-    return VectorChannel(np.empty(0), np.empty((0, 3)))
+def _sample_shape(ch: str) -> tuple[int, ...] | None:
+    """Shape of one sample's values; None for WiFi, whose samples are scans."""
+    width = CHANNELS[ch]
+    return None if width is None else () if width == 1 else (width,)
 
 
-def _empty_scalar() -> ScalarChannel:
-    return ScalarChannel(np.empty(0), np.empty(0))
+def _empty(ch: str) -> Channel:
+    return Channel(np.empty(0), np.empty((0, *_sample_shape(ch))))
 
 
 @dataclass
 class SensorTrace:
     """All channels of one recording session."""
 
-    accel: VectorChannel = field(default_factory=_empty_vector)
-    gyro: VectorChannel = field(default_factory=_empty_vector)
-    mag: VectorChannel = field(default_factory=_empty_vector)
-    baro: ScalarChannel = field(default_factory=_empty_scalar)
+    accel: Channel = field(default_factory=lambda: _empty("accel"))
+    gyro: Channel = field(default_factory=lambda: _empty("gyro"))
+    mag: Channel = field(default_factory=lambda: _empty("mag"))
+    baro: Channel = field(default_factory=lambda: _empty("baro"))
     wifi: list[WifiScan] = field(default_factory=list)
     truth: TruthChannel | None = None
 
@@ -127,7 +131,7 @@ def accel_magnitude(ax: float, ay: float, az: float) -> float:
     return math.sqrt(ax * ax + ay * ay + az * az)
 
 
-def _magnitudes(channel: VectorChannel) -> np.ndarray:
+def _magnitudes(channel: Channel) -> np.ndarray:
     return np.sqrt(np.sum(channel.v * channel.v, axis=1))
 
 
@@ -141,20 +145,10 @@ def infer_rate(t: np.ndarray) -> float:
     return 1.0 / gap
 
 
-def _check_nondecreasing(t: np.ndarray, channel: str) -> None:
-    if len(t) > 1 and np.any(np.diff(t) < 0):
-        raise TraceError(f"timestamps regress in channel {channel!r}")
-
-
-def load_trace(path: str | Path) -> SensorTrace:
-    """Parse a JSONL trace file, validating per-channel invariants."""
-    acc_t, acc_v = [], []
-    gyr_t, gyr_v = [], []
-    mag_t, mag_v = [], []
-    bar_t, bar_v = [], []
-    wifi: list[WifiScan] = []
-    tru_t, tru_xy, tru_f = [], [], []
-
+def read_jsonl(path: str | Path, error: type[Exception],
+               prefix: str = "line ") -> Iterator[tuple[int, object]]:
+    """Line number and parsed record of each non-blank line of a JSON-lines
+    file; invalid JSON raises error located as f"{prefix}{lineno}"."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -163,86 +157,113 @@ def load_trace(path: str | Path) -> SensorTrace:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise TraceError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                ch, t, v = rec["ch"], rec["t"], rec["v"]
-            except (KeyError, TypeError) as exc:
-                raise TraceError(f"line {lineno}: missing ch/t/v") from exc
-            if ch == "accel":
-                acc_t.append(t)
-                acc_v.append(v)
-            elif ch == "gyro":
-                gyr_t.append(t)
-                gyr_v.append(v)
-            elif ch == "mag":
-                mag_t.append(t)
-                mag_v.append(v)
-            elif ch == "baro":
-                bar_t.append(t)
-                bar_v.append(v)
-            elif ch == "wifi":
-                readings: dict[str, int] = {}
-                for mac, rss in v:
-                    if mac in readings:
-                        raise TraceError(
-                            f"line {lineno}: duplicate MAC {mac!r} in scan")
-                    if not isinstance(rss, int) or rss > 0:
-                        raise TraceError(
-                            f"line {lineno}: RSS must be a non-positive "
-                            f"integer, got {rss!r}")
-                    readings[mac] = rss
-                wifi.append(WifiScan(t=float(t), readings=readings))
-            elif ch == "truth":
-                tru_t.append(t)
-                tru_xy.append(v[:2])
-                tru_f.append(v[2])
-            else:
-                raise TraceError(f"line {lineno}: unknown channel {ch!r}")
+                raise error(f"{prefix}{lineno}: invalid JSON: {exc}") from exc
+            yield lineno, rec
 
-    trace = SensorTrace(
-        accel=VectorChannel(np.asarray(acc_t, float), np.asarray(acc_v, float).reshape(-1, 3)),
-        gyro=VectorChannel(np.asarray(gyr_t, float), np.asarray(gyr_v, float).reshape(-1, 3)),
-        mag=VectorChannel(np.asarray(mag_t, float), np.asarray(mag_v, float).reshape(-1, 3)),
-        baro=ScalarChannel(np.asarray(bar_t, float), np.asarray(bar_v, float)),
-        wifi=wifi,
-        truth=TruthChannel(
-            np.asarray(tru_t, float),
-            np.asarray(tru_xy, float).reshape(-1, 2),
-            np.asarray(tru_f, float),
-        ) if tru_t else None,
+
+def _scan_readings(lineno: int, v) -> dict[str, int]:
+    if not isinstance(v, list):
+        raise TraceError(f"line {lineno}: WiFi scan must be a list of "
+                         f"[mac, rss] pairs, got {v!r}")
+    readings: dict[str, int] = {}
+    for pair in v:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and pair[0]):
+            raise TraceError(f"line {lineno}: WiFi reading must be a [mac, rss] "
+                             f"pair with a non-empty string MAC, got {pair!r}")
+        mac, rss = pair
+        if mac in readings:
+            raise TraceError(f"line {lineno}: duplicate MAC {mac!r} in scan")
+        if isinstance(rss, bool) or not isinstance(rss, int) or rss > 0:
+            raise TraceError(f"line {lineno}: RSS must be a non-positive "
+                             f"integer, got {rss!r}")
+        readings[mac] = rss
+    return readings
+
+
+def _checked(ch: str, t: list, v: list) -> Channel | None:
+    """The samples of channel ch as arrays, or None unless every t and
+    value is a finite number, every sample has the channel's width and t
+    is non-decreasing. WiFi values are scans and pass through."""
+    shape = _sample_shape(ch)
+    if not t:
+        return Channel(np.empty(0), v if shape is None else _empty(ch).v)
+    try:
+        ta = np.asarray(t, float)
+        va = v if shape is None else np.asarray(v, float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    ok = (ta.shape == (len(t),) and np.isfinite(ta).all()
+          and not (np.diff(ta) < 0).any())
+    if ok and shape is not None:
+        ok = va.shape == (len(t), *shape) and np.isfinite(va).all()
+    return Channel(ta, va) if ok else None
+
+
+def _channel(path: str | Path, ch: str, t: list, v: list) -> Channel:
+    """_checked over the whole channel; when that fails, the error names
+    the first bad record, found by bisecting for the shortest failing
+    prefix (a prefix that fails keeps failing as it grows)."""
+    chan = _checked(ch, t, v)
+    if chan is not None:
+        return chan
+    k = bisect_left(range(len(t)), True,
+                    key=lambda k: _checked(ch, t[:k + 1], v[:k + 1]) is None)
+    lines = (n for n, rec in read_jsonl(path, TraceError) if rec["ch"] == ch)
+    lineno = next(islice(lines, k, None), "?")  # "?" if the file changed
+    if _checked(ch, t[k:k + 1], v[k:k + 1]) is not None:
+        raise TraceError(f"line {lineno}: timestamps regress in channel {ch!r}")
+    width = CHANNELS[ch]
+    values = "" if width is None else f" and {width} finite value{'s' * (width > 1)}"
+    raise TraceError(f"line {lineno}: {ch} sample must be a finite t{values}")
+
+
+def load_trace(path: str | Path) -> SensorTrace:
+    """Parse a JSONL trace file, validating every channel against CHANNELS."""
+    cols: dict[str, tuple[list, list]] = {ch: ([], []) for ch in CHANNELS}
+    for lineno, rec in read_jsonl(path, TraceError):
+        try:
+            ch, t, v = rec["ch"], rec["t"], rec["v"]
+        except (KeyError, TypeError) as exc:
+            raise TraceError(f"line {lineno}: missing ch/t/v") from exc
+        try:
+            ts, vs = cols[ch]
+        except (KeyError, TypeError):
+            raise TraceError(f"line {lineno}: unknown channel {ch!r}") from None
+        if ch == "wifi":
+            v = _scan_readings(lineno, v)
+        ts.append(t)
+        vs.append(v)
+
+    chans = {ch: _channel(path, ch, *cols[ch]) for ch in CHANNELS}
+    wifi = chans.pop("wifi")
+    truth = chans.pop("truth")
+    return SensorTrace(
+        **chans,
+        wifi=[WifiScan(t, r) for t, r in zip(wifi.t.tolist(), wifi.v)],
+        truth=TruthChannel(truth.t, truth.v[:, :2].copy(),
+                           truth.v[:, 2].copy()) if len(truth) else None,
     )
-    for name in ("accel", "gyro", "mag", "baro"):
-        _check_nondecreasing(getattr(trace, name).t, name)
-    _check_nondecreasing(np.asarray([s.t for s in wifi]), "wifi")
-    if trace.truth is not None:
-        _check_nondecreasing(trace.truth.t, "truth")
-    return trace
 
 
 def dump_trace(trace: SensorTrace, path) -> None:
     """Write a trace as JSONL to a path or open file, channels interleaved
-    by timestamp."""
+    by timestamp and in CHANNELS order at equal timestamps."""
     rows: list[tuple[float, int, str]] = []
-
-    def add(ch, t, v, order):
-        rows.append((float(t), order, json.dumps({"ch": ch, "t": t, "v": v})))
-
-    for i in range(len(trace.accel)):
-        add("accel", trace.accel.t[i], list(trace.accel.v[i]), 0)
-    for i in range(len(trace.gyro)):
-        add("gyro", trace.gyro.t[i], list(trace.gyro.v[i]), 1)
-    for i in range(len(trace.mag)):
-        add("mag", trace.mag.t[i], list(trace.mag.v[i]), 2)
-    for i in range(len(trace.baro)):
-        add("baro", trace.baro.t[i], float(trace.baro.v[i]), 3)
-    for scan in trace.wifi:
-        add("wifi", scan.t, [[m, r] for m, r in scan.readings.items()], 4)
-    if trace.truth is not None:
-        for i in range(len(trace.truth)):
-            add("truth", trace.truth.t[i],
-                [float(trace.truth.xy[i, 0]), float(trace.truth.xy[i, 1]),
-                 float(trace.truth.floor[i])], 5)
-    rows.sort(key=lambda r: (r[0], r[1]))
+    for order, ch in enumerate(CHANNELS):
+        if ch == "wifi":
+            samples = [(s.t, [[m, r] for m, r in s.readings.items()])
+                       for s in trace.wifi]
+        elif ch == "truth":
+            tr = trace.truth
+            samples = [] if tr is None else zip(
+                tr.t.tolist(), np.column_stack([tr.xy, tr.floor]).tolist())
+        else:
+            c = getattr(trace, ch)
+            samples = zip(c.t.tolist(), c.v.tolist())
+        rows += [(t, order, json.dumps({"ch": ch, "t": t, "v": v}))
+                 for t, v in samples]
+    rows.sort(key=itemgetter(0, 1))
     write_text(path, "".join(line + "\n" for _, _, line in rows))
 
 
@@ -255,15 +276,6 @@ def write_text(path, text: str) -> None:
             fh.write(text)
 
 
-def _window_variances(mag: np.ndarray, window: int) -> np.ndarray:
-    """Population variance of each full tumbling window."""
-    n = len(mag) // window
-    if n == 0:
-        return np.empty(0)
-    blocks = mag[: n * window].reshape(n, window)
-    return blocks.var(axis=1)
-
-
 def classify_motion(
     trace: SensorTrace, cfg: SensorConfig = SensorConfig()
 ) -> list[tuple[float, MotionState]]:
@@ -272,14 +284,12 @@ def classify_motion(
     One label per full window of cfg.acc_window samples, stamped with the
     window start time; a trailing partial window produces no label.
     """
-    mags = _magnitudes(trace.accel)
-    variances = _window_variances(mags, cfg.acc_window)
-    labels = []
-    for i, var in enumerate(variances):
-        t0 = float(trace.accel.t[i * cfg.acc_window])
-        state = MotionState.WALKING if var > cfg.variance_threshold else MotionState.STILL
-        labels.append((t0, state))
-    return labels
+    w = cfg.acc_window
+    n = len(trace.accel) // w
+    variances = _magnitudes(trace.accel)[: n * w].reshape(n, w).var(axis=1)
+    return [(t0, MotionState.WALKING if var > cfg.variance_threshold
+             else MotionState.STILL)
+            for t0, var in zip(trace.accel.t[: n * w: w].tolist(), variances.tolist())]
 
 
 def _rolling_variance(mag: np.ndarray, window: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .landmarks import Edge, LandmarkGraph, graph_from_dict, graph_to_dict
-from .sensors import ScalarChannel, SensorTrace, TruthChannel, VectorChannel, WifiScan
+from .sensors import Channel, SensorTrace, TruthChannel, WifiScan
 
 TICK = 0.02                 # s per tick: 50 Hz inertial sampling
 MAG_EVERY = 5               # ticks between magnetometer samples (10 Hz)
@@ -655,7 +655,7 @@ def generate_trace(env: Environment, script: WalkScript,
     az = _bump_train(plan, n)
     if noise.accel_std > 0:
         az = az + rng_accel.normal(0.0, noise.accel_std, n)
-    accel = VectorChannel(t=t_all, v=np.column_stack(
+    accel = Channel(t=t_all, v=np.column_stack(
         [np.zeros(n), np.zeros(n), az]))
 
     wz = np.zeros(n)
@@ -666,13 +666,13 @@ def generate_trace(env: Environment, script: WalkScript,
         wz = wz + noise.gyro_bias
     if noise.gyro_std > 0:
         wz = wz + rng_gyro.normal(0.0, noise.gyro_std, n)
-    gyro = VectorChannel(t=t_all, v=np.column_stack(
+    gyro = Channel(t=t_all, v=np.column_stack(
         [np.zeros(n), np.zeros(n), wz]))
 
     mag_ticks = np.arange(0, plan.total_ticks + 1, MAG_EVERY)
     mx_x, mx_y, mx_f, mx_h = _plan_state(plan, mag_ticks)
     psi = mx_h + _zone_bias(noise.compass_zones, mx_x, mx_y, mx_f)
-    mag = VectorChannel(t=mag_ticks * TICK, v=np.column_stack(
+    mag = Channel(t=mag_ticks * TICK, v=np.column_stack(
         [np.cos(psi), np.sin(psi), np.zeros(len(psi))]))
 
     baro_ticks = np.arange(0, plan.total_ticks + 1, BARO_EVERY)
@@ -680,7 +680,7 @@ def generate_trace(env: Environment, script: WalkScript,
     pressure = BASE_PRESSURE - PRESSURE_PER_FLOOR * b_floor
     if noise.baro_std > 0:
         pressure = pressure + rng_baro.normal(0.0, noise.baro_std, len(pressure))
-    baro = ScalarChannel(t=baro_ticks * TICK, v=pressure)
+    baro = Channel(t=baro_ticks * TICK, v=pressure)
 
     scan_step = _ticks(script.scan_interval_s, "scan interval")
     scan_ticks = np.arange(scan_step, plan.total_ticks + 1, scan_step)

@@ -1,27 +1,26 @@
 import numpy as np
 import pytest
 
-from stridemap.sensors import (ScalarChannel, SensorTrace, VectorChannel,
-                               WifiScan)
+from stridemap.sensors import Channel, SensorTrace, WifiScan
 
 RATE = 50.0
 DT = 1.0 / RATE
 GRAVITY = 9.81
 
 
-def accel_channel(mags: np.ndarray, t0: float = 0.0) -> VectorChannel:
+def accel_channel(mags: np.ndarray, t0: float = 0.0) -> Channel:
     """Vertical-only accelerometer channel from a magnitude series."""
     n = len(mags)
     t = t0 + np.arange(n) * DT
     v = np.column_stack([np.zeros(n), np.zeros(n), mags])
-    return VectorChannel(t=t, v=v)
+    return Channel(t=t, v=v)
 
 
-def gyro_channel(wz: np.ndarray, t0: float = 0.0) -> VectorChannel:
+def gyro_channel(wz: np.ndarray, t0: float = 0.0) -> Channel:
     n = len(wz)
     t = t0 + np.arange(n) * DT
     v = np.column_stack([np.zeros(n), np.zeros(n), wz])
-    return VectorChannel(t=t, v=v)
+    return Channel(t=t, v=v)
 
 
 def flat(seconds: float) -> np.ndarray:

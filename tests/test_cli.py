@@ -339,6 +339,10 @@ def test_sweep_rejects_bad_tau_list(flow, tmp_path, capsys):
 
 
 GOOD_QUERY = '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -50}}\n'
+GOOD_ACCEL = '{"ch": "accel", "t": 0.0, "v": [0, 0, 9.8]}\n'
+GOOD_POSE = '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0}\n'
+TRACK_BAD = ["track", "BAD", "--mode", "pdr-gyro"]
+MAP_BAD = ["build-map", "BAD", "FLOW/trace.jsonl"]
 
 # case -> (bad file text, argv after the subcommand with BAD for the file,
 # text the one error line must hold)
@@ -365,6 +369,40 @@ MALFORMED = {
     "fingerprint is a list": (
         '[["ap-w", -50]]\n',
         ["localize", "FLOW/map.json", "--fingerprint", "BAD"], "fingerprint"),
+    "accel samples of width 2": (
+        GOOD_ACCEL + '{"ch": "accel", "t": 0.1, "v": [0, 0]}\n'
+        '{"ch": "accel", "t": 0.2, "v": [0, 0]}\n', TRACK_BAD, "line 2"),
+    "baro sample is a list": (
+        GOOD_ACCEL + '{"ch": "baro", "t": 0.0, "v": [1013, 1014]}\n',
+        TRACK_BAD, "line 2"),
+    "truth sample of width 4": (
+        GOOD_ACCEL + '{"ch": "truth", "t": 0.0, "v": [0, 0, 1, 7]}\n',
+        TRACK_BAD, "line 2"),
+    "NaN sample value": (
+        GOOD_ACCEL + '{"ch": "gyro", "t": 0.0, "v": [NaN, 0, 0]}\n',
+        TRACK_BAD, "line 2"),
+    "NaN timestamp": (
+        GOOD_ACCEL + '{"ch": "accel", "t": NaN, "v": [0, 0, 9.8]}\n',
+        TRACK_BAD, "line 2"),
+    "wifi reading is a triple": (
+        GOOD_ACCEL + '{"ch": "wifi", "t": 1.0, "v": [["aa", -50, 3]]}\n',
+        TRACK_BAD, "line 2"),
+    "wifi scan is not a list": (
+        GOOD_ACCEL + '{"ch": "wifi", "t": 1.0, "v": -50}\n',
+        TRACK_BAD, "line 2"),
+    "trajectory pose without segment": (
+        GOOD_POSE + '{"t": 1, "x": 0, "y": 0, "floor": 1}\n',
+        MAP_BAD, ":2:"),
+    "trajectory line is a list": (
+        GOOD_POSE + '[1, 0, 0, 1, 0]\n', MAP_BAD, ":2:"),
+    "trajectory NaN time": (
+        GOOD_POSE + '{"t": NaN, "x": 0, "y": 0, "floor": 1, "segment": 0}\n',
+        MAP_BAD, ":2:"),
+    "trajectory time is text": (
+        GOOD_POSE + '{"t": "a", "x": 0, "y": 0, "floor": 1, "segment": 0}\n',
+        MAP_BAD, ":2:"),
+    "trajectory invalid JSON": (
+        GOOD_POSE + '{"t": 1, x}\n', MAP_BAD, ":2: invalid JSON"),
 }
 
 

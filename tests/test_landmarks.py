@@ -10,7 +10,7 @@ from stridemap.landmarks import (GraphError, LandmarkConfig, MotionState,
                                  detect_acc_landmarks, detect_baro_landmarks,
                                  detect_gyro_landmarks, graph_from_dict,
                                  graph_to_dict, replicate_floor, sgn)
-from stridemap.sensors import ScalarChannel, SensorTrace
+from stridemap.sensors import Channel, SensorTrace
 
 from conftest import DT, gyro_channel
 
@@ -123,7 +123,7 @@ def test_burst_in_single_still_window_survives():
 def baro_trace(window_means, samples_per_window=10, window_s=1.0):
     vals = np.repeat(np.asarray(window_means, dtype=float), samples_per_window)
     t = np.arange(len(vals)) * (window_s / samples_per_window)
-    return SensorTrace(baro=ScalarChannel(t=t, v=vals))
+    return SensorTrace(baro=Channel(t=t, v=vals))
 
 
 def test_ramp_entrance_and_exit():
@@ -162,7 +162,7 @@ def test_gap_before_ramp_keeps_event_times():
     p = 1013.0 - 0.1 * np.clip(t - 25.0, 0.0, 5.0)
     gap = (t >= 10.0) & (t < 20.0)
     for keep in (np.ones(len(t), bool), ~gap):
-        trace = SensorTrace(baro=ScalarChannel(t=t[keep], v=p[keep]))
+        trace = SensorTrace(baro=Channel(t=t[keep], v=p[keep]))
         evs = detect_baro_landmarks(trace)
         assert [(e.kind, e.t) for e in evs] == [
             (RuleKind.BARO_IN, pytest.approx(25.0)),
@@ -176,7 +176,7 @@ def test_gap_does_not_break_a_flat_run():
     t = np.arange(300) / 10.0
     p = 1013.0 - 0.1 * np.clip(t - 20.0, 0.0, 5.0)
     keep = ~((t >= 10.0) & (t < 20.0))
-    evs = detect_baro_landmarks(SensorTrace(baro=ScalarChannel(t=t[keep], v=p[keep])))
+    evs = detect_baro_landmarks(SensorTrace(baro=Channel(t=t[keep], v=p[keep])))
     assert [(e.kind, e.t) for e in evs] == [
         (RuleKind.BARO_IN, pytest.approx(10.0)),
         (RuleKind.BARO_OUT, pytest.approx(26.0))]

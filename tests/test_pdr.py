@@ -14,8 +14,8 @@ from stridemap.pdr import (HeadingSource, MatchState, PdrConfig, Pose,
                            match_landmark, floor_update, pdr_step,
                            round_floor, run_pdr, trajectory_errors,
                            update_step_length)
-from stridemap.sensors import (ScalarChannel, SensorTrace, StepEvent,
-                               TruthChannel, VectorChannel, detect_steps)
+from stridemap.sensors import (Channel, SensorTrace, StepEvent,
+                               TruthChannel, detect_steps)
 
 from conftest import DT, GRAVITY, accel_channel, flat, walking
 
@@ -235,8 +235,8 @@ def out_and_back_trace(steps_out=20, period=0.5, compass_bias=0.0):
 
     trace = SensorTrace(
         accel=accel_channel(mags),
-        gyro=VectorChannel(t, np.column_stack([np.zeros(n), np.zeros(n), wz])),
-        mag=VectorChannel(mag_t, mag_v),
+        gyro=Channel(t, np.column_stack([np.zeros(n), np.zeros(n), wz])),
+        mag=Channel(mag_t, mag_v),
     )
     dist = steps_out * 0.63
     knots_t = [0.0, 2.0, 2.0 + walk_s, 3.0 + walk_s, 3.0 + 2 * walk_s, t[-1]]

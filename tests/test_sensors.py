@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stridemap.sensors import (MotionState, ScalarChannel, SensorConfig,
-                               SensorTrace, TraceError, VectorChannel,
+from stridemap.sensors import (Channel, MotionState, SensorConfig,
+                               SensorTrace, TraceError, TruthChannel,
                                WifiScan, accel_magnitude, classify_motion,
                                detect_steps, dump_trace, infer_rate,
                                load_trace)
@@ -86,18 +86,30 @@ def test_load_rejects_duplicate_mac(tmp_path):
 def test_dump_load_round_trip(tmp_path):
     n = 20
     t = np.arange(n) * DT
+    rng = np.random.default_rng(0)
     trace = SensorTrace(
-        accel=VectorChannel(t, np.random.default_rng(0).normal(size=(n, 3))),
-        gyro=VectorChannel(t, np.zeros((n, 3))),
-        baro=ScalarChannel(t[:5], 1013.0 + np.arange(5) * 0.01),
-        wifi=[WifiScan(t=0.1, readings={"aa:bb": -60, "cc:dd": -72})],
+        accel=Channel(t, rng.normal(size=(n, 3))),
+        gyro=Channel(t, rng.normal(size=(n, 3))),
+        mag=Channel(t[::4], rng.normal(size=(5, 3))),
+        baro=Channel(t[:5], 1013.0 + np.arange(5) * 0.01),
+        wifi=[WifiScan(t=0.1, readings={"aa:bb": -60, "cc:dd": -72}),
+              WifiScan(t=0.3, readings={})],
+        truth=TruthChannel(t[::2], rng.normal(size=(10, 2)),
+                           np.repeat([1.0, 2.0], 5)),
     )
     path = tmp_path / "round.jsonl"
     dump_trace(trace, path)
     back = load_trace(path)
-    np.testing.assert_allclose(back.accel.v, trace.accel.v)
-    np.testing.assert_allclose(back.baro.v, trace.baro.v)
-    assert back.wifi[0].readings == trace.wifi[0].readings
+    for ch in ("accel", "gyro", "mag", "baro"):
+        assert np.array_equal(getattr(back, ch).t, getattr(trace, ch).t)
+        assert np.array_equal(getattr(back, ch).v, getattr(trace, ch).v)
+    for field in ("t", "xy", "floor"):
+        assert np.array_equal(getattr(back.truth, field),
+                              getattr(trace.truth, field))
+    assert back.wifi == trace.wifi
+    again = tmp_path / "again.jsonl"
+    dump_trace(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_infer_rate():
@@ -200,8 +212,8 @@ def test_dump_interleaves_by_time(tmp_path):
     n = 10
     t = np.arange(n) * DT
     trace = SensorTrace(
-        accel=VectorChannel(t, np.zeros((n, 3))),
-        baro=ScalarChannel(np.array([0.05]), np.array([1013.0])),
+        accel=Channel(t, np.zeros((n, 3))),
+        baro=Channel(np.array([0.05]), np.array([1013.0])),
     )
     buf = io.StringIO()
     dump_trace(trace, buf)
