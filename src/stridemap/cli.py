@@ -346,20 +346,25 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
         if "=" not in pair:
             raise CliError(f"--rss needs mac=rss, got {pair!r}")
         mac, _, raw = pair.partition("=")
-        try:
-            fp[mac] = int(raw)
-        except ValueError:
-            raise CliError(f"--rss value for {mac!r} must be an integer")
+        fp[mac] = _rss(raw, f"--rss value for {mac!r}")
     return fp
+
+
+def _rss(raw, what: str) -> int:
+    """An RSS in dBm: a non-positive integer (a float is truncated)."""
+    try:
+        rss = int(raw)
+        if rss <= 0:
+            return rss
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise CliError(f"{what} must be a non-positive integer")
 
 
 def _fingerprint(raw, where: str) -> dict[str, int]:
     if not isinstance(raw, dict):
         raise CliError(f"{where}: fingerprint must be an object of mac: rss")
-    try:
-        return {str(mac): int(rss) for mac, rss in raw.items()}
-    except (TypeError, ValueError, OverflowError):
-        raise CliError(f"{where}: fingerprint RSS values must be integers")
+    return {str(mac): _rss(rss, f"{where}: RSS of {mac!r}") for mac, rss in raw.items()}
 
 
 def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[str, int]]]:
@@ -371,8 +376,10 @@ def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[
         fp = _fingerprint(rec["fp"], f"{path}:{ln}")
         try:
             truth = (float(rec["x"]), float(rec["y"]), int(rec["floor"]))
+            if not (math.isfinite(truth[0]) and math.isfinite(truth[1])):
+                raise ValueError("non-finite position")
         except (TypeError, ValueError, OverflowError):
-            raise CliError(f"{path}:{ln}: x, y and floor must be numbers")
+            raise CliError(f"{path}:{ln}: x, y and floor must be finite numbers")
         queries.append((truth, fp))
     return queries
 

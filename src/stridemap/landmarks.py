@@ -336,8 +336,15 @@ def _malformed(what: str):
         raise
     except KeyError as exc:
         raise GraphError(f"{what}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GraphError(f"{what}: malformed: {exc}") from None
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
 
 
 def graph_from_dict(data: dict) -> LandmarkGraph:
@@ -358,7 +365,7 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
             if lid in nodes:
                 raise GraphError(f"duplicate landmark id {lid!r}")
             rules = tuple(_parse_rule(r) for r in nd.get("rules", []))
-            nodes[lid] = Landmark(id=lid, x=float(nd["x"]), y=float(nd["y"]),
+            nodes[lid] = Landmark(id=lid, x=_finite(nd["x"]), y=_finite(nd["y"]),
                                   floor=int(nd["floor"]), rules=rules)
 
     edges: list[Edge] = []
@@ -368,8 +375,8 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
             for endpoint in (frm, to):
                 if endpoint not in nodes:
                     raise GraphError(f"edge references unknown landmark {endpoint!r}")
-            heading = math.radians(float(ed["heading_deg"])) % (2 * math.pi)
-            distance = float(ed["distance_m"])
+            heading = math.radians(_finite(ed["heading_deg"])) % (2 * math.pi)
+            distance = _finite(ed["distance_m"])
         if distance <= 0:
             raise GraphError(f"edge {frm!r}->{to!r} has non-positive distance")
         a, b = nodes[frm], nodes[to]

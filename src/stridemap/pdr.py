@@ -19,7 +19,6 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .landmarks import (
     Landmark,
@@ -42,6 +41,7 @@ from .sensors import (
     TraceError,
     classify_motion,
     detect_steps,
+    moving_average,
     read_jsonl,
     write_text,
 )
@@ -384,7 +384,7 @@ def run_pdr(
         dt = float(np.median(np.diff(bt)))
         win = max(1, int(round(BARO_SMOOTH_S / dt))) if dt > 0 else 1
         if win > 1:
-            bv = uniform_filter1d(bv, size=win, mode="nearest")
+            bv = moving_average(bv, win)
         p_of = lambda t: float(np.interp(t, bt, bv))
     else:
         p_of = lambda t: 0.0

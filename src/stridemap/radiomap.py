@@ -191,9 +191,13 @@ _CONFIG_KEYS = {"belief_threshold", "period_min", "period_max", "sigma_floor"}
 
 
 def _real(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MapFormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise MapFormatError(f"{what} must be a finite number, got {value!r}")
 
 
 def save_radio_map(radio_map: RadioMap, path) -> None:

@@ -24,13 +24,12 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 # Width of the centered moving average applied before peak picking, samples.
 SMOOTHING_WIDTH = 5
@@ -246,23 +245,38 @@ def load_trace(path: str | Path) -> SensorTrace:
     )
 
 
+def _record_lines(ch: str, c: Channel) -> list[str]:
+    """One JSON line per sample of a numeric channel, as json.dumps writes
+    it: %r of a finite float is json's text for it."""
+    if not (np.isfinite(c.t).all() and np.isfinite(c.v).all()):
+        raise TraceError(f"cannot write channel {ch!r}: t and values must be finite")
+    width = CHANNELS[ch]
+    v = "%r" if width == 1 else "[" + ", ".join(["%r"] * width) + "]"
+    fmt = '{"ch": "' + ch + '", "t": %r, "v": ' + v + "}"
+    rows = c.v.reshape(len(c), width).tolist()
+    return [fmt % (t, *row) for t, row in zip(c.t.tolist(), rows)]
+
+
 def dump_trace(trace: SensorTrace, path) -> None:
     """Write a trace as JSONL to a path or open file, channels interleaved
-    by timestamp and in CHANNELS order at equal timestamps."""
+    by timestamp and in CHANNELS order at equal timestamps. A non-finite t
+    or value, which load_trace would reject, raises TraceError instead."""
+    tr = trace.truth
+    truth = _empty("truth") if tr is None else Channel(
+        tr.t, np.column_stack([tr.xy, tr.floor]))
     rows: list[tuple[float, int, str]] = []
     for order, ch in enumerate(CHANNELS):
-        if ch == "wifi":
-            samples = [(s.t, [[m, r] for m, r in s.readings.items()])
-                       for s in trace.wifi]
-        elif ch == "truth":
-            tr = trace.truth
-            samples = [] if tr is None else zip(
-                tr.t.tolist(), np.column_stack([tr.xy, tr.floor]).tolist())
+        if ch == "wifi":  # MACs need json's string escaping
+            t = [s.t for s in trace.wifi]
+            if not np.isfinite(t).all():
+                raise TraceError("cannot write channel 'wifi': t must be finite")
+            lines = [json.dumps({"ch": ch, "t": s.t,
+                                 "v": [[m, r] for m, r in s.readings.items()]})
+                     for s in trace.wifi]
         else:
-            c = getattr(trace, ch)
-            samples = zip(c.t.tolist(), c.v.tolist())
-        rows += [(t, order, json.dumps({"ch": ch, "t": t, "v": v}))
-                 for t, v in samples]
+            c = truth if ch == "truth" else getattr(trace, ch)
+            t, lines = c.t.tolist(), _record_lines(ch, c)
+        rows += zip(t, repeat(order), lines)
     rows.sort(key=itemgetter(0, 1))
     write_text(path, "".join(line + "\n" for _, _, line in rows))
 
@@ -290,6 +304,20 @@ def classify_motion(
     return [(t0, MotionState.WALKING if var > cfg.variance_threshold
              else MotionState.STILL)
             for t0, var in zip(trace.accel.t[: n * w: w].tolist(), variances.tolist())]
+
+
+def moving_average(x: np.ndarray, size: int) -> np.ndarray:
+    """Centered moving average of width size, the ends padded with copies
+    of the edge samples (size // 2 in front, the rest behind).
+
+    One running sum, divided on output: np.cumsum adds strictly in order,
+    so every value is bit-identical to scipy.ndimage.uniform_filter1d with
+    mode="nearest".
+    """
+    s1 = size // 2
+    p = np.pad(np.asarray(x, float), (s1, size - s1 - 1), mode="edge")
+    return np.cumsum(np.concatenate((np.cumsum(p[:size])[-1:],
+                                     p[size:] - p[:-size]))) / size
 
 
 def _rolling_variance(mag: np.ndarray, window: int) -> np.ndarray:
@@ -320,7 +348,7 @@ def detect_steps(
         return []
     t = trace.accel.t
     mags = _magnitudes(trace.accel)
-    smooth = uniform_filter1d(mags, size=SMOOTHING_WIDTH, mode="nearest")
+    smooth = moving_average(mags, SMOOTHING_WIDTH)
     variances = _rolling_variance(mags, cfg.acc_window)
 
     inner = np.arange(1, len(smooth) - 1)

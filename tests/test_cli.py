@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -357,15 +361,43 @@ MALFORMED = {
     "graph nodes not an array": (
         json.dumps({"nodes": 3, "edges": []}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "arrays"),
+    "graph node x is NaN": (
+        '{"nodes": [{"id": "a", "x": NaN, "y": 0, "floor": 1}], "edges": []}',
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "node 0"),
+    "graph edge distance overflows": (
+        json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1},
+                              {"id": "b", "x": 1, "y": 0, "floor": 1}],
+                    "edges": [{"from": "a", "to": "b", "heading_deg": 0,
+                               "distance_m": 10**400}]}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "edge 0"),
+    "map entry x overflows": (
+        json.dumps({"version": 1, "config": {}, "entries": [
+            {"x": 10**400, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -50}}]}),
+        ["evaluate", "BAD", "FLOW/queries.jsonl"], "entry 0 x"),
+    "map config is Infinity": (
+        '{"version": 1, "config": {"sigma_floor": Infinity}, "entries": []}',
+        ["localize", "BAD", "--rss", "ap-w=-50"], "config.sigma_floor"),
     "query fp is a list": (
         GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": [["ap-w", -50]]}\n',
         ["evaluate", "FLOW/map.json", "BAD"], ":2:"),
     "query x is text": (
         GOOD_QUERY + '{"x": "east", "y": 0, "floor": 1, "fp": {}}\n',
         ["evaluate", "FLOW/map.json", "BAD"], ":2:"),
+    "query x is NaN": (
+        GOOD_QUERY + '{"x": NaN, "y": 0, "floor": 1, "fp": {"ap-w": -50}}\n',
+        ["evaluate", "FLOW/map.json", "BAD"], ":2: x, y and floor must be finite"),
+    "query y is Infinity": (
+        GOOD_QUERY + '{"x": 0, "y": Infinity, "floor": 1, "fp": {"ap-w": -50}}\n',
+        ["sweep", "FLOW/map.json", "BAD", "--taus=-90"], ":2: x, y and floor must be finite"),
     "query rss is text": (
         GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": "loud"}}\n',
         ["sweep", "FLOW/map.json", "BAD", "--taus=-90"], ":2:"),
+    "fingerprint RSS overflows": (
+        json.dumps({"ap-w": 10**400}),
+        ["localize", "FLOW/map.json", "--fingerprint", "BAD"], "RSS of 'ap-w'"),
+    "query RSS is positive": (
+        GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": 5}}\n',
+        ["evaluate", "FLOW/map.json", "BAD"], ":2: RSS of 'ap-w' must be a non-positive"),
     "fingerprint is a list": (
         '[["ap-w", -50]]\n',
         ["localize", "FLOW/map.json", "--fingerprint", "BAD"], "fingerprint"),
@@ -416,3 +448,14 @@ def test_malformed_input_gives_one_error_line(flow, tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and needle in err[0]
+
+
+def test_cli_import_loads_no_scipy():
+    # every subcommand pays its imports again; scipy alone cost ~0.3 s
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import stridemap.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

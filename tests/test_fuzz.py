@@ -1,6 +1,7 @@
-"""Mutated trace and trajectory files through the CLI: whatever a record
-becomes, `track` and `build-map` exit 0 or 1 without a traceback, and a
-failure prints exactly one `error:` line."""
+"""Mutated input files through the CLI: whatever a record of a trace,
+trajectory, landmark graph, radio map, query file or fingerprint becomes,
+`track`, `build-map`, `evaluate` and `localize` exit 0 or 1 without a
+traceback, and a failure prints exactly one `error:` line."""
 
 import contextlib
 import io
@@ -32,6 +33,15 @@ def _trace_records() -> list[dict]:
 TRACE = _trace_records()
 TRAJECTORY = [{"t": t, "x": t, "y": 0.0, "floor": 1.0, "segment": seg}
               for t, seg in ((0.0, 0), (0.4, 0), (0.6, 1), (1.1, 1))]
+GRAPH_NODES = [{"id": "a", "x": 0.0, "y": 0.0, "floor": 1, "rules": ["acc"]},
+               {"id": "b", "x": 10.0, "y": 0.0, "floor": 1, "rules": ["gyro+", "acc"]}]
+GRAPH_EDGES = [{"from": "a", "to": "b", "heading_deg": 0.0, "distance_m": 10.0}]
+MAP_CONFIG = {"belief_threshold": 0.5, "period_min": 0.3, "period_max": 1.2,
+              "sigma_floor": 0.05}
+MAP_ENTRIES = [{"x": float(x), "y": 0.0, "floor": 1, "belief": 0.9,
+                "fp": {"aa": -40 - 5 * x, "bb": -80 + 5 * x}} for x in range(5)]
+QUERIES = [{"x": 1.5, "y": 0.0, "floor": 1, "fp": {"aa": -47, "bb": -72}},
+           {"x": 3.0, "y": 0.0, "floor": 1, "fp": {"aa": -55, "cc": -90}}]
 
 NUMBERS = st.one_of(st.floats(), st.integers(-10**3, 10**3), st.just(10**400))
 ODD = st.one_of(
@@ -97,3 +107,46 @@ def test_build_map_on_mutated_inputs(inputs):
     with tempfile.TemporaryDirectory() as d:
         _assert_clean_exit(["build-map", _write(Path(d) / "traj.jsonl", trajectory),
                             _write(Path(d) / "trace.jsonl", trace), "--out", d])
+
+
+def _write_json(path: Path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _map(records: list) -> dict:
+    """A radio map whose first record is the config and the rest entries."""
+    return {"version": 1, "config": records[0], "entries": records[1:]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutated(GRAPH_NODES + GRAPH_EDGES))
+def test_track_on_mutated_graph(records):
+    k = len(GRAPH_NODES)
+    graph = {"nodes": records[:k], "edges": records[k:], "auto_reverse": True}
+    with tempfile.TemporaryDirectory() as d:
+        _assert_clean_exit(["track", _write(Path(d) / "trace.jsonl", TRACE),
+                            "--graph", _write_json(Path(d) / "graph.json", graph),
+                            "--out", d])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.tuples(mutated([MAP_CONFIG] + MAP_ENTRIES), st.just(QUERIES)),
+                 st.tuples(st.just([MAP_CONFIG] + MAP_ENTRIES), mutated(QUERIES))))
+def test_evaluate_on_mutated_inputs(inputs):
+    map_records, queries = inputs
+    with tempfile.TemporaryDirectory() as d:
+        _assert_clean_exit(["evaluate", _write_json(Path(d) / "map.json", _map(map_records)),
+                            _write(Path(d) / "queries.jsonl", queries), "--out", d])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.tuples(mutated([MAP_CONFIG] + MAP_ENTRIES), st.just(QUERIES[0]["fp"])),
+                 st.tuples(st.just([MAP_CONFIG] + MAP_ENTRIES),
+                           mutated([QUERIES[0]["fp"]]).map(lambda r: r[0]))))
+def test_localize_on_mutated_inputs(inputs):
+    map_records, fingerprint = inputs
+    with tempfile.TemporaryDirectory() as d:
+        _assert_clean_exit(["localize", _write_json(Path(d) / "map.json", _map(map_records)),
+                            "--fingerprint", _write_json(Path(d) / "fp.json", fingerprint),
+                            "--out", d])

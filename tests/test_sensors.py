@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from stridemap.sensors import (Channel, MotionState, SensorConfig,
                                SensorTrace, TraceError, TruthChannel,
                                WifiScan, accel_magnitude, classify_motion,
                                detect_steps, dump_trace, infer_rate,
-                               load_trace)
+                               load_trace, moving_average)
 
 from conftest import DT, GRAVITY, RATE, accel_channel, flat, trace_from_mags, walking
 
@@ -110,6 +111,43 @@ def test_dump_load_round_trip(tmp_path):
     again = tmp_path / "again.jsonl"
     dump_trace(back, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _awkward_trace() -> SensorTrace:
+    """Floats whose shortest repr takes exponents, negative zero or 17
+    digits, in every channel; no two channels share an array."""
+    t = np.array([0.0, 1e-7, 0.1 + 0.2, 3.0, 1e16])
+    v = np.array([[-0.0, 1e22, 1 / 3], [2.5e-300, -1e-5, 123456789.123],
+                  [0.1, 0.2, 0.3], [7.0, -7.0, 1e15], [5e-324, 1.7976931348623157e308, 0.0]])
+    return SensorTrace(
+        accel=Channel(t.copy(), v.copy()), gyro=Channel(t.copy(), -v),
+        mag=Channel(t.copy(), v[::-1].copy()), baro=Channel(t.copy(), v[:, 1].copy()),
+        wifi=[WifiScan(t=0.1 + 0.2, readings={'a"b\\c': -1, "é": 0})],
+        truth=TruthChannel(t.copy(), v[:, :2].copy(), v[:, 2].copy()),
+    )
+
+
+def test_dump_writes_what_json_dumps_writes():
+    buf = io.StringIO()
+    dump_trace(_awkward_trace(), buf)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == 26
+    for line in lines:
+        assert json.dumps(json.loads(line)) == line
+
+
+@pytest.mark.parametrize("ch,where", [(ch, where) for ch in ("accel", "gyro", "mag", "baro", "truth")
+                                      for where in ("t", "v")] + [("wifi", "t")])
+def test_dump_rejects_non_finite(ch, where, tmp_path):
+    trace = _awkward_trace()
+    if ch == "wifi":
+        trace.wifi = [WifiScan(t=math.nan, readings={})]
+    else:
+        chan = trace.truth if ch == "truth" else getattr(trace, ch)
+        values = chan.floor if ch == "truth" else chan.v
+        (chan.t if where == "t" else values).flat[-1] = math.nan
+    with pytest.raises(TraceError, match=repr(ch)):
+        dump_trace(trace, tmp_path / "t.jsonl")
 
 
 def test_infer_rate():
@@ -220,3 +258,54 @@ def test_dump_interleaves_by_time(tmp_path):
     lines = buf.getvalue().splitlines()
     channels = [line.split('"')[3] for line in lines]
     assert channels[3] == "baro"  # lands between accel t=0.04 and t=0.06
+
+
+# ---------------------------------------------------------------------------
+# moving average
+
+
+def running_sum_average(x: list[float], size: int) -> list[float]:
+    """The sequential loop of a centered moving average: pad with size // 2
+    copies of the first sample in front and the rest behind, keep one
+    running sum, divide it on output."""
+    s1 = size // 2
+    p = [x[0]] * s1 + list(x) + [x[-1]] * (size - s1 - 1)
+    acc = 0.0
+    for k in range(size):
+        acc += p[k]
+    out = [acc / size]
+    for k in range(1, len(x)):
+        acc += p[k + size - 1] - p[k - 1]
+        out.append(acc / size)
+    return out
+
+
+@pytest.mark.parametrize("n,size", [(1, 1), (7, 1), (1, 5), (3, 5), (4, 8),
+                                    (5, 5), (10, 4), (50, 5), (200, 23)])
+def test_moving_average_matches_running_sum(n, size):
+    x = 9.81 + np.random.default_rng(n * 100 + size).normal(0, 3, n)
+    assert moving_average(x, size).tolist() == running_sum_average(x.tolist(), size)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60),
+       st.integers(1, 20))
+def test_moving_average_matches_running_sum_anywhere(x, size):
+    assert moving_average(np.array(x), size).tolist() == running_sum_average(x, size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 8, 31])
+def test_moving_average_keeps_a_constant(size):
+    # 1013.25 is a binary fraction, so every running sum is exact
+    x = np.full(40, 1013.25)
+    assert np.array_equal(moving_average(x, size), x)
+
+
+def test_moving_average_matches_scipy():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n, size = int(rng.integers(1, 400)), int(rng.integers(1, 60))
+        x = rng.choice([9.8, 1013.0]) + rng.choice([1e-3, 1.0, 1e4]) * rng.normal(size=n)
+        assert np.array_equal(moving_average(x, size),
+                              ndimage.uniform_filter1d(x, size=size, mode="nearest"))
