@@ -29,7 +29,7 @@ from .pdr import (HEADING_THRESHOLD_DEG, HeadingSource, PdrConfig,
 from .radiomap import (QualityConfig, build_radio_map,
                        load_radio_map, save_radio_map, segment_belief)
 from .sensors import (SensorConfig, detect_steps, dump_trace, load_trace,
-                      read_jsonl)
+                      number, read_jsonl)
 from .sim import generate_trace, load_scenario
 
 CONFIG_VERSION = 1
@@ -346,17 +346,21 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
         if "=" not in pair:
             raise CliError(f"--rss needs mac=rss, got {pair!r}")
         mac, _, raw = pair.partition("=")
+        try:
+            raw = int(raw)  # text never truncates: "-50.7" stays text
+        except ValueError:
+            pass
         fp[mac] = _rss(raw, f"--rss value for {mac!r}")
     return fp
 
 
 def _rss(raw, what: str) -> int:
-    """An RSS in dBm: a non-positive integer (a float is truncated)."""
+    """An RSS in dBm: a non-positive integer."""
     try:
-        rss = int(raw)
+        rss = number(raw, what, integral=True)
         if rss <= 0:
             return rss
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         pass
     raise CliError(f"{what} must be a non-positive integer")
 
@@ -375,11 +379,11 @@ def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[
             raise CliError(f"{path}:{ln}: query needs exactly x, y, floor, fp")
         fp = _fingerprint(rec["fp"], f"{path}:{ln}")
         try:
-            truth = (float(rec["x"]), float(rec["y"]), int(rec["floor"]))
-            if not (math.isfinite(truth[0]) and math.isfinite(truth[1])):
-                raise ValueError("non-finite position")
-        except (TypeError, ValueError, OverflowError):
-            raise CliError(f"{path}:{ln}: x, y and floor must be finite numbers")
+            truth = (number(rec["x"], "x"), number(rec["y"], "y"),
+                     number(rec["floor"], "floor", integral=True))
+        except ValueError:
+            raise CliError(f"{path}:{ln}: x, y and floor must be finite numbers, "
+                           f"floor an integer")
         queries.append((truth, fp))
     return queries
 

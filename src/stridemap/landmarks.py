@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sensors import MotionState, SensorConfig, SensorTrace
+from .sensors import MotionState, SensorConfig, SensorTrace, number
 
 # Gyro events inside a confirmed stop are phone fidgeting, not corners.
 # A stop is confirmed once this many consecutive windows classify Still;
@@ -340,13 +340,6 @@ def _malformed(what: str):
         raise GraphError(f"{what}: malformed: {exc}") from None
 
 
-def _finite(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{value!r} is not a finite number")
-    return x
-
-
 def graph_from_dict(data: dict) -> LandmarkGraph:
     """Build and validate a landmark graph from its JSON object form."""
     try:
@@ -365,8 +358,9 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
             if lid in nodes:
                 raise GraphError(f"duplicate landmark id {lid!r}")
             rules = tuple(_parse_rule(r) for r in nd.get("rules", []))
-            nodes[lid] = Landmark(id=lid, x=_finite(nd["x"]), y=_finite(nd["y"]),
-                                  floor=int(nd["floor"]), rules=rules)
+            nodes[lid] = Landmark(
+                id=lid, x=number(nd["x"], "x"), y=number(nd["y"], "y"),
+                floor=number(nd["floor"], "floor", integral=True), rules=rules)
 
     edges: list[Edge] = []
     for i, ed in enumerate(edge_list):
@@ -375,8 +369,9 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
             for endpoint in (frm, to):
                 if endpoint not in nodes:
                     raise GraphError(f"edge references unknown landmark {endpoint!r}")
-            heading = math.radians(_finite(ed["heading_deg"])) % (2 * math.pi)
-            distance = _finite(ed["distance_m"])
+            heading = math.radians(number(ed["heading_deg"], "heading_deg"))
+            heading %= 2 * math.pi
+            distance = number(ed["distance_m"], "distance_m")
         if distance <= 0:
             raise GraphError(f"edge {frm!r}->{to!r} has non-positive distance")
         a, b = nodes[frm], nodes[to]

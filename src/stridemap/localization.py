@@ -164,6 +164,15 @@ def _distances(matrix: np.ndarray, q: np.ndarray, metric: str) -> np.ndarray:
     return np.divide(diff, denom, out=np.zeros_like(diff), where=denom != 0)
 
 
+def _index(radio_map: RadioMap | VectorizedMap, cfg: LocalizationConfig) -> VectorizedMap:
+    """The map vectorized under cfg; an index passed in must already be."""
+    if not isinstance(radio_map, VectorizedMap):
+        return vectorize_map(radio_map, cfg)
+    if radio_map.cfg != cfg:
+        raise ValueError("index was vectorized under a different config")
+    return radio_map
+
+
 def knn_localize(
     query: dict[str, int],
     radio_map: RadioMap | VectorizedMap,
@@ -176,13 +185,7 @@ def knn_localize(
     nearest neighbor's floor. Distance ties keep map insertion order. A k
     beyond the map size uses every entry.
     """
-    if isinstance(radio_map, VectorizedMap):
-        if radio_map.cfg != cfg:
-            raise ValueError("index was vectorized under a different config")
-        index = radio_map
-    else:
-        index = vectorize_map(radio_map, cfg)
-
+    index = _index(radio_map, cfg)
     _, query_tau = _scope_taus(cfg)
     q = to_positive(query, index.universe, query_tau, index.min_rss).values
     dist = _distances(index.matrix, q, cfg.metric)
@@ -246,12 +249,7 @@ def evaluate(
     """Run every (truth pose, fingerprint) query against the map."""
     if not test:
         raise ValueError("no test queries")
-    if isinstance(radio_map, VectorizedMap):
-        index = radio_map
-        if index.cfg != cfg:
-            raise ValueError("index was vectorized under a different config")
-    else:
-        index = vectorize_map(radio_map, cfg)
+    index = _index(radio_map, cfg)
 
     rows: list[QueryResult] = []
     for qid, (truth, fp) in enumerate(test):

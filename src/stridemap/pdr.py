@@ -42,6 +42,7 @@ from .sensors import (
     classify_motion,
     detect_steps,
     moving_average,
+    number,
     read_jsonl,
     write_text,
 )
@@ -520,14 +521,11 @@ def load_trajectory(path: str | Path) -> Trajectory:
     poses: list[Pose] = []
     for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
         try:
-            values = [float(rec[k]) for k in ("t", "x", "y", "floor")]
-            segment = int(rec["segment"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            values = [math.nan]
-        if not all(map(math.isfinite, values)):
+            pose = Pose(*(number(rec[k], k) for k in ("t", "x", "y", "floor")))
+            segment = number(rec["segment"], "segment", integral=True)
+        except (KeyError, TypeError, ValueError):
             raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
-                             f"floor and an integer segment")
-        pose = Pose(*values)
+                             f"floor and an integer segment") from None
         poses.append(pose)
         segs.setdefault(segment, []).append(pose)
     segments = [PathSegment(points=segs[k], periodicities=[])

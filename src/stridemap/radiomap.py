@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sensors import WifiScan, write_text
+from .sensors import WifiScan, number, write_text
 
 if TYPE_CHECKING:  # no runtime dependency on the trajectory module
     from .pdr import PathSegment, Pose, Trajectory
@@ -156,11 +156,7 @@ def build_radio_map(
                 x=x, y=y, floor=floor,
                 belief=0.0 if belief is None else float(belief),
                 fp=dict(scan.readings)))
-    config = {"belief_threshold": cfg.belief_threshold,
-              "period_min": cfg.period_min,
-              "period_max": cfg.period_max,
-              "sigma_floor": cfg.sigma_floor}
-    return RadioMap(entries=entries, config=config,
+    return RadioMap(entries=entries, config=asdict(cfg),
                     segment_scans=[len(p) for p in placed_by_segment])
 
 
@@ -187,17 +183,6 @@ def merge_radio_maps(maps: Iterable[RadioMap]) -> RadioMap:
 
 _TOP_KEYS = {"version", "config", "entries"}
 _ENTRY_KEYS = {"x", "y", "floor", "belief", "fp"}
-_CONFIG_KEYS = {"belief_threshold", "period_min", "period_max", "sigma_floor"}
-
-
-def _real(value, what: str) -> float:
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise MapFormatError(f"{what} must be a finite number, got {value!r}")
 
 
 def save_radio_map(radio_map: RadioMap, path) -> None:
@@ -230,10 +215,10 @@ def load_radio_map(path: str | Path) -> RadioMap:
     config = data["config"]
     if not isinstance(config, dict):
         raise MapFormatError("config must be an object")
-    unknown = set(config) - _CONFIG_KEYS
+    unknown = set(config) - {f.name for f in fields(QualityConfig)}
     if unknown:
         raise MapFormatError(f"unknown config fields {sorted(unknown)}")
-    config = {k: _real(v, f"config.{k}") for k, v in config.items()}
+    config = {k: number(v, f"config.{k}", MapFormatError) for k, v in config.items()}
 
     if not isinstance(data["entries"], list):
         raise MapFormatError("entries must be an array")
@@ -258,9 +243,9 @@ def load_radio_map(path: str | Path) -> RadioMap:
                     f"entry {i} RSS for {mac} must be a non-positive integer")
             readings[mac] = rss
         entries.append(RadioMapEntry(
-            x=_real(rec["x"], f"entry {i} x"),
-            y=_real(rec["y"], f"entry {i} y"),
+            x=number(rec["x"], f"entry {i} x", MapFormatError),
+            y=number(rec["y"], f"entry {i} y", MapFormatError),
             floor=rec["floor"],
-            belief=_real(rec["belief"], f"entry {i} belief"),
+            belief=number(rec["belief"], f"entry {i} belief", MapFormatError),
             fp=readings))
     return RadioMap(entries=entries, config=config)

@@ -144,6 +144,21 @@ def infer_rate(t: np.ndarray) -> float:
     return 1.0 / gap
 
 
+def number(value, what: str, error: type[ValueError] = ValueError,
+           integral: bool = False) -> float | int:
+    """A JSON number as a float, or as an int when integral: finite, never a
+    bool, and with integral never fractional (1.5 is refused, not
+    truncated); otherwise error naming what."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value) and not (integral and value % 1):
+                return int(value) if integral else float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    kind = "an integer" if integral else "a finite number"
+    raise error(f"{what} must be {kind}, got {value!r}")
+
+
 def read_jsonl(path: str | Path, error: type[Exception],
                prefix: str = "line ") -> Iterator[tuple[int, object]]:
     """Line number and parsed record of each non-blank line of a JSON-lines

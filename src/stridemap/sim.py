@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .landmarks import Edge, LandmarkGraph, graph_from_dict, graph_to_dict
-from .sensors import Channel, SensorTrace, TruthChannel, WifiScan
+from .landmarks import Edge, GraphError, LandmarkGraph, graph_from_dict, graph_to_dict
+from .sensors import Channel, SensorTrace, TruthChannel, WifiScan, number
 
 TICK = 0.02                 # s per tick: 50 Hz inertial sampling
 MAG_EVERY = 5               # ticks between magnetometer samples (10 Hz)
@@ -74,7 +75,7 @@ class Environment:
     corridors: dict[int, list[list[tuple[float, float]]]]
     graph: LandmarkGraph
     aps: tuple[Ap, ...]
-    stairs: tuple[tuple[str, str], ...]  # (lower/upper landmark id pairs)
+    stairs: tuple[tuple[str, str], ...] = ()  # (lower/upper landmark id pairs)
 
 
 @dataclass(frozen=True)
@@ -139,188 +140,191 @@ def _on_corridor(x: float, y: float, polylines: list[list[tuple[float, float]]])
     return False
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+def _keys(obj, where: str, allowed, required) -> None:
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{what} must be an object")
-    unknown = set(obj) - allowed
+        raise ScenarioError(f"{where} must be an object")
+    unknown = set(obj) - set(allowed)
     if unknown:
-        raise ScenarioError(f"{what} has unknown fields {sorted(unknown)}")
-    missing = required - set(obj)
+        raise ScenarioError(f"{where} has unknown fields {sorted(unknown)}")
+    missing = set(required) - set(obj)
     if missing:
-        raise ScenarioError(f"{what} is missing fields {sorted(missing)}")
+        raise ScenarioError(f"{where} is missing fields {sorted(missing)}")
 
 
-_ENV_KEYS = {"floor_height_m", "corridors", "graph", "aps", "stairs"}
-_WALK_KEYS = {"waypoints", "speed_mps", "step_length_m", "stops", "false_walking",
-              "irregular_legs", "irregular_periods", "irregular_lengths",
-              "scan_interval_s", "warmup_s", "cooldown_s"}
-_NOISE_KEYS = {"seed", "accel_std_mps2", "gyro_bias_rad_s", "gyro_std_rad_s",
-               "baro_std_hpa", "shadowing_std_db", "compass_zones"}
-_ZONE_KEYS = {"x_min", "x_max", "y_min", "y_max", "floor", "bias_deg"}
+def _text(value, where: str) -> str:
+    if isinstance(value, str) and value:
+        return value
+    raise ScenarioError(f"{where} must be a non-empty string, got {value!r}")
+
+
+# The reader of a scalar field, by its declared type.
+_SCALAR = {
+    "float": lambda value, where: number(value, where, ScenarioError),
+    "int": lambda value, where: number(value, where, ScenarioError, integral=True),
+    "str": _text,
+}
+
+# The noise amplitudes carry their unit in the file: field -> file key.
+_UNIT_KEYS = {"accel_std": "accel_std_mps2", "gyro_bias": "gyro_bias_rad_s",
+              "gyro_std": "gyro_std_rad_s", "baro_std": "baro_std_hpa",
+              "shadowing_std": "shadowing_std_db"}
+
+
+def _codec(f) -> tuple:
+    """(reader, writer) of a dataclass field: its _COMPOUND entry, else the
+    reader of its declared scalar type and the value written as is."""
+    return _COMPOUND.get(f.name) or (_SCALAR[f.type], lambda value: value)
+
+
+def _record(cls, obj, where: str):
+    """Dataclass cls from its file object: a key per field (_UNIT_KEYS
+    renames), required when the field has no default."""
+    by_key = {_UNIT_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    _keys(obj, where, by_key, [key for key, f in by_key.items()
+                               if f.default is MISSING and f.default_factory is MISSING])
+    return cls(**{by_key[key].name: _codec(by_key[key])[0](value, f"{where}.{key}")
+                  for key, value in obj.items()})
+
+
+def _to_dict(obj) -> dict:
+    """The file object of a dataclass instance; _record reads it back."""
+    return {_UNIT_KEYS.get(f.name, f.name): _codec(f)[1](getattr(obj, f.name))
+            for f in fields(obj)}
+
+
+def _list(value, where: str, read) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where} must be an array")
+    return [read(item, f"{where}[{i}]") for i, item in enumerate(value)]
+
+
+def _array(read_item, make=tuple, write_item=lambda item: item) -> tuple:
+    """(reader, writer) of a field held in the file as an array."""
+    return (lambda value, where: make(_list(value, where, read_item)),
+            lambda items: [write_item(item) for item in items])
+
+
+def _pairs(keys: dict[str, str]) -> tuple:
+    """(reader, writer) of a tuple of pairs, each held as an object with
+    keys (key -> scalar type) in pair order."""
+    def read(obj, where: str) -> tuple:
+        _keys(obj, where, keys, keys)
+        return tuple(_SCALAR[kind](obj[key], f"{where}.{key}")
+                     for key, kind in keys.items())
+    return _array(read, write_item=lambda pair: dict(zip(keys, pair)))
+
+
+def _point(value, where: str) -> tuple[float, float]:
+    xy = _list(value, where, _SCALAR["float"])
+    if len(xy) != 2:
+        raise ScenarioError(f"{where} must be an [x, y] pair")
+    return tuple(xy)
+
+
+def _read_corridors(value, where: str) -> dict[int, list[list[tuple[float, float]]]]:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be an object")
+    corridors = {}
+    for key, lines in value.items():
+        try:
+            floor = int(key)
+        except ValueError:
+            raise ScenarioError(f"{where} key {key!r} is not a floor number") from None
+        corridors[floor] = _list(lines, f"{where}.{key}",
+                                 lambda line, at: _list(line, at, _point))
+    return corridors
+
+
+def _write_corridors(corridors: dict) -> dict:
+    return {str(floor): [[list(p) for p in line] for line in lines]
+            for floor, lines in corridors.items()}
+
+
+def _read_graph(value, where: str) -> LandmarkGraph:
+    try:
+        return graph_from_dict(value)
+    except GraphError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+# (reader, writer) of every field that is not a scalar, by field name.
+_COMPOUND = {
+    "environment": (partial(_record, Environment), _to_dict),
+    "walk": (partial(_record, WalkScript), _to_dict),
+    "noise": (partial(_record, NoiseModel), _to_dict),
+    "corridors": (_read_corridors, _write_corridors),
+    "graph": (_read_graph, graph_to_dict),
+    "aps": _array(partial(_record, Ap), write_item=_to_dict),
+    "stairs": _pairs({"from": "str", "to": "str"}),
+    "waypoints": _array(_text),
+    "stops": _pairs({"at": "str", "duration_s": "float"}),
+    "false_walking": _pairs({"t": "float", "duration_s": "float"}),
+    "irregular_legs": (_array(_SCALAR["int"], frozenset)[0], sorted),
+    "irregular_periods": _array(_SCALAR["float"]),
+    "irregular_lengths": _array(_SCALAR["float"]),
+    "compass_zones": _array(partial(_record, CompassZone), write_item=_to_dict),
+}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    _require_keys(data, {"environment", "walk", "noise"},
-                  {"environment", "walk", "noise"}, "scenario")
-    env_d, walk_d, noise_d = data["environment"], data["walk"], data["noise"]
-
-    _require_keys(env_d, _ENV_KEYS, {"floor_height_m", "corridors", "graph", "aps"},
-                  "environment")
-    floor_height = float(env_d["floor_height_m"])
-    if not floor_height > 0:
+    """Read a scenario file object, then check what the field types alone
+    cannot: positive sizes, landmark references and corridor membership."""
+    sc = _record(Scenario, data, "scenario")
+    env, walk, noise = sc.environment, sc.walk, sc.noise
+    nodes = env.graph.nodes
+    if not env.floor_height_m > 0:
         raise ScenarioError("floor_height_m must be positive")
-    corridors: dict[int, list[list[tuple[float, float]]]] = {}
-    for key, lines in env_d["corridors"].items():
-        corridors[int(key)] = [[(float(p[0]), float(p[1])) for p in line]
-                               for line in lines]
-    graph = graph_from_dict(env_d["graph"])
-    aps = []
-    seen_macs = set()
-    for ap_d in env_d["aps"]:
-        _require_keys(ap_d, {"mac", "x", "y", "floor", "tx_power_dbm",
-                             "path_loss_exponent"},
-                      {"mac", "x", "y", "floor", "tx_power_dbm",
-                       "path_loss_exponent"}, "ap")
-        ap = Ap(mac=str(ap_d["mac"]), x=float(ap_d["x"]), y=float(ap_d["y"]),
-                floor=int(ap_d["floor"]), tx_power_dbm=float(ap_d["tx_power_dbm"]),
-                path_loss_exponent=float(ap_d["path_loss_exponent"]))
-        if not (math.isfinite(ap.x) and math.isfinite(ap.y)):
-            raise ScenarioError(f"ap {ap.mac!r} has non-finite coordinates")
-        if ap.mac in seen_macs:
-            raise ScenarioError(f"duplicate ap mac {ap.mac!r}")
-        seen_macs.add(ap.mac)
-        aps.append(ap)
-    stairs = []
-    for st in env_d.get("stairs", []):
-        _require_keys(st, {"from", "to"}, {"from", "to"}, "stair")
-        frm, to = str(st["from"]), str(st["to"])
+    macs = [ap.mac for ap in env.aps]
+    for i, mac in enumerate(macs):
+        if mac in macs[:i]:
+            raise ScenarioError(f"duplicate ap mac {mac!r}")
+    for frm, to in env.stairs:
         for lid in (frm, to):
-            if lid not in graph.nodes:
+            if lid not in nodes:
                 raise ScenarioError(f"stair references unknown landmark {lid!r}")
-        if graph.nodes[frm].floor == graph.nodes[to].floor:
+        if nodes[frm].floor == nodes[to].floor:
             raise ScenarioError(f"stair {frm!r}->{to!r} does not change floor")
-        stairs.append((frm, to))
-    for lm in graph.nodes.values():
-        lines = corridors.get(lm.floor)
+    for lm in nodes.values():
+        lines = env.corridors.get(lm.floor)
         if not lines or not _on_corridor(lm.x, lm.y, lines):
             raise ScenarioError(
                 f"landmark {lm.id!r} is not on a floor-{lm.floor} corridor")
-    env = Environment(floor_height_m=floor_height, corridors=corridors,
-                      graph=graph, aps=tuple(aps), stairs=tuple(stairs))
 
-    _require_keys(walk_d, _WALK_KEYS, {"waypoints"}, "walk")
-    waypoints = tuple(str(w) for w in walk_d["waypoints"])
-    if len(waypoints) < 2:
+    if len(walk.waypoints) < 2:
         raise ScenarioError("walk needs at least two waypoints")
-    for wp in waypoints:
-        if wp not in graph.nodes:
+    for wp in walk.waypoints:
+        if wp not in nodes:
             raise ScenarioError(f"waypoint {wp!r} is not a landmark")
-    stops = []
-    for st in walk_d.get("stops", []):
-        _require_keys(st, {"at", "duration_s"}, {"at", "duration_s"}, "stop")
-        if st["at"] not in graph.nodes:
-            raise ScenarioError(f"stop at unknown landmark {st['at']!r}")
-        dur = float(st["duration_s"])
-        if not dur > 0:
+    for at, duration in walk.stops:
+        if at not in nodes:
+            raise ScenarioError(f"stop at unknown landmark {at!r}")
+        if not duration > 0:
             raise ScenarioError("stop duration must be positive")
-        stops.append((str(st["at"]), dur))
-    false_walking = []
-    for fw in walk_d.get("false_walking", []):
-        _require_keys(fw, {"t", "duration_s"}, {"t", "duration_s"}, "false_walking")
-        false_walking.append((float(fw["t"]), float(fw["duration_s"])))
-    walk = WalkScript(
-        waypoints=waypoints,
-        speed_mps=float(walk_d.get("speed_mps", 1.26)),
-        step_length_m=float(walk_d.get("step_length_m", 0.63)),
-        stops=tuple(stops),
-        false_walking=tuple(false_walking),
-        irregular_legs=frozenset(int(i) for i in walk_d.get("irregular_legs", [])),
-        irregular_periods=tuple(float(p) for p in walk_d.get(
-            "irregular_periods", WalkScript.irregular_periods)),
-        irregular_lengths=tuple(float(v) for v in walk_d.get(
-            "irregular_lengths", WalkScript.irregular_lengths)),
-        scan_interval_s=float(walk_d.get("scan_interval_s", 2.0)),
-        warmup_s=float(walk_d.get("warmup_s", 2.0)),
-        cooldown_s=float(walk_d.get("cooldown_s", 2.0)),
-    )
     if not walk.speed_mps > 0 or not walk.step_length_m > 0:
         raise ScenarioError("speed and step length must be positive")
     if not walk.scan_interval_s > 0:
         raise ScenarioError("scan interval must be positive")
+    if walk.warmup_s < 0 or walk.cooldown_s < 0:
+        raise ScenarioError("warmup_s and cooldown_s must be non-negative")
     for leg in walk.irregular_legs:
-        if not 0 <= leg < len(waypoints) - 1:
+        if not 0 <= leg < len(walk.waypoints) - 1:
             raise ScenarioError(f"irregular leg index {leg} out of range")
     if any(p <= 0 for p in walk.irregular_periods) or not walk.irregular_periods:
         raise ScenarioError("irregular periods must be positive")
     if any(v <= 0 for v in walk.irregular_lengths) or not walk.irregular_lengths:
         raise ScenarioError("irregular lengths must be positive")
 
-    _require_keys(noise_d, _NOISE_KEYS, set(), "noise")
-    zones = []
-    for z in noise_d.get("compass_zones", []):
-        _require_keys(z, _ZONE_KEYS, _ZONE_KEYS, "compass zone")
-        zone = CompassZone(x_min=float(z["x_min"]), x_max=float(z["x_max"]),
-                           y_min=float(z["y_min"]), y_max=float(z["y_max"]),
-                           floor=int(z["floor"]), bias_deg=float(z["bias_deg"]))
+    for name in ("seed", "accel_std", "gyro_std", "baro_std", "shadowing_std"):
+        if getattr(noise, name) < 0:
+            raise ScenarioError(f"noise.{_UNIT_KEYS.get(name, name)} must be non-negative")
+    for zone in noise.compass_zones:
         if zone.x_min > zone.x_max or zone.y_min > zone.y_max:
             raise ScenarioError("compass zone bounds are inverted")
-        zones.append(zone)
-    noise = NoiseModel(
-        seed=int(noise_d.get("seed", 0)),
-        accel_std=float(noise_d.get("accel_std_mps2", 0.0)),
-        gyro_bias=float(noise_d.get("gyro_bias_rad_s", 0.0)),
-        gyro_std=float(noise_d.get("gyro_std_rad_s", 0.0)),
-        baro_std=float(noise_d.get("baro_std_hpa", 0.0)),
-        shadowing_std=float(noise_d.get("shadowing_std_db", 0.0)),
-        compass_zones=tuple(zones),
-    )
-    for name in ("accel_std", "gyro_std", "baro_std", "shadowing_std"):
-        if getattr(noise, name) < 0:
-            raise ScenarioError(f"{name} must be non-negative")
-    return Scenario(environment=env, walk=walk, noise=noise)
+    return sc
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    env, walk, noise = sc.environment, sc.walk, sc.noise
-    return {
-        "environment": {
-            "floor_height_m": env.floor_height_m,
-            "corridors": {str(f): [[list(p) for p in line] for line in lines]
-                          for f, lines in env.corridors.items()},
-            "graph": graph_to_dict(env.graph),
-            "aps": [{"mac": a.mac, "x": a.x, "y": a.y, "floor": a.floor,
-                     "tx_power_dbm": a.tx_power_dbm,
-                     "path_loss_exponent": a.path_loss_exponent}
-                    for a in env.aps],
-            "stairs": [{"from": f, "to": t} for f, t in env.stairs],
-        },
-        "walk": {
-            "waypoints": list(walk.waypoints),
-            "speed_mps": walk.speed_mps,
-            "step_length_m": walk.step_length_m,
-            "stops": [{"at": a, "duration_s": d} for a, d in walk.stops],
-            "false_walking": [{"t": t, "duration_s": d}
-                              for t, d in walk.false_walking],
-            "irregular_legs": sorted(walk.irregular_legs),
-            "irregular_periods": list(walk.irregular_periods),
-            "irregular_lengths": list(walk.irregular_lengths),
-            "scan_interval_s": walk.scan_interval_s,
-            "warmup_s": walk.warmup_s,
-            "cooldown_s": walk.cooldown_s,
-        },
-        "noise": {
-            "seed": noise.seed,
-            "accel_std_mps2": noise.accel_std,
-            "gyro_bias_rad_s": noise.gyro_bias,
-            "gyro_std_rad_s": noise.gyro_std,
-            "baro_std_hpa": noise.baro_std,
-            "shadowing_std_db": noise.shadowing_std,
-            "compass_zones": [{"x_min": z.x_min, "x_max": z.x_max,
-                               "y_min": z.y_min, "y_max": z.y_max,
-                               "floor": z.floor, "bias_deg": z.bias_deg}
-                              for z in noise.compass_zones],
-        },
-    }
+    return _to_dict(sc)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -861,15 +865,12 @@ def two_floor_scenario(
         "environment": _base_environment(),
         "walk": {
             "waypoints": waypoints,
-            "speed_mps": 1.26,
-            "step_length_m": 0.63,
             "stops": [{"at": "D1", "duration_s": 3.0},
                       {"at": "D2", "duration_s": 3.0},
                       {"at": "SE1", "duration_s": 2.0},
                       {"at": "SX1", "duration_s": 2.0},
                       {"at": "SE2", "duration_s": 2.0},
                       {"at": "SX2", "duration_s": 2.0}],
-            "scan_interval_s": 2.0,
         },
         "noise": {
             "seed": seed,
@@ -903,15 +904,12 @@ def mixed_quality_scenario(seed: int = 0, shadowing_std: float = 1.0) -> Scenari
         "environment": _base_environment(),
         "walk": {
             "waypoints": waypoints,
-            "speed_mps": 1.26,
-            "step_length_m": 0.63,
             "stops": [{"at": "D1", "duration_s": 3.0},
                       {"at": "D2", "duration_s": 3.0}],
             "irregular_legs": irregular,
             # shuffling gait: strides average short of the calibrated step
             # length, so uncorrected positions drift between landmarks
             "irregular_lengths": [0.33, 0.33, 0.63, 0.63],
-            "scan_interval_s": 2.0,
         },
         "noise": {"seed": seed, "shadowing_std_db": shadowing_std},
     })

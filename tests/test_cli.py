@@ -347,6 +347,19 @@ GOOD_ACCEL = '{"ch": "accel", "t": 0.0, "v": [0, 0, 9.8]}\n'
 GOOD_POSE = '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0}\n'
 TRACK_BAD = ["track", "BAD", "--mode", "pdr-gyro"]
 MAP_BAD = ["build-map", "BAD", "FLOW/trace.jsonl"]
+GRAPH_BAD = ["track", "FLOW/trace.jsonl", "--graph", "BAD"]
+DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "two_floor_demo.json"
+
+
+def demo_with(value, *path) -> str:
+    """The two-floor demo scenario with the value at path replaced."""
+    d = json.loads(DEMO.read_text())
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(d)
+
 
 # case -> (bad file text, argv after the subcommand with BAD for the file,
 # text the one error line must hold)
@@ -435,6 +448,46 @@ MALFORMED = {
         MAP_BAD, ":2:"),
     "trajectory invalid JSON": (
         GOOD_POSE + '{"t": 1, x}\n', MAP_BAD, ":2: invalid JSON"),
+    "trajectory segment is fractional": (
+        GOOD_POSE + '{"t": 1, "x": 0, "y": 0, "floor": 1, "segment": 0.5}\n',
+        MAP_BAD, ":2:"),
+    "graph node floor is fractional": (
+        json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1.7}], "edges": []}),
+        GRAPH_BAD, "node 0: malformed: floor must be an integer"),
+    "query RSS is fractional": (
+        GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -50.7}}\n',
+        ["evaluate", "FLOW/map.json", "BAD"], ":2: RSS of 'ap-w' must be a non-positive integer"),
+    "query floor is fractional": (
+        GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1.5, "fp": {"ap-w": -50}}\n',
+        ["evaluate", "FLOW/map.json", "BAD"], ":2: x, y and floor"),
+    "fingerprint RSS is fractional": (
+        json.dumps({"ap-w": -50.7}),
+        ["localize", "FLOW/map.json", "--fingerprint", "BAD"], "RSS of 'ap-w'"),
+    "scenario corridors is a list": (
+        demo_with([[[0.0, 0.0], [25.2, 0.0]]], "environment", "corridors"),
+        ["simulate", "BAD"], "environment.corridors must be an object"),
+    "scenario ap x is a list": (
+        demo_with([1.0, 2.0], "environment", "aps", 0, "x"),
+        ["simulate", "BAD"], "environment.aps[0].x must be a finite number"),
+    "scenario ap tx power is Infinity": (
+        demo_with(math.inf, "environment", "aps", 0, "tx_power_dbm"),
+        ["simulate", "BAD"], "aps[0].tx_power_dbm must be a finite number"),
+    "scenario accel noise is NaN": (
+        demo_with(math.nan, "noise", "accel_std_mps2"),
+        ["simulate", "BAD"], "noise.accel_std_mps2 must be a finite number"),
+    "scenario ap floor is fractional": (
+        demo_with(1.5, "environment", "aps", 0, "floor"),
+        ["simulate", "BAD"], "aps[0].floor must be an integer"),
+    "scenario seed is fractional": (
+        demo_with(7.5, "noise", "seed"), ["simulate", "BAD"], "noise.seed must be an integer"),
+    "scenario speed is true": (
+        demo_with(True, "walk", "speed_mps"),
+        ["simulate", "BAD"], "walk.speed_mps must be a finite number"),
+    "scenario ap mac is a number": (
+        demo_with(5, "environment", "aps", 0, "mac"),
+        ["simulate", "BAD"], "aps[0].mac must be a non-empty string"),
+    "scenario warmup is negative": (
+        demo_with(-2.0, "walk", "warmup_s"), ["simulate", "BAD"], "warmup_s"),
 }
 
 

@@ -1,7 +1,7 @@
-"""Mutated input files through the CLI: whatever a record of a trace,
-trajectory, landmark graph, radio map, query file or fingerprint becomes,
-`track`, `build-map`, `evaluate` and `localize` exit 0 or 1 without a
-traceback, and a failure prints exactly one `error:` line."""
+"""Mutated input files through the CLI: whatever a record of a scenario,
+trace, trajectory, landmark graph, radio map, query file or fingerprint
+becomes, `simulate`, `track`, `build-map`, `evaluate` and `localize` exit 0
+or 1 without a traceback, and a failure prints exactly one `error:` line."""
 
 import contextlib
 import io
@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stridemap.cli import main
+from stridemap.sim import scenario_from_dict, scenario_to_dict
+from test_sim import corridor_dict
 
 
 def _trace_records() -> list[dict]:
@@ -43,18 +45,38 @@ MAP_ENTRIES = [{"x": float(x), "y": 0.0, "floor": 1, "belief": 0.9,
 QUERIES = [{"x": 1.5, "y": 0.0, "floor": 1, "fp": {"aa": -47, "bb": -72}},
            {"x": 3.0, "y": 0.0, "floor": 1, "fp": {"aa": -55, "cc": -90}}]
 
+# A scenario whose walk and noise hold every key, with one stop and one
+# compass zone; its sections, first AP, stop and zone are mutated apart.
+SCENARIO = scenario_to_dict(scenario_from_dict(corridor_dict(
+    walk={"stops": [{"at": "b", "duration_s": 1.0}]},
+    noise={"seed": 3, "compass_zones": [{"x_min": 0.0, "x_max": 5.0, "y_min": -1.0,
+                                         "y_max": 1.0, "floor": 1, "bias_deg": 10.0}]})))
+SCENARIO_LISTS = (("environment", "aps"), ("walk", "stops"), ("noise", "compass_zones"))
+SCENARIO_RECORDS = ([SCENARIO[section] for section, _ in SCENARIO_LISTS]
+                    + [SCENARIO[section][key][0] for section, key in SCENARIO_LISTS])
+
 NUMBERS = st.one_of(st.floats(), st.integers(-10**3, 10**3), st.just(10**400))
-ODD = st.one_of(
-    st.none(), st.booleans(), NUMBERS, st.text(max_size=3),
-    st.lists(NUMBERS, max_size=5),
-    st.lists(st.lists(st.one_of(st.text(max_size=2), NUMBERS), max_size=3),
-             max_size=3),
-    st.dictionaries(st.text(max_size=2), NUMBERS, max_size=2),
-)
+# Finite numbers a scenario can turn into a duration, speed or step length
+# stay within 1e2 and off the tiny range, or plan_walk would size arrays
+# without limit; NaN, Infinity and 10**400 must be refused before that.
+SCENARIO_NUMBERS = st.one_of(
+    st.floats(-100, 100).filter(lambda x: x == 0 or abs(x) >= 0.01),
+    st.integers(-100, 100), st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+
+
+def odd(numbers) -> st.SearchStrategy:
+    """Values of every JSON type, numbers drawn from numbers."""
+    return st.one_of(
+        st.none(), st.booleans(), numbers, st.text(max_size=3),
+        st.lists(numbers, max_size=5),
+        st.lists(st.lists(st.one_of(st.text(max_size=2), numbers), max_size=3),
+                 max_size=3),
+        st.dictionaries(st.text(max_size=2), numbers, max_size=2),
+    )
 
 
 @st.composite
-def mutated(draw, records: list[dict]) -> list:
+def mutated(draw, records: list[dict], numbers=NUMBERS) -> list:
     """records with one to three of them mutated: a key dropped, a value
     swapped for one of another type or width, or the whole record
     replaced."""
@@ -64,15 +86,15 @@ def mutated(draw, records: list[dict]) -> list:
         kind = draw(st.sampled_from(["drop", "swap", "width", "whole"]))
         rec = recs[i]
         if kind == "whole" or not isinstance(rec, dict) or not rec:
-            recs[i] = draw(ODD)
+            recs[i] = draw(odd(numbers))
             continue
         key = draw(st.sampled_from(sorted(rec)))
         if kind == "drop":
             del rec[key]
         elif kind == "swap":
-            rec[key] = draw(ODD)
+            rec[key] = draw(odd(numbers))
         else:
-            rec[key] = draw(st.lists(st.floats(), max_size=5))
+            rec[key] = draw(st.lists(numbers, max_size=5))
     return recs
 
 
@@ -89,6 +111,25 @@ def _assert_clean_exit(argv: list[str]) -> None:
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def _scenario(records: list):
+    """SCENARIO_RECORDS put back together: each mutated AP, stop or zone
+    goes first in its section's list while that list is the original."""
+    sections = records[:len(SCENARIO_LISTS)]
+    for (name, key), section, entry in zip(SCENARIO_LISTS, sections,
+                                           records[len(SCENARIO_LISTS):]):
+        if isinstance(section, dict) and section.get(key) is SCENARIO[name][key]:
+            section[key] = [entry] + SCENARIO[name][key][1:]
+    return dict(zip((name for name, _ in SCENARIO_LISTS), sections))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated(SCENARIO_RECORDS, SCENARIO_NUMBERS))
+def test_simulate_on_mutated_scenario(records):
+    with tempfile.TemporaryDirectory() as d:
+        scenario = _write_json(Path(d) / "scenario.json", _scenario(records))
+        _assert_clean_exit(["simulate", scenario, "--out", d])
 
 
 @settings(max_examples=40, deadline=None)

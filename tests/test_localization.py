@@ -206,6 +206,15 @@ def test_vectorized_index_pins_its_config():
         knn_localize({"aa": -40}, idx, LocalizationConfig(k=3))
 
 
+def test_evaluate_with_index_pins_its_config():
+    idx = vectorize_map(THREE, LocalizationConfig(k=1))
+    queries = [((0.0, 0.0, 1), {"aa": -40})]
+    with pytest.raises(ValueError, match="vectorized under a different config"):
+        evaluate(queries, idx, LocalizationConfig(k=3))
+    assert evaluate(queries, idx, LocalizationConfig(k=1)) == evaluate(
+        queries, THREE, LocalizationConfig(k=1))
+
+
 def test_vectorize_rejects_empty_map():
     with pytest.raises(ValueError, match="empty"):
         vectorize_map(RadioMap())

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
@@ -284,6 +285,12 @@ def build_sample_map():
     scans = [WifiScan(t=float(t), readings={"aa": -60 - t, "bb": -70})
              for t in range(1, 10)]
     return build_radio_map(traj, scans)
+
+
+def test_map_config_is_the_quality_config():
+    cfg = QualityConfig(period_min=0.3, belief_threshold=5.0)
+    rm = build_radio_map(Trajectory(poses=[], segments=[]), [], cfg)
+    assert rm.config == asdict(cfg)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,6 +1,8 @@
 import copy
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from stridemap.landmarks import RuleKind, detect_baro_landmarks
 from stridemap.sensors import detect_steps, dump_trace
 from stridemap.sim import (BASE_PRESSURE, PRESSURE_PER_FLOOR, NoiseModel,
                            ScenarioError, generate_test_queries,
-                           generate_trace, load_scenario, plan_walk,
+                           generate_trace, load_scenario,
+                           mixed_quality_scenario, plan_walk,
                            scenario_from_dict, scenario_to_dict,
                            two_floor_scenario)
 
@@ -312,8 +315,27 @@ def test_scenario_dict_round_trip():
     assert scenario_to_dict(scenario_from_dict(d)) == d
 
 
+@pytest.mark.parametrize("name, scenario", [
+    ("two_floor_demo", lambda: two_floor_scenario(
+        extra_loops=1, seed=7, gyro_bias=0.01, gyro_std=0.005,
+        compass_bias_deg=15.0)),
+    ("mixed_quality_demo", lambda: mixed_quality_scenario(seed=7)),
+])
+def test_demo_files_are_the_canned_scenarios(name, scenario):
+    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
+    text = json.dumps(scenario_to_dict(scenario()), indent=2, sort_keys=True) + "\n"
+    assert text == path.read_text()
+
+
+def test_integral_floats_read_as_integers():
+    d = corridor_dict(noise={"seed": 7.0})
+    d["environment"]["aps"][0]["floor"] = 1.0
+    sc = scenario_from_dict(d)
+    assert type(sc.noise.seed) is int and sc.noise.seed == 7
+    assert type(sc.environment.aps[0].floor) is int
+
+
 def test_load_scenario_file(tmp_path):
-    import json
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(corridor_dict()))
     sc = load_scenario(path)
@@ -331,6 +353,10 @@ def broken(mutate):
     d = corridor_dict()
     mutate(d)
     return d
+
+
+def ap0(d):
+    return d["environment"]["aps"][0]
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -357,7 +383,35 @@ def broken(mutate):
     (lambda d: d["environment"].update(stairs=[{"from": "a", "to": "z"}]),
      "unknown landmark"),
     (lambda d: d["environment"].update(floor_height_m=0.0), "positive"),
+    (lambda d: d.update(walk=[]), r"^scenario\.walk must be an object"),
+    (lambda d: ap0(d).pop("x"), r"aps\[0\] is missing fields \['x'\]"),
+    (lambda d: ap0(d).update(gain=1), r"aps\[0\] has unknown fields \['gain'\]"),
+    (lambda d: ap0(d).update(mac=""), r"aps\[0\]\.mac must be a non-empty string"),
+    (lambda d: ap0(d).update(y="0"), r"aps\[0\]\.y must be a finite number"),
+    (lambda d: ap0(d).update(y=10**400), r"aps\[0\]\.y must be a finite number"),
+    (lambda d: ap0(d).update(floor=True), r"aps\[0\]\.floor must be an integer"),
+    (lambda d: d["environment"].update(aps={}), r"environment\.aps must be an array"),
+    (lambda d: d["environment"].update(corridors={"one": []}),
+     "corridors key 'one' is not a floor number"),
+    (lambda d: d["environment"]["corridors"]["1"][0].append([1.0, 2.0, 3.0]),
+     r"corridors\.1\[0\]\[2\] must be an \[x, y\] pair"),
+    (lambda d: d["environment"]["graph"].update(nodes=3), "environment.graph: "),
+    (lambda d: d["environment"].update(stairs=[{"from": "a"}]),
+     r"stairs\[0\] is missing fields \['to'\]"),
+    (lambda d: d["walk"].update(waypoints=["a", 2]), r"waypoints\[1\] must be a non-empty"),
+    (lambda d: d["walk"].update(stops=[{"at": "b", "duration_s": "1"}]),
+     r"stops\[0\]\.duration_s must be a finite number"),
+    (lambda d: d["walk"].update(false_walking=[{"t": 0.0}]),
+     r"false_walking\[0\] is missing fields \['duration_s'\]"),
+    (lambda d: d["walk"].update(irregular_legs=[0.5]),
+     r"irregular_legs\[0\] must be an integer"),
+    (lambda d: d["walk"].update(irregular_periods=0.5), "irregular_periods must be an array"),
+    (lambda d: d["walk"].update(cooldown_s=-0.02), "cooldown_s must be non-negative"),
+    (lambda d: d["noise"].update(seed=-1), "noise.seed must be non-negative"),
+    (lambda d: d["noise"].update(gyro_bias=0.1), r"unknown fields \['gyro_bias'\]"),
+    (lambda d: d["noise"].update(compass_zones=[{"x_min": 0.0}]), r"compass_zones\[0\] is missing"),
 ])
 def test_scenario_validation(mutate, message):
     with pytest.raises(ScenarioError, match=message):
         scenario_from_dict(broken(mutate))
+
