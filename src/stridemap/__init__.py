@@ -27,17 +27,18 @@ from .landmarks import (
 )
 from .localization import (
     EvaluationReport,
-    FingerprintVector,
     LocalizationConfig,
     LocalizationResult,
+    Neighbors,
     QueryResult,
+    Readings,
     VectorizedMap,
-    euclidean,
     evaluate,
+    knn,
     knn_localize,
     map_min_rss,
     map_universe,
-    sorensen,
+    read_fingerprints,
     to_positive,
     vectorize_map,
 )

@@ -22,14 +22,15 @@ from pathlib import Path
 from typing import Callable
 
 from .landmarks import LandmarkConfig, load_landmark_graph
-from .localization import LocalizationConfig, evaluate, knn_localize, vectorize_map
+from .localization import (LocalizationConfig, evaluate, knn_localize,
+                           read_fingerprints, vectorize_map)
 from .pdr import (HEADING_THRESHOLD_DEG, HeadingSource, PdrConfig,
                   attach_periodicities, dump_trajectory, load_trajectory,
                   run_pdr, trajectory_errors)
 from .radiomap import (QualityConfig, build_radio_map,
                        load_radio_map, save_radio_map, segment_belief)
-from .sensors import (SensorConfig, detect_steps, dump_trace, load_trace,
-                      number, read_jsonl)
+from .sensors import (RSS_RULE, SensorConfig, detect_steps, dump_trace,
+                      load_trace, number, read_jsonl, rss)
 from .sim import generate_trace, load_scenario
 
 CONFIG_VERSION = 1
@@ -355,20 +356,18 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
 
 
 def _rss(raw, what: str) -> int:
-    """An RSS in dBm: a non-positive integer."""
-    try:
-        rss = number(raw, what, integral=True)
-        if rss <= 0:
-            return rss
-    except ValueError:
-        pass
-    raise CliError(f"{what} must be a non-positive integer")
+    """An RSS in dBm as sensors.rss reads it, else CliError naming what."""
+    reading = rss(raw)
+    if reading is None:
+        raise CliError(f"{what} {RSS_RULE}, got {raw!r}")
+    return reading
 
 
 def _fingerprint(raw, where: str) -> dict[str, int]:
     if not isinstance(raw, dict):
         raise CliError(f"{where}: fingerprint must be an object of mac: rss")
-    return {str(mac): _rss(rss, f"{where}: RSS of {mac!r}") for mac, rss in raw.items()}
+    return {str(mac): _rss(value, f"{where}: RSS of {mac!r}")
+            for mac, value in raw.items()}
 
 
 def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[str, int]]]:
@@ -463,10 +462,11 @@ def cmd_sweep(args) -> int:
         raise CliError("--taus list is empty")
     radio_map = load_radio_map(map_path)
     queries = load_queries(queries_path)
+    readings = read_fingerprints([fp for _, fp in queries])
     rows = []
     for tau in taus:
         cfg = replace(loc_cfg, tau=tau)
-        report = evaluate(queries, vectorize_map(radio_map, cfg), cfg)
+        report = evaluate(queries, vectorize_map(radio_map, cfg), cfg, readings)
         rows.append([_fmt(tau), _fmt(report.floor_accuracy),
                      _fmt(report.mean_error_m), _fmt(report.p50),
                      _fmt(report.p75), _fmt(report.p90)])

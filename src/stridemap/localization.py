@@ -5,14 +5,18 @@ the map's AP universe: a detected AP at or above the RSS threshold scores
 its offset from one below the weakest map reading, everything else scores
 zero. Nearest neighbors under Euclidean or Sorensen distance then vote on
 position and floor.
+
+One kernel, knn, scores a whole matrix of query vectors against the map:
+evaluate passes every query at once and knn_localize a single row. Since
+every loader bounds RSS to [RSS_MIN_DBM, RSS_MAX_DBM], vector components
+are small integers and the batched distances are exact.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import inf
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,14 +42,6 @@ class LocalizationConfig:
             raise ValueError(f"tau_scope must be one of {TAU_SCOPES}")
 
 
-@dataclass(frozen=True, eq=False)
-class FingerprintVector:
-    ap_index: tuple[str, ...]
-    values: np.ndarray
-    tau: float
-    min_rss: float
-
-
 @dataclass(frozen=True)
 class LocalizationResult:
     x: float
@@ -54,23 +50,65 @@ class LocalizationResult:
     neighbors: tuple[tuple[int, float], ...]  # (entry index, distance) ascending
 
 
+@dataclass(frozen=True, eq=False)
+class Readings:
+    """A batch of raw fingerprints as one matrix: rss[i, j] is fingerprint
+    i's reading of macs[j] in dBm, NaN where it has none. NaN compares
+    false with every tau, so an absent AP never counts as detected."""
+
+    macs: tuple[str, ...]         # sorted
+    rss: np.ndarray               # (n_fingerprints, n_macs)
+
+    def universe(self, tau: float = -inf) -> tuple[str, ...]:
+        """Sorted MACs read at or above tau by at least one fingerprint."""
+        seen = (self.rss >= tau).any(axis=0)
+        return tuple(mac for mac, hit in zip(self.macs, seen.tolist()) if hit)
+
+    def vectors(self, universe: Sequence[str], tau: float, min_rss: float) -> np.ndarray:
+        """Non-negative vector form of every fingerprint over universe.
+
+        Component j is RSS_j - min_rss when AP j is read at or above tau,
+        else 0. min_rss at most one below the weakest map reading keeps the
+        present components positive; APs outside the universe are ignored.
+        """
+        col = {mac: j for j, mac in enumerate(self.macs)}
+        have = [j for j, mac in enumerate(universe) if mac in col]
+        rss = self.rss[:, [col[universe[j]] for j in have]]
+        out = np.zeros((len(self.rss), len(universe)))
+        out[:, have] = np.where(rss >= tau, rss - min_rss, 0.0)
+        return out
+
+
+def read_fingerprints(fps: Sequence[dict[str, int]]) -> Readings:
+    """Readings of fps, in order, over every MAC any of them reports."""
+    macs = sorted({mac for fp in fps for mac in fp})
+    col = {mac: j for j, mac in enumerate(macs)}
+    rows = np.repeat(np.arange(len(fps)), [len(fp) for fp in fps])
+    cols = [col[mac] for fp in fps for mac in fp]
+    matrix = np.full((len(fps), len(macs)), np.nan)
+    matrix[rows, cols] = [rss for fp in fps for rss in fp.values()]
+    return Readings(macs=tuple(macs), rss=matrix)
+
+
+def _min_rss(readings: Readings) -> float:
+    if not np.isfinite(readings.rss).any():
+        raise ValueError("radio map has no RSS readings")
+    return float(np.nanmin(readings.rss)) - 1.0
+
+
+def _map_readings(radio_map: RadioMap) -> Readings:
+    return read_fingerprints([e.fp for e in radio_map.entries])
+
+
 def map_min_rss(radio_map: RadioMap) -> float:
     """One below the weakest reading anywhere in the map, so every
     detected AP vectorizes to a strictly positive value."""
-    lowest = None
-    for e in radio_map.entries:
-        for rss in e.fp.values():
-            if lowest is None or rss < lowest:
-                lowest = rss
-    if lowest is None:
-        raise ValueError("radio map has no RSS readings")
-    return float(lowest - 1)
+    return _min_rss(_map_readings(radio_map))
 
 
 def map_universe(radio_map: RadioMap, tau: float = -inf) -> tuple[str, ...]:
     """Sorted MACs seen at or above tau in at least one map entry."""
-    macs = {mac for e in radio_map.entries for mac, rss in e.fp.items() if rss >= tau}
-    return tuple(sorted(macs))
+    return _map_readings(radio_map).universe(tau)
 
 
 def to_positive(
@@ -78,39 +116,9 @@ def to_positive(
     universe: Sequence[str],
     tau: float,
     min_rss: float,
-) -> FingerprintVector:
-    """Non-negative vector form of a raw fingerprint.
-
-    Component i is RSS_i - min_rss when AP i is present at or above tau,
-    else 0. min_rss at most one below the weakest map reading keeps the
-    present components positive; APs outside the universe are ignored.
-    """
-    values = np.zeros(len(universe))
-    for i, mac in enumerate(universe):
-        rss = fp.get(mac)
-        if rss is not None and rss >= tau:
-            values[i] = rss - min_rss
-    return FingerprintVector(ap_index=tuple(universe), values=values,
-                             tau=tau, min_rss=min_rss)
-
-
-def _check_universe(a: FingerprintVector, b: FingerprintVector) -> None:
-    if a.ap_index != b.ap_index:
-        raise ValueError("fingerprint universes differ")
-
-
-def euclidean(a: FingerprintVector, b: FingerprintVector) -> float:
-    _check_universe(a, b)
-    return float(np.sqrt(((a.values - b.values) ** 2).sum()))
-
-
-def sorensen(a: FingerprintVector, b: FingerprintVector) -> float:
-    """Normalized L1 dissimilarity in [0, 1] for non-negative vectors."""
-    _check_universe(a, b)
-    denom = float((a.values + b.values).sum())
-    if denom == 0.0:
-        raise ValueError("sorensen distance undefined for two empty fingerprints")
-    return float(np.abs(a.values - b.values).sum() / denom)
+) -> np.ndarray:
+    """Non-negative vector form of one raw fingerprint (Readings.vectors)."""
+    return read_fingerprints([fp]).vectors(universe, tau, min_rss)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,29 +147,18 @@ def vectorize_map(radio_map: RadioMap, cfg: LocalizationConfig = LocalizationCon
     if not radio_map.entries:
         raise ValueError("radio map is empty")
     map_tau, _ = _scope_taus(cfg)
-    min_rss = map_min_rss(radio_map)
-    universe = map_universe(radio_map, map_tau)
-    matrix = np.zeros((len(radio_map.entries), len(universe)))
-    for row, e in enumerate(radio_map.entries):
-        matrix[row] = to_positive(e.fp, universe, map_tau, min_rss).values
+    readings = _map_readings(radio_map)
+    min_rss = _min_rss(readings)
+    universe = readings.universe(map_tau)
     return VectorizedMap(
         cfg=cfg,
         universe=universe,
         min_rss=min_rss,
-        matrix=matrix,
+        matrix=readings.vectors(universe, map_tau, min_rss),
         xs=np.array([e.x for e in radio_map.entries]),
         ys=np.array([e.y for e in radio_map.entries]),
         floors=np.array([e.floor for e in radio_map.entries]),
     )
-
-
-def _distances(matrix: np.ndarray, q: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "euclidean":
-        return np.sqrt(((matrix - q) ** 2).sum(axis=1))
-    diff = np.abs(matrix - q).sum(axis=1)
-    denom = (matrix + q).sum(axis=1)
-    # two empty fingerprints are indistinguishable: distance zero
-    return np.divide(diff, denom, out=np.zeros_like(diff), where=denom != 0)
 
 
 def _index(radio_map: RadioMap | VectorizedMap, cfg: LocalizationConfig) -> VectorizedMap:
@@ -173,32 +170,112 @@ def _index(radio_map: RadioMap | VectorizedMap, cfg: LocalizationConfig) -> Vect
     return radio_map
 
 
+@dataclass(frozen=True, eq=False)
+class Neighbors:
+    """The k nearest entries of every query row and the pose they vote for.
+
+    Row i of index and dist lists query i's neighbours nearest first, with
+    distance ties in map order. x and y are their centroid; floor is their
+    majority floor, a count tie going to the nearest neighbour's floor.
+    """
+
+    index: np.ndarray             # (n_queries, k) entry indices
+    dist: np.ndarray              # (n_queries, k)
+    x: np.ndarray                 # (n_queries,)
+    y: np.ndarray
+    floor: np.ndarray
+
+
+def _scorer(m: np.ndarray, metric: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The function from query rows q to their (queries, entries)
+    distances to the rows of m.
+
+    Every component is an RSS in [-200, 0] dBm minus an integral min_rss
+    in [-201, -1], so an integer of magnitude at most 201. Each sum below
+    is then an exact float64 integer, whatever order BLAS adds in, and the
+    result has the same bits as summing (m - q)**2, or |m - q| over m + q,
+    entry by entry.
+    """
+    if metric == "euclidean":
+        m_sq = (m * m).sum(axis=1)
+        return lambda q: np.sqrt(m_sq + (q * q).sum(axis=1)[:, None] - 2.0 * (q @ m.T))
+    columns = np.ascontiguousarray(m.T)
+    m_sum = m.sum(axis=1)
+
+    def sorensen(q: np.ndarray) -> np.ndarray:
+        # sum |a - b| = sum a + sum b - 2 sum min(a, b), one AP at a time
+        shared = np.zeros((len(q), len(m)))
+        low = np.empty_like(shared)
+        for j, column in enumerate(columns):
+            shared += np.minimum(q[:, j, None], column, out=low)
+        total = m_sum + q.sum(axis=1)[:, None]
+        diff = total - 2.0 * shared
+        # two empty fingerprints are indistinguishable: distance zero
+        return np.divide(diff, total, out=np.zeros_like(diff), where=total != 0)
+    return sorensen
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k smallest distances in ascending
+    order, ties in index order: a stable argsort cut at k."""
+    if k == 1:
+        return dist.argmin(axis=1)[:, None]  # the first of equal minima
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(dist <= kth)  # at least k per row
+    order = np.lexsort((cols, dist[rows, cols], rows))
+    counts = np.bincount(rows, minlength=len(dist))
+    starts = np.cumsum(counts) - counts
+    return cols[order[(starts[:, None] + np.arange(k)).ravel()]].reshape(-1, k)
+
+
+# Elements per row-chunk temporary of the kNN kernel: 512 KB of float64,
+# small enough that sorensen's per-AP passes stay in cache.
+CHUNK_ELEMENTS = 1 << 16
+
+
+def knn(index: VectorizedMap, queries: np.ndarray) -> Neighbors:
+    """The kNN fix of every row of queries (vectors over index.universe).
+
+    Rows are scored in chunks whose temporaries, the (rows, entries)
+    distance and candidate matrices and the (rows, k, floors) vote, each
+    hold about CHUNK_ELEMENTS elements, so memory does not grow with the
+    number of queries. A k beyond the map size uses every entry.
+    """
+    if queries.ndim != 2 or queries.shape[1] != len(index.universe):
+        raise ValueError(f"query vectors need one column per universe AP "
+                         f"({len(index.universe)}), got shape {queries.shape}")
+    k = min(index.cfg.k, len(index))
+    labels, codes = np.unique(index.floors, return_inverse=True)
+    score = _scorer(index.matrix, index.cfg.metric)
+    step = max(1, CHUNK_ELEMENTS // (len(index) + k * len(labels)))
+    parts = []
+    # at least one chunk, so that an empty batch still gives (0, k) arrays
+    for lo in range(0, max(len(queries), 1), step):
+        dist = score(queries[lo:lo + step])
+        nearest = _nearest(dist, k)
+        votes = (codes[nearest][:, :, None] == np.arange(len(labels))).sum(axis=1)
+        top = votes.max(axis=1, keepdims=True)
+        sole = (votes == top).sum(axis=1) == 1
+        floor = np.where(sole, labels[votes.argmax(axis=1)],
+                         index.floors[nearest[:, 0]])
+        parts.append((nearest, np.take_along_axis(dist, nearest, axis=1),
+                      index.xs[nearest].mean(axis=1),
+                      index.ys[nearest].mean(axis=1), floor))
+    return Neighbors(*(np.concatenate(col) for col in zip(*parts)))
+
+
 def knn_localize(
     query: dict[str, int],
     radio_map: RadioMap | VectorizedMap,
     cfg: LocalizationConfig = LocalizationConfig(),
 ) -> LocalizationResult:
-    """Estimate a pose for one raw fingerprint.
-
-    Position is the centroid of the k nearest entries; the floor is the
-    neighbors' majority floor, with count ties resolved to the single
-    nearest neighbor's floor. Distance ties keep map insertion order. A k
-    beyond the map size uses every entry.
-    """
+    """Estimate a pose for one raw fingerprint: knn on a one-row matrix."""
     index = _index(radio_map, cfg)
     _, query_tau = _scope_taus(cfg)
-    q = to_positive(query, index.universe, query_tau, index.min_rss).values
-    dist = _distances(index.matrix, q, cfg.metric)
-    order = np.argsort(dist, kind="stable")[: min(cfg.k, len(dist))]
-    neighbors = tuple((int(i), float(dist[i])) for i in order)
-
-    x = float(index.xs[order].mean())
-    y = float(index.ys[order].mean())
-    counts = Counter(int(index.floors[i]) for i in order)
-    top = max(counts.values())
-    leaders = [f for f, c in counts.items() if c == top]
-    floor = leaders[0] if len(leaders) == 1 else int(index.floors[order[0]])
-    return LocalizationResult(x=x, y=y, floor=floor, neighbors=neighbors)
+    nb = knn(index, to_positive(query, index.universe, query_tau, index.min_rss)[None])
+    return LocalizationResult(
+        x=float(nb.x[0]), y=float(nb.y[0]), floor=int(nb.floor[0]),
+        neighbors=tuple(zip(nb.index[0].tolist(), nb.dist[0].tolist())))
 
 
 @dataclass(frozen=True)
@@ -245,21 +322,31 @@ def evaluate(
     test: Sequence[tuple[tuple[float, float, int], dict[str, int]]],
     radio_map: RadioMap | VectorizedMap,
     cfg: LocalizationConfig = LocalizationConfig(),
+    readings: Readings | None = None,
 ) -> EvaluationReport:
-    """Run every (truth pose, fingerprint) query against the map."""
+    """Run every (truth pose, fingerprint) query against the map in one knn
+    call. readings, when given, must be read_fingerprints of the test
+    fingerprints; a caller scoring the same queries under several configs
+    reads them once."""
     if not test:
         raise ValueError("no test queries")
     index = _index(radio_map, cfg)
+    if readings is None:
+        readings = read_fingerprints([fp for _, fp in test])
+    elif len(readings.rss) != len(test):
+        raise ValueError("readings do not match the test queries")
+    _, query_tau = _scope_taus(cfg)
+    nb = knn(index, readings.vectors(index.universe, query_tau, index.min_rss))
 
-    rows: list[QueryResult] = []
-    for qid, (truth, fp) in enumerate(test):
-        tx, ty, tf = float(truth[0]), float(truth[1]), int(truth[2])
-        res = knn_localize(fp, index, cfg)
-        err = float(np.hypot(res.x - tx, res.y - ty))
-        rows.append(QueryResult(
-            query_id=qid, truth_x=tx, truth_y=ty, truth_floor=tf,
-            est_x=res.x, est_y=res.y, est_floor=res.floor,
-            error_m=err, floor_correct=res.floor == tf))
+    truth = [(float(t[0]), float(t[1]), int(t[2])) for t, _ in test]
+    tx, ty = (np.array(col) for col in list(zip(*truth))[:2])
+    errors = np.hypot(nb.x - tx, nb.y - ty)
+    rows = [QueryResult(query_id=qid, truth_x=x0, truth_y=y0, truth_floor=f0,
+                        est_x=x, est_y=y, est_floor=f, error_m=err,
+                        floor_correct=f == f0)
+            for qid, ((x0, y0, f0), x, y, f, err) in enumerate(zip(
+                truth, nb.x.tolist(), nb.y.tolist(), nb.floor.tolist(),
+                errors.tolist()))]
 
     correct = sorted(r.error_m for r in rows if r.floor_correct)
     floor_accuracy = sum(r.floor_correct for r in rows) / len(rows)

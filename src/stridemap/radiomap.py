@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sensors import WifiScan, number, write_text
+from .sensors import RSS_RULE, WifiScan, number, rss, write_text
 
 if TYPE_CHECKING:  # no runtime dependency on the trajectory module
     from .pdr import PathSegment, Pose, Trajectory
@@ -235,13 +235,13 @@ def load_radio_map(path: str | Path) -> RadioMap:
         if not isinstance(fp, dict):
             raise MapFormatError(f"entry {i} fp must be an object")
         readings: dict[str, int] = {}
-        for mac, rss in fp.items():
+        for mac, value in fp.items():
             if not mac:
                 raise MapFormatError(f"entry {i} has an empty MAC")
-            if isinstance(rss, bool) or not isinstance(rss, int) or rss > 0:
-                raise MapFormatError(
-                    f"entry {i} RSS for {mac} must be a non-positive integer")
-            readings[mac] = rss
+            reading = rss(value)
+            if reading is None:
+                raise MapFormatError(f"entry {i} RSS for {mac} {RSS_RULE}, got {value!r}")
+            readings[mac] = reading
         entries.append(RadioMapEntry(
             x=number(rec["x"], f"entry {i} x", MapFormatError),
             y=number(rec["y"], f"entry {i} y", MapFormatError),

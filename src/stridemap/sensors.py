@@ -13,7 +13,7 @@ CHANNELS holds the values per sample (one is a bare number) and the
 channel order at equal timestamps. On load, t (seconds) and every value
 must be finite numbers, samples must have their channel's width, t must not
 decrease within a channel, and a WiFi reading must be a [mac, rss] pair
-(unique non-empty string MAC, integer RSS <= 0); a violation raises
+(unique non-empty string MAC, RSS as read by rss); a violation raises
 TraceError naming the first bad line.
 """
 
@@ -38,6 +38,12 @@ MIN_STEP_GAP_S = 0.3
 # The trace format: values per sample of each channel, in write order at
 # equal timestamps; a WiFi sample (None) is a scan of any length.
 CHANNELS = {"accel": 3, "gyro": 3, "mag": 3, "baro": 1, "wifi": None, "truth": 3}
+# Every RSS reading the toolkit loads is an integer in this range, dBm. Far
+# below the weakest signal a radio reports, the floor keeps fingerprint
+# vectors small integers, so the kNN distances are exact in float64.
+RSS_MIN_DBM = -200
+RSS_MAX_DBM = 0
+RSS_RULE = f"must be a non-positive integer of at least {RSS_MIN_DBM} dBm"
 
 
 class TraceError(ValueError):
@@ -72,7 +78,7 @@ class Channel:
 
 @dataclass(frozen=True)
 class WifiScan:
-    """One WiFi scan: MAC -> RSS dBm (negative-or-zero integers)."""
+    """One WiFi scan: MAC -> RSS dBm (integers in [RSS_MIN_DBM, RSS_MAX_DBM])."""
 
     t: float
     readings: dict[str, int]
@@ -159,6 +165,20 @@ def number(value, what: str, error: type[ValueError] = ValueError,
     raise error(f"{what} must be {kind}, got {value!r}")
 
 
+def rss(value) -> int | None:
+    """value as an RSS reading in dBm, or None unless it is an integer in
+    [RSS_MIN_DBM, RSS_MAX_DBM]: never a bool or a fractional number, while
+    an integral float such as -50.0 converts. Every trace, map, query and
+    fingerprint reader checks its readings with it and names a failure
+    with RSS_RULE."""
+    if type(value) is not int:
+        try:
+            value = number(value, "RSS", integral=True)
+        except ValueError:
+            return None
+    return value if RSS_MIN_DBM <= value <= RSS_MAX_DBM else None
+
+
 def read_jsonl(path: str | Path, error: type[Exception],
                prefix: str = "line ") -> Iterator[tuple[int, object]]:
     """Line number and parsed record of each non-blank line of a JSON-lines
@@ -185,13 +205,13 @@ def _scan_readings(lineno: int, v) -> dict[str, int]:
                 and isinstance(pair[0], str) and pair[0]):
             raise TraceError(f"line {lineno}: WiFi reading must be a [mac, rss] "
                              f"pair with a non-empty string MAC, got {pair!r}")
-        mac, rss = pair
+        mac, value = pair
         if mac in readings:
             raise TraceError(f"line {lineno}: duplicate MAC {mac!r} in scan")
-        if isinstance(rss, bool) or not isinstance(rss, int) or rss > 0:
-            raise TraceError(f"line {lineno}: RSS must be a non-positive "
-                             f"integer, got {rss!r}")
-        readings[mac] = rss
+        reading = rss(value)
+        if reading is None:
+            raise TraceError(f"line {lineno}: RSS of {mac!r} {RSS_RULE}, got {value!r}")
+        readings[mac] = reading
     return readings
 
 

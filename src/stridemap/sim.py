@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .landmarks import Edge, GraphError, LandmarkGraph, graph_from_dict, graph_to_dict
-from .sensors import Channel, SensorTrace, TruthChannel, WifiScan, number
+from .sensors import (RSS_MAX_DBM, Channel, SensorTrace, TruthChannel,
+                      WifiScan, number)
 
 TICK = 0.02                 # s per tick: 50 Hz inertial sampling
 MAG_EVERY = 5               # ticks between magnetometer samples (10 Hz)
@@ -34,6 +35,7 @@ TURN_TICKS = 50             # turn-in-place phase length
 TURN_ROT_TICKS = 20         # central interval of a turn that rotates
 STAIR_STEP_TICKS = 75       # slow stair cadence (1.5 s per step)
 RSS_CUTOFF_DBM = -100       # weaker APs are absent from a scan
+MAX_WALK_TICKS = 12 * 3600 * 50  # longest walk a plan may hold: 12 h of 50 Hz ticks
 FLOOR_ATTENUATION_DB = 12.0  # extra path loss per concrete slab crossed
 FALSE_WALK_PERIOD_TICKS = (18, 29, 52, 23)  # arm-shake bump cadence
 
@@ -390,7 +392,11 @@ class WalkPlan:
 
 
 def _ticks(seconds: float, what: str) -> int:
+    """A duration in whole ticks; what names the scenario key it comes from."""
     t = seconds / TICK
+    if not abs(t) <= MAX_WALK_TICKS:  # inf from a vanishing speed, or NaN
+        raise ScenarioError(f"{what} ({seconds} s) must be a finite duration "
+                            f"within the {MAX_WALK_TICKS * TICK:.0f} s walk budget")
     n = round(t)
     if abs(t - n) > 1e-9:
         raise ScenarioError(f"{what} ({seconds} s) is not a sample-grid multiple")
@@ -411,13 +417,17 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
     in place take one second with the rotation confined to the middle, and
     stair legs are padded so a climb always starts on a whole second,
     keeping the pressure ramp aligned with typical analysis windows.
+
+    A plan longer than MAX_WALK_TICKS (12 h) raises ScenarioError naming the
+    key that pushed it over, before any channel array is sized from it.
     """
     g = env.graph
     ids = script.waypoints
-    pt_nominal = _ticks(script.step_length_m / script.speed_mps, "step period")
+    pt_nominal = _ticks(script.step_length_m / script.speed_mps,
+                        "walk.step_length_m / walk.speed_mps")
     if pt_nominal < 16:
         raise ScenarioError("step period too short to separate step peaks")
-    irr_pt = tuple(_ticks(p, "irregular period") for p in script.irregular_periods)
+    irr_pt = tuple(_ticks(p, "walk.irregular_periods") for p in script.irregular_periods)
     if min(irr_pt) < 16:
         raise ScenarioError("irregular period too short to separate step peaks")
 
@@ -430,7 +440,18 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
     state = {"tick": 0, "x": start.x, "y": start.y,
              "floor": float(start.floor), "heading": first.heading}
 
-    def emit_still(dur_ticks: int) -> None:
+    def budget(ticks: float, what: str) -> None:
+        if not state["tick"] + ticks <= MAX_WALK_TICKS:
+            raise ScenarioError(f"{what} makes the walk longer than the "
+                                f"{MAX_WALK_TICKS * TICK:.0f} s walk budget")
+
+    def stride_count(edge: Edge, period: int) -> int:
+        n = edge.distance / script.step_length_m
+        budget(n * period, "walk.step_length_m")  # before a list of n strides
+        return max(1, round(n))
+
+    def emit_still(dur_ticks: int, what: str) -> None:
+        budget(dur_ticks, what)
         if dur_ticks <= 0:
             return
         t0 = state["tick"]
@@ -445,6 +466,7 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
         if abs(delta) < 1e-12:
             state["heading"] = target
             return
+        budget(TURN_TICKS, "walk.waypoints")
         t0 = state["tick"]
         margin = (TURN_TICKS - TURN_ROT_TICKS) // 2
         rot0 = t0 + margin
@@ -459,7 +481,8 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
         state["heading"] = target
 
     def emit_leg(edge: Edge, kind: str, periods: list[int],
-                 lengths: list[float], floor_to: float) -> None:
+                 lengths: list[float], floor_to: float, what: str) -> None:
+        budget(sum(periods), what)
         t0 = state["tick"]
         x0, y0, f0 = state["x"], state["y"], state["floor"]
         target = (g.nodes[edge.to_id].x, g.nodes[edge.to_id].y)
@@ -488,7 +511,7 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
         state["floor"] = floor_to
         state["heading"] = hd
 
-    emit_still(_ticks(script.warmup_s, "warmup"))
+    emit_still(_ticks(script.warmup_s, "walk.warmup_s"), "walk.warmup_s")
 
     for leg_idx, (a, b) in enumerate(zip(ids, ids[1:])):
         edge = _find_edge(g, a, b)
@@ -499,13 +522,12 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
                     f"stair leg {a!r}->{b!r} must span exactly one floor")
             emit_turn(edge.heading)
             pad = (-state["tick"]) % 50  # climbs start on whole seconds
-            emit_still(pad)
-            n = max(1, round(edge.distance / script.step_length_m))
+            emit_still(pad, "walk.waypoints")
+            n = stride_count(edge, STAIR_STEP_TICKS)
             emit_leg(edge, "climb", [STAIR_STEP_TICKS] * n,
-                     [edge.distance / n] * n, float(nb.floor))
+                     [edge.distance / n] * n, float(nb.floor), "walk.step_length_m")
         else:
             emit_turn(edge.heading)
-            n = max(1, round(edge.distance / script.step_length_m))
             if leg_idx in script.irregular_legs:
                 # erratic strides from the cycle, closed by one long stride
                 # onto the waypoint; strides stay below 2.0 so the remainder
@@ -513,6 +535,8 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
                 if max(script.irregular_lengths) > 1.85:
                     raise ScenarioError("irregular strides must stay below 1.85")
                 cyc = script.irregular_lengths
+                what = "walk.irregular_lengths"
+                budget(edge.distance / max(cyc) * min(irr_pt), what)
                 lengths = []
                 remaining = edge.distance
                 while remaining > 2.0:
@@ -522,13 +546,16 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
                 lengths.append(remaining)
                 periods = [irr_pt[k % len(irr_pt)] for k in range(len(lengths))]
             else:
+                what = "walk.step_length_m"
+                n = stride_count(edge, pt_nominal)
                 periods = [pt_nominal] * n
                 lengths = [edge.distance / n] * n
-            emit_leg(edge, "walk", periods, lengths, float(nb.floor))
+            emit_leg(edge, "walk", periods, lengths, float(nb.floor), what)
         if b in stop_for:
-            emit_still(_ticks(stop_for[b], f"stop at {b!r}"))
+            what = f"walk.stops at {b!r}"
+            emit_still(_ticks(stop_for[b], what), what)
 
-    emit_still(_ticks(script.cooldown_s, "cooldown"))
+    emit_still(_ticks(script.cooldown_s, "walk.cooldown_s"), "walk.cooldown_s")
     total = state["tick"]
 
     false_bumps: list[tuple[int, int]] = []
@@ -630,6 +657,27 @@ def _ap_rss(ap: Ap, x: float, y: float, floor: float, floor_height: float) -> fl
             - FLOOR_ATTENUATION_DB * abs(df))
 
 
+def _scan(env: Environment, x: float, y: float, floor: float,
+          shadowing_std: float, rng: np.random.Generator) -> dict[str, int]:
+    """The readings of one scan at a pose: each AP's modelled level, less a
+    shadowing draw, clipped at RSS_MAX_DBM (0 dBm, the top of the range
+    every loader accepts) and rounded to whole dBm; APs that round below
+    RSS_CUTOFF_DBM are absent. Both comparisons keep round() off an
+    infinite shadowing draw."""
+    readings: dict[str, int] = {}
+    for ap in env.aps:
+        base = _ap_rss(ap, x, y, floor, env.floor_height_m)
+        if shadowing_std > 0:
+            base -= rng.normal(0.0, shadowing_std)
+        if base > RSS_MAX_DBM:
+            base = RSS_MAX_DBM
+        if base > RSS_CUTOFF_DBM - 1:
+            rss = round(base)
+            if rss >= RSS_CUTOFF_DBM:
+                readings[ap.mac] = rss
+    return readings
+
+
 def _zone_bias(zones: tuple[CompassZone, ...], x, y, floor) -> np.ndarray:
     bias = np.zeros(len(x))
     open_mask = np.ones(len(x), dtype=bool)
@@ -686,21 +734,14 @@ def generate_trace(env: Environment, script: WalkScript,
         pressure = pressure + rng_baro.normal(0.0, noise.baro_std, len(pressure))
     baro = Channel(t=baro_ticks * TICK, v=pressure)
 
-    scan_step = _ticks(script.scan_interval_s, "scan interval")
+    scan_step = _ticks(script.scan_interval_s, "walk.scan_interval_s")
     scan_ticks = np.arange(scan_step, plan.total_ticks + 1, scan_step)
     scans: list[WifiScan] = []
     if len(scan_ticks):
         sx, sy, sf, _ = _plan_state(plan, scan_ticks)
         for i, tk in enumerate(scan_ticks):
-            readings: dict[str, int] = {}
-            for ap in env.aps:
-                base = _ap_rss(ap, float(sx[i]), float(sy[i]), float(sf[i]),
-                               env.floor_height_m)
-                if noise.shadowing_std > 0:
-                    base -= rng_wifi.normal(0.0, noise.shadowing_std)
-                rss = int(round(base))
-                if rss >= RSS_CUTOFF_DBM:
-                    readings[ap.mac] = rss
+            readings = _scan(env, float(sx[i]), float(sy[i]), float(sf[i]),
+                             noise.shadowing_std, rng_wifi)
             scans.append(WifiScan(t=float(tk * TICK), readings=readings))
 
     marks = {0, plan.total_ticks}
@@ -732,15 +773,8 @@ def generate_test_queries(
     rng = np.random.default_rng(np.random.SeedSequence(noise.seed).spawn(6)[5])
     out = []
     for (x, y, floor) in positions:
-        readings: dict[str, int] = {}
-        for ap in env.aps:
-            base = _ap_rss(ap, float(x), float(y), float(floor),
-                           env.floor_height_m)
-            if noise.shadowing_std > 0:
-                base -= rng.normal(0.0, noise.shadowing_std)
-            rss = int(round(base))
-            if rss >= RSS_CUTOFF_DBM:
-                readings[ap.mac] = rss
+        readings = _scan(env, float(x), float(y), float(floor),
+                         noise.shadowing_std, rng)
         out.append(((float(x), float(y), int(floor)), readings))
     return out
 

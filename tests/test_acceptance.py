@@ -15,8 +15,8 @@ import numpy as np
 from conftest import ACCEPTANCE_RESULTS
 from stridemap.cli import main as cli_main
 from stridemap.landmarks import Landmark, Rule, RuleKind
-from stridemap.localization import (FingerprintVector, euclidean, evaluate,
-                                    map_universe, sorensen, to_positive)
+from stridemap.localization import (LocalizationConfig, VectorizedMap,
+                                    evaluate, knn, map_universe, to_positive)
 from stridemap.pdr import (HeadingSource, PathSegment, PdrConfig, Pose,
                            Trajectory, attach_periodicities,
                            landmark_confidence, run_pdr, trajectory_errors)
@@ -216,27 +216,35 @@ def test_criterion_1_closed_form_oracles():
                                   replace=False)}
         tau = float(rng.uniform(-100, -40))
         min_rss = float(rng.integers(-106, -96))
-        got = to_positive(fp, universe, tau, min_rss).values
+        got = to_positive(fp, universe, tau, min_rss)
         want = oracle_to_positive(fp, universe, tau, min_rss)
         diff = max(diff, float(np.abs(got - np.array(want)).max()))
         n += 1
     worst["to_positive"] = (n, diff)
 
+    # the kNN kernel on one-entry maps, over vectors built as the pipeline
+    # builds them: RSS in [-200, 0] dBm minus one below the weakest reading
     n = 0
     de = ds = 0.0
     for _ in range(1200):
         m = int(rng.integers(1, 11))
-        index = tuple(f"x{i}" for i in range(m))
-        a = rng.uniform(0, 80, m) * (rng.random(m) > 0.3)
-        b = rng.uniform(0, 80, m) * (rng.random(m) > 0.3)
+        rss = rng.integers(-200, 1, (2, m))
+        present = rng.random((2, m)) > 0.3
+        min_rss = float(rss.min()) - 1.0
+        a, b = np.where(present, rss - min_rss, 0.0)
         if a.sum() + b.sum() == 0.0:
             a[0] = 1.0
-        va = FingerprintVector(ap_index=index, values=a, tau=-90.0,
-                               min_rss=-96.0)
-        vb = FingerprintVector(ap_index=index, values=b, tau=-90.0,
-                               min_rss=-96.0)
-        de = max(de, abs(euclidean(va, vb) - oracle_euclidean(a, b)))
-        ds = max(ds, abs(sorensen(va, vb) - oracle_sorensen(a, b)))
+        for metric in ("euclidean", "sorensen"):
+            index = VectorizedMap(
+                cfg=LocalizationConfig(metric=metric),
+                universe=tuple(f"x{i}" for i in range(m)), min_rss=min_rss,
+                matrix=b[None], xs=np.zeros(1), ys=np.zeros(1),
+                floors=np.zeros(1, int))
+            got = float(knn(index, a[None]).dist[0, 0])
+            if metric == "euclidean":
+                de = max(de, abs(got - oracle_euclidean(a, b)))
+            else:
+                ds = max(ds, abs(got - oracle_sorensen(a, b)))
         n += 1
     worst["euclidean"] = (n, de)
     worst["sorensen"] = (n, ds)
@@ -479,7 +487,7 @@ def test_criterion_6_threshold_monotonicity():
                                   replace=False)}
         prev = None
         for tau in taus:
-            v = to_positive(fp, tuple(macs), tau, -101.0).values
+            v = to_positive(fp, tuple(macs), tau, -101.0)
             if prev is not None and not np.all(v <= prev):
                 vec_mono = False
             prev = v

@@ -488,6 +488,32 @@ MALFORMED = {
         ["simulate", "BAD"], "aps[0].mac must be a non-empty string"),
     "scenario warmup is negative": (
         demo_with(-2.0, "walk", "warmup_s"), ["simulate", "BAD"], "warmup_s"),
+    "scenario speed vanishes": (
+        demo_with(5e-324, "walk", "speed_mps"), ["simulate", "BAD"],
+        "walk.speed_mps (inf s) must be a finite duration"),
+    "map RSS overflows a float": (
+        json.dumps({"version": 1, "config": {}, "entries": [
+            {"x": 0, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -10**400}}]}),
+        ["localize", "BAD", "--rss", "ap-w=-50"], "entry 0 RSS for ap-w"),
+    "map RSS is far below the range": (
+        json.dumps({"version": 1, "config": {}, "entries": [
+            {"x": 0, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -10**17}},
+            {"x": 5, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -50}}]}),
+        ["localize", "BAD", "--rss", "ap-w=-50"],
+        "entry 0 RSS for ap-w must be a non-positive integer of at least -200 dBm"),
+    "trace RSS is below the range": (
+        GOOD_ACCEL + '{"ch": "wifi", "t": 1.0, "v": [["aa", -201]]}\n',
+        TRACK_BAD, "line 2: RSS of 'aa' must be a non-positive integer of at least"),
+    "query RSS is below the range": (
+        GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -201}}\n',
+        ["evaluate", "FLOW/map.json", "BAD"],
+        ":2: RSS of 'ap-w' must be a non-positive integer of at least -200 dBm"),
+    "fingerprint RSS is below the range": (
+        json.dumps({"ap-w": -300}),
+        ["localize", "FLOW/map.json", "--fingerprint", "BAD"], "RSS of 'ap-w'"),
+    "--rss value is below the range": (
+        "", ["localize", "FLOW/map.json", "--rss", "ap-w=-201"],
+        "--rss value for 'ap-w' must be a non-positive integer of at least"),
 }
 
 
@@ -512,3 +538,21 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_strong_ap_clips_at_zero_dbm_through_the_pipeline(tmp_path):
+    # an AP whose modelled level tops 0 dBm near it: simulate clips the
+    # readings at 0, so track and build-map accept what it writes
+    d = corridor_dict()
+    d["environment"]["aps"][0]["tx_power_dbm"] = 30.0
+    write_json(tmp_path / "scenario.json", d)
+    write_json(tmp_path / "graph.json", d["environment"]["graph"])
+    assert main(["simulate", str(tmp_path / "scenario.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert main(["track", str(tmp_path / "trace.jsonl"),
+                 "--graph", str(tmp_path / "graph.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert main(["build-map", str(tmp_path / "trajectory.jsonl"),
+                 str(tmp_path / "trace.jsonl"), "--out", str(tmp_path)]) == 0
+    strongest = max(s.readings["ap-w"] for s in load_trace(tmp_path / "trace.jsonl").wifi)
+    assert strongest == 0

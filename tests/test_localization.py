@@ -1,22 +1,28 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stridemap.localization import (EvaluationReport, FingerprintVector,
-                                    LocalizationConfig, euclidean, evaluate,
-                                    knn_localize, map_min_rss, map_universe,
-                                    sorensen, to_positive, vectorize_map)
+from stridemap.localization import (EvaluationReport, LocalizationConfig,
+                                    VectorizedMap, evaluate, knn, knn_localize,
+                                    map_min_rss, map_universe,
+                                    read_fingerprints, to_positive,
+                                    vectorize_map)
 from stridemap.radiomap import RadioMap, RadioMapEntry
 
 
-def vec(values, aps=None):
-    values = np.asarray(values, dtype=float)
-    aps = tuple(aps or (f"ap{i}" for i in range(len(values))))
-    return FingerprintVector(ap_index=aps, values=values, tau=-90.0,
-                             min_rss=-96.0)
+def dist(a, b, metric="euclidean"):
+    """Distance from query vector a to map vector b, as the kNN kernel
+    computes it: a one-entry index and a one-row query matrix."""
+    index = VectorizedMap(
+        cfg=LocalizationConfig(metric=metric),
+        universe=tuple(f"ap{i}" for i in range(len(b))), min_rss=-96.0,
+        matrix=np.array([b], float), xs=np.zeros(1), ys=np.zeros(1),
+        floors=np.ones(1, int))
+    return float(knn(index, np.array([a], float)).dist[0, 0])
 
 
 def make_map(*entries):
@@ -53,22 +59,22 @@ def test_min_rss_requires_readings():
 
 def test_to_positive_offsets_present_aps():
     fp = to_positive({"aa": -60}, ("aa", "bb"), tau=-90.0, min_rss=-96.0)
-    assert fp.values.tolist() == [36.0, 0.0]
+    assert fp.tolist() == [36.0, 0.0]
 
 
 def test_to_positive_zeroes_below_tau():
     fp = to_positive({"aa": -93}, ("aa",), tau=-90.0, min_rss=-96.0)
-    assert fp.values.tolist() == [0.0]
+    assert fp.tolist() == [0.0]
 
 
 def test_to_positive_keeps_reading_at_tau():
     fp = to_positive({"aa": -90}, ("aa",), tau=-90.0, min_rss=-96.0)
-    assert fp.values.tolist() == [6.0]
+    assert fp.tolist() == [6.0]
 
 
 def test_to_positive_ignores_aps_outside_universe():
     fp = to_positive({"zz": -30}, ("aa", "bb"), tau=-90.0, min_rss=-96.0)
-    assert fp.values.tolist() == [0.0, 0.0]
+    assert fp.tolist() == [0.0, 0.0]
 
 
 @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
@@ -76,70 +82,76 @@ def test_to_positive_ignores_aps_outside_universe():
        st.integers(-100, -40))
 def test_to_positive_never_negative(fp, tau):
     out = to_positive(fp, ("a", "b", "c", "d"), float(tau), min_rss=-101.0)
-    assert (out.values >= 0).all()
+    assert (out >= 0).all()
+
+
+def test_readings_vectorize_a_batch_like_each_fingerprint():
+    fps = [{"aa": -60, "zz": -30}, {}, {"bb": -91, "aa": -90}]
+    batch = read_fingerprints(fps).vectors(("aa", "bb", "cc"), -90.0, -96.0)
+    assert batch.tolist() == [to_positive(fp, ("aa", "bb", "cc"), -90.0, -96.0).tolist()
+                              for fp in fps]
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distances: the kernel on closed-form cases
 
 
 def test_euclidean_identity():
-    assert euclidean(vec([36, 20]), vec([36, 20])) == 0.0
+    assert dist([36, 20], [36, 20]) == 0.0
 
 
 def test_euclidean_three_four_five():
-    assert euclidean(vec([3, 0]), vec([0, 4])) == 5.0
+    assert dist([3, 0], [0, 4]) == 5.0
 
 
 def test_euclidean_direct_substitution():
-    assert euclidean(vec([36, 20, 0]), vec([30, 20, 8])) == 10.0
+    assert dist([36, 20, 0], [30, 20, 8]) == 10.0
 
 
 def test_sorensen_identity():
-    assert sorensen(vec([36, 20]), vec([36, 20])) == 0.0
+    assert dist([36, 20], [36, 20], "sorensen") == 0.0
 
 
 def test_sorensen_disjoint_is_one():
-    assert sorensen(vec([1, 0]), vec([0, 1])) == 1.0
+    assert dist([1, 0], [0, 1], "sorensen") == 1.0
 
 
 def test_sorensen_direct_substitution():
-    assert sorensen(vec([36, 20]), vec([30, 26])) == pytest.approx(12 / 112)
+    assert dist([36, 20], [30, 26], "sorensen") == 12 / 112
 
 
-def test_sorensen_undefined_for_two_empty():
-    with pytest.raises(ValueError, match="empty"):
-        sorensen(vec([0, 0]), vec([0, 0]))
+def test_sorensen_two_empty_is_zero():
+    # two empty fingerprints are indistinguishable
+    assert dist([0, 0], [0, 0], "sorensen") == 0.0
 
 
 def test_universe_mismatch_rejected():
-    a = vec([1, 2], aps=("aa", "bb"))
-    b = vec([1, 2], aps=("aa", "cc"))
+    index = vectorize_map(THREE)
     with pytest.raises(ValueError, match="universe"):
-        euclidean(a, b)
+        knn(index, np.zeros((1, len(index.universe) + 1)))
     with pytest.raises(ValueError, match="universe"):
-        sorensen(a, b)
+        knn(index, np.zeros(len(index.universe)))
 
 
-nonneg = st.lists(st.floats(0, 100), min_size=1, max_size=8)
+# vectors as the pipeline builds them: RSS minus an integral min_rss
+rss_vector = st.lists(st.integers(0, 201), min_size=1, max_size=8)
 
 
-@given(nonneg)
+@given(rss_vector)
 def test_sorensen_bounded_and_symmetric(values):
-    a = vec(values)
-    b = vec(list(reversed(values)))
+    a, b = values, list(reversed(values))
     if sum(values) == 0:
         return
-    d = sorensen(a, b)
+    d = dist(a, b, "sorensen")
     assert 0.0 <= d <= 1.0
-    assert d == pytest.approx(sorensen(b, a))
+    assert d == dist(b, a, "sorensen")
 
 
-@given(nonneg, nonneg)
+@given(rss_vector, rss_vector)
 def test_euclidean_symmetric(v1, v2):
     n = min(len(v1), len(v2))
-    a, b = vec(v1[:n]), vec(v2[:n])
-    assert euclidean(a, b) == pytest.approx(euclidean(b, a))
+    a, b = v1[:n], v2[:n]
+    assert dist(a, b) == dist(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +227,16 @@ def test_evaluate_with_index_pins_its_config():
         queries, THREE, LocalizationConfig(k=1))
 
 
+def test_evaluate_reuses_given_readings():
+    test = [((0.0, 0.0, 1), {"aa": -40, "bb": -60}), ((5.0, 0.0, 1), {"cc": -50})]
+    readings = read_fingerprints([fp for _, fp in test])
+    for tau in (-90.0, -55.0):
+        cfg = LocalizationConfig(k=2, tau=tau)
+        assert evaluate(test, THREE, cfg, readings) == evaluate(test, THREE, cfg)
+    with pytest.raises(ValueError, match="readings do not match"):
+        evaluate(test[:1], THREE, LocalizationConfig(), readings)
+
+
 def test_vectorize_rejects_empty_map():
     with pytest.raises(ValueError, match="empty"):
         vectorize_map(RadioMap())
@@ -227,6 +249,85 @@ def test_map_scope_tau_shrinks_universe():
     off = vectorize_map(rm, LocalizationConfig(tau=-90.0, tau_scope="query"))
     assert both.universe == ("bb",)
     assert off.universe == ("aa", "bb")
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against a per-query reference
+
+
+def reference_vector(fp, universe, tau, min_rss):
+    return np.array([fp[mac] - min_rss if mac in fp and fp[mac] >= tau else 0.0
+                     for mac in universe])
+
+
+def reference_distances(matrix, q, metric):
+    """One query against every entry, as the pipeline scored it before the
+    batched kernel."""
+    if metric == "euclidean":
+        return np.sqrt(((matrix - q) ** 2).sum(axis=1))
+    diff = np.abs(matrix - q).sum(axis=1)
+    denom = (matrix + q).sum(axis=1)
+    return np.divide(diff, denom, out=np.zeros_like(diff), where=denom != 0)
+
+
+def reference_fix(fp, rm, cfg):
+    """(neighbors, x, y, floor) of one query: stable argsort, Counter vote."""
+    map_tau = cfg.tau if cfg.tau_scope in ("both", "map") else -math.inf
+    query_tau = cfg.tau if cfg.tau_scope in ("both", "query") else -math.inf
+    min_rss = min(r for e in rm.entries for r in e.fp.values()) - 1.0
+    universe = sorted({mac for e in rm.entries for mac, r in e.fp.items()
+                       if r >= map_tau})
+    matrix = np.array([reference_vector(e.fp, universe, map_tau, min_rss)
+                       for e in rm.entries]).reshape(len(rm.entries), len(universe))
+    d = reference_distances(matrix, reference_vector(fp, universe, query_tau, min_rss),
+                            cfg.metric)
+    order = np.argsort(d, kind="stable")[: min(cfg.k, len(d))]
+    xs = np.array([e.x for e in rm.entries])
+    ys = np.array([e.y for e in rm.entries])
+    floors = [rm.entries[i].floor for i in order]
+    counts = Counter(floors)
+    top = max(counts.values())
+    leaders = [f for f, c in counts.items() if c == top]
+    floor = leaders[0] if len(leaders) == 1 else floors[0]
+    neighbors = tuple((int(i), float(d[i])) for i in order)
+    return neighbors, float(xs[order].mean()), float(ys[order].mean()), floor
+
+
+MACS = ("a", "b", "c", "d", "e")
+fingerprint = st.dictionaries(st.sampled_from(MACS + ("zz",)),
+                              st.integers(-200, 0), max_size=5)
+
+
+@st.composite
+def knn_cases(draw):
+    # a small pool drawn with replacement: duplicate rows give distance ties
+    pool = draw(st.lists(fingerprint, min_size=1, max_size=5))
+    n = draw(st.integers(1, 14))
+    entries = [(float(draw(st.integers(0, 9))), float(draw(st.integers(0, 9))),
+                draw(st.integers(0, 2)), dict(draw(st.sampled_from(pool))))
+               for _ in range(n)]
+    if not any(fp for *_, fp in entries):
+        entries[0][3]["a"] = draw(st.integers(-200, 0))
+    queries = draw(st.lists(st.one_of(st.sampled_from(pool), fingerprint),
+                            min_size=1, max_size=6))
+    cfg = LocalizationConfig(k=draw(st.integers(1, n + 3)),
+                             metric=draw(st.sampled_from(["euclidean", "sorensen"])),
+                             tau=float(draw(st.integers(-205, 5))),
+                             tau_scope=draw(st.sampled_from(["both", "map", "query"])))
+    return make_map(*entries), queries, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(knn_cases())
+def test_kernel_matches_per_query_reference(case):
+    rm, queries, cfg = case
+    report = evaluate([((0.0, 0.0, 0), fp) for fp in queries], rm, cfg)
+    for fp, row in zip(queries, report.rows):
+        neighbors, x, y, floor = reference_fix(fp, rm, cfg)
+        fix = knn_localize(fp, rm, cfg)
+        assert fix.neighbors == neighbors
+        assert (fix.x, fix.y, fix.floor) == (x, y, floor)
+        assert (row.est_x, row.est_y, row.est_floor) == (x, y, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 
 from stridemap.landmarks import RuleKind, detect_baro_landmarks
 from stridemap.sensors import detect_steps, dump_trace
-from stridemap.sim import (BASE_PRESSURE, PRESSURE_PER_FLOOR, NoiseModel,
-                           ScenarioError, generate_test_queries,
+from stridemap.sim import (BASE_PRESSURE, MAX_WALK_TICKS, PRESSURE_PER_FLOOR,
+                           TICK, NoiseModel, ScenarioError, generate_test_queries,
                            generate_trace, load_scenario,
                            mixed_quality_scenario, plan_walk,
                            scenario_from_dict, scenario_to_dict,
@@ -132,6 +132,28 @@ def test_too_fast_cadence_rejected():
         plan_walk(sc.environment, sc.walk)
 
 
+@pytest.mark.parametrize("walk, key", [
+    ({"speed_mps": 5e-324}, r"walk\.step_length_m / walk\.speed_mps \(inf s\)"),
+    ({"speed_mps": 1e-6}, "walk.speed_mps"),
+    ({"stops": [{"at": "b", "duration_s": 30000.0}], "waypoints": ["a", "b", "a", "b"]},
+     "walk.stops at 'b' makes the walk longer"),
+    ({"cooldown_s": 50000.0}, r"walk\.cooldown_s \(50000.0 s\) must be a finite duration"),
+    ({"step_length_m": 6.3e-301, "speed_mps": 1.26e-300}, "walk.step_length_m makes"),
+    ({"irregular_legs": [0], "irregular_lengths": [1e-300]}, "walk.irregular_lengths"),
+])
+def test_walk_beyond_the_tick_budget_rejected(walk, key):
+    sc = corridor_scenario(walk=walk)
+    with pytest.raises(ScenarioError, match=key):
+        plan_walk(sc.environment, sc.walk)
+
+
+def test_tick_budget_is_far_above_a_long_survey():
+    # the 15-loop two-floor benchmark walk plans about 165k ticks
+    sc = two_floor_scenario(extra_loops=14)
+    assert plan_walk(sc.environment, sc.walk).total_ticks * 10 < MAX_WALK_TICKS
+    assert MAX_WALK_TICKS * TICK == 12 * 3600
+
+
 def test_unconnected_waypoints_rejected():
     d = corridor_dict()
     d["environment"]["graph"]["auto_reverse"] = False
@@ -197,6 +219,18 @@ def test_scans_arrive_on_schedule():
         list(np.arange(2.0, 21.0, 2.0)))
     assert all(set(s.readings) == {"ap-w", "ap-e", "ap-n"}
                for s in trace.wifi)
+
+
+def test_rss_clips_at_zero_dbm():
+    # 10 dBm at 1 m: above 0 dBm for the first 3 m, below it beyond
+    d = corridor_dict(noise={"shadowing_std_db": 3.0})
+    d["environment"]["aps"][0]["tx_power_dbm"] = 10.0
+    sc = scenario_from_dict(d)
+    west = [s.readings["ap-w"] for s in trace_of(sc).wifi]
+    assert max(west) == 0
+    assert min(west) < 0
+    queries = generate_test_queries(sc.environment, [(0.0, 0.0, 1)], sc.noise)
+    assert queries[0][1]["ap-w"] == 0
 
 
 def test_rss_falls_with_distance():
