@@ -23,14 +23,12 @@ from .landmarks import (
     graph_from_dict,
     graph_to_dict,
     load_landmark_graph,
-    replicate_floor,
 )
 from .localization import (
     EvaluationReport,
     LocalizationConfig,
     LocalizationResult,
     Neighbors,
-    QueryResult,
     Readings,
     VectorizedMap,
     evaluate,
@@ -66,7 +64,6 @@ from .radiomap import (
     build_radio_map,
     interpolate_rp,
     load_radio_map,
-    merge_radio_maps,
     save_radio_map,
     segment_belief,
 )

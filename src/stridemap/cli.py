@@ -216,13 +216,12 @@ class _Outputs:
                     tmp.unlink()
 
 
-def _manifest(command: str, inputs: dict, outputs: list[str], args,
+def _manifest(command: str, inputs: dict, outputs: list[str],
               tree: dict, overrides: dict) -> dict:
     return {
         "command": command,
         "inputs": inputs,
         "outputs": sorted(outputs),
-        "seed": args.seed,
         "overrides": overrides,
         "config": tree,
     }
@@ -250,9 +249,9 @@ def cmd_simulate(args) -> int:
     buf = io.StringIO()
     dump_trace(trace, buf)
     outs.add_text(trace_name, buf.getvalue())
-    outs.add_json("manifest.json", _manifest(
+    outs.add_json("manifest.json", {**_manifest(
         "simulate", {"scenario": args.scenario}, outs.names() + ["manifest.json"],
-        args, tree, overrides))
+        tree, overrides), "seed": args.seed})
     outs.commit()
     print(f"wrote {out / trace_name} ({len(trace.wifi)} scans, "
           f"{trace.accel.t[-1]:.1f} s)")
@@ -303,7 +302,7 @@ def cmd_track(args) -> int:
               file=sys.stderr)
     outs.add_json("manifest.json", _manifest(
         "track", {"trace": args.trace, "graph": args.graph},
-        outs.names() + ["manifest.json"], args, tree, overrides))
+        outs.names() + ["manifest.json"], tree, overrides))
     outs.commit()
     if have_truth:
         print(f"wrote {out / 'trajectory.jsonl'} (mean error "
@@ -334,7 +333,7 @@ def cmd_build_map(args) -> int:
     outs.add_csv("segments.csv", ["segment_id", "belief", "accepted_scans"], rows)
     outs.add_json("manifest.json", _manifest(
         "build-map", {"trajectory": args.trajectory, "trace": args.trace},
-        outs.names() + ["manifest.json"], args, tree, overrides))
+        outs.names() + ["manifest.json"], tree, overrides))
     outs.commit()
     print(f"wrote {out / 'map.json'} ({len(radio_map.entries)} entries from "
           f"{len(traj.segments)} segments)")
@@ -346,12 +345,14 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
     for pair in pairs:
         if "=" not in pair:
             raise CliError(f"--rss needs mac=rss, got {pair!r}")
-        mac, _, raw = pair.partition("=")
+        mac, _, text = pair.partition("=")
         try:
-            raw = int(raw)  # text never truncates: "-50.7" stays text
+            reading = rss(float(text))  # "-50.0" reads as -50, as in a file
         except ValueError:
-            pass
-        fp[mac] = _rss(raw, f"--rss value for {mac!r}")
+            reading = None
+        if reading is None:
+            raise CliError(f"--rss value for {mac!r} {RSS_RULE}, got {text!r}")
+        fp[mac] = reading
     return fp
 
 
@@ -409,19 +410,20 @@ def cmd_localize(args) -> int:
             "localize",
             {"map": args.map, "fingerprint": args.fingerprint,
              "rss": args.rss or []},
-            outs.names() + ["manifest.json"], args, tree, overrides))
+            outs.names() + ["manifest.json"], tree, overrides))
         outs.commit()
     return 0
 
 
 def _report_rows(report) -> list[list[str]]:
-    rows = []
-    for r in report.rows:
-        rows.append([str(r.query_id), _fmt(r.truth_x), _fmt(r.truth_y),
-                     str(r.truth_floor), _fmt(r.est_x), _fmt(r.est_y),
-                     str(r.est_floor), _fmt(r.error_m),
-                     str(int(r.floor_correct))])
-    return rows
+    fix = report.fix
+    return [[str(qid), _fmt(x0), _fmt(y0), str(f0), _fmt(x), _fmt(y), str(f),
+             _fmt(err), str(int(ok))]
+            for qid, (x0, y0, f0, x, y, f, err, ok) in enumerate(zip(
+                report.truth_x.tolist(), report.truth_y.tolist(),
+                report.truth_floor.tolist(), fix.x.tolist(), fix.y.tolist(),
+                fix.floor.tolist(), report.error_m.tolist(),
+                report.floor_correct.tolist()))]
 
 
 _REPORT_HEADER = ["query_id", "truth_x", "truth_y", "truth_floor",
@@ -440,7 +442,7 @@ def cmd_evaluate(args) -> int:
     outs.add_json("summary.json", report.summary())
     outs.add_json("manifest.json", _manifest(
         "evaluate", {"map": args.map, "queries": args.queries},
-        outs.names() + ["manifest.json"], args, tree, overrides))
+        outs.names() + ["manifest.json"], tree, overrides))
     outs.commit()
     acc = report.floor_accuracy
     mean = "n/a" if report.mean_error_m is None else f"{report.mean_error_m:.3f} m"
@@ -476,7 +478,7 @@ def cmd_sweep(args) -> int:
                                "p50", "p75", "p90"], rows)
     outs.add_json("manifest.json", _manifest(
         "sweep", {"map": args.map, "queries": args.queries},
-        outs.names() + ["manifest.json"], args, tree, overrides))
+        outs.names() + ["manifest.json"], tree, overrides))
     outs.commit()
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} tau values)")
     return 0
@@ -490,7 +492,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file overriding config defaults")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one dotted config key (repeatable)")
-    sub.add_argument("--seed", type=int, help="override the scenario RNG seed")
     sub.add_argument("--out", help="output directory (default: current)")
 
 
@@ -503,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="generate a sensor trace")
     p.add_argument("scenario", help="scenario JSON file")
+    p.add_argument("--seed", type=int, help="override the scenario RNG seed")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -431,17 +431,3 @@ def graph_to_dict(graph: LandmarkGraph) -> dict:
         "auto_reverse": False,
     }
 
-
-def replicate_floor(
-    graph: LandmarkGraph, new_floor: int, suffix: str
-) -> LandmarkGraph:
-    """Copy of a graph with every landmark moved to new_floor and ids
-    suffixed; used to stamp one surveyed floor onto identical floors."""
-    nodes = {}
-    for lm in graph.nodes.values():
-        nid = lm.id + suffix
-        nodes[nid] = Landmark(id=nid, x=lm.x, y=lm.y, floor=new_floor, rules=lm.rules)
-    edges = [Edge(from_id=e.from_id + suffix, to_id=e.to_id + suffix,
-                  heading=e.heading, distance=e.distance)
-             for e in graph.edges]
-    return LandmarkGraph(nodes=nodes, edges=edges)

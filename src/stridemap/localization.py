@@ -14,7 +14,7 @@ are small integers and the batched distances are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from typing import Callable, Sequence
 
@@ -278,31 +278,24 @@ def knn_localize(
         neighbors=tuple(zip(nb.index[0].tolist(), nb.dist[0].tolist())))
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    query_id: int
-    truth_x: float
-    truth_y: float
-    truth_floor: int
-    est_x: float
-    est_y: float
-    est_floor: int
-    error_m: float
-    floor_correct: bool
-
-
-@dataclass
+@dataclass(eq=False)
 class EvaluationReport:
-    """Per-query outcomes plus the aggregate accuracy statistics.
+    """Per-query outcomes as columns, element i for query i, plus the
+    aggregate accuracy statistics.
 
     mean_error_m and the percentiles cover only queries whose floor was
     recognized correctly; they are None when no floor was ever correct.
     """
 
-    rows: list[QueryResult]
+    truth_x: np.ndarray
+    truth_y: np.ndarray
+    truth_floor: np.ndarray
+    fix: Neighbors                # the estimates: fix.x, fix.y, fix.floor
+    error_m: np.ndarray           # planar distance from truth to the fix
+    floor_correct: np.ndarray     # bool
     floor_accuracy: float
-    mean_error_m: float | None
-    errors: list[float] = field(default_factory=list)  # sorted, correct-floor only
+    errors: np.ndarray            # sorted error_m of the floor-correct queries
+    mean_error_m: float | None = None
     p50: float | None = None
     p75: float | None = None
     p90: float | None = None
@@ -314,7 +307,7 @@ class EvaluationReport:
             "p50": self.p50,
             "p75": self.p75,
             "p90": self.p90,
-            "n_queries": len(self.rows),
+            "n_queries": len(self.error_m),
         }
 
 
@@ -338,25 +331,20 @@ def evaluate(
     _, query_tau = _scope_taus(cfg)
     nb = knn(index, readings.vectors(index.universe, query_tau, index.min_rss))
 
-    truth = [(float(t[0]), float(t[1]), int(t[2])) for t, _ in test]
-    tx, ty = (np.array(col) for col in list(zip(*truth))[:2])
-    errors = np.hypot(nb.x - tx, nb.y - ty)
-    rows = [QueryResult(query_id=qid, truth_x=x0, truth_y=y0, truth_floor=f0,
-                        est_x=x, est_y=y, est_floor=f, error_m=err,
-                        floor_correct=f == f0)
-            for qid, ((x0, y0, f0), x, y, f, err) in enumerate(zip(
-                truth, nb.x.tolist(), nb.y.tolist(), nb.floor.tolist(),
-                errors.tolist()))]
-
-    correct = sorted(r.error_m for r in rows if r.floor_correct)
-    floor_accuracy = sum(r.floor_correct for r in rows) / len(rows)
-    if correct:
-        arr = np.array(correct)
-        return EvaluationReport(
-            rows=rows, floor_accuracy=floor_accuracy,
-            mean_error_m=float(arr.mean()), errors=correct,
-            p50=float(np.percentile(arr, 50)),
-            p75=float(np.percentile(arr, 75)),
-            p90=float(np.percentile(arr, 90)))
-    return EvaluationReport(rows=rows, floor_accuracy=floor_accuracy,
-                            mean_error_m=None)
+    tx = np.array([float(t[0]) for t, _ in test])
+    ty = np.array([float(t[1]) for t, _ in test])
+    tf = np.array([int(t[2]) for t, _ in test])
+    error_m = np.hypot(nb.x - tx, nb.y - ty)
+    floor_correct = nb.floor == tf
+    correct = np.sort(error_m[floor_correct])
+    stats = {}
+    if len(correct):
+        stats = dict(mean_error_m=float(correct.mean()),
+                     p50=float(np.percentile(correct, 50)),
+                     p75=float(np.percentile(correct, 75)),
+                     p90=float(np.percentile(correct, 90)))
+    return EvaluationReport(
+        truth_x=tx, truth_y=ty, truth_floor=tf, fix=nb, error_m=error_m,
+        floor_correct=floor_correct,
+        floor_accuracy=int(floor_correct.sum()) / len(test), errors=correct,
+        **stats)

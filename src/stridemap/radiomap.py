@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,11 +65,6 @@ class RadioMap:
 
     def __iter__(self) -> Iterator[RadioMapEntry]:
         return iter(self.entries)
-
-
-def chi(period: float, cfg: QualityConfig = QualityConfig()) -> float:
-    """1 when the step period is humanly plausible, else 0."""
-    return 1.0 if cfg.period_min <= period <= cfg.period_max else 0.0
 
 
 def segment_belief(segment: PathSegment, cfg: QualityConfig = QualityConfig()) -> float | None:
@@ -158,27 +153,6 @@ def build_radio_map(
                 fp=dict(scan.readings)))
     return RadioMap(entries=entries, config=asdict(cfg),
                     segment_scans=[len(p) for p in placed_by_segment])
-
-
-def merge_radio_maps(maps: Iterable[RadioMap]) -> RadioMap:
-    """Concatenate maps built with identical configs, dropping exact dupes."""
-    maps = list(maps)
-    if not maps:
-        raise ValueError("nothing to merge")
-    config = maps[0].config
-    for m in maps[1:]:
-        if m.config != config:
-            raise ValueError("cannot merge radio maps built with different configs")
-    entries: list[RadioMapEntry] = []
-    seen: set[tuple] = set()
-    for m in maps:
-        for e in m.entries:
-            key = (e.x, e.y, e.floor, e.belief, tuple(sorted(e.fp.items())))
-            if key in seen:
-                continue
-            seen.add(key)
-            entries.append(e)
-    return RadioMap(entries=entries, config=dict(config))
 
 
 _TOP_KEYS = {"version", "config", "entries"}

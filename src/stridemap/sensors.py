@@ -131,23 +131,8 @@ class StepEvent:
     accel_variance: float
 
 
-def accel_magnitude(ax: float, ay: float, az: float) -> float:
-    """Orientation-free accelerometer magnitude."""
-    return math.sqrt(ax * ax + ay * ay + az * az)
-
-
 def _magnitudes(channel: Channel) -> np.ndarray:
     return np.sqrt(np.sum(channel.v * channel.v, axis=1))
-
-
-def infer_rate(t: np.ndarray) -> float:
-    """Sampling rate in Hz from the median inter-sample gap."""
-    if len(t) < 2:
-        raise TraceError("cannot infer sampling rate from fewer than 2 samples")
-    gap = float(np.median(np.diff(t)))
-    if gap <= 0:
-        raise TraceError("non-positive median sample gap")
-    return 1.0 / gap
 
 
 def number(value, what: str, error: type[ValueError] = ValueError,

@@ -65,11 +65,6 @@ class CompassZone:
     floor: int
     bias_deg: float
 
-    def contains(self, x: float, y: float, floor: float) -> bool:
-        return (self.x_min <= x <= self.x_max
-                and self.y_min <= y <= self.y_max
-                and abs(floor - self.floor) <= 0.5)
-
 
 @dataclass(frozen=True)
 class Environment:

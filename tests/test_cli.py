@@ -128,6 +128,22 @@ def test_localize_fingerprint_file(flow, tmp_path, capsys):
     assert saved["floor"] == entry["floor"]
 
 
+def test_sweep_rows_equal_evaluate_at_each_tau(flow, tmp_path):
+    taus = ["-90", "-80", "-70"]
+    assert main(["sweep", str(flow / "map.json"), str(flow / "queries.jsonl"),
+                 "--taus=" + ",".join(taus), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["tau"]) for r in rows] == [float(t) for t in taus]
+    for tau, row in zip(taus, rows):
+        out = tmp_path / f"tau{tau}"
+        assert main(["evaluate", str(flow / "map.json"), str(flow / "queries.jsonl"),
+                     "--set", f"localization.tau={tau}", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for key in ("floor_accuracy", "mean_error_m", "p50", "p75", "p90"):
+            assert (float(row[key]) if row[key] else None) == summary[key], (tau, key)
+
+
 def test_sweep_report(flow, tmp_path):
     assert main(["sweep", str(flow / "map.json"), str(flow / "queries.jsonl"),
                  "--taus=-90,-80,-70", "--out", str(tmp_path)]) == 0
@@ -263,22 +279,57 @@ def test_default_tree_is_exact():
                                        "variance_threshold"]
 
 
-@pytest.mark.parametrize("argv", [
+# one minimal argv per subcommand, simulate first
+SUBCOMMAND_ARGV = [
     ["simulate", "s.json"],
     ["track", "t.jsonl"],
     ["build-map", "trajectory.jsonl", "t.jsonl"],
     ["localize", "map.json"],
     ["evaluate", "map.json", "q.jsonl"],
     ["sweep", "map.json", "q.jsonl", "--taus=-90"],
-])
-def test_no_subcommand_accepts_jobs(capsys, argv):
+]
+
+
+def assert_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--jobs", "2"])
+        main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "--jobs" in errors[0]
+    assert len(errors) == 1 and flag in errors[0]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV)
+def test_no_subcommand_accepts_jobs(capsys, argv):
+    assert_usage_error(capsys, argv + ["--jobs", "2"], "--jobs")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV[1:])
+def test_only_simulate_accepts_seed(capsys, argv):
+    assert_usage_error(capsys, argv + ["--seed", "1"], "--seed")
+
+
+def test_only_simulate_manifest_records_a_seed(flow, tmp_path, capsys):
+    scenario = str(flow / "scenario.json")
+    assert main(["simulate", scenario, "--seed", "7", "--out", str(tmp_path / "s7")]) == 0
+    assert main(["simulate", scenario, "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s7" / "manifest.json").read_text())["seed"] == 7
+    assert json.loads((tmp_path / "s" / "manifest.json").read_text())["seed"] is None
+    fp = tmp_path / "fp.json"
+    write_json(fp, json.loads((flow / "map.json").read_text())["entries"][0]["fp"])
+    runs = {
+        "track": ["track", str(flow / "trace.jsonl"), "--graph", str(flow / "graph.json")],
+        "build-map": ["build-map", str(flow / "trajectory.jsonl"), str(flow / "trace.jsonl")],
+        "localize": ["localize", str(flow / "map.json"), "--fingerprint", str(fp)],
+        "evaluate": ["evaluate", str(flow / "map.json"), str(flow / "queries.jsonl")],
+        "sweep": ["sweep", str(flow / "map.json"), str(flow / "queries.jsonl"),
+                  "--taus=-90"],
+    }
+    for command, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / command)]) == 0
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["command"] == command and "seed" not in manifest
 
 
 def test_config_file_unknown_key(flow, tmp_path, capsys):
@@ -321,6 +372,21 @@ def test_malformed_start(flow, tmp_path, capsys):
 def test_localize_needs_a_fingerprint(flow, capsys):
     assert main(["localize", str(flow / "map.json")]) == 1
     assert "fingerprint" in capsys.readouterr().err
+
+
+def test_rss_flag_reads_an_integral_decimal_like_the_files(flow, tmp_path, capsys):
+    # "-50.0" in a --fingerprint or query file reads as -50; so does the flag
+    entry = json.loads((flow / "map.json").read_text())["entries"][0]
+    fp = tmp_path / "fp.json"
+    fp.write_text(json.dumps({mac: float(rss) for mac, rss in entry["fp"].items()}))
+    rss_args = []
+    for mac, rss in entry["fp"].items():
+        rss_args += ["--rss", f"{mac}={float(rss)!r}"]
+    assert main(["localize", str(flow / "map.json")] + rss_args) == 0
+    assert main(["localize", str(flow / "map.json"), "--fingerprint", str(fp)]) == 0
+    flag_fix, file_fix = capsys.readouterr().out.splitlines()
+    assert json.loads(flag_fix) == json.loads(file_fix) == {
+        "x": entry["x"], "y": entry["y"], "floor": entry["floor"]}
 
 
 def test_malformed_rss_pair(flow, capsys):
@@ -514,6 +580,20 @@ MALFORMED = {
     "--rss value is below the range": (
         "", ["localize", "FLOW/map.json", "--rss", "ap-w=-201"],
         "--rss value for 'ap-w' must be a non-positive integer of at least"),
+    "--rss value is fractional": (
+        "", ["localize", "FLOW/map.json", "--rss", "ap-w=-50.7"],
+        "--rss value for 'ap-w' must be a non-positive integer of at least "
+        "-200 dBm, got '-50.7'"),
+    "--rss value is nan": (
+        "", ["localize", "FLOW/map.json", "--rss", "ap-w=nan"],
+        "--rss value for 'ap-w' must be a non-positive integer of at least "
+        "-200 dBm, got 'nan'"),
+    "--rss value is -inf": (
+        "", ["localize", "FLOW/map.json", "--rss", "ap-w=-inf"], "got '-inf'"),
+    "--rss value is a decimal below the range": (
+        "", ["localize", "FLOW/map.json", "--rss", "ap-w=-201.0"], "got '-201.0'"),
+    "--rss value is text": (
+        "", ["localize", "FLOW/map.json", "--rss", "ap-w=loud"], "got 'loud'"),
 }
 
 

@@ -1,7 +1,9 @@
 """Mutated input files through the CLI: whatever a record of a scenario,
 trace, trajectory, landmark graph, radio map, query file or fingerprint
 becomes, `simulate`, `track`, `build-map`, `evaluate` and `localize` exit 0
-or 1 without a traceback, and a failure prints exactly one `error:` line."""
+or 1 without a traceback, and a failure prints exactly one `error:` line.
+A trace from any scenario that `simulate` accepts is accepted by `track`
+and `build-map`."""
 
 import contextlib
 import io
@@ -10,11 +12,12 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stridemap.cli import main
-from stridemap.sim import scenario_from_dict, scenario_to_dict
+from stridemap.landmarks import graph_to_dict
+from stridemap.sim import load_scenario, scenario_from_dict, scenario_to_dict
 from test_sim import corridor_dict
 
 
@@ -76,18 +79,25 @@ def odd(numbers) -> st.SearchStrategy:
 
 
 @st.composite
-def mutated(draw, records: list[dict], numbers=NUMBERS) -> list:
+def mutated(draw, records: list[dict], numbers=NUMBERS,
+            kinds=("drop", "swap", "width", "whole")) -> list:
     """records with one to three of them mutated: a key dropped, a value
-    swapped for one of another type or width, or the whole record
-    replaced."""
+    swapped for one of another type or width, a number swapped for
+    another, or the whole record replaced."""
     recs: list = [dict(r) for r in records]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(recs) - 1))
-        kind = draw(st.sampled_from(["drop", "swap", "width", "whole"]))
+        kind = draw(st.sampled_from(kinds))
         rec = recs[i]
         if kind == "whole" or not isinstance(rec, dict) or not rec:
             recs[i] = draw(odd(numbers))
             continue
+        if kind == "number":
+            numeric = sorted(k for k, v in rec.items()
+                             if isinstance(v, (int, float)) and not isinstance(v, bool))
+            if numeric:
+                rec[draw(st.sampled_from(numeric))] = draw(numbers)
+                continue
         key = draw(st.sampled_from(sorted(rec)))
         if kind == "drop":
             del rec[key]
@@ -130,6 +140,31 @@ def test_simulate_on_mutated_scenario(records):
     with tempfile.TemporaryDirectory() as d:
         scenario = _write_json(Path(d) / "scenario.json", _scenario(records))
         _assert_clean_exit(["simulate", scenario, "--out", d])
+
+
+# Positive numbers that keep a retuned walk short and mostly valid: speeds
+# and step lengths of at least 0.25, durations of at most 10 s.
+SHORT_WALK_NUMBERS = st.one_of(st.integers(1, 10), st.floats(0.25, 10))
+
+
+def _run(argv: list[str]) -> int:
+    with contextlib.redirect_stderr(io.StringIO()), \
+            contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mutated(SCENARIO_RECORDS, SHORT_WALK_NUMBERS, kinds=("number",)))
+def test_simulated_trace_tracks_and_maps(records):
+    with tempfile.TemporaryDirectory() as d:
+        scenario = _write_json(Path(d) / "scenario.json", _scenario(records))
+        assume(_run(["simulate", scenario, "--out", d]) == 0)
+        graph = _write_json(Path(d) / "graph.json",
+                            graph_to_dict(load_scenario(scenario).environment.graph))
+        trace = str(Path(d) / "trace.jsonl")
+        assert _run(["track", trace, "--graph", graph, "--out", d]) == 0
+        assert _run(["build-map", str(Path(d) / "trajectory.jsonl"), trace,
+                     "--out", d]) == 0
 
 
 @settings(max_examples=40, deadline=None)

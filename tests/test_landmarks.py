@@ -9,7 +9,7 @@ from stridemap.landmarks import (GraphError, LandmarkConfig, MotionState,
                                  RuleKind, bearing, circular_diff,
                                  detect_acc_landmarks, detect_baro_landmarks,
                                  detect_gyro_landmarks, graph_from_dict,
-                                 graph_to_dict, replicate_floor, sgn)
+                                 graph_to_dict, sgn)
 from stridemap.sensors import Channel, SensorTrace
 
 from conftest import DT, gyro_channel
@@ -271,15 +271,6 @@ def test_turn_sign_rules_parse():
     g = graph_from_dict(data)
     signs = {r.turn_sign for r in g.nodes["b"].rules}
     assert signs == {1, -1}
-
-
-def test_replicate_floor_keeps_layout():
-    g = graph_from_dict(two_node_graph())
-    g2 = replicate_floor(g, 2, ".2")
-    assert set(g2.nodes) == {"a.2", "b.2"}
-    assert all(lm.floor == 2 for lm in g2.nodes.values())
-    assert g2.nodes["b.2"].x == g.nodes["b"].x
-    assert g2.edges[0].heading == g.edges[0].heading
 
 
 def test_round_trip_through_dict():

@@ -218,13 +218,22 @@ def test_vectorized_index_pins_its_config():
         knn_localize({"aa": -40}, idx, LocalizationConfig(k=3))
 
 
+def same_report(a, b) -> bool:
+    """Equal summaries, per-query columns and kNN fixes."""
+    columns = [(a, b, name) for name in ("truth_x", "truth_y", "truth_floor",
+                                         "error_m", "floor_correct", "errors")]
+    columns += [(a.fix, b.fix, name) for name in ("index", "dist", "x", "y", "floor")]
+    return a.summary() == b.summary() and all(
+        np.array_equal(getattr(ra, name), getattr(rb, name)) for ra, rb, name in columns)
+
+
 def test_evaluate_with_index_pins_its_config():
     idx = vectorize_map(THREE, LocalizationConfig(k=1))
     queries = [((0.0, 0.0, 1), {"aa": -40})]
     with pytest.raises(ValueError, match="vectorized under a different config"):
         evaluate(queries, idx, LocalizationConfig(k=3))
-    assert evaluate(queries, idx, LocalizationConfig(k=1)) == evaluate(
-        queries, THREE, LocalizationConfig(k=1))
+    assert same_report(evaluate(queries, idx, LocalizationConfig(k=1)),
+                       evaluate(queries, THREE, LocalizationConfig(k=1)))
 
 
 def test_evaluate_reuses_given_readings():
@@ -232,7 +241,8 @@ def test_evaluate_reuses_given_readings():
     readings = read_fingerprints([fp for _, fp in test])
     for tau in (-90.0, -55.0):
         cfg = LocalizationConfig(k=2, tau=tau)
-        assert evaluate(test, THREE, cfg, readings) == evaluate(test, THREE, cfg)
+        assert same_report(evaluate(test, THREE, cfg, readings),
+                           evaluate(test, THREE, cfg))
     with pytest.raises(ValueError, match="readings do not match"):
         evaluate(test[:1], THREE, LocalizationConfig(), readings)
 
@@ -321,13 +331,14 @@ def knn_cases(draw):
 @given(knn_cases())
 def test_kernel_matches_per_query_reference(case):
     rm, queries, cfg = case
-    report = evaluate([((0.0, 0.0, 0), fp) for fp in queries], rm, cfg)
-    for fp, row in zip(queries, report.rows):
+    est = evaluate([((0.0, 0.0, 0), fp) for fp in queries], rm, cfg).fix
+    assert len(est.x) == len(queries)
+    for i, fp in enumerate(queries):
         neighbors, x, y, floor = reference_fix(fp, rm, cfg)
         fix = knn_localize(fp, rm, cfg)
         assert fix.neighbors == neighbors
         assert (fix.x, fix.y, fix.floor) == (x, y, floor)
-        assert (row.est_x, row.est_y, row.est_floor) == (x, y, floor)
+        assert (est.x[i], est.y[i], est.floor[i]) == (x, y, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +412,9 @@ def test_evaluate_rejects_empty_test_set():
 
 def test_row_bookkeeping():
     test = [((2.0, 0.0, 1), {"aa": -40, "bb": -60})]
-    row = evaluate(test, THREE).rows[0]
-    assert row.query_id == 0
-    assert (row.truth_x, row.truth_y, row.truth_floor) == (2.0, 0.0, 1)
-    assert (row.est_x, row.est_y, row.est_floor) == (0.0, 0.0, 1)
-    assert row.error_m == pytest.approx(2.0)
-    assert row.floor_correct
+    rep = evaluate(test, THREE)
+    assert len(rep.error_m) == 1
+    assert (rep.truth_x[0], rep.truth_y[0], rep.truth_floor[0]) == (2.0, 0.0, 1)
+    assert (rep.fix.x[0], rep.fix.y[0], rep.fix.floor[0]) == (0.0, 0.0, 1)
+    assert rep.error_m[0] == pytest.approx(2.0)
+    assert rep.floor_correct.dtype == bool and rep.floor_correct[0]

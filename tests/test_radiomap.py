@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stridemap.pdr import PathSegment, Pose, Trajectory
-from stridemap.radiomap import (MapFormatError, QualityConfig, RadioMap,
-                                RadioMapEntry, build_radio_map, chi,
-                                interpolate_rp, load_radio_map,
-                                merge_radio_maps, save_radio_map,
+from stridemap.radiomap import (MapFormatError, QualityConfig,
+                                build_radio_map, interpolate_rp,
+                                load_radio_map, save_radio_map,
                                 segment_belief)
 from stridemap.sensors import WifiScan
 
@@ -23,27 +22,31 @@ def seg(periods, t0=0.0, t1=10.0, x0=0.0, x1=12.6, floor=1.0, floor1=None):
 
 
 # ---------------------------------------------------------------------------
-# period plausibility
+# period plausibility: the paper's chi(period) is 1 inside the band
+# [period_min, period_max] and 0 outside; segment_belief keeps exactly the
+# periods it scores 1
 
 
 def test_chi_inside_band():
-    assert chi(0.5) == 1.0
+    # every period plausible: share 1 over the floored spread
+    assert segment_belief(seg([0.5, 0.5])) == pytest.approx(200.0)
 
 
 def test_chi_band_edges_inclusive():
-    assert chi(0.4) == 1.0
-    assert chi(1.0) == 1.0
+    assert segment_belief(seg([0.4, 0.4])) == pytest.approx(200.0)
+    assert segment_belief(seg([1.0, 1.0])) == pytest.approx(200.0)
 
 
 def test_chi_outside_band():
-    assert chi(1.5) == 0.0
-    assert chi(0.39) == 0.0
+    assert segment_belief(seg([1.5, 0.39])) == 0.0
+    assert segment_belief(seg([1.01, 0.3999])) == 0.0
 
 
 def test_chi_custom_band():
     cfg = QualityConfig(period_min=0.2, period_max=0.3)
-    assert chi(0.25, cfg) == 1.0
-    assert chi(0.5, cfg) == 0.0
+    # 0.25 counts and 0.5 does not: share 0.5 over the floored spread
+    assert segment_belief(seg([0.25, 0.25, 0.5]), cfg) == pytest.approx(100.0)
+    assert segment_belief(seg([0.5, 0.5]), cfg) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -233,47 +236,6 @@ def test_unsorted_scans_accepted():
     traj = Trajectory(poses=[], segments=[seg(GOOD)])
     rm = build_radio_map(traj, scans_at(8.0, 2.0, 5.0))
     assert [e.x for e in rm] == pytest.approx([2.52, 6.3, 10.08])
-
-
-# ---------------------------------------------------------------------------
-# merging
-
-
-def entry(x, fp=None):
-    return RadioMapEntry(x=x, y=0.0, floor=1, belief=20.0,
-                         fp=fp or {"aa": -60})
-
-
-def test_merge_concatenates():
-    cfg = {"belief_threshold": 15.0}
-    merged = merge_radio_maps([
-        RadioMap(entries=[entry(1.0)], config=cfg),
-        RadioMap(entries=[entry(2.0)], config=cfg),
-    ])
-    assert [e.x for e in merged] == [1.0, 2.0]
-    assert merged.config == cfg
-
-
-def test_merge_drops_exact_duplicates():
-    cfg = {"belief_threshold": 15.0}
-    merged = merge_radio_maps([
-        RadioMap(entries=[entry(1.0)], config=cfg),
-        RadioMap(entries=[entry(1.0), entry(1.0, fp={"aa": -61})], config=cfg),
-    ])
-    assert len(merged) == 2
-
-
-def test_merge_rejects_config_mismatch():
-    with pytest.raises(ValueError, match="config"):
-        merge_radio_maps([
-            RadioMap(config={"belief_threshold": 15.0}),
-            RadioMap(config={"belief_threshold": 18.0}),
-        ])
-
-
-def test_merge_rejects_empty_input():
-    with pytest.raises(ValueError):
-        merge_radio_maps([])
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 
 from stridemap.sensors import (Channel, MotionState, SensorConfig,
                                SensorTrace, TraceError, TruthChannel,
-                               WifiScan, accel_magnitude, classify_motion,
-                               detect_steps, dump_trace, infer_rate,
-                               load_trace, moving_average)
+                               WifiScan, _magnitudes, classify_motion,
+                               detect_steps, dump_trace, load_trace,
+                               moving_average)
 
 from conftest import DT, GRAVITY, RATE, accel_channel, flat, trace_from_mags, walking
 
 
 # ---------------------------------------------------------------------------
-# magnitude
+# magnitude: the orientation-free norm of each accelerometer sample
+
+
+def accel_magnitude(ax, ay, az):
+    return float(_magnitudes(Channel(t=np.zeros(1), v=np.array([[ax, ay, az]])))[0])
 
 
 def test_magnitude_single_axis():
@@ -148,16 +152,6 @@ def test_dump_rejects_non_finite(ch, where, tmp_path):
         (chan.t if where == "t" else values).flat[-1] = math.nan
     with pytest.raises(TraceError, match=repr(ch)):
         dump_trace(trace, tmp_path / "t.jsonl")
-
-
-def test_infer_rate():
-    t = np.arange(100) * 0.02
-    assert infer_rate(t) == pytest.approx(50.0)
-
-
-def test_infer_rate_too_short():
-    with pytest.raises(TraceError):
-        infer_rate(np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
