@@ -316,7 +316,7 @@ def cmd_build_map(args) -> int:
     tree, overrides = effective_config(args)
     sensor_cfg, _, _, quality_cfg, _ = _configs(tree)
     traj = load_trajectory(_require_file(args.trajectory, "trajectory file"))
-    trace = load_trace(_require_file(args.trace, "trace file"))
+    trace = load_trace(_require_file(args.trace, "trace file"), ("accel", "wifi"))
     attach_periodicities(traj, detect_steps(trace, sensor_cfg))
 
     radio_map = build_radio_map(traj, trace.wifi, quality_cfg)

@@ -15,13 +15,23 @@ must be finite numbers, samples must have their channel's width, t must not
 decrease within a channel, and a WiFi reading must be a [mac, rss] pair
 (unique non-empty string MAC, RSS as read by rss); a violation raises
 TraceError naming the first bad line.
+
+A file whose every line has the shape dump_trace writes is read a channel
+at a time: one regex over many lines and one numpy conversion per chunk.
+Any other valid JSON line still loads, through a per-line json.loads of
+the whole file, which names every error as before. load_trace can read a
+subset of the channels and skip the lines of the others unparsed: the CLI's
+build-map reads only accel and wifi, so a malformed line of another
+channel does not fail it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -38,6 +48,19 @@ MIN_STEP_GAP_S = 0.3
 # The trace format: values per sample of each channel, in write order at
 # equal timestamps; a WiFi sample (None) is a scan of any length.
 CHANNELS = {"accel": 3, "gyro": 3, "mag": 3, "baro": 1, "wifi": None, "truth": 3}
+# Every line dump_trace writes starts '{"ch": "<ch>", '. Its first
+# _PREFIX_LEN characters reach past the closing quote of the longest name,
+# so they name the channel and a line can be routed or skipped unparsed.
+_PREFIX_LEN = len('{"ch": "') + max(map(len, CHANNELS)) + 1
+_PREFIXES = {f'{{"ch": "{ch}", '[:_PREFIX_LEN]: ch for ch in CHANNELS}
+# Trace lines the fast path joins and matches at once.
+_CHUNK_LINES = 32768
+# A number as %r writes a finite float: a JSON number with a fraction, an
+# exponent or both. json.loads reads such a token with float(), and numpy's
+# correctly rounded reading of the same text is bit-equal. Any other token
+# is left to json.loads, integers among them: it reads "-0" as 0, where
+# float() gives -0.0.
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)\.[0-9]+(?:e[-+][0-9]+)?|-?[1-9]e[-+][0-9]+)"
 # Every RSS reading the toolkit loads is an integer in this range, dBm. Far
 # below the weakest signal a radio reports, the floor keeps fingerprint
 # vectors small integers, so the kNN distances are exact in float64.
@@ -106,6 +129,21 @@ def _empty(ch: str) -> Channel:
     return Channel(np.empty(0), np.empty((0, *_sample_shape(ch))))
 
 
+def _line_format(ch: str) -> str:
+    """The line of one sample of numeric channel ch as dump_trace writes
+    it, with %r for each number."""
+    width = CHANNELS[ch]
+    v = "%r" if width == 1 else "[" + ", ".join(["%r"] * width) + "]"
+    return '{"ch": "' + ch + '", "t": %r, "v": ' + v + "}"
+
+
+@functools.cache  # compiled on first read, not at every CLI start
+def _line_pattern(ch: str) -> re.Pattern:
+    """_line_format(ch) as a regex with one group per number, anchored to
+    a whole line: a match never spans or shares a line."""
+    return re.compile("^" + re.escape(_line_format(ch)).replace("%r", _FLOAT) + "$", re.M)
+
+
 @dataclass
 class SensorTrace:
     """All channels of one recording session."""
@@ -164,12 +202,15 @@ def rss(value) -> int | None:
     return value if RSS_MIN_DBM <= value <= RSS_MAX_DBM else None
 
 
-def read_jsonl(path: str | Path, error: type[Exception],
-               prefix: str = "line ") -> Iterator[tuple[int, object]]:
+def read_jsonl(path: str | Path, error: type[Exception], prefix: str = "line ",
+               skip: tuple[str, ...] = ()) -> Iterator[tuple[int, object]]:
     """Line number and parsed record of each non-blank line of a JSON-lines
-    file; invalid JSON raises error located as f"{prefix}{lineno}"."""
+    file, less the lines that start with a string in skip, which are never
+    parsed; invalid JSON raises error located as f"{prefix}{lineno}"."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            if line.startswith(skip):
+                continue
             line = line.strip()
             if not line:
                 continue
@@ -180,32 +221,33 @@ def read_jsonl(path: str | Path, error: type[Exception],
             yield lineno, rec
 
 
-def _scan_readings(lineno: int, v) -> dict[str, int]:
+def _scan_readings(v) -> dict[str, int]:
+    """The readings of one WiFi scan; TraceError, without a line number,
+    unless v is a list of [mac, rss] pairs."""
     if not isinstance(v, list):
-        raise TraceError(f"line {lineno}: WiFi scan must be a list of "
-                         f"[mac, rss] pairs, got {v!r}")
+        raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {v!r}")
     readings: dict[str, int] = {}
     for pair in v:
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and pair[0]):
-            raise TraceError(f"line {lineno}: WiFi reading must be a [mac, rss] "
-                             f"pair with a non-empty string MAC, got {pair!r}")
+            raise TraceError("WiFi reading must be a [mac, rss] pair with a "
+                             f"non-empty string MAC, got {pair!r}")
         mac, value = pair
         if mac in readings:
-            raise TraceError(f"line {lineno}: duplicate MAC {mac!r} in scan")
+            raise TraceError(f"duplicate MAC {mac!r} in scan")
         reading = rss(value)
         if reading is None:
-            raise TraceError(f"line {lineno}: RSS of {mac!r} {RSS_RULE}, got {value!r}")
+            raise TraceError(f"RSS of {mac!r} {RSS_RULE}, got {value!r}")
         readings[mac] = reading
     return readings
 
 
-def _checked(ch: str, t: list, v: list) -> Channel | None:
+def _checked(ch: str, t, v) -> Channel | None:
     """The samples of channel ch as arrays, or None unless every t and
     value is a finite number, every sample has the channel's width and t
     is non-decreasing. WiFi values are scans and pass through."""
     shape = _sample_shape(ch)
-    if not t:
+    if not len(t):
         return Channel(np.empty(0), v if shape is None else _empty(ch).v)
     try:
         ta = np.asarray(t, float)
@@ -213,22 +255,23 @@ def _checked(ch: str, t: list, v: list) -> Channel | None:
     except (TypeError, ValueError, OverflowError):
         return None
     ok = (ta.shape == (len(t),) and np.isfinite(ta).all()
-          and not (np.diff(ta) < 0).any())
+          and not (ta[1:] < ta[:-1]).any())
     if ok and shape is not None:
         ok = va.shape == (len(t), *shape) and np.isfinite(va).all()
     return Channel(ta, va) if ok else None
 
 
-def _channel(path: str | Path, ch: str, t: list, v: list) -> Channel:
+def _channel(path: str | Path, ch: str, t, v, channels) -> Channel:
     """_checked over the whole channel; when that fails, the error names
     the first bad record, found by bisecting for the shortest failing
-    prefix (a prefix that fails keeps failing as it grows)."""
+    prefix (a prefix that fails keeps failing as it grows) and rereading
+    the lines a load of channels reads."""
     chan = _checked(ch, t, v)
     if chan is not None:
         return chan
     k = bisect_left(range(len(t)), True,
                     key=lambda k: _checked(ch, t[:k + 1], v[:k + 1]) is None)
-    lines = (n for n, rec in read_jsonl(path, TraceError) if rec["ch"] == ch)
+    lines = (n for n, rec in _trace_records(path, channels) if rec["ch"] == ch)
     lineno = next(islice(lines, k, None), "?")  # "?" if the file changed
     if _checked(ch, t[k:k + 1], v[k:k + 1]) is not None:
         raise TraceError(f"line {lineno}: timestamps regress in channel {ch!r}")
@@ -237,10 +280,19 @@ def _channel(path: str | Path, ch: str, t: list, v: list) -> Channel:
     raise TraceError(f"line {lineno}: {ch} sample must be a finite t{values}")
 
 
-def load_trace(path: str | Path) -> SensorTrace:
-    """Parse a JSONL trace file, validating every channel against CHANNELS."""
+def _trace_records(path: str | Path, channels) -> Iterator[tuple[int, object]]:
+    """read_jsonl over a trace, less the lines whose prefix names a channel
+    not in channels: the lines the fast path drops too."""
+    skip = tuple(p for p, ch in _PREFIXES.items() if ch not in channels)
+    return read_jsonl(path, TraceError, skip=skip)
+
+
+def _json_columns(path: str | Path, channels) -> dict[str, tuple[list, list]]:
+    """The t and v lists of each channel, one json.loads per line; a record
+    of a channel not in channels is dropped once parsed, and the first
+    faulty line raises TraceError naming it."""
     cols: dict[str, tuple[list, list]] = {ch: ([], []) for ch in CHANNELS}
-    for lineno, rec in read_jsonl(path, TraceError):
+    for lineno, rec in _trace_records(path, channels):
         try:
             ch, t, v = rec["ch"], rec["t"], rec["v"]
         except (KeyError, TypeError) as exc:
@@ -249,12 +301,88 @@ def load_trace(path: str | Path) -> SensorTrace:
             ts, vs = cols[ch]
         except (KeyError, TypeError):
             raise TraceError(f"line {lineno}: unknown channel {ch!r}") from None
+        if ch not in channels:
+            continue
         if ch == "wifi":
-            v = _scan_readings(lineno, v)
+            try:
+                v = _scan_readings(v)
+            except TraceError as exc:
+                raise TraceError(f"line {lineno}: {exc}") from None
         ts.append(t)
         vs.append(v)
+    return cols
 
-    chans = {ch: _channel(path, ch, *cols[ch]) for ch in CHANNELS}
+
+class _NotCanonical(Exception):
+    """A trace line the fast path does not read."""
+
+
+def _numeric_lines(ch: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """t and v of numeric channel ch from its lines, each as _line_format
+    writes it, a chunk at a time; the list is emptied as it is read."""
+    parts = [np.empty((0, 1 + CHANNELS[ch]))]
+    while lines:
+        chunk = lines[:_CHUNK_LINES]
+        del lines[:_CHUNK_LINES]
+        rows = _line_pattern(ch).findall("".join(chunk))
+        if len(rows) != len(chunk):  # each match is one whole line
+            raise _NotCanonical
+        parts.append(np.array(rows, float))
+    a = np.concatenate(parts)
+    return a[:, 0].copy(), a[:, 1:].reshape(len(a), *_sample_shape(ch)).copy()
+
+
+def _wifi_lines(lines: list[str]) -> tuple[list, list]:
+    """t and the readings of each WiFi line; _NotCanonical at a fault,
+    which the json path names."""
+    t, v = [], []
+    for line in lines:
+        try:
+            rec = json.loads(line)
+            if rec["ch"] != "wifi":
+                raise _NotCanonical
+            t.append(rec["t"])
+            v.append(_scan_readings(rec["v"]))
+        except (ValueError, KeyError, TypeError):
+            raise _NotCanonical from None
+    return t, v
+
+
+def _canonical_columns(path: str | Path, channels) -> dict[str, tuple]:
+    """The t and v of each channel of a trace whose every line dump_trace
+    could have written, read a channel at a time; a line of a channel not
+    in channels is dropped by its prefix, unparsed. Any other line raises
+    _NotCanonical, never TraceError: the json path names the faults."""
+    route = {p: [] if ch in channels else None for p, ch in _PREFIXES.items()}
+    with open(path) as fh:
+        for line in fh:
+            try:
+                lines = route[line[:_PREFIX_LEN]]
+            except KeyError:
+                raise _NotCanonical from None
+            if lines is not None:
+                lines.append(line)
+    cols = {}
+    for p, ch in _PREFIXES.items():
+        lines = route.pop(p) or []
+        cols[ch] = _wifi_lines(lines) if ch == "wifi" else _numeric_lines(ch, lines)
+    return cols
+
+
+def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
+    """Parse a JSONL trace file, validating each channel in channels
+    against CHANNELS. The other channels load empty (truth as None), and
+    their lines are skipped: by prefix before any parse, or by "ch" after.
+    A file of dump_trace's lines takes the fast path; any other is read a
+    line at a time with json.loads, with the same arrays and errors."""
+    unknown = set(channels) - CHANNELS.keys()
+    if unknown:
+        raise ValueError(f"unknown trace channels {sorted(unknown)}")
+    try:
+        cols = _canonical_columns(path, channels)
+    except _NotCanonical:
+        cols = _json_columns(path, channels)
+    chans = {ch: _channel(path, ch, *cols.pop(ch), channels) for ch in CHANNELS}
     wifi = chans.pop("wifi")
     truth = chans.pop("truth")
     return SensorTrace(
@@ -270,10 +398,8 @@ def _record_lines(ch: str, c: Channel) -> list[str]:
     it: %r of a finite float is json's text for it."""
     if not (np.isfinite(c.t).all() and np.isfinite(c.v).all()):
         raise TraceError(f"cannot write channel {ch!r}: t and values must be finite")
-    width = CHANNELS[ch]
-    v = "%r" if width == 1 else "[" + ", ".join(["%r"] * width) + "]"
-    fmt = '{"ch": "' + ch + '", "t": %r, "v": ' + v + "}"
-    rows = c.v.reshape(len(c), width).tolist()
+    fmt = _line_format(ch)
+    rows = c.v.reshape(len(c), CHANNELS[ch]).tolist()
     return [fmt % (t, *row) for t, row in zip(c.t.tolist(), rows)]
 
 

@@ -609,6 +609,52 @@ def test_malformed_input_gives_one_error_line(flow, tmp_path, capsys, case):
     assert err[0].startswith("error:") and needle in err[0]
 
 
+BROKEN_GYRO = '{"ch": "gyro", "t": 0.1, "v": [0.0, 0.0, oops]}\n'
+
+
+def trace_with_broken_gyro(flow, tmp_path, replace=()) -> Path:
+    """flow's trace with each (index, line) of replace put in, then
+    BROKEN_GYRO inserted as line 2."""
+    lines = (flow / "trace.jsonl").read_text().splitlines(keepends=True)
+    for k, line in replace:
+        lines[k] = line
+    lines.insert(1, BROKEN_GYRO)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines))
+    return path
+
+
+def test_build_map_reads_no_gyro_line(flow, tmp_path, capsys):
+    # build-map parses only accel and WiFi lines, so a broken gyro line,
+    # which fails track, leaves its map unchanged
+    trace = trace_with_broken_gyro(flow, tmp_path)
+    assert main(["build-map", str(flow / "trajectory.jsonl"), str(trace),
+                 "--out", str(tmp_path / "map")]) == 0
+    for name in ("map.json", "segments.csv"):
+        assert (tmp_path / "map" / name).read_bytes() == (flow / name).read_bytes()
+    capsys.readouterr()
+    assert main(["track", str(trace), "--graph", str(flow / "graph.json"),
+                 "--out", str(tmp_path / "track")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 2: invalid JSON")
+
+
+@pytest.mark.parametrize("bad_accel,message", [
+    ('{"ch": "accel", "t": 0.5, "v": [0.0, 9.8]}\n',
+     "accel sample must be a finite t and 3 finite values"),
+    ('{"ch": "accel", "t": -1.0, "v": [0.0, 0.0, 9.8]}\n',
+     "timestamps regress in channel 'accel'")])
+def test_build_map_names_a_bad_accel_line_past_a_broken_gyro_line(
+        flow, tmp_path, capsys, bad_accel, message):
+    lines = (flow / "trace.jsonl").read_text().splitlines()
+    k = next(i for i in range(60, len(lines)) if lines[i].startswith('{"ch": "accel"'))
+    trace = trace_with_broken_gyro(flow, tmp_path, [(k, bad_accel)])
+    assert main(["build-map", str(flow / "trajectory.jsonl"), str(trace),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: line {k + 2}: {message}"]
+
+
 def test_cli_import_loads_no_scipy():
     # every subcommand pays its imports again; scipy alone cost ~0.3 s
     src = Path(__file__).resolve().parents[1] / "src"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stridemap.landmarks import (GraphError, LandmarkConfig, MotionState,
-                                 RuleKind, bearing, circular_diff,
+from stridemap.landmarks import (GraphError, MotionState, RuleKind,
+                                 bearing, circular_diff,
                                  detect_acc_landmarks, detect_baro_landmarks,
                                  detect_gyro_landmarks, graph_from_dict,
                                  graph_to_dict, sgn)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stridemap.localization import (EvaluationReport, LocalizationConfig,
-                                    VectorizedMap, evaluate, knn, knn_localize,
+from stridemap.localization import (LocalizationConfig, VectorizedMap,
+                                    evaluate, knn, knn_localize,
                                     map_min_rss, map_universe,
                                     read_fingerprints, to_positive,
                                     vectorize_map)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -14,10 +13,9 @@ from stridemap.pdr import (HeadingSource, MatchState, PdrConfig, Pose,
                            match_landmark, floor_update, pdr_step,
                            round_floor, run_pdr, trajectory_errors,
                            update_step_length)
-from stridemap.sensors import (Channel, SensorTrace, StepEvent,
-                               TruthChannel, detect_steps)
+from stridemap.sensors import Channel, SensorTrace, TruthChannel, detect_steps
 
-from conftest import DT, GRAVITY, accel_channel, flat, walking
+from conftest import DT, accel_channel, flat, walking
 
 
 # ---------------------------------------------------------------------------

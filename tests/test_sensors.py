@@ -1,19 +1,23 @@
 import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stridemap.sensors import (Channel, MotionState, SensorConfig,
-                               SensorTrace, TraceError, TruthChannel,
-                               WifiScan, _magnitudes, classify_motion,
-                               detect_steps, dump_trace, load_trace,
-                               moving_average)
+from stridemap import sensors
+from stridemap.sensors import (CHANNELS, Channel, MotionState, SensorTrace,
+                               TraceError, TruthChannel, WifiScan,
+                               _magnitudes, classify_motion, detect_steps,
+                               dump_trace, load_trace, moving_average)
 
-from conftest import DT, GRAVITY, RATE, accel_channel, flat, trace_from_mags, walking
+from conftest import DT, GRAVITY, flat, trace_from_mags, walking
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +156,197 @@ def test_dump_rejects_non_finite(ch, where, tmp_path):
         (chan.t if where == "t" else values).flat[-1] = math.nan
     with pytest.raises(TraceError, match=repr(ch)):
         dump_trace(trace, tmp_path / "t.jsonl")
+
+
+# ---------------------------------------------------------------------------
+# the two trace readers: dump_trace's lines a channel at a time, any other
+# file one json.loads per line; the same arrays and the same errors
+
+
+def json_path_load(path, channels=tuple(CHANNELS)) -> SensorTrace:
+    """load_trace with the fast path switched off."""
+    with mock.patch.object(sensors, "_canonical_columns",
+                           side_effect=sensors._NotCanonical):
+        return load_trace(path, channels)
+
+
+def fast_path_load(path, channels=tuple(CHANNELS)) -> SensorTrace:
+    """load_trace that fails unless the fast path reads the whole file."""
+    with mock.patch.object(sensors, "_json_columns",
+                           side_effect=AssertionError("fell back to json")):
+        return load_trace(path, channels)
+
+
+def trace_bits(trace: SensorTrace):
+    """Every array of a trace as bytes, with its shape and dtype: equal only
+    when bit-equal (0.0 and -0.0 differ)."""
+    def bits(a):
+        return a.dtype.str, a.shape, a.tobytes()
+    out = [(bits(c.t), bits(c.v)) for c in
+           (trace.accel, trace.gyro, trace.mag, trace.baro)]
+    out.append((bits(np.array([s.t for s in trace.wifi], float)),
+                [s.readings for s in trace.wifi]))
+    tr = trace.truth
+    out.append(None if tr is None else (bits(tr.t), bits(tr.xy), bits(tr.floor)))
+    return out
+
+
+def outcome(load, path, channels=tuple(CHANNELS)):
+    try:
+        return trace_bits(load(path, channels))
+    except TraceError as exc:
+        return f"TraceError: {exc}"
+
+
+AWKWARD = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 1e-300, 2.5e-308, -0.0, 0.0, 0.1 + 0.2,
+                     1 / 3, 2 / 3 * 1e-5, 1e16, 1e22, 123456789.12345679,
+                     1.7976931348623157e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def traces(draw) -> SensorTrace:
+    def channel(width, min_size=0):
+        n = draw(st.integers(min_size, 4))
+        t = np.sort(np.array(draw(st.lists(AWKWARD, min_size=n, max_size=n)), float))
+        v = draw(st.lists(AWKWARD, min_size=n * width, max_size=n * width))
+        return t, np.array(v, float).reshape(n, width)
+    ax = {ch: channel(3, min_size=ch == "accel") for ch in ("accel", "gyro", "mag")}
+    bt, bv = channel(1)
+    tt, tv = channel(3)
+    scans = [WifiScan(t, {f"ap{i}": draw(st.integers(-200, 0))
+                          for i in range(draw(st.integers(0, 2)))})
+             for t in sorted(draw(st.lists(AWKWARD, max_size=2)))]
+    return SensorTrace(**{ch: Channel(*tv_) for ch, tv_ in ax.items()},
+                       baro=Channel(bt, bv[:, 0].copy()), wifi=scans,
+                       truth=TruthChannel(tt, tv[:, :2].copy(), tv[:, 2].copy())
+                       if len(tt) else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(traces(), st.integers(0, 10**6))
+def test_both_readers_load_a_dumped_trace_bit_equal(trace, pick):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.jsonl"
+        dump_trace(trace, path)
+        want = trace_bits(trace)
+        assert trace_bits(fast_path_load(path)) == want
+        # one line written compactly is not dump_trace's: json reads the file
+        lines = path.read_text().splitlines(keepends=True)
+        k = pick % len(lines)
+        lines[k] = json.dumps(json.loads(lines[k]), separators=(",", ":")) + "\n"
+        path.write_text("".join(lines))
+        assert trace_bits(load_trace(path)) == want
+
+
+GOOD = ('{"ch": "accel", "t": 0.0, "v": [0.5, -0.0, 9.8]}\n'
+        '{"ch": "gyro", "t": 0.0, "v": [0.1, 0.2, 0.3]}\n'
+        '{"ch": "wifi", "t": 0.01, "v": [["aa", -50]]}\n')
+ACC = '{"ch": "accel", "t": 1.0, "v": [1.0, 2.0, 3.0]}'
+
+# case -> trace text on which the fast path and the json path must agree
+READER_CASES = {
+    "canonical": GOOD,
+    "integer -0, which json reads as +0.0": GOOD + '{"ch": "accel", "t": 1.0, "v": [-0, 0.0, 1.0]}\n',
+    "two records on one line": GOOD + ACC + ACC + "\n",
+    "a record and trailing junk": GOOD + ACC + " x\n",
+    "a record and a trailing comma": GOOD + ACC + ",\n",
+    "capital exponent": GOOD + '{"ch": "accel", "t": 1E5, "v": [1E+5, 1e5, 1.5E-5]}\n',
+    "25-digit integer": GOOD + '{"ch": "accel", "t": 1234567890123456789012345, "v": [1.0, 2.0, 3.0]}\n',
+    "25-digit float": GOOD + '{"ch": "accel", "t": 1234567890123456789012345.0, "v": [1.0, 2.0, 3.0]}\n',
+    "leading zero": GOOD + '{"ch": "accel", "t": 01.5, "v": [1.0, 2.0, 3.0]}\n',
+    "huge integer": GOOD + '{"ch": "accel", "t": 1.0, "v": [1' + "0" * 400 + ', 2.0, 3.0]}\n',
+    "exponent past the float range": GOOD + '{"ch": "accel", "t": 1.0, "v": [1e+400, 2.0, 3.0]}\n',
+    "missing final newline": GOOD + ACC,
+    "blank line": GOOD + "\n" + ACC + "\n",
+    "CRLF line ends": (GOOD + ACC + "\n").replace("\n", "\r\n"),
+    "NaN value": GOOD + '{"ch": "accel", "t": 1.0, "v": [NaN, 2.0, 3.0]}\n',
+    "regressing canonical t": GOOD + ACC + "\n" + ACC.replace("1.0,", "0.5,", 1) + "\n",
+    "accel sample of width 2": GOOD + '{"ch": "accel", "t": 1.0, "v": [1.0, 2.0]}\n',
+    "permuted keys": GOOD + '{"t": 1.0, "ch": "accel", "v": [1.0, 2.0, 3.0]}\n',
+    "unknown channel with a known prefix": GOOD + '{"ch": "accelx", "t": 1.0, "v": [1.0, 2.0, 3.0]}\n',
+    "bad RSS in a canonical scan": GOOD + '{"ch": "wifi", "t": 1.0, "v": [["aa", 5]]}\n',
+    "scan line naming another channel": GOOD + '{"ch": "wifi", "t": 1.0, "v": [], "ch": "gyro"}\n',
+    "broken gyro line": GOOD + '{"ch": "gyro", "t": 1.0, oops}\n' + ACC + "\n",
+    "compact gyro line of width 2": GOOD + '{"ch":"gyro","t":1.0,"v":[1.0,2.0]}\n',
+    "broken gyro line, then a regressing accel line":
+        GOOD + '{"ch": "gyro", oops\n' + ACC.replace("1.0,", "-1.0,", 1) + "\n",
+}
+
+
+@pytest.mark.parametrize("channels", [tuple(CHANNELS), ("accel", "wifi")])
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_fast_path_agrees_with_json_path(case, channels, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(READER_CASES[case].encode())
+    assert outcome(load_trace, path, channels) == outcome(json_path_load, path, channels)
+
+
+def test_integer_minus_zero_loads_as_json_reads_it(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(READER_CASES["integer -0, which json reads as +0.0"])
+    v = load_trace(path).accel.v
+    assert np.signbit(v[0, 1]) and not np.signbit(v[1, 0])
+
+
+def test_fast_path_reads_the_canonical_cases(tmp_path):
+    for case in ("canonical", "25-digit float", "missing final newline",
+                 "CRLF line ends", "regressing canonical t"):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(READER_CASES[case].encode())
+        assert outcome(fast_path_load, path) == outcome(json_path_load, path)
+
+
+def test_load_names_the_faulty_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    for case, message in [
+            ("two records on one line", "line 4: invalid JSON: Extra data"),
+            ("regressing canonical t", "line 5: timestamps regress in channel 'accel'"),
+            ("bad RSS in a canonical scan", "line 4: RSS of 'aa' must be"),
+            ("NaN value", "line 4: accel sample must be a finite t and 3 finite values")]:
+        path.write_text(READER_CASES[case])
+        with pytest.raises(TraceError, match="^" + message):
+            load_trace(path)
+
+
+def test_skipped_channels_load_empty_and_are_never_parsed(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(READER_CASES["broken gyro line"]
+                    + '{"ch":"mag","t":1.0,"v":[1.0]}\n'
+                    + '{"ch": "truth", "t": 1.0, "v": [0.0, 0.0, 1.0]}\n')
+    for load in (load_trace, json_path_load):
+        trace = load(path, ("accel", "wifi"))
+        assert len(trace.accel) == 2 and len(trace.wifi) == 1
+        assert len(trace.gyro) == len(trace.mag) == len(trace.baro) == 0
+        assert trace.gyro.v.shape == (0, 3) and trace.truth is None
+    with pytest.raises(TraceError, match="line 4: invalid JSON"):
+        load_trace(path)
+
+
+def test_a_skipped_line_before_a_bad_line_does_not_move_the_error(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(READER_CASES["broken gyro line, then a regressing accel line"])
+    for load in (load_trace, json_path_load):
+        with pytest.raises(TraceError, match="^line 5: timestamps regress in channel 'accel'"):
+            load(path, ("accel", "wifi"))
+
+
+def test_timestamps_spanning_the_float_range_load_without_a_warning(tmp_path):
+    # their difference overflows; comparing neighbours does not subtract
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"ch": "accel", "t": -1e+308, "v": [0.0, 0.0, 9.8]}\n'
+                    '{"ch": "accel", "t": 1e+308, "v": [0.0, 0.0, 9.8]}\n')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_trace(path).accel.t.tolist() == [-1e308, 1e308]
+
+
+def test_load_refuses_an_unknown_channel_name(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(GOOD)
+    with pytest.raises(ValueError, match="compass"):
+        load_trace(path, ("accel", "compass"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
-import copy
 import io
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +8,7 @@ import pytest
 from stridemap.landmarks import RuleKind, detect_baro_landmarks
 from stridemap.sensors import detect_steps, dump_trace
 from stridemap.sim import (BASE_PRESSURE, MAX_WALK_TICKS, PRESSURE_PER_FLOOR,
-                           TICK, NoiseModel, ScenarioError, generate_test_queries,
+                           TICK, ScenarioError, generate_test_queries,
                            generate_trace, load_scenario,
                            mixed_quality_scenario, plan_walk,
                            scenario_from_dict, scenario_to_dict,
