@@ -21,17 +21,13 @@ from dataclasses import Field, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .landmarks import LandmarkConfig, load_landmark_graph
-from .localization import (LocalizationConfig, evaluate, knn_localize,
-                           read_fingerprints, vectorize_map)
-from .pdr import (HEADING_THRESHOLD_DEG, HeadingSource, PdrConfig,
-                  attach_periodicities, dump_trajectory, load_trajectory,
-                  run_pdr, trajectory_errors)
-from .radiomap import (QualityConfig, build_radio_map,
-                       load_radio_map, save_radio_map, segment_belief)
-from .sensors import (RSS_RULE, SensorConfig, detect_steps, dump_trace,
-                      load_trace, number, read_jsonl, rss)
-from .sim import generate_trace, load_scenario
+from .config import (HEADING_THRESHOLD_DEG, ConfigError, HeadingSource,
+                     LandmarkConfig, LocalizationConfig, PdrConfig,
+                     QualityConfig, SensorConfig)
+from .sensors import RSS_RULE, number, read_jsonl, rss
+
+# Each subcommand imports the stage functions it calls in its own body, so
+# a process loads only the stages of the command it runs.
 
 CONFIG_VERSION = 1
 
@@ -96,7 +92,7 @@ def _coerce(dotted: str, current, raw):
             return int(raw)
         if want is float:
             return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise bad
     if want is str:
         if not isinstance(raw, str):
@@ -150,17 +146,20 @@ def _configs(tree: dict) -> tuple:
     """One config object per tree section, in SECTIONS order."""
     out = []
     for section, cls in SECTIONS.items():
-        kwargs = {}
+        kwargs, keys = {}, {}
         for f in fields(cls):
             key, _, convert = _leaf(cls, f)
+            keys[f.name] = key
             try:
                 kwargs[f.name] = convert(tree[section][key])
             except ValueError as exc:
                 raise CliError(f"config key '{section}.{key}': {exc}")
         try:
             out.append(cls(**kwargs))
-        except ValueError as exc:
-            raise CliError(str(exc))
+        except ConfigError as exc:
+            key = keys[exc.field]
+            raise CliError(f"config key '{section}.{key}' {exc.rule}, "
+                           f"got {tree[section][key]!r}")
     return tuple(out)
 
 
@@ -236,7 +235,11 @@ def _fmt(x) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .sensors import dump_trace
+    from .sim import generate_trace, load_scenario
+
     tree, overrides = effective_config(args)
+    _configs(tree)  # the manifest records the tree: refuse a bad one here too
     scn_path = _require_file(args.scenario, "scenario file")
     scenario = load_scenario(scn_path)
     noise = scenario.noise
@@ -258,7 +261,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _start(text: str) -> tuple[float, float, float]:
+    """--start's x,y,floor: finite x and y and an integral floor, read by
+    sensors.number as every loader reads a pose."""
+    try:
+        x, y, floor = (float(part) for part in text.split(","))
+        return (number(x, "x"), number(y, "y"),
+                float(number(floor, "floor", integral=True)))
+    except ValueError:
+        raise CliError(f"--start must be x,y,floor with finite x and y and an "
+                       f"integer floor, got {text!r}")
+
+
 def cmd_track(args) -> int:
+    from .landmarks import load_landmark_graph
+    from .pdr import dump_trajectory, run_pdr, trajectory_errors
+    from .sensors import load_trace
+
     tree, overrides = effective_config(args)
     if args.mode:
         tree["pdr"]["heading_source"] = args.mode
@@ -270,10 +289,7 @@ def cmd_track(args) -> int:
             raise CliError("landmark mode requires --graph")
         graph = load_landmark_graph(_require_file(args.graph, "graph file"))
     if args.start:
-        parts = args.start.split(",")
-        if len(parts) != 3:
-            raise CliError("--start must be x,y,floor")
-        initial = (float(parts[0]), float(parts[1]), float(parts[2]))
+        initial = _start(args.start)
     elif trace.truth is not None and len(trace.truth):
         initial = (float(trace.truth.xy[0, 0]), float(trace.truth.xy[0, 1]),
                    float(trace.truth.floor[0]))
@@ -313,6 +329,10 @@ def cmd_track(args) -> int:
 
 
 def cmd_build_map(args) -> int:
+    from .pdr import attach_periodicities, load_trajectory
+    from .radiomap import build_radio_map, save_radio_map, segment_belief
+    from .sensors import detect_steps, load_trace
+
     tree, overrides = effective_config(args)
     sensor_cfg, _, _, quality_cfg, _ = _configs(tree)
     traj = load_trajectory(_require_file(args.trajectory, "trajectory file"))
@@ -389,6 +409,9 @@ def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[
 
 
 def cmd_localize(args) -> int:
+    from .localization import knn_localize
+    from .radiomap import load_radio_map
+
     tree, overrides = effective_config(args)
     *_, loc_cfg = _configs(tree)
     radio_map = load_radio_map(_require_file(args.map, "map file"))
@@ -431,6 +454,9 @@ _REPORT_HEADER = ["query_id", "truth_x", "truth_y", "truth_floor",
 
 
 def cmd_evaluate(args) -> int:
+    from .localization import evaluate
+    from .radiomap import load_radio_map
+
     tree, overrides = effective_config(args)
     *_, loc_cfg = _configs(tree)
     radio_map = load_radio_map(_require_file(args.map, "map file"))
@@ -452,6 +478,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .localization import evaluate, read_fingerprints, vectorize_map
+    from .radiomap import load_radio_map
+
     tree, overrides = effective_config(args)
     *_, loc_cfg = _configs(tree)
     map_path = _require_file(args.map, "map file")
@@ -462,6 +491,8 @@ def cmd_sweep(args) -> int:
         raise CliError("--taus must be a comma-separated number list")
     if not taus:
         raise CliError("--taus list is empty")
+    for tau in taus:
+        number(tau, "--taus value", CliError)
     radio_map = load_radio_map(map_path)
     queries = load_queries(queries_path)
     readings = read_fingerprints([fp for _, fp in queries])

@@ -3,7 +3,8 @@
 Landmarks are positions with a known sensor signature: a brief stop (doors),
 a sharp turn (corners), or the start/end of a pressure ramp (stairs and
 elevators). The graph connects them with directed edges carrying the true
-heading and distance of the connecting path.
+heading and distance of the connecting path. The detectors' thresholds are
+LandmarkConfig, in stridemap.config.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .sensors import MotionState, SensorConfig, SensorTrace, number
+from .config import LandmarkConfig, SensorConfig
+from .sensors import MotionState, SensorTrace, number
 
 # Gyro events inside a confirmed stop are phone fidgeting, not corners.
 # A stop is confirmed once this many consecutive windows classify Still;
@@ -46,19 +48,6 @@ class Rule:
 
     kind: RuleKind
     turn_sign: int | None = None
-
-
-@dataclass(frozen=True)
-class LandmarkConfig:
-    """Thresholds for the three landmark detection rules."""
-
-    walking_min_s: float = 2.0     # walking required on both sides of a stop
-    still_min_s: float = 1.0       # stop duration window, lower bound
-    still_max_s: float = 8.0       # stop duration window, upper bound
-    gyro_rate_threshold: float = 1.1   # rad/s, windowed |mean wz|
-    baro_window_s: float = 1.0     # tumbling pressure window
-    baro_flat_threshold: float = 0.05  # hPa, adjacent window means equal
-    baro_change_threshold: float = 0.3  # hPa, total ramp change
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ position and floor.
 One kernel, knn, scores a whole matrix of query vectors against the map:
 evaluate passes every query at once and knn_localize a single row. Since
 every loader bounds RSS to [RSS_MIN_DBM, RSS_MAX_DBM], vector components
-are small integers and the batched distances are exact.
+are small integers and the batched distances are exact. The matching
+parameters (k, metric, tau and its scope) are LocalizationConfig, in
+stridemap.config.
 """
 
 from __future__ import annotations
@@ -20,27 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import LocalizationConfig
 from .radiomap import RadioMap
-
-METRICS = ("euclidean", "sorensen")
-TAU_SCOPES = ("both", "map", "query")
-
-
-@dataclass(frozen=True)
-class LocalizationConfig:
-    k: int = 1
-    metric: str = "euclidean"
-    tau: float = -90.0            # dBm detection threshold
-    tau_scope: str = "both"       # where tau filters: map, query, or both
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
-        if self.tau_scope not in TAU_SCOPES:
-            raise ValueError(f"tau_scope must be one of {TAU_SCOPES}")
-
 
 @dataclass(frozen=True)
 class LocalizationResult:

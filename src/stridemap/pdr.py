@@ -4,11 +4,12 @@ Each detected step advances the pose by the current step length along a
 selected heading; the barometer drives a continuous floor estimate. When a
 landmark signature fires and matches a graph node with enough confidence,
 the pose snaps to that node and the walk is cut into a new path segment.
+Its parameters are PdrConfig and the heading sources HeadingSource, both in
+stridemap.config.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import json
 import math
@@ -20,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import (HeadingSource, LandmarkConfig, PdrConfig, QualityConfig,
+                     SensorConfig)
 from .landmarks import (
     Landmark,
-    LandmarkConfig,
     LandmarkEvent,
     LandmarkGraph,
     RuleKind,
@@ -33,10 +35,9 @@ from .landmarks import (
     detect_gyro_landmarks,
     sgn,
 )
-from .radiomap import QualityConfig, segment_belief
+from .radiomap import segment_belief
 from .sensors import (
     MotionState,
-    SensorConfig,
     SensorTrace,
     TraceError,
     classify_motion,
@@ -48,29 +49,8 @@ from .sensors import (
 )
 
 
-# Heading agreement gate, degrees; PdrConfig holds it in radians.
-HEADING_THRESHOLD_DEG = 30.0
 # Moving-average span of the pressure used for floor tracking, seconds.
 BARO_SMOOTH_S = 2.0
-
-
-class HeadingSource(enum.Enum):
-    COMPASS = "pdr-compass"
-    GYRO = "pdr-gyro"
-    LANDMARK = "landmark"
-
-
-@dataclass(frozen=True)
-class PdrConfig:
-    """Dead reckoning and landmark matching parameters."""
-
-    initial_step_length: float = 0.63     # meters
-    pressure_per_floor: float = 0.45      # hPa between adjacent floors
-    heading_threshold: float = math.radians(HEADING_THRESHOLD_DEG)
-    confidence_threshold: float = 0.25    # minimum landmark match score
-    distance_floor: float = 0.1           # meters, caps the distance term
-    min_steps_for_update: int = 3         # step-length calibration gate
-    heading_source: HeadingSource = HeadingSource.LANDMARK
 
 
 @dataclass(frozen=True)

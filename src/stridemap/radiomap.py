@@ -4,6 +4,8 @@ Scans are placed by linear interpolation between the trajectory poses that
 bracket them inside a single path segment, and kept only when the segment's
 walking-quality belief clears a threshold. Belief rewards step periods that
 sit inside the plausible human cadence band and walks with steady cadence.
+The belief parameters are QualityConfig, in stridemap.config; a map file
+records them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
+from .config import QualityConfig
 from .sensors import RSS_RULE, WifiScan, number, rss, write_text
 
 if TYPE_CHECKING:  # no runtime dependency on the trajectory module
@@ -25,16 +28,6 @@ if TYPE_CHECKING:  # no runtime dependency on the trajectory module
 
 class MapFormatError(ValueError):
     """Radio map file violates the expected schema."""
-
-
-@dataclass(frozen=True)
-class QualityConfig:
-    """Segment belief parameters."""
-
-    period_min: float = 0.4        # seconds, plausible step period band
-    period_max: float = 1.0
-    sigma_floor: float = 0.005     # seconds, caps the steadiness term
-    belief_threshold: float = 15.0  # minimum belief for map inclusion
 
 
 @dataclass(frozen=True)

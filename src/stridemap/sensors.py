@@ -23,6 +23,9 @@ the whole file, which names every error as before. load_trace can read a
 subset of the channels and skip the lines of the others unparsed: the CLI's
 build-map reads only accel and wifi, so a malformed line of another
 channel does not fail it.
+
+The step and motion parameters are SensorConfig, which lives with the
+other stage configs in stridemap.config.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+
+from .config import SensorConfig
 
 # Width of the centered moving average applied before peak picking, samples.
 SMOOTHING_WIDTH = 5
@@ -76,15 +81,6 @@ class TraceError(ValueError):
 class MotionState(enum.Enum):
     WALKING = "walking"
     STILL = "still"
-
-
-@dataclass(frozen=True)
-class SensorConfig:
-    """Windowing and thresholding parameters for the accel/gyro pipeline."""
-
-    acc_window: int = 50            # samples per motion/variance window
-    variance_threshold: float = 0.5  # (m/s^2)^2, walking vs still
-    gyro_window: int = 10           # samples per angular-rate window
 
 
 @dataclass(frozen=True)

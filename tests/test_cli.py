@@ -369,6 +369,19 @@ def test_malformed_start(flow, tmp_path, capsys):
     assert "x,y,floor" in capsys.readouterr().err
 
 
+def test_start_of_the_first_truth_pose_tracks_as_the_default(flow, tmp_path):
+    # --start reads its text as finite x and y and an integral floor; the
+    # first truth pose given as text is the pose track starts from without it
+    trace = load_trace(flow / "trace.jsonl")
+    x, y = trace.truth.xy[0].tolist()
+    start = f"{x!r},{y!r},{int(trace.truth.floor[0])}"
+    assert main(["track", str(flow / "trace.jsonl"), "--graph",
+                 str(flow / "graph.json"), "--start", start,
+                 "--out", str(tmp_path)]) == 0
+    assert ((tmp_path / "trajectory.jsonl").read_bytes()
+            == (flow / "trajectory.jsonl").read_bytes())
+
+
 def test_localize_needs_a_fingerprint(flow, capsys):
     assert main(["localize", str(flow / "map.json")]) == 1
     assert "fingerprint" in capsys.readouterr().err
@@ -414,6 +427,9 @@ GOOD_POSE = '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0}\n'
 TRACK_BAD = ["track", "BAD", "--mode", "pdr-gyro"]
 MAP_BAD = ["build-map", "BAD", "FLOW/trace.jsonl"]
 GRAPH_BAD = ["track", "FLOW/trace.jsonl", "--graph", "BAD"]
+TRACK_FLOW = ["track", "FLOW/trace.jsonl", "--graph", "FLOW/graph.json"]
+MAP_FLOW = ["build-map", "FLOW/trajectory.jsonl", "FLOW/trace.jsonl"]
+LOCALIZE_FLOW = ["localize", "FLOW/map.json", "--rss", "ap-w=-50"]
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "two_floor_demo.json"
 
 
@@ -594,6 +610,73 @@ MALFORMED = {
         "", ["localize", "FLOW/map.json", "--rss", "ap-w=-201.0"], "got '-201.0'"),
     "--rss value is text": (
         "", ["localize", "FLOW/map.json", "--rss", "ap-w=loud"], "got 'loud'"),
+    # config values: each is refused by its dataclass, named by its key
+    "sensors.acc_window is 0": (
+        "", TRACK_FLOW + ["--set", "sensors.acc_window=0"],
+        "config key 'sensors.acc_window' must be at least 1, got 0"),
+    "sensors.gyro_window is 0": (
+        "", TRACK_FLOW + ["--set", "sensors.gyro_window=0"],
+        "config key 'sensors.gyro_window' must be at least 1, got 0"),
+    "sensors.acc_window is inf": (
+        "", TRACK_FLOW + ["--set", "sensors.acc_window=Infinity"],
+        "config key 'sensors.acc_window' expects int, got inf"),
+    "sensors.variance_threshold is NaN": (
+        "", TRACK_FLOW + ["--set", "sensors.variance_threshold=NaN"],
+        "config key 'sensors.variance_threshold' must be finite, got nan"),
+    "landmarks.baro_window_s is 0": (
+        "", TRACK_FLOW + ["--set", "landmarks.baro_window_s=0"],
+        "config key 'landmarks.baro_window_s' must be above 0, got 0.0"),
+    "landmarks.baro_window_s is NaN": (
+        "", TRACK_FLOW + ["--set", "landmarks.baro_window_s=NaN"],
+        "config key 'landmarks.baro_window_s' must be finite, got nan"),
+    "pdr.initial_step_length is NaN": (
+        "", TRACK_FLOW + ["--set", "pdr.initial_step_length=NaN"],
+        "config key 'pdr.initial_step_length' must be finite, got nan"),
+    "pdr.heading_threshold_deg is inf": (
+        "", TRACK_FLOW + ["--set", "pdr.heading_threshold_deg=Infinity"],
+        "config key 'pdr.heading_threshold_deg' must be finite, got inf"),
+    "pdr.pressure_per_floor is 0": (
+        "", TRACK_FLOW + ["--set", "pdr.pressure_per_floor=0"],
+        "config key 'pdr.pressure_per_floor' must be above 0, got 0.0"),
+    "pdr.distance_floor is -1": (
+        "", TRACK_FLOW + ["--set", "pdr.distance_floor=-1"],
+        "config key 'pdr.distance_floor' must be above 0, got -1.0"),
+    "quality.sigma_floor is 0": (
+        "", MAP_FLOW + ["--set", "quality.sigma_floor=0"],
+        "config key 'quality.sigma_floor' must be above 0, got 0.0"),
+    "quality.period_max is -inf": (
+        "", MAP_FLOW + ["--set", "quality.period_max=-Infinity"],
+        "config key 'quality.period_max' must be finite, got -inf"),
+    "localization.k is 0": (
+        "", ["evaluate", "FLOW/map.json", "FLOW/queries.jsonl",
+             "--set", "localization.k=0"],
+        "config key 'localization.k' must be at least 1, got 0"),
+    "localization.tau is NaN by --set": (
+        "", LOCALIZE_FLOW + ["--set", "localization.tau=NaN"],
+        "config key 'localization.tau' must be finite, got nan"),
+    "localization.tau is NaN in a config file": (
+        '{"localization": {"tau": NaN}}', LOCALIZE_FLOW + ["--config", "BAD"],
+        "config key 'localization.tau' must be finite, got nan"),
+    "localization.tau is NaN for simulate": (
+        "", ["simulate", "FLOW/scenario.json", "--set", "localization.tau=NaN"],
+        "config key 'localization.tau' must be finite, got nan"),
+    "--taus holds nan": (
+        "", ["sweep", "FLOW/map.json", "FLOW/queries.jsonl", "--taus=nan,inf"],
+        "--taus value must be a finite number, got nan"),
+    "--taus holds inf": (
+        "", ["sweep", "FLOW/map.json", "FLOW/queries.jsonl", "--taus=-90,inf"],
+        "--taus value must be a finite number, got inf"),
+    # --start reads x, y and floor as every loader reads a pose
+    "--start x is nan": (
+        "", TRACK_FLOW + ["--start", "nan,0,1"], "--start must be x,y,floor"),
+    "--start y is inf": (
+        "", TRACK_FLOW + ["--start", "0,inf,1"], "got '0,inf,1'"),
+    "--start floor is fractional": (
+        "", TRACK_FLOW + ["--start", "0,0,1.5"], "integer floor, got '0,0,1.5'"),
+    "--start is text": (
+        "", TRACK_FLOW + ["--start", "a,b,c"], "--start must be x,y,floor"),
+    "--start has four parts": (
+        "", TRACK_FLOW + ["--start", "0,0,1,2"], "got '0,0,1,2'"),
 }
 
 
@@ -664,6 +747,43 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# subcommand -> stridemap modules its process must not load
+UNLOADED = {
+    "simulate": {"pdr", "radiomap", "localization"},
+    "track": {"sim", "localization"},
+    "build-map": {"sim", "localization"},
+    "localize": {"sim", "pdr", "landmarks"},
+    "evaluate": {"sim", "pdr", "landmarks"},
+    "sweep": {"sim", "pdr", "landmarks"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNLOADED))
+def test_each_subcommand_loads_only_its_stages(flow, tmp_path, command):
+    # a process pays for every module it loads, and each CLI call is one
+    # process; the config tree and the package load no stage
+    argv = {
+        "simulate": ["FLOW/scenario.json"],
+        "track": ["FLOW/trace.jsonl", "--graph", "FLOW/graph.json"],
+        "build-map": ["FLOW/trajectory.jsonl", "FLOW/trace.jsonl"],
+        "localize": ["FLOW/map.json", "--rss", "ap-w=-50"],
+        "evaluate": ["FLOW/map.json", "FLOW/queries.jsonl"],
+        "sweep": ["FLOW/map.json", "FLOW/queries.jsonl", "--taus=-90,-80"],
+    }[command]
+    argv = [command] + [a.replace("FLOW", str(flow)) for a in argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from stridemap.cli import main; "
+         "assert main(sys.argv[1:]) == 0; print(json.dumps([m.split('.')[1] "
+         "for m in sys.modules if m.startswith('stridemap.')]))",
+         *argv, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out.splitlines()[-1]))
+    assert {"cli", "config", "sensors"} <= loaded
+    assert not loaded & UNLOADED[command], sorted(loaded)
 
 
 def test_strong_ap_clips_at_zero_dbm_through_the_pipeline(tmp_path):

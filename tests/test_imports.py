@@ -1,10 +1,15 @@
-"""Every module-level import of the test and source modules is used. The
-scan reads each module's syntax tree, so it needs no linter."""
+"""Every import of the test and source modules is used, at module level
+and in each function body. The scan reads each module's syntax tree, so it
+needs no linter. The package exports the same names as ever, loaded from
+their modules on first access."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import stridemap
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [p for p in sorted([*(ROOT / "tests").glob("*.py"),
@@ -12,26 +17,92 @@ MODULES = [p for p in sorted([*(ROOT / "tests").glob("*.py"),
            if p.name != "__init__.py"]  # a package's __init__ re-exports
 
 
-def unused_imports(source: str) -> list[str]:
-    """The names that source's module-level imports bind and nothing in
-    it reads."""
-    tree = ast.parse(source)
+def _bound(nodes) -> set[str]:
+    """The names the import statements among nodes bind."""
     bound = set()
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             bound.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(a.asname or a.name for a in node.names)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(bound - used)
+    return bound
+
+
+def _read(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that source's imports bind and nothing in their scope
+    reads: each module-level import against the whole module, and each
+    import in a function body against that function."""
+    tree = ast.parse(source)
+    unused = _bound(tree.body) - _read(tree)
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            unused |= _bound(ast.walk(fn)) - _read(fn)
+    return sorted(unused)
 
 
 def test_scan_finds_unused_imports():
     source = ("import a, b.c\nimport d as e\nfrom __future__ import annotations\n"
-              "from f import g, h as i\n\ndef j():\n    return b.c(i)\n")
-    assert unused_imports(source) == ["a", "e", "g"]
+              "from f import g, h as i\n\ndef j():\n    return b.c(i)\n\n"
+              "def k():\n    from m import n, o\n    if n:\n        import p\n"
+              "    return n\n\nasync def q():\n    from r import s\n"
+              "    return g\n")
+    # module level: a and e (g is read in q); o, p and s in their functions
+    assert unused_imports(source) == ["a", "e", "o", "p", "s"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# every name `from stridemap import ...` has offered since the package
+# loaded all its modules eagerly
+EXPORTS = [
+    "Ap", "Channel", "CompassZone", "Edge", "Environment", "EvaluationReport",
+    "GraphError", "HeadingSource", "Landmark", "LandmarkConfig",
+    "LandmarkEvent", "LandmarkGraph", "LocalizationConfig",
+    "LocalizationResult", "MapFormatError", "MatchState", "MotionState",
+    "Neighbors", "NoiseModel", "PathSegment", "PdrConfig", "Pose",
+    "QualityConfig", "RadioMap", "RadioMapEntry", "Readings", "Rule",
+    "RuleKind", "Scenario", "ScenarioError", "SensorConfig", "SensorTrace",
+    "StepEvent", "TraceError", "Trajectory", "TruthChannel", "VectorizedMap",
+    "WalkScript", "WifiScan", "attach_periodicities", "build_radio_map",
+    "classify_motion", "detect_acc_landmarks", "detect_baro_landmarks",
+    "detect_gyro_landmarks", "detect_steps", "dump_trace", "dump_trajectory",
+    "evaluate", "generate_test_queries", "generate_trace", "graph_from_dict",
+    "graph_to_dict", "interpolate_rp", "knn", "knn_localize",
+    "landmark_confidence", "load_landmark_graph", "load_radio_map",
+    "load_scenario", "load_trace", "load_trajectory", "map_min_rss",
+    "map_universe", "match_landmark", "mixed_quality_scenario", "plan_walk",
+    "read_fingerprints", "run_pdr", "save_radio_map", "scenario_from_dict",
+    "scenario_to_dict", "segment_belief", "to_positive", "trajectory_errors",
+    "two_floor_scenario", "update_step_length", "vectorize_map",
+]
+
+
+def test_package_exports_every_name_it_did():
+    assert stridemap.__all__ == EXPORTS
+    for name in EXPORTS:
+        scope = {}
+        exec(f"from stridemap import {name}", scope)
+        assert scope[name] is getattr(stridemap, name)
+        module = importlib.import_module(scope[name].__module__)
+        assert getattr(module, name) is scope[name]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stridemap.no_such_name
+    with pytest.raises(ImportError):
+        exec("from stridemap import no_such_name", {})
+
+
+@pytest.mark.parametrize("module,name", [
+    ("sensors", "SensorConfig"), ("landmarks", "LandmarkConfig"),
+    ("pdr", "PdrConfig"), ("pdr", "HeadingSource"),
+    ("radiomap", "QualityConfig"), ("localization", "LocalizationConfig")])
+def test_config_classes_keep_their_stage_module_names(module, name):
+    config = importlib.import_module("stridemap.config")
+    stage = importlib.import_module(f"stridemap.{module}")
+    assert getattr(stage, name) is getattr(config, name)
