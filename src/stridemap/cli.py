@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
-import io
 import json
 import math
 import os
@@ -181,38 +180,40 @@ def _out_dir(args) -> Path:
 
 
 class _Outputs:
-    """Collects files and writes each atomically; temp files never
-    survive a failed run."""
+    """Collects files and writes each atomically: every file is written to
+    a temp file first, and all are renamed into place only once every one
+    is written, so a writer that fails leaves no file and no temp file."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.pending: list[tuple[Path, str]] = []
+        self.pending: list[tuple[Path, Callable]] = []
 
-    def add_text(self, name: str, text: str) -> None:
-        self.pending.append((self.out_dir / name, text))
+    def add(self, name: str, write: Callable) -> None:
+        """Write the file name with write(fh), fh the open file, at commit."""
+        self.pending.append((self.out_dir / name, write))
 
     def add_json(self, name: str, obj) -> None:
-        self.add_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        self.add(name, lambda fh: fh.write(text))
 
     def add_csv(self, name: str, header: list[str], rows: list[list]) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        self.add_text(name, buf.getvalue())
+        self.add(name, lambda fh: csv.writer(fh, lineterminator="\n")
+                 .writerows([header, *rows]))
 
     def names(self) -> list[str]:
         return [p.name for p, _ in self.pending]
 
     def commit(self) -> None:
-        for path, text in self.pending:
-            tmp = path.with_name(path.name + ".tmp")
-            try:
-                tmp.write_text(text)
+        tmps = [path.with_name(path.name + ".tmp") for path, _ in self.pending]
+        try:
+            for tmp, (_, write) in zip(tmps, self.pending):
+                with open(tmp, "w") as fh:
+                    write(fh)
+            for tmp, (path, _) in zip(tmps, self.pending):
                 os.replace(tmp, path)
-            finally:
-                if tmp.exists():
-                    tmp.unlink()
+        finally:
+            for tmp in tmps:
+                tmp.unlink(missing_ok=True)
 
 
 def _manifest(command: str, inputs: dict, outputs: list[str],
@@ -249,9 +250,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     outs = _Outputs(out)
     trace_name = "trace.jsonl"
-    buf = io.StringIO()
-    dump_trace(trace, buf)
-    outs.add_text(trace_name, buf.getvalue())
+    outs.add(trace_name, lambda fh: dump_trace(trace, fh))
     outs.add_json("manifest.json", {**_manifest(
         "simulate", {"scenario": args.scenario}, outs.names() + ["manifest.json"],
         tree, overrides), "seed": args.seed})
@@ -300,9 +299,7 @@ def cmd_track(args) -> int:
                    landmark_cfg, quality_cfg)
     out = _out_dir(args)
     outs = _Outputs(out)
-    buf = io.StringIO()
-    dump_trajectory(traj, buf)
-    outs.add_text("trajectory.jsonl", buf.getvalue())
+    outs.add("trajectory.jsonl", lambda fh: dump_trajectory(traj, fh))
 
     have_truth = trace.truth is not None and len(trace.truth) > 0
     if have_truth:
@@ -347,9 +344,7 @@ def cmd_build_map(args) -> int:
                 zip(traj.segments, radio_map.segment_scans))]
     out = _out_dir(args)
     outs = _Outputs(out)
-    buf = io.StringIO()
-    save_radio_map(radio_map, buf)
-    outs.add_text("map.json", buf.getvalue())
+    outs.add("map.json", lambda fh: save_radio_map(radio_map, fh))
     outs.add_csv("segments.csv", ["segment_id", "belief", "accepted_scans"], rows)
     outs.add_json("manifest.json", _manifest(
         "build-map", {"trajectory": args.trajectory, "trace": args.trace},

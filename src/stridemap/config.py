@@ -7,10 +7,12 @@ landmark matching), QualityConfig (segment belief) and LocalizationConfig
 key per field, with the field default as the key's default.
 
 A config refuses, with a ConfigError naming the field, any number that is
-not finite, a window below 1 sample, and a zero or negative value of a
-field some stage divides by. This module needs nothing but the standard
-library, so a command can read and check the whole tree without loading
-the stages it does not run.
+not finite, a window below 1 sample, a zero or negative value of a field
+some stage divides by or steps with (the initial step length), a negative
+step count, and a band whose lower end lies above its upper end (the stop
+duration window, the step period band). This module needs nothing but
+the standard library, so a command can read and check the whole tree
+without loading the stages it does not run.
 """
 
 from __future__ import annotations
@@ -35,19 +37,27 @@ class ConfigError(ValueError):
         self.rule = rule
 
 
-def _check(cfg, at_least_one: tuple[str, ...] = (),
-           positive: tuple[str, ...] = ()) -> None:
+def _check(cfg, at_least: dict[str, int] | None = None,
+           positive: tuple[str, ...] = (),
+           ordered: tuple[tuple[str, str], ...] = ()) -> None:
     """ConfigError for the first field of cfg out of range: every float
-    finite, each field in at_least_one at least 1, each in positive
-    above 0."""
+    finite, each field in at_least at least its minimum, each in positive
+    above 0, and the first field of each ordered pair at most the
+    second."""
+    at_least = at_least or {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f.name, "must be finite", value)
-        if f.name in at_least_one and value < 1:
-            raise ConfigError(f.name, "must be at least 1", value)
+        if f.name in at_least and value < at_least[f.name]:
+            raise ConfigError(f.name, f"must be at least {at_least[f.name]}", value)
         if f.name in positive and not value > 0:
             raise ConfigError(f.name, "must be above 0", value)
+    for low, high in ordered:
+        bound = getattr(cfg, high)
+        if getattr(cfg, low) > bound:
+            raise ConfigError(low, f"must be at most {high} ({bound!r})",
+                              getattr(cfg, low))
 
 
 @dataclass(frozen=True)
@@ -59,7 +69,7 @@ class SensorConfig:
     gyro_window: int = 10           # samples per angular-rate window
 
     def __post_init__(self):
-        _check(self, at_least_one=("acc_window", "gyro_window"))
+        _check(self, at_least={"acc_window": 1, "gyro_window": 1})
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,8 @@ class LandmarkConfig:
     baro_change_threshold: float = 0.3  # hPa, total ramp change
 
     def __post_init__(self):
-        _check(self, positive=("baro_window_s",))
+        _check(self, positive=("baro_window_s",),
+               ordered=(("still_min_s", "still_max_s"),))
 
 
 class HeadingSource(enum.Enum):
@@ -97,7 +108,9 @@ class PdrConfig:
     heading_source: HeadingSource = HeadingSource.LANDMARK
 
     def __post_init__(self):
-        _check(self, positive=("pressure_per_floor", "distance_floor"))
+        _check(self, positive=("initial_step_length", "pressure_per_floor",
+                               "distance_floor"),
+               at_least={"min_steps_for_update": 0})
 
 
 @dataclass(frozen=True)
@@ -110,7 +123,8 @@ class QualityConfig:
     belief_threshold: float = 15.0  # minimum belief for map inclusion
 
     def __post_init__(self):
-        _check(self, positive=("sigma_floor",))
+        _check(self, positive=("sigma_floor",),
+               ordered=(("period_min", "period_max"),))
 
 
 @dataclass(frozen=True)
@@ -121,7 +135,7 @@ class LocalizationConfig:
     tau_scope: str = "both"       # where tau filters: map, query, or both
 
     def __post_init__(self):
-        _check(self, at_least_one=("k",))
+        _check(self, at_least={"k": 1})
         if self.metric not in METRICS:
             raise ConfigError("metric", f"must be one of {METRICS}", self.metric)
         if self.tau_scope not in TAU_SCOPES:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .config import QualityConfig
+from .config import ConfigError, QualityConfig
 from .sensors import RSS_RULE, WifiScan, number, rss, write_text
 
 if TYPE_CHECKING:  # no runtime dependency on the trajectory module
@@ -186,6 +186,10 @@ def load_radio_map(path: str | Path) -> RadioMap:
     if unknown:
         raise MapFormatError(f"unknown config fields {sorted(unknown)}")
     config = {k: number(v, f"config.{k}", MapFormatError) for k, v in config.items()}
+    try:
+        QualityConfig(**config)  # the rules of a config the map is built under
+    except ConfigError as exc:
+        raise MapFormatError(f"config.{exc}") from None
 
     if not isinstance(data["entries"], list):
         raise MapFormatError("entries must be an array")

@@ -24,12 +24,18 @@ subset of the channels and skip the lines of the others unparsed: the CLI's
 build-map reads only accel and wifi, so a malformed line of another
 channel does not fail it.
 
+dump_trace writes those lines as a stream: the rows of every channel are
+merged by one stable sort on (t, channel order), then formatted a chunk
+of _CHUNK_ROWS lines at a time with one % template, each distinct number
+of the chunk formatted once.
+
 The step and motion parameters are SensorConfig, which lives with the
 other stage configs in stridemap.config.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import json
@@ -37,8 +43,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import itemgetter
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -60,6 +65,8 @@ _PREFIX_LEN = len('{"ch": "') + max(map(len, CHANNELS)) + 1
 _PREFIXES = {f'{{"ch": "{ch}", '[:_PREFIX_LEN]: ch for ch in CHANNELS}
 # Trace lines the fast path joins and matches at once.
 _CHUNK_LINES = 32768
+# Trace lines dump_trace formats with one template and writes at once.
+_CHUNK_ROWS = 4096
 # A number as %r writes a finite float: a JSON number with a fraction, an
 # exponent or both. json.loads reads such a token with float(), and numpy's
 # correctly rounded reading of the same text is bit-equal. Any other token
@@ -389,47 +396,78 @@ def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
     )
 
 
-def _record_lines(ch: str, c: Channel) -> list[str]:
-    """One JSON line per sample of a numeric channel, as json.dumps writes
-    it: %r of a finite float is json's text for it."""
-    if not (np.isfinite(c.t).all() and np.isfinite(c.v).all()):
-        raise TraceError(f"cannot write channel {ch!r}: t and values must be finite")
-    fmt = _line_format(ch)
-    rows = c.v.reshape(len(c), CHANNELS[ch]).tolist()
-    return [fmt % (t, *row) for t, row in zip(c.t.tolist(), rows)]
+def _writing(path):
+    """A context giving an open file to write: path itself if it is one,
+    else the file at path, opened for writing."""
+    if hasattr(path, "write"):
+        return contextlib.nullcontext(path)
+    return open(path, "w")
+
+
+def _trace_rows(trace: SensorTrace) -> tuple:
+    """Every line of trace as one row, channel after channel: the row
+    templates; per row its t, channel order, template index and count of
+    numbers; and the rows' numbers, concatenated. A numeric channel's rows
+    share its line format, with %s for each number; a WiFi row has its
+    own template, json.dumps's line with its % doubled. A non-finite t or
+    value raises TraceError naming the channel."""
+    tr = trace.truth
+    truth = _empty("truth") if tr is None else Channel(
+        tr.t, np.column_stack([tr.xy, tr.floor]))
+    templates = [_line_format(ch).replace("%r", "%s") + "\n" if CHANNELS[ch] else ""
+                 for ch in CHANNELS]  # template i for channel i; the "" is unused
+    parts = []
+    for order, ch in enumerate(CHANNELS):
+        if ch == "wifi":  # MACs need json's string escaping
+            t = np.array([s.t for s in trace.wifi], float)
+            if not np.isfinite(t).all():
+                raise TraceError("cannot write channel 'wifi': t must be finite")
+            code = np.arange(len(templates), len(templates) + len(t))
+            templates += [json.dumps({"ch": ch, "t": s.t, "v": [[m, r] for m, r in
+                                                               s.readings.items()]})
+                          .replace("%", "%%") + "\n" for s in trace.wifi]
+            rows = np.empty((len(t), 0))
+        else:
+            c = truth if ch == "truth" else getattr(trace, ch)
+            rows = np.column_stack([c.t, c.v.reshape(len(c), CHANNELS[ch])]
+                                   ).astype(float, copy=False)
+            if not np.isfinite(rows).all():
+                raise TraceError(f"cannot write channel {ch!r}: t and values must be finite")
+            t, code = rows[:, 0], np.full(len(rows), order)
+        parts.append((t, np.full(len(t), order), code,
+                      np.full(len(t), rows.shape[1]), rows.ravel()))
+    return templates, *map(np.concatenate, zip(*parts))
 
 
 def dump_trace(trace: SensorTrace, path) -> None:
     """Write a trace as JSONL to a path or open file, channels interleaved
     by timestamp and in CHANNELS order at equal timestamps. A non-finite t
-    or value, which load_trace would reject, raises TraceError instead."""
-    tr = trace.truth
-    truth = _empty("truth") if tr is None else Channel(
-        tr.t, np.column_stack([tr.xy, tr.floor]))
-    rows: list[tuple[float, int, str]] = []
-    for order, ch in enumerate(CHANNELS):
-        if ch == "wifi":  # MACs need json's string escaping
-            t = [s.t for s in trace.wifi]
-            if not np.isfinite(t).all():
-                raise TraceError("cannot write channel 'wifi': t must be finite")
-            lines = [json.dumps({"ch": ch, "t": s.t,
-                                 "v": [[m, r] for m, r in s.readings.items()]})
-                     for s in trace.wifi]
-        else:
-            c = truth if ch == "truth" else getattr(trace, ch)
-            t, lines = c.t.tolist(), _record_lines(ch, c)
-        rows += zip(t, repeat(order), lines)
-    rows.sort(key=itemgetter(0, 1))
-    write_text(path, "".join(line + "\n" for _, _, line in rows))
+    or value, which load_trace would reject, raises TraceError before the
+    first byte is written, and before a path is opened.
+
+    The rows are merged by one stable sort on (t, channel order) and
+    written _CHUNK_ROWS at a time: one template joined from the rows'
+    templates, filled by one % with each distinct number of the chunk
+    formatted once. Numbers are told apart by their bits, so -0.0 and 0.0
+    stay distinct; %r of a finite float is json's text for it."""
+    templates, t, rank, code, count, numbers = _trace_rows(trace)
+    start = np.cumsum(count) - count  # each row's first number
+    merged = np.lexsort((rank, t))
+    with _writing(path) as fh:
+        for lo in range(0, len(merged), _CHUNK_ROWS):
+            rows = merged[lo:lo + _CHUNK_ROWS]
+            n = count[rows]
+            at = np.repeat(start[rows] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+            distinct, which = np.unique(numbers[at].view(np.uint64), return_inverse=True)
+            text = np.array(list(map(repr, distinct.view(float).tolist())), object)
+            fh.write("".join(map(templates.__getitem__, code[rows].tolist()))
+                     % tuple(text[which].tolist()))
 
 
 def write_text(path, text: str) -> None:
     """Write text to an open file, or replace the file at a path."""
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _writing(path) as fh:
+        fh.write(text)
 
 
 def classify_motion(

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from stridemap.cli import (SECTIONS, _configs, build_parser, default_config,
-                           effective_config, main)
+from stridemap import sensors
+from stridemap.cli import (SECTIONS, _configs, _Outputs, build_parser,
+                           default_config, effective_config, main)
 from stridemap.pdr import (HeadingSource, Trajectory, attach_periodicities,
                            load_trajectory)
 from stridemap.radiomap import build_radio_map
@@ -332,6 +333,40 @@ def test_only_simulate_manifest_records_a_seed(flow, tmp_path, capsys):
         assert manifest["command"] == command and "seed" not in manifest
 
 
+def test_simulate_prints_scans_and_duration(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", str(DEMO), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'trace.jsonl'} (111 scans, 223.0 s)\n"
+
+
+def test_simulate_streams_the_trace_and_a_failure_leaves_no_file(
+        flow, tmp_path, monkeypatch, capsys):
+    def fails_halfway(trace, fh):
+        # the trace goes straight into the temp file, not a buffer
+        assert Path(fh.name).name == "trace.jsonl.tmp"
+        fh.write('{"ch": "accel", "t": 0.0, "v": [0.0, 0.0, 9.81]}\n')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sensors, "dump_trace", fails_halfway)
+    out = tmp_path / "out"
+    assert main(["simulate", str(flow / "scenario.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert list(out.iterdir()) == []  # no trace.jsonl, .tmp or manifest.json
+
+
+def test_a_commit_that_fails_on_a_later_file_leaves_no_file(tmp_path):
+    def fails_halfway(fh):
+        fh.write("{")
+        raise OSError("disk full")
+
+    outs = _Outputs(tmp_path)
+    outs.add("trace.jsonl", lambda fh: fh.write("written\n"))
+    outs.add("manifest.json", fails_halfway)
+    with pytest.raises(OSError, match="disk full"):
+        outs.commit()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_unknown_key(flow, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"qualty": {"belief_threshold": 10.0}})
@@ -647,6 +682,29 @@ MALFORMED = {
     "quality.period_max is -inf": (
         "", MAP_FLOW + ["--set", "quality.period_max=-Infinity"],
         "config key 'quality.period_max' must be finite, got -inf"),
+    "pdr.initial_step_length is 0": (
+        "", TRACK_FLOW + ["--set", "pdr.initial_step_length=0"],
+        "config key 'pdr.initial_step_length' must be above 0, got 0.0"),
+    "pdr.initial_step_length is -1": (
+        "", TRACK_FLOW + ["--set", "pdr.initial_step_length=-1"],
+        "config key 'pdr.initial_step_length' must be above 0, got -1.0"),
+    "pdr.min_steps_for_update is -3": (
+        "", TRACK_FLOW + ["--set", "pdr.min_steps_for_update=-3"],
+        "config key 'pdr.min_steps_for_update' must be at least 0, got -3"),
+    "landmarks.still_min_s above still_max_s": (
+        "", TRACK_FLOW + ["--set", "landmarks.still_min_s=9"],
+        "config key 'landmarks.still_min_s' must be at most still_max_s (8.0), got 9.0"),
+    "landmarks.still_max_s below still_min_s in a config file": (
+        '{"landmarks": {"still_max_s": 0.5}}', TRACK_FLOW + ["--config", "BAD"],
+        "config key 'landmarks.still_min_s' must be at most still_max_s (0.5), got 1.0"),
+    "quality.period_max below period_min": (
+        "", MAP_FLOW + ["--set", "quality.period_max=0.1"],
+        "config key 'quality.period_min' must be at most period_max (0.1), got 0.4"),
+    "map config band is inverted": (
+        json.dumps({"version": 1, "config": {"period_min": 1.0, "period_max": 0.5},
+                    "entries": []}),
+        ["localize", "BAD", "--rss", "ap-w=-50"],
+        "config.period_min must be at most period_max (0.5), got 1.0"),
     "localization.k is 0": (
         "", ["evaluate", "FLOW/map.json", "FLOW/queries.jsonl",
              "--set", "localization.k=0"],

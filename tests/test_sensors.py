@@ -435,6 +435,111 @@ def test_step_count_tracks_cycle_count(cycles, period):
     assert len(steps) == cycles
 
 
+# ---------------------------------------------------------------------------
+# dump_trace against the line-per-sample writer it replaced
+
+
+def line_per_sample_dump(trace: SensorTrace) -> str:
+    """The reference writer: _line_format % (t, *row) for each sample, a
+    json.dumps line for each scan, and a stable sort on (t, channel
+    order)."""
+    rows = []
+    for order, ch in enumerate(CHANNELS):
+        if ch == "wifi":
+            rows += [(s.t, order, json.dumps({"ch": ch, "t": s.t, "v": [
+                [m, r] for m, r in s.readings.items()]})) for s in trace.wifi]
+            continue
+        if ch == "truth":
+            tr = trace.truth
+            if tr is None:
+                continue
+            t, v = tr.t, np.column_stack([tr.xy, tr.floor])
+        else:
+            c = getattr(trace, ch)
+            t, v = c.t, c.v.reshape(len(c), CHANNELS[ch])
+        fmt = sensors._line_format(ch)
+        rows += [(ti, order, fmt % (ti, *row)) for ti, row in zip(t.tolist(), v.tolist())]
+    rows.sort(key=lambda row: row[:2])
+    return "".join(line + "\n" for _, _, line in rows)
+
+
+# few distinct timestamps, so channels tie at one t and a chunk boundary
+# falls inside a run of equal timestamps; -0.0 ties with 0.0
+TIES = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 0.1 + 0.2, 1.0, 1e16])
+NUMBERS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-308, 1e-5, 1e16, 9.81]),
+                    AWKWARD)
+MACS = st.one_of(st.sampled_from(["%", "%s", "%%", "%(t)s", '"', 'a"b\\c', "é", "ap-%d"]),
+                 st.text(st.sampled_from('%s"é\\ab:'), min_size=1, max_size=4))
+
+
+@st.composite
+def tied_traces(draw) -> SensorTrace:
+    def channel(width):
+        n = draw(st.integers(0, 6))
+        t = np.sort(np.array(draw(st.lists(TIES, min_size=n, max_size=n)), float))
+        v = draw(st.lists(NUMBERS, min_size=n * width, max_size=n * width))
+        return t, np.array(v, float).reshape(n, width)
+    chans = {ch: Channel(*channel(3)) for ch in ("accel", "gyro", "mag")}
+    bt, bv = channel(1)
+    tt, tv = channel(3)
+    scans = [WifiScan(t, draw(st.dictionaries(MACS, st.integers(-200, 0), max_size=3)))
+             for t in sorted(draw(st.lists(TIES, max_size=3)))]
+    return SensorTrace(**chans, baro=Channel(bt, bv[:, 0].copy()), wifi=scans,
+                       truth=TruthChannel(tt, tv[:, :2].copy(), tv[:, 2].copy())
+                       if len(tt) else None)
+
+
+def all_six_at_one_t() -> SensorTrace:
+    t = np.array([0.0, 1.0])
+    v = np.array([[-0.0, 0.0, 5e-324], [1e16, 1e-5, -0.0]])
+    return SensorTrace(
+        accel=Channel(t.copy(), v.copy()), gyro=Channel(t.copy(), v[::-1].copy()),
+        mag=Channel(t.copy(), -v), baro=Channel(t.copy(), v[:, 0].copy()),
+        wifi=[WifiScan(0.0, {"%s": -1, '"%"': -2}), WifiScan(1.0, {"é%%": 0})],
+        truth=TruthChannel(t.copy(), v[:, :2].copy(), v[:, 2].copy()))
+
+
+def dumped_in_chunks(trace: SensorTrace, rows: int) -> str:
+    buf = io.StringIO()
+    with mock.patch.object(sensors, "_CHUNK_ROWS", rows):
+        dump_trace(trace, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 4096])
+def test_dump_is_the_line_per_sample_writer_at_ties(rows):
+    trace = all_six_at_one_t()
+    want = line_per_sample_dump(trace)
+    assert len(want.splitlines()) == 12
+    assert dumped_in_chunks(trace, rows) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_traces(), st.integers(1, 5))
+def test_dump_is_the_line_per_sample_writer(trace, rows):
+    # -0.0 written as 0.0 would pass a json round trip, not this
+    assert dumped_in_chunks(trace, rows) == line_per_sample_dump(trace)
+
+
+def test_dump_keeps_minus_zero_apart_from_zero_in_one_chunk():
+    trace = SensorTrace(baro=Channel(np.array([0.0, 0.0]), np.array([0.0, -0.0])))
+    assert dumped_in_chunks(trace, 2) == (
+        '{"ch": "baro", "t": 0.0, "v": 0.0}\n{"ch": "baro", "t": 0.0, "v": -0.0}\n')
+
+
+def test_dump_of_a_non_finite_last_channel_writes_nothing(tmp_path):
+    trace = _awkward_trace()
+    trace.truth.floor[-1] = math.inf  # truth is the last channel written
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(TraceError, match="'truth'"):
+        dump_trace(trace, path)
+    assert not path.exists()
+    buf = io.StringIO()
+    with pytest.raises(TraceError, match="'truth'"):
+        dump_trace(trace, buf)
+    assert buf.getvalue() == ""
+
+
 def test_dump_interleaves_by_time(tmp_path):
     n = 10
     t = np.arange(n) * DT

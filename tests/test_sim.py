@@ -1,5 +1,7 @@
 import io
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +9,11 @@ import pytest
 
 from stridemap.landmarks import RuleKind, detect_baro_landmarks
 from stridemap.sensors import detect_steps, dump_trace
-from stridemap.sim import (BASE_PRESSURE, MAX_WALK_TICKS, PRESSURE_PER_FLOOR,
-                           TICK, ScenarioError, generate_test_queries,
-                           generate_trace, load_scenario,
-                           mixed_quality_scenario, plan_walk,
+from stridemap.sim import (BASE_PRESSURE, BUMP_AMPLITUDE, GRAVITY, MAG_EVERY,
+                           MAX_WALK_TICKS, PRESSURE_PER_FLOOR, TICK,
+                           ScenarioError, _bump_train, _plan_state,
+                           generate_test_queries, generate_trace,
+                           load_scenario, mixed_quality_scenario, plan_walk,
                            scenario_from_dict, scenario_to_dict,
                            two_floor_scenario)
 
@@ -447,3 +450,122 @@ def test_scenario_validation(mutate, message):
     with pytest.raises(ScenarioError, match=message):
         scenario_from_dict(broken(mutate))
 
+
+
+# ---------------------------------------------------------------------------
+# channel synthesis against the per-phase and per-bump loops it replaced
+
+
+def per_phase_mask_state(plan, ticks):
+    """The reference _plan_state: one full-length mask per phase."""
+    x, y, fl, hd = (np.empty(len(ticks)) for _ in range(4))
+    for i, ph in enumerate(plan.phases):
+        last = i == len(plan.phases) - 1
+        mask = (ticks >= ph.t0) & ((ticks <= ph.t1) if last else (ticks < ph.t1))
+        if not mask.any():
+            continue
+        tt = ticks[mask]
+        if ph.kind in ("still", "turn"):
+            x[mask], y[mask], fl[mask] = ph.x0, ph.y0, ph.floor0
+        else:
+            xp = np.array([ph.t0] + [s.tick for s in ph.steps], dtype=float)
+            x[mask] = np.interp(tt, xp, [ph.x0] + [s.x for s in ph.steps])
+            y[mask] = np.interp(tt, xp, [ph.y0] + [s.y for s in ph.steps])
+            if ph.floor1 != ph.floor0:
+                fl[mask] = ph.floor0 + (tt - ph.t0) / (ph.t1 - ph.t0) \
+                    * (ph.floor1 - ph.floor0)
+            else:
+                fl[mask] = ph.floor0
+        if ph.kind == "turn":
+            prog = np.clip(tt, ph.rot0, ph.rot1) - ph.rot0
+            hd[mask] = ph.heading0 + ph.omega * prog * TICK
+        else:
+            hd[mask] = ph.heading0
+    return x, y, fl, hd
+
+
+def per_bump_train(plan, n):
+    """The reference _bump_train: one bump at a time."""
+    az = np.full(n, GRAVITY)
+    bumps = sorted([(s.tick, s.period_ticks) for s in plan.steps] + plan.false_bumps)
+    for i, (tick, pt) in enumerate(bumps):
+        gap_prev = tick - bumps[i - 1][0] if i > 0 else pt
+        gap_next = bumps[i + 1][0] - tick if i + 1 < len(bumps) else pt
+        w_lo = min(pt, gap_prev) / 2
+        w_hi = min(pt, gap_next) / 2
+        offs = np.arange(math.floor(-w_lo), math.ceil(w_hi) + 1)
+        offs = offs[(offs >= -w_lo) & (offs < w_hi)]
+        idx = tick + offs
+        keep = (idx >= 0) & (idx < n)
+        az[idx[keep]] += (BUMP_AMPLITUDE / 2) * (1 + np.cos(2 * np.pi * offs[keep] / pt))
+    return az
+
+
+def bits(arrays):
+    return [a.view(np.uint64).tobytes() for a in arrays]
+
+
+def busy_plan():
+    """Stops, an irregular leg, false walking, and bumps on the first and
+    the last tick."""
+    sc = corridor_scenario(walk={
+        "waypoints": ["a", "b", "a", "b"], "irregular_legs": [1],
+        "irregular_periods": [0.4, 0.62, 0.5], "irregular_lengths": [0.5, 0.9, 0.7],
+        "stops": [{"at": "b", "duration_s": 3.0}, {"at": "a", "duration_s": 1.5}],
+        "false_walking": [{"t": 0.5, "duration_s": 1.2}, {"t": 21.0, "duration_s": 3.0}]})
+    plan = plan_walk(sc.environment, sc.walk)
+    edges = [(0, 20), (plan.total_ticks, 23)]
+    return replace(plan, false_bumps=sorted(plan.false_bumps + edges))
+
+
+def zero_length_phases(plan):
+    """plan with a zero-length phase inside it and one at its end, so the
+    last phase holds only the end tick."""
+    mid = plan.phases[1]
+    end = plan.phases[-1]
+    phases = [*plan.phases[:2], replace(mid, kind="still", t0=mid.t1),
+              *plan.phases[2:], replace(end, kind="still", t0=end.t1, x0=-1.0)]
+    return replace(plan, phases=phases)
+
+
+PLANS = {
+    "busy corridor": busy_plan,
+    "zero-length phases": lambda: zero_length_phases(busy_plan()),
+    "two floors": lambda: plan_walk(two_floor_scenario().environment,
+                                    two_floor_scenario().walk),
+    "mixed quality": lambda: plan_walk(mixed_quality_scenario().environment,
+                                       mixed_quality_scenario().walk),
+}
+
+
+def tick_sets(total):
+    rng = np.random.default_rng(0)
+    return [np.arange(0, total + 1, MAG_EVERY), np.arange(0, total + 1, 3),
+            np.arange(7, total + 1, 13), np.array([total]), np.array([], int),
+            np.sort(rng.integers(0, total + 1, 200))]  # repeats too
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_plan_state_is_the_per_phase_mask_loop(name):
+    plan = PLANS[name]()
+    for ticks in tick_sets(plan.total_ticks):
+        assert bits(_plan_state(plan, ticks)) == bits(per_phase_mask_state(plan, ticks))
+
+
+def test_the_last_phase_holds_the_end_tick():
+    plan = zero_length_phases(busy_plan())
+    x, *_ = _plan_state(plan, np.array([plan.total_ticks - 1, plan.total_ticks]))
+    assert x[0] != -1.0 and x[1] == -1.0
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_bump_train_is_the_per_bump_loop(name):
+    plan = PLANS[name]()
+    n = plan.total_ticks + 1
+    assert bits([_bump_train(plan, n)]) == bits([per_bump_train(plan, n)])
+
+
+def test_bump_train_reaches_the_first_and_last_tick():
+    plan = busy_plan()
+    az = _bump_train(plan, plan.total_ticks + 1)
+    assert az[0] == az[-1] == GRAVITY + BUMP_AMPLITUDE
