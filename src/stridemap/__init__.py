@@ -20,11 +20,11 @@ _EXPORTS = {
     "landmarks": ("Edge", "GraphError", "Landmark", "LandmarkEvent",
                   "LandmarkGraph", "Rule", "RuleKind", "detect_acc_landmarks",
                   "detect_baro_landmarks", "detect_gyro_landmarks",
-                  "graph_from_dict", "graph_to_dict", "load_landmark_graph"),
+                  "graph_from_dict", "load_landmark_graph"),
     "localization": ("EvaluationReport", "LocalizationResult", "Neighbors",
                      "Readings", "VectorizedMap", "evaluate", "knn",
-                     "knn_localize", "map_min_rss", "map_universe",
-                     "read_fingerprints", "to_positive", "vectorize_map"),
+                     "knn_localize", "read_fingerprints", "to_positive",
+                     "vectorize_map"),
     "pdr": ("MatchState", "PathSegment", "Pose", "Trajectory",
             "attach_periodicities", "dump_trajectory", "landmark_confidence",
             "load_trajectory", "match_landmark", "run_pdr",
@@ -37,9 +37,8 @@ _EXPORTS = {
                 "detect_steps", "dump_trace", "load_trace"),
     "sim": ("Ap", "CompassZone", "Environment", "NoiseModel", "Scenario",
             "ScenarioError", "WalkScript", "generate_test_queries",
-            "generate_trace", "load_scenario", "mixed_quality_scenario",
-            "plan_walk", "scenario_from_dict", "scenario_to_dict",
-            "two_floor_scenario"),
+            "generate_trace", "load_scenario", "plan_walk",
+            "scenario_from_dict"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -23,7 +23,7 @@ from typing import Callable
 from .config import (HEADING_THRESHOLD_DEG, ConfigError, HeadingSource,
                      LandmarkConfig, LocalizationConfig, PdrConfig,
                      QualityConfig, SensorConfig)
-from .sensors import RSS_RULE, number, read_jsonl, rss
+from .sensors import RSS_RULE, number, read_json, read_jsonl, rss
 
 # Each subcommand imports the stage functions it calls in its own body, so
 # a process loads only the stages of the command it runs.
@@ -126,11 +126,7 @@ def effective_config(args) -> tuple[dict, dict]:
     tree = default_config()
     if args.config:
         path = _require_file(args.config, "config file")
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"config file {path}: invalid JSON: {exc}")
+        data = read_json(path, CliError, f"config file {path}: ")
         if not isinstance(data, dict):
             raise CliError(f"config file {path}: must be an object")
         _merge_tree(tree, data)
@@ -367,6 +363,8 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
             reading = None
         if reading is None:
             raise CliError(f"--rss value for {mac!r} {RSS_RULE}, got {text!r}")
+        if mac in fp:
+            raise CliError(f"duplicate MAC {mac!r} in --rss")
         fp[mac] = reading
     return fp
 
@@ -414,8 +412,8 @@ def cmd_localize(args) -> int:
         fp = _parse_rss(args.rss)
     elif args.fingerprint:
         path = _require_file(args.fingerprint, "fingerprint file")
-        with open(path) as fh:
-            fp = _fingerprint(json.load(fh), f"fingerprint file {path}")
+        fp = _fingerprint(read_json(path, CliError, f"fingerprint file {path}: "),
+                          f"fingerprint file {path}")
     else:
         raise CliError("pass a fingerprint via --rss or --fingerprint")
     result = knn_localize(fp, radio_map, loc_cfg)

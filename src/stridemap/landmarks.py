@@ -10,7 +10,6 @@ LandmarkConfig, in stridemap.config.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import LandmarkConfig, SensorConfig
-from .sensors import MotionState, SensorTrace, number
+from .sensors import MotionState, SensorTrace, number, read_json
 
 # Gyro events inside a confirmed stop are phone fidgeting, not corners.
 # A stop is confirmed once this many consecutive windows classify Still;
@@ -296,6 +295,11 @@ _RULE_NAMES = {
 HEADING_TOL_RAD = math.radians(1.0)
 DISTANCE_TOL_M = 0.05
 
+# The keys a graph file may hold: at the top level, in a node, in an edge.
+_GRAPH_KEYS = {"nodes", "edges", "auto_reverse"}
+_NODE_KEYS = {"id", "x", "y", "floor", "rules"}
+_EDGE_KEYS = {"from", "to", "heading_deg", "distance_m", "override"}
+
 
 def _parse_rule(name: str) -> Rule:
     try:
@@ -314,6 +318,23 @@ def circular_diff(a: float, b: float) -> float:
     """Absolute angular difference folded into [0, pi]."""
     d = (a - b) % (2 * math.pi)
     return min(d, 2 * math.pi - d)
+
+
+def _known(obj, allowed: set[str], where: str) -> None:
+    """Refuse obj unless it is an object holding only allowed keys."""
+    if not isinstance(obj, dict):
+        raise GraphError(f"{where} must be an object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise GraphError(f"{where} has unknown fields {sorted(unknown)}")
+
+
+def _flag(obj: dict, key: str, where: str) -> bool:
+    """obj[key] as a JSON boolean, False when absent."""
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise GraphError(f"{where}: {key!r} must be true or false, got {value!r}")
+    return value
 
 
 @contextmanager
@@ -338,15 +359,22 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
         raise GraphError("graph object requires 'nodes' and 'edges'") from None
     if not isinstance(node_list, list) or not isinstance(edge_list, list):
         raise GraphError("graph 'nodes' and 'edges' must be arrays")
-    auto_reverse = bool(data.get("auto_reverse", False))
+    _known(data, _GRAPH_KEYS, "graph")
+    auto_reverse = _flag(data, "auto_reverse", "graph")
 
     nodes: dict[str, Landmark] = {}
     for i, nd in enumerate(node_list):
         with _malformed(f"node {i}"):
+            _known(nd, _NODE_KEYS, f"node {i}")
             lid = nd["id"]
+            if not isinstance(lid, str) or not lid:
+                raise GraphError(f"node {i}: id must be a non-empty string, got {lid!r}")
             if lid in nodes:
                 raise GraphError(f"duplicate landmark id {lid!r}")
-            rules = tuple(_parse_rule(r) for r in nd.get("rules", []))
+            rule_names = nd.get("rules", [])
+            if not isinstance(rule_names, list):
+                raise GraphError(f"node {i}: rules must be an array, got {rule_names!r}")
+            rules = tuple(_parse_rule(r) for r in rule_names)
             nodes[lid] = Landmark(
                 id=lid, x=number(nd["x"], "x"), y=number(nd["y"], "y"),
                 floor=number(nd["floor"], "floor", integral=True), rules=rules)
@@ -354,6 +382,7 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
     edges: list[Edge] = []
     for i, ed in enumerate(edge_list):
         with _malformed(f"edge {i}"):
+            _known(ed, _EDGE_KEYS, f"edge {i}")
             frm, to = ed["from"], ed["to"]
             for endpoint in (frm, to):
                 if endpoint not in nodes:
@@ -361,10 +390,11 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
             heading = math.radians(number(ed["heading_deg"], "heading_deg"))
             heading %= 2 * math.pi
             distance = number(ed["distance_m"], "distance_m")
+            override = _flag(ed, "override", f"edge {i}")
         if distance <= 0:
             raise GraphError(f"edge {frm!r}->{to!r} has non-positive distance")
         a, b = nodes[frm], nodes[to]
-        if not ed.get("override", False):
+        if not override:
             geom_d = math.hypot(b.x - a.x, b.y - a.y)
             if abs(geom_d - distance) > DISTANCE_TOL_M:
                 raise GraphError(
@@ -391,32 +421,4 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
 
 def load_landmark_graph(path: str | Path) -> LandmarkGraph:
     """Load a landmark graph JSON file."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"invalid JSON: {exc}") from exc
-    return graph_from_dict(data)
-
-
-def graph_to_dict(graph: LandmarkGraph) -> dict:
-    """Serialize a graph back to its JSON object form (reverse edges kept)."""
-    def rule_name(r: Rule) -> str:
-        if r.kind is RuleKind.GYRO and r.turn_sign is not None:
-            return "gyro+" if r.turn_sign > 0 else "gyro-"
-        return r.kind.value
-
-    return {
-        "nodes": [
-            {"id": lm.id, "x": lm.x, "y": lm.y, "floor": lm.floor,
-             "rules": [rule_name(r) for r in lm.rules]}
-            for lm in graph.nodes.values()
-        ],
-        "edges": [
-            {"from": e.from_id, "to": e.to_id,
-             "heading_deg": math.degrees(e.heading), "distance_m": e.distance}
-            for e in graph.edges
-        ],
-        "auto_reverse": False,
-    }
-
+    return graph_from_dict(read_json(path, GraphError))

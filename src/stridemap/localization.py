@@ -73,27 +73,6 @@ def read_fingerprints(fps: Sequence[dict[str, int]]) -> Readings:
     return Readings(macs=tuple(macs), rss=matrix)
 
 
-def _min_rss(readings: Readings) -> float:
-    if not np.isfinite(readings.rss).any():
-        raise ValueError("radio map has no RSS readings")
-    return float(np.nanmin(readings.rss)) - 1.0
-
-
-def _map_readings(radio_map: RadioMap) -> Readings:
-    return read_fingerprints([e.fp for e in radio_map.entries])
-
-
-def map_min_rss(radio_map: RadioMap) -> float:
-    """One below the weakest reading anywhere in the map, so every
-    detected AP vectorizes to a strictly positive value."""
-    return _min_rss(_map_readings(radio_map))
-
-
-def map_universe(radio_map: RadioMap, tau: float = -inf) -> tuple[str, ...]:
-    """Sorted MACs seen at or above tau in at least one map entry."""
-    return _map_readings(radio_map).universe(tau)
-
-
 def to_positive(
     fp: dict[str, int],
     universe: Sequence[str],
@@ -130,8 +109,12 @@ def vectorize_map(radio_map: RadioMap, cfg: LocalizationConfig = LocalizationCon
     if not radio_map.entries:
         raise ValueError("radio map is empty")
     map_tau, _ = _scope_taus(cfg)
-    readings = _map_readings(radio_map)
-    min_rss = _min_rss(readings)
+    readings = read_fingerprints([e.fp for e in radio_map.entries])
+    if not np.isfinite(readings.rss).any():
+        raise ValueError("radio map has no RSS readings")
+    # one below the weakest reading anywhere in the map, so every detected
+    # AP vectorizes to a strictly positive value
+    min_rss = float(np.nanmin(readings.rss)) - 1.0
     universe = readings.universe(map_tau)
     return VectorizedMap(
         cfg=cfg,

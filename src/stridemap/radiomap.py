@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class RadioMap:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self) -> Iterator[RadioMapEntry]:
-        return iter(self.entries)
 
 
 def segment_belief(segment: PathSegment, cfg: QualityConfig = QualityConfig()) -> float | None:

@@ -205,6 +205,16 @@ def rss(value) -> int | None:
     return value if RSS_MIN_DBM <= value <= RSS_MAX_DBM else None
 
 
+def read_json(path: str | Path, error: type[Exception], prefix: str = ""):
+    """The JSON value a file holds; invalid JSON raises error, its message
+    starting with prefix."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{prefix}invalid JSON: {exc}") from exc
+
+
 def read_jsonl(path: str | Path, error: type[Exception], prefix: str = "line ",
                skip: tuple[str, ...] = ()) -> Iterator[tuple[int, object]]:
     """Line number and parsed record of each non-blank line of a JSON-lines

@@ -15,7 +15,6 @@ added in one vectorized pass.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
@@ -23,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .landmarks import Edge, GraphError, LandmarkGraph, graph_from_dict, graph_to_dict
+from .landmarks import Edge, GraphError, LandmarkGraph, graph_from_dict
 from .sensors import (RSS_MAX_DBM, Channel, SensorTrace, TruthChannel,
-                      WifiScan, number)
+                      WifiScan, number, read_json)
 
 TICK = 0.02                 # s per tick: 50 Hz inertial sampling
 MAG_EVERY = 5               # ticks between magnetometer samples (10 Hz)
@@ -121,7 +120,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# scenario (de)serialization
+# scenario reading
 
 
 def _seg_point_dist(px, py, ax, ay, bx, by) -> float:
@@ -171,10 +170,10 @@ _UNIT_KEYS = {"accel_std": "accel_std_mps2", "gyro_bias": "gyro_bias_rad_s",
               "shadowing_std": "shadowing_std_db"}
 
 
-def _codec(f) -> tuple:
-    """(reader, writer) of a dataclass field: its _COMPOUND entry, else the
-    reader of its declared scalar type and the value written as is."""
-    return _COMPOUND.get(f.name) or (_SCALAR[f.type], lambda value: value)
+def _reader(f):
+    """The reader of a dataclass field: its _COMPOUND entry, else the
+    reader of its declared scalar type."""
+    return _COMPOUND.get(f.name) or _SCALAR[f.type]
 
 
 def _record(cls, obj, where: str):
@@ -183,14 +182,8 @@ def _record(cls, obj, where: str):
     by_key = {_UNIT_KEYS.get(f.name, f.name): f for f in fields(cls)}
     _keys(obj, where, by_key, [key for key, f in by_key.items()
                                if f.default is MISSING and f.default_factory is MISSING])
-    return cls(**{by_key[key].name: _codec(by_key[key])[0](value, f"{where}.{key}")
+    return cls(**{by_key[key].name: _reader(by_key[key])(value, f"{where}.{key}")
                   for key, value in obj.items()})
-
-
-def _to_dict(obj) -> dict:
-    """The file object of a dataclass instance; _record reads it back."""
-    return {_UNIT_KEYS.get(f.name, f.name): _codec(f)[1](getattr(obj, f.name))
-            for f in fields(obj)}
 
 
 def _list(value, where: str, read) -> list:
@@ -199,20 +192,19 @@ def _list(value, where: str, read) -> list:
     return [read(item, f"{where}[{i}]") for i, item in enumerate(value)]
 
 
-def _array(read_item, make=tuple, write_item=lambda item: item) -> tuple:
-    """(reader, writer) of a field held in the file as an array."""
-    return (lambda value, where: make(_list(value, where, read_item)),
-            lambda items: [write_item(item) for item in items])
+def _array(read_item, make=tuple):
+    """The reader of a field held in the file as an array."""
+    return lambda value, where: make(_list(value, where, read_item))
 
 
-def _pairs(keys: dict[str, str]) -> tuple:
-    """(reader, writer) of a tuple of pairs, each held as an object with
-    keys (key -> scalar type) in pair order."""
+def _pairs(keys: dict[str, str]):
+    """The reader of a tuple of pairs, each held as an object with keys
+    (key -> scalar type) in pair order."""
     def read(obj, where: str) -> tuple:
         _keys(obj, where, keys, keys)
         return tuple(_SCALAR[kind](obj[key], f"{where}.{key}")
                      for key, kind in keys.items())
-    return _array(read, write_item=lambda pair: dict(zip(keys, pair)))
+    return _array(read)
 
 
 def _point(value, where: str) -> tuple[float, float]:
@@ -236,11 +228,6 @@ def _read_corridors(value, where: str) -> dict[int, list[list[tuple[float, float
     return corridors
 
 
-def _write_corridors(corridors: dict) -> dict:
-    return {str(floor): [[list(p) for p in line] for line in lines]
-            for floor, lines in corridors.items()}
-
-
 def _read_graph(value, where: str) -> LandmarkGraph:
     try:
         return graph_from_dict(value)
@@ -248,22 +235,22 @@ def _read_graph(value, where: str) -> LandmarkGraph:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-# (reader, writer) of every field that is not a scalar, by field name.
+# The reader of every field that is not a scalar, by field name.
 _COMPOUND = {
-    "environment": (partial(_record, Environment), _to_dict),
-    "walk": (partial(_record, WalkScript), _to_dict),
-    "noise": (partial(_record, NoiseModel), _to_dict),
-    "corridors": (_read_corridors, _write_corridors),
-    "graph": (_read_graph, graph_to_dict),
-    "aps": _array(partial(_record, Ap), write_item=_to_dict),
+    "environment": partial(_record, Environment),
+    "walk": partial(_record, WalkScript),
+    "noise": partial(_record, NoiseModel),
+    "corridors": _read_corridors,
+    "graph": _read_graph,
+    "aps": _array(partial(_record, Ap)),
     "stairs": _pairs({"from": "str", "to": "str"}),
     "waypoints": _array(_text),
     "stops": _pairs({"at": "str", "duration_s": "float"}),
     "false_walking": _pairs({"t": "float", "duration_s": "float"}),
-    "irregular_legs": (_array(_SCALAR["int"], frozenset)[0], sorted),
+    "irregular_legs": _array(_SCALAR["int"], frozenset),
     "irregular_periods": _array(_SCALAR["float"]),
     "irregular_lengths": _array(_SCALAR["float"]),
-    "compass_zones": _array(partial(_record, CompassZone), write_item=_to_dict),
+    "compass_zones": _array(partial(_record, CompassZone)),
 }
 
 
@@ -324,17 +311,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     return sc
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    return _to_dict(sc)
-
-
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path, ScenarioError))
 
 
 # ---------------------------------------------------------------------------
@@ -787,173 +765,3 @@ def generate_test_queries(
                          noise.shadowing_std, rng)
         out.append(((float(x), float(y), int(floor)), readings))
     return out
-
-
-# ---------------------------------------------------------------------------
-# canned scenarios
-
-
-def _rect_corridors() -> list[list[tuple[float, float]]]:
-    return [[(0.0, 0.0), (25.2, 0.0)],
-            [(25.2, 0.0), (25.2, 12.6)],
-            [(25.2, 12.6), (0.0, 12.6)],
-            [(0.0, 12.6), (0.0, 0.0)]]
-
-
-# Every stop node needs a nearby AP displaced along the walking direction:
-# integer-rounded RSS must separate a dwell scan from the closest walking
-# scan (~0.5 m away), which takes a >1 dB gradient somewhere in the vector.
-_APS = [
-    ("ap-01", 2.0, 1.5, 1, -38.0, 2.8),
-    ("ap-02", 22.0, 2.5, 1, -41.0, 2.7),
-    ("ap-03", 24.0, 11.0, 1, -39.0, 2.9),
-    ("ap-04", 9.0, 11.5, 1, -42.0, 3.0),
-    ("ap-05", 4.5, 3.0, 2, -40.0, 2.75),
-    ("ap-06", 20.5, 1.0, 2, -37.0, 2.85),
-    ("ap-07", 23.5, 10.5, 2, -43.0, 2.65),
-    ("ap-08", 7.5, 12.0, 2, -39.0, 2.95),
-    ("ap-09", 14.6, 0.5, 1, -39.5, 2.7),
-    ("ap-10", 24.7, 8.3, 1, -38.5, 2.85),
-    ("ap-11", 15.5, 12.1, 1, -40.5, 2.75),
-    ("ap-12", 13.0, 12.1, 2, -38.0, 2.9),
-    ("ap-13", 18.1, 12.1, 2, -41.5, 2.7),
-    ("ap-14", 2.0, 12.1, 1, -40.0, 2.8),
-]
-
-
-def _two_floor_graph() -> dict:
-    nodes = [
-        ("C1", 0.0, 0.0, 1, ["gyro"]),
-        ("D1", 12.6, 0.0, 1, ["acc"]),
-        ("C2", 25.2, 0.0, 1, ["gyro"]),
-        ("D2", 25.2, 6.3, 1, ["acc"]),
-        ("C3", 25.2, 12.6, 1, ["gyro"]),
-        ("SE1", 17.64, 12.6, 1, ["baro_in"]),
-        ("SX2", 17.64, 12.6, 1, ["baro_out"]),
-        ("C4", 0.0, 12.6, 1, ["gyro"]),
-        ("SX1", 15.12, 12.6, 2, ["baro_out"]),
-        ("SE2", 20.16, 12.6, 2, ["baro_in"]),
-        ("C1.2", 0.0, 0.0, 2, ["gyro"]),
-        ("C2.2", 25.2, 0.0, 2, ["gyro"]),
-        ("C3.2", 25.2, 12.6, 2, ["gyro"]),
-        ("C4.2", 0.0, 12.6, 2, ["gyro"]),
-    ]
-    edges = [
-        ("C1", "D1", 0.0, 12.6),
-        ("D1", "C2", 0.0, 12.6),
-        ("C2", "D2", 90.0, 6.3),
-        ("D2", "C3", 90.0, 6.3),
-        ("C3", "SE1", 180.0, 7.56),
-        ("SE1", "SX1", 180.0, 2.52),
-        ("SX1", "C4.2", 180.0, 15.12),
-        ("C4.2", "C1.2", 270.0, 12.6),
-        ("C1.2", "C2.2", 0.0, 25.2),
-        ("C2.2", "C3.2", 90.0, 12.6),
-        ("C3.2", "SE2", 180.0, 5.04),
-        ("SE2", "SX2", 180.0, 2.52),
-        ("SX2", "C4", 180.0, 17.64),
-        ("C4", "C1", 270.0, 12.6),
-        ("C3", "C4", 180.0, 25.2),
-    ]
-    return {
-        "auto_reverse": True,
-        "nodes": [{"id": i, "x": x, "y": y, "floor": f, "rules": r}
-                  for i, x, y, f, r in nodes],
-        "edges": [{"from": a, "to": b, "heading_deg": h, "distance_m": d}
-                  for a, b, h, d in edges],
-    }
-
-
-def _base_environment() -> dict:
-    return {
-        "floor_height_m": 3.5,
-        "corridors": {"1": [[list(p) for p in line] for line in _rect_corridors()],
-                      "2": [[list(p) for p in line] for line in _rect_corridors()]},
-        "graph": _two_floor_graph(),
-        "aps": [{"mac": m, "x": x, "y": y, "floor": f, "tx_power_dbm": tx,
-                 "path_loss_exponent": ple}
-                for m, x, y, f, tx, ple in _APS],
-        "stairs": [{"from": "SE1", "to": "SX1"}, {"from": "SE2", "to": "SX2"}],
-    }
-
-
-def two_floor_scenario(
-    extra_loops: int = 0,
-    seed: int = 0,
-    accel_std: float = 0.0,
-    gyro_bias: float = 0.0,
-    gyro_std: float = 0.0,
-    baro_std: float = 0.0,
-    shadowing_std: float = 0.0,
-    compass_bias_deg: float = 0.0,
-) -> Scenario:
-    """Two floors connected by stairs, walked in a single pass.
-
-    The route crosses both doors, climbs to the upper floor, circles it,
-    and descends back; extra_loops appends ground-floor laps to stretch
-    the walk. A non-zero compass_bias_deg skews the compass over the lower
-    south half and the entire upper floor.
-    """
-    waypoints = ["C1", "D1", "C2", "D2", "C3", "SE1", "SX1", "C4.2", "C1.2",
-                 "C2.2", "C3.2", "SE2", "SX2", "C4", "C1"]
-    waypoints += ["D1", "C2", "D2", "C3", "C4", "C1"] * extra_loops
-    zones = []
-    if compass_bias_deg:
-        zones = [
-            {"x_min": 0.0, "x_max": 25.2, "y_min": 0.0, "y_max": 6.3,
-             "floor": 1, "bias_deg": compass_bias_deg},
-            {"x_min": 0.0, "x_max": 25.2, "y_min": 0.0, "y_max": 12.6,
-             "floor": 2, "bias_deg": compass_bias_deg},
-        ]
-    return scenario_from_dict({
-        "environment": _base_environment(),
-        "walk": {
-            "waypoints": waypoints,
-            "stops": [{"at": "D1", "duration_s": 3.0},
-                      {"at": "D2", "duration_s": 3.0},
-                      {"at": "SE1", "duration_s": 2.0},
-                      {"at": "SX1", "duration_s": 2.0},
-                      {"at": "SE2", "duration_s": 2.0},
-                      {"at": "SX2", "duration_s": 2.0}],
-        },
-        "noise": {
-            "seed": seed,
-            "accel_std_mps2": accel_std,
-            "gyro_bias_rad_s": gyro_bias,
-            "gyro_std_rad_s": gyro_std,
-            "baro_std_hpa": baro_std,
-            "shadowing_std_db": shadowing_std,
-            "compass_zones": zones,
-        },
-    })
-
-
-def mixed_quality_scenario(seed: int = 0, shadowing_std: float = 1.0) -> Scenario:
-    """Four ground-floor laps: two steady, two with erratic cadence and
-    stride, giving one walk whose segments split cleanly into high and low
-    belief."""
-    lap = ["D1", "C2", "D2", "C3", "C4", "C1"]
-    waypoints = ["C1"] + lap * 4
-    legs_per_lap = len(lap)
-    # erratic laps keep the long south leg steady: short strides drift about
-    # 0.15 m per nominal step, and 25.2 m of that would push the landmark
-    # matcher past its confidence gate, losing every later calibration
-    long_leg = 4
-    irregular = sorted(
-        leg for leg in
-        set(range(legs_per_lap, 2 * legs_per_lap))
-        | set(range(3 * legs_per_lap, 4 * legs_per_lap))
-        if leg % legs_per_lap != long_leg)
-    return scenario_from_dict({
-        "environment": _base_environment(),
-        "walk": {
-            "waypoints": waypoints,
-            "stops": [{"at": "D1", "duration_s": 3.0},
-                      {"at": "D2", "duration_s": 3.0}],
-            "irregular_legs": irregular,
-            # shuffling gait: strides average short of the calibrated step
-            # length, so uncorrected positions drift between landmarks
-            "irregular_lengths": [0.33, 0.33, 0.63, 0.63],
-        },
-        "noise": {"seed": seed, "shadowing_std_db": shadowing_std},
-    })

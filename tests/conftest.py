@@ -1,7 +1,11 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stridemap.sensors import Channel, SensorTrace, WifiScan
+from stridemap.sim import load_scenario
 
 RATE = 50.0
 DT = 1.0 / RATE
@@ -34,6 +38,27 @@ def walking(seconds: float, period: float = 0.5, amplitude: float = 2.0) -> np.n
 
 def trace_from_mags(mags: np.ndarray) -> SensorTrace:
     return SensorTrace(accel=accel_channel(mags))
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# two_floor_demo.json's walk ends with this lap of the ground floor
+GROUND_LAP = ("D1", "C2", "D2", "C3", "C4", "C1")
+
+
+def demo_scenario(name: str, laps=None, noise=None, **noise_fields):
+    """The scenario of scenarios/<name>.json. With laps, the walk's
+    closing ground-floor lap is walked that many times instead (0 ends the
+    walk where the lap starts); noise replaces the file's noise model, and
+    noise_fields then replace fields of whichever model is used."""
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    walk = sc.walk
+    if laps is not None:
+        route = walk.waypoints
+        assert route[-len(GROUND_LAP):] == GROUND_LAP, \
+            f"{name}.json's walk no longer ends with the lap {GROUND_LAP}"
+        walk = replace(walk, waypoints=route[:-len(GROUND_LAP)] + GROUND_LAP * laps)
+    return replace(sc, walk=walk,
+                   noise=replace(sc.noise if noise is None else noise, **noise_fields))
 
 
 @pytest.fixture

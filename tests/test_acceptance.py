@@ -12,11 +12,11 @@ from time import perf_counter
 
 import numpy as np
 
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, demo_scenario
 from stridemap.cli import main as cli_main
 from stridemap.landmarks import Landmark, Rule, RuleKind
 from stridemap.localization import (LocalizationConfig, VectorizedMap,
-                                    evaluate, knn, map_universe, to_positive)
+                                    evaluate, knn, to_positive, vectorize_map)
 from stridemap.pdr import (HeadingSource, PathSegment, PdrConfig, Pose,
                            Trajectory, attach_periodicities,
                            landmark_confidence, run_pdr, trajectory_errors)
@@ -24,9 +24,8 @@ from stridemap.radiomap import (QualityConfig, RadioMap, RadioMapEntry,
                                 build_radio_map, interpolate_rp,
                                 segment_belief)
 from stridemap.sensors import WifiScan, detect_steps
-from stridemap.sim import (generate_test_queries, generate_trace,
-                           mixed_quality_scenario, plan_walk,
-                           two_floor_scenario)
+from stridemap.sim import (NoiseModel, generate_test_queries, generate_trace,
+                           plan_walk)
 from test_sim import corridor_dict
 
 TOL_EQ = 1e-9          # closed-form oracle agreement
@@ -66,7 +65,7 @@ def tracked(scenario):
 
 @lru_cache(maxsize=None)
 def mixed_artifacts(seed: int):
-    sc = mixed_quality_scenario(seed=seed)
+    sc = demo_scenario("mixed_quality_demo", seed=seed)
     trace, traj = tracked(sc)
     return sc, trace, traj
 
@@ -377,8 +376,8 @@ def test_criterion_3_heading_mode_comparison():
     means = {m: [] for m in HeadingSource}
     wins = 0
     for seed in range(10):
-        sc = two_floor_scenario(extra_loops=2, seed=seed, gyro_bias=0.01,
-                                gyro_std=0.005, compass_bias_deg=15.0)
+        # the demo file's noise: gyro bias and drift, 15 degree compass zones
+        sc = demo_scenario("two_floor_demo", laps=2, seed=seed)
         trace = generate_trace(sc.environment, sc.walk, sc.noise)
         init = first_pose(trace)
         errs = {}
@@ -438,7 +437,8 @@ def test_criterion_4_quality_gate_payoff():
 
 
 def floor_accuracy_for(seed, baro_std):
-    sc = two_floor_scenario(extra_loops=1, seed=seed, baro_std=baro_std)
+    sc = demo_scenario("two_floor_demo", laps=1,
+                       noise=NoiseModel(seed=seed, baro_std=baro_std))
     trace, traj = tracked(sc)
     rm = build_radio_map(traj, trace.wifi)
     queries = generate_test_queries(
@@ -475,7 +475,8 @@ def test_criterion_6_threshold_monotonicity():
 
     rm = build_radio_map(traj, trace.wifi)
     taus = [float(v) for v in range(-100, -39, 5)]
-    uni_sizes = [len(map_universe(rm, tau)) for tau in taus]
+    uni_sizes = [len(vectorize_map(rm, LocalizationConfig(tau=tau)).universe)
+                 for tau in taus]
     universe_mono = all(a >= b for a, b in zip(uni_sizes, uni_sizes[1:]))
 
     rng = np.random.default_rng(606)
@@ -505,7 +506,7 @@ def test_criterion_6_threshold_monotonicity():
 
 
 def test_criterion_7_noiseless_exactness():
-    sc = two_floor_scenario(extra_loops=0, seed=0)
+    sc = demo_scenario("two_floor_demo", laps=0, noise=NoiseModel())
     plan = plan_walk(sc.environment, sc.walk)
     trace, traj = tracked(sc)
 
@@ -523,7 +524,7 @@ def test_criterion_7_noiseless_exactness():
     visits_ok = len(traj.visits) > 0 and visit_err < TOL_VISIT
 
     rm = build_radio_map(traj, trace.wifi)
-    queries = [((e.x, e.y, e.floor), dict(e.fp)) for e in rm]
+    queries = [((e.x, e.y, e.floor), dict(e.fp)) for e in rm.entries]
     rep = evaluate(queries, rm)
     self_ok = rep.floor_accuracy == 1.0 and max(rep.errors) <= TOL_SELF
 

@@ -480,6 +480,10 @@ def demo_with(value, *path) -> str:
 
 # case -> (bad file text, argv after the subcommand with BAD for the file,
 # text the one error line must hold)
+TWO_NODES = [{"id": "a", "x": 0, "y": 0, "floor": 1, "rules": ["acc"]},
+             {"id": "b", "x": 10, "y": 0, "floor": 1, "rules": ["acc"]}]
+EDGE_AB = {"from": "a", "to": "b", "heading_deg": 0, "distance_m": 10}
+
 MALFORMED = {
     "graph node without id": (
         json.dumps({"nodes": [{"x": 0, "y": 0, "floor": 1}], "edges": []}),
@@ -500,6 +504,42 @@ MALFORMED = {
                     "edges": [{"from": "a", "to": "b", "heading_deg": 0,
                                "distance_m": 10**400}]}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "edge 0"),
+    # a graph value of the wrong type or an unknown key is refused, not
+    # read as something else or ignored
+    "graph auto_reverse is a string": (
+        json.dumps({"nodes": TWO_NODES, "edges": [EDGE_AB], "auto_reverse": "false"}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "graph: 'auto_reverse' must be true or false, got 'false'"),
+    "graph edge override is a string": (
+        json.dumps({"nodes": TWO_NODES,
+                    "edges": [dict(EDGE_AB, distance_m=5, override="no")]}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "edge 0: 'override' must be true or false, got 'no'"),
+    "graph node id is a number": (
+        json.dumps({"nodes": [dict(TWO_NODES[0], id=5)], "edges": []}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "node 0: id must be a non-empty string, got 5"),
+    "graph node id is empty": (
+        json.dumps({"nodes": [dict(TWO_NODES[0], id="")], "edges": []}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "node 0: id must be a non-empty string, got ''"),
+    "graph node rules is a string": (
+        json.dumps({"nodes": [dict(TWO_NODES[0], rules="acc")], "edges": []}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "node 0: rules must be an array, got 'acc'"),
+    "graph node key is misspelt": (
+        json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1, "rule": ["acc"]}],
+                    "edges": []}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "node 0 has unknown fields ['rule']"),
+    "graph edge key is unknown": (
+        json.dumps({"nodes": TWO_NODES, "edges": [dict(EDGE_AB, heading=0)]}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "edge 0 has unknown fields ['heading']"),
+    "graph top-level key is unknown": (
+        json.dumps({"nodes": TWO_NODES, "edges": [EDGE_AB], "autoreverse": True}),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "graph has unknown fields ['autoreverse']"),
     "map entry x overflows": (
         json.dumps({"version": 1, "config": {}, "entries": [
             {"x": 10**400, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -50}}]}),
@@ -645,6 +685,12 @@ MALFORMED = {
         "", ["localize", "FLOW/map.json", "--rss", "ap-w=-201.0"], "got '-201.0'"),
     "--rss value is text": (
         "", ["localize", "FLOW/map.json", "--rss", "ap-w=loud"], "got 'loud'"),
+    "--rss names a MAC twice": (
+        "", ["localize", "FLOW/map.json", "--rss", "ap-w=-50", "--rss", "ap-w=-60"],
+        "duplicate MAC 'ap-w' in --rss"),
+    "fingerprint file is invalid JSON": (
+        '{"ap-w": -50,}', ["localize", "FLOW/map.json", "--fingerprint", "BAD"],
+        "bad.json: invalid JSON: Expecting property name"),
     # config values: each is refused by its dataclass, named by its key
     "sensors.acc_window is 0": (
         "", TRACK_FLOW + ["--set", "sensors.acc_window=0"],

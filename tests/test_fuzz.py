@@ -16,8 +16,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stridemap.cli import main
-from stridemap.landmarks import graph_to_dict
-from stridemap.sim import load_scenario, scenario_from_dict, scenario_to_dict
 from test_sim import corridor_dict
 
 
@@ -48,12 +46,20 @@ MAP_ENTRIES = [{"x": float(x), "y": 0.0, "floor": 1, "belief": 0.9,
 QUERIES = [{"x": 1.5, "y": 0.0, "floor": 1, "fp": {"aa": -47, "bb": -72}},
            {"x": 3.0, "y": 0.0, "floor": 1, "fp": {"aa": -55, "cc": -90}}]
 
-# A scenario whose walk and noise hold every key, with one stop and one
-# compass zone; its sections, first AP, stop and zone are mutated apart.
-SCENARIO = scenario_to_dict(scenario_from_dict(corridor_dict(
-    walk={"stops": [{"at": "b", "duration_s": 1.0}]},
-    noise={"seed": 3, "compass_zones": [{"x_min": 0.0, "x_max": 5.0, "y_min": -1.0,
-                                         "y_max": 1.0, "floor": 1, "bias_deg": 10.0}]})))
+# A scenario whose environment, walk and noise hold every key, each at its
+# default unless given, with one stop and one compass zone; its sections,
+# first AP, stop and zone are mutated apart.
+SCENARIO = corridor_dict(
+    walk={"speed_mps": 1.26, "step_length_m": 0.63,
+          "stops": [{"at": "b", "duration_s": 1.0}], "false_walking": [],
+          "irregular_legs": [], "irregular_periods": [0.42, 0.58, 0.74, 0.9],
+          "irregular_lengths": [0.33, 0.33, 0.93, 0.93], "scan_interval_s": 2.0,
+          "warmup_s": 2.0, "cooldown_s": 2.0},
+    noise={"seed": 3, "accel_std_mps2": 0.0, "gyro_bias_rad_s": 0.0,
+           "gyro_std_rad_s": 0.0, "baro_std_hpa": 0.0, "shadowing_std_db": 0.0,
+           "compass_zones": [{"x_min": 0.0, "x_max": 5.0, "y_min": -1.0,
+                              "y_max": 1.0, "floor": 1, "bias_deg": 10.0}]})
+SCENARIO["environment"]["stairs"] = []
 SCENARIO_LISTS = (("environment", "aps"), ("walk", "stops"), ("noise", "compass_zones"))
 SCENARIO_RECORDS = ([SCENARIO[section] for section, _ in SCENARIO_LISTS]
                     + [SCENARIO[section][key][0] for section, key in SCENARIO_LISTS])
@@ -157,10 +163,10 @@ def _run(argv: list[str]) -> int:
 @given(mutated(SCENARIO_RECORDS, SHORT_WALK_NUMBERS, kinds=("number",)))
 def test_simulated_trace_tracks_and_maps(records):
     with tempfile.TemporaryDirectory() as d:
-        scenario = _write_json(Path(d) / "scenario.json", _scenario(records))
+        data = _scenario(records)
+        scenario = _write_json(Path(d) / "scenario.json", data)
         assume(_run(["simulate", scenario, "--out", d]) == 0)
-        graph = _write_json(Path(d) / "graph.json",
-                            graph_to_dict(load_scenario(scenario).environment.graph))
+        graph = _write_json(Path(d) / "graph.json", data["environment"]["graph"])
         trace = str(Path(d) / "trace.jsonl")
         assert _run(["track", trace, "--graph", graph, "--out", d]) == 0
         assert _run(["build-map", str(Path(d) / "trajectory.jsonl"), trace,

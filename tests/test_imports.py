@@ -1,7 +1,8 @@
 """Every import of the test and source modules is used, at module level
-and in each function body. The scan reads each module's syntax tree, so it
-needs no linter. The package exports the same names as ever, loaded from
-their modules on first access."""
+and in each function body, and every private module-level name of the
+package is read by some other part of it. The scans read each module's
+syntax tree, so they need no linter. The package exports its names, loaded
+from their modules on first access."""
 
 import ast
 import importlib
@@ -12,8 +13,8 @@ import pytest
 import stridemap
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = [p for p in sorted([*(ROOT / "tests").glob("*.py"),
-                              *(ROOT / "src" / "stridemap").glob("*.py")])
+SOURCES = sorted((ROOT / "src" / "stridemap").glob("*.py"))
+MODULES = [p for p in sorted([*(ROOT / "tests").glob("*.py"), *SOURCES])
            if p.name != "__init__.py"]  # a package's __init__ re-exports
 
 
@@ -59,8 +60,59 @@ def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-# every name `from stridemap import ...` has offered since the package
-# loaded all its modules eagerly
+def _private_definitions(tree) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) of each private name a module-level def, class or
+    assignment binds; dunder names are left out."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out += [(name, stmt) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def _referenced(node) -> set[str]:
+    """The names node reads, as a name, an attribute or an import."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def unreferenced_privates(sources: list[str]) -> list[str]:
+    """The private module-level names of sources that no statement other
+    than their own definition reads, in any of the sources."""
+    trees = [ast.parse(source) for source in sources]
+    reads = [(stmt, _referenced(stmt)) for tree in trees for stmt in tree.body]
+    return sorted(name for tree in trees for name, own in _private_definitions(tree)
+                  if not any(name in names for stmt, names in reads if stmt is not own))
+
+
+def test_scan_finds_unreferenced_privates():
+    sources = ["_A = 1\n_B: int = 2\n\ndef _c():\n    return _c()\n\n"
+               "class _D:\n    pass\n\ndef __getattr__(name):\n    return _A\n",
+               "from m import _D\nx = m._E\n_E = _F = 3\n"]
+    # _A is read by __getattr__, _D by the import, _E as an attribute;
+    # _c reads only itself
+    assert unreferenced_privates(sources) == ["_B", "_F", "_c"]
+
+
+def test_every_private_package_name_is_read():
+    assert unreferenced_privates([p.read_text() for p in SOURCES]) == []
+
+
+# every name `from stridemap import ...` offers
 EXPORTS = [
     "Ap", "Channel", "CompassZone", "Edge", "Environment", "EvaluationReport",
     "GraphError", "HeadingSource", "Landmark", "LandmarkConfig",
@@ -74,13 +126,11 @@ EXPORTS = [
     "classify_motion", "detect_acc_landmarks", "detect_baro_landmarks",
     "detect_gyro_landmarks", "detect_steps", "dump_trace", "dump_trajectory",
     "evaluate", "generate_test_queries", "generate_trace", "graph_from_dict",
-    "graph_to_dict", "interpolate_rp", "knn", "knn_localize",
-    "landmark_confidence", "load_landmark_graph", "load_radio_map",
-    "load_scenario", "load_trace", "load_trajectory", "map_min_rss",
-    "map_universe", "match_landmark", "mixed_quality_scenario", "plan_walk",
-    "read_fingerprints", "run_pdr", "save_radio_map", "scenario_from_dict",
-    "scenario_to_dict", "segment_belief", "to_positive", "trajectory_errors",
-    "two_floor_scenario", "update_step_length", "vectorize_map",
+    "interpolate_rp", "knn", "knn_localize", "landmark_confidence",
+    "load_landmark_graph", "load_radio_map", "load_scenario", "load_trace",
+    "load_trajectory", "match_landmark", "plan_walk", "read_fingerprints",
+    "run_pdr", "save_radio_map", "scenario_from_dict", "segment_belief",
+    "to_positive", "trajectory_errors", "update_step_length", "vectorize_map",
 ]
 
 

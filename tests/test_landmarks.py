@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from stridemap.landmarks import (GraphError, MotionState, RuleKind,
                                  bearing, circular_diff,
                                  detect_acc_landmarks, detect_baro_landmarks,
-                                 detect_gyro_landmarks, graph_from_dict,
-                                 graph_to_dict, sgn)
+                                 detect_gyro_landmarks, graph_from_dict, sgn)
 from stridemap.sensors import Channel, SensorTrace
 
 from conftest import DT, gyro_channel
@@ -271,10 +270,3 @@ def test_turn_sign_rules_parse():
     g = graph_from_dict(data)
     signs = {r.turn_sign for r in g.nodes["b"].rules}
     assert signs == {1, -1}
-
-
-def test_round_trip_through_dict():
-    g = graph_from_dict(two_node_graph())
-    again = graph_from_dict(graph_to_dict(g))
-    assert set(again.nodes) == set(g.nodes)
-    assert len(again.edges) == len(g.edges)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stridemap.localization import (LocalizationConfig, VectorizedMap,
                                     evaluate, knn, knn_localize,
-                                    map_min_rss, map_universe,
                                     read_fingerprints, to_positive,
                                     vectorize_map)
 from stridemap.radiomap import RadioMap, RadioMapEntry
@@ -38,23 +37,25 @@ def make_map(*entries):
 def test_universe_is_sorted_macs():
     rm = make_map((0, 0, 1, {"bb": -60, "aa": -40}),
                   (5, 0, 1, {"cc": -70}))
-    assert map_universe(rm) == ("aa", "bb", "cc")
+    # tau filters only the queries, so the map keeps every MAC
+    assert vectorize_map(rm, LocalizationConfig(tau_scope="query")).universe \
+        == ("aa", "bb", "cc")
 
 
 def test_universe_drops_macs_below_tau_everywhere():
     rm = make_map((0, 0, 1, {"aa": -95, "bb": -50}),
                   (5, 0, 1, {"aa": -93, "bb": -55}))
-    assert map_universe(rm, tau=-90.0) == ("bb",)
+    assert vectorize_map(rm, LocalizationConfig(tau=-90.0)).universe == ("bb",)
 
 
 def test_min_rss_sits_below_weakest_reading():
     rm = make_map((0, 0, 1, {"aa": -40, "bb": -95}))
-    assert map_min_rss(rm) == -96.0
+    assert vectorize_map(rm).min_rss == -96.0
 
 
 def test_min_rss_requires_readings():
-    with pytest.raises(ValueError):
-        map_min_rss(make_map((0, 0, 1, {})))
+    with pytest.raises(ValueError, match="no RSS readings"):
+        vectorize_map(make_map((0, 0, 1, {})))
 
 
 def test_to_positive_offsets_present_aps():

@@ -143,8 +143,8 @@ def test_only_believable_segments_contribute():
     ])
     rm = build_radio_map(traj, scans_at(2.0, 5.0, 8.0, 12.0, 15.0, 18.0))
     assert len(rm) == 3
-    assert all(e.belief == pytest.approx(20.0) for e in rm)
-    assert [e.x for e in rm] == pytest.approx([2.52, 6.3, 10.08])
+    assert all(e.belief == pytest.approx(20.0) for e in rm.entries)
+    assert [e.x for e in rm.entries] == pytest.approx([2.52, 6.3, 10.08])
 
 
 def test_everything_filtered_gives_empty_map():
@@ -235,7 +235,7 @@ def test_fingerprint_copied_from_scan():
 def test_unsorted_scans_accepted():
     traj = Trajectory(poses=[], segments=[seg(GOOD)])
     rm = build_radio_map(traj, scans_at(8.0, 2.0, 5.0))
-    assert [e.x for e in rm] == pytest.approx([2.52, 6.3, 10.08])
+    assert [e.x for e in rm.entries] == pytest.approx([2.52, 6.3, 10.08])
 
 
 # ---------------------------------------------------------------------------

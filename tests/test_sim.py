@@ -2,20 +2,18 @@ import io
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import demo_scenario
 from stridemap.landmarks import RuleKind, detect_baro_landmarks
 from stridemap.sensors import detect_steps, dump_trace
 from stridemap.sim import (BASE_PRESSURE, BUMP_AMPLITUDE, GRAVITY, MAG_EVERY,
                            MAX_WALK_TICKS, PRESSURE_PER_FLOOR, TICK,
-                           ScenarioError, _bump_train, _plan_state,
+                           NoiseModel, ScenarioError, _bump_train, _plan_state,
                            generate_test_queries, generate_trace,
-                           load_scenario, mixed_quality_scenario, plan_walk,
-                           scenario_from_dict, scenario_to_dict,
-                           two_floor_scenario)
+                           load_scenario, plan_walk, scenario_from_dict)
 
 LENGTH = 20.16  # 32 nominal steps
 
@@ -150,7 +148,7 @@ def test_walk_beyond_the_tick_budget_rejected(walk, key):
 
 def test_tick_budget_is_far_above_a_long_survey():
     # the 15-loop two-floor benchmark walk plans about 165k ticks
-    sc = two_floor_scenario(extra_loops=14)
+    sc = demo_scenario("two_floor_demo", laps=14, noise=NoiseModel())
     assert plan_walk(sc.environment, sc.walk).total_ticks * 10 < MAX_WALK_TICKS
     assert MAX_WALK_TICKS * TICK == 12 * 3600
 
@@ -314,7 +312,7 @@ def test_query_noise_is_reproducible():
 
 
 def test_stair_walk_pressure_levels():
-    sc = two_floor_scenario(extra_loops=0)
+    sc = demo_scenario("two_floor_demo", laps=0, noise=NoiseModel())
     trace = trace_of(sc)
     assert trace.baro.v.max() == pytest.approx(
         BASE_PRESSURE - PRESSURE_PER_FLOOR)
@@ -323,7 +321,7 @@ def test_stair_walk_pressure_levels():
 
 
 def test_stair_walk_baro_events_alternate():
-    sc = two_floor_scenario(extra_loops=0)
+    sc = demo_scenario("two_floor_demo", laps=0, noise=NoiseModel())
     events = detect_baro_landmarks(trace_of(sc))
     kinds = [e.kind for e in events]
     assert kinds == [RuleKind.BARO_IN, RuleKind.BARO_OUT,
@@ -333,7 +331,7 @@ def test_stair_walk_baro_events_alternate():
 
 
 def test_climbs_start_on_whole_seconds():
-    sc = two_floor_scenario(extra_loops=0)
+    sc = demo_scenario("two_floor_demo", laps=0, noise=NoiseModel())
     plan = plan_walk(sc.environment, sc.walk)
     for ph in plan.phases:
         if ph.kind == "climb":
@@ -342,24 +340,6 @@ def test_climbs_start_on_whole_seconds():
 
 # ---------------------------------------------------------------------------
 # scenario files
-
-
-def test_scenario_dict_round_trip():
-    d = scenario_to_dict(two_floor_scenario(extra_loops=1, seed=7,
-                                            compass_bias_deg=15.0))
-    assert scenario_to_dict(scenario_from_dict(d)) == d
-
-
-@pytest.mark.parametrize("name, scenario", [
-    ("two_floor_demo", lambda: two_floor_scenario(
-        extra_loops=1, seed=7, gyro_bias=0.01, gyro_std=0.005,
-        compass_bias_deg=15.0)),
-    ("mixed_quality_demo", lambda: mixed_quality_scenario(seed=7)),
-])
-def test_demo_files_are_the_canned_scenarios(name, scenario):
-    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
-    text = json.dumps(scenario_to_dict(scenario()), indent=2, sort_keys=True) + "\n"
-    assert text == path.read_text()
 
 
 def test_integral_floats_read_as_integers():
@@ -528,13 +508,16 @@ def zero_length_phases(plan):
     return replace(plan, phases=phases)
 
 
+def demo_plan(name, **kw):
+    sc = demo_scenario(name, **kw)
+    return plan_walk(sc.environment, sc.walk)
+
+
 PLANS = {
     "busy corridor": busy_plan,
     "zero-length phases": lambda: zero_length_phases(busy_plan()),
-    "two floors": lambda: plan_walk(two_floor_scenario().environment,
-                                    two_floor_scenario().walk),
-    "mixed quality": lambda: plan_walk(mixed_quality_scenario().environment,
-                                       mixed_quality_scenario().walk),
+    "two floors": lambda: demo_plan("two_floor_demo", laps=0),
+    "mixed quality": lambda: demo_plan("mixed_quality_demo"),
 }
 
 
