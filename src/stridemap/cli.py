@@ -357,6 +357,8 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
         if "=" not in pair:
             raise CliError(f"--rss needs mac=rss, got {pair!r}")
         mac, _, text = pair.partition("=")
+        if not mac:
+            raise CliError(f"--rss MAC must be non-empty, got {pair!r}")
         try:
             reading = rss(float(text))  # "-50.0" reads as -50, as in a file
         except ValueError:
@@ -380,6 +382,8 @@ def _rss(raw, what: str) -> int:
 def _fingerprint(raw, where: str) -> dict[str, int]:
     if not isinstance(raw, dict):
         raise CliError(f"{where}: fingerprint must be an object of mac: rss")
+    if "" in raw:
+        raise CliError(f"{where}: fingerprint has an empty MAC")
     return {str(mac): _rss(value, f"{where}: RSS of {mac!r}")
             for mac, value in raw.items()}
 

@@ -11,18 +11,28 @@ Traces are JSON-lines files with one record per line:
 
 CHANNELS holds the values per sample (one is a bare number) and the
 channel order at equal timestamps. On load, t (seconds) and every value
-must be finite numbers, samples must have their channel's width, t must not
+must be finite JSON numbers (never a bool or a string), samples must have
+their channel's width, t must not
 decrease within a channel, and a WiFi reading must be a [mac, rss] pair
 (unique non-empty string MAC, RSS as read by rss); a violation raises
 TraceError naming the first bad line.
 
-A file whose every line has the shape dump_trace writes is read a channel
-at a time: one regex over many lines and one numpy conversion per chunk.
-Any other valid JSON line still loads, through a per-line json.loads of
-the whole file, which names every error as before. load_trace can read a
-subset of the channels and skip the lines of the others unparsed: the CLI's
-build-map reads only accel and wifi, so a malformed line of another
-channel does not fail it.
+A file whose every line has the layout dump_trace writes takes a fast
+path, with any JSON number in a number's place (integers, -0 and 1E5
+included), CRLF line ends, and with or without a final newline. It reads
+the bytes a block of about _BLOCK_BYTES at a time, cut after a newline, so
+memory holds the arrays and one block. Per block, numpy finds the lines and
+checks each head '{"ch": "<ch>", "t": '; deleting the number characters
+must leave each numeric line's rest exactly its channel's skeleton; one
+json.loads parses all the block's numbers, so the number grammar and the
+values are json's own; and each WiFi line gets its own json.loads. Any
+other file (other spacing or key order, blank lines, a lone CR, a token
+json refuses) is read a line at a time with json.loads, with the same
+arrays, and that path names every error. A trace must be UTF-8: a line that
+is not raises TraceError "line N: not valid UTF-8", in any channel.
+load_trace can read a subset of the channels and skip the lines of the
+others unparsed: the CLI's build-map reads only accel and wifi, so a
+malformed line of another channel does not fail it.
 
 dump_trace writes those lines as a stream: the rows of every channel are
 merged by one stable sort on (t, channel order), then formatted a chunk
@@ -40,10 +50,9 @@ import enum
 import functools
 import json
 import math
-import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -60,19 +69,15 @@ MIN_STEP_GAP_S = 0.3
 CHANNELS = {"accel": 3, "gyro": 3, "mag": 3, "baro": 1, "wifi": None, "truth": 3}
 # Every line dump_trace writes starts '{"ch": "<ch>", '. Its first
 # _PREFIX_LEN characters reach past the closing quote of the longest name,
-# so they name the channel and a line can be routed or skipped unparsed.
+# so they name the channel, and the json path skips by them, unparsed, the
+# lines of a channel not asked for.
 _PREFIX_LEN = len('{"ch": "') + max(map(len, CHANNELS)) + 1
 _PREFIXES = {f'{{"ch": "{ch}", '[:_PREFIX_LEN]: ch for ch in CHANNELS}
-# Trace lines the fast path joins and matches at once.
-_CHUNK_LINES = 32768
 # Trace lines dump_trace formats with one template and writes at once.
 _CHUNK_ROWS = 4096
-# A number as %r writes a finite float: a JSON number with a fraction, an
-# exponent or both. json.loads reads such a token with float(), and numpy's
-# correctly rounded reading of the same text is bit-equal. Any other token
-# is left to json.loads, integers among them: it reads "-0" as 0, where
-# float() gives -0.0.
-_FLOAT = r"(-?(?:0|[1-9][0-9]*)\.[0-9]+(?:e[-+][0-9]+)?|-?[1-9]e[-+][0-9]+)"
+# Bytes the fast path reads at once; each block is cut after a newline,
+# so memory holds one block's lines, not the file's.
+_BLOCK_BYTES = 1 << 18
 # Every RSS reading the toolkit loads is an integer in this range, dBm. Far
 # below the weakest signal a radio reports, the floor keeps fingerprint
 # vectors small integers, so the kNN distances are exact in float64.
@@ -132,19 +137,36 @@ def _empty(ch: str) -> Channel:
     return Channel(np.empty(0), np.empty((0, *_sample_shape(ch))))
 
 
+def _head(ch: str) -> str:
+    """The start of every line dump_trace writes for channel ch."""
+    return '{"ch": "' + ch + '", "t": '
+
+
 def _line_format(ch: str) -> str:
     """The line of one sample of numeric channel ch as dump_trace writes
     it, with %r for each number."""
     width = CHANNELS[ch]
     v = "%r" if width == 1 else "[" + ", ".join(["%r"] * width) + "]"
-    return '{"ch": "' + ch + '", "t": %r, "v": ' + v + "}"
+    return _head(ch) + '%r, "v": ' + v + "}"
 
 
-@functools.cache  # compiled on first read, not at every CLI start
-def _line_pattern(ch: str) -> re.Pattern:
-    """_line_format(ch) as a regex with one group per number, anchored to
-    a whole line: a match never spans or shares a line."""
-    return re.compile("^" + re.escape(_line_format(ch)).replace("%r", _FLOAT) + "$", re.M)
+# The fast path's view of dump_trace's lines, by channel index in CHANNELS.
+# A line is a head '{"ch": "<ch>", "t": ' and a rest. The channels'
+# initials differ, so the byte at offset 8 names a line's channel (_KIND).
+# With the number characters (_NUMBER) deleted, a numeric line's rest is its
+# skeleton; _TO_LIST turns rests into the items of a JSON list of numbers,
+# _NUMBERS per line. WiFi has no skeleton: json.loads reads its lines.
+_HEADS = [np.frombuffer(_head(ch).encode(), np.uint8) for ch in CHANNELS]
+_HEAD_LEN = np.array(list(map(len, _HEADS)))
+_SKELETONS = [_line_format(ch)[len(_head(ch)):].replace("%r", "").encode() + b"\n"
+              if CHANNELS[ch] else None for ch in CHANNELS]
+_NUMBERS = np.array([1 + (CHANNELS[ch] or 0) for ch in CHANNELS])
+_KIND = np.full(256, -1)
+_KIND[[ord(ch[0]) for ch in CHANNELS]] = range(len(CHANNELS))
+_WIFI = list(CHANNELS).index("wifi")
+_NUMBER = b"0123456789.eE+-"
+_TO_LIST = bytes(c if c in _NUMBER + b"," else ord(",") if c == ord("\n") else ord(" ")
+                 for c in range(256))
 
 
 @dataclass
@@ -219,9 +241,16 @@ def read_jsonl(path: str | Path, error: type[Exception], prefix: str = "line ",
                skip: tuple[str, ...] = ()) -> Iterator[tuple[int, object]]:
     """Line number and parsed record of each non-blank line of a JSON-lines
     file, less the lines that start with a string in skip, which are never
-    parsed; invalid JSON raises error located as f"{prefix}{lineno}"."""
-    with open(path) as fh:
+    parsed; a line that is not UTF-8 or not JSON, skipped or not, raises
+    error located as f"{prefix}{lineno}"."""
+    # undecodable bytes read as lone surrogates, which no UTF-8 text holds
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode()
+                except UnicodeEncodeError:
+                    raise error(f"{prefix}{lineno}: not valid UTF-8") from None
             if line.startswith(skip):
                 continue
             line = line.strip()
@@ -257,8 +286,8 @@ def _scan_readings(v) -> dict[str, int]:
 
 def _checked(ch: str, t, v) -> Channel | None:
     """The samples of channel ch as arrays, or None unless every t and
-    value is a finite number, every sample has the channel's width and t
-    is non-decreasing. WiFi values are scans and pass through."""
+    value is a finite number (never a bool), every sample has the channel's
+    width and t is non-decreasing. WiFi values are scans and pass through."""
     shape = _sample_shape(ch)
     if not len(t):
         return Channel(np.empty(0), v if shape is None else _empty(ch).v)
@@ -271,7 +300,16 @@ def _checked(ch: str, t, v) -> Channel | None:
           and not (ta[1:] < ta[:-1]).any())
     if ok and shape is not None:
         ok = va.shape == (len(t), *shape) and np.isfinite(va).all()
+    if ok and isinstance(t, list):  # parsed JSON: numpy reads true or "1.0" as a number
+        ok = _numbers_only(t) and (shape is None or _numbers_only(
+            v if shape == () else chain.from_iterable(v)))
     return Channel(ta, va) if ok else None
+
+
+def _numbers_only(values) -> bool:
+    """Whether parsed JSON values are all numbers: no bool, and no string,
+    which numpy would also convert."""
+    return set(map(type, values)) <= {int, float}
 
 
 def _channel(path: str | Path, ch: str, t, v, channels) -> Channel:
@@ -327,65 +365,108 @@ def _json_columns(path: str | Path, channels) -> dict[str, tuple[list, list]]:
 
 
 class _NotCanonical(Exception):
-    """A trace line the fast path does not read."""
+    """A trace the fast path does not read."""
 
 
-def _numeric_lines(ch: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """t and v of numeric channel ch from its lines, each as _line_format
-    writes it, a chunk at a time; the list is emptied as it is read."""
-    parts = [np.empty((0, 1 + CHANNELS[ch]))]
-    while lines:
-        chunk = lines[:_CHUNK_LINES]
-        del lines[:_CHUNK_LINES]
-        rows = _line_pattern(ch).findall("".join(chunk))
-        if len(rows) != len(chunk):  # each match is one whole line
+def _blocks(fh) -> Iterator[bytes]:
+    """The lines of a binary file in blocks of about _BLOCK_BYTES, each cut
+    after a newline, so a line or a CRLF pair never spans two blocks; the
+    last line gets its newline if it lacks one."""
+    pieces = []
+    for data in iter(functools.partial(fh.read, _BLOCK_BYTES), b""):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield b"".join(pieces + [data[:cut]])
+            pieces = []
+        pieces.append(data[cut:])
+    tail = b"".join(pieces)
+    if tail:
+        yield tail + b"\n"
+
+
+def _block_columns(block: bytes, channels, cols: dict[str, tuple[list, list]]) -> None:
+    """Append to cols the samples of block's lines of the channels in
+    channels: each numeric channel's rows (t and values) as one array, each
+    WiFi line's t and readings. block holds whole lines, each ending in a
+    newline. Any line dump_trace could not have written raises _NotCanonical."""
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+        if b"\r" in block:  # a lone CR, which the json path reads as a line end
             raise _NotCanonical
-        parts.append(np.array(rows, float))
-    a = np.concatenate(parts)
-    return a[:, 0].copy(), a[:, 1:].reshape(len(a), *_sample_shape(ch)).copy()
-
-
-def _wifi_lines(lines: list[str]) -> tuple[list, list]:
-    """t and the readings of each WiFi line; _NotCanonical at a fault,
-    which the json path names."""
-    t, v = [], []
-    for line in lines:
+    if not block.isascii():
         try:
-            rec = json.loads(line)
-            if rec["ch"] != "wifi":
-                raise _NotCanonical
-            t.append(rec["t"])
-            v.append(_scan_readings(rec["v"]))
-        except (ValueError, KeyError, TypeError):
+            block.decode()
+        except UnicodeDecodeError:  # the json path names the line
             raise _NotCanonical from None
-    return t, v
+    arr = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(arr == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    length = ends - starts  # each head, and offset 8, must lie within its line
+    if length.min() < _HEAD_LEN.min():
+        raise _NotCanonical
+    kind = _KIND[arr[starts + len('{"ch": "')]]  # each line's channel index
+    if kind.min() < 0 or (length < _HEAD_LEN[kind]).any():
+        raise _NotCanonical
+    for i, head in enumerate(_HEADS):
+        at = starts[kind == i]
+        if not (arr[at[:, None] + np.arange(len(head))] == head).all():
+            raise _NotCanonical
+    want = [CHANNELS[ch] is not None and ch in channels for ch in CHANNELS]
+    numeric = np.array(want)[kind]
+    if numeric.any():
+        lines = kind[numeric]
+        # the rest of each numeric line: bytes from its head's end to its newline
+        bounds = np.column_stack([starts[numeric] + _HEAD_LEN[lines], ends[numeric] + 1])
+        runs = np.diff(bounds.ravel(), prepend=0, append=len(arr))
+        rests = arr[np.repeat(np.arange(len(runs)) % 2 == 1, runs)].tobytes()
+        if rests.translate(None, _NUMBER) != b"".join(map(_SKELETONS.__getitem__,
+                                                          lines.tolist())):
+            raise _NotCanonical
+        try:  # json's own number grammar and values, integers and -0 included
+            values = np.array(json.loads(b"[%s]" % rests[:-1].translate(_TO_LIST)), float)
+        except (ValueError, OverflowError):  # invalid JSON, or an int past float
+            raise _NotCanonical from None
+        owner = np.repeat(lines, _NUMBERS[lines])
+        for i, ch in enumerate(CHANNELS):
+            if want[i]:
+                cols[ch][0].append(values[owner == i].reshape(-1, _NUMBERS[i]))
+    if "wifi" in channels:
+        wifi = kind == _WIFI
+        ts, vs = cols["wifi"]
+        for s, e in zip(starts[wifi].tolist(), ends[wifi].tolist()):
+            try:
+                rec = json.loads(block[s:e])
+                if rec["ch"] != "wifi":
+                    raise _NotCanonical
+                ts.append(rec["t"])
+                vs.append(_scan_readings(rec["v"]))
+            except (ValueError, KeyError, TypeError):  # TraceError among them
+                raise _NotCanonical from None
 
 
 def _canonical_columns(path: str | Path, channels) -> dict[str, tuple]:
     """The t and v of each channel of a trace whose every line dump_trace
-    could have written, read a channel at a time; a line of a channel not
-    in channels is dropped by its prefix, unparsed. Any other line raises
+    could have written, read a block at a time; a line of a channel not in
+    channels is dropped by its head, unparsed. Any other line raises
     _NotCanonical, never TraceError: the json path names the faults."""
-    route = {p: [] if ch in channels else None for p, ch in _PREFIXES.items()}
-    with open(path) as fh:
-        for line in fh:
-            try:
-                lines = route[line[:_PREFIX_LEN]]
-            except KeyError:
-                raise _NotCanonical from None
-            if lines is not None:
-                lines.append(line)
-    cols = {}
-    for p, ch in _PREFIXES.items():
-        lines = route.pop(p) or []
-        cols[ch] = _wifi_lines(lines) if ch == "wifi" else _numeric_lines(ch, lines)
+    cols = {ch: ([], []) for ch in CHANNELS}
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            _block_columns(block, channels, cols)
+    for ch, width in CHANNELS.items():
+        if width is not None:
+            rows = [np.empty((0, 1 + width))] + cols[ch][0]
+            cols[ch] = (np.concatenate([r[:, 0] for r in rows]),
+                        np.concatenate([r[:, 1:] for r in rows]).reshape(
+                            -1, *_sample_shape(ch)))
     return cols
 
 
 def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
     """Parse a JSONL trace file, validating each channel in channels
     against CHANNELS. The other channels load empty (truth as None), and
-    their lines are skipped: by prefix before any parse, or by "ch" after.
+    their lines are skipped: by their start before any parse, or by "ch"
+    after.
     A file of dump_trace's lines takes the fast path; any other is read a
     line at a time with json.loads, with the same arrays and errors."""
     unknown = set(channels) - CHANNELS.keys()

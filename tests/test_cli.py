@@ -661,6 +661,23 @@ MALFORMED = {
     "trace RSS is below the range": (
         GOOD_ACCEL + '{"ch": "wifi", "t": 1.0, "v": [["aa", -201]]}\n',
         TRACK_BAD, "line 2: RSS of 'aa' must be a non-positive integer of at least"),
+    # a JSON bool is not a number, though numpy would read it as one
+    "trace accel value is true": (
+        GOOD_ACCEL + '{"ch": "accel", "t": 1.0, "v": [true, 0, 9.8]}\n', TRACK_BAD,
+        "line 2: accel sample must be a finite t and 3 finite values"),
+    "trace WiFi t is false": (
+        GOOD_ACCEL + '{"ch": "wifi", "t": false, "v": [["aa", -50]]}\n', TRACK_BAD,
+        "line 2: wifi sample must be a finite t"),
+    # every fingerprint reader refuses an empty MAC, as the trace and map do
+    "--rss MAC is empty": (
+        "", ["localize", "FLOW/map.json", "--rss", "=-50"],
+        "--rss MAC must be non-empty, got '=-50'"),
+    "fingerprint file has an empty MAC": (
+        json.dumps({"": -50}), ["localize", "FLOW/map.json", "--fingerprint", "BAD"],
+        "bad.json: fingerprint has an empty MAC"),
+    "query fingerprint has an empty MAC": (
+        GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -50, "": -60}}\n',
+        ["evaluate", "FLOW/map.json", "BAD"], "bad.json:2: fingerprint has an empty MAC"),
     "query RSS is below the range": (
         GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -201}}\n',
         ["evaluate", "FLOW/map.json", "BAD"],
@@ -840,6 +857,20 @@ def test_build_map_names_a_bad_accel_line_past_a_broken_gyro_line(
                  "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: line {k + 2}: {message}"]
+
+
+@pytest.mark.parametrize("command", ["track", "build-map"])
+def test_a_trace_byte_that_is_not_utf8_names_its_line(flow, tmp_path, capsys, command):
+    # the byte sits in a mag line, a channel build-map skips unparsed
+    lines = (flow / "trace.jsonl").read_bytes().splitlines(keepends=True)
+    k = next(i for i in range(300, len(lines)) if lines[i].startswith(b'{"ch": "mag"'))
+    lines[k] = lines[k].replace(b"]", b"\xff]")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(b"".join(lines))
+    argv = {"track": ["track", str(trace), "--graph", str(flow / "graph.json")],
+            "build-map": ["build-map", str(flow / "trajectory.jsonl"), str(trace)]}
+    assert main(argv[command] + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: line {k + 1}: not valid UTF-8"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -272,6 +274,11 @@ READER_CASES = {
     "compact gyro line of width 2": GOOD + '{"ch":"gyro","t":1.0,"v":[1.0,2.0]}\n',
     "broken gyro line, then a regressing accel line":
         GOOD + '{"ch": "gyro", oops\n' + ACC.replace("1.0,", "-1.0,", 1) + "\n",
+    "bool value": GOOD + '{"ch": "accel", "t": 1.0, "v": [true, 0, 9.8]}\n',
+    "bool t": GOOD + '{"ch": "accel", "t": false, "v": [0.0, 0.0, 9.8]}\n',
+    "bool WiFi t": GOOD + '{"ch": "wifi", "t": true, "v": [["aa", -50]]}\n',
+    "bool truth floor": GOOD + '{"ch": "truth", "t": 1.0, "v": [0.0, 0.0, true]}\n',
+    "string t": GOOD + '{"ch": "accel", "t": "1.0", "v": [0.0, 0.0, 9.8]}\n',
 }
 
 
@@ -298,6 +305,14 @@ def test_fast_path_reads_the_canonical_cases(tmp_path):
         assert outcome(fast_path_load, path) == outcome(json_path_load, path)
 
 
+def test_fast_path_reads_any_json_number(tmp_path):
+    for case in ("integer -0, which json reads as +0.0", "capital exponent",
+                 "25-digit integer", "exponent past the float range"):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(READER_CASES[case].encode())
+        assert outcome(fast_path_load, path) == outcome(json_path_load, path)
+
+
 def test_load_names_the_faulty_line(tmp_path):
     path = tmp_path / "t.jsonl"
     for case, message in [
@@ -308,6 +323,18 @@ def test_load_names_the_faulty_line(tmp_path):
         path.write_text(READER_CASES[case])
         with pytest.raises(TraceError, match="^" + message):
             load_trace(path)
+
+
+@pytest.mark.parametrize("case,ch", [("bool value", "accel"), ("bool t", "accel"),
+                                     ("bool WiFi t", "wifi"), ("bool truth floor", "truth"),
+                                     ("string t", "accel")])
+def test_only_a_json_number_loads_as_a_number(case, ch, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(READER_CASES[case])
+    values = "" if ch == "wifi" else " and 3 finite values"
+    for load in (load_trace, json_path_load):
+        with pytest.raises(TraceError, match=f"^line 4: {ch} sample must be a finite t{values}$"):
+            load(path)
 
 
 def test_skipped_channels_load_empty_and_are_never_parsed(tmp_path):
@@ -340,6 +367,81 @@ def test_timestamps_spanning_the_float_range_load_without_a_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert load_trace(path).accel.t.tolist() == [-1e308, 1e308]
+
+
+# tokens that stand where a number does: some JSON reads, some it refuses
+TOKENS = ["01.5", "1.", ".5", "+1.5", "1.2.3", "1e", "--1", "1_0", "true", "NaN",
+          "1e999", "1" + "0" * 400, "-0", "1E5"]
+NUMBER_CHARS = "0123456789.eE+-"
+
+
+@st.composite
+def mutated_trace_files(draw) -> bytes:
+    """A dumped trace with a few lines mutated: a number replaced by a
+    token, a skeleton byte dropped, doubled or swapped with the next, or a
+    CR or a number character inserted anywhere; maybe no final newline."""
+    buf = io.StringIO()
+    dump_trace(draw(traces()), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        spans = [m.span() for m in re.finditer(r"(?<=[ \[])-?[0-9][0-9.e+-]*", line)]
+        how = draw(st.sampled_from(["drop", "double", "swap", "insert"] + ["number"] * bool(spans)))
+        if how == "number":
+            a, b = draw(st.sampled_from(spans))
+            line = line[:a] + draw(st.sampled_from(TOKENS)) + line[b:]
+        elif how == "insert":
+            i = draw(st.integers(0, len(line)))
+            line = line[:i] + draw(st.sampled_from(["\r", *NUMBER_CHARS])) + line[i:]
+        else:
+            i = draw(st.sampled_from([i for i, c in enumerate(line[:-2])
+                                      if c not in NUMBER_CHARS]))
+            line = {"drop": line[:i] + line[i + 1:],
+                    "double": line[:i] + line[i] + line[i:],
+                    "swap": line[:i] + line[i + 1] + line[i] + line[i + 2:]}[how]
+        lines[k] = line
+    text = "".join(lines)
+    return (text if draw(st.booleans()) else text.rstrip("\n")).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_trace_files(), st.integers(1, 96),
+       st.sampled_from([tuple(CHANNELS), ("accel", "wifi")]))
+def test_fast_path_accepts_only_what_json_reads_alike(text, block, channels):
+    # blocks of a few bytes, so lines and CRLF pairs straddle the reads
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(sensors, "_BLOCK_BYTES", block):
+        path = Path(d) / "t.jsonl"
+        path.write_bytes(text)
+        want = outcome(json_path_load, path, channels)
+        assert outcome(load_trace, path, channels) == want
+        try:
+            fast = outcome(fast_path_load, path, channels)
+        except AssertionError:  # the fast path did not read this file
+            return
+        assert fast == want
+
+
+def test_load_memory_is_the_arrays_plus_a_block(tmp_path):
+    n = 40000
+    t = np.arange(n) * DT
+    rng = np.random.default_rng(1)
+    trace = SensorTrace(accel=Channel(t, rng.normal(size=(n, 3))),
+                        gyro=Channel(t, rng.normal(size=(n, 3))),
+                        baro=Channel(t[::10], 1013.0 + rng.normal(size=n // 10)),
+                        wifi=[WifiScan(float(s), {"aa": -50}) for s in t[::50]])
+    path = tmp_path / "long.jsonl"
+    dump_trace(trace, path)
+    tracemalloc.start()
+    try:
+        back = fast_path_load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for c in (back.accel, back.gyro, back.mag, back.baro)
+               for a in (c.t, c.v))
+    assert peak < 3 * (kept + sensors._BLOCK_BYTES)
 
 
 def test_load_refuses_an_unknown_channel_name(tmp_path):
