@@ -22,8 +22,9 @@ path, with any JSON number in a number's place (integers, -0 and 1E5
 included), CRLF line ends, and with or without a final newline. It reads
 the bytes a block of about _BLOCK_BYTES at a time, cut after a newline, so
 memory holds the arrays and one block. Per block, numpy finds the lines and
-checks each head '{"ch": "<ch>", "t": '; deleting the number characters
-must leave each numeric line's rest exactly its channel's skeleton; one
+checks each head '{"ch": "<ch>", "t": '; with each run of number
+characters collapsed to one 0, each numeric line's rest must be exactly its
+channel's skeleton, so each number stands alone in its own slot; one
 json.loads parses all the block's numbers, so the number grammar and the
 values are json's own; and each WiFi line gets its own json.loads. Any
 other file (other spacing or key order, blank lines, a lone CR, a token
@@ -153,18 +154,20 @@ def _line_format(ch: str) -> str:
 # The fast path's view of dump_trace's lines, by channel index in CHANNELS.
 # A line is a head '{"ch": "<ch>", "t": ' and a rest. The channels'
 # initials differ, so the byte at offset 8 names a line's channel (_KIND).
-# With the number characters (_NUMBER) deleted, a numeric line's rest is its
-# skeleton; _TO_LIST turns rests into the items of a JSON list of numbers,
-# _NUMBERS per line. WiFi has no skeleton: json.loads reads its lines.
+# A numeric line's rest, each run of number characters (_NUMBER) collapsed to
+# one 0 (_MARK), is its skeleton: its line format with 0 for each number.
+# _TO_LIST turns rests into the items of a JSON list of numbers, _NUMBERS per
+# line. WiFi has no skeleton: json.loads reads its lines.
 _HEADS = [np.frombuffer(_head(ch).encode(), np.uint8) for ch in CHANNELS]
 _HEAD_LEN = np.array(list(map(len, _HEADS)))
-_SKELETONS = [_line_format(ch)[len(_head(ch)):].replace("%r", "").encode() + b"\n"
+_SKELETONS = [_line_format(ch)[len(_head(ch)):].replace("%r", "0").encode() + b"\n"
               if CHANNELS[ch] else None for ch in CHANNELS]
 _NUMBERS = np.array([1 + (CHANNELS[ch] or 0) for ch in CHANNELS])
 _KIND = np.full(256, -1)
 _KIND[[ord(ch[0]) for ch in CHANNELS]] = range(len(CHANNELS))
 _WIFI = list(CHANNELS).index("wifi")
 _NUMBER = b"0123456789.eE+-"
+_MARK = bytes.maketrans(_NUMBER, b"0" * len(_NUMBER))
 _TO_LIST = bytes(c if c in _NUMBER + b"," else ord(",") if c == ord("\n") else ord(" ")
                  for c in range(256))
 
@@ -419,8 +422,11 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple[list, list]]) -
         bounds = np.column_stack([starts[numeric] + _HEAD_LEN[lines], ends[numeric] + 1])
         runs = np.diff(bounds.ravel(), prepend=0, append=len(arr))
         rests = arr[np.repeat(np.arange(len(runs)) % 2 == 1, runs)].tobytes()
-        if rests.translate(None, _NUMBER) != b"".join(map(_SKELETONS.__getitem__,
-                                                          lines.tolist())):
+        marked = np.frombuffer(rests.translate(_MARK), np.uint8)
+        isnum = marked == ord("0")
+        first = np.append(True, ~(isnum[1:] & isnum[:-1]))  # each run's start, and all else
+        if marked[first].tobytes() != b"".join(map(_SKELETONS.__getitem__,
+                                                   lines.tolist())):
             raise _NotCanonical
         try:  # json's own number grammar and values, integers and -0 included
             values = np.array(json.loads(b"[%s]" % rests[:-1].translate(_TO_LIST)), float)

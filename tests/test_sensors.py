@@ -264,6 +264,9 @@ READER_CASES = {
     "blank line": GOOD + "\n" + ACC + "\n",
     "CRLF line ends": (GOOD + ACC + "\n").replace("\n", "\r\n"),
     "NaN value": GOOD + '{"ch": "accel", "t": 1.0, "v": [NaN, 2.0, 3.0]}\n',
+    "baro number moved past its slot": GOOD + '{"ch": "baro", "t": 1.0, "v": }1013.2\n',
+    "baro number moved into a key": GOOD + '{"ch": "baro", "t": 1.0, "v5": }\n',
+    "accel number moved past its slot": GOOD + '{"ch": "accel", "t": 1.0, "v": [1.0, 2.0, ]3.0}\n',
     "regressing canonical t": GOOD + ACC + "\n" + ACC.replace("1.0,", "0.5,", 1) + "\n",
     "accel sample of width 2": GOOD + '{"ch": "accel", "t": 1.0, "v": [1.0, 2.0]}\n',
     "permuted keys": GOOD + '{"t": 1.0, "ch": "accel", "v": [1.0, 2.0, 3.0]}\n',
@@ -299,14 +302,8 @@ def test_integer_minus_zero_loads_as_json_reads_it(tmp_path):
 
 def test_fast_path_reads_the_canonical_cases(tmp_path):
     for case in ("canonical", "25-digit float", "missing final newline",
-                 "CRLF line ends", "regressing canonical t"):
-        path = tmp_path / "t.jsonl"
-        path.write_bytes(READER_CASES[case].encode())
-        assert outcome(fast_path_load, path) == outcome(json_path_load, path)
-
-
-def test_fast_path_reads_any_json_number(tmp_path):
-    for case in ("integer -0, which json reads as +0.0", "capital exponent",
+                 "CRLF line ends", "regressing canonical t",
+                 "integer -0, which json reads as +0.0", "capital exponent",
                  "25-digit integer", "exponent past the float range"):
         path = tmp_path / "t.jsonl"
         path.write_bytes(READER_CASES[case].encode())
@@ -319,22 +316,16 @@ def test_load_names_the_faulty_line(tmp_path):
             ("two records on one line", "line 4: invalid JSON: Extra data"),
             ("regressing canonical t", "line 5: timestamps regress in channel 'accel'"),
             ("bad RSS in a canonical scan", "line 4: RSS of 'aa' must be"),
-            ("NaN value", "line 4: accel sample must be a finite t and 3 finite values")]:
+            ("NaN value", "line 4: accel sample must be a finite t and 3 finite values"),
+            ("baro number moved past its slot", "line 4: invalid JSON: Expecting value"),
+            ("bool value", "line 4: accel sample must be a finite t and 3 finite values$"),
+            ("bool t", "line 4: accel sample must be a finite t and 3 finite values$"),
+            ("bool WiFi t", "line 4: wifi sample must be a finite t$"),
+            ("bool truth floor", "line 4: truth sample must be a finite t and 3 finite values$"),
+            ("string t", "line 4: accel sample must be a finite t and 3 finite values$")]:
         path.write_text(READER_CASES[case])
         with pytest.raises(TraceError, match="^" + message):
             load_trace(path)
-
-
-@pytest.mark.parametrize("case,ch", [("bool value", "accel"), ("bool t", "accel"),
-                                     ("bool WiFi t", "wifi"), ("bool truth floor", "truth"),
-                                     ("string t", "accel")])
-def test_only_a_json_number_loads_as_a_number(case, ch, tmp_path):
-    path = tmp_path / "t.jsonl"
-    path.write_text(READER_CASES[case])
-    values = "" if ch == "wifi" else " and 3 finite values"
-    for load in (load_trace, json_path_load):
-        with pytest.raises(TraceError, match=f"^line 4: {ch} sample must be a finite t{values}$"):
-            load(path)
 
 
 def test_skipped_channels_load_empty_and_are_never_parsed(tmp_path):
@@ -378,8 +369,9 @@ NUMBER_CHARS = "0123456789.eE+-"
 @st.composite
 def mutated_trace_files(draw) -> bytes:
     """A dumped trace with a few lines mutated: a number replaced by a
-    token, a skeleton byte dropped, doubled or swapped with the next, or a
-    CR or a number character inserted anywhere; maybe no final newline."""
+    token or moved elsewhere between the commas around it, a skeleton byte
+    dropped, doubled or swapped with the next, or a CR or a number
+    character inserted anywhere; maybe no final newline."""
     buf = io.StringIO()
     dump_trace(draw(traces()), buf)
     lines = buf.getvalue().splitlines(keepends=True)
@@ -387,10 +379,18 @@ def mutated_trace_files(draw) -> bytes:
         k = draw(st.integers(0, len(lines) - 1))
         line = lines[k]
         spans = [m.span() for m in re.finditer(r"(?<=[ \[])-?[0-9][0-9.e+-]*", line)]
-        how = draw(st.sampled_from(["drop", "double", "swap", "insert"] + ["number"] * bool(spans)))
+        how = draw(st.sampled_from(["drop", "double", "swap", "insert"]
+                                   + ["number", "move"] * bool(spans)))
         if how == "number":
             a, b = draw(st.sampled_from(spans))
             line = line[:a] + draw(st.sampled_from(TOKENS)) + line[b:]
+        elif how == "move":  # its slot left empty, the bytes around it intact
+            a, b = draw(st.sampled_from(spans))
+            end = line.find(",", b)
+            i = draw(st.integers(line.rfind(",", 0, a) + 1,
+                                 (len(line) - 1 if end < 0 else end) - (b - a)))
+            rest = line[:a] + line[b:]
+            line = rest[:i] + line[a:b] + rest[i:]
         elif how == "insert":
             i = draw(st.integers(0, len(line)))
             line = line[:i] + draw(st.sampled_from(["\r", *NUMBER_CHARS])) + line[i:]
