@@ -323,7 +323,7 @@ def cmd_track(args) -> int:
 
 def cmd_build_map(args) -> int:
     from .pdr import attach_periodicities, load_trajectory
-    from .radiomap import build_radio_map, save_radio_map, segment_belief
+    from .radiomap import build_radio_map, save_radio_map
     from .sensors import detect_steps, load_trace
 
     tree, overrides = effective_config(args)
@@ -335,9 +335,8 @@ def cmd_build_map(args) -> int:
     radio_map = build_radio_map(traj, trace.wifi, quality_cfg)
     if not radio_map.entries:
         print("warning: radio map is empty", file=sys.stderr)
-    rows = [[str(idx), _fmt(segment_belief(seg, quality_cfg)), str(accepted)]
-            for idx, (seg, accepted) in enumerate(
-                zip(traj.segments, radio_map.segment_scans))]
+    rows = [[str(idx), _fmt(belief), str(accepted)]
+            for idx, (belief, accepted) in enumerate(radio_map.segments)]
     out = _out_dir(args)
     outs = _Outputs(out)
     outs.add("map.json", lambda fh: save_radio_map(radio_map, fh))

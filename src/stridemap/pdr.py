@@ -3,7 +3,9 @@
 Each detected step advances the pose by the current step length along a
 selected heading; the barometer drives a continuous floor estimate. When a
 landmark signature fires and matches a graph node with enough confidence,
-the pose snaps to that node and the walk is cut into a new path segment.
+the pose snaps to that node and the snap opens a new path segment. The
+segments are the only store of the poses, the visits and the snap
+landmarks; a Trajectory derives its pose list and its visits from them.
 Its parameters are PdrConfig and the heading sources HeadingSource, both in
 stridemap.config.
 """
@@ -63,30 +65,43 @@ class Pose:
 
 @dataclass
 class PathSegment:
-    """Poses between two consecutive landmark snaps.
+    """The poses from one anchor up to the next snap, which opens the next
+    segment; every pose of a walk lives in exactly one segment.
 
-    points[0] is the opening anchor (initial pose or snap); the closing
-    snap opens the next segment. periodicities holds the step periods of
-    the steps inside the segment.
+    points[0] is the opening anchor: the initial pose, or the snap pose of
+    the landmark named by landmark (None for the initial anchor).
+    periodicities holds the step periods of the steps inside the segment.
     """
 
     points: list[Pose]
-    periodicities: list[float]
-    start_landmark: str | None = None
-    end_landmark: str | None = None
+    periodicities: list[float] = field(default_factory=list)
+    landmark: str | None = None
 
 
 @dataclass
 class Trajectory:
-    poses: list[Pose]
+    """A walk as its path segments, in time order, and the step-length
+    anomalies met on the way; poses and visits are read from the segments."""
+
     segments: list[PathSegment]
-    visits: list[tuple[float, str]] = field(default_factory=list)
     anomalies: list[str] = field(default_factory=list)
+
+    @property
+    def poses(self) -> list[Pose]:
+        """Every pose of the walk: the segments' points, in segment order."""
+        return [p for seg in self.segments for p in seg.points]
+
+    @property
+    def visits(self) -> list[tuple[float, str]]:
+        """(time, landmark id) of each snap, in time order."""
+        return [(seg.points[0].t, seg.landmark) for seg in self.segments
+                if seg.landmark is not None]
 
 
 @dataclass
 class MatchState:
-    """Where the walk is anchored and what happened since."""
+    """Where the walk is anchored and what happened since; a snap starts a
+    new one."""
 
     anchor_x: float
     anchor_y: float
@@ -96,6 +111,9 @@ class MatchState:
     heading_x: float = 0.0      # accumulated unit step-heading vector
     heading_y: float = 0.0
     fallback_heading: float = 0.0
+    steps: int = 0              # steps since anchor
+    turn_ref: float = 0.0       # turn integral that later turns count from
+    pressure: float = 0.0       # smoothed pressure at the last floor update
 
     def mean_heading(self) -> float:
         if self.heading_x == 0.0 and self.heading_y == 0.0:
@@ -103,10 +121,10 @@ class MatchState:
         return math.atan2(self.heading_y, self.heading_x) % (2 * math.pi)
 
 
-def pdr_step(prev: Pose, step_length: float, heading: float, t: float | None = None) -> Pose:
+def pdr_step(prev: Pose, step_length: float, heading: float) -> Pose:
     """Advance one step along heading (radians CCW from +x)."""
     return Pose(
-        t=prev.t if t is None else t,
+        t=prev.t,
         x=prev.x + step_length * math.cos(heading),
         y=prev.y + step_length * math.sin(heading),
         floor=prev.floor,
@@ -375,18 +393,10 @@ def run_pdr(
     step_length = cfg.initial_step_length
     state = MatchState(anchor_x=pose.x, anchor_y=pose.y,
                        floor=round_floor(pose.floor, int(round(f0))),
-                       fallback_heading=theta0)
-    p_prev = p_of(t_start)
-    turn_ref = turn[0]
-    n_steps_since = 0
-
-    poses = [pose]
-    segments: list[PathSegment] = []
-    visits: list[tuple[float, str]] = []
-    anomalies: list[str] = []
-    cur_points = [pose]
-    cur_periods: list[float] = []
-    open_landmark: str | None = None
+                       fallback_heading=theta0, turn_ref=turn[0],
+                       pressure=p_of(t_start))
+    seg = PathSegment(points=[pose])  # the open segment
+    traj = Trajectory(segments=[seg])
     pending_hold: Pose | None = None
 
     for ts, prio, item in items:
@@ -394,41 +404,38 @@ def run_pdr(
             # a step before the stamp means the dwell ended early: drop it
             if ts >= pending_hold.t > pose.t:
                 pose = pending_hold
-                poses.append(pose)
-                cur_points.append(pose)
+                seg.points.append(pose)
             pending_hold = None
         if prio == -1:
             # standstill boundary: pin the pose so interpolation across the
             # dwell cannot invent motion that never happened
             if ts > pose.t:
                 pose = Pose(t=ts, x=pose.x, y=pose.y, floor=pose.floor)
-                poses.append(pose)
-                cur_points.append(pose)
+                seg.points.append(pose)
             continue
         if prio == 0:
             k = item
             heading = _select_heading(mode, compass[k], turn[k] - turn[0],
-                                      turn[k] - turn_ref, theta0, state,
+                                      turn[k] - state.turn_ref, theta0, state,
                                       graph, cfg)
             new_floor = pose.floor
             if has_baro:
                 p_now = p_of(ts)
-                new_floor = floor_update(pose.floor, p_now, p_prev,
+                new_floor = floor_update(pose.floor, p_now, state.pressure,
                                          cfg.pressure_per_floor)
-                p_prev = p_now
-            stepped = pdr_step(pose, step_length, heading, t=ts)
+                state.pressure = p_now
+            stepped = pdr_step(pose, step_length, heading)
             pose = Pose(t=ts, x=stepped.x, y=stepped.y, floor=new_floor)
-            poses.append(pose)
-            cur_points.append(pose)
+            seg.points.append(pose)
             periodicity = steps[k - 1].periodicity
             if periodicity is not None:
-                cur_periods.append(periodicity)
+                seg.periodicities.append(periodicity)
             state.traveled += step_length
             state.heading_x += math.cos(heading)
             state.heading_y += math.sin(heading)
             state.floor = round_floor(pose.floor, state.floor)
             state.fallback_heading = heading
-            n_steps_since += 1
+            state.steps += 1
             continue
 
         ev = item
@@ -437,55 +444,42 @@ def run_pdr(
             continue
         lm, _conf = res
 
-        seg = PathSegment(points=cur_points, periodicities=cur_periods,
-                          start_landmark=open_landmark, end_landmark=lm.id)
-        segments.append(seg)
-        visits.append((ev.t, lm.id))
-
-        if open_landmark is not None:
-            v1 = graph.nodes[open_landmark]
+        if seg.landmark is not None:
+            v1 = graph.nodes[seg.landmark]
             if v1.floor == lm.floor:
-                new_l, anomaly = update_step_length(v1, lm, n_steps_since, step_length)
+                new_l, anomaly = update_step_length(v1, lm, state.steps, step_length)
                 if anomaly:
-                    anomalies.append(
+                    traj.anomalies.append(
                         f"no steps between {v1.id} and {lm.id} at t={ev.t:.2f}")
-                elif n_steps_since >= cfg.min_steps_for_update:
+                elif state.steps >= cfg.min_steps_for_update:
                     belief = segment_belief(seg, quality_cfg)
                     # low-quality walking must not corrupt the step length
                     if belief is not None and belief > quality_cfg.belief_threshold:
                         step_length = new_l
 
+        # the snap opens a new segment and a new anchor; later turns are
+        # measured from where the event's motion ends
         pose = Pose(t=ev.t, x=lm.x, y=lm.y, floor=float(lm.floor))
-        poses.append(pose)
-        if has_baro:
-            p_prev = p_of(ev.t)
-        state = MatchState(anchor_x=lm.x, anchor_y=lm.y, floor=lm.floor,
-                           last_landmark=lm.id,
-                           fallback_heading=state.fallback_heading)
-        # later turns are measured from where the event's motion ends
-        turn_ref = float(np.interp(max(ev.t, ev.t_end), gyro_t, gyro_turn))
-        n_steps_since = 0
-        cur_points = [pose]
-        cur_periods = []
-        open_landmark = lm.id
+        seg = PathSegment(points=[pose], landmark=lm.id)
+        traj.segments.append(seg)
+        state = MatchState(
+            anchor_x=lm.x, anchor_y=lm.y, floor=lm.floor, last_landmark=lm.id,
+            fallback_heading=state.fallback_heading,
+            turn_ref=float(np.interp(max(ev.t, ev.t_end), gyro_t, gyro_turn)),
+            pressure=p_of(ev.t))
         if ev.t_end > ev.t:
             # still at the landmark until the event's motion pattern ends
             pending_hold = Pose(t=ev.t_end, x=lm.x, y=lm.y,
                                 floor=float(lm.floor))
 
     if pending_hold is not None and pending_hold.t > pose.t:
-        poses.append(pending_hold)
-        cur_points.append(pending_hold)
-    segments.append(PathSegment(points=cur_points, periodicities=cur_periods,
-                                start_landmark=open_landmark, end_landmark=None))
-    return Trajectory(poses=poses, segments=segments, visits=visits,
-                      anomalies=anomalies)
+        seg.points.append(pending_hold)
+    return traj
 
 
 def dump_trajectory(traj: Trajectory, path) -> None:
-    """Write a trajectory as JSON lines (path or open file) with per-pose
-    segment indices; a snap pose belongs to the segment it opens, so every
-    pose is written exactly once."""
+    """Write a trajectory as JSON lines (path or open file), each pose with
+    the index of the segment that holds it, so every pose is written once."""
     lines = []
     for k, seg in enumerate(traj.segments):
         for pose in seg.points:
@@ -495,10 +489,11 @@ def dump_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    """Read a trajectory export; segment periodicities are not part of the
-    file format and must be reattached from the trace if needed."""
+    """Read a trajectory export: one segment per segment index, in index
+    order, each with its poses in file order. Segment periodicities and
+    landmarks are not part of the file format; attach_periodicities
+    reattaches the periodicities from the trace."""
     segs: dict[int, list[Pose]] = {}
-    poses: list[Pose] = []
     for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
         try:
             pose = Pose(*(number(rec[k], k) for k in ("t", "x", "y", "floor")))
@@ -506,11 +501,8 @@ def load_trajectory(path: str | Path) -> Trajectory:
         except (KeyError, TypeError, ValueError):
             raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
                              f"floor and an integer segment") from None
-        poses.append(pose)
         segs.setdefault(segment, []).append(pose)
-    segments = [PathSegment(points=segs[k], periodicities=[])
-                for k in sorted(segs)]
-    return Trajectory(poses=poses, segments=segments)
+    return Trajectory(segments=[PathSegment(points=segs[k]) for k in sorted(segs)])
 
 
 def attach_periodicities(traj: Trajectory, steps) -> None:
@@ -534,9 +526,10 @@ def trajectory_errors(traj: Trajectory, trace: SensorTrace) -> np.ndarray:
     tt = trace.truth.t
     tx = trace.truth.xy[:, 0]
     ty = trace.truth.xy[:, 1]
-    pt = np.array([p.t for p in traj.poses])
-    px = np.array([p.x for p in traj.poses])
-    py = np.array([p.y for p in traj.poses])
+    poses = traj.poses
+    pt = np.array([p.t for p in poses])
+    px = np.array([p.x for p in poses])
+    py = np.array([p.y for p in poses])
     ex = px - np.interp(pt, tt, tx)
     ey = py - np.interp(pt, tt, ty)
     return np.hypot(ex, ey)

@@ -43,15 +43,16 @@ class RadioMapEntry:
 class RadioMap:
     """Map entries plus the quality config they were built under.
 
-    segment_scans is filled by build_radio_map and never saved: the number
-    of scans each trajectory segment accepted, deduplicated only within
-    that segment, so a scan landing exactly on a snap shared by two
-    segments counts in both while the map holds it once.
+    segments is filled by build_radio_map and never saved: the belief of
+    each trajectory segment and the number of scans it accepted,
+    deduplicated only within that segment, so a scan landing exactly on a
+    snap shared by two segments counts in both while the map holds it once.
     """
 
     entries: list[RadioMapEntry] = field(default_factory=list)
     config: dict[str, float] = field(default_factory=dict)
-    segment_scans: list[int] = field(default_factory=list, compare=False)
+    segments: list[tuple[float | None, int]] = field(default_factory=list,
+                                                     compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -116,11 +117,11 @@ def build_radio_map(
     scan_t = [s.t for s in ordered]
     entries: list[RadioMapEntry] = []
     seen: set[tuple[float, float, int, float]] = set()
-    placed_by_segment: list[set[tuple[float, float, int, float]]] = []
+    per_segment: list[tuple[float | None, set]] = []
     for seg in trajectory.segments:
         placed: set[tuple[float, float, int, float]] = set()
-        placed_by_segment.append(placed)
         belief = segment_belief(seg, cfg)
+        per_segment.append((belief, placed))
         if not belief_filter(belief):
             continue
         pts = seg.points
@@ -142,7 +143,7 @@ def build_radio_map(
                 belief=0.0 if belief is None else float(belief),
                 fp=dict(scan.readings)))
     return RadioMap(entries=entries, config=asdict(cfg),
-                    segment_scans=[len(p) for p in placed_by_segment])
+                    segments=[(b, len(p)) for b, p in per_segment])
 
 
 _TOP_KEYS = {"version", "config", "entries"}
@@ -165,7 +166,9 @@ def save_radio_map(radio_map: RadioMap, path) -> None:
 def load_radio_map(path: str | Path) -> RadioMap:
     """Parse and validate a radio map file; unknown fields are errors."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise MapFormatError("not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise MapFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

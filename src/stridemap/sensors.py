@@ -231,11 +231,13 @@ def rss(value) -> int | None:
 
 
 def read_json(path: str | Path, error: type[Exception], prefix: str = ""):
-    """The JSON value a file holds; invalid JSON raises error, its message
-    starting with prefix."""
-    with open(path) as fh:
+    """The JSON value a file holds; a file that is not UTF-8 or not JSON
+    raises error, its message starting with prefix."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError:
+            raise error(f"{prefix}not valid UTF-8") from None
         except json.JSONDecodeError as exc:
             raise error(f"{prefix}invalid JSON: {exc}") from exc
 

@@ -347,7 +347,7 @@ def random_instance(rng):
             macs[int(i)]: int(rng.integers(-95, -29)) for i in idx}))
     cfg = QualityConfig(belief_threshold=float(
         rng.choice([0.0, 5.0, 10.0, 15.0, 20.0, 100.0])))
-    return Trajectory(poses=[], segments=segments), scans, cfg
+    return Trajectory(segments=segments), scans, cfg
 
 
 def test_criterion_2_map_builder_reference():

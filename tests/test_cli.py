@@ -85,7 +85,7 @@ def test_segment_counts_match_one_segment_builds(flow):
     traj = load_trajectory(flow / "trajectory.jsonl")
     trace = load_trace(flow / "trace.jsonl")
     attach_periodicities(traj, detect_steps(trace))
-    expected = [len(build_radio_map(Trajectory(poses=[], segments=[seg]),
+    expected = [len(build_radio_map(Trajectory(segments=[seg]),
                                     trace.wifi))
                 for seg in traj.segments]
     rows = read_csv(flow / "segments.csv")[1:]
@@ -708,6 +708,24 @@ MALFORMED = {
     "fingerprint file is invalid JSON": (
         '{"ap-w": -50,}', ["localize", "FLOW/map.json", "--fingerprint", "BAD"],
         "bad.json: invalid JSON: Expecting property name"),
+    # a byte that is not UTF-8 gives one line, with the prefix that the
+    # file's reader puts on its invalid-JSON message
+    "fingerprint file is not UTF-8": (
+        b'{"ap-\xff": -50}', ["localize", "FLOW/map.json", "--fingerprint", "BAD"],
+        "bad.json: not valid UTF-8"),
+    "config file is not UTF-8": (
+        b'{"localization": {"metric": "\xff"}}',
+        ["localize", "FLOW/map.json", "--rss", "ap-w=-50", "--config", "BAD"],
+        "bad.json: not valid UTF-8"),
+    "map file is not UTF-8": (
+        b'{"version": 1, "config": {}, "entries": [{"x": 0, "y": 0, "floor": 1, '
+        b'"belief": 1, "fp": {"ap-\xff": -50}}]}',
+        ["localize", "BAD", "--rss", "ap-w=-50"], "error: not valid UTF-8"),
+    "graph file is not UTF-8": (
+        b'{"nodes": [{"id": "\xff", "x": 0, "y": 0, "floor": 1}], "edges": []}',
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "error: not valid UTF-8"),
+    "scenario file is not UTF-8": (
+        b'{"environment": "\xff"}', ["simulate", "BAD"], "error: not valid UTF-8"),
     # config values: each is refused by its dataclass, named by its key
     "sensors.acc_window is 0": (
         "", TRACK_FLOW + ["--set", "sensors.acc_window=0"],
@@ -805,7 +823,10 @@ MALFORMED = {
 def test_malformed_input_gives_one_error_line(flow, tmp_path, capsys, case):
     text, argv, needle = MALFORMED[case]
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text)
     argv = [a.replace("FLOW", str(flow)).replace("BAD", str(bad)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()

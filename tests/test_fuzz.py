@@ -7,6 +7,7 @@ and `build-map`."""
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -169,6 +170,12 @@ def test_simulated_trace_tracks_and_maps(records):
         graph = _write_json(Path(d) / "graph.json", data["environment"]["graph"])
         trace = str(Path(d) / "trace.jsonl")
         assert _run(["track", trace, "--graph", graph, "--out", d]) == 0
+        # poses in time order, each segment one block, numbered from 0
+        poses = [json.loads(line) for line in
+                 (Path(d) / "trajectory.jsonl").read_text().splitlines()]
+        blocks = [k for k, _ in itertools.groupby(p["segment"] for p in poses)]
+        assert ([p["t"] for p in poses] == sorted(p["t"] for p in poses)
+                and blocks == list(range(len(blocks))))
         assert _run(["build-map", str(Path(d) / "trajectory.jsonl"), trace,
                      "--out", d]) == 0
 

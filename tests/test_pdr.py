@@ -266,9 +266,9 @@ def test_noiseless_corridor_closes_exactly():
     assert [lid for _, lid in traj.visits] == ["b"]
     final = traj.poses[-1]
     assert (final.x, final.y) == pytest.approx((0.0, 0.0), abs=1e-9)
-    closed = [s for s in traj.segments if s.end_landmark is not None]
-    assert len(closed) == 1
-    assert closed[0].end_landmark == "b"
+    opened = [s for s in traj.segments if s.landmark is not None]
+    assert len(opened) == 1
+    assert opened[0].landmark == "b"
 
 
 def test_snap_lands_on_landmark_exactly():
@@ -368,6 +368,5 @@ def test_trajectory_errors_zero_for_exact_truth():
         [np.arange(5.0), np.zeros(5)]), floor=np.ones(5))
     trace = SensorTrace(truth=truth)
     from stridemap.pdr import Trajectory, PathSegment
-    traj = Trajectory(poses=poses, segments=[PathSegment(points=poses,
-                                                         periodicities=[])])
+    traj = Trajectory(segments=[PathSegment(points=poses, periodicities=[])])
     assert trajectory_errors(traj, trace).max() == 0.0

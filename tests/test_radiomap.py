@@ -137,7 +137,7 @@ def scans_at(*times):
 
 
 def test_only_believable_segments_contribute():
-    traj = Trajectory(poses=[], segments=[
+    traj = Trajectory(segments=[
         seg(GOOD, t0=0, t1=10, x0=0, x1=12.6),
         seg(POOR, t0=10, t1=20, x0=12.6, x1=0),
     ])
@@ -148,14 +148,14 @@ def test_only_believable_segments_contribute():
 
 
 def test_everything_filtered_gives_empty_map():
-    traj = Trajectory(poses=[], segments=[seg(POOR)])
+    traj = Trajectory(segments=[seg(POOR)])
     rm = build_radio_map(traj, scans_at(5.0))
     assert len(rm) == 0
     assert rm.config["belief_threshold"] == pytest.approx(15.0)
 
 
 def test_custom_filter_overrides_threshold():
-    traj = Trajectory(poses=[], segments=[
+    traj = Trajectory(segments=[
         seg(POOR, t0=0, t1=10, x0=0, x1=12.6),
         seg([0.7], t0=10, t1=20, x0=12.6, x1=0),
     ])
@@ -168,7 +168,7 @@ def test_custom_filter_overrides_threshold():
 
 def test_scan_on_pose_timestamp_lands_exactly():
     pts = [Pose(0, 0, 0, 1), Pose(7, 4.41, 0, 1), Pose(10, 6.3, 0, 1)]
-    traj = Trajectory(poses=pts, segments=[
+    traj = Trajectory(segments=[
         PathSegment(points=pts, periodicities=GOOD)])
     rm = build_radio_map(traj, scans_at(7.0))
     assert (rm.entries[0].x, rm.entries[0].y) == (4.41, 0.0)
@@ -177,7 +177,7 @@ def test_scan_on_pose_timestamp_lands_exactly():
 def test_boundary_scan_enters_once():
     # the snap pose closing one segment opens the next; a scan exactly on
     # the seam brackets into both but must land in the map once
-    traj = Trajectory(poses=[], segments=[
+    traj = Trajectory(segments=[
         seg(GOOD, t0=0, t1=10, x0=0, x1=12.6),
         seg(GOOD, t0=10, t1=20, x0=12.6, x1=25.2),
     ])
@@ -189,35 +189,36 @@ def test_boundary_scan_enters_once():
 def test_boundary_scan_counts_in_both_segments():
     # each segment's accepted count is deduplicated only within the
     # segment: the seam scan counts for both, the map holds it once
-    traj = Trajectory(poses=[], segments=[
+    traj = Trajectory(segments=[
         seg(GOOD, t0=0, t1=10, x0=0, x1=12.6),
         seg(GOOD, t0=10, t1=20, x0=12.6, x1=25.2),
         seg(POOR, t0=20, t1=30, x0=25.2, x1=0),
     ])
     rm = build_radio_map(traj, scans_at(5.0, 10.0, 15.0, 18.0, 25.0))
     assert len(rm) == 4
-    assert rm.segment_scans == [2, 3, 0]
+    assert [n for _, n in rm.segments] == [2, 3, 0]
+    assert [b for b, _ in rm.segments] == [segment_belief(s) for s in traj.segments]
     for k, segment in enumerate(traj.segments):
-        single = Trajectory(poses=[], segments=[segment])
+        single = Trajectory(segments=[segment])
         alone = build_radio_map(single, scans_at(5.0, 10.0, 15.0, 18.0, 25.0))
-        assert len(alone) == rm.segment_scans[k]
+        assert len(alone) == rm.segments[k][1]
 
 
 def test_repeated_scan_time_counts_once_per_segment():
-    traj = Trajectory(poses=[], segments=[seg(GOOD)])
+    traj = Trajectory(segments=[seg(GOOD)])
     rm = build_radio_map(traj, scans_at(5.0, 5.0))
     assert len(rm) == 1
-    assert rm.segment_scans == [1]
+    assert [n for _, n in rm.segments] == [1]
 
 
 def test_scan_outside_every_segment_dropped():
-    traj = Trajectory(poses=[], segments=[seg(GOOD, t0=0, t1=10)])
+    traj = Trajectory(segments=[seg(GOOD, t0=0, t1=10)])
     rm = build_radio_map(traj, scans_at(11.0))
     assert len(rm) == 0
 
 
 def test_fractional_floor_rounds_half_up():
-    traj = Trajectory(poses=[], segments=[
+    traj = Trajectory(segments=[
         seg(GOOD, t0=0, t1=10, floor=1.0, floor1=2.0)])
     rm = build_radio_map(traj, scans_at(5.0))
     assert rm.entries[0].floor == 2
@@ -225,7 +226,7 @@ def test_fractional_floor_rounds_half_up():
 
 
 def test_fingerprint_copied_from_scan():
-    traj = Trajectory(poses=[], segments=[seg(GOOD)])
+    traj = Trajectory(segments=[seg(GOOD)])
     scan = WifiScan(t=5.0, readings={"aa": -60})
     rm = build_radio_map(traj, [scan])
     assert rm.entries[0].fp == {"aa": -60}
@@ -233,7 +234,7 @@ def test_fingerprint_copied_from_scan():
 
 
 def test_unsorted_scans_accepted():
-    traj = Trajectory(poses=[], segments=[seg(GOOD)])
+    traj = Trajectory(segments=[seg(GOOD)])
     rm = build_radio_map(traj, scans_at(8.0, 2.0, 5.0))
     assert [e.x for e in rm.entries] == pytest.approx([2.52, 6.3, 10.08])
 
@@ -243,7 +244,7 @@ def test_unsorted_scans_accepted():
 
 
 def build_sample_map():
-    traj = Trajectory(poses=[], segments=[seg(GOOD)])
+    traj = Trajectory(segments=[seg(GOOD)])
     scans = [WifiScan(t=float(t), readings={"aa": -60 - t, "bb": -70})
              for t in range(1, 10)]
     return build_radio_map(traj, scans)
@@ -251,7 +252,7 @@ def build_sample_map():
 
 def test_map_config_is_the_quality_config():
     cfg = QualityConfig(period_min=0.3, belief_threshold=5.0)
-    rm = build_radio_map(Trajectory(poses=[], segments=[]), [], cfg)
+    rm = build_radio_map(Trajectory(segments=[]), [], cfg)
     assert rm.config == asdict(cfg)
 
 
@@ -265,7 +266,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_load_empty_map(tmp_path):
-    rm = build_radio_map(Trajectory(poses=[], segments=[]), [])
+    rm = build_radio_map(Trajectory(segments=[]), [])
     path = tmp_path / "map.json"
     save_radio_map(rm, path)
     back = load_radio_map(path)
