@@ -20,10 +20,16 @@ from dataclasses import Field, fields, replace
 from pathlib import Path
 from typing import Callable
 
+# Set before the first numpy import, so OpenBLAS reads it: knn's small
+# per-chunk product gains nothing from a second BLAS thread, and with two
+# some runs stalled for a second. A value the user exports still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import (HEADING_THRESHOLD_DEG, ConfigError, HeadingSource,
                      LandmarkConfig, LocalizationConfig, PdrConfig,
                      QualityConfig, SensorConfig)
-from .sensors import RSS_RULE, number, read_json, read_jsonl, rss
+from .sensors import (RSS_MAX_DBM, RSS_MIN_DBM, RSS_RULE, number, read_json,
+                      read_jsonl, rss)
 
 # Each subcommand imports the stage functions it calls in its own body, so
 # a process loads only the stages of the command it runs.
@@ -393,7 +399,13 @@ def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[
     for ln, rec in read_jsonl(path, CliError, f"{path}:"):
         if not isinstance(rec, dict) or set(rec) != {"x", "y", "floor", "fp"}:
             raise CliError(f"{path}:{ln}: query needs exactly x, y, floor, fp")
-        fp = _fingerprint(rec["fp"], f"{path}:{ln}")
+        fp = rec["fp"]
+        # a well-formed fingerprint is kept as parsed; anything else, -50.0
+        # included, goes through _fingerprint for its reading or its error
+        if not (type(fp) is dict and "" not in fp and all(
+                type(v) is int and RSS_MIN_DBM <= v <= RSS_MAX_DBM
+                for v in fp.values())):
+            fp = _fingerprint(fp, f"{path}:{ln}")
         try:
             truth = (number(rec["x"], "x"), number(rec["y"], "y"),
                      number(rec["floor"], "floor", integral=True))

@@ -152,19 +152,37 @@ class Neighbors:
     floor: np.ndarray
 
 
-def _scorer(m: np.ndarray, metric: str) -> Callable[[np.ndarray], np.ndarray]:
-    """The function from query rows q to their (queries, entries)
-    distances to the rows of m.
+def _scorer(m: np.ndarray, metric: str) -> tuple[
+        Callable[[np.ndarray], np.ndarray],
+        Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The (rank, finish) pair that scores query rows q against the rows
+    of m. rank(q) is a (queries, entries) score whose order along each
+    row, ties included, is the order of the distances; finish(q, picked)
+    turns the scores picked from each row into distances.
 
     Every component is an RSS in [-200, 0] dBm minus an integral min_rss
     in [-201, -1], so an integer of magnitude at most 201. Each sum below
     is then an exact float64 integer, whatever order BLAS adds in, and the
     result has the same bits as summing (m - q)**2, or |m - q| over m + q,
-    entry by entry.
+    entry by entry. Euclidean ranks on the partial score |m|^2 - 2 q.m,
+    exact in the same way: it is the squared distance less |q|^2, which is
+    the same along a row, and sqrt keeps distinct integers distinct. So
+    the neighbours and their ties are those of the distance, and only the
+    k picked get |q|^2 added and the root taken. Sorensen ranks on the
+    distance itself.
     """
     if metric == "euclidean":
         m_sq = (m * m).sum(axis=1)
-        return lambda q: np.sqrt(m_sq + (q * q).sum(axis=1)[:, None] - 2.0 * (q @ m.T))
+        minus_2mt = -2.0 * m.T
+
+        def partial(q: np.ndarray) -> np.ndarray:
+            part = q @ minus_2mt
+            part += m_sq
+            return part
+
+        def distance(q: np.ndarray, picked: np.ndarray) -> np.ndarray:
+            return np.sqrt(picked + (q * q).sum(axis=1)[:, None])
+        return partial, distance
     columns = np.ascontiguousarray(m.T)
     m_sum = m.sum(axis=1)
 
@@ -178,18 +196,18 @@ def _scorer(m: np.ndarray, metric: str) -> Callable[[np.ndarray], np.ndarray]:
         diff = total - 2.0 * shared
         # two empty fingerprints are indistinguishable: distance zero
         return np.divide(diff, total, out=np.zeros_like(diff), where=total != 0)
-    return sorensen
+    return sorensen, lambda q, score: score
 
 
-def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the indices of the k smallest distances in ascending
-    order, ties in index order: a stable argsort cut at k."""
+def _nearest(score: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k smallest scores in ascending order,
+    ties in index order: a stable argsort cut at k."""
     if k == 1:
-        return dist.argmin(axis=1)[:, None]  # the first of equal minima
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-    rows, cols = np.nonzero(dist <= kth)  # at least k per row
-    order = np.lexsort((cols, dist[rows, cols], rows))
-    counts = np.bincount(rows, minlength=len(dist))
+        return score.argmin(axis=1)[:, None]  # the first of equal minima
+    kth = np.partition(score, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(score <= kth)  # at least k per row
+    order = np.lexsort((cols, score[rows, cols], rows))
+    counts = np.bincount(rows, minlength=len(score))
     starts = np.cumsum(counts) - counts
     return cols[order[(starts[:, None] + np.arange(k)).ravel()]].reshape(-1, k)
 
@@ -203,7 +221,7 @@ def knn(index: VectorizedMap, queries: np.ndarray) -> Neighbors:
     """The kNN fix of every row of queries (vectors over index.universe).
 
     Rows are scored in chunks whose temporaries, the (rows, entries)
-    distance and candidate matrices and the (rows, k, floors) vote, each
+    score and candidate matrices and the (rows, k, floors) vote, each
     hold about CHUNK_ELEMENTS elements, so memory does not grow with the
     number of queries. A k beyond the map size uses every entry.
     """
@@ -212,20 +230,21 @@ def knn(index: VectorizedMap, queries: np.ndarray) -> Neighbors:
                          f"({len(index.universe)}), got shape {queries.shape}")
     k = min(index.cfg.k, len(index))
     labels, codes = np.unique(index.floors, return_inverse=True)
-    score = _scorer(index.matrix, index.cfg.metric)
+    rank, finish = _scorer(index.matrix, index.cfg.metric)
     step = max(1, CHUNK_ELEMENTS // (len(index) + k * len(labels)))
     parts = []
     # at least one chunk, so that an empty batch still gives (0, k) arrays
     for lo in range(0, max(len(queries), 1), step):
-        dist = score(queries[lo:lo + step])
-        nearest = _nearest(dist, k)
+        chunk = queries[lo:lo + step]
+        score = rank(chunk)
+        nearest = _nearest(score, k)
         votes = (codes[nearest][:, :, None] == np.arange(len(labels))).sum(axis=1)
         top = votes.max(axis=1, keepdims=True)
         sole = (votes == top).sum(axis=1) == 1
         floor = np.where(sole, labels[votes.argmax(axis=1)],
                          index.floors[nearest[:, 0]])
-        parts.append((nearest, np.take_along_axis(dist, nearest, axis=1),
-                      index.xs[nearest].mean(axis=1),
+        dist = finish(chunk, np.take_along_axis(score, nearest, axis=1))
+        parts.append((nearest, dist, index.xs[nearest].mean(axis=1),
                       index.ys[nearest].mean(axis=1), floor))
     return Neighbors(*(np.concatenate(col) for col in zip(*parts)))
 

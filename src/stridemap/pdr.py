@@ -490,7 +490,8 @@ def dump_trajectory(traj: Trajectory, path) -> None:
 
 def load_trajectory(path: str | Path) -> Trajectory:
     """Read a trajectory export: one segment per segment index, in index
-    order, each with its poses in file order. Segment periodicities and
+    order, each with its poses in file order. A pose earlier than the one
+    before it in its segment is refused. Segment periodicities and
     landmarks are not part of the file format; attach_periodicities
     reattaches the periodicities from the trace."""
     segs: dict[int, list[Pose]] = {}
@@ -501,7 +502,11 @@ def load_trajectory(path: str | Path) -> Trajectory:
         except (KeyError, TypeError, ValueError):
             raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
                              f"floor and an integer segment") from None
-        segs.setdefault(segment, []).append(pose)
+        points = segs.setdefault(segment, [])
+        if points and pose.t < points[-1].t:
+            raise TraceError(f"{path}:{ln}: pose t {pose.t!r} goes back in time "
+                             f"from {points[-1].t!r} in segment {segment}")
+        points.append(pose)
     return Trajectory(segments=[PathSegment(points=segs[k]) for k in sorted(segs)])
 
 

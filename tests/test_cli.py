@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from stridemap import sensors
-from stridemap.cli import (SECTIONS, _configs, _Outputs, build_parser,
-                           default_config, effective_config, main)
+from stridemap.cli import (SECTIONS, CliError, _configs, _Outputs,
+                           build_parser, default_config, effective_config,
+                           load_queries, main)
 from stridemap.pdr import (HeadingSource, Trajectory, attach_periodicities,
                            load_trajectory)
 from stridemap.radiomap import build_radio_map
@@ -450,6 +451,44 @@ def test_query_file_validation(flow, tmp_path, capsys):
     assert "exactly x, y, floor, fp" in capsys.readouterr().err
 
 
+GOOD_QUERY_FP = {"ap-w": -50, "ap-x": -200, "ap-y": 0}
+
+
+@pytest.mark.parametrize("record,message", [
+    ({"fp": {"ap-w": True}}, "RSS of 'ap-w' must be a non-positive integer of "
+                             "at least -200 dBm, got True"),
+    ({"fp": {"ap-w": -50, "ap-x": -50.5}}, "RSS of 'ap-x' must be a non-positive "
+                                           "integer of at least -200 dBm, got -50.5"),
+    ({"fp": {"ap-w": 1}}, "RSS of 'ap-w' must be a non-positive integer of at "
+                          "least -200 dBm, got 1"),
+    ({"fp": {"ap-w": -201}}, "RSS of 'ap-w' must be a non-positive integer of "
+                             "at least -200 dBm, got -201"),
+    ({"fp": {"ap-w": -50, "": -60}}, "fingerprint has an empty MAC"),
+    ({"fp": [["ap-w", -50]]}, "fingerprint must be an object of mac: rss"),
+    ({"x": None}, "query needs exactly x, y, floor, fp"),
+    ({"x": math.inf}, "x, y and floor must be finite numbers, floor an integer"),
+])
+def test_query_file_errors_keep_their_text_and_line(tmp_path, record, message):
+    good = {"x": 1.5, "y": 0, "floor": 1, "fp": GOOD_QUERY_FP}
+    bad = {**good, **record}
+    if bad["x"] is None:
+        del bad["x"]
+    path = tmp_path / "queries.jsonl"
+    path.write_text("".join(json.dumps(q) + "\n" for q in [good] * 100 + [bad]))
+    with pytest.raises(CliError) as exc:
+        load_queries(path)
+    assert str(exc.value) == f"{path}:101: {message}"
+
+
+def test_query_file_reads_an_integral_decimal_rss(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_text('{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -50}}\n'
+                    '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -50.0, "ap-x": -60}}\n')
+    second = load_queries(path)[1][1]
+    assert second == {"ap-w": -50, "ap-x": -60}
+    assert type(second["ap-w"]) is int
+
+
 def test_sweep_rejects_bad_tau_list(flow, tmp_path, capsys):
     assert main(["sweep", str(flow / "map.json"), str(flow / "queries.jsonl"),
                  "--taus", "abc", "--out", str(tmp_path)]) == 1
@@ -605,6 +644,10 @@ MALFORMED = {
         MAP_BAD, ":2:"),
     "trajectory invalid JSON": (
         GOOD_POSE + '{"t": 1, x}\n', MAP_BAD, ":2: invalid JSON"),
+    "trajectory time goes back in a segment": (
+        GOOD_POSE + '{"t": 2, "x": 0, "y": 0, "floor": 1, "segment": 0}\n'
+        '{"t": 1.5, "x": 0, "y": 0, "floor": 1, "segment": 0}\n',
+        MAP_BAD, "bad.json:3: pose t 1.5 goes back in time from 2.0 in segment 0"),
     "trajectory segment is fractional": (
         GOOD_POSE + '{"t": 1, "x": 0, "y": 0, "floor": 1, "segment": 0.5}\n',
         MAP_BAD, ":2:"),
@@ -878,6 +921,23 @@ def test_build_map_names_a_bad_accel_line_past_a_broken_gyro_line(
                  "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: line {k + 2}: {message}"]
+
+
+def test_build_map_refuses_a_pose_that_goes_back_in_time(flow, tmp_path, capsys):
+    # the swapped poses used to drop their segment's scans with exit 0
+    lines = (flow / "trajectory.jsonl").read_text().splitlines(keepends=True)
+    k = len(lines) // 2
+    assert json.loads(lines[k])["segment"] == json.loads(lines[k + 1])["segment"]
+    assert json.loads(lines[k])["t"] < json.loads(lines[k + 1])["t"]
+    lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    traj = tmp_path / "trajectory.jsonl"
+    traj.write_text("".join(lines))
+    assert main(["build-map", str(traj), str(flow / "trace.jsonl"),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {traj}:{k + 2}: pose t ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["track", "build-map"])

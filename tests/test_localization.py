@@ -342,6 +342,42 @@ def test_kernel_matches_per_query_reference(case):
         assert (est.x[i], est.y[i], est.floor[i]) == (x, y, floor)
 
 
+# duplicated rows tie; the empty query is the all-zero vector
+CHUNKED_MAP = make_map(
+    (0.0, 0.0, 1, {"a": -40, "b": -60}),
+    (1.0, 0.0, 1, {"a": -40, "b": -60}),
+    (2.0, 0.0, 2, {"a": -60, "c": -50}),
+    (3.0, 0.0, 2, {"a": -60, "c": -50}),
+    (4.0, 1.0, 1, {"b": -45, "c": -70, "d": -80}),
+    (5.0, 1.0, 2, {"d": -55}),
+    (6.0, 1.0, 1, {"a": -40, "b": -60}),
+)
+CHUNKED_QUERIES = [{"a": -40, "b": -60}, {}, {"a": -60, "c": -50},
+                   {"a": -50, "b": -50, "c": -50, "d": -50}, {"d": -55},
+                   {"zz": -30}, {"b": -45, "c": -70}, {"a": -41, "b": -59},
+                   {"c": -60, "d": -70}]
+
+
+@pytest.mark.parametrize("k", [1, 3, 20])
+def test_kernel_across_chunk_boundaries(monkeypatch, k):
+    import stridemap.localization as loc
+    cfg = LocalizationConfig(k=k)
+    n, floors = len(CHUNKED_MAP.entries), 2
+    # two query rows per chunk: 9 queries run as 2, 2, 2, 2 and 1
+    monkeypatch.setattr(loc, "CHUNK_ELEMENTS", 2 * (n + min(k, n) * floors))
+    rows = []
+    nearest = loc._nearest
+    monkeypatch.setattr(loc, "_nearest",
+                        lambda score, k: rows.append(len(score)) or nearest(score, k))
+    est = evaluate([((0.0, 0.0, 1), fp) for fp in CHUNKED_QUERIES],
+                   CHUNKED_MAP, cfg).fix
+    assert rows == [2, 2, 2, 2, 1]
+    for i, fp in enumerate(CHUNKED_QUERIES):
+        neighbors, x, y, floor = reference_fix(fp, CHUNKED_MAP, cfg)
+        assert tuple(zip(est.index[i].tolist(), est.dist[i].tolist())) == neighbors
+        assert (est.x[i], est.y[i], est.floor[i]) == (x, y, floor)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from stridemap.pdr import (HeadingSource, MatchState, PdrConfig, Pose,
                            match_landmark, floor_update, pdr_step,
                            round_floor, run_pdr, trajectory_errors,
                            update_step_length)
-from stridemap.sensors import Channel, SensorTrace, TruthChannel, detect_steps
+from stridemap.sensors import (Channel, SensorTrace, TraceError, TruthChannel,
+                               detect_steps)
 
 from conftest import DT, accel_channel, flat, walking
 
@@ -346,6 +349,25 @@ def test_dump_load_round_trip(tmp_path):
     assert len(back.segments) == len(traj.segments)
     for a, b in zip(traj.poses, back.poses):
         assert (a.t, a.x, a.y, a.floor) == (b.t, b.x, b.y, b.floor)
+
+
+def test_load_keeps_equal_times_and_orders_each_segment_alone(tmp_path):
+    path = tmp_path / "traj.jsonl"
+    path.write_text("".join(
+        json.dumps({"t": t, "x": 0, "y": 0, "floor": 1, "segment": k}) + "\n"
+        for t, k in [(5, 1), (1, 0), (1, 0), (6, 1), (2, 0)]))
+    back = load_trajectory(path)
+    assert [[p.t for p in s.points] for s in back.segments] == [[1, 1, 2], [5, 6]]
+
+
+def test_load_refuses_a_pose_earlier_than_its_segment_predecessor(tmp_path):
+    path = tmp_path / "traj.jsonl"
+    path.write_text("".join(
+        json.dumps({"t": t, "x": 0, "y": 0, "floor": 1, "segment": 0}) + "\n"
+        for t in (1, 3, 2)))
+    with pytest.raises(TraceError, match=rf"^{re.escape(str(path))}:3: pose t 2.0 "
+                       r"goes back in time from 3.0 in segment 0$"):
+        load_trajectory(path)
 
 
 def test_attach_periodicities_splits_by_segment(tmp_path):
