@@ -243,6 +243,8 @@ def cmd_simulate(args) -> int:
 
     tree, overrides = effective_config(args)
     _configs(tree)  # the manifest records the tree: refuse a bad one here too
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     scn_path = _require_file(args.scenario, "scenario file")
     scenario = load_scenario(scn_path)
     noise = scenario.noise
@@ -420,6 +422,8 @@ def cmd_localize(args) -> int:
     from .localization import knn_localize
     from .radiomap import load_radio_map
 
+    if args.rss and args.fingerprint is not None:
+        raise CliError("pass a fingerprint via --rss or --fingerprint, not both")
     tree, overrides = effective_config(args)
     *_, loc_cfg = _configs(tree)
     radio_map = load_radio_map(_require_file(args.map, "map file"))

@@ -3,7 +3,8 @@
 Landmarks are positions with a known sensor signature: a brief stop (doors),
 a sharp turn (corners), or the start/end of a pressure ramp (stairs and
 elevators). The graph connects them with directed edges carrying the true
-heading and distance of the connecting path. The detectors' thresholds are
+heading and distance of the connecting path. detect_events builds a walk's
+event list from the three detectors; the detectors' thresholds are
 LandmarkConfig, in stridemap.config.
 """
 
@@ -15,13 +16,12 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .config import LandmarkConfig, SensorConfig
-from .sensors import MotionState, SensorTrace, number, read_json
+from .sensors import MotionState, SensorTrace, motion_runs, number, read_json
 
 # Gyro events inside a confirmed stop are phone fidgeting, not corners.
 # A stop is confirmed once this many consecutive windows classify Still;
@@ -116,29 +116,15 @@ def detect_acc_landmarks(
     """Stops bracketed by walking: Walking >= walking_min, Still within
     [still_min, still_max], Walking >= walking_min. Event time is the start
     of the Still run."""
-    if len(motion) < 2:
-        return []
-    hop = motion[1][0] - motion[0][0]
-    # collapse labels into (state, start_t, duration) runs
-    runs: list[tuple[MotionState, float, float]] = []
-    for t, state in motion:
-        if runs and runs[-1][0] is state:
-            prev = runs[-1]
-            runs[-1] = (prev[0], prev[1], prev[2] + hop)
-        else:
-            runs.append((state, t, hop))
+    runs = motion_runs(motion)
     events = []
-    for i in range(1, len(runs) - 1):
-        state, start, dur = runs[i]
-        if state is not MotionState.STILL:
-            continue
-        w_before = runs[i - 1]
-        w_after = runs[i + 1]
-        if (w_before[2] >= cfg.walking_min_s
-                and w_after[2] >= cfg.walking_min_s
-                and cfg.still_min_s <= dur <= cfg.still_max_s):
+    for (_, b0, b1, _), (state, start, end, _), (_, a0, a1, _) in zip(
+            runs, runs[1:], runs[2:]):
+        if (state is MotionState.STILL
+                and min(b1 - b0, a1 - a0) >= cfg.walking_min_s
+                and cfg.still_min_s <= end - start <= cfg.still_max_s):
             events.append(LandmarkEvent(t=start, kind=RuleKind.ACC,
-                                        auxiliary=dur, t_end=start + dur))
+                                        auxiliary=end - start, t_end=end))
     return events
 
 
@@ -180,30 +166,15 @@ def detect_gyro_landmarks(
                 t_end=float(t[hi - 1] + dt[hi - 1])))
 
     if motion:
-        starts, reach = _confirmed_stops(motion)
-        # an event is inside a stop when one starting at or before it ends
-        # at or after it; reach[k] is the latest end of stops 0..k
+        stops = [(start, end) for state, start, end, labels in motion_runs(motion)
+                 if state is MotionState.STILL and labels >= STILL_SUPPRESS_LABELS]
+        starts = [start for start, _ in stops]
+        # stops are disjoint and in order: an event is inside one when the
+        # last stop starting at or before it ends at or after it
         events = [ev for ev in events
                   if not ((k := bisect_right(starts, ev.t))
-                          and reach[k - 1] >= ev.t_end)]
+                          and stops[k - 1][1] >= ev.t_end)]
     return events
-
-
-def _confirmed_stops(
-    motion: list[tuple[float, MotionState]]
-) -> tuple[list[float], list[float]]:
-    """Start times of the runs of at least STILL_SUPPRESS_LABELS Still
-    windows, and the latest end time among the runs up to each."""
-    starts: list[float] = []
-    reach: list[float] = []
-    hop = motion[1][0] - motion[0][0] if len(motion) > 1 else 0.0
-    for state, run in groupby(motion, key=itemgetter(1)):
-        times = [t for t, _ in run]
-        if state is MotionState.STILL and len(times) >= STILL_SUPPRESS_LABELS:
-            end = times[0] + len(times) * hop
-            starts.append(times[0])
-            reach.append(max(reach[-1], end) if reach else end)
-    return starts, reach
 
 
 def _baro_window_means(trace: SensorTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -280,6 +251,31 @@ def detect_baro_landmarks(
                     vertical = False
         i += 1
     return events
+
+
+def detect_events(
+    trace: SensorTrace,
+    motion: list[tuple[float, MotionState]],
+    cfg: LandmarkConfig = LandmarkConfig(),
+    sensor_cfg: SensorConfig = SensorConfig(),
+) -> list[LandmarkEvent]:
+    """Every landmark event of a walk: the stops, then the turns, then the
+    pressure events, each list in time order.
+
+    A stop that a turn overlaps is dropped: a lull with a rotation inside
+    it is a corner being rounded slowly, not a door pause, and would
+    otherwise match a pause landmark elsewhere on the graph. Touching at
+    either end is no overlap.
+    """
+    turns = detect_gyro_landmarks(trace, cfg, sensor_cfg, motion)
+    # turns come from disjoint runs of windows, so their ends are in order:
+    # the first turn ending after a stop starts is the only one that can
+    # overlap it
+    ends = [turn.t_end for turn in turns]
+    stops = [stop for stop in detect_acc_landmarks(motion, cfg)
+             if not ((k := bisect_right(ends, stop.t)) < len(turns)
+                     and turns[k].t < stop.t_end)]
+    return stops + turns + detect_baro_landmarks(trace, cfg)
 
 
 _RULE_NAMES = {

@@ -17,8 +17,6 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +30,7 @@ from .landmarks import (
     RuleKind,
     bearing,
     circular_diff,
-    detect_acc_landmarks,
-    detect_baro_landmarks,
-    detect_gyro_landmarks,
+    detect_events,
     sgn,
 )
 from .radiomap import segment_belief
@@ -44,6 +40,7 @@ from .sensors import (
     TraceError,
     classify_motion,
     detect_steps,
+    motion_runs,
     moving_average,
     number,
     read_jsonl,
@@ -296,25 +293,6 @@ def _select_heading(
     return comp
 
 
-def _still_run_bounds(motion: list[tuple[float, MotionState]]) -> list[float]:
-    """Start and end times of every maximal run of Still windows.
-
-    A trailing run has no following Walking window; it ends one window
-    length past its last label.
-    """
-    bounds: list[float] = []
-    runs = [(state, [t for t, _ in run])
-            for state, run in groupby(motion, key=itemgetter(1))]
-    for k, (state, times) in enumerate(runs):
-        if state is MotionState.STILL:
-            if k + 1 < len(runs):
-                bounds += [times[0], runs[k + 1][1][0]]
-            else:
-                window_s = times[-1] - motion[-2][0] if len(motion) > 1 else 0.0
-                bounds += [times[0], times[-1] + window_s]
-    return bounds
-
-
 def run_pdr(
     trace: SensorTrace,
     graph: LandmarkGraph | None,
@@ -352,26 +330,16 @@ def run_pdr(
     turn = np.interp(at, gyro_t, gyro_turn).tolist()
     theta0 = compass[0]
 
-    events: list[LandmarkEvent] = []
-    if mode is HeadingSource.LANDMARK:
-        acc_evs = detect_acc_landmarks(motion, landmark_cfg)
-        gyro_evs = detect_gyro_landmarks(trace, landmark_cfg, sensor_cfg, motion)
-        # a lull with a rotation inside it is a corner being rounded slowly,
-        # not a door pause; without this the turn can masquerade as a stop
-        # and match a pause landmark elsewhere on the graph
-        acc_evs = [a for a in acc_evs
-                   if not any(g.t < a.t_end and g.t_end > a.t for g in gyro_evs)]
-        events.extend(acc_evs)
-        events.extend(gyro_evs)
-        events.extend(detect_baro_landmarks(trace, landmark_cfg))
+    events = (detect_events(trace, motion, landmark_cfg, sensor_cfg)
+              if mode is HeadingSource.LANDMARK else [])
 
     # holds before steps before events at equal timestamps: a hold never
     # moves the pose, and the snap must win the pose
     items: list[tuple[float, int, object]] = [
         (s.t, 0, k) for k, s in enumerate(steps, start=1)]
     items += [(e.t, 1, e) for e in events]
-    for wt in _still_run_bounds(motion):
-        items.append((wt, -1, None))
+    items += [(t, -1, None) for state, start, end, _ in motion_runs(motion)
+              if state is MotionState.STILL for t in (start, end)]
     items.sort(key=lambda it: (it[0], it[1]))
 
     has_baro = len(trace.baro) > 1

@@ -53,7 +53,8 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, groupby, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -583,6 +584,28 @@ def classify_motion(
     return [(t0, MotionState.WALKING if var > cfg.variance_threshold
              else MotionState.STILL)
             for t0, var in zip(trace.accel.t[: n * w: w].tolist(), variances.tolist())]
+
+
+def motion_runs(
+    motion: list[tuple[float, MotionState]]
+) -> list[tuple[MotionState, float, float, int]]:
+    """The maximal runs of equal motion labels, as (state, start, end,
+    labels): start is the first label's time and labels the run's count.
+
+    A run ends where the next one starts. The last run ends one label
+    spacing past its last label, the spacing taken from the last two
+    labels; a lone label ends where it starts.
+    """
+    if not motion:
+        return []
+    runs = []
+    for state, group in groupby(motion, key=itemgetter(1)):
+        times = [t for t, _ in group]
+        runs.append((state, times[0], len(times)))
+    last = motion[-1][0]
+    spacing = last - motion[-2][0] if len(motion) > 1 else 0.0
+    ends = [start for _, start, _ in runs[1:]] + [last + spacing]
+    return [(state, start, end, n) for (state, start, n), end in zip(runs, ends)]
 
 
 def moving_average(x: np.ndarray, size: int) -> np.ndarray:

@@ -321,15 +321,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
 @dataclass(frozen=True)
 class StepSpec:
-    """One true step: completion tick, cadence, stride, resulting pose."""
+    """One true step: completion tick, cadence, stride, resulting position."""
 
     tick: int
     period_ticks: int
     length: float
-    heading: float
     x: float
     y: float
-    floor: float
 
 
 @dataclass(frozen=True)
@@ -340,11 +338,8 @@ class Phase:
     x0: float
     y0: float
     floor0: float
-    x1: float
-    y1: float
     floor1: float
     heading0: float
-    heading1: float
     steps: tuple[StepSpec, ...] = ()
     rot0: int = 0
     rot1: int = 0
@@ -434,8 +429,7 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
         t0 = state["tick"]
         phases.append(Phase("still", t0, t0 + dur_ticks,
                             state["x"], state["y"], state["floor"],
-                            state["x"], state["y"], state["floor"],
-                            state["heading"], state["heading"]))
+                            state["floor"], state["heading"]))
         state["tick"] = t0 + dur_ticks
 
     def emit_turn(target: float) -> None:
@@ -450,8 +444,7 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
         rot1 = rot0 + TURN_ROT_TICKS
         phases.append(Phase("turn", t0, t0 + TURN_TICKS,
                             state["x"], state["y"], state["floor"],
-                            state["x"], state["y"], state["floor"],
-                            state["heading"], target,
+                            state["floor"], state["heading"],
                             rot0=rot0, rot1=rot1,
                             omega=delta / (TURN_ROT_TICKS * TICK)))
         state["tick"] = t0 + TURN_TICKS
@@ -475,12 +468,9 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
             else:
                 cx = cx + ln * math.cos(hd)
                 cy = cy + ln * math.sin(hd)
-            fl = f0 + (tick - t0) / (total - t0) * (floor_to - f0) \
-                if floor_to != f0 else f0
             specs.append(StepSpec(tick=tick, period_ticks=pt, length=ln,
-                                  heading=hd, x=cx, y=cy, floor=fl))
-        phases.append(Phase(kind, t0, total, x0, y0, f0,
-                            target[0], target[1], floor_to, hd, hd,
+                                  x=cx, y=cy))
+        phases.append(Phase(kind, t0, total, x0, y0, f0, floor_to, hd,
                             steps=tuple(specs)))
         steps_all.extend(specs)
         state["tick"] = total

@@ -748,6 +748,15 @@ MALFORMED = {
     "--rss names a MAC twice": (
         "", ["localize", "FLOW/map.json", "--rss", "ap-w=-50", "--rss", "ap-w=-60"],
         "duplicate MAC 'ap-w' in --rss"),
+    # the pair is refused before the map is read: BAD is no map
+    "--rss and --fingerprint together": (
+        json.dumps({"ap-w": -50}),
+        ["localize", "BAD", "--rss", "ap-w=-50", "--fingerprint", "BAD"],
+        "--rss or --fingerprint, not both"),
+    # the scenario reader's seed check does not see --seed
+    "--seed is negative": (
+        "", ["simulate", "FLOW/scenario.json", "--seed", "-1"],
+        "--seed must be non-negative, got -1"),
     "fingerprint file is invalid JSON": (
         '{"ap-w": -50,}', ["localize", "FLOW/map.json", "--fingerprint", "BAD"],
         "bad.json: invalid JSON: Expecting property name"),

@@ -156,3 +156,11 @@ def test_config_classes_keep_their_stage_module_names(module, name):
     config = importlib.import_module("stridemap.config")
     stage = importlib.import_module(f"stridemap.{module}")
     assert getattr(stage, name) is getattr(config, name)
+
+
+def test_pdr_imports_no_landmark_detector():
+    # the event list is built in landmarks (detect_events); pdr only reads it
+    pdr = ast.parse((ROOT / "src" / "stridemap" / "pdr.py").read_text())
+    detectors = [name for name in _bound(ast.walk(pdr))
+                 if name.startswith("detect_") and name.endswith("_landmarks")]
+    assert detectors == []

@@ -1,17 +1,24 @@
 import math
+from bisect import bisect_right
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stridemap.landmarks import (GraphError, MotionState, RuleKind,
+from stridemap.config import LandmarkConfig, SensorConfig
+from stridemap.landmarks import (STILL_SUPPRESS_LABELS, GraphError,
+                                 LandmarkEvent, MotionState, RuleKind,
                                  bearing, circular_diff,
                                  detect_acc_landmarks, detect_baro_landmarks,
-                                 detect_gyro_landmarks, graph_from_dict, sgn)
-from stridemap.sensors import Channel, SensorTrace
+                                 detect_events, detect_gyro_landmarks,
+                                 graph_from_dict, sgn)
+from stridemap.sensors import Channel, SensorTrace, classify_motion
+from stridemap.sim import generate_trace
 
-from conftest import DT, gyro_channel
+from conftest import DT, demo_scenario, gyro_channel
 
 
 def labels(pattern: str, hop: float = 1.0):
@@ -113,6 +120,83 @@ def test_burst_in_single_still_window_survives():
     trace = burst_trace([(2.2, 2.8)], 1.5)
     motion = labels("WWSWWW")
     assert len(detect_gyro_landmarks(trace, motion=motion)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the event list
+
+
+def window_turns(windows, n_windows=6, hop=1.25):
+    """Gyro trace of n_windows gyro windows, hop seconds each, turning in
+    the listed ones; every window edge is an exact binary time."""
+    w = SensorConfig().gyro_window
+    wz = np.zeros(n_windows * w)
+    for k in windows:
+        wz[k * w:(k + 1) * w] = 1.5
+    t = np.arange(n_windows * w) * (hop / w)
+    return SensorTrace(gyro=Channel(t=t, v=np.column_stack(
+        [np.zeros_like(wz), np.zeros_like(wz), wz])))
+
+
+@pytest.mark.parametrize("windows,spans,kept", [
+    # turns that end where the stop starts and start where it ends
+    ([1, 4], [(1.25, 2.5), (5.0, 6.25)], True),
+    ([4, 5], [(5.0, 7.5)], True),
+    # a turn from before the stop into it, and one from inside it out of it
+    ([1, 2], [(1.25, 3.75)], False),
+    ([3, 4], [(3.75, 6.25)], False),
+])
+def test_a_stop_is_dropped_only_when_a_turn_overlaps_it(windows, spans, kept):
+    # the stop spans [2.5, 5.0) between two 2.5 s walks
+    motion = labels("WWSSWW", hop=1.25)
+    trace = window_turns(windows)
+    turns = detect_gyro_landmarks(trace, motion=motion)
+    assert [(ev.t, ev.t_end) for ev in turns] == spans
+    stop = LandmarkEvent(t=2.5, kind=RuleKind.ACC, auxiliary=2.5, t_end=5.0)
+    assert detect_acc_landmarks(motion) == [stop]
+    assert detect_events(trace, motion) == [stop] * kept + turns
+
+
+def reference_events(trace, motion, cfg, sensor_cfg):
+    """The event list as run_pdr assembled it before detect_events, with
+    the stop detector's and the turn check's own run loops: every stop is
+    checked against every turn."""
+    hop = motion[1][0] - motion[0][0]
+    runs = []
+    for t, state in motion:
+        if runs and runs[-1][0] is state:
+            runs[-1] = (state, runs[-1][1], runs[-1][2] + hop)
+        else:
+            runs.append((state, t, hop))
+    acc_evs = [LandmarkEvent(t=start, kind=RuleKind.ACC, auxiliary=dur,
+                             t_end=start + dur)
+               for before, (state, start, dur), after in zip(runs, runs[1:], runs[2:])
+               if state is MotionState.STILL and before[2] >= cfg.walking_min_s
+               and after[2] >= cfg.walking_min_s
+               and cfg.still_min_s <= dur <= cfg.still_max_s]
+    starts, reach = [], []
+    for state, run in groupby(motion, key=itemgetter(1)):
+        times = [t for t, _ in run]
+        if state is MotionState.STILL and len(times) >= STILL_SUPPRESS_LABELS:
+            end = times[0] + len(times) * hop
+            starts.append(times[0])
+            reach.append(max(reach[-1], end) if reach else end)
+    gyro_evs = [ev for ev in detect_gyro_landmarks(trace, cfg, sensor_cfg)
+                if not ((k := bisect_right(starts, ev.t)) and reach[k - 1] >= ev.t_end)]
+    acc_evs = [a for a in acc_evs
+               if not any(g.t < a.t_end and g.t_end > a.t for g in gyro_evs)]
+    return acc_evs + gyro_evs + detect_baro_landmarks(trace, cfg)
+
+
+@pytest.mark.parametrize("name", ["two_floor_demo", "mixed_quality_demo"])
+def test_event_list_matches_the_reference_assembly(name):
+    sc = demo_scenario(name)
+    trace = generate_trace(sc.environment, sc.walk, sc.noise)
+    motion = classify_motion(trace)
+    cfg, sensor_cfg = LandmarkConfig(), SensorConfig()
+    events = detect_events(trace, motion, cfg, sensor_cfg)
+    assert events == reference_events(trace, motion, cfg, sensor_cfg)
+    assert {RuleKind.ACC, RuleKind.GYRO} <= {ev.kind for ev in events}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from stridemap import sensors
 from stridemap.sensors import (CHANNELS, Channel, MotionState, SensorTrace,
                                TraceError, TruthChannel, WifiScan,
                                _magnitudes, classify_motion, detect_steps,
-                               dump_trace, load_trace, moving_average)
+                               dump_trace, load_trace, motion_runs,
+                               moving_average)
 
 from conftest import DT, GRAVITY, flat, trace_from_mags, walking
 
@@ -488,6 +489,28 @@ def test_label_stamped_at_window_start():
 def test_partial_window_unlabelled():
     trace = trace_from_mags(np.full(149, GRAVITY))
     assert len(classify_motion(trace)) == 2
+
+
+W, S = MotionState.WALKING, MotionState.STILL
+
+
+def test_motion_runs_end_where_the_next_starts():
+    motion = [(t * 0.5, state) for t, state in enumerate([W, W, S, S, S, W, W, S, S])]
+    assert motion_runs(motion) == [(W, 0.0, 1.0, 2), (S, 1.0, 2.5, 3),
+                                   (W, 2.5, 3.5, 2), (S, 3.5, 4.5, 2)]
+
+
+def test_motion_runs_end_the_last_run_one_last_spacing_on():
+    # the spacing of the last two labels (0.5), not of the first two (1.0);
+    # an interior run ends at the next run's first label, whatever the gaps
+    motion = [(0.0, W), (1.0, S), (3.0, S), (4.0, W), (4.5, W)]
+    assert motion_runs(motion) == [(W, 0.0, 1.0, 1), (S, 1.0, 4.0, 2),
+                                   (W, 4.0, 5.0, 2)]
+
+
+def test_motion_runs_of_one_label_and_of_none():
+    assert motion_runs([(3.0, S)]) == [(S, 3.0, 3.0, 1)]
+    assert motion_runs([]) == []
 
 
 # ---------------------------------------------------------------------------
