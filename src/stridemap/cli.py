@@ -330,15 +330,14 @@ def cmd_track(args) -> int:
 
 
 def cmd_build_map(args) -> int:
-    from .pdr import attach_periodicities, load_trajectory
+    from .pdr import load_trajectory
     from .radiomap import build_radio_map, save_radio_map
-    from .sensors import detect_steps, load_trace
+    from .sensors import load_trace
 
     tree, overrides = effective_config(args)
-    sensor_cfg, _, _, quality_cfg, _ = _configs(tree)
+    _, _, _, quality_cfg, _ = _configs(tree)
     traj = load_trajectory(_require_file(args.trajectory, "trajectory file"))
-    trace = load_trace(_require_file(args.trace, "trace file"), ("accel", "wifi"))
-    attach_periodicities(traj, detect_steps(trace, sensor_cfg))
+    trace = load_trace(_require_file(args.trace, "trace file"), ("wifi",))
 
     radio_map = build_radio_map(traj, trace.wifi, quality_cfg)
     if not radio_map.entries:

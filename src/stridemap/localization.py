@@ -199,17 +199,20 @@ def _scorer(m: np.ndarray, metric: str) -> tuple[
     return sorensen, lambda q, score: score
 
 
-def _nearest(score: np.ndarray, k: int) -> np.ndarray:
+def _nearest(score: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the indices of the k smallest scores in ascending order,
-    ties in index order: a stable argsort cut at k."""
-    if k == 1:
-        return score.argmin(axis=1)[:, None]  # the first of equal minima
-    kth = np.partition(score, k - 1, axis=1)[:, k - 1:k]
-    rows, cols = np.nonzero(score <= kth)  # at least k per row
-    order = np.lexsort((cols, score[rows, cols], rows))
-    counts = np.bincount(rows, minlength=len(score))
-    starts = np.cumsum(counts) - counts
-    return cols[order[(starts[:, None] + np.arange(k)).ravel()]].reshape(-1, k)
+    ties in index order (a stable argsort cut at k), and those scores.
+    Each of k argmin passes takes the first of the row's remaining minima,
+    then sets it to inf in score, which is overwritten."""
+    rows = np.arange(len(score))
+    index = np.empty((len(score), k), dtype=np.intp)
+    picked = np.empty((len(score), k))
+    for j in range(k):
+        col = score.argmin(axis=1)
+        index[:, j] = col
+        picked[:, j] = score[rows, col]
+        score[rows, col] = inf
+    return index, picked
 
 
 # Elements per row-chunk temporary of the kNN kernel: 512 KB of float64,
@@ -221,8 +224,8 @@ def knn(index: VectorizedMap, queries: np.ndarray) -> Neighbors:
     """The kNN fix of every row of queries (vectors over index.universe).
 
     Rows are scored in chunks whose temporaries, the (rows, entries)
-    score and candidate matrices and the (rows, k, floors) vote, each
-    hold about CHUNK_ELEMENTS elements, so memory does not grow with the
+    score matrix and the (rows, k, floors) vote, each hold about
+    CHUNK_ELEMENTS elements, so memory does not grow with the
     number of queries. A k beyond the map size uses every entry.
     """
     if queries.ndim != 2 or queries.shape[1] != len(index.universe):
@@ -236,14 +239,13 @@ def knn(index: VectorizedMap, queries: np.ndarray) -> Neighbors:
     # at least one chunk, so that an empty batch still gives (0, k) arrays
     for lo in range(0, max(len(queries), 1), step):
         chunk = queries[lo:lo + step]
-        score = rank(chunk)
-        nearest = _nearest(score, k)
+        nearest, picked = _nearest(rank(chunk), k)
         votes = (codes[nearest][:, :, None] == np.arange(len(labels))).sum(axis=1)
         top = votes.max(axis=1, keepdims=True)
         sole = (votes == top).sum(axis=1) == 1
         floor = np.where(sole, labels[votes.argmax(axis=1)],
                          index.floors[nearest[:, 0]])
-        dist = finish(chunk, np.take_along_axis(score, nearest, axis=1))
+        dist = finish(chunk, picked)
         parts.append((nearest, dist, index.xs[nearest].mean(axis=1),
                       index.ys[nearest].mean(axis=1), floor))
     return Neighbors(*(np.concatenate(col) for col in zip(*parts)))

@@ -67,7 +67,9 @@ class PathSegment:
 
     points[0] is the opening anchor: the initial pose, or the snap pose of
     the landmark named by landmark (None for the initial anchor).
-    periodicities holds the step periods of the steps inside the segment.
+    periodicities holds the step periods of the steps inside the segment,
+    in time order: run_pdr fills it, and a trajectory file carries it on
+    the segment's first line.
     """
 
     points: list[Pose]
@@ -315,6 +317,9 @@ def run_pdr(
 
     if len(trace.mag) == 0:
         raise TraceError("trace has no magnetometer channel")
+    if mode is not HeadingSource.COMPASS and len(trace.gyro) < 2:
+        raise TraceError(f"{mode.value} mode needs at least two gyro samples, "
+                         f"trace has {len(trace.gyro)}")
 
     steps = detect_steps(trace, sensor_cfg)
     motion = classify_motion(trace, sensor_cfg)
@@ -447,22 +452,27 @@ def run_pdr(
 
 def dump_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as JSON lines (path or open file), each pose with
-    the index of the segment that holds it, so every pose is written once."""
+    the index of the segment that holds it, so every pose is written once;
+    each segment's first line also carries its step periods."""
     lines = []
     for k, seg in enumerate(traj.segments):
-        for pose in seg.points:
-            lines.append(json.dumps({"t": pose.t, "x": pose.x, "y": pose.y,
-                                     "floor": pose.floor, "segment": k}))
+        for i, pose in enumerate(seg.points):
+            rec = {"t": pose.t, "x": pose.x, "y": pose.y, "floor": pose.floor,
+                   "segment": k}
+            if i == 0:
+                rec["periods"] = seg.periodicities
+            lines.append(json.dumps(rec))
     write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
     """Read a trajectory export: one segment per segment index, in index
-    order, each with its poses in file order. A pose earlier than the one
-    before it in its segment is refused. Segment periodicities and
-    landmarks are not part of the file format; attach_periodicities
-    reattaches the periodicities from the trace."""
-    segs: dict[int, list[Pose]] = {}
+    order, each with its poses in file order and the step periods its first
+    line carries. A pose earlier than the one before it in its segment is
+    refused, and so is a segment whose first line has no periods (a file
+    written before trajectories carried them), a later line with periods
+    again, or a period that is not a finite number."""
+    segs: dict[int, PathSegment] = {}
     for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
         try:
             pose = Pose(*(number(rec[k], k) for k in ("t", "x", "y", "floor")))
@@ -470,17 +480,34 @@ def load_trajectory(path: str | Path) -> Trajectory:
         except (KeyError, TypeError, ValueError):
             raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
                              f"floor and an integer segment") from None
-        points = segs.setdefault(segment, [])
-        if points and pose.t < points[-1].t:
+        seg = segs.get(segment)
+        if seg is None:
+            if "periods" not in rec:
+                raise TraceError(f"{path}:{ln}: segment {segment} has no step "
+                                 f"periods; the file predates them, re-run track")
+            periods = rec["periods"]
+            if not isinstance(periods, list):
+                raise TraceError(f"{path}:{ln}: periods must be a list, got {periods!r}")
+            try:
+                periodicities = [number(v, "period") for v in periods]
+            except ValueError as exc:
+                raise TraceError(f"{path}:{ln}: {exc}") from None
+            seg = segs[segment] = PathSegment(points=[], periodicities=periodicities)
+        elif "periods" in rec:
+            raise TraceError(f"{path}:{ln}: segment {segment} carries periods twice")
+        elif pose.t < seg.points[-1].t:
             raise TraceError(f"{path}:{ln}: pose t {pose.t!r} goes back in time "
-                             f"from {points[-1].t!r} in segment {segment}")
-        points.append(pose)
-    return Trajectory(segments=[PathSegment(points=segs[k]) for k in sorted(segs)])
+                             f"from {seg.points[-1].t!r} in segment {segment}")
+        seg.points.append(pose)
+    return Trajectory(segments=[segs[k] for k in sorted(segs)])
 
 
 def attach_periodicities(traj: Trajectory, steps) -> None:
     """Fill segment periodicities from detected steps by time span: the
-    steps after a segment's first pose up to and including its last."""
+    steps after a segment's first pose up to and including its last.
+    run_pdr and load_trajectory already fill them, and no CLI path calls
+    this; the benchmark's set-up map still does, until ROADMAP item 6
+    builds that map from run_pdr's own trajectory."""
     steps = sorted(steps, key=lambda s: s.t)
     times = [s.t for s in steps]
     for seg in traj.segments:

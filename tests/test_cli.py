@@ -13,10 +13,9 @@ from stridemap import sensors
 from stridemap.cli import (SECTIONS, CliError, _configs, _Outputs,
                            build_parser, default_config, effective_config,
                            load_queries, main)
-from stridemap.pdr import (HeadingSource, Trajectory, attach_periodicities,
-                           load_trajectory)
+from stridemap.pdr import HeadingSource, Trajectory, load_trajectory
 from stridemap.radiomap import build_radio_map
-from stridemap.sensors import detect_steps, load_trace
+from stridemap.sensors import load_trace
 from test_sim import corridor_dict
 
 
@@ -83,9 +82,8 @@ def test_build_map_outputs(flow):
 
 
 def test_segment_counts_match_one_segment_builds(flow):
-    traj = load_trajectory(flow / "trajectory.jsonl")
+    traj = load_trajectory(flow / "trajectory.jsonl")  # periods included
     trace = load_trace(flow / "trace.jsonl")
-    attach_periodicities(traj, detect_steps(trace))
     expected = [len(build_radio_map(Trajectory(segments=[seg]),
                                     trace.wifi))
                 for seg in traj.segments]
@@ -497,7 +495,7 @@ def test_sweep_rejects_bad_tau_list(flow, tmp_path, capsys):
 
 GOOD_QUERY = '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -50}}\n'
 GOOD_ACCEL = '{"ch": "accel", "t": 0.0, "v": [0, 0, 9.8]}\n'
-GOOD_POSE = '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0}\n'
+GOOD_POSE = '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": []}\n'
 TRACK_BAD = ["track", "BAD", "--mode", "pdr-gyro"]
 MAP_BAD = ["build-map", "BAD", "FLOW/trace.jsonl"]
 GRAPH_BAD = ["track", "FLOW/trace.jsonl", "--graph", "BAD"]
@@ -651,6 +649,27 @@ MALFORMED = {
     "trajectory segment is fractional": (
         GOOD_POSE + '{"t": 1, "x": 0, "y": 0, "floor": 1, "segment": 0.5}\n',
         MAP_BAD, ":2:"),
+    # a trajectory written before segments carried their step periods
+    "trajectory segment without periods": (
+        '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0}\n',
+        MAP_BAD, "bad.json:1: segment 0 has no step periods; the file "
+                 "predates them, re-run track"),
+    "trajectory periods twice in a segment": (
+        GOOD_POSE + '{"t": 1, "x": 0, "y": 0, "floor": 1, "segment": 0, '
+        '"periods": [0.5]}\n',
+        MAP_BAD, "bad.json:2: segment 0 carries periods twice"),
+    "trajectory period is NaN": (
+        '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": [NaN]}\n',
+        MAP_BAD, "bad.json:1: period must be a finite number, got nan"),
+    "trajectory period is text": (
+        '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": ["0.5"]}\n',
+        MAP_BAD, "bad.json:1: period must be a finite number, got '0.5'"),
+    "trajectory period is a bool": (
+        '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": [true]}\n',
+        MAP_BAD, "bad.json:1: period must be a finite number, got True"),
+    "trajectory periods is not a list": (
+        '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": 0.5}\n',
+        MAP_BAD, "bad.json:1: periods must be a list, got 0.5"),
     "graph node floor is fractional": (
         json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1.7}], "edges": []}),
         GRAPH_BAD, "node 0: malformed: floor must be an integer"),
@@ -902,9 +921,12 @@ def trace_with_broken_gyro(flow, tmp_path, replace=()) -> Path:
 
 
 def test_build_map_reads_no_gyro_line(flow, tmp_path, capsys):
-    # build-map parses only accel and WiFi lines, so a broken gyro line,
-    # which fails track, leaves its map unchanged
-    trace = trace_with_broken_gyro(flow, tmp_path)
+    # build-map parses only WiFi lines, so a broken gyro line, which fails
+    # track, and a broken accel line leave its map unchanged
+    lines = (flow / "trace.jsonl").read_text().splitlines(keepends=True)
+    k = next(i for i in range(60, len(lines)) if lines[i].startswith('{"ch": "accel"'))
+    trace = trace_with_broken_gyro(
+        flow, tmp_path, [(k, '{"ch": "accel", "t": -1.0, "v": [0.0, oops]}\n')])
     assert main(["build-map", str(flow / "trajectory.jsonl"), str(trace),
                  "--out", str(tmp_path / "map")]) == 0
     for name in ("map.json", "segments.csv"):
@@ -916,20 +938,59 @@ def test_build_map_reads_no_gyro_line(flow, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: line 2: invalid JSON")
 
 
-@pytest.mark.parametrize("bad_accel,message", [
-    ('{"ch": "accel", "t": 0.5, "v": [0.0, 9.8]}\n',
-     "accel sample must be a finite t and 3 finite values"),
-    ('{"ch": "accel", "t": -1.0, "v": [0.0, 0.0, 9.8]}\n',
-     "timestamps regress in channel 'accel'")])
-def test_build_map_names_a_bad_accel_line_past_a_broken_gyro_line(
-        flow, tmp_path, capsys, bad_accel, message):
+@pytest.mark.parametrize("bad_wifi,message", [
+    ('{"ch": "wifi", "t": 50, "v": [["ap-w", 7]]}\n',
+     "RSS of 'ap-w' must be a non-positive integer of at least -200 dBm, got 7"),
+    ('{"ch": "wifi", "t": -1.0, "v": []}\n',
+     "timestamps regress in channel 'wifi'")], ids=["rss_above_zero", "time_regresses"])
+def test_build_map_names_a_bad_wifi_line_past_a_broken_gyro_line(
+        flow, tmp_path, capsys, bad_wifi, message):
     lines = (flow / "trace.jsonl").read_text().splitlines()
-    k = next(i for i in range(60, len(lines)) if lines[i].startswith('{"ch": "accel"'))
-    trace = trace_with_broken_gyro(flow, tmp_path, [(k, bad_accel)])
+    scans = [i for i, line in enumerate(lines) if line.startswith('{"ch": "wifi"')]
+    k = scans[len(scans) // 2]
+    trace = trace_with_broken_gyro(flow, tmp_path, [(k, bad_wifi)])
     assert main(["build-map", str(flow / "trajectory.jsonl"), str(trace),
                  "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: line {k + 2}: {message}"]
+
+
+def test_build_map_takes_its_steps_from_the_trajectory(flow, tmp_path):
+    # the periods come from track: a step setting given to build-map alone
+    # used to find no steps and write an empty map
+    assert main(["build-map", str(flow / "trajectory.jsonl"), str(flow / "trace.jsonl"),
+                 "--set", "sensors.variance_threshold=3.0",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "map.json").read_bytes() == (flow / "map.json").read_bytes()
+
+
+def trace_without_gyro(flow, tmp_path) -> Path:
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(line for line in (flow / "trace.jsonl").open()
+                            if not line.startswith('{"ch": "gyro"')))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["landmark", "pdr-gyro"])
+def test_a_mode_that_turns_by_gyro_refuses_a_trace_without_one(
+        flow, tmp_path, capsys, mode):
+    # landmark mode used to track on with no turn data and pdr-gyro to keep
+    # the first heading, both with exit 0
+    trace = trace_without_gyro(flow, tmp_path)
+    assert main(["track", str(trace), "--graph", str(flow / "graph.json"),
+                 "--mode", mode, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {mode} mode needs at least two gyro samples, trace has 0"]
+    assert not (tmp_path / "out" / "trajectory.jsonl").exists()
+
+
+def test_compass_mode_tracks_a_trace_without_a_gyro(flow, tmp_path):
+    trace = trace_without_gyro(flow, tmp_path)
+    for name, path in (("bare", trace), ("full", flow / "trace.jsonl")):
+        assert main(["track", str(path), "--mode", "pdr-compass",
+                     "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "bare" / "trajectory.jsonl").read_bytes()
+            == (tmp_path / "full" / "trajectory.jsonl").read_bytes())
 
 
 def test_build_map_refuses_a_pose_that_goes_back_in_time(flow, tmp_path, capsys):

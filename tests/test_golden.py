@@ -4,8 +4,9 @@ Criterion 8 checks that two runs agree with each other; this pins what they
 agree on. Each demo scenario is simulated (seed 1), tracked in all three
 heading modes, mapped from each trajectory, and its landmark map is
 evaluated, swept and queried by localize. The sha256 of every output file,
-manifests included with the run directory replaced by "<root>", must equal
-the digest below. A change that alters a format on purpose updates these
+manifests included with the run directory replaced by "<root>" and the
+scenarios directory by "<scenarios>", must equal the digest below, in any
+checkout. A change that alters a format on purpose updates these
 digests and says so in CHANGES.md.
 """
 
@@ -65,7 +66,8 @@ def run_pipeline(root, scenario_path):
         if path.is_file() and "/" in rel:  # outputs live in subdirectories
             data = path.read_bytes()
             if path.name == "manifest.json":
-                data = data.replace(str(root).encode(), b"<root>")
+                data = data.replace(str(root).encode(), b"<root>").replace(
+                    str(scenario_path.parent).encode(), b"<scenarios>")
             files[rel] = data
     return files
 
@@ -101,7 +103,7 @@ GOLDEN = {
         "map/pdr-gyro/segments.csv":
             "3aaffdb162a7ec91858430a195f258d1f9c823107e4a2619d43a8ea03d4392d1",
         "sim/manifest.json":
-            "88acf6253ba62abdd1fc4b1f5d08cb870401c6a02567f7f0fc14e54c76f6e9db",
+            "9f597c88632c18fa805cfb2437cf648b8c02c76c525edd422b854ae1a3b1a99b",
         "sim/trace.jsonl":
             "6e703612eea1ddfd50b105f23a5bc51cbe07076d38c8a1f645f1d3ff5288965d",
         "sweep/manifest.json":
@@ -115,7 +117,7 @@ GOLDEN = {
         "track/landmark/summary.json":
             "c1017fd724380c81920c47bb7608f786f9e55af77b1af0ae3c0de11cd3e7a241",
         "track/landmark/trajectory.jsonl":
-            "f36720c230d389cc3f8951d5c8e4fb97eb5e465185b8e47a96e9e0b5b1ec960b",
+            "e97c2ef80880c12ec12aa929bd984ae2089e9a6fd211c2cf5fc5007eadebea0b",
         "track/pdr-compass/error_cdf.csv":
             "73534f08907e4a1465196bbe8c02c33227cad72529efd5adeb73a40272ff6f46",
         "track/pdr-compass/manifest.json":
@@ -123,7 +125,7 @@ GOLDEN = {
         "track/pdr-compass/summary.json":
             "f3cee5f208c70dc52bb4dfa4e6f3e5a3920456c54b305f2cf9383bb3f4786258",
         "track/pdr-compass/trajectory.jsonl":
-            "920ebb02df52549042122408230e170eac1100ec578fa61cbbeaf05acc9dde7b",
+            "fe76c7eeb99e4169db45ea224321fd92e1905e7304e1479c2f5d3156346b4103",
         "track/pdr-gyro/error_cdf.csv":
             "918c56a2c674b3494b791c82bbea024a494e26195c907685d4b72b72075ea771",
         "track/pdr-gyro/manifest.json":
@@ -131,7 +133,7 @@ GOLDEN = {
         "track/pdr-gyro/summary.json":
             "28a3357af0cdcc4cc18e7956a1cfcfd2d0862e535662910952c1bdc1f271821b",
         "track/pdr-gyro/trajectory.jsonl":
-            "2fe9eabbd882b2aeb7fdfdc9a0c24fefb62004ddb0386251300fd6e8259b4801",
+            "9f2cf803d443c4433c603cd22fa42704866da56b2b82c02eb47e1957971ab23c",
     },
     "mixed_quality_demo": {
         "evaluate/manifest.json":
@@ -163,7 +165,7 @@ GOLDEN = {
         "map/pdr-gyro/segments.csv":
             "d1e6f57832a59097737423b229ba215295d540f9f8ce0f36d81becb73dc56ec2",
         "sim/manifest.json":
-            "a13e41a61994df95154dbf1e8cae3534fc7a4e34b286f3a7d4b7f1a2157ba1f4",
+            "c32510096e42ff71794e097653937156760de6daba615d5838f894fdc4049bd8",
         "sim/trace.jsonl":
             "b42d8ae88baea58b232de9ec0d0b9c8abfe656f5e2bd2d04e545c97008e521e1",
         "sweep/manifest.json":
@@ -177,7 +179,7 @@ GOLDEN = {
         "track/landmark/summary.json":
             "38cf0b36dcd299bad617a299a7e248b560d2950d7fc1eaa203127d22c32d6d87",
         "track/landmark/trajectory.jsonl":
-            "184a3766b69fe8706351d2a1ccc51822ae102086c4ebd73c43227628def33df4",
+            "65a3985a5a75d66f3e96e389320a13d18c355f1c0a77586794343e4084c97da0",
         "track/pdr-compass/error_cdf.csv":
             "53600253c8c1253647c476f347d8d5c6f0404541e2743dae993663713ea228e4",
         "track/pdr-compass/manifest.json":
@@ -185,7 +187,7 @@ GOLDEN = {
         "track/pdr-compass/summary.json":
             "529783d45533752ff94bc8d531a0c680c737512a4a76d0f345fb4801212fad5a",
         "track/pdr-compass/trajectory.jsonl":
-            "a1a88083e04599b2c32d8293ae2a3173c54da168acada4748b47b0957b51114d",
+            "d425bc240fd1d0c18eea22deccd22e7c3040cd8d7c4fc3d7d8cfa5ddd1b92497",
         "track/pdr-gyro/error_cdf.csv":
             "6664432fe405bb38e9a41a5515386a0baa1a5cfd27f88930a77bdcb60ee2a01d",
         "track/pdr-gyro/manifest.json":
@@ -193,7 +195,7 @@ GOLDEN = {
         "track/pdr-gyro/summary.json":
             "f8c8ea9b2eb47ce26bd1fcf3b53cf8d7ff23faffc088dba46afe8a851aa87a6a",
         "track/pdr-gyro/trajectory.jsonl":
-            "1a745064429aea70e3d5b48b2b440fb61adbec9351f476021639659446e577b8",
+            "df4d123b58fe60df7e2388da58245b36f850c6ccf5d768cb28751394f4429b81",
     },
 }
 

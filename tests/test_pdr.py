@@ -335,6 +335,18 @@ def test_landmark_mode_requires_graph():
         run_pdr(trace, None, (0.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("mode", [HeadingSource.LANDMARK, HeadingSource.GYRO])
+def test_a_mode_that_turns_by_gyro_refuses_a_trace_without_one(mode):
+    trace = out_and_back_trace()
+    for gyro in (Channel(np.empty(0), np.empty((0, 3))),
+                 Channel(trace.gyro.t[:1], trace.gyro.v[:1])):
+        bare = SensorTrace(accel=trace.accel, gyro=gyro, mag=trace.mag)
+        with pytest.raises(TraceError, match=rf"^{mode.value} mode needs at least "
+                           rf"two gyro samples, trace has {len(gyro)}$"):
+            run_pdr(bare, straight_graph(), (0.0, 0.0, 1.0),
+                    PdrConfig(heading_source=mode))
+
+
 # ---------------------------------------------------------------------------
 # trajectory io
 
@@ -351,20 +363,40 @@ def test_dump_load_round_trip(tmp_path):
         assert (a.t, a.x, a.y, a.floor) == (b.t, b.x, b.y, b.floor)
 
 
+@pytest.mark.parametrize("mode", list(HeadingSource))
+def test_round_trip_keeps_each_segments_periods(tmp_path, mode):
+    trace = out_and_back_trace()
+    traj = run_pdr(trace, straight_graph(), (0.0, 0.0, 1.0),
+                   PdrConfig(heading_source=mode))
+    path = tmp_path / "traj.jsonl"
+    dump_trajectory(traj, path)
+    back = load_trajectory(path)
+    assert ([s.periodicities for s in back.segments]
+            == [s.periodicities for s in traj.segments])
+    assert sum(len(s.periodicities) for s in back.segments) > 0
+    # the periods run_pdr keeps are those the steps give each segment's span
+    attach_periodicities(back, detect_steps(trace))
+    assert ([s.periodicities for s in back.segments]
+            == [s.periodicities for s in traj.segments])
+
+
+def pose_line(t, k, **extra) -> str:
+    return json.dumps({"t": t, "x": 0, "y": 0, "floor": 1, "segment": k,
+                       **extra}) + "\n"
+
+
 def test_load_keeps_equal_times_and_orders_each_segment_alone(tmp_path):
     path = tmp_path / "traj.jsonl"
-    path.write_text("".join(
-        json.dumps({"t": t, "x": 0, "y": 0, "floor": 1, "segment": k}) + "\n"
-        for t, k in [(5, 1), (1, 0), (1, 0), (6, 1), (2, 0)]))
+    path.write_text(pose_line(5, 1, periods=[0.5]) + pose_line(1, 0, periods=[])
+                    + pose_line(1, 0) + pose_line(6, 1) + pose_line(2, 0))
     back = load_trajectory(path)
     assert [[p.t for p in s.points] for s in back.segments] == [[1, 1, 2], [5, 6]]
+    assert [s.periodicities for s in back.segments] == [[], [0.5]]
 
 
 def test_load_refuses_a_pose_earlier_than_its_segment_predecessor(tmp_path):
     path = tmp_path / "traj.jsonl"
-    path.write_text("".join(
-        json.dumps({"t": t, "x": 0, "y": 0, "floor": 1, "segment": 0}) + "\n"
-        for t in (1, 3, 2)))
+    path.write_text(pose_line(1, 0, periods=[]) + pose_line(3, 0) + pose_line(2, 0))
     with pytest.raises(TraceError, match=rf"^{re.escape(str(path))}:3: pose t 2.0 "
                        r"goes back in time from 3.0 in segment 0$"):
         load_trajectory(path)
