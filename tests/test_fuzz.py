@@ -35,8 +35,11 @@ def _trace_records() -> list[dict]:
 
 
 TRACE = _trace_records()
+# The first pose of each segment carries that segment's step periods.
 TRAJECTORY = [{"t": t, "x": t, "y": 0.0, "floor": 1.0, "segment": seg}
-              for t, seg in ((0.0, 0), (0.4, 0), (0.6, 1), (1.1, 1))]
+              | ({"periods": [0.5]} if first else {})
+              for t, seg, first in ((0.0, 0, True), (0.4, 0, False),
+                                    (0.6, 1, True), (1.1, 1, False))]
 GRAPH_NODES = [{"id": "a", "x": 0.0, "y": 0.0, "floor": 1, "rules": ["acc"]},
                {"id": "b", "x": 10.0, "y": 0.0, "floor": 1, "rules": ["gyro+", "acc"]}]
 GRAPH_EDGES = [{"from": "a", "to": "b", "heading_deg": 0.0, "distance_m": 10.0}]
@@ -239,3 +242,20 @@ def test_localize_on_mutated_inputs(inputs):
         _assert_clean_exit(["localize", _write_json(Path(d) / "map.json", _map(map_records)),
                             "--fingerprint", _write_json(Path(d) / "fp.json", fingerprint),
                             "--out", d])
+
+
+def test_unmutated_inputs_are_accepted():
+    """The fixtures above pass every check as they stand, so a mutation
+    fails on what it changed rather than on a stale fixture."""
+    graph = {"nodes": GRAPH_NODES, "edges": GRAPH_EDGES, "auto_reverse": True}
+    with tempfile.TemporaryDirectory() as d:
+        trace = _write(Path(d) / "trace.jsonl", TRACE)
+        map_path = _write_json(Path(d) / "given_map.json", _map([MAP_CONFIG] + MAP_ENTRIES))
+        for argv in (
+                ["track", trace, "--mode", "pdr-gyro"],
+                ["track", trace, "--graph", _write_json(Path(d) / "graph.json", graph)],
+                ["build-map", _write(Path(d) / "traj.jsonl", TRAJECTORY), trace],
+                ["evaluate", map_path, _write(Path(d) / "queries.jsonl", QUERIES)],
+                ["localize", map_path, "--fingerprint",
+                 _write_json(Path(d) / "fp.json", QUERIES[0]["fp"])]):
+            assert _run(argv + ["--out", d]) == 0, argv
