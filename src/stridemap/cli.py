@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import Field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -28,8 +29,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .config import (HEADING_THRESHOLD_DEG, ConfigError, HeadingSource,
                      LandmarkConfig, LocalizationConfig, PdrConfig,
                      QualityConfig, SensorConfig)
-from .sensors import (RSS_MAX_DBM, RSS_MIN_DBM, RSS_RULE, number, read_json,
-                      read_jsonl, rss)
+from .sensors import (RSS_RULE, SCALARS, choice, fingerprint, members,
+                      number, read_json, read_jsonl, rss, text, version)
 
 # Each subcommand imports the stage functions it calls in its own body, so
 # a process loads only the stages of the command it runs.
@@ -48,22 +49,28 @@ SECTIONS = {
 }
 
 
-def _leaf(cls: type, f: Field) -> tuple[str, object, Callable]:
-    """Tree key, tree default and tree-to-field conversion of one config
-    field. The heading gate is set in degrees and an enum field by its
-    value; every other leaf is the field itself."""
+# The reader of a config leaf by the type of its default. A float leaf may
+# hold NaN or an infinity, so that its dataclass refuses it by key name.
+_LEAF = {int: SCALARS["int"], float: partial(number, finite=False), str: text}
+
+
+def _leaf(cls: type, f: Field) -> tuple[str, object, Callable, Callable]:
+    """Tree key, tree default, tree-to-field conversion and tree reader of
+    one config field. The heading gate is set in degrees and an enum field
+    by its value, one of its values; every other leaf is the field itself."""
     if (cls, f.name) == (PdrConfig, "heading_threshold"):
-        return "heading_threshold_deg", HEADING_THRESHOLD_DEG, math.radians
+        return "heading_threshold_deg", HEADING_THRESHOLD_DEG, math.radians, _LEAF[float]
     if isinstance(f.default, enum.Enum):
-        return f.name, f.default.value, type(f.default)
-    return f.name, f.default, lambda value: value
+        kind = type(f.default)
+        return f.name, f.default.value, kind, choice({m.value: m.value for m in kind})
+    return f.name, f.default, lambda value: value, _LEAF[type(f.default)]
 
 
 def default_config() -> dict:
     """Fresh copy of the full parameter tree."""
     tree: dict = {"version": CONFIG_VERSION}
     for section, cls in SECTIONS.items():
-        tree[section] = {key: default for key, default, _ in
+        tree[section] = {key: default for key, default, *_ in
                          (_leaf(cls, f) for f in fields(cls))}
     return tree
 
@@ -72,73 +79,53 @@ class CliError(Exception):
     """Reported to stderr with a nonzero exit, no traceback."""
 
 
-def _merge_tree(base: dict, extra: dict, prefix: str = "") -> None:
-    for key, val in extra.items():
-        dotted = f"{prefix}{key}"
-        if key not in base:
-            raise CliError(f"unknown config key {dotted!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(val, dict):
-                raise CliError(f"config key {dotted!r} must be a section")
-            _merge_tree(base[key], val, f"{dotted}.")
+# The reader of a partial config tree: every section and leaf optional.
+_read_tree = members({"version": version(CONFIG_VERSION), **{
+    section: members({key: read for key, _, _, read in (_leaf(cls, f) for f in fields(cls))})
+    for section, cls in SECTIONS.items()}})
+
+
+def _overlay(tree: dict, data, prefix: str = "") -> dict:
+    """Read a partial config tree and write its leaves over tree's; the
+    tree as read. A fault raises CliError, its message after prefix."""
+    try:
+        part = _read_tree(data, "config", CliError)
+    except CliError as exc:
+        raise CliError(f"{prefix}{exc}") from None
+    for key, value in part.items():
+        if isinstance(value, dict):
+            tree[key].update(value)
         else:
-            base[key] = _coerce(dotted, base[key], val)
-
-
-def _coerce(dotted: str, current, raw):
-    want = type(current)
-    bad = CliError(f"config key {dotted!r} expects {want.__name__}, got {raw!r}")
-    if isinstance(raw, bool):
-        raise bad
-    try:
-        if want is int:
-            if isinstance(raw, float) and raw != int(raw):
-                raise bad
-            return int(raw)
-        if want is float:
-            return float(raw)
-    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-        raise bad
-    if want is str:
-        if not isinstance(raw, str):
-            raise bad
-        return raw
-    raise bad
-
-
-def _apply_set(tree: dict, assignment: str) -> tuple[str, object]:
-    if "=" not in assignment:
-        raise CliError(f"--set needs key=value, got {assignment!r}")
-    dotted, _, raw = assignment.partition("=")
-    node = tree
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise CliError(f"unknown config key {dotted!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node or isinstance(node[leaf], dict):
-        raise CliError(f"unknown config key {dotted!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw  # bare strings like euclidean
-    node[leaf] = _coerce(dotted, node[leaf], value)
-    return dotted, node[leaf]
+            tree[key] = value
+    return part
 
 
 def effective_config(args) -> tuple[dict, dict]:
-    """Defaults, overlaid with --config file, overlaid with --set flags."""
+    """Defaults, overlaid with --config file, overlaid with --set flags.
+    --set a.b=v is the tree {"a": {"b": v}}, v read as JSON or else as
+    the bare string (euclidean)."""
     tree = default_config()
     if args.config:
         path = _require_file(args.config, "config file")
-        data = read_json(path, CliError, f"config file {path}: ")
-        if not isinstance(data, dict):
-            raise CliError(f"config file {path}: must be an object")
-        _merge_tree(tree, data)
+        prefix = f"config file {path}: "
+        _overlay(tree, read_json(path, CliError, prefix), prefix)
     overrides = {}
     for assignment in args.set or []:
-        dotted, value = _apply_set(tree, assignment)
+        if "=" not in assignment:
+            raise CliError(f"--set needs key=value, got {assignment!r}")
+        dotted, _, raw = assignment.partition("=")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        keys = dotted.split(".")
+        for key in reversed(keys):
+            value = {key: value}
+        value = _overlay(tree, value)
+        for key in keys:
+            value = value[key]
+        if isinstance(value, dict):
+            raise CliError(f"--set needs a leaf key, got section {dotted!r}")
         overrides[dotted] = value
     return tree, overrides
 
@@ -149,12 +136,9 @@ def _configs(tree: dict) -> tuple:
     for section, cls in SECTIONS.items():
         kwargs, keys = {}, {}
         for f in fields(cls):
-            key, _, convert = _leaf(cls, f)
+            key, _, convert, _ = _leaf(cls, f)
             keys[f.name] = key
-            try:
-                kwargs[f.name] = convert(tree[section][key])
-            except ValueError as exc:
-                raise CliError(f"config key '{section}.{key}': {exc}")
+            kwargs[f.name] = convert(tree[section][key])
         try:
             out.append(cls(**kwargs))
         except ConfigError as exc:
@@ -377,36 +361,14 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
     return fp
 
 
-def _rss(raw, what: str) -> int:
-    """An RSS in dBm as sensors.rss reads it, else CliError naming what."""
-    reading = rss(raw)
-    if reading is None:
-        raise CliError(f"{what} {RSS_RULE}, got {raw!r}")
-    return reading
-
-
-def _fingerprint(raw, where: str) -> dict[str, int]:
-    if not isinstance(raw, dict):
-        raise CliError(f"{where}: fingerprint must be an object of mac: rss")
-    if "" in raw:
-        raise CliError(f"{where}: fingerprint has an empty MAC")
-    return {str(mac): _rss(value, f"{where}: RSS of {mac!r}")
-            for mac, value in raw.items()}
-
-
 def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[str, int]]]:
     """Query JSONL: one {"x", "y", "floor", "fp"} object per line."""
     queries = []
-    for ln, rec in read_jsonl(path, CliError, f"{path}:"):
+    prefix = f"{path}:"  # formatted once: a line's fingerprint is named by it
+    for ln, rec in read_jsonl(path, CliError, prefix):
         if not isinstance(rec, dict) or set(rec) != {"x", "y", "floor", "fp"}:
             raise CliError(f"{path}:{ln}: query needs exactly x, y, floor, fp")
-        fp = rec["fp"]
-        # a well-formed fingerprint is kept as parsed; anything else, -50.0
-        # included, goes through _fingerprint for its reading or its error
-        if not (type(fp) is dict and "" not in fp and all(
-                type(v) is int and RSS_MIN_DBM <= v <= RSS_MAX_DBM
-                for v in fp.values())):
-            fp = _fingerprint(fp, f"{path}:{ln}")
+        fp = fingerprint(rec["fp"], f"{prefix}{ln}", CliError)
         try:
             truth = (number(rec["x"], "x"), number(rec["y"], "y"),
                      number(rec["floor"], "floor", integral=True))
@@ -430,8 +392,8 @@ def cmd_localize(args) -> int:
         fp = _parse_rss(args.rss)
     elif args.fingerprint:
         path = _require_file(args.fingerprint, "fingerprint file")
-        fp = _fingerprint(read_json(path, CliError, f"fingerprint file {path}: "),
-                          f"fingerprint file {path}")
+        fp = fingerprint(read_json(path, CliError, f"fingerprint file {path}: "),
+                         f"fingerprint file {path}", CliError)
     else:
         raise CliError("pass a fingerprint via --rss or --fingerprint")
     result = knn_localize(fp, radio_map, loc_cfg)

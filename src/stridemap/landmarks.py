@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
@@ -21,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import LandmarkConfig, SensorConfig
-from .sensors import MotionState, SensorTrace, motion_runs, number, read_json
+from .sensors import (MotionState, SensorTrace, array, choice, flag,
+                      members, motion_runs, number, read_json, record,
+                      text)
 
 # Gyro events inside a confirmed stop are phone fidgeting, not corners.
 # A stop is confirmed once this many consecutive windows classify Still;
@@ -69,7 +70,7 @@ class Landmark:
     x: float
     y: float
     floor: int
-    rules: tuple[Rule, ...]
+    rules: tuple[Rule, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -279,30 +280,17 @@ def detect_events(
 
 
 _RULE_NAMES = {
-    "acc": (RuleKind.ACC, None),
-    "gyro": (RuleKind.GYRO, None),
-    "gyro+": (RuleKind.GYRO, 1),
-    "gyro-": (RuleKind.GYRO, -1),
-    "baro_in": (RuleKind.BARO_IN, None),
-    "baro_out": (RuleKind.BARO_OUT, None),
+    "acc": Rule(RuleKind.ACC),
+    "gyro": Rule(RuleKind.GYRO),
+    "gyro+": Rule(RuleKind.GYRO, 1),
+    "gyro-": Rule(RuleKind.GYRO, -1),
+    "baro_in": Rule(RuleKind.BARO_IN),
+    "baro_out": Rule(RuleKind.BARO_OUT),
 }
 
 # Geometry consistency tolerances for declared edge heading/distance.
 HEADING_TOL_RAD = math.radians(1.0)
 DISTANCE_TOL_M = 0.05
-
-# The keys a graph file may hold: at the top level, in a node, in an edge.
-_GRAPH_KEYS = {"nodes", "edges", "auto_reverse"}
-_NODE_KEYS = {"id", "x", "y", "floor", "rules"}
-_EDGE_KEYS = {"from", "to", "heading_deg", "distance_m", "override"}
-
-
-def _parse_rule(name: str) -> Rule:
-    try:
-        kind, sign = _RULE_NAMES[name]
-    except KeyError:
-        raise GraphError(f"unknown rule {name!r}") from None
-    return Rule(kind=kind, turn_sign=sign)
 
 
 def bearing(x1: float, y1: float, x2: float, y2: float) -> float:
@@ -316,81 +304,39 @@ def circular_diff(a: float, b: float) -> float:
     return min(d, 2 * math.pi - d)
 
 
-def _known(obj, allowed: set[str], where: str) -> None:
-    """Refuse obj unless it is an object holding only allowed keys."""
-    if not isinstance(obj, dict):
-        raise GraphError(f"{where} must be an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise GraphError(f"{where} has unknown fields {sorted(unknown)}")
-
-
-def _flag(obj: dict, key: str, where: str) -> bool:
-    """obj[key] as a JSON boolean, False when absent."""
-    value = obj.get(key, False)
-    if not isinstance(value, bool):
-        raise GraphError(f"{where}: {key!r} must be true or false, got {value!r}")
-    return value
-
-
-@contextmanager
-def _malformed(what: str):
-    """Report a missing field or a malformed value as a GraphError."""
-    try:
-        yield
-    except GraphError:
-        raise
-    except KeyError as exc:
-        raise GraphError(f"{what}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GraphError(f"{what}: malformed: {exc}") from None
+# A graph file's keys and types; an edge's override and the graph's
+# auto_reverse default to false.
+_read_graph = members({
+    "nodes": array(record(Landmark, {"rules": array(choice(_RULE_NAMES))})),
+    "edges": array(members({"from": text, "to": text, "heading_deg": number,
+                            "distance_m": number, "override": flag},
+                           ("from", "to", "heading_deg", "distance_m"))),
+    "auto_reverse": flag}, ("nodes", "edges"))
 
 
 def graph_from_dict(data: dict) -> LandmarkGraph:
-    """Build and validate a landmark graph from its JSON object form."""
-    try:
-        node_list = data["nodes"]
-        edge_list = data["edges"]
-    except (KeyError, TypeError):
-        raise GraphError("graph object requires 'nodes' and 'edges'") from None
-    if not isinstance(node_list, list) or not isinstance(edge_list, list):
-        raise GraphError("graph 'nodes' and 'edges' must be arrays")
-    _known(data, _GRAPH_KEYS, "graph")
-    auto_reverse = _flag(data, "auto_reverse", "graph")
-
+    """Build a landmark graph from its JSON object form, then check what
+    the types alone cannot: unique ids, known edge endpoints and, unless
+    an edge overrides it, each edge's heading and distance against the
+    coordinates of its ends."""
+    graph = _read_graph(data, "graph", GraphError)
     nodes: dict[str, Landmark] = {}
-    for i, nd in enumerate(node_list):
-        with _malformed(f"node {i}"):
-            _known(nd, _NODE_KEYS, f"node {i}")
-            lid = nd["id"]
-            if not isinstance(lid, str) or not lid:
-                raise GraphError(f"node {i}: id must be a non-empty string, got {lid!r}")
-            if lid in nodes:
-                raise GraphError(f"duplicate landmark id {lid!r}")
-            rule_names = nd.get("rules", [])
-            if not isinstance(rule_names, list):
-                raise GraphError(f"node {i}: rules must be an array, got {rule_names!r}")
-            rules = tuple(_parse_rule(r) for r in rule_names)
-            nodes[lid] = Landmark(
-                id=lid, x=number(nd["x"], "x"), y=number(nd["y"], "y"),
-                floor=number(nd["floor"], "floor", integral=True), rules=rules)
+    for lm in graph["nodes"]:
+        if lm.id in nodes:
+            raise GraphError(f"duplicate landmark id {lm.id!r}")
+        nodes[lm.id] = lm
 
     edges: list[Edge] = []
-    for i, ed in enumerate(edge_list):
-        with _malformed(f"edge {i}"):
-            _known(ed, _EDGE_KEYS, f"edge {i}")
-            frm, to = ed["from"], ed["to"]
-            for endpoint in (frm, to):
-                if endpoint not in nodes:
-                    raise GraphError(f"edge references unknown landmark {endpoint!r}")
-            heading = math.radians(number(ed["heading_deg"], "heading_deg"))
-            heading %= 2 * math.pi
-            distance = number(ed["distance_m"], "distance_m")
-            override = _flag(ed, "override", f"edge {i}")
+    for ed in graph["edges"]:
+        frm, to, distance = ed["from"], ed["to"], ed["distance_m"]
+        for endpoint in (frm, to):
+            if endpoint not in nodes:
+                raise GraphError(f"edge references unknown landmark {endpoint!r}")
+        heading = math.radians(ed["heading_deg"]) % (2 * math.pi)
         if distance <= 0:
             raise GraphError(f"edge {frm!r}->{to!r} has non-positive distance")
         a, b = nodes[frm], nodes[to]
-        if not override:
+        if not ed.get("override", False):
             geom_d = math.hypot(b.x - a.x, b.y - a.y)
             if abs(geom_d - distance) > DISTANCE_TOL_M:
                 raise GraphError(
@@ -403,7 +349,7 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
                     f"with coordinates")
         edges.append(Edge(from_id=frm, to_id=to, heading=heading, distance=distance))
 
-    if auto_reverse:
+    if graph.get("auto_reverse", False):
         seen = {(e.from_id, e.to_id) for e in edges}
         for e in list(edges):
             if (e.to_id, e.from_id) not in seen:

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .config import ConfigError, QualityConfig
-from .sensors import RSS_RULE, WifiScan, number, rss, write_text
+from .sensors import (WifiScan, array, fingerprint, members, number,
+                      read_json, record, version, write_text)
 
 if TYPE_CHECKING:  # no runtime dependency on the trajectory module
     from .pdr import PathSegment, Pose, Trajectory
@@ -146,14 +147,19 @@ def build_radio_map(
                     segments=[(b, len(p)) for b, p in per_segment])
 
 
-_TOP_KEYS = {"version", "config", "entries"}
-_ENTRY_KEYS = {"x", "y", "floor", "belief", "fp"}
+MAP_VERSION = 1
+# A map file's keys and types; its config holds any of QualityConfig's fields.
+_read_map = members({
+    "version": version(MAP_VERSION),
+    "config": members({f.name: number for f in fields(QualityConfig)}),
+    "entries": array(record(RadioMapEntry, {"fp": fingerprint}), list)},
+    ("version", "config", "entries"))
 
 
 def save_radio_map(radio_map: RadioMap, path) -> None:
     """Write a map as JSON to a path or open file."""
     obj = {
-        "version": 1,
+        "version": MAP_VERSION,
         "config": radio_map.config,
         "entries": [
             {"x": e.x, "y": e.y, "floor": e.floor, "belief": e.belief, "fp": e.fp}
@@ -164,59 +170,11 @@ def save_radio_map(radio_map: RadioMap, path) -> None:
 
 
 def load_radio_map(path: str | Path) -> RadioMap:
-    """Parse and validate a radio map file; unknown fields are errors."""
+    """Parse and validate a radio map file; unknown fields are errors, and
+    its config must pass QualityConfig's own checks."""
+    data = _read_map(read_json(path, MapFormatError), "map", MapFormatError)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise MapFormatError("not valid UTF-8") from None
-    except json.JSONDecodeError as exc:
-        raise MapFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise MapFormatError("top level must be an object")
-    if set(data) != _TOP_KEYS:
-        raise MapFormatError(
-            f"top-level fields must be {sorted(_TOP_KEYS)}, got {sorted(data)}")
-    if isinstance(data["version"], bool) or data["version"] != 1:
-        raise MapFormatError(f"unsupported version {data['version']!r}")
-
-    config = data["config"]
-    if not isinstance(config, dict):
-        raise MapFormatError("config must be an object")
-    unknown = set(config) - {f.name for f in fields(QualityConfig)}
-    if unknown:
-        raise MapFormatError(f"unknown config fields {sorted(unknown)}")
-    config = {k: number(v, f"config.{k}", MapFormatError) for k, v in config.items()}
-    try:
-        QualityConfig(**config)  # the rules of a config the map is built under
+        QualityConfig(**data["config"])  # the rules of a config the map is built under
     except ConfigError as exc:
-        raise MapFormatError(f"config.{exc}") from None
-
-    if not isinstance(data["entries"], list):
-        raise MapFormatError("entries must be an array")
-    entries: list[RadioMapEntry] = []
-    for i, rec in enumerate(data["entries"]):
-        if not isinstance(rec, dict):
-            raise MapFormatError(f"entry {i} must be an object")
-        if set(rec) != _ENTRY_KEYS:
-            raise MapFormatError(
-                f"entry {i} fields must be {sorted(_ENTRY_KEYS)}, got {sorted(rec)}")
-        if isinstance(rec["floor"], bool) or not isinstance(rec["floor"], int):
-            raise MapFormatError(f"entry {i} floor must be an integer")
-        fp = rec["fp"]
-        if not isinstance(fp, dict):
-            raise MapFormatError(f"entry {i} fp must be an object")
-        readings: dict[str, int] = {}
-        for mac, value in fp.items():
-            if not mac:
-                raise MapFormatError(f"entry {i} has an empty MAC")
-            reading = rss(value)
-            if reading is None:
-                raise MapFormatError(f"entry {i} RSS for {mac} {RSS_RULE}, got {value!r}")
-            readings[mac] = reading
-        entries.append(RadioMapEntry(
-            x=number(rec["x"], f"entry {i} x", MapFormatError),
-            y=number(rec["y"], f"entry {i} y", MapFormatError),
-            floor=rec["floor"],
-            belief=number(rec["belief"], f"entry {i} belief", MapFormatError),
-            fp=readings))
-    return RadioMap(entries=entries, config=config)
+        raise MapFormatError(f"map.config.{exc}") from None
+    return RadioMap(entries=data["entries"], config=data["config"])

@@ -52,7 +52,7 @@ import functools
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain, groupby, islice
 from operator import itemgetter
 from pathlib import Path
@@ -203,17 +203,17 @@ def _magnitudes(channel: Channel) -> np.ndarray:
 
 
 def number(value, what: str, error: type[ValueError] = ValueError,
-           integral: bool = False) -> float | int:
-    """A JSON number as a float, or as an int when integral: finite, never a
-    bool, and with integral never fractional (1.5 is refused, not
-    truncated); otherwise error naming what."""
+           integral: bool = False, finite: bool = True) -> float | int:
+    """A JSON number as a float, or as an int when integral: never a bool,
+    finite unless finite is False, and with integral never fractional (1.5
+    is refused, not truncated); otherwise error naming what."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
-            if math.isfinite(value) and not (integral and value % 1):
+            if (math.isfinite(value) or not finite) and not (integral and value % 1):
                 return int(value) if integral else float(value)
         except OverflowError:  # an integer beyond the float range
             pass
-    kind = "an integer" if integral else "a finite number"
+    kind = "an integer" if integral else "a finite number" if finite else "a number"
     raise error(f"{what} must be {kind}, got {value!r}")
 
 
@@ -267,6 +267,117 @@ def read_jsonl(path: str | Path, error: type[Exception], prefix: str = "line ",
             except json.JSONDecodeError as exc:
                 raise error(f"{prefix}{lineno}: invalid JSON: {exc}") from exc
             yield lineno, rec
+
+
+# ---------------------------------------------------------------------------
+# the strict reader of JSON objects
+#
+# The scenario, graph, map, fingerprint and config readers are built from
+# these. A reader is a function (value, where, error) that returns the value
+# read, or raises error naming where: "<where>.<key> must be ...",
+# "<where> has unknown fields [...]" or "<where> is missing fields [...]".
+
+
+def text(value, where: str, error: type[ValueError]) -> str:
+    if isinstance(value, str) and value:
+        return value
+    raise error(f"{where} must be a non-empty string, got {value!r}")
+
+
+def flag(value, where: str, error: type[ValueError]) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise error(f"{where} must be true or false, got {value!r}")
+
+
+# The reader of a scalar, by its declared type.
+SCALARS = {"float": number,
+           "int": lambda value, where, error: number(value, where, error, integral=True),
+           "str": text}
+
+
+def choice(options: dict):
+    """The reader of a name among the keys of options: the option it names."""
+    def read(value, where: str, error: type[ValueError]):
+        if isinstance(value, str) and value in options:
+            return options[value]
+        raise error(f"{where} must be one of {sorted(options)}, got {value!r}")
+    return read
+
+
+def version(expected: int):
+    """The reader of a file format version: an integer, as number reads
+    it, equal to expected."""
+    def read(value, where: str, error: type[ValueError]) -> int:
+        if number(value, where, error, integral=True) != expected:
+            raise error(f"{where} must be {expected}, got {value!r}")
+        return expected
+    return read
+
+
+def array(read, make=tuple):
+    """The reader of a JSON array: each item read by read, the items passed
+    to make."""
+    def read_array(value, where: str, error: type[ValueError]):
+        if not isinstance(value, list):
+            raise error(f"{where} must be an array")
+        return make([read(item, f"{where}[{i}]", error) for i, item in enumerate(value)])
+    return read_array
+
+
+def members(readers: dict, required=()):
+    """The reader of a JSON object whose keys are among those of readers
+    (key -> reader) and include every key of required: the dict of each
+    key's value as its reader reads it, in file order."""
+    allowed, required = readers.keys(), frozenset(required)
+
+    def read(obj, where: str, error: type[ValueError]) -> dict:
+        if not isinstance(obj, dict):
+            raise error(f"{where} must be an object")
+        if not (obj.keys() <= allowed and required <= obj.keys()):
+            unknown = obj.keys() - allowed
+            if unknown:
+                raise error(f"{where} has unknown fields {sorted(unknown)}")
+            raise error(f"{where} is missing fields {sorted(required - obj.keys())}")
+        return {key: readers[key](value, f"{where}.{key}", error)
+                for key, value in obj.items()}
+    return read
+
+
+def record(cls, readers: dict | None = None, keys: dict | None = None):
+    """The reader of dataclass cls from a JSON object with a key per field
+    (keys renames a field's key), required when the field has no default.
+    A field is read by readers[its name], else by the SCALARS reader of its
+    declared type."""
+    readers, keys = readers or {}, keys or {}
+    by_key = {keys.get(f.name, f.name): f for f in fields(cls)}
+    read = members({key: readers.get(f.name) or SCALARS[f.type] for key, f in by_key.items()},
+                   [key for key, f in by_key.items()
+                    if f.default is MISSING and f.default_factory is MISSING])
+    if not keys:  # each key is its field's name: skip the renaming
+        return lambda obj, where, error: cls(**read(obj, where, error))
+    return lambda obj, where, error: cls(**{by_key[key].name: value for key, value
+                                            in read(obj, where, error).items()})
+
+
+def fingerprint(raw, where: str, error: type[ValueError]) -> dict[str, int]:
+    """A {mac: rss} object as the readings of one scan: each MAC non-empty,
+    each RSS as rss reads it. A fingerprint of in-range int readings, as
+    files hold them, is returned as parsed."""
+    if type(raw) is dict and "" not in raw and all(
+            type(v) is int and RSS_MIN_DBM <= v <= RSS_MAX_DBM for v in raw.values()):
+        return raw
+    if not isinstance(raw, dict):
+        raise error(f"{where}: fingerprint must be an object of mac: rss")
+    if "" in raw:
+        raise error(f"{where}: fingerprint has an empty MAC")
+    readings = {}
+    for mac, value in raw.items():
+        reading = rss(value)
+        if reading is None:
+            raise error(f"{where}: RSS of {mac!r} {RSS_RULE}, got {value!r}")
+        readings[mac] = reading
+    return readings
 
 
 def _scan_readings(v) -> dict[str, int]:

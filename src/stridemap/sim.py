@@ -16,15 +16,15 @@ added in one vectorized pass.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
-from functools import partial
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .landmarks import Edge, GraphError, LandmarkGraph, graph_from_dict
-from .sensors import (RSS_MAX_DBM, Channel, SensorTrace, TruthChannel,
-                      WifiScan, number, read_json)
+from .sensors import (RSS_MAX_DBM, SCALARS, Channel, SensorTrace,
+                      TruthChannel, WifiScan, array, members, number,
+                      read_json, record, text)
 
 TICK = 0.02                 # s per tick: 50 Hz inertial sampling
 MAG_EVERY = 5               # ticks between magnetometer samples (10 Hz)
@@ -140,124 +140,75 @@ def _on_corridor(x: float, y: float, polylines: list[list[tuple[float, float]]])
     return False
 
 
-def _keys(obj, where: str, allowed, required) -> None:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where} must be an object")
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"{where} has unknown fields {sorted(unknown)}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise ScenarioError(f"{where} is missing fields {sorted(missing)}")
-
-
-def _text(value, where: str) -> str:
-    if isinstance(value, str) and value:
-        return value
-    raise ScenarioError(f"{where} must be a non-empty string, got {value!r}")
-
-
-# The reader of a scalar field, by its declared type.
-_SCALAR = {
-    "float": lambda value, where: number(value, where, ScenarioError),
-    "int": lambda value, where: number(value, where, ScenarioError, integral=True),
-    "str": _text,
-}
-
 # The noise amplitudes carry their unit in the file: field -> file key.
 _UNIT_KEYS = {"accel_std": "accel_std_mps2", "gyro_bias": "gyro_bias_rad_s",
               "gyro_std": "gyro_std_rad_s", "baro_std": "baro_std_hpa",
               "shadowing_std": "shadowing_std_db"}
 
 
-def _reader(f):
-    """The reader of a dataclass field: its _COMPOUND entry, else the
-    reader of its declared scalar type."""
-    return _COMPOUND.get(f.name) or _SCALAR[f.type]
+def _pairs(readers: dict):
+    """The reader of a tuple of pairs, each held as an object with every
+    key of readers (key -> reader), in pair order."""
+    read = members(readers, readers)
+    return array(lambda obj, where, error: tuple(read(obj, where, error)[key]
+                                                 for key in readers))
 
 
-def _record(cls, obj, where: str):
-    """Dataclass cls from its file object: a key per field (_UNIT_KEYS
-    renames), required when the field has no default."""
-    by_key = {_UNIT_KEYS.get(f.name, f.name): f for f in fields(cls)}
-    _keys(obj, where, by_key, [key for key, f in by_key.items()
-                               if f.default is MISSING and f.default_factory is MISSING])
-    return cls(**{by_key[key].name: _reader(by_key[key])(value, f"{where}.{key}")
-                  for key, value in obj.items()})
-
-
-def _list(value, where: str, read) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where} must be an array")
-    return [read(item, f"{where}[{i}]") for i, item in enumerate(value)]
-
-
-def _array(read_item, make=tuple):
-    """The reader of a field held in the file as an array."""
-    return lambda value, where: make(_list(value, where, read_item))
-
-
-def _pairs(keys: dict[str, str]):
-    """The reader of a tuple of pairs, each held as an object with keys
-    (key -> scalar type) in pair order."""
-    def read(obj, where: str) -> tuple:
-        _keys(obj, where, keys, keys)
-        return tuple(_SCALAR[kind](obj[key], f"{where}.{key}")
-                     for key, kind in keys.items())
-    return _array(read)
-
-
-def _point(value, where: str) -> tuple[float, float]:
-    xy = _list(value, where, _SCALAR["float"])
+def _point(value, where: str, error) -> tuple[float, float]:
+    xy = array(number)(value, where, error)
     if len(xy) != 2:
-        raise ScenarioError(f"{where} must be an [x, y] pair")
-    return tuple(xy)
+        raise error(f"{where} must be an [x, y] pair")
+    return xy
 
 
-def _read_corridors(value, where: str) -> dict[int, list[list[tuple[float, float]]]]:
+_polylines = array(array(_point, list), list)
+
+
+def _read_corridors(value, where: str, error) -> dict[int, list[list[tuple[float, float]]]]:
+    """Floor -> polylines. A floor key is an integer as str() writes it, so
+    neither "01" nor "1_0" stands for floor 1 or 10."""
     if not isinstance(value, dict):
-        raise ScenarioError(f"{where} must be an object")
+        raise error(f"{where} must be an object")
     corridors = {}
     for key, lines in value.items():
         try:
             floor = int(key)
         except ValueError:
-            raise ScenarioError(f"{where} key {key!r} is not a floor number") from None
-        corridors[floor] = _list(lines, f"{where}.{key}",
-                                 lambda line, at: _list(line, at, _point))
+            floor = None
+        if floor is None or key != str(floor):
+            raise error(f"{where} key {key!r} is not a floor number")
+        corridors[floor] = _polylines(lines, f"{where}.{key}", error)
     return corridors
 
 
-def _read_graph(value, where: str) -> LandmarkGraph:
+def _read_graph(value, where: str, error) -> LandmarkGraph:
     try:
         return graph_from_dict(value)
     except GraphError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+        raise error(f"{where}: {exc}") from None
 
 
-# The reader of every field that is not a scalar, by field name.
-_COMPOUND = {
-    "environment": partial(_record, Environment),
-    "walk": partial(_record, WalkScript),
-    "noise": partial(_record, NoiseModel),
-    "corridors": _read_corridors,
-    "graph": _read_graph,
-    "aps": _array(partial(_record, Ap)),
-    "stairs": _pairs({"from": "str", "to": "str"}),
-    "waypoints": _array(_text),
-    "stops": _pairs({"at": "str", "duration_s": "float"}),
-    "false_walking": _pairs({"t": "float", "duration_s": "float"}),
-    "irregular_legs": _array(_SCALAR["int"], frozenset),
-    "irregular_periods": _array(_SCALAR["float"]),
-    "irregular_lengths": _array(_SCALAR["float"]),
-    "compass_zones": _array(partial(_record, CompassZone)),
-}
+_read_scenario = record(Scenario, {
+    "environment": record(Environment, {
+        "corridors": _read_corridors,
+        "graph": _read_graph,
+        "aps": array(record(Ap)),
+        "stairs": _pairs({"from": text, "to": text})}),
+    "walk": record(WalkScript, {
+        "waypoints": array(text),
+        "stops": _pairs({"at": text, "duration_s": number}),
+        "false_walking": _pairs({"t": number, "duration_s": number}),
+        "irregular_legs": array(SCALARS["int"], frozenset),
+        "irregular_periods": array(number),
+        "irregular_lengths": array(number)}),
+    "noise": record(NoiseModel, {"compass_zones": array(record(CompassZone))},
+                    _UNIT_KEYS)})
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Read a scenario file object, then check what the field types alone
     cannot: positive sizes, landmark references and corridor membership."""
-    sc = _record(Scenario, data, "scenario")
+    sc = _read_scenario(data, "scenario", ScenarioError)
     env, walk, noise = sc.environment, sc.walk, sc.noise
     nodes = env.graph.nodes
     if not env.floor_height_m > 0:

@@ -18,8 +18,8 @@ from stridemap.landmarks import Landmark, Rule, RuleKind
 from stridemap.localization import (LocalizationConfig, VectorizedMap,
                                     evaluate, knn, to_positive, vectorize_map)
 from stridemap.pdr import (HeadingSource, PathSegment, PdrConfig, Pose,
-                           Trajectory, attach_periodicities,
-                           landmark_confidence, run_pdr, trajectory_errors)
+                           Trajectory, landmark_confidence, run_pdr,
+                           trajectory_errors)
 from stridemap.radiomap import (QualityConfig, RadioMap, RadioMapEntry,
                                 build_radio_map, interpolate_rp,
                                 segment_belief)
@@ -59,7 +59,6 @@ def truth_positions(trace, stride=1, integer_floor=False):
 def tracked(scenario):
     trace = generate_trace(scenario.environment, scenario.walk, scenario.noise)
     traj = run_pdr(trace, scenario.environment.graph, first_pose(trace))
-    attach_periodicities(traj, detect_steps(trace))
     return trace, traj
 
 

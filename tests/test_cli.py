@@ -221,6 +221,7 @@ def test_evaluate_empty_map_fails(flow, tmp_path, capsys):
     "quality.nope=1",            # unknown leaf
     "nope.thing=1",              # unknown section
     "quality=5",                 # section, not a leaf
+    'quality={"sigma_floor": 0.01}',  # a section, even as a valid tree
     "localization.k=3.5",        # non-integral for an int key
     "localization.k=true",       # bools never coerce
     "localization.k",            # missing value
@@ -524,55 +525,68 @@ EDGE_AB = {"from": "a", "to": "b", "heading_deg": 0, "distance_m": 10}
 MALFORMED = {
     "graph node without id": (
         json.dumps({"nodes": [{"x": 0, "y": 0, "floor": 1}], "edges": []}),
-        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "node 0"),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "graph.nodes[0] is missing fields ['id']"),
     "graph edge without to": (
         json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1}],
                     "edges": [{"from": "a"}]}),
-        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "edge 0"),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "graph.edges[0] is missing fields ['distance_m', 'heading_deg', 'to']"),
     "graph nodes not an array": (
         json.dumps({"nodes": 3, "edges": []}),
-        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "arrays"),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "graph.nodes must be an array"),
     "graph node x is NaN": (
         '{"nodes": [{"id": "a", "x": NaN, "y": 0, "floor": 1}], "edges": []}',
-        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "node 0"),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "graph.nodes[0].x must be a finite number, got nan"),
     "graph edge distance overflows": (
         json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1},
                               {"id": "b", "x": 1, "y": 0, "floor": 1}],
                     "edges": [{"from": "a", "to": "b", "heading_deg": 0,
                                "distance_m": 10**400}]}),
-        ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "edge 0"),
+        ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        f"graph.edges[0].distance_m must be a finite number, got {10**400}"),
     # a graph value of the wrong type or an unknown key is refused, not
     # read as something else or ignored
     "graph auto_reverse is a string": (
         json.dumps({"nodes": TWO_NODES, "edges": [EDGE_AB], "auto_reverse": "false"}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
-        "graph: 'auto_reverse' must be true or false, got 'false'"),
+        "graph.auto_reverse must be true or false, got 'false'"),
     "graph edge override is a string": (
         json.dumps({"nodes": TWO_NODES,
                     "edges": [dict(EDGE_AB, distance_m=5, override="no")]}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
-        "edge 0: 'override' must be true or false, got 'no'"),
+        "graph.edges[0].override must be true or false, got 'no'"),
     "graph node id is a number": (
         json.dumps({"nodes": [dict(TWO_NODES[0], id=5)], "edges": []}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
-        "node 0: id must be a non-empty string, got 5"),
+        "graph.nodes[0].id must be a non-empty string, got 5"),
     "graph node id is empty": (
         json.dumps({"nodes": [dict(TWO_NODES[0], id="")], "edges": []}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
-        "node 0: id must be a non-empty string, got ''"),
+        "graph.nodes[0].id must be a non-empty string, got ''"),
     "graph node rules is a string": (
         json.dumps({"nodes": [dict(TWO_NODES[0], rules="acc")], "edges": []}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
-        "node 0: rules must be an array, got 'acc'"),
+        "graph.nodes[0].rules must be an array"),
     "graph node key is misspelt": (
         json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1, "rule": ["acc"]}],
                     "edges": []}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
-        "node 0 has unknown fields ['rule']"),
+        "graph.nodes[0] has unknown fields ['rule']"),
     "graph edge key is unknown": (
         json.dumps({"nodes": TWO_NODES, "edges": [dict(EDGE_AB, heading=0)]}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
-        "edge 0 has unknown fields ['heading']"),
+        "graph.edges[0] has unknown fields ['heading']"),
+    # a value of the wrong type names its place, with no Python text
+    # ("unhashable type: 'list'") in the line
+    "graph node rule is a list": (
+        json.dumps({"nodes": [dict(TWO_NODES[0], rules=[["acc"]])], "edges": []}),
+        GRAPH_BAD, "error: graph.nodes[0].rules[0] must be one of ['acc', 'baro_in', "
+                   "'baro_out', 'gyro', 'gyro+', 'gyro-'], got ['acc']"),
+    "graph edge endpoint is a list": (
+        json.dumps({"nodes": TWO_NODES, "edges": [dict(EDGE_AB, to=["b"])]}),
+        GRAPH_BAD, "error: graph.edges[0].to must be a non-empty string, got ['b']"),
     "graph top-level key is unknown": (
         json.dumps({"nodes": TWO_NODES, "edges": [EDGE_AB], "autoreverse": True}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
@@ -580,10 +594,12 @@ MALFORMED = {
     "map entry x overflows": (
         json.dumps({"version": 1, "config": {}, "entries": [
             {"x": 10**400, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -50}}]}),
-        ["evaluate", "BAD", "FLOW/queries.jsonl"], "entry 0 x"),
+        ["evaluate", "BAD", "FLOW/queries.jsonl"],
+        f"map.entries[0].x must be a finite number, got {10**400}"),
     "map config is Infinity": (
         '{"version": 1, "config": {"sigma_floor": Infinity}, "entries": []}',
-        ["localize", "BAD", "--rss", "ap-w=-50"], "config.sigma_floor"),
+        ["localize", "BAD", "--rss", "ap-w=-50"],
+        "map.config.sigma_floor must be a finite number, got inf"),
     "query fp is a list": (
         GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": [["ap-w", -50]]}\n',
         ["evaluate", "FLOW/map.json", "BAD"], ":2:"),
@@ -672,7 +688,7 @@ MALFORMED = {
         MAP_BAD, "bad.json:1: periods must be a list, got 0.5"),
     "graph node floor is fractional": (
         json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1.7}], "edges": []}),
-        GRAPH_BAD, "node 0: malformed: floor must be an integer"),
+        GRAPH_BAD, "graph.nodes[0].floor must be an integer, got 1.7"),
     "query RSS is fractional": (
         GOOD_QUERY + '{"x": 0, "y": 0, "floor": 1, "fp": {"ap-w": -50.7}}\n',
         ["evaluate", "FLOW/map.json", "BAD"], ":2: RSS of 'ap-w' must be a non-positive integer"),
@@ -713,13 +729,16 @@ MALFORMED = {
     "map RSS overflows a float": (
         json.dumps({"version": 1, "config": {}, "entries": [
             {"x": 0, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -10**400}}]}),
-        ["localize", "BAD", "--rss", "ap-w=-50"], "entry 0 RSS for ap-w"),
+        ["localize", "BAD", "--rss", "ap-w=-50"],
+        "map.entries[0].fp: RSS of 'ap-w' must be a non-positive integer of at least "
+        f"-200 dBm, got {-10**400}"),
     "map RSS is far below the range": (
         json.dumps({"version": 1, "config": {}, "entries": [
             {"x": 0, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -10**17}},
             {"x": 5, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -50}}]}),
         ["localize", "BAD", "--rss", "ap-w=-50"],
-        "entry 0 RSS for ap-w must be a non-positive integer of at least -200 dBm"),
+        "map.entries[0].fp: RSS of 'ap-w' must be a non-positive integer of at least "
+        f"-200 dBm, got {-10**17}"),
     "trace RSS is below the range": (
         GOOD_ACCEL + '{"ch": "wifi", "t": 1.0, "v": [["aa", -201]]}\n',
         TRACK_BAD, "line 2: RSS of 'aa' must be a non-positive integer of at least"),
@@ -806,7 +825,7 @@ MALFORMED = {
         "config key 'sensors.gyro_window' must be at least 1, got 0"),
     "sensors.acc_window is inf": (
         "", TRACK_FLOW + ["--set", "sensors.acc_window=Infinity"],
-        "config key 'sensors.acc_window' expects int, got inf"),
+        "config.sensors.acc_window must be an integer, got inf"),
     "sensors.variance_threshold is NaN": (
         "", TRACK_FLOW + ["--set", "sensors.variance_threshold=NaN"],
         "config key 'sensors.variance_threshold' must be finite, got nan"),
@@ -857,6 +876,12 @@ MALFORMED = {
                     "entries": []}),
         ["localize", "BAD", "--rss", "ap-w=-50"],
         "config.period_min must be at most period_max (0.5), got 1.0"),
+    # only the config format there is: a manifest would record any other
+    "config file version is 7": (
+        '{"version": 7}', LOCALIZE_FLOW + ["--config", "BAD"],
+        "bad.json: config.version must be 1, got 7"),
+    "config version is 7 by --set": (
+        "", LOCALIZE_FLOW + ["--set", "version=7"], "error: config.version must be 1, got 7"),
     "localization.k is 0": (
         "", ["evaluate", "FLOW/map.json", "FLOW/queries.jsonl",
              "--set", "localization.k=0"],

@@ -1,11 +1,13 @@
 """Mutated input files through the CLI: whatever a record of a scenario,
-trace, trajectory, landmark graph, radio map, query file or fingerprint
-becomes, `simulate`, `track`, `build-map`, `evaluate` and `localize` exit 0
-or 1 without a traceback, and a failure prints exactly one `error:` line.
+trace, trajectory, landmark graph, radio map, query file, fingerprint or
+config tree becomes, `simulate`, `track`, `build-map`, `evaluate` and
+`localize` exit 0 or 1 without a traceback, and a failure prints exactly
+one `error:` line; so does `localize` with any `--set` flag.
 A trace from any scenario that `simulate` accepts is accepted by `track`
 and `build-map`."""
 
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -16,7 +18,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stridemap.cli import main
+from stridemap.cli import default_config, main
 from test_sim import corridor_dict
 
 
@@ -244,10 +246,61 @@ def test_localize_on_mutated_inputs(inputs):
                             "--out", d])
 
 
+CONFIG = default_config()
+# Every dotted key --set can name: the leaves, the sections and the version.
+CONFIG_KEYS = sorted([f"{section}.{key}" for section, leaves in CONFIG.items()
+                      if isinstance(leaves, dict) for key in leaves] + list(CONFIG))
+
+
+@st.composite
+def mutated_config(draw) -> dict:
+    """The default config tree with one to three faults: a key of the tree
+    or of a section dropped or given a value of any type (a section as a
+    leaf, a leaf as a section, a string or non-finite number as a leaf), or
+    an unknown key added."""
+    tree = copy.deepcopy(CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from([tree] + [v for v in tree.values() if isinstance(v, dict)]))
+        kind = draw(st.sampled_from(("drop", "swap", "section", "unknown")))
+        key = draw(st.text(max_size=3) if kind == "unknown" or not node
+                   else st.sampled_from(sorted(node)))
+        if kind == "drop":
+            node.pop(key, None)
+        elif kind == "section":
+            node[key] = draw(st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=2),
+                                             odd(NUMBERS), max_size=2))
+        else:
+            node[key] = draw(odd(NUMBERS))
+    return tree
+
+
+def _localize_with(d: str, *flags: str) -> list[str]:
+    return ["localize", _write_json(Path(d) / "given_map.json", _map([MAP_CONFIG] + MAP_ENTRIES)),
+            "--rss", "aa=-50", *flags, "--out", d]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_config())
+def test_localize_on_mutated_config(tree):
+    with tempfile.TemporaryDirectory() as d:
+        _assert_clean_exit(_localize_with(d, "--config", _write_json(Path(d) / "cfg.json", tree)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CONFIG_KEYS) | st.text(max_size=5),
+       odd(NUMBERS).map(json.dumps) | st.text(max_size=5))
+def test_localize_on_mutated_set_flag(key, value):
+    with tempfile.TemporaryDirectory() as d:
+        _assert_clean_exit(_localize_with(d, "--set", f"{key}={value}"))
+
+
 def test_unmutated_inputs_are_accepted():
     """The fixtures above pass every check as they stand, so a mutation
     fails on what it changed rather than on a stale fixture."""
     graph = {"nodes": GRAPH_NODES, "edges": GRAPH_EDGES, "auto_reverse": True}
+    every_default = ["--set=version=1"] + [
+        f"--set={section}.{key}={json.dumps(value)}" for section, leaves in CONFIG.items()
+        if isinstance(leaves, dict) for key, value in leaves.items()]
     with tempfile.TemporaryDirectory() as d:
         trace = _write(Path(d) / "trace.jsonl", TRACE)
         map_path = _write_json(Path(d) / "given_map.json", _map([MAP_CONFIG] + MAP_ENTRIES))
@@ -257,5 +310,7 @@ def test_unmutated_inputs_are_accepted():
                 ["build-map", _write(Path(d) / "traj.jsonl", TRAJECTORY), trace],
                 ["evaluate", map_path, _write(Path(d) / "queries.jsonl", QUERIES)],
                 ["localize", map_path, "--fingerprint",
-                 _write_json(Path(d) / "fp.json", QUERIES[0]["fp"])]):
+                 _write_json(Path(d) / "fp.json", QUERIES[0]["fp"])],
+                _localize_with(d, "--config", _write_json(Path(d) / "cfg.json", CONFIG),
+                               *every_default)):
             assert _run(argv + ["--out", d]) == 0, argv

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from dataclasses import asdict
 
 import pytest
@@ -307,7 +308,8 @@ def test_load_rejects_unknown_top_field(tmp_path):
 
 def test_load_rejects_unknown_entry_field(tmp_path):
     path = write_map(tmp_path, lambda d: d["entries"][0].update(label="rp3"))
-    with pytest.raises(MapFormatError, match="entry 0"):
+    with pytest.raises(MapFormatError,
+                       match=re.escape("map.entries[0] has unknown fields ['label']")):
         load_radio_map(path)
 
 
@@ -317,11 +319,20 @@ def test_load_rejects_unknown_config_field(tmp_path):
         load_radio_map(path)
 
 
-def test_load_rejects_float_floor(tmp_path):
-    path = write_map(tmp_path,
-                     lambda d: d["entries"][0].update(floor=1.0))
-    with pytest.raises(MapFormatError, match="floor"):
-        load_radio_map(path)
+def test_load_reads_version_and_floor_by_one_integer_rule(tmp_path):
+    # a version of 1.0 used to load while a floor of 1.0 was refused; both
+    # are integers as sensors.number reads them, and 1.5 is neither
+    entry = lambda d: d["entries"][0]
+    path = write_map(tmp_path, lambda d: (d.update(version=1.0),
+                                          entry(d).update(floor=float(entry(d)["floor"]))))
+    loaded = load_radio_map(path)
+    assert loaded == build_sample_map()
+    assert type(loaded.entries[0].floor) is int
+    for key, mutate in (("version", lambda d: d.update(version=1.5)),
+                        ("entries[0].floor", lambda d: entry(d).update(floor=1.5))):
+        with pytest.raises(MapFormatError) as exc:
+            load_radio_map(write_map(tmp_path, mutate))
+        assert str(exc.value) == f"map.{key} must be an integer, got 1.5"
 
 
 def test_load_rejects_positive_rss(tmp_path):

@@ -408,6 +408,16 @@ def ap0(d):
     (lambda d: d["environment"].update(aps={}), r"environment\.aps must be an array"),
     (lambda d: d["environment"].update(corridors={"one": []}),
      "corridors key 'one' is not a floor number"),
+    # int() reads each of these as a floor: "01" used to replace floor 1's
+    # corridors and "1_0" to stand for floor 10
+    (lambda d: d["environment"]["corridors"].update({"01": []}),
+     r"^scenario\.environment\.corridors key '01' is not a floor number$"),
+    (lambda d: d["environment"].update(corridors={"1_0": []}),
+     r"^scenario\.environment\.corridors key '1_0' is not a floor number$"),
+    (lambda d: d["environment"]["corridors"].update({" 2": []}), "key ' 2' is not a floor"),
+    (lambda d: d["environment"]["corridors"].update({"+2": []}), "key '\\+2' is not a floor"),
+    (lambda d: d["environment"]["corridors"].update({"-0": []}), "key '-0' is not a floor"),
+    (lambda d: d["environment"]["corridors"].update({"None": []}), "key 'None' is not a floor"),
     (lambda d: d["environment"]["corridors"]["1"][0].append([1.0, 2.0, 3.0]),
      r"corridors\.1\[0\]\[2\] must be an \[x, y\] pair"),
     (lambda d: d["environment"]["graph"].update(nodes=3), "environment.graph: "),
