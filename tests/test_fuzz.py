@@ -291,7 +291,9 @@ def test_localize_on_mutated_config(tree):
        odd(NUMBERS).map(json.dumps) | st.text(max_size=5))
 def test_localize_on_mutated_set_flag(key, value):
     with tempfile.TemporaryDirectory() as d:
-        _assert_clean_exit(_localize_with(d, "--set", f"{key}={value}"))
+        # one argv word, so a key that starts with "-" reaches the config
+        # reader instead of being taken by argparse for an option
+        _assert_clean_exit(_localize_with(d, f"--set={key}={value}"))
 
 
 def test_unmutated_inputs_are_accepted():
