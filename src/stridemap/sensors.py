@@ -354,8 +354,6 @@ def record(cls, readers: dict | None = None, keys: dict | None = None):
     read = members({key: readers.get(f.name) or SCALARS[f.type] for key, f in by_key.items()},
                    [key for key, f in by_key.items()
                     if f.default is MISSING and f.default_factory is MISSING])
-    if not keys:  # each key is its field's name: skip the renaming
-        return lambda obj, where, error: cls(**read(obj, where, error))
     return lambda obj, where, error: cls(**{by_key[key].name: value for key, value
                                             in read(obj, where, error).items()})
 

@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_right
 from itertools import groupby
 from operator import itemgetter
@@ -334,7 +335,9 @@ def test_duplicate_node_rejected():
 def test_unknown_rule_rejected():
     data = two_node_graph()
     data["nodes"][0]["rules"] = ["sonar"]
-    with pytest.raises(GraphError, match="sonar"):
+    with pytest.raises(GraphError, match=re.escape(
+            "graph.nodes[0].rules[0] must be one of ['acc', 'baro_in', 'baro_out', "
+            "'gyro', 'gyro+', 'gyro-'], got 'sonar'")):
         graph_from_dict(data)
 
 
