@@ -116,7 +116,7 @@ def effective_config(args) -> tuple[dict, dict]:
         dotted, _, raw = assignment.partition("=")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # or nested too deep
             value = raw
         keys = dotted.split(".")
         for key in reversed(keys):
@@ -468,11 +468,14 @@ def cmd_sweep(args) -> int:
         number(tau, "--taus value", CliError)
     radio_map = load_radio_map(map_path)
     queries = load_queries(queries_path)
+    # each fingerprint read once, for every tau
+    map_readings = read_fingerprints([e.fp for e in radio_map.entries])
     readings = read_fingerprints([fp for _, fp in queries])
     rows = []
     for tau in taus:
         cfg = replace(loc_cfg, tau=tau)
-        report = evaluate(queries, vectorize_map(radio_map, cfg), cfg, readings)
+        index = vectorize_map(radio_map, cfg, map_readings)
+        report = evaluate(queries, index, cfg, readings)
         rows.append([_fmt(tau), _fmt(report.floor_accuracy),
                      _fmt(report.mean_error_m), _fmt(report.p50),
                      _fmt(report.p75), _fmt(report.p90)])

@@ -105,11 +105,18 @@ def _scope_taus(cfg: LocalizationConfig) -> tuple[float, float]:
     return map_tau, query_tau
 
 
-def vectorize_map(radio_map: RadioMap, cfg: LocalizationConfig = LocalizationConfig()) -> VectorizedMap:
+def vectorize_map(radio_map: RadioMap, cfg: LocalizationConfig = LocalizationConfig(),
+                  readings: Readings | None = None) -> VectorizedMap:
+    """The matching index of radio_map under cfg. readings, when given,
+    must be read_fingerprints of the map's entries; a caller vectorizing
+    one map under several configs reads them once."""
     if not radio_map.entries:
         raise ValueError("radio map is empty")
     map_tau, _ = _scope_taus(cfg)
-    readings = read_fingerprints([e.fp for e in radio_map.entries])
+    if readings is None:
+        readings = read_fingerprints([e.fp for e in radio_map.entries])
+    elif len(readings.rss) != len(radio_map.entries):
+        raise ValueError("readings do not match the map entries")
     if not np.isfinite(readings.rss).any():
         raise ValueError("radio map has no RSS readings")
     # one below the weakest reading anywhere in the map, so every detected

@@ -37,8 +37,9 @@ malformed line of another channel does not fail it.
 
 dump_trace writes those lines as a stream: the rows of every channel are
 merged by one stable sort on (t, channel order), then formatted a chunk
-of _CHUNK_ROWS lines at a time with one % template, each distinct number
-of the chunk formatted once.
+of _CHUNK_ROWS lines at a time, the chunk's numbers gathered from the
+channel arrays, with one % template, each distinct number of the chunk
+formatted once. Memory holds the trace, its merge order and one chunk.
 
 The step and motion parameters are SensorConfig, which lives with the
 other stage configs in stridemap.config.
@@ -239,7 +240,7 @@ def read_json(path: str | Path, error: type[Exception], prefix: str = ""):
             return json.load(fh)
         except UnicodeDecodeError:
             raise error(f"{prefix}not valid UTF-8") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise error(f"{prefix}invalid JSON: {exc}") from exc
 
 
@@ -264,7 +265,7 @@ def read_jsonl(path: str | Path, error: type[Exception], prefix: str = "line ",
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
                 raise error(f"{prefix}{lineno}: invalid JSON: {exc}") from exc
             yield lineno, rec
 
@@ -558,7 +559,7 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple[list, list]]) -
                     raise _NotCanonical
                 ts.append(rec["t"])
                 vs.append(_scan_readings(rec["v"]))
-            except (ValueError, KeyError, TypeError):  # TraceError among them
+            except (ValueError, KeyError, TypeError, RecursionError):  # TraceError among them
                 raise _NotCanonical from None
 
 
@@ -613,63 +614,68 @@ def _writing(path):
     return open(path, "w")
 
 
-def _trace_rows(trace: SensorTrace) -> tuple:
-    """Every line of trace as one row, channel after channel: the row
-    templates; per row its t, channel order, template index and count of
-    numbers; and the rows' numbers, concatenated. A numeric channel's rows
-    share its line format, with %s for each number; a WiFi row has its
-    own template, json.dumps's line with its % doubled. A non-finite t or
-    value raises TraceError naming the channel."""
-    tr = trace.truth
-    truth = _empty("truth") if tr is None else Channel(
-        tr.t, np.column_stack([tr.xy, tr.floor]))
+def dump_trace(trace: SensorTrace, path) -> None:
+    """Write a trace as JSONL to a path or open file, channels interleaved
+    by timestamp and in CHANNELS order at equal timestamps. A non-finite t
+    or value, which load_trace would reject, raises TraceError naming the
+    channel before the first byte is written, and before a path is opened.
+
+    The rows are merged by one stable sort on (t, channel order) and
+    written _CHUNK_ROWS at a time: each numeric row's numbers gathered from
+    its channel's arrays into the chunk's numbers, then one template joined
+    from the rows' templates, filled by one % with each distinct number of
+    the chunk formatted once. A numeric channel's rows share its line
+    format, with %s for each number; a WiFi row has its own template,
+    json.dumps's line with its % doubled. Numbers are told apart by their
+    bits, so -0.0 and 0.0 stay distinct; %r of a finite float is json's
+    text for it."""
     templates = [_line_format(ch).replace("%r", "%s") + "\n" if CHANNELS[ch] else ""
                  for ch in CHANNELS]  # template i for channel i; the "" is unused
-    parts = []
-    for order, ch in enumerate(CHANNELS):
+    columns, times = [], []  # per channel: its columns of numbers, and its t
+    for ch, width in CHANNELS.items():
         if ch == "wifi":  # MACs need json's string escaping
             t = np.array([s.t for s in trace.wifi], float)
             if not np.isfinite(t).all():
                 raise TraceError("cannot write channel 'wifi': t must be finite")
-            code = np.arange(len(templates), len(templates) + len(t))
             templates += [json.dumps({"ch": ch, "t": s.t, "v": [[m, r] for m, r in
                                                                s.readings.items()]})
                           .replace("%", "%%") + "\n" for s in trace.wifi]
-            rows = np.empty((len(t), 0))
+            cols = ()
         else:
-            c = truth if ch == "truth" else getattr(trace, ch)
-            rows = np.column_stack([c.t, c.v.reshape(len(c), CHANNELS[ch])]
-                                   ).astype(float, copy=False)
-            if not np.isfinite(rows).all():
+            if ch == "truth":
+                tr = trace.truth
+                cols = () if tr is None else (tr.t, *tr.xy.T, tr.floor)
+            else:
+                c = getattr(trace, ch)
+                cols = (c.t, *c.v.reshape(len(c), width).T)
+            if not all(np.isfinite(col).all() for col in cols):
                 raise TraceError(f"cannot write channel {ch!r}: t and values must be finite")
-            t, code = rows[:, 0], np.full(len(rows), order)
-        parts.append((t, np.full(len(t), order), code,
-                      np.full(len(t), rows.shape[1]), rows.ravel()))
-    return templates, *map(np.concatenate, zip(*parts))
-
-
-def dump_trace(trace: SensorTrace, path) -> None:
-    """Write a trace as JSONL to a path or open file, channels interleaved
-    by timestamp and in CHANNELS order at equal timestamps. A non-finite t
-    or value, which load_trace would reject, raises TraceError before the
-    first byte is written, and before a path is opened.
-
-    The rows are merged by one stable sort on (t, channel order) and
-    written _CHUNK_ROWS at a time: one template joined from the rows'
-    templates, filled by one % with each distinct number of the chunk
-    formatted once. Numbers are told apart by their bits, so -0.0 and 0.0
-    stay distinct; %r of a finite float is json's text for it."""
-    templates, t, rank, code, count, numbers = _trace_rows(trace)
-    start = np.cumsum(count) - count  # each row's first number
-    merged = np.lexsort((rank, t))
+            t = cols[0] if cols else np.empty(0)
+        columns.append(cols)
+        times.append(t)
+    size = np.array(list(map(len, times)))
+    rank = np.repeat(np.arange(len(CHANNELS), dtype=np.int8), size)
+    merged = np.lexsort((rank, np.concatenate(times)))
+    first = np.cumsum(size) - size  # each channel's first row in merged's numbering
+    count = np.array(list(map(len, columns)))  # numbers per row of each channel
     with _writing(path) as fh:
         for lo in range(0, len(merged), _CHUNK_ROWS):
             rows = merged[lo:lo + _CHUNK_ROWS]
-            n = count[rows]
-            at = np.repeat(start[rows] - (np.cumsum(n) - n), n) + np.arange(n.sum())
-            distinct, which = np.unique(numbers[at].view(np.uint64), return_inverse=True)
+            kind = rank[rows]
+            at = rows - first[kind]  # each row's sample in its channel
+            n = count[kind]
+            start = np.cumsum(n) - n  # each row's first number in the chunk
+            numbers = np.empty(n.sum())
+            for i, cols in enumerate(columns):
+                mine = kind == i
+                if mine.any():
+                    s, j = start[mine], at[mine]
+                    for off, col in enumerate(cols):
+                        numbers[s + off] = col[j]
+            distinct, which = np.unique(numbers.view(np.uint64), return_inverse=True)
             text = np.array(list(map(repr, distinct.view(float).tolist())), object)
-            fh.write("".join(map(templates.__getitem__, code[rows].tolist()))
+            code = np.where(kind == _WIFI, len(CHANNELS) + at, kind)
+            fh.write("".join(map(templates.__getitem__, code.tolist()))
                      % tuple(text[which].tolist()))
 
 
@@ -731,18 +737,30 @@ def moving_average(x: np.ndarray, size: int) -> np.ndarray:
                                      p[size:] - p[:-size]))) / size
 
 
+def _window_sums(x: np.ndarray, window: int) -> np.ndarray:
+    """The sum of x over each sample's centered window, clipped to the
+    array: x[max(i - window // 2, 0):i + window - window // 2] for sample
+    i. Each sum is a difference of two running sums, both read by a slice
+    of one copy of them padded with its first and last, so no index array
+    is built."""
+    n, half = len(x), window // 2
+    a, b = min(half, n), min(window - half, n)
+    run = np.empty(a + n + b)  # run[j] is the sum of x[:clip(j - a, 0, n)]
+    run[:a + 1] = 0.0
+    np.cumsum(x, out=run[a + 1:a + 1 + n])
+    run[a + 1 + n:] = run[a + n]
+    return run[a + b:a + b + n] - run[:n]
+
+
 def _rolling_variance(mag: np.ndarray, window: int) -> np.ndarray:
     """Centered rolling population variance, edges clipped to the array."""
-    n = len(mag)
-    csum = np.concatenate(([0.0], np.cumsum(mag)))
-    csq = np.concatenate(([0.0], np.cumsum(mag * mag)))
-    half = window // 2
-    idx = np.arange(n)
-    lo = np.clip(idx - half, 0, n)
-    hi = np.clip(idx + (window - half), 0, n)
-    cnt = hi - lo
-    mean = (csum[hi] - csum[lo]) / cnt
-    return (csq[hi] - csq[lo]) / cnt - mean * mean
+    cnt = _window_sums(np.ones(len(mag)), window)  # exact integers
+    mean = _window_sums(mag, window)
+    mean /= cnt
+    var = _window_sums(mag * mag, window)
+    var /= cnt
+    var -= mean * mean
+    return var
 
 
 def detect_steps(
@@ -759,12 +777,12 @@ def detect_steps(
         return []
     t = trace.accel.t
     mags = _magnitudes(trace.accel)
-    smooth = moving_average(mags, SMOOTHING_WIDTH)
+    # the variances first, so their temporaries never coexist with smooth
     variances = _rolling_variance(mags, cfg.acc_window)
+    smooth = moving_average(mags, SMOOTHING_WIDTH)
 
-    inner = np.arange(1, len(smooth) - 1)
-    is_peak = (smooth[inner] > smooth[inner - 1]) & (smooth[inner] > smooth[inner + 1])
-    candidates = inner[is_peak]
+    mid = smooth[1:-1]
+    candidates = np.flatnonzero((mid > smooth[:-2]) & (mid > smooth[2:])) + 1
 
     steps: list[StepEvent] = []
     last_t = None

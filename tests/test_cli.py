@@ -521,6 +521,8 @@ def demo_with(value, *path) -> str:
 TWO_NODES = [{"id": "a", "x": 0, "y": 0, "floor": 1, "rules": ["acc"]},
              {"id": "b", "x": 10, "y": 0, "floor": 1, "rules": ["acc"]}]
 EDGE_AB = {"from": "a", "to": "b", "heading_deg": 0, "distance_m": 10}
+# JSON nested past the parser's recursion limit
+DEEP = "[" * 100000 + "]" * 100000
 
 MALFORMED = {
     "graph node without id": (
@@ -816,6 +818,36 @@ MALFORMED = {
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"], "error: not valid UTF-8"),
     "scenario file is not UTF-8": (
         b'{"environment": "\xff"}', ["simulate", "BAD"], "error: not valid UTF-8"),
+    # JSON nested too deep to parse is invalid JSON, with the reader's prefix
+    "fingerprint file is nested too deep": (
+        DEEP, ["localize", "FLOW/map.json", "--fingerprint", "BAD"],
+        "bad.json: invalid JSON: maximum recursion depth exceeded"),
+    "map file is nested too deep": (
+        DEEP, ["localize", "BAD", "--rss", "ap-w=-50"],
+        "error: invalid JSON: maximum recursion depth exceeded"),
+    "config file is nested too deep": (
+        DEEP, LOCALIZE_FLOW + ["--config", "BAD"],
+        "bad.json: invalid JSON: maximum recursion depth exceeded"),
+    "graph file is nested too deep": (
+        DEEP, ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
+        "error: invalid JSON: maximum recursion depth exceeded"),
+    "scenario file is nested too deep": (
+        DEEP, ["simulate", "BAD"], "error: invalid JSON: maximum recursion depth exceeded"),
+    "query line is nested too deep": (
+        GOOD_QUERY + DEEP + "\n", ["evaluate", "FLOW/map.json", "BAD"],
+        "bad.json:2: invalid JSON: maximum recursion depth exceeded"),
+    "trace line is nested too deep": (
+        DEEP, ["track", "BAD", "--mode", "pdr-gyro"],
+        "error: line 1: invalid JSON: maximum recursion depth exceeded"),
+    # dump_trace's head, so the fast path reads up to the scan
+    "trace scan is nested too deep": (
+        '{"ch": "accel", "t": 0.0, "v": [0.0, 0.0, 9.8]}\n'
+        '{"ch": "wifi", "t": 0.0, "v": ' + DEEP + "}\n",
+        ["track", "BAD", "--mode", "pdr-gyro"],
+        "error: line 2: invalid JSON: maximum recursion depth exceeded"),
+    "--set value is nested too deep": (
+        "", LOCALIZE_FLOW + ["--set", "localization.tau=" + DEEP],
+        "config.localization.tau must be a number, got '[[["),
     # config values: each is refused by its dataclass, named by its key
     "sensors.acc_window is 0": (
         "", TRACK_FLOW + ["--set", "sensors.acc_window=0"],

@@ -248,6 +248,19 @@ def test_evaluate_reuses_given_readings():
         evaluate(test[:1], THREE, LocalizationConfig(), readings)
 
 
+def test_vectorize_map_reuses_given_readings():
+    readings = read_fingerprints([e.fp for e in THREE.entries])
+    for tau, scope in ((-90.0, "both"), (-55.0, "map"), (-55.0, "query")):
+        cfg = LocalizationConfig(tau=tau, tau_scope=scope)
+        a, b = vectorize_map(THREE, cfg, readings), vectorize_map(THREE, cfg)
+        assert (a.universe, a.min_rss) == (b.universe, b.min_rss)
+        for name in ("matrix", "xs", "ys", "floors"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    with pytest.raises(ValueError, match="readings do not match"):
+        vectorize_map(THREE, LocalizationConfig(),
+                      read_fingerprints([e.fp for e in THREE.entries[:1]]))
+
+
 def test_vectorize_rejects_empty_map():
     with pytest.raises(ValueError, match="empty"):
         vectorize_map(RadioMap())

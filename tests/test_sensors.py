@@ -1,10 +1,12 @@
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +22,9 @@ from stridemap.sensors import (CHANNELS, Channel, MotionState, SensorTrace,
                                dump_trace, load_trace, motion_runs,
                                moving_average)
 
-from conftest import DT, GRAVITY, flat, trace_from_mags, walking
+from stridemap.sim import generate_trace, load_scenario
+
+from conftest import DT, GRAVITY, SCENARIOS, flat, trace_from_mags, walking
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +669,25 @@ def test_dump_of_a_non_finite_last_channel_writes_nothing(tmp_path):
     assert buf.getvalue() == ""
 
 
+def test_dump_memory_is_below_the_trace_arrays():
+    # a six-loop two-floor walk: the writer holds the merge order and one
+    # chunk, never a second copy of the trace's numbers
+    sc = load_scenario(SCENARIOS / "two_floor_demo.json")
+    loop = sc.walk.waypoints
+    trace = generate_trace(sc.environment,
+                           replace(sc.walk, waypoints=loop + loop[1:] * 5), sc.noise)
+    truth = trace.truth
+    arrays = sum(a.nbytes for c in (trace.accel, trace.gyro, trace.mag, trace.baro)
+                 for a in (c.t, c.v)) + truth.t.nbytes + truth.xy.nbytes + truth.floor.nbytes
+    tracemalloc.start()
+    try:
+        dump_trace(trace, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays
+
+
 def test_dump_interleaves_by_time(tmp_path):
     n = 10
     t = np.arange(n) * DT
@@ -677,6 +700,35 @@ def test_dump_interleaves_by_time(tmp_path):
     lines = buf.getvalue().splitlines()
     channels = [line.split('"')[3] for line in lines]
     assert channels[3] == "baro"  # lands between accel t=0.04 and t=0.06
+
+
+# ---------------------------------------------------------------------------
+# rolling variance against the index-array form it replaced
+
+
+def gathered_rolling_variance(mag: np.ndarray, window: int) -> np.ndarray:
+    """The reference: running sums gathered at each sample's clipped window
+    bounds by index arrays, divided by the integer window lengths."""
+    n = len(mag)
+    csum = np.concatenate(([0.0], np.cumsum(mag)))
+    csq = np.concatenate(([0.0], np.cumsum(mag * mag)))
+    half = window // 2
+    idx = np.arange(n)
+    lo = np.clip(idx - half, 0, n)
+    hi = np.clip(idx + (window - half), 0, n)
+    cnt = hi - lo
+    mean = (csum[hi] - csum[lo]) / cnt
+    return (csq[hi] - csq[lo]) / cnt - mean * mean
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60), st.integers(1, 80))
+def test_rolling_variance_is_the_gathered_form_bit_for_bit(x, window):
+    # windows wider than the array included: every sample's window clips
+    mag = np.array(x)
+    want = gathered_rolling_variance(mag, window)
+    assert sensors._rolling_variance(mag, window).view(np.uint64).tolist() \
+        == want.view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------
