@@ -20,8 +20,11 @@ TraceError naming the first bad line.
 A file whose every line has the layout dump_trace writes takes a fast
 path, with any JSON number in a number's place (integers, -0 and 1E5
 included), CRLF line ends, and with or without a final newline. It reads
-the bytes a block of about _BLOCK_BYTES at a time, cut after a newline, so
-memory holds the arrays and one block. Per block, numpy finds the lines and
+the bytes a block of about _BLOCK_BYTES at a time, read on to a newline,
+twice: a first pass counts each numeric channel's lines by the byte that
+names a line's channel, and the second parses each channel's numbers
+straight into t and v arrays of that final size, so memory holds the
+arrays and one block's work. Per block, numpy finds the lines and
 checks each head '{"ch": "<ch>", "t": '; with each run of number
 characters collapsed to one 0, each numeric line's rest must be exactly its
 channel's skeleton, so each number stands alone in its own slot; one
@@ -32,14 +35,16 @@ json refuses) is read a line at a time with json.loads, with the same
 arrays, and that path names every error. A trace must be UTF-8: a line that
 is not raises TraceError "line N: not valid UTF-8", in any channel.
 load_trace can read a subset of the channels and skip the lines of the
-others unparsed: the CLI's build-map reads only accel and wifi, so a
-malformed line of another channel does not fail it.
+others unparsed: the CLI's build-map reads only wifi, so a malformed line
+of another channel does not fail it, and skips the count.
 
-dump_trace writes those lines as a stream: the rows of every channel are
-merged by one stable sort on (t, channel order), then formatted a chunk
-of _CHUNK_ROWS lines at a time, the chunk's numbers gathered from the
-channel arrays, with one % template, each distinct number of the chunk
-formatted once. Memory holds the trace, its merge order and one chunk.
+dump_trace writes those lines as a stream: the rows of every channel,
+each channel's t non-decreasing, are merged by (t, channel order) a
+window of at most _CHUNK_ROWS rows per channel at a time, then formatted a
+chunk of _CHUNK_ROWS lines at a time, the chunk's numbers gathered from
+the channel arrays, with one % template, each distinct number of the
+chunk formatted once. Memory holds the trace, one window of its merge
+order and one chunk.
 
 The step and motion parameters are SensorConfig, which lives with the
 other stage configs in stridemap.config.
@@ -87,6 +92,8 @@ _BLOCK_BYTES = 1 << 18
 RSS_MIN_DBM = -200
 RSS_MAX_DBM = 0
 RSS_RULE = f"must be a non-positive integer of at least {RSS_MIN_DBM} dBm"
+# The most characters of an offending value an error message quotes.
+_SHOWN_CHARS = 100
 
 
 class TraceError(ValueError):
@@ -155,7 +162,8 @@ def _line_format(ch: str) -> str:
 
 # The fast path's view of dump_trace's lines, by channel index in CHANNELS.
 # A line is a head '{"ch": "<ch>", "t": ' and a rest. The channels'
-# initials differ, so the byte at offset 8 names a line's channel (_KIND).
+# initials differ, so the byte at offset _KIND_AT names a line's channel
+# (_KIND).
 # A numeric line's rest, each run of number characters (_NUMBER) collapsed to
 # one 0 (_MARK), is its skeleton: its line format with 0 for each number.
 # _TO_LIST turns rests into the items of a JSON list of numbers, _NUMBERS per
@@ -165,6 +173,7 @@ _HEAD_LEN = np.array(list(map(len, _HEADS)))
 _SKELETONS = [_line_format(ch)[len(_head(ch)):].replace("%r", "0").encode() + b"\n"
               if CHANNELS[ch] else None for ch in CHANNELS]
 _NUMBERS = np.array([1 + (CHANNELS[ch] or 0) for ch in CHANNELS])
+_KIND_AT = len('{"ch": "')
 _KIND = np.full(256, -1)
 _KIND[[ord(ch[0]) for ch in CHANNELS]] = range(len(CHANNELS))
 _WIFI = list(CHANNELS).index("wifi")
@@ -200,7 +209,13 @@ class StepEvent:
 
 
 def _magnitudes(channel: Channel) -> np.ndarray:
-    return np.sqrt(np.sum(channel.v * channel.v, axis=1))
+    """The norm of each sample, summed x*x + y*y + z*z in one array: the
+    same bits as np.sqrt(np.sum(v * v, axis=1)) without its (n, 3) squares."""
+    x, y, z = channel.v.T
+    mags = np.square(x, dtype=float)
+    mags += y * y
+    mags += z * z
+    return np.sqrt(mags, out=mags)
 
 
 def number(value, what: str, error: type[ValueError] = ValueError,
@@ -215,7 +230,14 @@ def number(value, what: str, error: type[ValueError] = ValueError,
         except OverflowError:  # an integer beyond the float range
             pass
     kind = "an integer" if integral else "a finite number" if finite else "a number"
-    raise error(f"{what} must be {kind}, got {value!r}")
+    raise error(f"{what} must be {kind}, got {shown(value)}")
+
+
+def shown(value) -> str:
+    """repr(value) as an error message quotes it: cut to its first
+    _SHOWN_CHARS characters and "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 def rss(value) -> int | None:
@@ -282,13 +304,13 @@ def read_jsonl(path: str | Path, error: type[Exception], prefix: str = "line ",
 def text(value, where: str, error: type[ValueError]) -> str:
     if isinstance(value, str) and value:
         return value
-    raise error(f"{where} must be a non-empty string, got {value!r}")
+    raise error(f"{where} must be a non-empty string, got {shown(value)}")
 
 
 def flag(value, where: str, error: type[ValueError]) -> bool:
     if isinstance(value, bool):
         return value
-    raise error(f"{where} must be true or false, got {value!r}")
+    raise error(f"{where} must be true or false, got {shown(value)}")
 
 
 # The reader of a scalar, by its declared type.
@@ -302,7 +324,7 @@ def choice(options: dict):
     def read(value, where: str, error: type[ValueError]):
         if isinstance(value, str) and value in options:
             return options[value]
-        raise error(f"{where} must be one of {sorted(options)}, got {value!r}")
+        raise error(f"{where} must be one of {sorted(options)}, got {shown(value)}")
     return read
 
 
@@ -311,7 +333,7 @@ def version(expected: int):
     it, equal to expected."""
     def read(value, where: str, error: type[ValueError]) -> int:
         if number(value, where, error, integral=True) != expected:
-            raise error(f"{where} must be {expected}, got {value!r}")
+            raise error(f"{where} must be {expected}, got {shown(value)}")
         return expected
     return read
 
@@ -374,7 +396,7 @@ def fingerprint(raw, where: str, error: type[ValueError]) -> dict[str, int]:
     for mac, value in raw.items():
         reading = rss(value)
         if reading is None:
-            raise error(f"{where}: RSS of {mac!r} {RSS_RULE}, got {value!r}")
+            raise error(f"{where}: RSS of {shown(mac)} {RSS_RULE}, got {shown(value)}")
         readings[mac] = reading
     return readings
 
@@ -383,19 +405,19 @@ def _scan_readings(v) -> dict[str, int]:
     """The readings of one WiFi scan; TraceError, without a line number,
     unless v is a list of [mac, rss] pairs."""
     if not isinstance(v, list):
-        raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {v!r}")
+        raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {shown(v)}")
     readings: dict[str, int] = {}
     for pair in v:
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and pair[0]):
             raise TraceError("WiFi reading must be a [mac, rss] pair with a "
-                             f"non-empty string MAC, got {pair!r}")
+                             f"non-empty string MAC, got {shown(pair)}")
         mac, value = pair
         if mac in readings:
-            raise TraceError(f"duplicate MAC {mac!r} in scan")
+            raise TraceError(f"duplicate MAC {shown(mac)} in scan")
         reading = rss(value)
         if reading is None:
-            raise TraceError(f"RSS of {mac!r} {RSS_RULE}, got {value!r}")
+            raise TraceError(f"RSS of {shown(mac)} {RSS_RULE}, got {shown(value)}")
         readings[mac] = reading
     return readings
 
@@ -467,7 +489,7 @@ def _json_columns(path: str | Path, channels) -> dict[str, tuple[list, list]]:
         try:
             ts, vs = cols[ch]
         except (KeyError, TypeError):
-            raise TraceError(f"line {lineno}: unknown channel {ch!r}") from None
+            raise TraceError(f"line {lineno}: unknown channel {shown(ch)}") from None
         if ch not in channels:
             continue
         if ch == "wifi":
@@ -485,26 +507,45 @@ class _NotCanonical(Exception):
 
 
 def _blocks(fh) -> Iterator[bytes]:
-    """The lines of a binary file in blocks of about _BLOCK_BYTES, each cut
-    after a newline, so a line or a CRLF pair never spans two blocks; the
-    last line gets its newline if it lacks one."""
-    pieces = []
+    """The lines of a binary file in blocks of about _BLOCK_BYTES, each
+    read on to the end of its last line, so a line or a CRLF pair never
+    spans two blocks; the last line gets its newline if it lacks one."""
     for data in iter(functools.partial(fh.read, _BLOCK_BYTES), b""):
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            yield b"".join(pieces + [data[:cut]])
-            pieces = []
-        pieces.append(data[cut:])
-    tail = b"".join(pieces)
-    if tail:
-        yield tail + b"\n"
+        if not data.endswith(b"\n"):
+            data += fh.readline()
+        yield data if data.endswith(b"\n") else data + b"\n"
 
 
-def _block_columns(block: bytes, channels, cols: dict[str, tuple[list, list]]) -> None:
-    """Append to cols the samples of block's lines of the channels in
-    channels: each numeric channel's rows (t and values) as one array, each
-    WiFi line's t and readings. block holds whole lines, each ending in a
-    newline. Any line dump_trace could not have written raises _NotCanonical."""
+def _line_counts(path: str | Path) -> np.ndarray:
+    """The lines of each channel in a trace, by channel index in CHANNELS,
+    counted by the byte that names a dump_trace line's channel. The counts
+    are exact for a file of dump_trace's lines and meaningless for any
+    other, which the parse refuses."""
+    counts = np.zeros(len(CHANNELS) + 1, np.int64)  # counts[0]: bytes naming none
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            arr = np.frombuffer(block, np.uint8)
+            at = np.flatnonzero(arr[:-1] == ord("\n")) + (1 + _KIND_AT)
+            kind = _KIND[arr[np.minimum(np.append(_KIND_AT, at), len(arr) - 1)]]
+            counts += np.bincount(kind + 1, minlength=len(counts))
+    return counts[1:]
+
+
+def _skeletons(rests: bytes) -> bytes:
+    """rests with each run of number characters collapsed to one 0."""
+    marked = np.frombuffer(rests.translate(_MARK), np.uint8)
+    isnum = marked == ord("0")
+    first = np.append(True, ~(isnum[1:] & isnum[:-1]))  # each run's start, and all else
+    return marked[first].tobytes()
+
+
+def _block_columns(block: bytes, channels, cols: dict[str, tuple], filled: np.ndarray) -> None:
+    """Parse block's lines of the channels in channels into cols: each
+    numeric channel's t and v from row filled[i] on, advancing filled[i]
+    (i its index in CHANNELS), and each WiFi line's t and readings appended
+    to the WiFi lists. block holds whole lines, each ending in a newline.
+    Any line dump_trace could not have written, or more lines of a channel
+    than its arrays hold, raises _NotCanonical."""
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n")
         if b"\r" in block:  # a lone CR, which the json path reads as a line end
@@ -517,10 +558,10 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple[list, list]]) -
     arr = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(arr == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    length = ends - starts  # each head, and offset 8, must lie within its line
+    length = ends - starts  # each head, and the byte naming its channel, lie within its line
     if length.min() < _HEAD_LEN.min():
         raise _NotCanonical
-    kind = _KIND[arr[starts + len('{"ch": "')]]  # each line's channel index
+    kind = _KIND[arr[starts + _KIND_AT]]  # each line's channel index
     if kind.min() < 0 or (length < _HEAD_LEN[kind]).any():
         raise _NotCanonical
     for i, head in enumerate(_HEADS):
@@ -535,11 +576,7 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple[list, list]]) -
         bounds = np.column_stack([starts[numeric] + _HEAD_LEN[lines], ends[numeric] + 1])
         runs = np.diff(bounds.ravel(), prepend=0, append=len(arr))
         rests = arr[np.repeat(np.arange(len(runs)) % 2 == 1, runs)].tobytes()
-        marked = np.frombuffer(rests.translate(_MARK), np.uint8)
-        isnum = marked == ord("0")
-        first = np.append(True, ~(isnum[1:] & isnum[:-1]))  # each run's start, and all else
-        if marked[first].tobytes() != b"".join(map(_SKELETONS.__getitem__,
-                                                   lines.tolist())):
+        if _skeletons(rests) != b"".join(map(_SKELETONS.__getitem__, lines.tolist())):
             raise _NotCanonical
         try:  # json's own number grammar and values, integers and -0 included
             values = np.array(json.loads(b"[%s]" % rests[:-1].translate(_TO_LIST)), float)
@@ -548,7 +585,14 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple[list, list]]) -
         owner = np.repeat(lines, _NUMBERS[lines])
         for i, ch in enumerate(CHANNELS):
             if want[i]:
-                cols[ch][0].append(values[owner == i].reshape(-1, _NUMBERS[i]))
+                rows = values[owner == i].reshape(-1, _NUMBERS[i])
+                t, v = cols[ch]
+                lo, hi = filled[i], filled[i] + len(rows)
+                if hi > len(t):  # more lines than counted: the file changed
+                    raise _NotCanonical
+                t[lo:hi] = rows[:, 0]
+                v[lo:hi] = rows[:, 1:].reshape(v[lo:hi].shape)
+                filled[i] = hi
     if "wifi" in channels:
         wifi = kind == _WIFI
         ts, vs = cols["wifi"]
@@ -566,18 +610,22 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple[list, list]]) -
 def _canonical_columns(path: str | Path, channels) -> dict[str, tuple]:
     """The t and v of each channel of a trace whose every line dump_trace
     could have written, read a block at a time; a line of a channel not in
-    channels is dropped by its head, unparsed. Any other line raises
-    _NotCanonical, never TraceError: the json path names the faults."""
+    channels is dropped by its head, unparsed. A first pass counts each
+    numeric channel's lines, so its values are parsed straight into arrays
+    of their final size. Any other line raises _NotCanonical, never
+    TraceError: the json path names the faults."""
     cols = {ch: ([], []) for ch in CHANNELS}
+    want = [CHANNELS[ch] is not None and ch in channels for ch in CHANNELS]
+    counts = _line_counts(path) if any(want) else np.zeros(len(CHANNELS), np.int64)
+    for i, ch in enumerate(CHANNELS):
+        if want[i]:
+            cols[ch] = (np.empty(counts[i]), np.empty((counts[i], *_sample_shape(ch))))
+    filled = np.zeros(len(CHANNELS), np.int64)
     with open(path, "rb") as fh:
         for block in _blocks(fh):
-            _block_columns(block, channels, cols)
-    for ch, width in CHANNELS.items():
-        if width is not None:
-            rows = [np.empty((0, 1 + width))] + cols[ch][0]
-            cols[ch] = (np.concatenate([r[:, 0] for r in rows]),
-                        np.concatenate([r[:, 1:] for r in rows]).reshape(
-                            -1, *_sample_shape(ch)))
+            _block_columns(block, channels, cols, filled)
+    if (filled != counts)[want].any():  # fewer lines than counted: the file changed
+        raise _NotCanonical
     return cols
 
 
@@ -614,17 +662,46 @@ def _writing(path):
     return open(path, "w")
 
 
+def _merged(times: list[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows of channels whose t never decreases, in the order of a
+    stable sort on (t, channel order), _CHUNK_ROWS rows at a time: each
+    row's channel index and its sample's index in its channel. The rows
+    are merged a window at a time; a window ends at the smallest
+    (t, channel) among the channels' next _CHUNK_ROWS-th rows, so it holds
+    every row before that one and at most _CHUNK_ROWS of each channel."""
+    pos = [0] * len(times)  # each channel's first row not yet merged
+    while True:
+        heads = [t[p:p + _CHUNK_ROWS] for t, p in zip(times, pos)]
+        full = [(h[-1], i) for i, h in enumerate(heads) if len(h) == _CHUNK_ROWS]
+        take = list(map(len, heads))
+        if full:
+            bound, last = min(full)
+            take = [k if i == last else
+                    int(np.searchsorted(h, bound, "right" if i < last else "left"))
+                    for i, (h, k) in enumerate(zip(heads, take))]
+        if not any(take):
+            return
+        order = np.argsort(np.concatenate([h[:k] for h, k in zip(heads, take)]),
+                           kind="stable")
+        kind = np.repeat(np.arange(len(times), dtype=np.int8), take)[order]
+        at = np.concatenate([np.arange(p, p + k) for p, k in zip(pos, take)])[order]
+        for lo in range(0, len(order), _CHUNK_ROWS):
+            yield kind[lo:lo + _CHUNK_ROWS], at[lo:lo + _CHUNK_ROWS]
+        pos = [p + k for p, k in zip(pos, take)]
+
+
 def dump_trace(trace: SensorTrace, path) -> None:
     """Write a trace as JSONL to a path or open file, channels interleaved
     by timestamp and in CHANNELS order at equal timestamps. A non-finite t
-    or value, which load_trace would reject, raises TraceError naming the
-    channel before the first byte is written, and before a path is opened.
+    or value, or a t that decreases within its channel, which load_trace
+    would reject, raises TraceError naming the channel before the first
+    byte is written, and before a path is opened.
 
-    The rows are merged by one stable sort on (t, channel order) and
-    written _CHUNK_ROWS at a time: each numeric row's numbers gathered from
-    its channel's arrays into the chunk's numbers, then one template joined
-    from the rows' templates, filled by one % with each distinct number of
-    the chunk formatted once. A numeric channel's rows share its line
+    The rows come from _merged and are written _CHUNK_ROWS at a time: each
+    numeric row's numbers gathered from its channel's arrays into the
+    chunk's numbers, then one template joined from the rows' templates,
+    filled by one % with each distinct number of the chunk formatted once.
+    A numeric channel's rows share its line
     format, with %s for each number; a WiFi row has its own template,
     json.dumps's line with its % doubled. Numbers are told apart by their
     bits, so -0.0 and 0.0 stay distinct; %r of a finite float is json's
@@ -651,18 +728,13 @@ def dump_trace(trace: SensorTrace, path) -> None:
             if not all(np.isfinite(col).all() for col in cols):
                 raise TraceError(f"cannot write channel {ch!r}: t and values must be finite")
             t = cols[0] if cols else np.empty(0)
+        if (t[1:] < t[:-1]).any():
+            raise TraceError(f"cannot write channel {ch!r}: t must not decrease")
         columns.append(cols)
         times.append(t)
-    size = np.array(list(map(len, times)))
-    rank = np.repeat(np.arange(len(CHANNELS), dtype=np.int8), size)
-    merged = np.lexsort((rank, np.concatenate(times)))
-    first = np.cumsum(size) - size  # each channel's first row in merged's numbering
     count = np.array(list(map(len, columns)))  # numbers per row of each channel
     with _writing(path) as fh:
-        for lo in range(0, len(merged), _CHUNK_ROWS):
-            rows = merged[lo:lo + _CHUNK_ROWS]
-            kind = rank[rows]
-            at = rows - first[kind]  # each row's sample in its channel
+        for kind, at in _merged(times):
             n = count[kind]
             start = np.cumsum(n) - n  # each row's first number in the chunk
             numbers = np.empty(n.sum())

@@ -618,6 +618,33 @@ def _zone_bias(zones: tuple[CompassZone, ...], x, y, floor) -> np.ndarray:
     return bias
 
 
+def _compass(plan: WalkPlan, ticks: np.ndarray,
+             zones: tuple[CompassZone, ...]) -> np.ndarray:
+    """Magnetometer values at each tick: the unit vector of the facing,
+    biased inside compass zones, in the horizontal plane."""
+    x, y, fl, hd = _plan_state(plan, ticks)
+    psi = hd + _zone_bias(zones, x, y, fl)
+    v = np.zeros((len(ticks), 3))
+    v[:, 0] = np.cos(psi)
+    v[:, 1] = np.sin(psi)
+    return v
+
+
+def _truth(plan: WalkPlan) -> TruthChannel:
+    """Ground truth at the walk's ends, every phase boundary, every step
+    and every TRUTH_EVERY-th tick."""
+    marks = {0, plan.total_ticks}
+    for ph in plan.phases:
+        marks.add(ph.t0)
+        marks.add(ph.t1)
+    for s in plan.steps:
+        marks.add(s.tick)
+    marks.update(range(0, plan.total_ticks + 1, TRUTH_EVERY))
+    ticks = np.array(sorted(marks))
+    x, y, fl, _ = _plan_state(plan, ticks)
+    return TruthChannel(t=ticks * TICK, xy=np.column_stack([x, y]), floor=fl)
+
+
 def generate_trace(env: Environment, script: WalkScript,
                    noise: NoiseModel) -> SensorTrace:
     """Simulate the scripted walk into a sensor trace with embedded truth.
@@ -633,28 +660,27 @@ def generate_trace(env: Environment, script: WalkScript,
     rng_accel, rng_gyro, _rng_mag, rng_baro, rng_wifi, _rng_q = \
         [np.random.default_rng(s) for s in ss.spawn(6)]
 
+    # each vector channel's values are written into its final (n, 3) array;
+    # the bump train's temporaries come and go before the first is made
     az = _bump_train(plan, n)
+    accel = Channel(t=t_all, v=np.zeros((n, 3)))
+    accel.v[:, 2] = az
+    az = accel.v[:, 2]
     if noise.accel_std > 0:
-        az = az + rng_accel.normal(0.0, noise.accel_std, n)
-    accel = Channel(t=t_all, v=np.column_stack(
-        [np.zeros(n), np.zeros(n), az]))
+        az += rng_accel.normal(0.0, noise.accel_std, n)
 
-    wz = np.zeros(n)
+    gyro = Channel(t=t_all, v=np.zeros((n, 3)))
+    wz = gyro.v[:, 2]
     for ph in plan.phases:
         if ph.kind == "turn":
             wz[ph.rot0:ph.rot1] = ph.omega
     if noise.gyro_bias:
-        wz = wz + noise.gyro_bias
+        wz += noise.gyro_bias
     if noise.gyro_std > 0:
-        wz = wz + rng_gyro.normal(0.0, noise.gyro_std, n)
-    gyro = Channel(t=t_all, v=np.column_stack(
-        [np.zeros(n), np.zeros(n), wz]))
+        wz += rng_gyro.normal(0.0, noise.gyro_std, n)
 
     mag_ticks = np.arange(0, plan.total_ticks + 1, MAG_EVERY)
-    mx_x, mx_y, mx_f, mx_h = _plan_state(plan, mag_ticks)
-    psi = mx_h + _zone_bias(noise.compass_zones, mx_x, mx_y, mx_f)
-    mag = Channel(t=mag_ticks * TICK, v=np.column_stack(
-        [np.cos(psi), np.sin(psi), np.zeros(len(psi))]))
+    mag = Channel(t=mag_ticks * TICK, v=_compass(plan, mag_ticks, noise.compass_zones))
 
     baro_ticks = np.arange(0, plan.total_ticks + 1, BARO_EVERY)
     _, _, b_floor, _ = _plan_state(plan, baro_ticks)
@@ -673,20 +699,8 @@ def generate_trace(env: Environment, script: WalkScript,
                              noise.shadowing_std, rng_wifi)
             scans.append(WifiScan(t=float(tk * TICK), readings=readings))
 
-    marks = {0, plan.total_ticks}
-    for ph in plan.phases:
-        marks.add(ph.t0)
-        marks.add(ph.t1)
-    for s in plan.steps:
-        marks.add(s.tick)
-    marks.update(range(0, plan.total_ticks + 1, TRUTH_EVERY))
-    truth_ticks = np.array(sorted(marks))
-    tx, ty, tf, _ = _plan_state(plan, truth_ticks)
-    truth = TruthChannel(t=truth_ticks * TICK,
-                         xy=np.column_stack([tx, ty]), floor=tf)
-
     return SensorTrace(accel=accel, gyro=gyro, mag=mag, baro=baro,
-                       wifi=scans, truth=truth)
+                       wifi=scans, truth=_truth(plan))
 
 
 def generate_test_queries(

@@ -547,7 +547,7 @@ MALFORMED = {
                     "edges": [{"from": "a", "to": "b", "heading_deg": 0,
                                "distance_m": 10**400}]}),
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
-        f"graph.edges[0].distance_m must be a finite number, got {10**400}"),
+        f"graph.edges[0].distance_m must be a finite number, got {str(10**400)[:100]}..."),
     # a graph value of the wrong type or an unknown key is refused, not
     # read as something else or ignored
     "graph auto_reverse is a string": (
@@ -597,7 +597,7 @@ MALFORMED = {
         json.dumps({"version": 1, "config": {}, "entries": [
             {"x": 10**400, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -50}}]}),
         ["evaluate", "BAD", "FLOW/queries.jsonl"],
-        f"map.entries[0].x must be a finite number, got {10**400}"),
+        f"map.entries[0].x must be a finite number, got {str(10**400)[:100]}..."),
     "map config is Infinity": (
         '{"version": 1, "config": {"sigma_floor": Infinity}, "entries": []}',
         ["localize", "BAD", "--rss", "ap-w=-50"],
@@ -733,7 +733,7 @@ MALFORMED = {
             {"x": 0, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -10**400}}]}),
         ["localize", "BAD", "--rss", "ap-w=-50"],
         "map.entries[0].fp: RSS of 'ap-w' must be a non-positive integer of at least "
-        f"-200 dBm, got {-10**400}"),
+        f"-200 dBm, got {str(-10**400)[:100]}..."),
     "map RSS is far below the range": (
         json.dumps({"version": 1, "config": {}, "entries": [
             {"x": 0, "y": 0, "floor": 1, "belief": 1.0, "fp": {"ap-w": -10**17}},
@@ -947,8 +947,9 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_gives_one_error_line(flow, tmp_path, capsys, case):
+def malformed_error(flow, tmp_path, capsys, case) -> str:
+    """The one error line the MALFORMED case prints, having checked that
+    it is one line, starts "error:" and holds the case's needle."""
     text, argv, needle = MALFORMED[case]
     bad = tmp_path / "bad.json"
     if isinstance(text, bytes):
@@ -960,6 +961,21 @@ def test_malformed_input_gives_one_error_line(flow, tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and needle in err[0]
+    return err[0]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_gives_one_error_line(flow, tmp_path, capsys, case):
+    malformed_error(flow, tmp_path, capsys, case)
+
+
+@pytest.mark.parametrize("case", ["--set value is nested too deep", "map entry x overflows",
+                                  "map RSS overflows a float"])
+def test_an_error_quotes_a_long_value_cut_short(flow, tmp_path, capsys, case):
+    # a 200 KB --set value or a 401-digit number is quoted by its first
+    # 100 characters, not in full
+    err = malformed_error(flow, tmp_path, capsys, case)
+    assert len(err.encode()) < 1024 and err.endswith("...")
 
 
 BROKEN_GYRO = '{"ch": "gyro", "t": 0.1, "v": [0.0, 0.0, oops]}\n'

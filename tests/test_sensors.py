@@ -53,6 +53,15 @@ def test_magnitude_matches_hypot(ax, ay, az):
                         math.sqrt(ax * ax + ay * ay + az * az))
 
 
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False)] * 3), max_size=40))
+def test_magnitudes_are_the_summed_squares_bit_for_bit(rows):
+    v = np.array(rows, float).reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.sqrt(np.sum(v * v, axis=1))
+        got = _magnitudes(Channel(np.zeros(len(v)), v))
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # trace io
 
@@ -428,7 +437,19 @@ def test_fast_path_accepts_only_what_json_reads_alike(text, block, channels):
         assert fast == want
 
 
+def traced_peak(call) -> tuple:
+    """call's result, the bytes tracemalloc sees held after it and its peak."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return (out, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_memory_is_the_arrays_plus_a_block(tmp_path):
+    # blocks far smaller than a channel, so a second copy of any channel
+    # would show above the trace the load keeps and a few blocks
     n = 40000
     t = np.arange(n) * DT
     rng = np.random.default_rng(1)
@@ -438,15 +459,49 @@ def test_load_memory_is_the_arrays_plus_a_block(tmp_path):
                         wifi=[WifiScan(float(s), {"aa": -50}) for s in t[::50]])
     path = tmp_path / "long.jsonl"
     dump_trace(trace, path)
-    tracemalloc.start()
-    try:
-        back = fast_path_load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kept = sum(a.nbytes for c in (back.accel, back.gyro, back.mag, back.baro)
-               for a in (c.t, c.v))
-    assert peak < 3 * (kept + sensors._BLOCK_BYTES)
+    with mock.patch.object(sensors, "_BLOCK_BYTES", 1 << 14):
+        back, kept, peak = traced_peak(lambda: fast_path_load(path))  # kept: the trace
+        assert trace_bits(back) == trace_bits(trace)
+        assert kept > sum(a.nbytes for c in (back.accel, back.gyro) for a in (c.t, c.v))
+        assert peak < kept + 8 * sensors._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("load", [fast_path_load, json_path_load])
+def test_loaded_arrays_are_exact_and_own_their_memory(load, tmp_path):
+    trace = _awkward_trace()
+    path = tmp_path / "t.jsonl"
+    dump_trace(trace, path)
+    back = load(path)
+    assert trace_bits(back) == trace_bits(trace)
+    tr = back.truth
+    arrays = [a for c in (back.accel, back.gyro, back.mag, back.baro)
+              for a in (c.t, c.v)] + [tr.t, tr.xy, tr.floor]
+    for a in arrays:
+        assert a.flags.c_contiguous and a.flags.owndata and a.base is None
+        assert len(a) == 5 and a.nbytes == a.size * 8
+
+
+def test_a_file_that_changes_after_its_count_is_read_by_json(tmp_path):
+    path = tmp_path / "t.jsonl"
+    dump_trace(_awkward_trace(), path)
+    want = outcome(json_path_load, path)
+    counts = sensors._line_counts(path)
+    for k, step in [(0, 1), (0, -1), (3, 1), (5, -1)]:  # accel, baro and truth
+        wrong = counts.copy()
+        wrong[k] += step
+        with mock.patch.object(sensors, "_line_counts", return_value=wrong), \
+                mock.patch.object(sensors, "_json_columns",
+                                  wraps=sensors._json_columns) as json_columns:
+            assert outcome(load_trace, path) == want
+        json_columns.assert_called_once()
+
+
+def test_an_error_quotes_a_value_by_its_first_100_characters():
+    assert sensors.shown("x" * 98) == repr("x" * 98)
+    assert sensors.shown("x" * 99) == repr("x" * 99)[:100] + "..."
+    with pytest.raises(TraceError) as exc:
+        sensors._scan_readings([["aa", -50], ["b" * 10**5, 1]])
+    assert str(exc.value) == f"RSS of '{'b' * 99}... {sensors.RSS_RULE}, got 1"
 
 
 def test_load_refuses_an_unknown_channel_name(tmp_path):
@@ -669,23 +724,47 @@ def test_dump_of_a_non_finite_last_channel_writes_nothing(tmp_path):
     assert buf.getvalue() == ""
 
 
-def test_dump_memory_is_below_the_trace_arrays():
-    # a six-loop two-floor walk: the writer holds the merge order and one
-    # chunk, never a second copy of the trace's numbers
+def six_loop_walk() -> tuple:
+    """The environment, script and noise of a six-loop two-floor walk."""
     sc = load_scenario(SCENARIOS / "two_floor_demo.json")
     loop = sc.walk.waypoints
-    trace = generate_trace(sc.environment,
-                           replace(sc.walk, waypoints=loop + loop[1:] * 5), sc.noise)
+    return sc.environment, replace(sc.walk, waypoints=loop + loop[1:] * 5), sc.noise
+
+
+def test_dump_memory_is_below_the_trace_arrays():
+    # the writer holds a window of the merge order and one chunk, never a
+    # second copy of the trace's numbers
+    trace = generate_trace(*six_loop_walk())
     truth = trace.truth
     arrays = sum(a.nbytes for c in (trace.accel, trace.gyro, trace.mag, trace.baro)
                  for a in (c.t, c.v)) + truth.t.nbytes + truth.xy.nbytes + truth.floor.nbytes
-    tracemalloc.start()
-    try:
-        dump_trace(trace, os.devnull)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < arrays
+    _, _, peak = traced_peak(lambda: dump_trace(trace, os.devnull))
+    assert peak < arrays / 2
+
+
+def test_generate_memory_is_near_the_trace_it_returns():
+    # each channel's values are written into their final arrays: no zero
+    # columns stacked into a copy, no walk-long temporary outliving its use
+    walk = six_loop_walk()
+    trace, kept, peak = traced_peak(lambda: generate_trace(*walk))
+    arrays = sum(a.nbytes for c in (trace.accel, trace.gyro, trace.mag, trace.baro)
+                 for a in (c.t, c.v))
+    assert arrays < kept  # kept: the trace, its scans and truth too
+    assert peak < 1.3 * kept
+
+
+def test_dump_refuses_a_channel_whose_t_regresses(tmp_path):
+    for ch in CHANNELS:
+        trace = _awkward_trace()
+        if ch == "wifi":
+            trace.wifi = [WifiScan(1.0, {}), WifiScan(0.5, {})]
+        else:
+            chan = trace.truth if ch == "truth" else getattr(trace, ch)
+            chan.t[2] = -1.0
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(TraceError, match=f"cannot write channel {ch!r}: t must not decrease"):
+            dump_trace(trace, path)
+        assert not path.exists()
 
 
 def test_dump_interleaves_by_time(tmp_path):

@@ -11,8 +11,8 @@ from stridemap.landmarks import RuleKind, detect_baro_landmarks
 from stridemap.sensors import detect_steps, dump_trace
 from stridemap.sim import (BASE_PRESSURE, BUMP_AMPLITUDE, GRAVITY, MAG_EVERY,
                            MAX_WALK_TICKS, PRESSURE_PER_FLOOR, TICK,
-                           NoiseModel, ScenarioError, _bump_train, _plan_state,
-                           generate_test_queries, generate_trace,
+                           TRUTH_EVERY, NoiseModel, ScenarioError, _bump_train,
+                           _plan_state, _zone_bias, generate_test_queries, generate_trace,
                            load_scenario, plan_walk, scenario_from_dict)
 
 LENGTH = 20.16  # 32 nominal steps
@@ -562,3 +562,61 @@ def test_bump_train_reaches_the_first_and_last_tick():
     plan = busy_plan()
     az = _bump_train(plan, plan.total_ticks + 1)
     assert az[0] == az[-1] == GRAVITY + BUMP_AMPLITUDE
+
+
+def column_stack_channels(sc):
+    """The reference accel, gyro and mag values and truth of
+    generate_trace: each vector channel a column_stack of zero columns and
+    its noisy axis, truth at the sorted ticks of one set."""
+    plan = plan_walk(sc.environment, sc.walk)
+    noise = sc.noise
+    n = plan.total_ticks + 1
+    rng_accel, rng_gyro = [np.random.default_rng(s)
+                           for s in np.random.SeedSequence(noise.seed).spawn(6)][:2]
+    zeros = np.zeros(n)
+    az = _bump_train(plan, n)
+    if noise.accel_std > 0:
+        az = az + rng_accel.normal(0.0, noise.accel_std, n)
+    wz = np.zeros(n)
+    for ph in plan.phases:
+        if ph.kind == "turn":
+            wz[ph.rot0:ph.rot1] = ph.omega
+    if noise.gyro_bias:
+        wz = wz + noise.gyro_bias
+    if noise.gyro_std > 0:
+        wz = wz + rng_gyro.normal(0.0, noise.gyro_std, n)
+    mag_ticks = np.arange(0, plan.total_ticks + 1, MAG_EVERY)
+    x, y, fl, hd = _plan_state(plan, mag_ticks)
+    psi = hd + _zone_bias(noise.compass_zones, x, y, fl)
+    marks = {0, plan.total_ticks, *range(0, plan.total_ticks + 1, TRUTH_EVERY)}
+    marks.update(t for ph in plan.phases for t in (ph.t0, ph.t1))
+    marks.update(s.tick for s in plan.steps)
+    truth_ticks = np.array(sorted(marks))
+    tx, ty, tf, _ = _plan_state(plan, truth_ticks)
+    return [np.column_stack([zeros, zeros, az]), np.column_stack([zeros, zeros, wz]),
+            np.column_stack([np.cos(psi), np.sin(psi), np.zeros(len(psi))]),
+            truth_ticks * TICK, np.column_stack([tx, ty]), tf]
+
+
+NOISY = {
+    "two floors, every inertial noise on": lambda: demo_scenario(
+        "two_floor_demo", laps=1, seed=5, accel_std=0.05, gyro_std=0.01, gyro_bias=0.02),
+    "two floors, as the file has it": lambda: demo_scenario("two_floor_demo", laps=0),
+    "mixed quality": lambda: demo_scenario("mixed_quality_demo"),
+    "busy corridor": lambda: corridor_scenario(walk={
+        "waypoints": ["a", "b", "a"], "stops": [{"at": "b", "duration_s": 3.0}],
+        "false_walking": [{"t": 0.5, "duration_s": 1.2}]},
+        noise={"seed": 3, "accel_std_mps2": 0.1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISY))
+def test_trace_channels_are_the_column_stack_form(name):
+    sc = NOISY[name]()
+    trace = generate_trace(sc.environment, sc.walk, sc.noise)
+    got = [trace.accel.v, trace.gyro.v, trace.mag.v,
+           trace.truth.t, trace.truth.xy, trace.truth.floor]
+    want = column_stack_channels(sc)
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert bits(got) == bits(want)
+    assert trace.accel.t is trace.gyro.t
