@@ -30,7 +30,7 @@ from .config import (HEADING_THRESHOLD_DEG, ConfigError, HeadingSource,
                      LandmarkConfig, LocalizationConfig, PdrConfig,
                      QualityConfig, SensorConfig)
 from .sensors import (RSS_RULE, SCALARS, choice, fingerprint, members,
-                      number, read_json, read_jsonl, rss, text, version)
+                      number, read_json, read_jsonl, rss, shown, text, version)
 
 # Each subcommand imports the stage functions it calls in its own body, so
 # a process loads only the stages of the command it runs.
@@ -112,7 +112,7 @@ def effective_config(args) -> tuple[dict, dict]:
     overrides = {}
     for assignment in args.set or []:
         if "=" not in assignment:
-            raise CliError(f"--set needs key=value, got {assignment!r}")
+            raise CliError(f"--set needs key=value, got {shown(assignment)}")
         dotted, _, raw = assignment.partition("=")
         try:
             value = json.loads(raw)
@@ -125,7 +125,7 @@ def effective_config(args) -> tuple[dict, dict]:
         for key in keys:
             value = value[key]
         if isinstance(value, dict):
-            raise CliError(f"--set needs a leaf key, got section {dotted!r}")
+            raise CliError(f"--set needs a leaf key, got section {shown(dotted)}")
         overrides[dotted] = value
     return tree, overrides
 
@@ -257,7 +257,7 @@ def _start(text: str) -> tuple[float, float, float]:
                 float(number(floor, "floor", integral=True)))
     except ValueError:
         raise CliError(f"--start must be x,y,floor with finite x and y and an "
-                       f"integer floor, got {text!r}")
+                       f"integer floor, got {shown(text)}")
 
 
 def cmd_track(args) -> int:
@@ -345,18 +345,18 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
     fp = {}
     for pair in pairs:
         if "=" not in pair:
-            raise CliError(f"--rss needs mac=rss, got {pair!r}")
+            raise CliError(f"--rss needs mac=rss, got {shown(pair)}")
         mac, _, text = pair.partition("=")
         if not mac:
-            raise CliError(f"--rss MAC must be non-empty, got {pair!r}")
+            raise CliError(f"--rss MAC must be non-empty, got {shown(pair)}")
         try:
             reading = rss(float(text))  # "-50.0" reads as -50, as in a file
         except ValueError:
             reading = None
         if reading is None:
-            raise CliError(f"--rss value for {mac!r} {RSS_RULE}, got {text!r}")
+            raise CliError(f"--rss value for {shown(mac)} {RSS_RULE}, got {shown(text)}")
         if mac in fp:
-            raise CliError(f"duplicate MAC {mac!r} in --rss")
+            raise CliError(f"duplicate MAC {shown(mac)} in --rss")
         fp[mac] = reading
     return fp
 

@@ -16,7 +16,9 @@ added in one vectorized pass.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ RSS_CUTOFF_DBM = -100       # weaker APs are absent from a scan
 MAX_WALK_TICKS = 12 * 3600 * 50  # longest walk a plan may hold: 12 h of 50 Hz ticks
 FLOOR_ATTENUATION_DB = 12.0  # extra path loss per concrete slab crossed
 FALSE_WALK_PERIOD_TICKS = (18, 29, 52, 23)  # arm-shake bump cadence
+CHUNK_ELEMENTS = 1 << 14    # (pose, AP) values per WiFi row chunk: 512 KB as Python floats
 
 
 class ScenarioError(ValueError):
@@ -570,41 +573,45 @@ def _bump_train(plan: WalkPlan, n: int) -> np.ndarray:
     return az
 
 
-def _ap_rss(ap: Ap, x: float, y: float, floor: float, floor_height: float) -> float:
-    """Log-distance path loss with a per-slab penalty; distance floored at 1 m.
+def _libm(fn, a: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) at each v of a as Python calls it: numpy's may differ in the last bit."""
+    out = map(fn, a.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(out, float, a.size).reshape(a.shape)
 
-    Without the slab term, positions stacked on adjacent floors differ by
-    only the vertical leg of the 3D distance, which integer rounding can
-    erase entirely. Slabs attenuate far more than free space, and that
-    extra loss is what makes floors separable from fingerprints at all.
+
+def _readings(env: Environment, x, y, floor, shadowing_std, rng) -> Iterator[dict[str, int]]:
+    """The readings of one scan at each pose (x[i], y[i], floor[i]), in order.
+
+    An AP's level is log-distance path loss, distance floored at 1 m, plus
+    a per-slab penalty (without it, poses on adjacent floors differ only
+    by a vertical leg that rounding can erase), less a shadowing draw. It
+    is clipped at RSS_MAX_DBM (0 dBm, the top of every loader's range) and
+    rounded half-even to whole dBm; an AP that rounds below RSS_CUTOFF_DBM,
+    or whose level is NaN or -inf, is absent and never reaches the int
+    cast. Poses go in row chunks of about CHUNK_ELEMENTS (pose, AP) values,
+    each drawing in one row-major rng.normal call: the stream of scalar
+    draws pose by pose, AP by AP.
     """
-    df = floor - ap.floor
-    dz = df * floor_height
-    d = math.sqrt((x - ap.x) ** 2 + (y - ap.y) ** 2 + dz * dz)
-    return (ap.tx_power_dbm
-            - 10.0 * ap.path_loss_exponent * math.log10(max(d, 1.0))
-            - FLOOR_ATTENUATION_DB * abs(df))
-
-
-def _scan(env: Environment, x: float, y: float, floor: float,
-          shadowing_std: float, rng: np.random.Generator) -> dict[str, int]:
-    """The readings of one scan at a pose: each AP's modelled level, less a
-    shadowing draw, clipped at RSS_MAX_DBM (0 dBm, the top of the range
-    every loader accepts) and rounded to whole dBm; APs that round below
-    RSS_CUTOFF_DBM are absent. Both comparisons keep round() off an
-    infinite shadowing draw."""
-    readings: dict[str, int] = {}
-    for ap in env.aps:
-        base = _ap_rss(ap, x, y, floor, env.floor_height_m)
+    macs = [ap.mac for ap in env.aps]
+    ap_x, ap_y, ap_floor, tx, ple = np.array([(
+        ap.x, ap.y, ap.floor, ap.tx_power_dbm, ap.path_loss_exponent)
+        for ap in env.aps], dtype=float).reshape(-1, 5).T
+    step = max(1, CHUNK_ELEMENTS // max(1, len(macs)))
+    for lo in range(0, len(x), step):
+        rows = slice(lo, lo + step)
+        df = floor[rows, None] - ap_floor
+        dz = df * env.floor_height_m
+        d = np.sqrt(_libm(pow, x[rows, None] - ap_x, 2)
+                    + _libm(pow, y[rows, None] - ap_y, 2) + dz * dz)
+        level = (tx - 10.0 * ple * _libm(math.log10, np.maximum(d, 1.0))
+                 - FLOOR_ATTENUATION_DB * np.abs(df))
         if shadowing_std > 0:
-            base -= rng.normal(0.0, shadowing_std)
-        if base > RSS_MAX_DBM:
-            base = RSS_MAX_DBM
-        if base > RSS_CUTOFF_DBM - 1:
-            rss = round(base)
-            if rss >= RSS_CUTOFF_DBM:
-                readings[ap.mac] = rss
-    return readings
+            level -= rng.normal(0.0, shadowing_std, level.shape)
+        dbm = np.rint(np.minimum(level, RSS_MAX_DBM))
+        heard = dbm >= RSS_CUTOFF_DBM
+        dbm = np.where(heard, dbm, 0).astype(np.int64)
+        yield from (dict(compress(zip(macs, row), keep))
+                    for row, keep in zip(dbm.tolist(), heard.tolist()))
 
 
 def _zone_bias(zones: tuple[CompassZone, ...], x, y, floor) -> np.ndarray:
@@ -691,13 +698,9 @@ def generate_trace(env: Environment, script: WalkScript,
 
     scan_step = _ticks(script.scan_interval_s, "walk.scan_interval_s")
     scan_ticks = np.arange(scan_step, plan.total_ticks + 1, scan_step)
-    scans: list[WifiScan] = []
-    if len(scan_ticks):
-        sx, sy, sf, _ = _plan_state(plan, scan_ticks)
-        for i, tk in enumerate(scan_ticks):
-            readings = _scan(env, float(sx[i]), float(sy[i]), float(sf[i]),
-                             noise.shadowing_std, rng_wifi)
-            scans.append(WifiScan(t=float(tk * TICK), readings=readings))
+    sx, sy, sf, _ = _plan_state(plan, scan_ticks)
+    scans = list(map(WifiScan, (scan_ticks * TICK).tolist(),
+                     _readings(env, sx, sy, sf, noise.shadowing_std, rng_wifi)))
 
     return SensorTrace(accel=accel, gyro=gyro, mag=mag, baro=baro,
                        wifi=scans, truth=_truth(plan))
@@ -714,9 +717,6 @@ def generate_test_queries(
     so queries vary with the seed without disturbing trace generation.
     """
     rng = np.random.default_rng(np.random.SeedSequence(noise.seed).spawn(6)[5])
-    out = []
-    for (x, y, floor) in positions:
-        readings = _scan(env, float(x), float(y), float(floor),
-                         noise.shadowing_std, rng)
-        out.append(((float(x), float(y), int(floor)), readings))
-    return out
+    x, y, floor = (np.array([float(p[i]) for p in positions]) for i in range(3))
+    keys = [(float(px), float(py), int(pf)) for px, py, pf in positions]
+    return list(zip(keys, _readings(env, x, y, floor, noise.shadowing_std, rng)))

@@ -978,6 +978,29 @@ def test_an_error_quotes_a_long_value_cut_short(flow, tmp_path, capsys, case):
     assert len(err.encode()) < 1024 and err.endswith("...")
 
 
+LONG_MAC = "m" * 50000
+# A flag whose own parser refuses a 40-50 KB argument.
+LONG_FLAG_ERRORS = {
+    "--set has no =": LOCALIZE_FLOW + ["--set", "x" * 50000],
+    "--rss has no =": ["localize", "FLOW/map.json", "--rss", "ap-w" + "x" * 50000],
+    "--rss MAC is empty": ["localize", "FLOW/map.json", "--rss", "=" + "9" * 50000],
+    "--rss value is out of range": ["localize", "FLOW/map.json", "--rss", "ap-w=" + "9" * 50000],
+    "--rss value is text": ["localize", "FLOW/map.json", "--rss", LONG_MAC + "=loud"],
+    "--rss names a MAC twice": ["localize", "FLOW/map.json", "--rss", LONG_MAC + "=-50",
+                                "--rss", LONG_MAC + "=-60"],
+    "--start has 20001 parts": TRACK_FLOW + ["--start", "1," * 20000],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_FLAG_ERRORS))
+def test_a_flag_error_quotes_its_argument_cut_short(flow, tmp_path, capsys, case):
+    argv = [a.replace("FLOW", str(flow)) for a in LONG_FLAG_ERRORS[case]]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "..." in err[0]
+    assert len(err[0].encode()) < 300
+
+
 BROKEN_GYRO = '{"ch": "gyro", "t": 0.1, "v": [0.0, 0.0, oops]}\n'
 
 

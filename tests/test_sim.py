@@ -2,17 +2,22 @@ import io
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stridemap.sim as sim
 from conftest import demo_scenario
 from stridemap.landmarks import RuleKind, detect_baro_landmarks
-from stridemap.sensors import detect_steps, dump_trace
-from stridemap.sim import (BASE_PRESSURE, BUMP_AMPLITUDE, GRAVITY, MAG_EVERY,
-                           MAX_WALK_TICKS, PRESSURE_PER_FLOOR, TICK,
-                           TRUTH_EVERY, NoiseModel, ScenarioError, _bump_train,
-                           _plan_state, _zone_bias, generate_test_queries, generate_trace,
+from stridemap.sensors import RSS_MAX_DBM, detect_steps, dump_trace
+from stridemap.sim import (BASE_PRESSURE, BUMP_AMPLITUDE, FLOOR_ATTENUATION_DB,
+                           GRAVITY, MAG_EVERY, MAX_WALK_TICKS, PRESSURE_PER_FLOOR,
+                           RSS_CUTOFF_DBM, TICK, TRUTH_EVERY, Ap, Environment,
+                           NoiseModel, ScenarioError, _bump_train, _plan_state,
+                           _zone_bias, generate_test_queries, generate_trace,
                            load_scenario, plan_walk, scenario_from_dict)
 
 LENGTH = 20.16  # 32 nominal steps
@@ -305,6 +310,159 @@ def test_query_noise_is_reproducible():
     a = generate_test_queries(sc.environment, pos, sc.noise)
     b = generate_test_queries(sc.environment, pos, sc.noise)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the WiFi model against its scalar form: one _ap_rss call and one scalar
+# draw per (scan, AP), the reference the array pass must match reading for
+# reading
+
+
+def _ap_rss(ap: Ap, x: float, y: float, floor: float, floor_height: float) -> float:
+    """Log-distance path loss with a per-slab penalty; distance floored at 1 m.
+
+    Without the slab term, positions stacked on adjacent floors differ by
+    only the vertical leg of the 3D distance, which integer rounding can
+    erase entirely. Slabs attenuate far more than free space, and that
+    extra loss is what makes floors separable from fingerprints at all.
+    """
+    df = floor - ap.floor
+    dz = df * floor_height
+    d = math.sqrt((x - ap.x) ** 2 + (y - ap.y) ** 2 + dz * dz)
+    return (ap.tx_power_dbm
+            - 10.0 * ap.path_loss_exponent * math.log10(max(d, 1.0))
+            - FLOOR_ATTENUATION_DB * abs(df))
+
+
+def _scan(env: Environment, x: float, y: float, floor: float,
+          shadowing_std: float, rng: np.random.Generator) -> dict[str, int]:
+    """The readings of one scan at a pose: each AP's modelled level, less a
+    shadowing draw, clipped at RSS_MAX_DBM (0 dBm, the top of the range
+    every loader accepts) and rounded to whole dBm; APs that round below
+    RSS_CUTOFF_DBM are absent. Both comparisons keep round() off an
+    infinite shadowing draw."""
+    readings: dict[str, int] = {}
+    for ap in env.aps:
+        base = _ap_rss(ap, x, y, floor, env.floor_height_m)
+        if shadowing_std > 0:
+            base -= rng.normal(0.0, shadowing_std)
+        if base > RSS_MAX_DBM:
+            base = RSS_MAX_DBM
+        if base > RSS_CUTOFF_DBM - 1:
+            rss = round(base)
+            if rss >= RSS_CUTOFF_DBM:
+                readings[ap.mac] = rss
+    return readings
+
+
+def scalar_queries(env, positions, noise):
+    """generate_test_queries by the scalar model, as (key, readings items)."""
+    rng = np.random.default_rng(np.random.SeedSequence(noise.seed).spawn(6)[5])
+    return [((float(x), float(y), int(floor)), list(_scan(
+        env, float(x), float(y), float(floor), noise.shadowing_std, rng).items()))
+        for x, y, floor in positions]
+
+
+def scan_poses(sc) -> list[tuple[float, float, float]]:
+    """The (x, y, floor) of each of the walk's scans."""
+    plan = plan_walk(sc.environment, sc.walk)
+    step = round(sc.walk.scan_interval_s / TICK)
+    x, y, floor, _ = _plan_state(plan, np.arange(step, plan.total_ticks + 1, step))
+    return list(zip(x.tolist(), y.tolist(), floor.tolist()))
+
+
+def scalar_scans(sc):
+    """generate_trace's scans by the scalar model, as (t, readings items)."""
+    step = round(sc.walk.scan_interval_s / TICK)
+    rng = np.random.default_rng(np.random.SeedSequence(sc.noise.seed).spawn(6)[4])
+    return [((i + 1) * step * TICK, list(_scan(
+        sc.environment, x, y, floor, sc.noise.shadowing_std, rng).items()))
+        for i, (x, y, floor) in enumerate(scan_poses(sc))]
+
+
+def assert_scalar_model(sc, positions):
+    """The trace's scans and the queries at positions hold the scalar
+    model's readings, each dict in the same MAC order."""
+    trace = trace_of(sc)
+    assert [(s.t, list(s.readings.items())) for s in trace.wifi] == scalar_scans(sc)
+    queries = generate_test_queries(sc.environment, positions, sc.noise)
+    assert [(key, list(fp.items())) for key, fp in queries] \
+        == scalar_queries(sc.environment, positions, sc.noise)
+
+
+# The stair walk passes floors 1 and 2 and the fractional floors between.
+STAIR_WALK = demo_scenario("two_floor_demo", laps=0, noise=NoiseModel())
+SCAN_POSES = scan_poses(STAIR_WALK)
+
+
+@st.composite
+def ap_sets(draw):
+    """Up to six APs on floors 1 and 2, each at a random place or under
+    1 m from a scan pose (so some scans floor its distance at 1 m)."""
+    aps = []
+    for i in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            x, y, floor = draw(st.sampled_from(SCAN_POSES))
+            x += draw(st.floats(-0.7, 0.7))
+            y += draw(st.floats(-0.7, 0.7))
+            floor = round(floor)
+        else:
+            x, y = draw(st.floats(-20.0, 50.0)), draw(st.floats(-20.0, 30.0))
+            floor = draw(st.sampled_from([1, 2]))
+        aps.append(Ap(f"ap{i}", x, y, floor, draw(st.floats(-70.0, 10.0)),
+                      draw(st.floats(1.0, 5.0))))
+    return tuple(aps)
+
+
+SHADOWING = st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.01, 1.0),
+                      st.floats(5.0, 80.0))
+NEAR = st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
+
+
+@settings(max_examples=60, deadline=None)
+@given(aps=ap_sets(), std=SHADOWING, seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 5, 64, sim.CHUNK_ELEMENTS]),
+       near=st.lists(NEAR, max_size=3),
+       spots=st.lists(st.tuples(st.floats(-20.0, 50.0), st.floats(-20.0, 30.0),
+                                st.sampled_from([1, 2])), max_size=8))
+def test_wifi_readings_are_the_scalar_model(aps, std, seed, chunk, near, spots):
+    # small chunks put the walk's 76 scans and the queries in many row chunks
+    sc = replace(STAIR_WALK, environment=replace(STAIR_WALK.environment, aps=aps),
+                 noise=NoiseModel(seed=seed, shadowing_std=std))
+    at_aps = [(ap.x + dx, ap.y + dy, ap.floor) for ap in aps for dx, dy in near]
+    with mock.patch.object(sim, "CHUNK_ELEMENTS", chunk):
+        assert_scalar_model(sc, at_aps + spots)
+
+
+# Levels that land on a half-dB tie by the C library's log10 and pow, as
+# Python computes them, and a last bit off it by numpy's log10 or square.
+HALF_DB_TIES = [(29.18243232623128, 0.0, -58.034878512927946),
+                (36.799290561629164, 31.36403219517926, -28.81558793534314)]
+
+
+@pytest.mark.parametrize("x, y, tx", HALF_DB_TIES)
+def test_a_half_db_tie_rounds_as_the_scalar_model(x, y, tx):
+    ap = Ap("ap", 0.0, 0.0, 1, tx, 0.1)  # a slope of 1 dB per decade
+    env = replace(STAIR_WALK.environment, aps=(ap,))
+    assert _ap_rss(ap, x, y, 1.0, env.floor_height_m) % 1 == 0.5
+    queries = generate_test_queries(env, [(x, y, 1)], NoiseModel())
+    assert [(key, list(fp.items())) for key, fp in queries] \
+        == scalar_queries(env, [(x, y, 1)], NoiseModel())
+
+
+def test_wifi_readings_are_the_scalar_model_over_full_chunks():
+    # 100 APs and 600 queries span several CHUNK_ELEMENTS row chunks
+    rng = np.random.default_rng(11)
+    aps = tuple(Ap(f"ap{i}", *rng.uniform(-10.0, 40.0, 2).tolist(),
+                   int(rng.integers(1, 3)), float(rng.uniform(-50.0, 0.0)),
+                   float(rng.uniform(1.5, 4.0))) for i in range(100))
+    sc = replace(STAIR_WALK, environment=replace(STAIR_WALK.environment, aps=aps),
+                 noise=NoiseModel(seed=4, shadowing_std=6.0))
+    positions = list(zip(rng.uniform(0.0, 25.0, 600).tolist(),
+                         rng.uniform(0.0, 12.0, 600).tolist(),
+                         rng.integers(1, 3, 600).tolist()))
+    assert len(positions) * len(aps) > 2 * sim.CHUNK_ELEMENTS
+    assert_scalar_model(sc, positions)
 
 
 # ---------------------------------------------------------------------------
