@@ -17,6 +17,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,10 @@ def dump_trajectory(traj: Trajectory, path) -> None:
     write_text(path, "".join(line + "\n" for line in lines))
 
 
+# The fields of a trajectory line that make its pose and name its segment.
+_POSE_KEYS = itemgetter("t", "x", "y", "floor", "segment")
+
+
 def load_trajectory(path: str | Path) -> Trajectory:
     """Read a trajectory export: one segment per segment index, in index
     order, each with its poses in file order and the step periods its first
@@ -475,9 +480,16 @@ def load_trajectory(path: str | Path) -> Trajectory:
     segs: dict[int, PathSegment] = {}
     for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
         try:
-            pose = Pose(*(number(rec[k], k) for k in ("t", "x", "y", "floor")))
-            segment = number(rec["segment"], "segment", integral=True)
-        except (KeyError, TypeError, ValueError):
+            t, x, y, floor, segment = _POSE_KEYS(rec)
+            # one test of the whole pose; the sum is finite only when every
+            # field is, and adding segment raises OverflowError where
+            # number would refuse it
+            if not (type(t) is type(x) is type(y) is type(floor) is float
+                    and type(segment) is int and math.isfinite(t + x + y + floor + segment)):
+                t, x, y, floor = (number(rec[k], k) for k in ("t", "x", "y", "floor"))
+                segment = number(segment, "segment", integral=True)
+            pose = Pose(t, x, y, floor)
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
                              f"floor and an integer segment") from None
         seg = segs.get(segment)
@@ -489,7 +501,9 @@ def load_trajectory(path: str | Path) -> Trajectory:
             if not isinstance(periods, list):
                 raise TraceError(f"{path}:{ln}: periods must be a list, got {periods!r}")
             try:
-                periodicities = [number(v, "period") for v in periods]
+                periodicities = (periods if {float}.issuperset(map(type, periods))
+                                 and math.isfinite(sum(periods))
+                                 else [number(v, "period") for v in periods])
             except ValueError as exc:
                 raise TraceError(f"{path}:{ln}: {exc}") from None
             seg = segs[segment] = PathSegment(points=[], periodicities=periodicities)

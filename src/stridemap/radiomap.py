@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ConfigError, QualityConfig
 from .sensors import (WifiScan, array, fingerprint, members, number,
-                      read_json, record, version, write_text)
+                      read_json, record, version, writing)
 
 if TYPE_CHECKING:  # no runtime dependency on the trajectory module
     from .pdr import PathSegment, Pose, Trajectory
@@ -156,17 +156,45 @@ _read_map = members({
     ("version", "config", "entries"))
 
 
+# A map file is the text of json.dumps(obj, sort_keys=True, indent=2) + "\n",
+# written an entry at a time: _ENTRY is one entry of the "entries" list at
+# indent's depth, and _FP json's C encoder with the separators indent puts
+# between the members of an entry's fp.
+_ENTRY = ('    {\n      "belief": %r,\n      "floor": %r,\n      "fp": %s,\n'
+          '      "x": %r,\n      "y": %r\n    }')
+_FP = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": ")).encode
+# Entries formatted and written at once.
+_CHUNK_ENTRIES = 256
+
+
+def _entry_text(e: RadioMapEntry) -> str:
+    """An entry as the map file holds it: through _ENTRY when x, y and
+    belief are finite floats, floor an int and fp a dict of int readings,
+    whose %r is json's text; any other entry through json.dumps itself."""
+    fp = e.fp
+    if (type(e.x) is type(e.y) is type(e.belief) is float and type(e.floor) is int
+            and math.isfinite(e.x + e.y + e.belief)  # an overflowing sum only falls back
+            and type(fp) is dict and set(map(type, fp.values())) <= {int}):
+        return _ENTRY % (e.belief, e.floor,
+                         "{\n        %s\n      }" % _FP(fp)[1:-1] if fp else "{}", e.x, e.y)
+    obj = {"x": e.x, "y": e.y, "floor": e.floor, "belief": e.belief, "fp": fp}
+    return "    " + json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n    ")
+
+
 def save_radio_map(radio_map: RadioMap, path) -> None:
-    """Write a map as JSON to a path or open file."""
-    obj = {
-        "version": MAP_VERSION,
-        "config": radio_map.config,
-        "entries": [
-            {"x": e.x, "y": e.y, "floor": e.floor, "belief": e.belief, "fp": e.fp}
-            for e in radio_map.entries
-        ],
-    }
-    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write a map as JSON to a path or open file: the text of
+    json.dumps(obj, sort_keys=True, indent=2) and a newline, the entries
+    formatted and written _CHUNK_ENTRIES at a time, so memory never holds
+    the whole text. An entry json cannot write raises json's TypeError
+    after the entries before it are written."""
+    entries = radio_map.entries
+    with writing(path) as fh:
+        fh.write('{\n  "config": %s,\n  "entries": ['
+                 % json.dumps(radio_map.config, sort_keys=True, indent=2).replace("\n", "\n  "))
+        for lo in range(0, len(entries), _CHUNK_ENTRIES):
+            chunk = map(_entry_text, entries[lo:lo + _CHUNK_ENTRIES])
+            fh.write(("\n" if lo == 0 else ",\n") + ",\n".join(chunk))
+        fh.write('%s],\n  "version": %r\n}\n' % ("\n  " * bool(entries), MAP_VERSION))
 
 
 def load_radio_map(path: str | Path) -> RadioMap:

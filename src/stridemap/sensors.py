@@ -163,13 +163,18 @@ def _line_format(ch: str) -> str:
 # The fast path's view of dump_trace's lines, by channel index in CHANNELS.
 # A line is a head '{"ch": "<ch>", "t": ' and a rest. The channels'
 # initials differ, so the byte at offset _KIND_AT names a line's channel
-# (_KIND).
+# (_KIND). A head is checked as little-endian 8-byte words read at any byte
+# offset (_words): _WORD0 and _WORD6[i] at offsets 0 and 6 are its first
+# _PREFIX_LEN bytes, channel i's prefix in _PREFIXES, and _WORD_END ends
+# every head, at offset _HEAD_LEN[i] - 8.
 # A numeric line's rest, each run of number characters (_NUMBER) collapsed to
 # one 0 (_MARK), is its skeleton: its line format with 0 for each number.
 # _TO_LIST turns rests into the items of a JSON list of numbers, _NUMBERS per
 # line. WiFi has no skeleton: json.loads reads its lines.
-_HEADS = [np.frombuffer(_head(ch).encode(), np.uint8) for ch in CHANNELS]
-_HEAD_LEN = np.array(list(map(len, _HEADS)))
+_HEAD_LEN = np.array([len(_head(ch)) for ch in CHANNELS])
+_WORD0, _WORD_END = (int.from_bytes(w.encode(), "little") for w in (_head("")[:8], _head("")[-8:]))
+_WORD6 = np.array([int.from_bytes(_head(ch)[6:_PREFIX_LEN].encode(), "little")
+                   for ch in CHANNELS], np.uint64)
 _SKELETONS = [_line_format(ch)[len(_head(ch)):].replace("%r", "0").encode() + b"\n"
               if CHANNELS[ch] else None for ch in CHANNELS]
 _NUMBERS = np.array([1 + (CHANNELS[ch] or 0) for ch in CHANNELS])
@@ -403,7 +408,21 @@ def fingerprint(raw, where: str, error: type[ValueError]) -> dict[str, int]:
 
 def _scan_readings(v) -> dict[str, int]:
     """The readings of one WiFi scan; TraceError, without a line number,
-    unless v is a list of [mac, rss] pairs."""
+    unless v is a list of [mac, rss] pairs. A scan of distinct non-empty
+    string MACs and in-range int readings, as files hold them, is read by
+    one dict(v) and whole-scan tests; any other goes pair by pair, which
+    words the error."""
+    if type(v) is list:
+        try:
+            readings = dict(v)
+        except (TypeError, ValueError):  # a pair that is no pair, or an unhashable MAC
+            readings = None
+        if (readings is not None and len(readings) == len(v) and "" not in readings
+                and {str}.issuperset(map(type, readings))
+                and {int}.issuperset(map(type, readings.values()))
+                and (not readings or RSS_MIN_DBM <= min(readings.values())
+                     and max(readings.values()) <= RSS_MAX_DBM)):
+            return readings
     if not isinstance(v, list):
         raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {shown(v)}")
     readings: dict[str, int] = {}
@@ -539,6 +558,12 @@ def _skeletons(rests: bytes) -> bytes:
     return marked[first].tobytes()
 
 
+def _words(data: bytes) -> np.ndarray:
+    """The little-endian 8-byte word at each byte offset of data: a view of
+    data's bytes, item k its bytes k to k + 7."""
+    return np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
+
+
 def _block_columns(block: bytes, channels, cols: dict[str, tuple], filled: np.ndarray) -> None:
     """Parse block's lines of the channels in channels into cols: each
     numeric channel's t and v from row filled[i] on, advancing filled[i]
@@ -558,16 +583,22 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple], filled: np.nd
     arr = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(arr == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    length = ends - starts  # each head, and the byte naming its channel, lie within its line
-    if length.min() < _HEAD_LEN.min():
+    length = ends - starts  # each prefix, and the byte naming its channel, lie within its line
+    if length.min() < _PREFIX_LEN:
         raise _NotCanonical
     kind = _KIND[arr[starts + _KIND_AT]]  # each line's channel index
-    if kind.min() < 0 or (length < _HEAD_LEN[kind]).any():
+    if kind.min() < 0:
         raise _NotCanonical
-    for i, head in enumerate(_HEADS):
-        at = starts[kind == i]
-        if not (arr[at[:, None] + np.arange(len(head))] == head).all():
-            raise _NotCanonical
+    # every line's prefix, all the json path reads of a line it skips; then
+    # the rest of the head of each line read
+    words = _words(block)
+    read = np.array([ch in channels for ch in CHANNELS])[kind]
+    if not ((words[starts] == _WORD0).all() and (words[starts + 6] == _WORD6[kind]).all()):
+        raise _NotCanonical
+    starts, ends, kind = starts[read], ends[read], kind[read]
+    if ((ends - starts < _HEAD_LEN[kind]).any()
+            or not (words[starts + _HEAD_LEN[kind] - 8] == _WORD_END).all()):
+        raise _NotCanonical
     want = [CHANNELS[ch] is not None and ch in channels for ch in CHANNELS]
     numeric = np.array(want)[kind]
     if numeric.any():
@@ -654,7 +685,7 @@ def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
     )
 
 
-def _writing(path):
+def writing(path):
     """A context giving an open file to write: path itself if it is one,
     else the file at path, opened for writing."""
     if hasattr(path, "write"):
@@ -733,7 +764,7 @@ def dump_trace(trace: SensorTrace, path) -> None:
         columns.append(cols)
         times.append(t)
     count = np.array(list(map(len, columns)))  # numbers per row of each channel
-    with _writing(path) as fh:
+    with writing(path) as fh:
         for kind, at in _merged(times):
             n = count[kind]
             start = np.cumsum(n) - n  # each row's first number in the chunk
@@ -753,7 +784,7 @@ def dump_trace(trace: SensorTrace, path) -> None:
 
 def write_text(path, text: str) -> None:
     """Write text to an open file, or replace the file at a path."""
-    with _writing(path) as fh:
+    with writing(path) as fh:
         fh.write(text)
 
 

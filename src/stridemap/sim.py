@@ -26,7 +26,7 @@ import numpy as np
 from .landmarks import Edge, GraphError, LandmarkGraph, graph_from_dict
 from .sensors import (RSS_MAX_DBM, SCALARS, Channel, SensorTrace,
                       TruthChannel, WifiScan, array, members, number,
-                      read_json, record, text)
+                      read_json, record, shown, text)
 
 TICK = 0.02                 # s per tick: 50 Hz inertial sampling
 MAG_EVERY = 5               # ticks between magnetometer samples (10 Hz)
@@ -44,6 +44,7 @@ MAX_WALK_TICKS = 12 * 3600 * 50  # longest walk a plan may hold: 12 h of 50 Hz t
 FLOOR_ATTENUATION_DB = 12.0  # extra path loss per concrete slab crossed
 FALSE_WALK_PERIOD_TICKS = (18, 29, 52, 23)  # arm-shake bump cadence
 CHUNK_ELEMENTS = 1 << 14    # (pose, AP) values per WiFi row chunk: 512 KB as Python floats
+COORD_MAX_M = 1e6           # largest |x| or |y| of an AP, landmark or corridor point, metres
 
 
 class ScenarioError(ValueError):
@@ -157,8 +158,18 @@ def _pairs(readers: dict):
                                                  for key in readers))
 
 
+def _coordinate(value, where: str, error) -> float:
+    """A position's x or y: a finite number within COORD_MAX_M of 0, so
+    every distance and its square the model takes stays a float."""
+    v = number(value, where, error)
+    if not abs(v) <= COORD_MAX_M:
+        raise error(f"{where} must be a coordinate in [-{COORD_MAX_M:g}, {COORD_MAX_M:g}] m, "
+                    f"got {shown(value)}")
+    return v
+
+
 def _point(value, where: str, error) -> tuple[float, float]:
-    xy = array(number)(value, where, error)
+    xy = array(_coordinate)(value, where, error)
     if len(xy) != 2:
         raise error(f"{where} must be an [x, y] pair")
     return xy
@@ -186,16 +197,20 @@ def _read_corridors(value, where: str, error) -> dict[int, list[list[tuple[float
 
 def _read_graph(value, where: str, error) -> LandmarkGraph:
     try:
-        return graph_from_dict(value)
+        graph = graph_from_dict(value)
     except GraphError as exc:
         raise error(f"{where}: {exc}") from None
+    for i, lm in enumerate(graph.nodes.values()):  # in file order
+        for key in ("x", "y"):
+            _coordinate(getattr(lm, key), f"{where}.nodes[{i}].{key}", error)
+    return graph
 
 
 _read_scenario = record(Scenario, {
     "environment": record(Environment, {
         "corridors": _read_corridors,
         "graph": _read_graph,
-        "aps": array(record(Ap)),
+        "aps": array(record(Ap, {"x": _coordinate, "y": _coordinate})),
         "stairs": _pairs({"from": text, "to": text})}),
     "walk": record(WalkScript, {
         "waypoints": array(text),
@@ -317,8 +332,9 @@ class WalkPlan:
         return self.total_ticks * TICK
 
 
-def _ticks(seconds: float, what: str) -> int:
-    """A duration in whole ticks; what names the scenario key it comes from."""
+def _ticks(seconds: float, what: str, positive: bool = False) -> int:
+    """A duration in whole ticks, at least one when positive; what names
+    the scenario key it comes from."""
     t = seconds / TICK
     if not abs(t) <= MAX_WALK_TICKS:  # inf from a vanishing speed, or NaN
         raise ScenarioError(f"{what} ({seconds} s) must be a finite duration "
@@ -326,6 +342,8 @@ def _ticks(seconds: float, what: str) -> int:
     n = round(t)
     if abs(t - n) > 1e-9:
         raise ScenarioError(f"{what} ({seconds} s) is not a sample-grid multiple")
+    if positive and n < 1:
+        raise ScenarioError(f"{what} ({seconds} s) must be at least one sample tick ({TICK} s)")
     return int(n)
 
 
@@ -696,7 +714,7 @@ def generate_trace(env: Environment, script: WalkScript,
         pressure = pressure + rng_baro.normal(0.0, noise.baro_std, len(pressure))
     baro = Channel(t=baro_ticks * TICK, v=pressure)
 
-    scan_step = _ticks(script.scan_interval_s, "walk.scan_interval_s")
+    scan_step = _ticks(script.scan_interval_s, "walk.scan_interval_s", positive=True)
     scan_ticks = np.arange(scan_step, plan.total_ticks + 1, scan_step)
     sx, sy, sf, _ = _plan_state(plan, scan_ticks)
     scans = list(map(WifiScan, (scan_ticks * TICK).tolist(),

@@ -354,6 +354,24 @@ def test_simulate_streams_the_trace_and_a_failure_leaves_no_file(
     assert list(out.iterdir()) == []  # no trace.jsonl, .tmp or manifest.json
 
 
+@pytest.mark.parametrize("walk, aps, message", [
+    ({}, {"x": 1e200}, "scenario.environment.aps[0].x must be a coordinate in "
+                       "[-1e+06, 1e+06] m, got 1e+200"),
+    ({"scan_interval_s": 1e-11}, {},
+     "walk.scan_interval_s (1e-11 s) must be at least one sample tick (0.02 s)"),
+])
+def test_simulate_refuses_what_the_model_cannot_take_in_one_line(tmp_path, capsys,
+                                                                 walk, aps, message):
+    # an OverflowError and a ZeroDivisionError traceback before
+    d = corridor_dict(walk=walk)
+    d["environment"]["aps"][0].update(aps)
+    write_json(tmp_path / "s.json", d)
+    out = tmp_path / "out"
+    assert main(["simulate", str(tmp_path / "s.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_a_commit_that_fails_on_a_later_file_leaves_no_file(tmp_path):
     def fails_halfway(fh):
         fh.write("{")

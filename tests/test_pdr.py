@@ -1,22 +1,24 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stridemap.landmarks import (Landmark, LandmarkEvent, Rule, RuleKind,
                                  graph_from_dict)
-from stridemap.pdr import (HeadingSource, MatchState, PdrConfig, Pose,
-                           attach_periodicities, dump_trajectory,
+from stridemap.pdr import (HeadingSource, MatchState, PathSegment, PdrConfig,
+                           Pose, Trajectory, attach_periodicities, dump_trajectory,
                            landmark_confidence, load_trajectory,
                            match_landmark, floor_update, pdr_step,
                            round_floor, run_pdr, trajectory_errors,
                            update_step_length)
 from stridemap.sensors import (Channel, SensorTrace, TraceError, TruthChannel,
-                               detect_steps)
+                               detect_steps, number, read_jsonl)
 
 from conftest import DT, accel_channel, flat, walking
 
@@ -400,6 +402,121 @@ def test_load_refuses_a_pose_earlier_than_its_segment_predecessor(tmp_path):
     with pytest.raises(TraceError, match=rf"^{re.escape(str(path))}:3: pose t 2.0 "
                        r"goes back in time from 3.0 in segment 0$"):
         load_trajectory(path)
+
+
+def load_trajectory_field_by_field(path) -> Trajectory:
+    """The reference: load_trajectory as it read every field through
+    number, before its one test of a whole pose."""
+    segs: dict[int, PathSegment] = {}
+    for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
+        try:
+            pose = Pose(*(number(rec[k], k) for k in ("t", "x", "y", "floor")))
+            segment = number(rec["segment"], "segment", integral=True)
+        except (KeyError, TypeError, ValueError):
+            raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
+                             f"floor and an integer segment") from None
+        seg = segs.get(segment)
+        if seg is None:
+            if "periods" not in rec:
+                raise TraceError(f"{path}:{ln}: segment {segment} has no step "
+                                 f"periods; the file predates them, re-run track")
+            periods = rec["periods"]
+            if not isinstance(periods, list):
+                raise TraceError(f"{path}:{ln}: periods must be a list, got {periods!r}")
+            try:
+                periodicities = [number(v, "period") for v in periods]
+            except ValueError as exc:
+                raise TraceError(f"{path}:{ln}: {exc}") from None
+            seg = segs[segment] = PathSegment(points=[], periodicities=periodicities)
+        elif "periods" in rec:
+            raise TraceError(f"{path}:{ln}: segment {segment} carries periods twice")
+        elif pose.t < seg.points[-1].t:
+            raise TraceError(f"{path}:{ln}: pose t {pose.t!r} goes back in time "
+                             f"from {seg.points[-1].t!r} in segment {segment}")
+        seg.points.append(pose)
+    return Trajectory(segments=[segs[k] for k in sorted(segs)])
+
+
+def trajectory_outcome(load, path):
+    """What a load gives, every number by repr so that 1 and 1.0 or -0.0
+    and 0.0 differ: the segments, or the error text."""
+    try:
+        traj = load(path)
+    except TraceError as exc:
+        return str(exc)
+    return [([repr(p) for p in seg.periodicities],
+             [repr((p.t, p.x, p.y, p.floor)) for p in seg.points]) for seg in traj.segments]
+
+
+# values a trajectory field may hold besides a finite float: JSON's other
+# types, integral and huge numbers, and floats whose sum overflows
+ODD_FIELDS = [3, 0, 2.0, 1.5, -0.0, True, False, None, "1.0", [1.0], {}, math.nan,
+              math.inf, -math.inf, 10**400, -(10**400), 2**1023, 1.7e308, -1.7e308]
+POSE_FIELDS = ("t", "x", "y", "floor", "segment")
+
+
+def write_records(path, records) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def three_poses() -> list[dict]:
+    return [{"t": 0.0, "x": 0.5, "y": -1.25, "floor": 1.0, "segment": 0, "periods": [0.5]},
+            {"t": 0.5, "x": 1.0, "y": -1.25, "floor": 1.0, "segment": 0},
+            {"t": 1.0, "x": 1.5, "y": 0.0, "floor": 2.0, "segment": 1, "periods": []}]
+
+
+def test_the_whole_pose_test_reads_each_field_as_number_does(tmp_path):
+    for line in range(3):
+        for key in (*POSE_FIELDS, "periods"):
+            for value in ODD_FIELDS + [[value] for value in ODD_FIELDS] + ["gone"]:
+                records = three_poses()
+                if value == "gone":
+                    records[line].pop(key, None)
+                else:
+                    records[line][key] = value
+                path = write_records(tmp_path / "traj.jsonl", records)
+                assert (trajectory_outcome(load_trajectory, path)
+                        == trajectory_outcome(load_trajectory_field_by_field, path)), \
+                    (line, key, value)
+    path = write_records(tmp_path / "traj.jsonl", [[0.0, 0.0, 0.0, 1.0, 0], "pose", 7])
+    assert trajectory_outcome(load_trajectory, path).endswith(":1: pose needs finite "
+                                                              "numbers t, x, y, floor and "
+                                                              "an integer segment")
+
+
+@st.composite
+def mutated_trajectories(draw) -> list:
+    """Segments of a few poses, each field a finite float or one of
+    ODD_FIELDS, some records' keys dropped or the record not an object."""
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(ODD_FIELDS))
+    records, t = [], 0.0
+    for k in range(draw(st.integers(1, 3))):
+        for i in range(draw(st.integers(1, 3))):
+            rec = {"t": t, "x": draw(value), "y": draw(value), "floor": draw(value),
+                   "segment": draw(st.sampled_from([k, k, float(k), *ODD_FIELDS]))}
+            if i == 0:
+                rec["periods"] = draw(st.lists(value, max_size=3))
+            if draw(st.booleans()):
+                rec["t"] = draw(value)
+            t += 0.5
+            records.append(rec)
+    for _ in range(draw(st.integers(0, 2))):
+        rec = draw(st.sampled_from(records))
+        rec.pop(draw(st.sampled_from([*POSE_FIELDS, "periods"])), None)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(records) - 1))
+        records[k] = list(records[k].values())
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_trajectories())
+def test_the_whole_pose_test_loads_what_number_loads(records):
+    with tempfile.TemporaryDirectory() as d:
+        path = write_records(Path(d) / "traj.jsonl", records)
+        assert (trajectory_outcome(load_trajectory, path)
+                == trajectory_outcome(load_trajectory_field_by_field, path))
 
 
 def test_attach_periodicities_splits_by_segment(tmp_path):

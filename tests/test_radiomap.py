@@ -1,14 +1,18 @@
 import io
+import json
 import math
 import re
+import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stridemap import radiomap
 from stridemap.pdr import PathSegment, Pose, Trajectory
-from stridemap.radiomap import (MapFormatError, QualityConfig,
+from stridemap.radiomap import (MapFormatError, QualityConfig, RadioMap, RadioMapEntry,
                                 build_radio_map, interpolate_rp,
                                 load_radio_map, save_radio_map,
                                 segment_belief)
@@ -287,6 +291,96 @@ def test_save_is_deterministic(tmp_path):
     save_radio_map(rm, a)
     save_radio_map(rm, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def json_map_text(radio_map) -> str:
+    """The reference: a map file as json's indent=2 encoder writes it, the
+    writer save_radio_map replaced."""
+    obj = {
+        "version": 1,
+        "config": radio_map.config,
+        "entries": [
+            {"x": e.x, "y": e.y, "floor": e.floor, "belief": e.belief, "fp": e.fp}
+            for e in radio_map.entries
+        ],
+    }
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def saved_text(radio_map) -> str:
+    buf = io.StringIO()
+    save_radio_map(radio_map, buf)
+    return buf.getvalue()
+
+
+# floats json writes in every form: signed zero, exponents both ways and
+# subnormals, besides whatever hypothesis draws
+EDGE_FLOATS = [-0.0, 0.0, 1e-7, 1e16, 1e22, 5e-324, 2.2250738585072014e-308, 1.5e-310,
+               -1.7976931348623157e308, 0.1, 123456.789]
+coordinates = st.one_of(st.sampled_from(EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+# MACs with what json escapes, %, which a % template must not read, and
+# text outside ASCII
+macs = st.one_of(st.sampled_from(['a"b', "a\\b", "%s", "%%", "%(x)s", "\x00\x1f\n\t", "\u00e9\u2028",
+                                  "\U0001f600", "\ud800", ""]),
+                 st.text(max_size=6))
+fingerprints = st.dictionaries(macs, st.integers(-200, 0), max_size=5)
+entries = st.builds(RadioMapEntry, x=coordinates, y=coordinates,
+                    floor=st.integers(-(10**20), 10**20), belief=coordinates, fp=fingerprints)
+# entries the template does not write: other scalar types, non-finite
+# floats, readings that are not ints
+odd_scalars = st.one_of(st.integers(), st.booleans(), st.none(),
+                        st.sampled_from([math.nan, math.inf, -math.inf, 1]))
+odd_entries = st.builds(
+    RadioMapEntry, x=st.one_of(coordinates, odd_scalars), y=st.one_of(coordinates, odd_scalars),
+    floor=st.one_of(st.integers(), odd_scalars, coordinates),
+    belief=st.one_of(coordinates, odd_scalars),
+    fp=st.one_of(fingerprints, st.dictionaries(macs, st.one_of(
+        st.integers(), st.floats(), st.booleans(), st.none()), max_size=3)))
+configs = st.one_of(st.builds(lambda cfg: asdict(cfg), st.just(QualityConfig())),
+                    st.dictionaries(st.text(max_size=4), st.one_of(st.floats(), st.integers()),
+                                    max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(entries, entries, odd_entries), max_size=7), configs,
+       st.integers(1, 4))
+def test_save_writes_the_bytes_json_writes(map_entries, config, chunk):
+    rm = RadioMap(entries=map_entries, config=config)
+    with mock.patch.object(radiomap, "_CHUNK_ENTRIES", chunk):  # chunks of a few entries
+        assert saved_text(rm) == json_map_text(rm)
+
+
+def test_save_writes_the_bytes_json_writes_for_the_sample_maps():
+    for rm in (build_sample_map(), build_radio_map(Trajectory(segments=[]), []),
+               RadioMap(entries=[RadioMapEntry(0.0, 0.0, 1, 0.0, {})]),
+               RadioMap(entries=[RadioMapEntry(-0.0, 1e16, 0, 1e-7,
+                                               {'"': -1, "\\": -2, "%": -3, "\x07": -4,
+                                                "\u00e9": -5})] * 600, config={})):
+        assert saved_text(rm) == json_map_text(rm)
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory tracemalloc sees while call runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_memory_is_a_chunk_not_the_text(tmp_path):
+    fp = {f"00:11:22:33:44:{i:02x}": -40 - i for i in range(12)}
+    rm = RadioMap(entries=[RadioMapEntry(i * 0.37, -i * 1.3, 1 + i % 3, 17.25, dict(fp))
+                           for i in range(6000)], config=asdict(QualityConfig()))
+    size = len(json_map_text(rm))
+    path = tmp_path / "map.json"
+    peak = traced_peak(lambda: save_radio_map(rm, path))
+    assert path.read_text() == json_map_text(rm)
+    assert peak < size / 5, (peak, size)
+    # the writer it replaced held the whole text
+    assert traced_peak(lambda: path.write_text(json_map_text(rm))) > size
 
 
 def write_map(tmp_path, mutate):

@@ -108,6 +108,65 @@ def test_load_rejects_duplicate_mac(tmp_path):
         load_trace(p)
 
 
+def scan_readings_pair_by_pair(v) -> dict:
+    """The reference: sensors._scan_readings as it read every scan, one
+    pair at a time, before its whole-scan test."""
+    if not isinstance(v, list):
+        raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {sensors.shown(v)}")
+    readings = {}
+    for pair in v:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and pair[0]):
+            raise TraceError("WiFi reading must be a [mac, rss] pair with a "
+                             f"non-empty string MAC, got {sensors.shown(pair)}")
+        mac, value = pair
+        if mac in readings:
+            raise TraceError(f"duplicate MAC {sensors.shown(mac)} in scan")
+        reading = sensors.rss(value)
+        if reading is None:
+            raise TraceError(f"RSS of {sensors.shown(mac)} {sensors.RSS_RULE}, "
+                             f"got {sensors.shown(value)}")
+        readings[mac] = reading
+    return readings
+
+
+def scan_outcome(read, v):
+    """The readings, each with its type, in order; or the error text."""
+    try:
+        return [(mac, type(r), r) for mac, r in read(v).items()]
+    except TraceError as exc:
+        return str(exc)
+
+
+# what may stand for a pair, a MAC or an RSS in a scan json.loads returns
+ODD_PAIRS = [["aa", -50, 1], ["aa"], [], "ab", {"aa": -50, "bb": -60}, 5, None, [["aa"], -50],
+             [{"a": 1}, -50], [None, -50], [5, -50], ["", -50]]
+ODD_RSS = [True, False, -50.0, -0.0, 0.0, 1, -201, -200, 0, 10**400, -(10**400), "-50", None,
+           [-50], math.nan, 1e308, -50.5]
+
+
+def test_the_whole_scan_test_reads_each_pair_as_the_loop_does():
+    base = [["aa", -50], ["bb", -200], ["cc", 0]]
+    cases = [base, [], {"aa": -50}, "aa", None, -50,
+             base + [["aa", -60]], base + [["bb", -50]], [["x", -1]] * 2]
+    for k in range(len(base) + 1):
+        cases += [base[:k] + [pair] + base[k:] for pair in ODD_PAIRS]
+        cases += [base[:k] + [["dd", value]] + base[k:] for value in ODD_RSS]
+    for v in cases:
+        assert scan_outcome(sensors._scan_readings, v) == scan_outcome(
+            scan_readings_pair_by_pair, v), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(["aa", "bb", "cc", ""]),
+              st.one_of(st.integers(-210, 10), st.sampled_from(ODD_RSS))).map(list),
+    st.sampled_from(ODD_PAIRS)), max_size=6))
+def test_the_whole_scan_test_loads_what_the_loop_loads(v):
+    assert scan_outcome(sensors._scan_readings, v) == scan_outcome(
+        scan_readings_pair_by_pair, v)
+
+
 def test_dump_load_round_trip(tmp_path):
     n = 20
     t = np.arange(n) * DT
@@ -356,6 +415,27 @@ def test_skipped_channels_load_empty_and_are_never_parsed(tmp_path):
         load_trace(path)
 
 
+def test_a_skipped_line_is_checked_by_its_prefix_alone(tmp_path):
+    # past its first 14 bytes a skipped line is never read, by either path;
+    # a line read needs its whole head
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"ch": "accel", "t": 1.0, "v": [0.0, 0.0, 9.8]}\n'
+                    '{"ch": "gyro",  "time": nope\n'
+                    '{"ch": "truth"}\n'
+                    '{"ch": "wifi", "t": 1.0, "v": [["aa", -50]]}\n')
+    for load in (fast_path_load, json_path_load):
+        trace = load(path, ("wifi",))
+        assert [(s.t, s.readings) for s in trace.wifi] == [(1.0, {"aa": -50})]
+        assert len(trace.accel) == len(trace.gyro) == 0 and trace.truth is None
+    with pytest.raises(TraceError, match="^line 2: invalid JSON"):
+        load_trace(path, ("gyro", "wifi"))
+    path.write_text('{"ch": "wifi", "t": 1.0, "v": [["aa", -50]]}\n'
+                    '{"ch": "wifi",  "t": 2.0, "v": []}\n')
+    with pytest.raises(AssertionError, match="fell back to json"):
+        fast_path_load(path, ("wifi",))
+    assert [s.t for s in load_trace(path, ("wifi",)).wifi] == [1.0, 2.0]
+
+
 def test_a_skipped_line_before_a_bad_line_does_not_move_the_error(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text(READER_CASES["broken gyro line, then a regressing accel line"])
@@ -421,7 +501,7 @@ def mutated_trace_files(draw) -> bytes:
 
 @settings(max_examples=200, deadline=None)
 @given(mutated_trace_files(), st.integers(1, 96),
-       st.sampled_from([tuple(CHANNELS), ("accel", "wifi")]))
+       st.sampled_from([tuple(CHANNELS), ("accel", "wifi"), ("wifi",)]))
 def test_fast_path_accepts_only_what_json_reads_alike(text, block, channels):
     # blocks of a few bytes, so lines and CRLF pairs straddle the reads
     with tempfile.TemporaryDirectory() as d, \

@@ -151,6 +151,18 @@ def test_walk_beyond_the_tick_budget_rejected(walk, key):
         plan_walk(sc.environment, sc.walk)
 
 
+@pytest.mark.parametrize("interval", [1e-11, 2e-11, -0.02])
+def test_a_scan_interval_below_one_tick_is_refused(interval):
+    # 1e-11 s rounds to 0 ticks, which np.arange divided by
+    sc = corridor_scenario()
+    walk = replace(sc.walk, scan_interval_s=interval)
+    with pytest.raises(ScenarioError, match=r"^walk\.scan_interval_s \(.* s\) must be at "
+                                            r"least one sample tick \(0\.02 s\)$"):
+        generate_trace(sc.environment, walk, sc.noise)
+    assert len(generate_trace(sc.environment, replace(walk, scan_interval_s=TICK),
+                              sc.noise).wifi) == 1000
+
+
 def test_tick_budget_is_far_above_a_long_survey():
     # the 15-loop two-floor benchmark walk plans about 165k ticks
     sc = demo_scenario("two_floor_demo", laps=14, noise=NoiseModel())
@@ -597,6 +609,34 @@ def ap0(d):
 def test_scenario_validation(mutate, message):
     with pytest.raises(ScenarioError, match=message):
         scenario_from_dict(broken(mutate))
+
+
+def far_landmark(d, value):
+    """Landmark b moved to x = value, its edge told to trust its distance."""
+    d["environment"]["graph"]["nodes"][1]["x"] = value
+    d["environment"]["graph"]["edges"][0]["override"] = True
+
+
+@pytest.mark.parametrize("where, place", [
+    (r"aps\[1\]\.x", lambda d, v: d["environment"]["aps"][1].update(x=v)),
+    (r"aps\[2\]\.y", lambda d, v: d["environment"]["aps"][2].update(y=v)),
+    (r"corridors\.1\[0\]\[1\]\[0\]", lambda d, v: d["environment"]["corridors"]["1"][0][1]
+     .__setitem__(0, v)),
+    (r"graph\.nodes\[1\]\.x", far_landmark),
+])
+@pytest.mark.parametrize("value", [1e200, -1e200, 1.0000001e6, -1e300])
+def test_a_coordinate_beyond_a_million_metres_is_refused(where, place, value):
+    # an AP at 1e200 m overflowed the squared distance of the WiFi model
+    with pytest.raises(ScenarioError, match=rf"^scenario\.environment\.{where} must be a "
+                                            r"coordinate in \[-1e\+06, 1e\+06\] m, got "):
+        scenario_from_dict(broken(lambda d: place(d, value)))
+
+
+def test_a_coordinate_at_the_bound_is_read():
+    d = broken(lambda d: d["environment"]["aps"][1].update(x=1e6, y=-1e6))
+    sc = scenario_from_dict(d)
+    assert (sc.environment.aps[1].x, sc.environment.aps[1].y) == (1e6, -1e6)
+    assert all("ap-e" not in s.readings for s in trace_of(sc).wifi)  # far out of range
 
 
 
