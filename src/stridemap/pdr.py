@@ -8,6 +8,11 @@ segments are the only store of the poses, the visits and the snap
 landmarks; a Trajectory derives its pose list and its visits from them.
 Its parameters are PdrConfig and the heading sources HeadingSource, both in
 stridemap.config.
+
+dump_trajectory writes a trajectory as JSON lines and load_trajectory
+reads them back. The reader tests each pose in one check (four finite
+floats and an int segment, as files hold them) and reads a field through
+number only for another type or to word an error.
 """
 
 from __future__ import annotations

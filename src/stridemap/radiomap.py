@@ -6,6 +6,11 @@ walking-quality belief clears a threshold. Belief rewards step periods that
 sit inside the plausible human cadence band and walks with steady cadence.
 The belief parameters are QualityConfig, in stridemap.config; a map file
 records them.
+
+A map file is the text json.dumps(obj, sort_keys=True, indent=2) writes.
+save_radio_map formats it without json's pure-Python indent encoder: each
+entry from one % template, its fp by json's C encoder, a chunk of entries
+at a time, so memory never holds the whole text.
 """
 
 from __future__ import annotations
@@ -174,7 +179,7 @@ def _entry_text(e: RadioMapEntry) -> str:
     fp = e.fp
     if (type(e.x) is type(e.y) is type(e.belief) is float and type(e.floor) is int
             and math.isfinite(e.x + e.y + e.belief)  # an overflowing sum only falls back
-            and type(fp) is dict and set(map(type, fp.values())) <= {int}):
+            and type(fp) is dict and {int}.issuperset(map(type, fp.values()))):
         return _ENTRY % (e.belief, e.floor,
                          "{\n        %s\n      }" % _FP(fp)[1:-1] if fp else "{}", e.x, e.y)
     obj = {"x": e.x, "y": e.y, "floor": e.floor, "belief": e.belief, "fp": fp}

@@ -25,7 +25,9 @@ twice: a first pass counts each numeric channel's lines by the byte that
 names a line's channel, and the second parses each channel's numbers
 straight into t and v arrays of that final size, so memory holds the
 arrays and one block's work. Per block, numpy finds the lines and
-checks each head '{"ch": "<ch>", "t": '; with each run of number
+checks each line's first _PREFIX_LEN bytes, and the whole head
+'{"ch": "<ch>", "t": ' of each line of a channel it reads, as 8-byte
+words gathered at the line starts; with each run of number
 characters collapsed to one 0, each numeric line's rest must be exactly its
 channel's skeleton, so each number stands alone in its own slot; one
 json.loads parses all the block's numbers, so the number grammar and the
@@ -36,7 +38,11 @@ arrays, and that path names every error. A trace must be UTF-8: a line that
 is not raises TraceError "line N: not valid UTF-8", in any channel.
 load_trace can read a subset of the channels and skip the lines of the
 others unparsed: the CLI's build-map reads only wifi, so a malformed line
-of another channel does not fail it, and skips the count.
+of another channel does not fail it, and skips the count. Both paths
+check a skipped line by its _PREFIXES prefix alone. A WiFi scan of
+distinct non-empty string MACs and in-range int readings is read by one
+dict() and whole-scan tests; any other is read pair by pair, which words
+the error.
 
 dump_trace writes those lines as a stream: the rows of every channel,
 each channel's t non-decreasing, are merged by (t, channel order) a
@@ -172,7 +178,8 @@ def _line_format(ch: str) -> str:
 # _TO_LIST turns rests into the items of a JSON list of numbers, _NUMBERS per
 # line. WiFi has no skeleton: json.loads reads its lines.
 _HEAD_LEN = np.array([len(_head(ch)) for ch in CHANNELS])
-_WORD0, _WORD_END = (int.from_bytes(w.encode(), "little") for w in (_head("")[:8], _head("")[-8:]))
+_WORD0 = int.from_bytes(_head("")[:8].encode(), "little")
+_WORD_END = int.from_bytes(_head("")[-8:].encode(), "little")
 _WORD6 = np.array([int.from_bytes(_head(ch)[6:_PREFIX_LEN].encode(), "little")
                    for ch in CHANNELS], np.uint64)
 _SKELETONS = [_line_format(ch)[len(_head(ch)):].replace("%r", "0").encode() + b"\n"
@@ -596,7 +603,7 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple], filled: np.nd
     if not ((words[starts] == _WORD0).all() and (words[starts + 6] == _WORD6[kind]).all()):
         raise _NotCanonical
     starts, ends, kind = starts[read], ends[read], kind[read]
-    if ((ends - starts < _HEAD_LEN[kind]).any()
+    if ((ends - starts < _HEAD_LEN[kind]).any()  # so each head's last word lies in the block
             or not (words[starts + _HEAD_LEN[kind] - 8] == _WORD_END).all()):
         raise _NotCanonical
     want = [CHANNELS[ch] is not None and ch in channels for ch in CHANNELS]

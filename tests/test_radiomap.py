@@ -321,14 +321,14 @@ coordinates = st.one_of(st.sampled_from(EDGE_FLOATS),
                         st.floats(allow_nan=False, allow_infinity=False))
 # MACs with what json escapes, %, which a % template must not read, and
 # text outside ASCII
-macs = st.one_of(st.sampled_from(['a"b', "a\\b", "%s", "%%", "%(x)s", "\x00\x1f\n\t", "\u00e9\u2028",
-                                  "\U0001f600", "\ud800", ""]),
+macs = st.one_of(st.sampled_from(['a"b', "a\\b", "%s", "%%", "%(x)s", "\x00\x1f\n\t",
+                                  "\u00e9\u2028", "\U0001f600", "\ud800", ""]),
                  st.text(max_size=6))
 fingerprints = st.dictionaries(macs, st.integers(-200, 0), max_size=5)
 entries = st.builds(RadioMapEntry, x=coordinates, y=coordinates,
                     floor=st.integers(-(10**20), 10**20), belief=coordinates, fp=fingerprints)
 # entries the template does not write: other scalar types, non-finite
-# floats, readings that are not ints
+# floats, readings that are not ints, some of them nested
 odd_scalars = st.one_of(st.integers(), st.booleans(), st.none(),
                         st.sampled_from([math.nan, math.inf, -math.inf, 1]))
 odd_entries = st.builds(
@@ -336,7 +336,8 @@ odd_entries = st.builds(
     floor=st.one_of(st.integers(), odd_scalars, coordinates),
     belief=st.one_of(coordinates, odd_scalars),
     fp=st.one_of(fingerprints, st.dictionaries(macs, st.one_of(
-        st.integers(), st.floats(), st.booleans(), st.none()), max_size=3)))
+        st.integers(), st.floats(), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)), max_size=3)))
 configs = st.one_of(st.builds(lambda cfg: asdict(cfg), st.just(QualityConfig())),
                     st.dictionaries(st.text(max_size=4), st.one_of(st.floats(), st.integers()),
                                     max_size=4))

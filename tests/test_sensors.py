@@ -344,6 +344,11 @@ READER_CASES = {
     "accel sample of width 2": GOOD + '{"ch": "accel", "t": 1.0, "v": [1.0, 2.0]}\n',
     "permuted keys": GOOD + '{"t": 1.0, "ch": "accel", "v": [1.0, 2.0, 3.0]}\n',
     "unknown channel with a known prefix": GOOD + '{"ch": "accelx", "t": 1.0, "v": [1.0, 2.0, 3.0]}\n',
+    "unknown channel with a known initial": GOOD + '{"ch": "acecl", "t": 1.0, "v": [1.0, 2.0, 3.0]}\n',
+    "unknown gyro-like channel": GOOD + '{"ch": "gyor", "t": 1.0, "v": [1.0, 2.0, 3.0]}\n',
+    "accel line cut short past its prefix": GOOD + '{"ch": "accel"}\n',
+    "last line shorter than a prefix": GOOD + '{"ch": "a"}\n',
+    "gyro line with a broken head": GOOD + '{"ch": "gyro", "t" : 1.0, "v": [1.0, 2.0, 3.0]}\n',
     "bad RSS in a canonical scan": GOOD + '{"ch": "wifi", "t": 1.0, "v": [["aa", 5]]}\n',
     "scan line naming another channel": GOOD + '{"ch": "wifi", "t": 1.0, "v": [], "ch": "gyro"}\n',
     "broken gyro line": GOOD + '{"ch": "gyro", "t": 1.0, oops}\n' + ACC + "\n",
@@ -358,7 +363,7 @@ READER_CASES = {
 }
 
 
-@pytest.mark.parametrize("channels", [tuple(CHANNELS), ("accel", "wifi")])
+@pytest.mark.parametrize("channels", [tuple(CHANNELS), ("accel", "wifi"), ("wifi",)])
 @pytest.mark.parametrize("case", sorted(READER_CASES))
 def test_fast_path_agrees_with_json_path(case, channels, tmp_path):
     path = tmp_path / "t.jsonl"
