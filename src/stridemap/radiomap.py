@@ -199,7 +199,7 @@ def save_radio_map(radio_map: RadioMap, path) -> None:
         for lo in range(0, len(entries), _CHUNK_ENTRIES):
             chunk = map(_entry_text, entries[lo:lo + _CHUNK_ENTRIES])
             fh.write(("\n" if lo == 0 else ",\n") + ",\n".join(chunk))
-        fh.write('%s],\n  "version": %r\n}\n' % ("\n  " * bool(entries), MAP_VERSION))
+        fh.write('%s],\n  "version": %r\n}\n' % ("\n  " if entries else "", MAP_VERSION))
 
 
 def load_radio_map(path: str | Path) -> RadioMap:
