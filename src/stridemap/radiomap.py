@@ -161,10 +161,8 @@ _read_map = members({
     ("version", "config", "entries"))
 
 
-# A map file is the text of json.dumps(obj, sort_keys=True, indent=2) + "\n",
-# written an entry at a time: _ENTRY is one entry of the "entries" list at
-# indent's depth, and _FP json's C encoder with the separators indent puts
-# between the members of an entry's fp.
+# _ENTRY is one entry of the "entries" list as indent=2 writes it, and _FP
+# json's C encoder with the separators indent=2 puts between an fp's members.
 _ENTRY = ('    {\n      "belief": %r,\n      "floor": %r,\n      "fp": %s,\n'
           '      "x": %r,\n      "y": %r\n    }')
 _FP = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": ")).encode
