@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from dataclasses import Field, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -26,11 +25,11 @@ from typing import Callable
 # some runs stalled for a second. A value the user exports still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .config import (HEADING_THRESHOLD_DEG, ConfigError, HeadingSource,
-                     LandmarkConfig, LocalizationConfig, PdrConfig,
-                     QualityConfig, SensorConfig)
-from .sensors import (RSS_RULE, SCALARS, choice, fingerprint, members,
-                      number, read_json, read_jsonl, rss, shown, text, version)
+from .config import (HEADING_THRESHOLD_DEG, HeadingSource, LandmarkConfig,
+                     LocalizationConfig, PdrConfig, QualityConfig,
+                     SensorConfig, in_order)
+from .records import (RSS_RULE, choice, field_reader, fingerprint, members,
+                      number, read_json, read_jsonl, rss, shown, version)
 
 # Each subcommand imports the stage functions it calls in its own body, so
 # a process loads only the stages of the command it runs.
@@ -49,21 +48,16 @@ SECTIONS = {
 }
 
 
-# The reader of a config leaf by the type of its default. A float leaf may
-# hold NaN or an infinity, so that its dataclass refuses it by key name.
-_LEAF = {int: SCALARS["int"], float: partial(number, finite=False), str: text}
-
-
 def _leaf(cls: type, f: Field) -> tuple[str, object, Callable, Callable]:
     """Tree key, tree default, tree-to-field conversion and tree reader of
     one config field. The heading gate is set in degrees and an enum field
-    by its value, one of its values; every other leaf is the field itself."""
+    by its value, one of its values; any other leaf is read by field_reader."""
     if (cls, f.name) == (PdrConfig, "heading_threshold"):
-        return "heading_threshold_deg", HEADING_THRESHOLD_DEG, math.radians, _LEAF[float]
+        return "heading_threshold_deg", HEADING_THRESHOLD_DEG, math.radians, number
     if isinstance(f.default, enum.Enum):
         kind = type(f.default)
         return f.name, f.default.value, kind, choice({m.value: m.value for m in kind})
-    return f.name, f.default, lambda value: value, _LEAF[type(f.default)]
+    return f.name, f.default, lambda value: value, field_reader(f)
 
 
 def default_config() -> dict:
@@ -131,20 +125,15 @@ def effective_config(args) -> tuple[dict, dict]:
 
 
 def _configs(tree: dict) -> tuple:
-    """One config object per tree section, in SECTIONS order."""
+    """One config object per section of a tree as read, in SECTIONS
+    order; a band out of order raises CliError."""
     out = []
     for section, cls in SECTIONS.items():
-        kwargs, keys = {}, {}
+        kwargs = {}
         for f in fields(cls):
             key, _, convert, _ = _leaf(cls, f)
-            keys[f.name] = key
             kwargs[f.name] = convert(tree[section][key])
-        try:
-            out.append(cls(**kwargs))
-        except ConfigError as exc:
-            key = keys[exc.field]
-            raise CliError(f"config key '{section}.{key}' {exc.rule}, "
-                           f"got {tree[section][key]!r}")
+        out.append(in_order(cls(**kwargs), f"config.{section}", CliError))
     return tuple(out)
 
 
@@ -227,8 +216,8 @@ def cmd_simulate(args) -> int:
 
     tree, overrides = effective_config(args)
     _configs(tree)  # the manifest records the tree: refuse a bad one here too
-    if args.seed is not None and args.seed < 0:
-        raise CliError(f"--seed must be non-negative, got {args.seed}")
+    if args.seed is not None:
+        number(args.seed, "--seed", CliError, integral=True, at_least=0)
     scn_path = _require_file(args.scenario, "scenario file")
     scenario = load_scenario(scn_path)
     noise = scenario.noise
@@ -250,7 +239,7 @@ def cmd_simulate(args) -> int:
 
 def _start(text: str) -> tuple[float, float, float]:
     """--start's x,y,floor: finite x and y and an integral floor, read by
-    sensors.number as every loader reads a pose."""
+    records.number as every loader reads a pose."""
     try:
         x, y, floor = (float(part) for part in text.split(","))
         return (number(x, "x"), number(y, "y"),

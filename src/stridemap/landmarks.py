@@ -14,15 +14,16 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .config import LandmarkConfig, SensorConfig
-from .sensors import (MotionState, SensorTrace, array, choice, flag,
-                      members, motion_runs, number, read_json, record,
-                      text)
+from .records import (array, choice, flag, members, number, read_json,
+                      record, text)
+from .sensors import MotionState, SensorTrace, motion_runs
 
 # Gyro events inside a confirmed stop are phone fidgeting, not corners.
 # A stop is confirmed once this many consecutive windows classify Still;
@@ -309,7 +310,7 @@ def circular_diff(a: float, b: float) -> float:
 _read_graph = members({
     "nodes": array(record(Landmark, {"rules": array(choice(_RULE_NAMES))})),
     "edges": array(members({"from": text, "to": text, "heading_deg": number,
-                            "distance_m": number, "override": flag},
+                            "distance_m": partial(number, above=0), "override": flag},
                            ("from", "to", "heading_deg", "distance_m"))),
     "auto_reverse": flag}, ("nodes", "edges"))
 
@@ -333,8 +334,6 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
             if endpoint not in nodes:
                 raise GraphError(f"edge references unknown landmark {endpoint!r}")
         heading = math.radians(ed["heading_deg"]) % (2 * math.pi)
-        if distance <= 0:
-            raise GraphError(f"edge {frm!r}->{to!r} has non-positive distance")
         a, b = nodes[frm], nodes[to]
         if not ed.get("override", False):
             geom_d = math.hypot(b.x - a.x, b.y - a.y)

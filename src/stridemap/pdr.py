@@ -40,6 +40,7 @@ from .landmarks import (
     sgn,
 )
 from .radiomap import segment_belief
+from .records import number, read_jsonl, shown, write_text
 from .sensors import (
     MotionState,
     SensorTrace,
@@ -48,9 +49,6 @@ from .sensors import (
     detect_steps,
     motion_runs,
     moving_average,
-    number,
-    read_jsonl,
-    write_text,
 )
 
 
@@ -504,7 +502,7 @@ def load_trajectory(path: str | Path) -> Trajectory:
                                  f"periods; the file predates them, re-run track")
             periods = rec["periods"]
             if not isinstance(periods, list):
-                raise TraceError(f"{path}:{ln}: periods must be a list, got {periods!r}")
+                raise TraceError(f"{path}:{ln}: periods must be a list, got {shown(periods)}")
             try:
                 periodicities = (periods if {float}.issuperset(map(type, periods))
                                  and math.isfinite(sum(periods))

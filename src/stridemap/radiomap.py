@@ -24,12 +24,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .config import ConfigError, QualityConfig
-from .sensors import (WifiScan, array, fingerprint, members, number,
-                      read_json, record, version, writing)
+from .config import QualityConfig, in_order
+from .records import (array, field_reader, fingerprint, members, read_json,
+                      record, version, writing)
 
-if TYPE_CHECKING:  # no runtime dependency on the trajectory module
+if TYPE_CHECKING:  # no runtime dependency on the trajectory or trace modules
     from .pdr import PathSegment, Pose, Trajectory
+    from .sensors import WifiScan
 
 
 class MapFormatError(ValueError):
@@ -156,7 +157,7 @@ MAP_VERSION = 1
 # A map file's keys and types; its config holds any of QualityConfig's fields.
 _read_map = members({
     "version": version(MAP_VERSION),
-    "config": members({f.name: number for f in fields(QualityConfig)}),
+    "config": members({f.name: field_reader(f) for f in fields(QualityConfig)}),
     "entries": array(record(RadioMapEntry, {"fp": fingerprint}), list)},
     ("version", "config", "entries"))
 
@@ -202,10 +203,7 @@ def save_radio_map(radio_map: RadioMap, path) -> None:
 
 def load_radio_map(path: str | Path) -> RadioMap:
     """Parse and validate a radio map file; unknown fields are errors, and
-    its config must pass QualityConfig's own checks."""
+    its config, with defaults for the keys it lacks, must be in_order."""
     data = _read_map(read_json(path, MapFormatError), "map", MapFormatError)
-    try:
-        QualityConfig(**data["config"])  # the rules of a config the map is built under
-    except ConfigError as exc:
-        raise MapFormatError(f"map.config.{exc}") from None
+    in_order(QualityConfig(**data["config"]), "map.config", MapFormatError)
     return RadioMap(entries=data["entries"], config=data["config"])

@@ -14,8 +14,8 @@ channel order at equal timestamps. On load, t (seconds) and every value
 must be finite JSON numbers (never a bool or a string), samples must have
 their channel's width, t must not
 decrease within a channel, and a WiFi reading must be a [mac, rss] pair
-(unique non-empty string MAC, RSS as read by rss); a violation raises
-TraceError naming the first bad line.
+(unique non-empty string MAC, RSS as read by stridemap.records.rss); a
+violation raises TraceError naming the first bad line.
 
 A file whose every line has the layout dump_trace writes takes a fast
 path, with any JSON number in a number's place (integers, -0 and 1E5
@@ -53,18 +53,17 @@ chunk formatted once. Memory holds the trace, one window of its merge
 order and one chunk.
 
 The step and motion parameters are SensorConfig, which lives with the
-other stage configs in stridemap.config.
+other stage configs in stridemap.config. The readers of the other input
+files, and the file writer dump_trace shares, are in stridemap.records.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import functools
 import json
-import math
 from bisect import bisect_left
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
 from operator import itemgetter
 from pathlib import Path
@@ -73,6 +72,8 @@ from typing import Iterator
 import numpy as np
 
 from .config import SensorConfig
+from .records import (RSS_MAX_DBM, RSS_MIN_DBM, RSS_RULE, read_jsonl, rss,
+                      shown, writing)
 
 # Width of the centered moving average applied before peak picking, samples.
 SMOOTHING_WIDTH = 5
@@ -92,14 +93,6 @@ _CHUNK_ROWS = 4096
 # Bytes the fast path reads at once; each block is cut after a newline,
 # so memory holds one block's lines, not the file's.
 _BLOCK_BYTES = 1 << 18
-# Every RSS reading the toolkit loads is an integer in this range, dBm. Far
-# below the weakest signal a radio reports, the floor keeps fingerprint
-# vectors small integers, so the kNN distances are exact in float64.
-RSS_MIN_DBM = -200
-RSS_MAX_DBM = 0
-RSS_RULE = f"must be a non-positive integer of at least {RSS_MIN_DBM} dBm"
-# The most characters of an offending value an error message quotes.
-_SHOWN_CHARS = 100
 
 
 class TraceError(ValueError):
@@ -228,189 +221,6 @@ def _magnitudes(channel: Channel) -> np.ndarray:
     mags += y * y
     mags += z * z
     return np.sqrt(mags, out=mags)
-
-
-def number(value, what: str, error: type[ValueError] = ValueError,
-           integral: bool = False, finite: bool = True) -> float | int:
-    """A JSON number as a float, or as an int when integral: never a bool,
-    finite unless finite is False, and with integral never fractional (1.5
-    is refused, not truncated); otherwise error naming what."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            if (math.isfinite(value) or not finite) and not (integral and value % 1):
-                return int(value) if integral else float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    kind = "an integer" if integral else "a finite number" if finite else "a number"
-    raise error(f"{what} must be {kind}, got {shown(value)}")
-
-
-def shown(value) -> str:
-    """repr(value) as an error message quotes it: cut to its first
-    _SHOWN_CHARS characters and "..." when longer."""
-    text = repr(value)
-    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
-
-
-def rss(value) -> int | None:
-    """value as an RSS reading in dBm, or None unless it is an integer in
-    [RSS_MIN_DBM, RSS_MAX_DBM]: never a bool or a fractional number, while
-    an integral float such as -50.0 converts. Every trace, map, query and
-    fingerprint reader checks its readings with it and names a failure
-    with RSS_RULE."""
-    if type(value) is not int:
-        try:
-            value = number(value, "RSS", integral=True)
-        except ValueError:
-            return None
-    return value if RSS_MIN_DBM <= value <= RSS_MAX_DBM else None
-
-
-def read_json(path: str | Path, error: type[Exception], prefix: str = ""):
-    """The JSON value a file holds; a file that is not UTF-8 or not JSON
-    raises error, its message starting with prefix."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError:
-            raise error(f"{prefix}not valid UTF-8") from None
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise error(f"{prefix}invalid JSON: {exc}") from exc
-
-
-def read_jsonl(path: str | Path, error: type[Exception], prefix: str = "line ",
-               skip: tuple[str, ...] = ()) -> Iterator[tuple[int, object]]:
-    """Line number and parsed record of each non-blank line of a JSON-lines
-    file, less the lines that start with a string in skip, which are never
-    parsed; a line that is not UTF-8 or not JSON, skipped or not, raises
-    error located as f"{prefix}{lineno}"."""
-    # undecodable bytes read as lone surrogates, which no UTF-8 text holds
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode()
-                except UnicodeEncodeError:
-                    raise error(f"{prefix}{lineno}: not valid UTF-8") from None
-            if line.startswith(skip):
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-                raise error(f"{prefix}{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, rec
-
-
-# ---------------------------------------------------------------------------
-# the strict reader of JSON objects
-#
-# The scenario, graph, map, fingerprint and config readers are built from
-# these. A reader is a function (value, where, error) that returns the value
-# read, or raises error naming where: "<where>.<key> must be ...",
-# "<where> has unknown fields [...]" or "<where> is missing fields [...]".
-
-
-def text(value, where: str, error: type[ValueError]) -> str:
-    if isinstance(value, str) and value:
-        return value
-    raise error(f"{where} must be a non-empty string, got {shown(value)}")
-
-
-def flag(value, where: str, error: type[ValueError]) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise error(f"{where} must be true or false, got {shown(value)}")
-
-
-# The reader of a scalar, by its declared type.
-SCALARS = {"float": number,
-           "int": lambda value, where, error: number(value, where, error, integral=True),
-           "str": text}
-
-
-def choice(options: dict):
-    """The reader of a name among the keys of options: the option it names."""
-    def read(value, where: str, error: type[ValueError]):
-        if isinstance(value, str) and value in options:
-            return options[value]
-        raise error(f"{where} must be one of {sorted(options)}, got {shown(value)}")
-    return read
-
-
-def version(expected: int):
-    """The reader of a file format version: an integer, as number reads
-    it, equal to expected."""
-    def read(value, where: str, error: type[ValueError]) -> int:
-        if number(value, where, error, integral=True) != expected:
-            raise error(f"{where} must be {expected}, got {shown(value)}")
-        return expected
-    return read
-
-
-def array(read, make=tuple):
-    """The reader of a JSON array: each item read by read, the items passed
-    to make."""
-    def read_array(value, where: str, error: type[ValueError]):
-        if not isinstance(value, list):
-            raise error(f"{where} must be an array")
-        return make([read(item, f"{where}[{i}]", error) for i, item in enumerate(value)])
-    return read_array
-
-
-def members(readers: dict, required=()):
-    """The reader of a JSON object whose keys are among those of readers
-    (key -> reader) and include every key of required: the dict of each
-    key's value as its reader reads it, in file order."""
-    allowed, required = readers.keys(), frozenset(required)
-
-    def read(obj, where: str, error: type[ValueError]) -> dict:
-        if not isinstance(obj, dict):
-            raise error(f"{where} must be an object")
-        if not (obj.keys() <= allowed and required <= obj.keys()):
-            unknown = obj.keys() - allowed
-            if unknown:
-                raise error(f"{where} has unknown fields {sorted(unknown)}")
-            raise error(f"{where} is missing fields {sorted(required - obj.keys())}")
-        return {key: readers[key](value, f"{where}.{key}", error)
-                for key, value in obj.items()}
-    return read
-
-
-def record(cls, readers: dict | None = None, keys: dict | None = None):
-    """The reader of dataclass cls from a JSON object with a key per field
-    (keys renames a field's key), required when the field has no default.
-    A field is read by readers[its name], else by the SCALARS reader of its
-    declared type."""
-    readers, keys = readers or {}, keys or {}
-    by_key = {keys.get(f.name, f.name): f for f in fields(cls)}
-    read = members({key: readers.get(f.name) or SCALARS[f.type] for key, f in by_key.items()},
-                   [key for key, f in by_key.items()
-                    if f.default is MISSING and f.default_factory is MISSING])
-    return lambda obj, where, error: cls(**{by_key[key].name: value for key, value
-                                            in read(obj, where, error).items()})
-
-
-def fingerprint(raw, where: str, error: type[ValueError]) -> dict[str, int]:
-    """A {mac: rss} object as the readings of one scan: each MAC non-empty,
-    each RSS as rss reads it. A fingerprint of in-range int readings, as
-    files hold them, is returned as parsed."""
-    if type(raw) is dict and "" not in raw and all(
-            type(v) is int and RSS_MIN_DBM <= v <= RSS_MAX_DBM for v in raw.values()):
-        return raw
-    if not isinstance(raw, dict):
-        raise error(f"{where}: fingerprint must be an object of mac: rss")
-    if "" in raw:
-        raise error(f"{where}: fingerprint has an empty MAC")
-    readings = {}
-    for mac, value in raw.items():
-        reading = rss(value)
-        if reading is None:
-            raise error(f"{where}: RSS of {shown(mac)} {RSS_RULE}, got {shown(value)}")
-        readings[mac] = reading
-    return readings
 
 
 def _scan_readings(v) -> dict[str, int]:
@@ -692,14 +502,6 @@ def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
     )
 
 
-def writing(path):
-    """A context giving an open file to write: path itself if it is one,
-    else the file at path, opened for writing."""
-    if hasattr(path, "write"):
-        return contextlib.nullcontext(path)
-    return open(path, "w")
-
-
 def _merged(times: list[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The rows of channels whose t never decreases, in the order of a
     stable sort on (t, channel order), _CHUNK_ROWS rows at a time: each
@@ -787,12 +589,6 @@ def dump_trace(trace: SensorTrace, path) -> None:
             code = np.where(kind == _WIFI, len(CHANNELS) + at, kind)
             fh.write("".join(map(templates.__getitem__, code.tolist()))
                      % tuple(text[which].tolist()))
-
-
-def write_text(path, text: str) -> None:
-    """Write text to an open file, or replace the file at a path."""
-    with writing(path) as fh:
-        fh.write(text)
 
 
 def classify_motion(

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .landmarks import Edge, GraphError, LandmarkGraph, graph_from_dict
-from .sensors import (RSS_MAX_DBM, SCALARS, Channel, SensorTrace,
-                      TruthChannel, WifiScan, array, members, number,
+from .records import (RSS_MAX_DBM, SCALARS, array, members, number,
                       read_json, record, shown, text)
+from .sensors import Channel, SensorTrace, TruthChannel, WifiScan
 
 TICK = 0.02                 # s per tick: 50 Hz inertial sampling
 MAG_EVERY = 5               # ticks between magnetometer samples (10 Hz)
@@ -39,12 +40,16 @@ PRESSURE_PER_FLOOR = 0.45   # hPa lost per floor climbed
 TURN_TICKS = 50             # turn-in-place phase length
 TURN_ROT_TICKS = 20         # central interval of a turn that rotates
 STAIR_STEP_TICKS = 75       # slow stair cadence (1.5 s per step)
+MIN_STEP_TICKS = 16         # shortest step period whose peaks the detector separates
 RSS_CUTOFF_DBM = -100       # weaker APs are absent from a scan
 MAX_WALK_TICKS = 12 * 3600 * 50  # longest walk a plan may hold: 12 h of 50 Hz ticks
 FLOOR_ATTENUATION_DB = 12.0  # extra path loss per concrete slab crossed
 FALSE_WALK_PERIOD_TICKS = (18, 29, 52, 23)  # arm-shake bump cadence
 CHUNK_ELEMENTS = 1 << 14    # (pose, AP) values per WiFi row chunk: 512 KB as Python floats
 COORD_MAX_M = 1e6           # largest |x| or |y| of an AP, landmark or corridor point, metres
+# The range of a position's x or y, as number's bounds: every distance and
+# its square the model takes stays a float.
+_COORDINATE = {"at_least": -COORD_MAX_M, "at_most": COORD_MAX_M}
 
 
 class ScenarioError(ValueError):
@@ -54,8 +59,8 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Ap:
     mac: str
-    x: float
-    y: float
+    x: float = field(metadata=_COORDINATE)
+    y: float = field(metadata=_COORDINATE)
     floor: int
     tx_power_dbm: float
     path_loss_exponent: float
@@ -75,7 +80,7 @@ class CompassZone:
 
 @dataclass(frozen=True)
 class Environment:
-    floor_height_m: float
+    floor_height_m: float = field(metadata={"above": 0})
     corridors: dict[int, list[list[tuple[float, float]]]]
     graph: LandmarkGraph
     aps: tuple[Ap, ...]
@@ -93,26 +98,26 @@ class WalkScript:
     """
 
     waypoints: tuple[str, ...]
-    speed_mps: float = 1.26
-    step_length_m: float = 0.63
+    speed_mps: float = field(default=1.26, metadata={"above": 0})
+    step_length_m: float = field(default=0.63, metadata={"above": 0})
     stops: tuple[tuple[str, float], ...] = ()
     false_walking: tuple[tuple[float, float], ...] = ()
     irregular_legs: frozenset[int] = frozenset()
     irregular_periods: tuple[float, ...] = (0.42, 0.58, 0.74, 0.9)
     irregular_lengths: tuple[float, ...] = (0.33, 0.33, 0.93, 0.93)
-    scan_interval_s: float = 2.0
-    warmup_s: float = 2.0
-    cooldown_s: float = 2.0
+    scan_interval_s: float = field(default=2.0, metadata={"above": 0})
+    warmup_s: float = field(default=2.0, metadata={"at_least": 0})
+    cooldown_s: float = field(default=2.0, metadata={"at_least": 0})
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    seed: int = 0
-    accel_std: float = 0.0        # m/s^2
+    seed: int = field(default=0, metadata={"at_least": 0})
+    accel_std: float = field(default=0.0, metadata={"at_least": 0})  # m/s^2
     gyro_bias: float = 0.0        # rad/s, constant drift
-    gyro_std: float = 0.0         # rad/s
-    baro_std: float = 0.0         # hPa
-    shadowing_std: float = 0.0    # dB
+    gyro_std: float = field(default=0.0, metadata={"at_least": 0})  # rad/s
+    baro_std: float = field(default=0.0, metadata={"at_least": 0})  # hPa
+    shadowing_std: float = field(default=0.0, metadata={"at_least": 0})  # dB
     compass_zones: tuple[CompassZone, ...] = ()
 
 
@@ -158,18 +163,8 @@ def _pairs(readers: dict):
                                                  for key in readers))
 
 
-def _coordinate(value, where: str, error) -> float:
-    """A position's x or y: a finite number within COORD_MAX_M of 0, so
-    every distance and its square the model takes stays a float."""
-    v = number(value, where, error)
-    if not abs(v) <= COORD_MAX_M:
-        raise error(f"{where} must be a coordinate in [-{COORD_MAX_M:g}, {COORD_MAX_M:g}] m, "
-                    f"got {shown(value)}")
-    return v
-
-
 def _point(value, where: str, error) -> tuple[float, float]:
-    xy = array(_coordinate)(value, where, error)
+    xy = array(partial(number, **_COORDINATE))(value, where, error)
     if len(xy) != 2:
         raise error(f"{where} must be an [x, y] pair")
     return xy
@@ -190,7 +185,7 @@ def _read_corridors(value, where: str, error) -> dict[int, list[list[tuple[float
         except ValueError:
             floor = None
         if floor is None or key != str(floor):
-            raise error(f"{where} key {key!r} is not a floor number")
+            raise error(f"{where} key {shown(key)} is not a floor number")
         corridors[floor] = _polylines(lines, f"{where}.{key}", error)
     return corridors
 
@@ -202,7 +197,7 @@ def _read_graph(value, where: str, error) -> LandmarkGraph:
         raise error(f"{where}: {exc}") from None
     for i, lm in enumerate(graph.nodes.values()):  # in file order
         for key in ("x", "y"):
-            _coordinate(getattr(lm, key), f"{where}.nodes[{i}].{key}", error)
+            number(getattr(lm, key), f"{where}.nodes[{i}].{key}", error, **_COORDINATE)
     return graph
 
 
@@ -210,27 +205,26 @@ _read_scenario = record(Scenario, {
     "environment": record(Environment, {
         "corridors": _read_corridors,
         "graph": _read_graph,
-        "aps": array(record(Ap, {"x": _coordinate, "y": _coordinate})),
+        "aps": array(record(Ap)),
         "stairs": _pairs({"from": text, "to": text})}),
     "walk": record(WalkScript, {
         "waypoints": array(text),
-        "stops": _pairs({"at": text, "duration_s": number}),
+        "stops": _pairs({"at": text, "duration_s": partial(number, above=0)}),
         "false_walking": _pairs({"t": number, "duration_s": number}),
         "irregular_legs": array(SCALARS["int"], frozenset),
-        "irregular_periods": array(number),
-        "irregular_lengths": array(number)}),
+        "irregular_periods": array(partial(number, at_least=MIN_STEP_TICKS * TICK)),
+        "irregular_lengths": array(partial(number, above=0, at_most=1.85))}),
     "noise": record(NoiseModel, {"compass_zones": array(record(CompassZone))},
                     _UNIT_KEYS)})
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Read a scenario file object, then check what the field types alone
-    cannot: positive sizes, landmark references and corridor membership."""
+    """Read a scenario file object, each number within the range its reader
+    declares, then check what no single field can: unique MACs, landmark
+    references, corridor membership and ordered zone bounds."""
     sc = _read_scenario(data, "scenario", ScenarioError)
     env, walk, noise = sc.environment, sc.walk, sc.noise
     nodes = env.graph.nodes
-    if not env.floor_height_m > 0:
-        raise ScenarioError("floor_height_m must be positive")
     macs = [ap.mac for ap in env.aps]
     for i, mac in enumerate(macs):
         if mac in macs[:i]:
@@ -252,28 +246,16 @@ def scenario_from_dict(data: dict) -> Scenario:
     for wp in walk.waypoints:
         if wp not in nodes:
             raise ScenarioError(f"waypoint {wp!r} is not a landmark")
-    for at, duration in walk.stops:
+    for at, _ in walk.stops:
         if at not in nodes:
             raise ScenarioError(f"stop at unknown landmark {at!r}")
-        if not duration > 0:
-            raise ScenarioError("stop duration must be positive")
-    if not walk.speed_mps > 0 or not walk.step_length_m > 0:
-        raise ScenarioError("speed and step length must be positive")
-    if not walk.scan_interval_s > 0:
-        raise ScenarioError("scan interval must be positive")
-    if walk.warmup_s < 0 or walk.cooldown_s < 0:
-        raise ScenarioError("warmup_s and cooldown_s must be non-negative")
     for leg in walk.irregular_legs:
         if not 0 <= leg < len(walk.waypoints) - 1:
             raise ScenarioError(f"irregular leg index {leg} out of range")
-    if any(p <= 0 for p in walk.irregular_periods) or not walk.irregular_periods:
-        raise ScenarioError("irregular periods must be positive")
-    if any(v <= 0 for v in walk.irregular_lengths) or not walk.irregular_lengths:
-        raise ScenarioError("irregular lengths must be positive")
+    for key in ("irregular_periods", "irregular_lengths"):
+        if not getattr(walk, key):
+            raise ScenarioError(f"scenario.walk.{key} must not be empty")
 
-    for name in ("seed", "accel_std", "gyro_std", "baro_std", "shadowing_std"):
-        if getattr(noise, name) < 0:
-            raise ScenarioError(f"noise.{_UNIT_KEYS.get(name, name)} must be non-negative")
     for zone in noise.compass_zones:
         if zone.x_min > zone.x_max or zone.y_min > zone.y_max:
             raise ScenarioError("compass zone bounds are inverted")
@@ -332,9 +314,10 @@ class WalkPlan:
         return self.total_ticks * TICK
 
 
-def _ticks(seconds: float, what: str, positive: bool = False) -> int:
-    """A duration in whole ticks, at least one when positive; what names
-    the scenario key it comes from."""
+def _ticks(seconds: float, what: str) -> int:
+    """A duration in whole ticks: none for 0 s, else at least one, so no
+    stop, warm-up or scan interval rounds to nothing; what names the
+    scenario key it comes from."""
     t = seconds / TICK
     if not abs(t) <= MAX_WALK_TICKS:  # inf from a vanishing speed, or NaN
         raise ScenarioError(f"{what} ({seconds} s) must be a finite duration "
@@ -342,7 +325,7 @@ def _ticks(seconds: float, what: str, positive: bool = False) -> int:
     n = round(t)
     if abs(t - n) > 1e-9:
         raise ScenarioError(f"{what} ({seconds} s) is not a sample-grid multiple")
-    if positive and n < 1:
+    if n < 1 and seconds != 0:
         raise ScenarioError(f"{what} ({seconds} s) must be at least one sample tick ({TICK} s)")
     return int(n)
 
@@ -369,11 +352,9 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
     ids = script.waypoints
     pt_nominal = _ticks(script.step_length_m / script.speed_mps,
                         "walk.step_length_m / walk.speed_mps")
-    if pt_nominal < 16:
+    if pt_nominal < MIN_STEP_TICKS:
         raise ScenarioError("step period too short to separate step peaks")
     irr_pt = tuple(_ticks(p, "walk.irregular_periods") for p in script.irregular_periods)
-    if min(irr_pt) < 16:
-        raise ScenarioError("irregular period too short to separate step peaks")
 
     stop_for = dict(script.stops)
     phases: list[Phase] = []
@@ -469,10 +450,8 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
             emit_turn(edge.heading)
             if leg_idx in script.irregular_legs:
                 # erratic strides from the cycle, closed by one long stride
-                # onto the waypoint; strides stay below 2.0 so the remainder
-                # always lands in [0.15, 2.0]
-                if max(script.irregular_lengths) > 1.85:
-                    raise ScenarioError("irregular strides must stay below 1.85")
+                # onto the waypoint; strides are at most 1.85 (the reader's
+                # bound) so the remainder always lands in [0.15, 2.0]
                 cyc = script.irregular_lengths
                 what = "walk.irregular_lengths"
                 budget(edge.distance / max(cyc) * min(irr_pt), what)
@@ -605,10 +584,11 @@ def _readings(env: Environment, x, y, floor, shadowing_std, rng) -> Iterator[dic
     by a vertical leg that rounding can erase), less a shadowing draw. It
     is clipped at RSS_MAX_DBM (0 dBm, the top of every loader's range) and
     rounded half-even to whole dBm; an AP that rounds below RSS_CUTOFF_DBM,
-    or whose level is NaN or -inf, is absent and never reaches the int
-    cast. Poses go in row chunks of about CHUNK_ELEMENTS (pose, AP) values,
-    each drawing in one row-major rng.normal call: the stream of scalar
-    draws pose by pose, AP by AP.
+    or whose level is NaN or -inf (a distance or a loss past the float
+    range, which numpy is told not to warn of), is absent and never reaches
+    the int cast. Poses go in row chunks of about CHUNK_ELEMENTS (pose, AP)
+    values, each drawing in one row-major rng.normal call: the stream of
+    scalar draws pose by pose, AP by AP.
     """
     macs = [ap.mac for ap in env.aps]
     ap_x, ap_y, ap_floor, tx, ple = np.array([(
@@ -618,13 +598,14 @@ def _readings(env: Environment, x, y, floor, shadowing_std, rng) -> Iterator[dic
     for lo in range(0, len(x), step):
         rows = slice(lo, lo + step)
         df = floor[rows, None] - ap_floor
-        dz = df * env.floor_height_m
-        d = np.sqrt(_libm(pow, x[rows, None] - ap_x, 2)
-                    + _libm(pow, y[rows, None] - ap_y, 2) + dz * dz)
-        level = (tx - 10.0 * ple * _libm(math.log10, np.maximum(d, 1.0))
-                 - FLOOR_ATTENUATION_DB * np.abs(df))
-        if shadowing_std > 0:
-            level -= rng.normal(0.0, shadowing_std, level.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dz = df * env.floor_height_m
+            d = np.sqrt(_libm(pow, x[rows, None] - ap_x, 2)
+                        + _libm(pow, y[rows, None] - ap_y, 2) + dz * dz)
+            level = (tx - 10.0 * ple * _libm(math.log10, np.maximum(d, 1.0))
+                     - FLOOR_ATTENUATION_DB * np.abs(df))
+            if shadowing_std > 0:
+                level -= rng.normal(0.0, shadowing_std, level.shape)
         dbm = np.rint(np.minimum(level, RSS_MAX_DBM))
         heard = dbm >= RSS_CUTOFF_DBM
         dbm = np.where(heard, dbm, 0).astype(np.int64)
@@ -714,7 +695,7 @@ def generate_trace(env: Environment, script: WalkScript,
         pressure = pressure + rng_baro.normal(0.0, noise.baro_std, len(pressure))
     baro = Channel(t=baro_ticks * TICK, v=pressure)
 
-    scan_step = _ticks(script.scan_interval_s, "walk.scan_interval_s", positive=True)
+    scan_step = _ticks(script.scan_interval_s, "walk.scan_interval_s")
     scan_ticks = np.arange(scan_step, plan.total_ticks + 1, scan_step)
     sx, sy, sf, _ = _plan_state(plan, scan_ticks)
     scans = list(map(WifiScan, (scan_ticks * TICK).tolist(),

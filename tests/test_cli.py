@@ -355,10 +355,13 @@ def test_simulate_streams_the_trace_and_a_failure_leaves_no_file(
 
 
 @pytest.mark.parametrize("walk, aps, message", [
-    ({}, {"x": 1e200}, "scenario.environment.aps[0].x must be a coordinate in "
-                       "[-1e+06, 1e+06] m, got 1e+200"),
+    ({}, {"x": 1e200}, "scenario.environment.aps[0].x must be at most 1e+06, got 1e+200"),
     ({"scan_interval_s": 1e-11}, {},
      "walk.scan_interval_s (1e-11 s) must be at least one sample tick (0.02 s)"),
+    # these two were planned as no pause, with exit 0
+    ({"stops": [{"at": "b", "duration_s": 1e-11}]}, {},
+     "walk.stops at 'b' (1e-11 s) must be at least one sample tick (0.02 s)"),
+    ({"warmup_s": 1e-11}, {}, "walk.warmup_s (1e-11 s) must be at least one sample tick (0.02 s)"),
 ])
 def test_simulate_refuses_what_the_model_cannot_take_in_one_line(tmp_path, capsys,
                                                                  walk, aps, message):
@@ -703,6 +706,9 @@ MALFORMED = {
     "trajectory period is a bool": (
         '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": [true]}\n',
         MAP_BAD, "bad.json:1: period must be a finite number, got True"),
+    "trajectory periods is a long string": (
+        '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": "' + "x" * 50000 + '"}\n',
+        MAP_BAD, "bad.json:1: periods must be a list, got 'xxx"),
     "trajectory periods is not a list": (
         '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": 0.5}\n',
         MAP_BAD, "bad.json:1: periods must be a list, got 0.5"),
@@ -814,7 +820,7 @@ MALFORMED = {
     # the scenario reader's seed check does not see --seed
     "--seed is negative": (
         "", ["simulate", "FLOW/scenario.json", "--seed", "-1"],
-        "--seed must be non-negative, got -1"),
+        "--seed must be at least 0, got -1"),
     "fingerprint file is invalid JSON": (
         '{"ap-w": -50,}', ["localize", "FLOW/map.json", "--fingerprint", "BAD"],
         "bad.json: invalid JSON: Expecting property name"),
@@ -865,62 +871,62 @@ MALFORMED = {
         "error: line 2: invalid JSON: maximum recursion depth exceeded"),
     "--set value is nested too deep": (
         "", LOCALIZE_FLOW + ["--set", "localization.tau=" + DEEP],
-        "config.localization.tau must be a number, got '[[["),
-    # config values: each is refused by its dataclass, named by its key
+        "config.localization.tau must be a finite number, got '[[["),
+    # config values: each is refused by its reader, named by its key
     "sensors.acc_window is 0": (
         "", TRACK_FLOW + ["--set", "sensors.acc_window=0"],
-        "config key 'sensors.acc_window' must be at least 1, got 0"),
+        "config.sensors.acc_window must be at least 1, got 0"),
     "sensors.gyro_window is 0": (
         "", TRACK_FLOW + ["--set", "sensors.gyro_window=0"],
-        "config key 'sensors.gyro_window' must be at least 1, got 0"),
+        "config.sensors.gyro_window must be at least 1, got 0"),
     "sensors.acc_window is inf": (
         "", TRACK_FLOW + ["--set", "sensors.acc_window=Infinity"],
         "config.sensors.acc_window must be an integer, got inf"),
     "sensors.variance_threshold is NaN": (
         "", TRACK_FLOW + ["--set", "sensors.variance_threshold=NaN"],
-        "config key 'sensors.variance_threshold' must be finite, got nan"),
+        "config.sensors.variance_threshold must be a finite number, got nan"),
     "landmarks.baro_window_s is 0": (
         "", TRACK_FLOW + ["--set", "landmarks.baro_window_s=0"],
-        "config key 'landmarks.baro_window_s' must be above 0, got 0.0"),
+        "config.landmarks.baro_window_s must be above 0, got 0.0"),
     "landmarks.baro_window_s is NaN": (
         "", TRACK_FLOW + ["--set", "landmarks.baro_window_s=NaN"],
-        "config key 'landmarks.baro_window_s' must be finite, got nan"),
+        "config.landmarks.baro_window_s must be a finite number, got nan"),
     "pdr.initial_step_length is NaN": (
         "", TRACK_FLOW + ["--set", "pdr.initial_step_length=NaN"],
-        "config key 'pdr.initial_step_length' must be finite, got nan"),
+        "config.pdr.initial_step_length must be a finite number, got nan"),
     "pdr.heading_threshold_deg is inf": (
         "", TRACK_FLOW + ["--set", "pdr.heading_threshold_deg=Infinity"],
-        "config key 'pdr.heading_threshold_deg' must be finite, got inf"),
+        "config.pdr.heading_threshold_deg must be a finite number, got inf"),
     "pdr.pressure_per_floor is 0": (
         "", TRACK_FLOW + ["--set", "pdr.pressure_per_floor=0"],
-        "config key 'pdr.pressure_per_floor' must be above 0, got 0.0"),
+        "config.pdr.pressure_per_floor must be above 0, got 0.0"),
     "pdr.distance_floor is -1": (
         "", TRACK_FLOW + ["--set", "pdr.distance_floor=-1"],
-        "config key 'pdr.distance_floor' must be above 0, got -1.0"),
+        "config.pdr.distance_floor must be above 0, got -1.0"),
     "quality.sigma_floor is 0": (
         "", MAP_FLOW + ["--set", "quality.sigma_floor=0"],
-        "config key 'quality.sigma_floor' must be above 0, got 0.0"),
+        "config.quality.sigma_floor must be above 0, got 0.0"),
     "quality.period_max is -inf": (
         "", MAP_FLOW + ["--set", "quality.period_max=-Infinity"],
-        "config key 'quality.period_max' must be finite, got -inf"),
+        "config.quality.period_max must be a finite number, got -inf"),
     "pdr.initial_step_length is 0": (
         "", TRACK_FLOW + ["--set", "pdr.initial_step_length=0"],
-        "config key 'pdr.initial_step_length' must be above 0, got 0.0"),
+        "config.pdr.initial_step_length must be above 0, got 0.0"),
     "pdr.initial_step_length is -1": (
         "", TRACK_FLOW + ["--set", "pdr.initial_step_length=-1"],
-        "config key 'pdr.initial_step_length' must be above 0, got -1.0"),
+        "config.pdr.initial_step_length must be above 0, got -1.0"),
     "pdr.min_steps_for_update is -3": (
         "", TRACK_FLOW + ["--set", "pdr.min_steps_for_update=-3"],
-        "config key 'pdr.min_steps_for_update' must be at least 0, got -3"),
+        "config.pdr.min_steps_for_update must be at least 0, got -3"),
     "landmarks.still_min_s above still_max_s": (
         "", TRACK_FLOW + ["--set", "landmarks.still_min_s=9"],
-        "config key 'landmarks.still_min_s' must be at most still_max_s (8.0), got 9.0"),
+        "config.landmarks.still_min_s must be at most still_max_s (8.0), got 9.0"),
     "landmarks.still_max_s below still_min_s in a config file": (
         '{"landmarks": {"still_max_s": 0.5}}', TRACK_FLOW + ["--config", "BAD"],
-        "config key 'landmarks.still_min_s' must be at most still_max_s (0.5), got 1.0"),
+        "config.landmarks.still_min_s must be at most still_max_s (0.5), got 1.0"),
     "quality.period_max below period_min": (
         "", MAP_FLOW + ["--set", "quality.period_max=0.1"],
-        "config key 'quality.period_min' must be at most period_max (0.1), got 0.4"),
+        "config.quality.period_min must be at most period_max (0.1), got 0.4"),
     "map config band is inverted": (
         json.dumps({"version": 1, "config": {"period_min": 1.0, "period_max": 0.5},
                     "entries": []}),
@@ -932,19 +938,29 @@ MALFORMED = {
         "bad.json: config.version must be 1, got 7"),
     "config version is 7 by --set": (
         "", LOCALIZE_FLOW + ["--set", "version=7"], "error: config.version must be 1, got 7"),
+    "localization.metric is 50000 characters": (
+        "", LOCALIZE_FLOW + ["--set", "localization.metric=" + "x" * 50000],
+        "config.localization.metric must be one of ['euclidean', 'sorensen'], got 'xxx"),
+    "localization.tau_scope is 50000 characters": (
+        "", LOCALIZE_FLOW + ["--set", "localization.tau_scope=" + "x" * 50000],
+        "config.localization.tau_scope must be one of ['both', 'map', 'query'], got 'xxx"),
+    "map config sigma_floor is 0": (
+        json.dumps({"version": 1, "config": {"sigma_floor": 0}, "entries": []}),
+        ["localize", "BAD", "--rss", "ap-w=-50"],
+        "error: map.config.sigma_floor must be above 0, got 0.0"),
     "localization.k is 0": (
         "", ["evaluate", "FLOW/map.json", "FLOW/queries.jsonl",
              "--set", "localization.k=0"],
-        "config key 'localization.k' must be at least 1, got 0"),
+        "config.localization.k must be at least 1, got 0"),
     "localization.tau is NaN by --set": (
         "", LOCALIZE_FLOW + ["--set", "localization.tau=NaN"],
-        "config key 'localization.tau' must be finite, got nan"),
+        "config.localization.tau must be a finite number, got nan"),
     "localization.tau is NaN in a config file": (
         '{"localization": {"tau": NaN}}', LOCALIZE_FLOW + ["--config", "BAD"],
-        "config key 'localization.tau' must be finite, got nan"),
+        "config.localization.tau must be a finite number, got nan"),
     "localization.tau is NaN for simulate": (
         "", ["simulate", "FLOW/scenario.json", "--set", "localization.tau=NaN"],
-        "config key 'localization.tau' must be finite, got nan"),
+        "config.localization.tau must be a finite number, got nan"),
     "--taus holds nan": (
         "", ["sweep", "FLOW/map.json", "FLOW/queries.jsonl", "--taus=nan,inf"],
         "--taus value must be a finite number, got nan"),
@@ -988,7 +1004,10 @@ def test_malformed_input_gives_one_error_line(flow, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["--set value is nested too deep", "map entry x overflows",
-                                  "map RSS overflows a float"])
+                                  "map RSS overflows a float",
+                                  "localization.metric is 50000 characters",
+                                  "localization.tau_scope is 50000 characters",
+                                  "trajectory periods is a long string"])
 def test_an_error_quotes_a_long_value_cut_short(flow, tmp_path, capsys, case):
     # a 200 KB --set value or a 401-digit number is quoted by its first
     # 100 characters, not in full
@@ -1154,16 +1173,16 @@ UNLOADED = {
     "simulate": {"pdr", "radiomap", "localization"},
     "track": {"sim", "localization"},
     "build-map": {"sim", "localization"},
-    "localize": {"sim", "pdr", "landmarks"},
-    "evaluate": {"sim", "pdr", "landmarks"},
-    "sweep": {"sim", "pdr", "landmarks"},
+    "localize": {"sim", "pdr", "landmarks", "sensors"},
+    "evaluate": {"sim", "pdr", "landmarks", "sensors"},
+    "sweep": {"sim", "pdr", "landmarks", "sensors"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(UNLOADED))
 def test_each_subcommand_loads_only_its_stages(flow, tmp_path, command):
     # a process pays for every module it loads, and each CLI call is one
-    # process; the config tree and the package load no stage
+    # process; the config tree, its readers and the package load no stage
     argv = {
         "simulate": ["FLOW/scenario.json"],
         "track": ["FLOW/trace.jsonl", "--graph", "FLOW/graph.json"],
@@ -1182,7 +1201,7 @@ def test_each_subcommand_loads_only_its_stages(flow, tmp_path, command):
          *argv, "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, check=True).stdout
     loaded = set(json.loads(out.splitlines()[-1]))
-    assert {"cli", "config", "sensors"} <= loaded
+    assert {"cli", "config", "records"} <= loaded
     assert not loaded & UNLOADED[command], sorted(loaded)
 
 

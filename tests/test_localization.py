@@ -11,6 +11,7 @@ from stridemap.localization import (LocalizationConfig, VectorizedMap,
                                     read_fingerprints, to_positive,
                                     vectorize_map)
 from stridemap.radiomap import RadioMap, RadioMapEntry
+from stridemap.records import record
 
 
 def dist(a, b, metric="euclidean"):
@@ -392,22 +393,29 @@ def test_kernel_across_chunk_boundaries(monkeypatch, k):
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config validation: a config read from a file or a flag is checked by the
+# rules its fields declare; one built in code is taken as given
+
+read_config = record(LocalizationConfig)
 
 
 def test_k_must_be_positive():
-    with pytest.raises(ValueError, match="k"):
-        LocalizationConfig(k=0)
+    with pytest.raises(ValueError, match=r"^config\.k must be at least 1, got 0$"):
+        read_config({"k": 0}, "config", ValueError)
 
 
 def test_unknown_metric_rejected():
-    with pytest.raises(ValueError, match="metric"):
-        LocalizationConfig(metric="cosine")
+    with pytest.raises(ValueError, match=r"^config\.metric must be one of \['euclidean', "
+                                         r"'sorensen'\], got 'cosine'$"):
+        read_config({"metric": "cosine"}, "config", ValueError)
 
 
 def test_unknown_tau_scope_rejected():
-    with pytest.raises(ValueError, match="tau_scope"):
-        LocalizationConfig(tau_scope="neither")
+    with pytest.raises(ValueError, match=r"^config\.tau_scope must be one of \['both', "
+                                         r"'map', 'query'\], got 'neither'$"):
+        read_config({"tau_scope": "neither"}, "config", ValueError)
+    assert read_config({"tau_scope": "map", "k": 2.0}, "config", ValueError) == \
+        LocalizationConfig(k=2, tau_scope="map")
 
 
 # ---------------------------------------------------------------------------

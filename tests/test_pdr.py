@@ -17,8 +17,9 @@ from stridemap.pdr import (HeadingSource, MatchState, PathSegment, PdrConfig,
                            match_landmark, floor_update, pdr_step,
                            round_floor, run_pdr, trajectory_errors,
                            update_step_length)
+from stridemap.records import number, read_jsonl, shown
 from stridemap.sensors import (Channel, SensorTrace, TraceError, TruthChannel,
-                               detect_steps, number, read_jsonl)
+                               detect_steps)
 
 from conftest import DT, accel_channel, flat, walking
 
@@ -422,7 +423,7 @@ def load_trajectory_field_by_field(path) -> Trajectory:
                                  f"periods; the file predates them, re-run track")
             periods = rec["periods"]
             if not isinstance(periods, list):
-                raise TraceError(f"{path}:{ln}: periods must be a list, got {periods!r}")
+                raise TraceError(f"{path}:{ln}: periods must be a list, got {shown(periods)}")
             try:
                 periodicities = [number(v, "period") for v in periods]
             except ValueError as exc:

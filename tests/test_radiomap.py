@@ -416,7 +416,7 @@ def test_load_rejects_unknown_config_field(tmp_path):
 
 def test_load_reads_version_and_floor_by_one_integer_rule(tmp_path):
     # a version of 1.0 used to load while a floor of 1.0 was refused; both
-    # are integers as sensors.number reads them, and 1.5 is neither
+    # are integers as records.number reads them, and 1.5 is neither
     entry = lambda d: d["entries"][0]
     path = write_map(tmp_path, lambda d: (d.update(version=1.0),
                                           entry(d).update(floor=float(entry(d)["floor"]))))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stridemap import sensors
+from stridemap import records, sensors
 from stridemap.sensors import (CHANNELS, Channel, MotionState, SensorTrace,
                                TraceError, TruthChannel, WifiScan,
                                _magnitudes, classify_motion, detect_steps,
@@ -112,20 +112,20 @@ def scan_readings_pair_by_pair(v) -> dict:
     """The reference: sensors._scan_readings as it read every scan, one
     pair at a time, before its whole-scan test."""
     if not isinstance(v, list):
-        raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {sensors.shown(v)}")
+        raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {records.shown(v)}")
     readings = {}
     for pair in v:
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and pair[0]):
             raise TraceError("WiFi reading must be a [mac, rss] pair with a "
-                             f"non-empty string MAC, got {sensors.shown(pair)}")
+                             f"non-empty string MAC, got {records.shown(pair)}")
         mac, value = pair
         if mac in readings:
-            raise TraceError(f"duplicate MAC {sensors.shown(mac)} in scan")
-        reading = sensors.rss(value)
+            raise TraceError(f"duplicate MAC {records.shown(mac)} in scan")
+        reading = records.rss(value)
         if reading is None:
-            raise TraceError(f"RSS of {sensors.shown(mac)} {sensors.RSS_RULE}, "
-                             f"got {sensors.shown(value)}")
+            raise TraceError(f"RSS of {records.shown(mac)} {records.RSS_RULE}, "
+                             f"got {records.shown(value)}")
         readings[mac] = reading
     return readings
 
@@ -582,11 +582,11 @@ def test_a_file_that_changes_after_its_count_is_read_by_json(tmp_path):
 
 
 def test_an_error_quotes_a_value_by_its_first_100_characters():
-    assert sensors.shown("x" * 98) == repr("x" * 98)
-    assert sensors.shown("x" * 99) == repr("x" * 99)[:100] + "..."
+    assert records.shown("x" * 98) == repr("x" * 98)
+    assert records.shown("x" * 99) == repr("x" * 99)[:100] + "..."
     with pytest.raises(TraceError) as exc:
         sensors._scan_readings([["aa", -50], ["b" * 10**5, 1]])
-    assert str(exc.value) == f"RSS of '{'b' * 99}... {sensors.RSS_RULE}, got 1"
+    assert str(exc.value) == f"RSS of '{'b' * 99}... {records.RSS_RULE}, got 1"
 
 
 def test_load_refuses_an_unknown_channel_name(tmp_path):

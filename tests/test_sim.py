@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import stridemap.sim as sim
 from conftest import demo_scenario
 from stridemap.landmarks import RuleKind, detect_baro_landmarks
-from stridemap.sensors import RSS_MAX_DBM, detect_steps, dump_trace
+from stridemap.records import RSS_MAX_DBM
+from stridemap.sensors import detect_steps, dump_trace
 from stridemap.sim import (BASE_PRESSURE, BUMP_AMPLITUDE, FLOOR_ATTENUATION_DB,
                            GRAVITY, MAG_EVERY, MAX_WALK_TICKS, PRESSURE_PER_FLOOR,
                            RSS_CUTOFF_DBM, TICK, TRUTH_EVERY, Ap, Environment,
@@ -118,10 +120,16 @@ def test_irregular_leg_changes_cadence():
 
 
 def test_overlong_irregular_stride_rejected():
-    sc = corridor_scenario(walk={"irregular_legs": [0],
-                                 "irregular_lengths": [2.5, 0.3]})
-    with pytest.raises(ScenarioError, match="1.85"):
-        plan_walk(sc.environment, sc.walk)
+    with pytest.raises(ScenarioError, match=r"^scenario\.walk\.irregular_lengths\[0\] must be "
+                                            r"at most 1\.85, got 2\.5$"):
+        corridor_scenario(walk={"irregular_legs": [0], "irregular_lengths": [2.5, 0.3]})
+
+
+def test_too_short_irregular_period_rejected():
+    # 0.3 s is 15 ticks, too short for the step detector to separate peaks
+    with pytest.raises(ScenarioError, match=r"^scenario\.walk\.irregular_periods\[1\] must be "
+                                            r"at least 0\.32, got 0\.3$"):
+        corridor_scenario(walk={"irregular_legs": [0], "irregular_periods": [0.4, 0.3]})
 
 
 def test_step_period_must_fit_grid():
@@ -161,6 +169,27 @@ def test_a_scan_interval_below_one_tick_is_refused(interval):
         generate_trace(sc.environment, walk, sc.noise)
     assert len(generate_trace(sc.environment, replace(walk, scan_interval_s=TICK),
                               sc.noise).wifi) == 1000
+
+
+@pytest.mark.parametrize("walk, key", [
+    ({"stops": [{"at": "b", "duration_s": 1e-11}]}, "walk.stops at 'b'"),
+    ({"warmup_s": 1e-11}, "walk.warmup_s"),
+    ({"cooldown_s": 2e-11}, "walk.cooldown_s"),
+])
+def test_a_stop_or_warm_up_below_one_tick_is_refused(walk, key):
+    # each rounded to 0 ticks and was planned as no pause at all
+    sc = corridor_scenario(walk=walk)
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(key)} \(.* s\) must be at least "
+                                            r"one sample tick \(0\.02 s\)$"):
+        plan_walk(sc.environment, sc.walk)
+
+
+def test_a_pause_of_one_tick_or_none_is_planned():
+    one_tick = {"warmup_s": TICK, "cooldown_s": 0.0, "stops": [{"at": "b", "duration_s": TICK}]}
+    sc = corridor_scenario(walk=one_tick)
+    plan = plan_walk(sc.environment, sc.walk)
+    assert [(p.kind, p.t1 - p.t0) for p in plan.phases] == [
+        ("still", 1), ("walk", 800), ("still", 1)]
 
 
 def test_tick_budget_is_far_above_a_long_survey():
@@ -552,10 +581,10 @@ def ap0(d):
     (lambda d: d["walk"].update(stops=[{"at": "z", "duration_s": 1.0}]),
      "unknown landmark"),
     (lambda d: d["walk"].update(stops=[{"at": "b", "duration_s": 0.0}]),
-     "positive"),
+     "duration_s must be above 0, got 0.0"),
     (lambda d: d["walk"].update(irregular_legs=[5]), "out of range"),
-    (lambda d: d["walk"].update(scan_interval_s=0.0), "scan interval"),
-    (lambda d: d["noise"].update(accel_std_mps2=-0.1), "non-negative"),
+    (lambda d: d["walk"].update(scan_interval_s=0.0), "scan_interval_s must be above 0"),
+    (lambda d: d["noise"].update(accel_std_mps2=-0.1), "accel_std_mps2 must be at least 0"),
     (lambda d: d["noise"].update(compass_zones=[
         {"x_min": 5.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0,
          "floor": 1, "bias_deg": 10.0}]), "inverted"),
@@ -567,7 +596,7 @@ def ap0(d):
      "change floor"),
     (lambda d: d["environment"].update(stairs=[{"from": "a", "to": "z"}]),
      "unknown landmark"),
-    (lambda d: d["environment"].update(floor_height_m=0.0), "positive"),
+    (lambda d: d["environment"].update(floor_height_m=0.0), "floor_height_m must be above 0"),
     (lambda d: d.update(walk=[]), r"^scenario\.walk must be an object"),
     (lambda d: ap0(d).pop("x"), r"aps\[0\] is missing fields \['x'\]"),
     (lambda d: ap0(d).update(gain=1), r"aps\[0\] has unknown fields \['gain'\]"),
@@ -601,8 +630,10 @@ def ap0(d):
     (lambda d: d["walk"].update(irregular_legs=[0.5]),
      r"irregular_legs\[0\] must be an integer"),
     (lambda d: d["walk"].update(irregular_periods=0.5), "irregular_periods must be an array"),
-    (lambda d: d["walk"].update(cooldown_s=-0.02), "cooldown_s must be non-negative"),
-    (lambda d: d["noise"].update(seed=-1), "noise.seed must be non-negative"),
+    (lambda d: d["walk"].update(irregular_periods=[]), "irregular_periods must not be empty"),
+    (lambda d: d["walk"].update(irregular_lengths=[]), "irregular_lengths must not be empty"),
+    (lambda d: d["walk"].update(cooldown_s=-0.02), "cooldown_s must be at least 0"),
+    (lambda d: d["noise"].update(seed=-1), "noise.seed must be at least 0"),
     (lambda d: d["noise"].update(gyro_bias=0.1), r"unknown fields \['gyro_bias'\]"),
     (lambda d: d["noise"].update(compass_zones=[{"x_min": 0.0}]), r"compass_zones\[0\] is missing"),
 ])
@@ -627,8 +658,8 @@ def far_landmark(d, value):
 @pytest.mark.parametrize("value", [1e200, -1e200, 1.0000001e6, -1e300])
 def test_a_coordinate_beyond_a_million_metres_is_refused(where, place, value):
     # an AP at 1e200 m overflowed the squared distance of the WiFi model
-    with pytest.raises(ScenarioError, match=rf"^scenario\.environment\.{where} must be a "
-                                            r"coordinate in \[-1e\+06, 1e\+06\] m, got "):
+    with pytest.raises(ScenarioError, match=rf"^scenario\.environment\.{where} must be at "
+                                            r"(least -|most )1e\+06, got "):
         scenario_from_dict(broken(lambda d: place(d, value)))
 
 
@@ -637,6 +668,14 @@ def test_a_coordinate_at_the_bound_is_read():
     sc = scenario_from_dict(d)
     assert (sc.environment.aps[1].x, sc.environment.aps[1].y) == (1e6, -1e6)
     assert all("ap-e" not in s.readings for s in trace_of(sc).wifi)  # far out of range
+
+
+@pytest.mark.parametrize("key, value", [("floor", 1e200), ("path_loss_exponent", 1e308)])
+def test_an_ap_whose_loss_passes_the_float_range_is_absent(key, value):
+    # its squared distance or its loss overflowed, with a RuntimeWarning
+    sc = scenario_from_dict(broken(lambda d: d["environment"]["aps"][1].update({key: value})))
+    wifi = trace_of(sc).wifi
+    assert wifi and all("ap-e" not in s.readings and "ap-w" in s.readings for s in wifi)
 
 
 
