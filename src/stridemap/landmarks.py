@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import LandmarkConfig, SensorConfig
 from .records import (array, choice, flag, members, number, read_json,
-                      record, text)
+                      record, shown, text)
 from .sensors import MotionState, SensorTrace, motion_runs
 
 # Gyro events inside a confirmed stop are phone fidgeting, not corners.
@@ -324,7 +324,7 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
     nodes: dict[str, Landmark] = {}
     for lm in graph["nodes"]:
         if lm.id in nodes:
-            raise GraphError(f"duplicate landmark id {lm.id!r}")
+            raise GraphError(f"duplicate landmark id {shown(lm.id)}")
         nodes[lm.id] = lm
 
     edges: list[Edge] = []
@@ -332,19 +332,19 @@ def graph_from_dict(data: dict) -> LandmarkGraph:
         frm, to, distance = ed["from"], ed["to"], ed["distance_m"]
         for endpoint in (frm, to):
             if endpoint not in nodes:
-                raise GraphError(f"edge references unknown landmark {endpoint!r}")
+                raise GraphError(f"edge references unknown landmark {shown(endpoint)}")
         heading = math.radians(ed["heading_deg"]) % (2 * math.pi)
         a, b = nodes[frm], nodes[to]
         if not ed.get("override", False):
             geom_d = math.hypot(b.x - a.x, b.y - a.y)
             if abs(geom_d - distance) > DISTANCE_TOL_M:
                 raise GraphError(
-                    f"edge {frm!r}->{to!r}: declared distance {distance} "
+                    f"edge {shown(frm)}->{shown(to)}: declared distance {distance} "
                     f"disagrees with coordinates ({geom_d:.3f})")
             geom_h = bearing(a.x, a.y, b.x, b.y)
             if circular_diff(geom_h, heading) > HEADING_TOL_RAD:
                 raise GraphError(
-                    f"edge {frm!r}->{to!r}: declared heading disagrees "
+                    f"edge {shown(frm)}->{shown(to)}: declared heading disagrees "
                     f"with coordinates")
         edges.append(Edge(from_id=frm, to_id=to, heading=heading, distance=distance))
 

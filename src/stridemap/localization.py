@@ -1,29 +1,39 @@
 """Fingerprint matching against a radio map.
 
 Raw fingerprints (MAC -> RSS dBm) are recast as non-negative vectors over
-the map's AP universe: a detected AP at or above the RSS threshold scores
-its offset from one below the weakest map reading, everything else scores
-zero. Nearest neighbors under Euclidean or Sorensen distance then vote on
-position and floor.
+the map's AP universe. min_rss is one below the weakest map reading; an AP
+read at or above the RSS threshold and above min_rss is detected and
+scores its offset from min_rss, everything else scores zero. Nearest
+neighbors under Euclidean or Sorensen distance then vote on position and
+floor.
 
-One kernel, knn, scores a whole matrix of query vectors against the map:
-evaluate passes every query at once and knn_localize a single row. Since
-every loader bounds RSS to [RSS_MIN_DBM, RSS_MAX_DBM], vector components
-are small integers and the batched distances are exact. The matching
-parameters (k, metric, tau and its scope) are LocalizationConfig, in
-stridemap.config.
+Two scorers apply that one rule. knn scores a whole matrix of query
+vectors with numpy: evaluate passes every query at once, sweep once per
+tau. knn_localize scores its one fingerprint in plain Python, so a single
+fix never imports numpy, whose import takes longer than the fix itself on
+a map of up to about 30,000 entries. Since every loader bounds RSS to
+[RSS_MIN_DBM, RSS_MAX_DBM], vector components are small integers and
+every distance sum is exact in any order; both scorers add the centroid
+left to right, nearest neighbour first. So the two return the same bits.
+The matching parameters (k, metric, tau and its scope) are
+LocalizationConfig, in stridemap.config.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
-from math import inf
-from typing import Callable, Sequence
-
-import numpy as np
+from math import inf, sqrt
+from operator import mul, sub
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .config import LocalizationConfig
-from .radiomap import RadioMap
+
+if TYPE_CHECKING:  # numpy is imported by the batch functions that use it
+    import numpy as np
+
+    from .radiomap import RadioMap
 
 @dataclass(frozen=True)
 class LocalizationResult:
@@ -50,20 +60,23 @@ class Readings:
     def vectors(self, universe: Sequence[str], tau: float, min_rss: float) -> np.ndarray:
         """Non-negative vector form of every fingerprint over universe.
 
-        Component j is RSS_j - min_rss when AP j is read at or above tau,
-        else 0. min_rss at most one below the weakest map reading keeps the
-        present components positive; APs outside the universe are ignored.
+        Component j is RSS_j - min_rss when AP j is read at or above tau
+        and above min_rss, else 0: a reading no stronger than min_rss, which
+        lies below the weakest map reading, is no detection. APs outside the
+        universe are ignored.
         """
+        import numpy as np
         col = {mac: j for j, mac in enumerate(self.macs)}
         have = [j for j, mac in enumerate(universe) if mac in col]
         rss = self.rss[:, [col[universe[j]] for j in have]]
         out = np.zeros((len(self.rss), len(universe)))
-        out[:, have] = np.where(rss >= tau, rss - min_rss, 0.0)
+        out[:, have] = np.where((rss >= tau) & (rss > min_rss), rss - min_rss, 0.0)
         return out
 
 
 def read_fingerprints(fps: Sequence[dict[str, int]]) -> Readings:
     """Readings of fps, in order, over every MAC any of them reports."""
+    import numpy as np
     macs = sorted({mac for fp in fps for mac in fp})
     col = {mac: j for j, mac in enumerate(macs)}
     rows = np.repeat(np.arange(len(fps)), [len(fp) for fp in fps])
@@ -73,6 +86,28 @@ def read_fingerprints(fps: Sequence[dict[str, int]]) -> Readings:
     return Readings(macs=tuple(macs), rss=matrix)
 
 
+class _Components(dict):
+    """Readings.vectors' rule in plain Python: self[rss] is the component
+    of a reading under tau and min_rss, worked out once per distinct
+    reading, and self[None], an AP not read, is 0. Looking readings up
+    spares a Python-level test per AP and entry."""
+
+    def __init__(self, tau: float, min_rss: float):
+        super().__init__({None: 0.0})
+        self.tau, self.min_rss = tau, min_rss
+
+    def __missing__(self, rss: float) -> float:
+        value = self[rss] = (rss - self.min_rss
+                             if rss >= self.tau and rss > self.min_rss else 0.0)
+        return value
+
+
+def _vector(fp: dict[str, int], universe: Sequence[str], tau: float,
+            min_rss: float) -> list[float]:
+    """One fingerprint's components over universe, in plain Python."""
+    return list(map(_Components(tau, min_rss).__getitem__, map(fp.get, universe)))
+
+
 def to_positive(
     fp: dict[str, int],
     universe: Sequence[str],
@@ -80,7 +115,8 @@ def to_positive(
     min_rss: float,
 ) -> np.ndarray:
     """Non-negative vector form of one raw fingerprint (Readings.vectors)."""
-    return read_fingerprints([fp]).vectors(universe, tau, min_rss)[0]
+    import numpy as np
+    return np.array(_vector(fp, universe, tau, min_rss), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +146,7 @@ def vectorize_map(radio_map: RadioMap, cfg: LocalizationConfig = LocalizationCon
     """The matching index of radio_map under cfg. readings, when given,
     must be read_fingerprints of the map's entries; a caller vectorizing
     one map under several configs reads them once."""
+    import numpy as np
     if not radio_map.entries:
         raise ValueError("radio map is empty")
     map_tau, _ = _scope_taus(cfg)
@@ -167,8 +204,8 @@ def _scorer(m: np.ndarray, metric: str) -> tuple[
     row, ties included, is the order of the distances; finish(q, picked)
     turns the scores picked from each row into distances.
 
-    Every component is an RSS in [-200, 0] dBm minus an integral min_rss
-    in [-201, -1], so an integer of magnitude at most 201. Each sum below
+    Every component is 0 or an RSS in [-200, 0] dBm minus an integral
+    min_rss in [-201, -1] below it, so an integer in [0, 201]. Each sum below
     is then an exact float64 integer, whatever order BLAS adds in, and the
     result has the same bits as summing (m - q)**2, or |m - q| over m + q,
     entry by entry. Euclidean ranks on the partial score |m|^2 - 2 q.m,
@@ -178,6 +215,7 @@ def _scorer(m: np.ndarray, metric: str) -> tuple[
     k picked get |q|^2 added and the root taken. Sorensen ranks on the
     distance itself.
     """
+    import numpy as np
     if metric == "euclidean":
         m_sq = (m * m).sum(axis=1)
         minus_2mt = -2.0 * m.T
@@ -211,6 +249,7 @@ def _nearest(score: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ties in index order (a stable argsort cut at k), and those scores.
     Each of k argmin passes takes the first of the row's remaining minima,
     then sets it to inf in score, which is overwritten."""
+    import numpy as np
     rows = np.arange(len(score))
     index = np.empty((len(score), k), dtype=np.intp)
     picked = np.empty((len(score), k))
@@ -235,6 +274,7 @@ def knn(index: VectorizedMap, queries: np.ndarray) -> Neighbors:
     CHUNK_ELEMENTS elements, so memory does not grow with the
     number of queries. A k beyond the map size uses every entry.
     """
+    import numpy as np
     if queries.ndim != 2 or queries.shape[1] != len(index.universe):
         raise ValueError(f"query vectors need one column per universe AP "
                          f"({len(index.universe)}), got shape {queries.shape}")
@@ -253,9 +293,33 @@ def knn(index: VectorizedMap, queries: np.ndarray) -> Neighbors:
         floor = np.where(sole, labels[votes.argmax(axis=1)],
                          index.floors[nearest[:, 0]])
         dist = finish(chunk, picked)
-        parts.append((nearest, dist, index.xs[nearest].mean(axis=1),
-                      index.ys[nearest].mean(axis=1), floor))
+        # the centroid is summed from 0.0, nearest first, as knn_localize
+        # adds it; numpy's mean adds 8 or more in another order
+        x, y = np.zeros(len(chunk)), np.zeros(len(chunk))
+        for column in nearest.T:
+            x += index.xs[column]
+            y += index.ys[column]
+        parts.append((nearest, dist, x / k, y / k, floor))
     return Neighbors(*(np.concatenate(col) for col in zip(*parts)))
+
+
+def _distances(rows: Iterable[Iterable[float]], q: list[float],
+               metric: str) -> list[float]:
+    """The distance from q to each row, as knn's scorer computes it. Every
+    sum adds integers exactly (see _scorer), so each distance has knn's
+    bits, and ranking on it gives knn's neighbours and ties."""
+    if metric == "euclidean":
+        def distance(row: Iterable[float]) -> float:
+            d = list(map(sub, row, q))
+            return sqrt(sum(map(mul, d, d)))
+    else:
+        q_sum = sum(q)
+
+        def distance(row: Iterable[float]) -> float:
+            row = list(row)
+            total = sum(row) + q_sum
+            return (total - 2.0 * sum(map(min, row, q))) / total if total else 0.0
+    return list(map(distance, rows))
 
 
 def knn_localize(
@@ -263,13 +327,46 @@ def knn_localize(
     radio_map: RadioMap | VectorizedMap,
     cfg: LocalizationConfig = LocalizationConfig(),
 ) -> LocalizationResult:
-    """Estimate a pose for one raw fingerprint: knn on a one-row matrix."""
-    index = _index(radio_map, cfg)
-    _, query_tau = _scope_taus(cfg)
-    nb = knn(index, to_positive(query, index.universe, query_tau, index.min_rss)[None])
+    """Estimate a pose for one raw fingerprint, in plain Python.
+
+    The vectors, distances, neighbours, centroid and floor vote are knn's,
+    bit for bit, but no numpy is imported: for one fingerprint that import
+    takes longer than scoring a map of up to about 30,000 entries. An index
+    passed in must be vectorized under cfg; its rows are read as lists.
+    """
+    map_tau, query_tau = _scope_taus(cfg)
+    if isinstance(radio_map, VectorizedMap):
+        index = _index(radio_map, cfg)
+        universe, min_rss, rows = index.universe, index.min_rss, index.matrix.tolist()
+        xs, ys, floors = index.xs.tolist(), index.ys.tolist(), index.floors.tolist()
+    else:
+        entries = radio_map.entries
+        if not entries:
+            raise ValueError("radio map is empty")
+        weakest = min((min(e.fp.values()) for e in entries if e.fp), default=None)
+        if weakest is None:
+            raise ValueError("radio map has no RSS readings")
+        min_rss = weakest - 1.0
+        universe = sorted({mac for e in entries for mac, rss in e.fp.items()
+                           if rss >= map_tau})
+        # each row is made as it is scored, so no map matrix is held
+        component = _Components(map_tau, min_rss).__getitem__
+        rows = (map(component, map(e.fp.get, universe)) for e in entries)
+        xs, ys, floors = ([e.x for e in entries], [e.y for e in entries],
+                          [e.floor for e in entries])
+    dist = _distances(rows, _vector(query, universe, query_tau, min_rss), cfg.metric)
+    # ties in map order, as a stable sort gives them
+    nearest = heapq.nsmallest(cfg.k, range(len(dist)), key=dist.__getitem__)
+    x = y = 0.0
+    for i in nearest:
+        x += xs[i]
+        y += ys[i]
+    (floor, top), *rest = Counter(floors[i] for i in nearest).most_common(2)
+    if rest and rest[0][1] == top:
+        floor = floors[nearest[0]]
     return LocalizationResult(
-        x=float(nb.x[0]), y=float(nb.y[0]), floor=int(nb.floor[0]),
-        neighbors=tuple(zip(nb.index[0].tolist(), nb.dist[0].tolist())))
+        x=x / len(nearest), y=y / len(nearest), floor=int(floor),
+        neighbors=tuple((i, dist[i]) for i in nearest))
 
 
 @dataclass(eq=False)
@@ -315,6 +412,7 @@ def evaluate(
     call. readings, when given, must be read_fingerprints of the test
     fingerprints; a caller scoring the same queries under several configs
     reads them once."""
+    import numpy as np
     if not test:
         raise ValueError("no test queries")
     index = _index(radio_map, cfg)

@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
 from .config import QualityConfig, in_order
 from .records import (array, field_reader, fingerprint, members, read_json,
                       record, version, writing)
@@ -73,6 +71,7 @@ def segment_belief(segment: PathSegment, cfg: QualityConfig = QualityConfig()) -
     so perfectly steady cadence stays finite). Fewer than two measured
     periods leave the spread meaningless, so the belief is undefined.
     """
+    import numpy as np  # here alone, so a map reader such as localize loads none
     periods = np.asarray(segment.periodicities, dtype=float)
     if periods.size < 2:
         return None

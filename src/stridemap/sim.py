@@ -228,27 +228,27 @@ def scenario_from_dict(data: dict) -> Scenario:
     macs = [ap.mac for ap in env.aps]
     for i, mac in enumerate(macs):
         if mac in macs[:i]:
-            raise ScenarioError(f"duplicate ap mac {mac!r}")
+            raise ScenarioError(f"duplicate ap mac {shown(mac)}")
     for frm, to in env.stairs:
         for lid in (frm, to):
             if lid not in nodes:
-                raise ScenarioError(f"stair references unknown landmark {lid!r}")
+                raise ScenarioError(f"stair references unknown landmark {shown(lid)}")
         if nodes[frm].floor == nodes[to].floor:
-            raise ScenarioError(f"stair {frm!r}->{to!r} does not change floor")
+            raise ScenarioError(f"stair {shown(frm)}->{shown(to)} does not change floor")
     for lm in nodes.values():
         lines = env.corridors.get(lm.floor)
         if not lines or not _on_corridor(lm.x, lm.y, lines):
             raise ScenarioError(
-                f"landmark {lm.id!r} is not on a floor-{lm.floor} corridor")
+                f"landmark {shown(lm.id)} is not on a floor-{lm.floor} corridor")
 
     if len(walk.waypoints) < 2:
         raise ScenarioError("walk needs at least two waypoints")
     for wp in walk.waypoints:
         if wp not in nodes:
-            raise ScenarioError(f"waypoint {wp!r} is not a landmark")
+            raise ScenarioError(f"waypoint {shown(wp)} is not a landmark")
     for at, _ in walk.stops:
         if at not in nodes:
-            raise ScenarioError(f"stop at unknown landmark {at!r}")
+            raise ScenarioError(f"stop at unknown landmark {shown(at)}")
     for leg in walk.irregular_legs:
         if not 0 <= leg < len(walk.waypoints) - 1:
             raise ScenarioError(f"irregular leg index {leg} out of range")
@@ -334,7 +334,7 @@ def _find_edge(graph: LandmarkGraph, a: str, b: str) -> Edge:
     for e in graph.out_edges(a):
         if e.to_id == b:
             return e
-    raise ScenarioError(f"waypoints {a!r} -> {b!r} are not connected")
+    raise ScenarioError(f"waypoints {shown(a)} -> {shown(b)} are not connected")
 
 
 def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
@@ -439,7 +439,7 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
         if na.floor != nb.floor:
             if abs(na.floor - nb.floor) != 1:
                 raise ScenarioError(
-                    f"stair leg {a!r}->{b!r} must span exactly one floor")
+                    f"stair leg {shown(a)}->{shown(b)} must span exactly one floor")
             emit_turn(edge.heading)
             pad = (-state["tick"]) % 50  # climbs start on whole seconds
             emit_still(pad, "walk.waypoints")
@@ -470,7 +470,7 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
                 lengths = [edge.distance / n] * n
             emit_leg(edge, "walk", periods, lengths, float(nb.floor), what)
         if b in stop_for:
-            what = f"walk.stops at {b!r}"
+            what = f"walk.stops at {shown(b)}"
             emit_still(_ticks(stop_for[b], what), what)
 
     emit_still(_ticks(script.cooldown_s, "walk.cooldown_s"), "walk.cooldown_s")

@@ -121,7 +121,9 @@ def oracle_to_positive(fp, universe, tau, min_rss):
     out = []
     for mac in universe:
         rss = fp.get(mac)
-        out.append(rss - min_rss if rss is not None and rss >= tau else 0.0)
+        # a reading no stronger than min_rss is no detection
+        out.append(rss - min_rss if rss is not None and rss >= tau and rss > min_rss
+                   else 0.0)
     return out
 
 

@@ -607,6 +607,13 @@ MALFORMED = {
         json.dumps({"nodes": [dict(TWO_NODES[0], rules=[["acc"]])], "edges": []}),
         GRAPH_BAD, "error: graph.nodes[0].rules[0] must be one of ['acc', 'baro_in', "
                    "'baro_out', 'gyro', 'gyro+', 'gyro-'], got ['acc']"),
+    # an id that names nothing is quoted by its first 100 characters
+    "scenario waypoint is 50000 characters": (
+        demo_with("x" * 50000, "walk", "waypoints", 1), ["simulate", "BAD"],
+        "error: waypoint 'xxx"),
+    "graph edge to is 50000 characters": (
+        json.dumps({"nodes": TWO_NODES, "edges": [dict(EDGE_AB, to="y" * 50000)]}),
+        GRAPH_BAD, "error: edge references unknown landmark 'yyy"),
     "graph edge endpoint is a list": (
         json.dumps({"nodes": TWO_NODES, "edges": [dict(EDGE_AB, to=["b"])]}),
         GRAPH_BAD, "error: graph.edges[0].to must be a non-empty string, got ['b']"),
@@ -1015,6 +1022,13 @@ def test_an_error_quotes_a_long_value_cut_short(flow, tmp_path, capsys, case):
     assert len(err.encode()) < 1024 and err.endswith("...")
 
 
+@pytest.mark.parametrize("case", ["scenario waypoint is 50000 characters",
+                                  "graph edge to is 50000 characters"])
+def test_a_reference_check_quotes_an_id_cut_short(flow, tmp_path, capsys, case):
+    err = malformed_error(flow, tmp_path, capsys, case)
+    assert len(err.encode()) < 1024 and "..." in err
+
+
 LONG_MAC = "m" * 50000
 # A flag whose own parser refuses a 40-50 KB argument.
 LONG_FLAG_ERRORS = {
@@ -1168,12 +1182,14 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-# subcommand -> stridemap modules its process must not load
+# subcommand -> stridemap modules its process must not load, and numpy
+# packages: a single fix is scored without numpy, and numpy.ma, which
+# np.median and np.percentile import, is left to evaluate and sweep
 UNLOADED = {
-    "simulate": {"pdr", "radiomap", "localization"},
-    "track": {"sim", "localization"},
-    "build-map": {"sim", "localization"},
-    "localize": {"sim", "pdr", "landmarks", "sensors"},
+    "simulate": {"pdr", "radiomap", "localization", "numpy.ma"},
+    "track": {"sim", "localization", "numpy.ma"},
+    "build-map": {"sim", "localization", "numpy.ma"},
+    "localize": {"sim", "pdr", "landmarks", "sensors", "numpy"},
     "evaluate": {"sim", "pdr", "landmarks", "sensors"},
     "sweep": {"sim", "pdr", "landmarks", "sensors"},
 }
@@ -1197,12 +1213,29 @@ def test_each_subcommand_loads_only_its_stages(flow, tmp_path, command):
     out = subprocess.run(
         [sys.executable, "-c", "import json, sys; from stridemap.cli import main; "
          "assert main(sys.argv[1:]) == 0; print(json.dumps([m.split('.')[1] "
-         "for m in sys.modules if m.startswith('stridemap.')]))",
+         "for m in sys.modules if m.startswith('stridemap.')] + [m for m in "
+         "('numpy', 'numpy.ma') if m in sys.modules]))",
          *argv, "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, check=True).stdout
     loaded = set(json.loads(out.splitlines()[-1]))
     assert {"cli", "config", "records"} <= loaded
     assert not loaded & UNLOADED[command], sorted(loaded)
+
+
+def test_localize_runs_where_numpy_cannot_be_imported(flow, tmp_path):
+    # None in sys.modules makes every import of numpy raise ImportError
+    (tmp_path / "fp.json").write_text(json.dumps({"ap-w": -50, "ap-n": -70}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for flag in (["--rss", "ap-w=-50", "--rss", "ap-n=-70"],
+                 ["--fingerprint", str(tmp_path / "fp.json")]):
+        argv = ["localize", str(flow / "map.json"), *flag]
+        outs = [subprocess.run(
+            [sys.executable, "-c", block + "import sys; from stridemap.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, check=True).stdout
+            for block in ("import sys; sys.modules['numpy'] = None; ", "")]
+        assert outs[0] == outs[1] and json.loads(outs[0])["floor"] == 1
 
 
 def test_strong_ap_clips_at_zero_dbm_through_the_pipeline(tmp_path):

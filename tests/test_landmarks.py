@@ -332,6 +332,25 @@ def test_duplicate_node_rejected():
         graph_from_dict(data)
 
 
+LONG_ID = "y" * 50000
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda g: g["nodes"].extend([dict(g["nodes"][0], id=LONG_ID)] * 2),
+    lambda g: g["edges"][0].update(to=LONG_ID),
+    lambda g: g["nodes"][1].update(id=LONG_ID) or g["edges"][0].update(
+        to=LONG_ID, distance_m=3.0),
+    lambda g: g["nodes"][1].update(id=LONG_ID) or g["edges"][0].update(
+        to=LONG_ID, heading_deg=45.0),
+], ids=["duplicate id", "unknown endpoint", "distance", "heading"])
+def test_a_reference_check_quotes_an_id_cut_short(mutate):
+    data = two_node_graph()
+    mutate(data)
+    with pytest.raises(GraphError) as err:
+        graph_from_dict(data)
+    assert len(str(err.value)) < 1024 and "yyy..." in str(err.value)
+
+
 def test_unknown_rule_rejected():
     data = two_node_graph()
     data["nodes"][0]["rules"] = ["sonar"]

@@ -1,9 +1,11 @@
 import math
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stridemap.localization import (LocalizationConfig, VectorizedMap,
@@ -80,10 +82,11 @@ def test_to_positive_ignores_aps_outside_universe():
 
 
 @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
-                       st.integers(-100, -1), max_size=4),
-       st.integers(-100, -40))
-def test_to_positive_never_negative(fp, tau):
-    out = to_positive(fp, ("a", "b", "c", "d"), float(tau), min_rss=-101.0)
+                       st.integers(-200, 0), max_size=4),
+       st.integers(-100, -40), st.integers(-201, -1))
+def test_to_positive_never_negative(fp, tau, min_rss):
+    # a query may read weaker than the map's weakest reading, min_rss + 1
+    out = to_positive(fp, ("a", "b", "c", "d"), float(tau), float(min_rss))
     assert (out >= 0).all()
 
 
@@ -281,8 +284,8 @@ def test_map_scope_tau_shrinks_universe():
 
 
 def reference_vector(fp, universe, tau, min_rss):
-    return np.array([fp[mac] - min_rss if mac in fp and fp[mac] >= tau else 0.0
-                     for mac in universe])
+    return np.array([fp[mac] - min_rss if mac in fp and fp[mac] >= tau
+                     and fp[mac] > min_rss else 0.0 for mac in universe])
 
 
 def reference_distances(matrix, q, metric):
@@ -295,8 +298,14 @@ def reference_distances(matrix, q, metric):
     return np.divide(diff, denom, out=np.zeros_like(diff), where=denom != 0)
 
 
+def centroid(values):
+    """The mean both kernels take: a sum from 0.0, left to right."""
+    return reduce(add, values, 0.0) / len(values)
+
+
 def reference_fix(fp, rm, cfg):
-    """(neighbors, x, y, floor) of one query: stable argsort, Counter vote."""
+    """(neighbors, x, y, floor) of one query: stable argsort, Counter vote,
+    the centroid summed nearest first."""
     map_tau = cfg.tau if cfg.tau_scope in ("both", "map") else -math.inf
     query_tau = cfg.tau if cfg.tau_scope in ("both", "query") else -math.inf
     min_rss = min(r for e in rm.entries for r in e.fp.values()) - 1.0
@@ -315,7 +324,7 @@ def reference_fix(fp, rm, cfg):
     leaders = [f for f, c in counts.items() if c == top]
     floor = leaders[0] if len(leaders) == 1 else floors[0]
     neighbors = tuple((int(i), float(d[i])) for i in order)
-    return neighbors, float(xs[order].mean()), float(ys[order].mean()), floor
+    return neighbors, centroid(xs[order].tolist()), centroid(ys[order].tolist()), floor
 
 
 MACS = ("a", "b", "c", "d", "e")
@@ -323,20 +332,27 @@ fingerprint = st.dictionaries(st.sampled_from(MACS + ("zz",)),
                               st.integers(-200, 0), max_size=5)
 
 
+# coordinates whose sums round: a centroid of 8 or more of them shows the
+# order its sum is taken in
+coordinate = st.one_of(st.integers(0, 9).map(float),
+                       st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False),
+                       st.integers(0, 10**6).map(lambda i: i / 97))
+
+
 @st.composite
-def knn_cases(draw):
+def knn_cases(draw, metrics=("euclidean", "sorensen")):
     # a small pool drawn with replacement: duplicate rows give distance ties
     pool = draw(st.lists(fingerprint, min_size=1, max_size=5))
-    n = draw(st.integers(1, 14))
-    entries = [(float(draw(st.integers(0, 9))), float(draw(st.integers(0, 9))),
+    n = draw(st.integers(1, 20))
+    entries = [(draw(coordinate), draw(coordinate),
                 draw(st.integers(0, 2)), dict(draw(st.sampled_from(pool))))
                for _ in range(n)]
     if not any(fp for *_, fp in entries):
         entries[0][3]["a"] = draw(st.integers(-200, 0))
     queries = draw(st.lists(st.one_of(st.sampled_from(pool), fingerprint),
                             min_size=1, max_size=6))
-    cfg = LocalizationConfig(k=draw(st.integers(1, n + 3)),
-                             metric=draw(st.sampled_from(["euclidean", "sorensen"])),
+    cfg = LocalizationConfig(k=draw(st.integers(1, 17)),
+                             metric=draw(st.sampled_from(metrics)),
                              tau=float(draw(st.integers(-205, 5))),
                              tau_scope=draw(st.sampled_from(["both", "map", "query"])))
     return make_map(*entries), queries, cfg
@@ -354,6 +370,21 @@ def test_kernel_matches_per_query_reference(case):
         assert fix.neighbors == neighbors
         assert (fix.x, fix.y, fix.floor) == (x, y, floor)
         assert (est.x[i], est.y[i], est.floor[i]) == (x, y, floor)
+
+
+# a query reading weaker than the map's weakest detects nothing: it is
+# at Sorensen distance 1 from both entries, not negative or 0
+@example((make_map((0.0, 0.0, 1, {"aa": -50}), (5.0, 0.0, 2, {"bb": -60})),
+          [{"aa": -90}, {"aa": -62}],
+          LocalizationConfig(k=2, metric="sorensen", tau=-100.0)))
+@settings(max_examples=100, deadline=None)
+@given(knn_cases(metrics=("sorensen",)))
+def test_sorensen_distance_lies_in_zero_to_one(case):
+    rm, queries, cfg = case
+    est = evaluate([((0.0, 0.0, 0), fp) for fp in queries], rm, cfg).fix
+    assert ((0.0 <= est.dist) & (est.dist <= 1.0)).all()
+    for fp in queries:
+        assert all(0.0 <= d <= 1.0 for _, d in knn_localize(fp, rm, cfg).neighbors)
 
 
 # duplicated rows tie; the empty query is the all-zero vector

@@ -16,7 +16,7 @@ from stridemap.pdr import (HeadingSource, MatchState, PathSegment, PdrConfig,
                            landmark_confidence, load_trajectory,
                            match_landmark, floor_update, pdr_step,
                            round_floor, run_pdr, trajectory_errors,
-                           update_step_length)
+                           update_step_length, _median)
 from stridemap.records import number, read_jsonl, shown
 from stridemap.sensors import (Channel, SensorTrace, TraceError, TruthChannel,
                                detect_steps)
@@ -542,3 +542,15 @@ def test_trajectory_errors_zero_for_exact_truth():
     from stridemap.pdr import Trajectory, PathSegment
     traj = Trajectory(segments=[PathSegment(points=poses, periodicities=[])])
     assert trajectory_errors(traj, trace).max() == 0.0
+
+
+# values with ties; + 0.0 turns -0.0 into 0.0, which sample intervals are
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 0.02, 0.021, 1.5]),
+                          st.floats(-1e300, 1e300, allow_nan=False).map(lambda v: v + 0.0)),
+                min_size=1, max_size=30))
+def test_median_is_numpys_without_numpy_ma(values):
+    a = np.array(values)
+    got = _median(a)
+    assert type(got) is float
+    assert got == float(np.median(a))

@@ -208,6 +208,39 @@ def test_unconnected_waypoints_rejected():
         plan_walk(sc.environment, sc.walk)
 
 
+LONG_ID = "y" * 50000
+
+
+def long_b(d):
+    """d with landmark b renamed LONG_ID in its graph and walk."""
+    graph = d["environment"]["graph"]
+    graph["nodes"][1]["id"] = graph["edges"][0]["to"] = LONG_ID
+    d["walk"]["waypoints"] = [LONG_ID if w == "b" else w for w in d["walk"]["waypoints"]]
+    return d
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: [ap.update(mac=LONG_ID) for ap in d["environment"]["aps"][:2]],
+    lambda d: d["environment"].update(stairs=[{"from": "a", "to": LONG_ID}]),
+    lambda d: long_b(d)["environment"].update(stairs=[{"from": "a", "to": LONG_ID}]),
+    lambda d: long_b(d)["environment"]["graph"]["nodes"][1].update(y=50.0)
+    or d["environment"]["graph"]["edges"][0].update(override=True),
+    lambda d: d["walk"].update(waypoints=["a", LONG_ID]),
+    lambda d: d["walk"].update(stops=[{"at": LONG_ID, "duration_s": 1.0}]),
+    lambda d: long_b(d)["walk"].update(stops=[{"at": LONG_ID, "duration_s": 1e-11}]),
+    lambda d: long_b(d)["environment"]["graph"].update(auto_reverse=False)
+    or d["walk"].update(waypoints=[LONG_ID, "a"]),
+], ids=["duplicate mac", "stair to unknown", "stair on one floor", "off corridor",
+        "waypoint", "stop", "stop under a tick", "unconnected"])
+def test_a_reference_check_quotes_an_id_cut_short(mutate):
+    d = corridor_dict()
+    mutate(d)
+    with pytest.raises(ScenarioError) as err:
+        sc = scenario_from_dict(d)
+        plan_walk(sc.environment, sc.walk)
+    assert len(str(err.value)) < 1024 and "yyy..." in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # trace synthesis, noiseless
 
