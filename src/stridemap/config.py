@@ -48,7 +48,7 @@ class LandmarkConfig:
     still_min_s: float = 1.0       # stop duration window, lower bound
     still_max_s: float = 8.0       # stop duration window, upper bound
     gyro_rate_threshold: float = 1.1   # rad/s, windowed |mean wz|
-    baro_window_s: float = field(default=1.0, metadata={"above": 0})  # tumbling pressure window
+    baro_window_s: float = field(default=1.0, metadata={"at_least": 1e-3})  # s, tumbling pressure window
     baro_flat_threshold: float = 0.05  # hPa, adjacent window means equal
     baro_change_threshold: float = 0.3  # hPa, total ramp change
 
@@ -63,8 +63,8 @@ class HeadingSource(enum.Enum):
 class PdrConfig:
     """Dead reckoning and landmark matching parameters."""
 
-    initial_step_length: float = field(default=0.63, metadata={"above": 0})  # meters
-    pressure_per_floor: float = field(default=0.45, metadata={"above": 0})  # hPa per floor
+    initial_step_length: float = field(default=0.63, metadata={"above": 0, "at_most": 5})  # meters
+    pressure_per_floor: float = field(default=0.45, metadata={"at_least": 1e-3})  # hPa per floor
     heading_threshold: float = math.radians(HEADING_THRESHOLD_DEG)
     confidence_threshold: float = 0.25    # minimum landmark match score
     distance_floor: float = field(default=0.1, metadata={"above": 0})  # m, caps the distance term

@@ -6,6 +6,13 @@ elevators). The graph connects them with directed edges carrying the true
 heading and distance of the connecting path. detect_events builds a walk's
 event list from the three detectors; the detectors' thresholds are
 LandmarkConfig, in stridemap.config.
+
+Each detector reads its signal in one pass. The stop detector and the
+stop mask of the turn detector read the runs of motion labels
+(sensors.motion_runs); the turn detector reads runs of above-threshold
+gyro windows; the pressure detector reads runs of equal sign among the
+changes from each occupied pressure window to the next, so each ramp's
+length is its run's, never rescanned window by window.
 """
 
 from __future__ import annotations
@@ -182,21 +189,20 @@ def detect_gyro_landmarks(
 def _baro_window_means(trace: SensorTrace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Means of tumbling pressure windows and each window's end time.
 
-    A window with no samples (a gap in the channel) is left out of both
-    arrays, so the windows on either side of a gap are compared as
-    neighbours: a gap neither breaks nor ends a flat run or a ramp.
+    Only the windows that hold samples are kept, so the arrays are as long
+    as the occupied windows, however short the window, and the windows on
+    either side of a gap are compared as neighbours: a gap neither breaks
+    nor ends a flat run or a ramp.
     """
     t = trace.baro.t
     if len(t) == 0:
         return np.empty(0), np.empty(0)
     t0 = t[0]
     idx = np.floor((t - t0) / window_s).astype(int)
-    n_win = idx[-1] + 1
-    sums = np.bincount(idx, weights=trace.baro.v, minlength=n_win)
-    counts = np.bincount(idx, minlength=n_win)
-    full = counts > 0
-    ends = t0 + (np.arange(n_win) + 1) * window_s
-    return sums[full] / counts[full], ends[full]
+    occupied, slot = np.unique(idx, return_inverse=True)
+    sums = np.bincount(slot, weights=trace.baro.v)
+    counts = np.bincount(slot)
+    return sums / counts, t0 + (occupied + 1) * window_s
 
 
 def detect_baro_landmarks(
@@ -210,48 +216,39 @@ def detect_baro_landmarks(
     entrance only an exit can fire, and vice versa. Event time is the
     boundary between the flat region and the ramp; auxiliary is the signed
     pressure change over the ramp.
+
+    The runs of equal sign come from one groupby over the deltas' signs:
+    the ramp entered at window i runs to the end of the run holding d[i],
+    and the ramp left at window i starts where the run holding d[i - 1]
+    starts.
     """
     p, ends = _baro_window_means(trace, cfg.baro_window_s)
     n = len(p)
     if n < 3:
         return []
     d = np.diff(p)  # d[i] = p[i+1] - p[i]
+    sign = (d > 0).astype(int) - (d < 0)  # sgn of each delta
+    lengths = np.array([len(list(run)) for _, run in groupby(sign.tolist())])
+    run_end = np.repeat(np.cumsum(lengths), lengths)  # exclusive, per delta
+    run_start = run_end - np.repeat(lengths, lengths)
+    i = np.arange(1, n - 1)  # windows with a neighbour on each side
+    rise_in = p[run_end[i]] - p[i]
+    rise_out = p[i] - p[run_start[i - 1]]
+    entrance = ((abs(d[i - 1]) < cfg.baro_flat_threshold) & (sign[i] != 0)
+                & (abs(rise_in) > cfg.baro_change_threshold)).tolist()
+    exit_ = ((abs(d[i]) < cfg.baro_flat_threshold) & (sign[i - 1] != 0)
+             & (abs(rise_out) > cfg.baro_change_threshold)).tolist()
     events: list[LandmarkEvent] = []
     vertical: bool | None = None  # None until first event
-    i = 1
-    while i < n:
-        fired = False
-        # entrance: flat into window i, monotone run after it
-        if vertical is not True and abs(p[i] - p[i - 1]) < cfg.baro_flat_threshold:
-            k = 0
-            s0 = sgn(d[i]) if i < n - 1 else 0
-            if s0 != 0:
-                j = i
-                while j < n - 1 and sgn(d[j]) == s0:
-                    k += 1
-                    j += 1
-                if k >= 1 and abs(p[i + k] - p[i]) > cfg.baro_change_threshold:
-                    events.append(LandmarkEvent(
-                        t=float(ends[i]), kind=RuleKind.BARO_IN,
-                        auxiliary=float(p[i + k] - p[i]), t_end=float(ends[i])))
-                    vertical = True
-                    fired = True
-        # exit: flat after window i, monotone run ending at it
-        if (not fired and vertical is not False and i < n - 1
-                and abs(p[i] - p[i + 1]) < cfg.baro_flat_threshold):
-            s0 = sgn(d[i - 1])
-            if s0 != 0:
-                k = 0
-                j = i - 1
-                while j >= 0 and sgn(d[j]) == s0:
-                    k += 1
-                    j -= 1
-                if k >= 1 and abs(p[i - k] - p[i]) > cfg.baro_change_threshold:
-                    events.append(LandmarkEvent(
-                        t=float(ends[i]), kind=RuleKind.BARO_OUT,
-                        auxiliary=float(p[i] - p[i - k]), t_end=float(ends[i])))
-                    vertical = False
-        i += 1
+    for j in np.flatnonzero(np.logical_or(entrance, exit_)).tolist():
+        if entrance[j] and vertical is not True:
+            kind, rise, vertical = RuleKind.BARO_IN, rise_in[j], True
+        elif exit_[j] and vertical is not False:
+            kind, rise, vertical = RuleKind.BARO_OUT, rise_out[j], False
+        else:
+            continue
+        t = float(ends[j + 1])
+        events.append(LandmarkEvent(t=t, kind=kind, auxiliary=float(rise), t_end=t))
     return events
 
 

@@ -8,13 +8,15 @@ neighbors under Euclidean or Sorensen distance then vote on position and
 floor.
 
 Two scorers apply that one rule. knn scores a whole matrix of query
-vectors with numpy: evaluate passes every query at once, sweep once per
-tau. knn_localize scores its one fingerprint in plain Python, so a single
-fix never imports numpy, whose import takes longer than the fix itself on
-a map of up to about 30,000 entries. Since every loader bounds RSS to
-[RSS_MIN_DBM, RSS_MAX_DBM], vector components are small integers and
-every distance sum is exact in any order; both scorers add the centroid
-left to right, nearest neighbour first. So the two return the same bits.
+vectors with numpy against the map's index (VectorizedMap, made by
+vectorize_map): evaluate passes every query at once, sweep once per tau.
+knn_localize takes the RadioMap itself and scores its one fingerprint in
+plain Python, so a single fix never imports numpy, whose import takes
+longer than the fix itself on a map of up to about 30,000 entries. Since
+every loader bounds RSS to [RSS_MIN_DBM, RSS_MAX_DBM], vector components
+are small integers and every distance sum is exact in any order; both
+scorers add the centroid left to right, nearest neighbour first. So the
+two return the same bits.
 The matching parameters (k, metric, tau and its scope) are
 LocalizationConfig, in stridemap.config.
 """
@@ -324,46 +326,39 @@ def _distances(rows: Iterable[Iterable[float]], q: list[float],
 
 def knn_localize(
     query: dict[str, int],
-    radio_map: RadioMap | VectorizedMap,
+    radio_map: RadioMap,
     cfg: LocalizationConfig = LocalizationConfig(),
 ) -> LocalizationResult:
     """Estimate a pose for one raw fingerprint, in plain Python.
 
     The vectors, distances, neighbours, centroid and floor vote are knn's,
     bit for bit, but no numpy is imported: for one fingerprint that import
-    takes longer than scoring a map of up to about 30,000 entries. An index
-    passed in must be vectorized under cfg; its rows are read as lists.
+    takes longer than scoring a map of up to about 30,000 entries.
     """
     map_tau, query_tau = _scope_taus(cfg)
-    if isinstance(radio_map, VectorizedMap):
-        index = _index(radio_map, cfg)
-        universe, min_rss, rows = index.universe, index.min_rss, index.matrix.tolist()
-        xs, ys, floors = index.xs.tolist(), index.ys.tolist(), index.floors.tolist()
-    else:
-        entries = radio_map.entries
-        if not entries:
-            raise ValueError("radio map is empty")
-        weakest = min((min(e.fp.values()) for e in entries if e.fp), default=None)
-        if weakest is None:
-            raise ValueError("radio map has no RSS readings")
-        min_rss = weakest - 1.0
-        universe = sorted({mac for e in entries for mac, rss in e.fp.items()
-                           if rss >= map_tau})
-        # each row is made as it is scored, so no map matrix is held
-        component = _Components(map_tau, min_rss).__getitem__
-        rows = (map(component, map(e.fp.get, universe)) for e in entries)
-        xs, ys, floors = ([e.x for e in entries], [e.y for e in entries],
-                          [e.floor for e in entries])
+    entries = radio_map.entries
+    if not entries:
+        raise ValueError("radio map is empty")
+    weakest = min((min(e.fp.values()) for e in entries if e.fp), default=None)
+    if weakest is None:
+        raise ValueError("radio map has no RSS readings")
+    min_rss = weakest - 1.0
+    universe = sorted({mac for e in entries for mac, rss in e.fp.items()
+                       if rss >= map_tau})
+    # each row is made as it is scored, so no map matrix is held
+    component = _Components(map_tau, min_rss).__getitem__
+    rows = (map(component, map(e.fp.get, universe)) for e in entries)
     dist = _distances(rows, _vector(query, universe, query_tau, min_rss), cfg.metric)
     # ties in map order, as a stable sort gives them
     nearest = heapq.nsmallest(cfg.k, range(len(dist)), key=dist.__getitem__)
     x = y = 0.0
     for i in nearest:
-        x += xs[i]
-        y += ys[i]
-    (floor, top), *rest = Counter(floors[i] for i in nearest).most_common(2)
+        x += entries[i].x
+        y += entries[i].y
+    floors = [entries[i].floor for i in nearest]
+    (floor, top), *rest = Counter(floors).most_common(2)
     if rest and rest[0][1] == top:
-        floor = floors[nearest[0]]
+        floor = floors[0]
     return LocalizationResult(
         x=x / len(nearest), y=y / len(nearest), floor=int(floor),
         neighbors=tuple((i, dist[i]) for i in nearest))

@@ -52,8 +52,11 @@ from .sensors import (
 )
 
 
-# Moving-average span of the pressure used for floor tracking, seconds.
+# Moving-average span of the pressure used for floor tracking, seconds,
+# and the shortest median baro sample interval it serves (1 kHz), so the
+# average spans at most 2000 samples.
 BARO_SMOOTH_S = 2.0
+BARO_MIN_INTERVAL_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,11 +86,10 @@ class PathSegment:
 
 @dataclass
 class Trajectory:
-    """A walk as its path segments, in time order, and the step-length
-    anomalies met on the way; poses and visits are read from the segments."""
+    """A walk as its path segments, in time order; poses and visits are
+    read from the segments."""
 
     segments: list[PathSegment]
-    anomalies: list[str] = field(default_factory=list)
 
     @property
     def poses(self) -> list[Pose]:
@@ -281,6 +283,22 @@ def _turn_integral(trace: SensorTrace) -> tuple[np.ndarray, np.ndarray]:
     return t, g
 
 
+def _smoothed_pressure(trace: SensorTrace) -> np.ndarray:
+    """The barometer's values under a centered moving average over
+    BARO_SMOOTH_S, its width in samples set by the median sample interval
+    (no average for an interval of 0). Raw samples put their full noise
+    into every anchor of the incremental floor estimate; the average keeps
+    the rounded floor from drifting across a half-floor boundary. A
+    barometer sampled faster than BARO_MIN_INTERVAL_S raises TraceError."""
+    dt = _median(np.diff(trace.baro.t))
+    if 0 < dt < BARO_MIN_INTERVAL_S:
+        raise TraceError(f"baro median sample interval {shown(dt)} s is below "
+                         f"{BARO_MIN_INTERVAL_S:g} s; pressure smoothing reads at "
+                         f"most {1 / BARO_MIN_INTERVAL_S:g} Hz")
+    win = max(1, int(round(BARO_SMOOTH_S / dt))) if dt > 0 else 1
+    return moving_average(trace.baro.v, win) if win > 1 else trace.baro.v
+
+
 def _select_heading(
     mode: HeadingSource,
     comp: float,
@@ -337,43 +355,33 @@ def run_pdr(
 
     steps = detect_steps(trace, sensor_cfg)
     motion = classify_motion(trace, sensor_cfg)
-    t_start = float(trace.accel.t[0])
-    # every time a heading is read at is known up front: the start of the
-    # walk (index 0) and each step; interpolate the compass and the turn
-    # integral at all of them in one pass
-    at = np.array([t_start] + [s.t for s in steps])
-    mx = np.interp(at, trace.mag.t, trace.mag.v[:, 0]).tolist()
-    my = np.interp(at, trace.mag.t, trace.mag.v[:, 1]).tolist()
-    compass = [compass_heading(a, b) for a, b in zip(mx, my)]
-    gyro_t, gyro_turn = _turn_integral(trace)
-    turn = np.interp(at, gyro_t, gyro_turn).tolist()
-    theta0 = compass[0]
-
     events = (detect_events(trace, motion, landmark_cfg, sensor_cfg)
               if mode is HeadingSource.LANDMARK else [])
+    t_start = float(trace.accel.t[0])
+    # every time a signal is read at is known up front: the start of the
+    # walk (index 0), each step (1 to n), each event (n + 1 on) and where
+    # each event's motion ends (n + 1 + m on); read every signal at all of
+    # them in one pass. Without a barometer the pressure is 0.0, so the
+    # floor never moves.
+    n, m = len(steps), len(events)
+    at = np.array([t_start] + [s.t for s in steps] + [e.t for e in events]
+                  + [max(e.t, e.t_end) for e in events])
+    mx = np.interp(at[:n + 1], trace.mag.t, trace.mag.v[:, 0]).tolist()
+    my = np.interp(at[:n + 1], trace.mag.t, trace.mag.v[:, 1]).tolist()
+    compass = [compass_heading(a, b) for a, b in zip(mx, my)]
+    turn = np.interp(at, *_turn_integral(trace)).tolist()
+    pressure = (np.interp(at, trace.baro.t, _smoothed_pressure(trace)).tolist()
+                if len(trace.baro) > 1 else [0.0] * len(at))
+    theta0 = compass[0]
 
     # holds before steps before events at equal timestamps: a hold never
     # moves the pose, and the snap must win the pose
-    items: list[tuple[float, int, object]] = [
+    items: list[tuple[float, int, int]] = [
         (s.t, 0, k) for k, s in enumerate(steps, start=1)]
-    items += [(e.t, 1, e) for e in events]
-    items += [(t, -1, None) for state, start, end, _ in motion_runs(motion)
+    items += [(e.t, 1, j) for j, e in enumerate(events)]
+    items += [(t, -1, 0) for state, start, end, _ in motion_runs(motion)
               if state is MotionState.STILL for t in (start, end)]
     items.sort(key=lambda it: (it[0], it[1]))
-
-    has_baro = len(trace.baro) > 1
-    if has_baro:
-        # raw samples put their full noise into every anchor of the
-        # incremental floor estimate; a short moving average keeps the
-        # rounded floor from drifting across a half-floor boundary
-        bt, bv = trace.baro.t, trace.baro.v
-        dt = _median(np.diff(bt))
-        win = max(1, int(round(BARO_SMOOTH_S / dt))) if dt > 0 else 1
-        if win > 1:
-            bv = moving_average(bv, win)
-        p_of = lambda t: float(np.interp(t, bt, bv))
-    else:
-        p_of = lambda t: 0.0
 
     x0, y0, f0 = initial
     pose = Pose(t=t_start, x=float(x0), y=float(y0), floor=float(f0))
@@ -381,7 +389,7 @@ def run_pdr(
     state = MatchState(anchor_x=pose.x, anchor_y=pose.y,
                        floor=round_floor(pose.floor, int(round(f0))),
                        fallback_heading=theta0, turn_ref=turn[0],
-                       pressure=p_of(t_start))
+                       pressure=pressure[0])
     seg = PathSegment(points=[pose])  # the open segment
     traj = Trajectory(segments=[seg])
     pending_hold: Pose | None = None
@@ -405,12 +413,9 @@ def run_pdr(
             heading = _select_heading(mode, compass[k], turn[k] - turn[0],
                                       turn[k] - state.turn_ref, theta0, state,
                                       graph, cfg)
-            new_floor = pose.floor
-            if has_baro:
-                p_now = p_of(ts)
-                new_floor = floor_update(pose.floor, p_now, state.pressure,
-                                         cfg.pressure_per_floor)
-                state.pressure = p_now
+            new_floor = floor_update(pose.floor, pressure[k], state.pressure,
+                                     cfg.pressure_per_floor)
+            state.pressure = pressure[k]
             stepped = pdr_step(pose, step_length, heading)
             pose = Pose(t=ts, x=stepped.x, y=stepped.y, floor=new_floor)
             seg.points.append(pose)
@@ -425,7 +430,8 @@ def run_pdr(
             state.steps += 1
             continue
 
-        ev = item
+        j = item
+        ev = events[j]
         res = match_landmark(ev, graph, state, cfg)
         if res is None:
             continue
@@ -433,16 +439,12 @@ def run_pdr(
 
         if seg.landmark is not None:
             v1 = graph.nodes[seg.landmark]
-            if v1.floor == lm.floor:
-                new_l, anomaly = update_step_length(v1, lm, state.steps, step_length)
-                if anomaly:
-                    traj.anomalies.append(
-                        f"no steps between {v1.id} and {lm.id} at t={ev.t:.2f}")
-                elif state.steps >= cfg.min_steps_for_update:
-                    belief = segment_belief(seg, quality_cfg)
-                    # low-quality walking must not corrupt the step length
-                    if belief is not None and belief > quality_cfg.belief_threshold:
-                        step_length = new_l
+            if v1.floor == lm.floor and state.steps >= cfg.min_steps_for_update:
+                new_l, missed = update_step_length(v1, lm, state.steps, step_length)
+                # low-quality walking must not corrupt the step length
+                belief = None if missed else segment_belief(seg, quality_cfg)
+                if belief is not None and belief > quality_cfg.belief_threshold:
+                    step_length = new_l
 
         # the snap opens a new segment and a new anchor; later turns are
         # measured from where the event's motion ends
@@ -452,8 +454,7 @@ def run_pdr(
         state = MatchState(
             anchor_x=lm.x, anchor_y=lm.y, floor=lm.floor, last_landmark=lm.id,
             fallback_heading=state.fallback_heading,
-            turn_ref=float(np.interp(max(ev.t, ev.t_end), gyro_t, gyro_turn)),
-            pressure=p_of(ev.t))
+            turn_ref=turn[n + 1 + m + j], pressure=pressure[n + 1 + j])
         if ev.t_end > ev.t:
             # still at the landmark until the event's motion pattern ends
             pending_hold = Pose(t=ev.t_end, x=lm.x, y=lm.y,
@@ -464,10 +465,16 @@ def run_pdr(
     return traj
 
 
+# json.dumps's encoder, refusing NaN and the infinities, which no reader takes.
+_FINITE_JSON = json.JSONEncoder(allow_nan=False).encode
+
+
 def dump_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as JSON lines (path or open file), each pose with
     the index of the segment that holds it, so every pose is written once;
-    each segment's first line also carries its step periods."""
+    each segment's first line also carries its step periods. A pose or
+    period that is not finite, which load_trajectory would refuse, raises
+    TraceError before a byte is written."""
     lines = []
     for k, seg in enumerate(traj.segments):
         for i, pose in enumerate(seg.points):
@@ -475,7 +482,11 @@ def dump_trajectory(traj: Trajectory, path) -> None:
                    "segment": k}
             if i == 0:
                 rec["periods"] = seg.periodicities
-            lines.append(json.dumps(rec))
+            try:
+                lines.append(_FINITE_JSON(rec))
+            except ValueError:
+                raise TraceError(f"cannot write trajectory: line {len(lines) + 1} "
+                                 f"(segment {k}) must hold finite numbers") from None
     write_text(path, "".join(line + "\n" for line in lines))
 
 

@@ -11,11 +11,12 @@ Traces are JSON-lines files with one record per line:
 
 CHANNELS holds the values per sample (one is a bare number) and the
 channel order at equal timestamps. On load, t (seconds) and every value
-must be finite JSON numbers (never a bool or a string), samples must have
-their channel's width, t must not
-decrease within a channel, and a WiFi reading must be a [mac, rss] pair
-(unique non-empty string MAC, RSS as read by stridemap.records.rss); a
-violation raises TraceError naming the first bad line.
+must be finite JSON numbers (never a bool or a string), t within
++-T_MAX_S and each value within +-VALUE_MAX, samples must have their
+channel's width, t must not decrease within a channel, and a WiFi
+reading must be a [mac, rss] pair (unique non-empty string MAC, RSS as
+read by stridemap.records.rss); a violation raises TraceError naming
+the first bad line.
 
 A file whose every line has the layout dump_trace writes takes a fast
 path, with any JSON number in a number's place (integers, -0 and 1E5
@@ -62,6 +63,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
@@ -72,13 +74,18 @@ from typing import Iterator
 import numpy as np
 
 from .config import SensorConfig
-from .records import (RSS_MAX_DBM, RSS_MIN_DBM, RSS_RULE, read_jsonl, rss,
-                      shown, writing)
+from .records import (RSS_MAX_DBM, RSS_MIN_DBM, RSS_RULE, number, read_jsonl,
+                      rss, shown, writing)
 
 # Width of the centered moving average applied before peak picking, samples.
 SMOOTHING_WIDTH = 5
 # Two accepted step peaks closer than this are jitter, seconds.
 MIN_STEP_GAP_S = 0.3
+# The range of every trace timestamp (seconds; Unix-epoch times fit) and of
+# every numeric sample value, so no square or sum of them leaves the floats.
+T_MAX_S = 1e10
+VALUE_MAX = 1e6
+_FLOAT_MAX = sys.float_info.max
 # The trace format: values per sample of each channel, in write order at
 # equal timestamps; a WiFi sample (None) is a scan of any length.
 CHANNELS = {"accel": 3, "gyro": 3, "mag": 3, "baro": 1, "wifi": None, "truth": 3}
@@ -258,10 +265,12 @@ def _scan_readings(v) -> dict[str, int]:
     return readings
 
 
-def _checked(ch: str, t, v) -> Channel | None:
+def _checked(ch: str, t, v, t_max: float = T_MAX_S,
+             value_max: float = VALUE_MAX) -> Channel | None:
     """The samples of channel ch as arrays, or None unless every t and
-    value is a finite number (never a bool), every sample has the channel's
-    width and t is non-decreasing. WiFi values are scans and pass through."""
+    value is a number (never a bool) within +-t_max and +-value_max, every
+    sample has the channel's width and t is non-decreasing. WiFi values
+    are scans and pass through."""
     shape = _sample_shape(ch)
     if not len(t):
         return Channel(np.empty(0), v if shape is None else _empty(ch).v)
@@ -270,14 +279,20 @@ def _checked(ch: str, t, v) -> Channel | None:
         va = v if shape is None else np.asarray(v, float)
     except (TypeError, ValueError, OverflowError):
         return None
-    ok = (ta.shape == (len(t),) and np.isfinite(ta).all()
+    ok = (ta.shape == (len(t),) and _within(ta, t_max)
           and not (ta[1:] < ta[:-1]).any())
     if ok and shape is not None:
-        ok = va.shape == (len(t), *shape) and np.isfinite(va).all()
+        ok = va.shape == (len(t), *shape) and _within(va, value_max)
     if ok and isinstance(t, list):  # parsed JSON: numpy reads true or "1.0" as a number
         ok = _numbers_only(t) and (shape is None or _numbers_only(
             v if shape == () else chain.from_iterable(v)))
     return Channel(ta, va) if ok else None
+
+
+def _within(x: np.ndarray, bound: float) -> bool:
+    """Whether every item of x lies in [-bound, bound]; min and max are
+    NaN when any item is, and NaN fails both tests."""
+    return not x.size or (-bound <= x.min() and x.max() <= bound)
 
 
 def _numbers_only(values) -> bool:
@@ -301,6 +316,13 @@ def _channel(path: str | Path, ch: str, t, v, channels) -> Channel:
     if _checked(ch, t[k:k + 1], v[k:k + 1]) is not None:
         raise TraceError(f"line {lineno}: timestamps regress in channel {ch!r}")
     width = CHANNELS[ch]
+    if _checked(ch, t[k:k + 1], v[k:k + 1], _FLOAT_MAX, _FLOAT_MAX) is not None:
+        # finite numbers, one of them out of its range: number words it
+        sample = [("t", float(t[k]), T_MAX_S)] + [
+            ("value", x, VALUE_MAX) for x in np.ravel(v[k] if width else []).tolist()]
+        for name, x, bound in sample:
+            number(x, f"line {lineno}: {ch} {name}", TraceError,
+                   at_least=-bound, at_most=bound)
     values = "" if width is None else f" and {width} finite value{'s' * (width > 1)}"
     raise TraceError(f"line {lineno}: {ch} sample must be a finite t{values}")
 
@@ -533,9 +555,10 @@ def _merged(times: list[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def dump_trace(trace: SensorTrace, path) -> None:
     """Write a trace as JSONL to a path or open file, channels interleaved
     by timestamp and in CHANNELS order at equal timestamps. A non-finite t
-    or value, or a t that decreases within its channel, which load_trace
-    would reject, raises TraceError naming the channel before the first
-    byte is written, and before a path is opened.
+    or value, one out of its range (T_MAX_S, VALUE_MAX) or a t that
+    decreases within its channel, which load_trace would reject, raises
+    TraceError naming the channel before the first byte is written, and
+    before a path is opened.
 
     The rows come from _merged and are written _CHUNK_ROWS at a time: each
     numeric row's numbers gathered from its channel's arrays into the
@@ -552,8 +575,6 @@ def dump_trace(trace: SensorTrace, path) -> None:
     for ch, width in CHANNELS.items():
         if ch == "wifi":  # MACs need json's string escaping
             t = np.array([s.t for s in trace.wifi], float)
-            if not np.isfinite(t).all():
-                raise TraceError("cannot write channel 'wifi': t must be finite")
             templates += [json.dumps({"ch": ch, "t": s.t, "v": [[m, r] for m, r in
                                                                s.readings.items()]})
                           .replace("%", "%%") + "\n" for s in trace.wifi]
@@ -565,9 +586,11 @@ def dump_trace(trace: SensorTrace, path) -> None:
             else:
                 c = getattr(trace, ch)
                 cols = (c.t, *c.v.reshape(len(c), width).T)
-            if not all(np.isfinite(col).all() for col in cols):
-                raise TraceError(f"cannot write channel {ch!r}: t and values must be finite")
             t = cols[0] if cols else np.empty(0)
+        if not (_within(t, T_MAX_S) and all(_within(col, VALUE_MAX) for col in cols[1:])):
+            raise TraceError(f"cannot write channel {ch!r}: every t must be finite and in "
+                             f"[-{T_MAX_S:g}, {T_MAX_S:g}] s, every number value in "
+                             f"[-{VALUE_MAX:g}, {VALUE_MAX:g}]")
         if (t[1:] < t[:-1]).any():
             raise TraceError(f"cannot write channel {ch!r}: t must not decrease")
         columns.append(cols)

@@ -1,8 +1,21 @@
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+# When a hypothesis test fails, hypothesis's pytest plugin imports this
+# module, which imports libcst where it is installed; libcst's import
+# raises a DeprecationWarning (from mypy_extensions) that the error filter
+# in pyproject.toml would turn into a pytest INTERNALERROR ending the whole
+# run. Import it once here, that warning ignored for this import alone.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 from stridemap.sensors import Channel, SensorTrace, WifiScan
 from stridemap.sim import load_scenario

@@ -775,6 +775,28 @@ MALFORMED = {
     "trace RSS is below the range": (
         GOOD_ACCEL + '{"ch": "wifi", "t": 1.0, "v": [["aa", -201]]}\n',
         TRACK_BAD, "line 2: RSS of 'aa' must be a non-positive integer of at least"),
+    # a square or a sum of these once passed the float range: no step was
+    # found, or a NaN floor ended the run
+    "trace accel value passes the range": (
+        GOOD_ACCEL + '{"ch": "accel", "t": 1.0, "v": [1.3407807929942597e+154, 0, 9.8]}\n',
+        TRACK_BAD, "line 2: accel value must be at most 1e+06, got 1.3407807929942597e+154"),
+    "trace baro value passes the range": (
+        GOOD_ACCEL + '{"ch": "baro", "t": 1.0, "v": 1e308}\n',
+        TRACK_BAD, "line 2: baro value must be at most 1e+06, got 1e+308"),
+    "trace t passes the range": (
+        GOOD_ACCEL + '{"ch": "accel", "t": 1e11, "v": [0, 0, 9.8]}\n',
+        TRACK_BAD, "line 2: accel t must be at most 1e+10, got 100000000000.0"),
+    # simulate refuses what track would refuse, before it writes a byte
+    "scenario baro noise passes the trace range": (
+        demo_with(1e7, "noise", "baro_std_hpa"), ["simulate", "BAD"],
+        "cannot write channel 'baro': every t must be finite and in [-1e+10, 1e+10] s, "
+        "every number value in [-1e+06, 1e+06]"),
+    # a smoothing window sized by a 1e-15 s interval once asked for PiBs
+    "trace barometer is sampled too fast": (
+        GOOD_ACCEL + '{"ch": "mag", "t": 0.0, "v": [1, 0, 0]}\n'
+        + "".join(f'{{"ch": "baro", "t": {k * 1e-15!r}, "v": 1013.0}}\n' for k in range(3)),
+        ["track", "BAD", "--mode", "pdr-compass", "--start", "0,0,1"],
+        "baro median sample interval 1e-15 s is below 0.001 s"),
     # a JSON bool is not a number, though numpy would read it as one
     "trace accel value is true": (
         GOOD_ACCEL + '{"ch": "accel", "t": 1.0, "v": [true, 0, 9.8]}\n', TRACK_BAD,
@@ -894,7 +916,11 @@ MALFORMED = {
         "config.sensors.variance_threshold must be a finite number, got nan"),
     "landmarks.baro_window_s is 0": (
         "", TRACK_FLOW + ["--set", "landmarks.baro_window_s=0"],
-        "config.landmarks.baro_window_s must be above 0, got 0.0"),
+        "config.landmarks.baro_window_s must be at least 0.001, got 0.0"),
+    # 1e-12 s windows once sized the window arrays at 1.58 PiB
+    "landmarks.baro_window_s is 1e-12": (
+        "", TRACK_FLOW + ["--set", "landmarks.baro_window_s=1e-12"],
+        "config.landmarks.baro_window_s must be at least 0.001, got 1e-12"),
     "landmarks.baro_window_s is NaN": (
         "", TRACK_FLOW + ["--set", "landmarks.baro_window_s=NaN"],
         "config.landmarks.baro_window_s must be a finite number, got nan"),
@@ -906,7 +932,15 @@ MALFORMED = {
         "config.pdr.heading_threshold_deg must be a finite number, got inf"),
     "pdr.pressure_per_floor is 0": (
         "", TRACK_FLOW + ["--set", "pdr.pressure_per_floor=0"],
-        "config.pdr.pressure_per_floor must be above 0, got 0.0"),
+        "config.pdr.pressure_per_floor must be at least 0.001, got 0.0"),
+    # a floor change past the float range once ended in an OverflowError
+    "pdr.pressure_per_floor is 5e-324": (
+        "", TRACK_FLOW + ["--set", "pdr.pressure_per_floor=5e-324"],
+        "config.pdr.pressure_per_floor must be at least 0.001, got 5e-324"),
+    # a pose past the float range once wrote Infinity into the trajectory
+    "pdr.initial_step_length is 1e308": (
+        "", TRACK_FLOW + ["--set", "pdr.initial_step_length=1e308"],
+        "config.pdr.initial_step_length must be at most 5, got 1e+308"),
     "pdr.distance_floor is -1": (
         "", TRACK_FLOW + ["--set", "pdr.distance_floor=-1"],
         "config.pdr.distance_floor must be above 0, got -1.0"),

@@ -15,7 +15,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stridemap.cli import default_config, main
@@ -186,6 +186,15 @@ def test_simulated_trace_tracks_and_maps(records):
                      "--out", d]) == 0
 
 
+def _with(i: int, value) -> list[dict]:
+    """TRACE with record i's value replaced."""
+    return TRACE[:i] + [{**TRACE[i], "v": value}] + TRACE[i + 1:]
+
+
+# a value whose square, or a pressure whose sum, passes the float range:
+# the first once tracked with no step found, the second ended in a NaN floor
+@example(_with(0, [1.3407807929942597e+154, 0.0, 9.8]))
+@example(_with(next(i for i, r in enumerate(TRACE) if r["ch"] == "baro"), 1e308))
 @settings(max_examples=40, deadline=None)
 @given(mutated(TRACE))
 def test_track_on_mutated_trace(records):

@@ -6,11 +6,12 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stridemap.config import LandmarkConfig, SensorConfig
 from stridemap.landmarks import (STILL_SUPPRESS_LABELS, GraphError,
+                                 _baro_window_means,
                                  LandmarkEvent, MotionState, RuleKind,
                                  bearing, circular_diff,
                                  detect_acc_landmarks, detect_baro_landmarks,
@@ -264,6 +265,104 @@ def test_gap_does_not_break_a_flat_run():
     assert [(e.kind, e.t) for e in evs] == [
         (RuleKind.BARO_IN, pytest.approx(10.0)),
         (RuleKind.BARO_OUT, pytest.approx(26.0))]
+
+
+# ---------------------------------------------------------------------------
+# the pressure detector against its rescanning form: every window's mean
+# over the whole window range, and each ramp's length counted window by
+# window from every flat window, the reference the run-based detector must
+# match event for event
+
+
+def reference_window_means(trace, window_s):
+    t = trace.baro.t
+    if len(t) == 0:
+        return np.empty(0), np.empty(0)
+    t0 = t[0]
+    idx = np.floor((t - t0) / window_s).astype(int)
+    n_win = idx[-1] + 1
+    sums = np.bincount(idx, weights=trace.baro.v, minlength=n_win)
+    counts = np.bincount(idx, minlength=n_win)
+    full = counts > 0
+    ends = t0 + (np.arange(n_win) + 1) * window_s
+    return sums[full] / counts[full], ends[full]
+
+
+def reference_baro_landmarks(trace, cfg=LandmarkConfig()):
+    p, ends = reference_window_means(trace, cfg.baro_window_s)
+    n = len(p)
+    if n < 3:
+        return []
+    d = np.diff(p)
+    events = []
+    vertical = None
+    i = 1
+    while i < n:
+        fired = False
+        if vertical is not True and abs(p[i] - p[i - 1]) < cfg.baro_flat_threshold:
+            k = 0
+            s0 = sgn(d[i]) if i < n - 1 else 0
+            if s0 != 0:
+                j = i
+                while j < n - 1 and sgn(d[j]) == s0:
+                    k += 1
+                    j += 1
+                if k >= 1 and abs(p[i + k] - p[i]) > cfg.baro_change_threshold:
+                    events.append(LandmarkEvent(
+                        t=float(ends[i]), kind=RuleKind.BARO_IN,
+                        auxiliary=float(p[i + k] - p[i]), t_end=float(ends[i])))
+                    vertical = True
+                    fired = True
+        if (not fired and vertical is not False and i < n - 1
+                and abs(p[i] - p[i + 1]) < cfg.baro_flat_threshold):
+            s0 = sgn(d[i - 1])
+            if s0 != 0:
+                k = 0
+                j = i - 1
+                while j >= 0 and sgn(d[j]) == s0:
+                    k += 1
+                    j -= 1
+                if k >= 1 and abs(p[i - k] - p[i]) > cfg.baro_change_threshold:
+                    events.append(LandmarkEvent(
+                        t=float(ends[i]), kind=RuleKind.BARO_OUT,
+                        auxiliary=float(p[i] - p[i - k]), t_end=float(ends[i])))
+                    vertical = False
+        i += 1
+    return events
+
+
+@st.composite
+def pressure_runs(draw) -> SensorTrace:
+    """A barometer channel made of runs, each with one pressure change per
+    sample (0 for a flat run) and one sample spacing: 0 repeats a
+    timestamp, and a spacing past the window leaves windows empty."""
+    t, p, ts, ps = 0.0, 1013.0, [], []
+    for _ in range(draw(st.integers(0, 12))):
+        change = draw(st.sampled_from([0.0, 0.01, -0.01, 0.05, -0.05, 0.1, -0.1, 0.3, -0.3]))
+        spacing = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 2.5]))
+        for _ in range(draw(st.integers(1, 15))):
+            ts.append(t)
+            ps.append(p)
+            t += spacing
+            p += change
+    return SensorTrace(baro=Channel(t=np.array(ts), v=np.array(ps)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pressure_runs(), st.sampled_from([0.3, 1.0, 1.7]),
+       st.sampled_from([0.0, 0.05, 0.1]), st.sampled_from([0.0, 0.3, 0.5]))
+def test_ramps_from_runs_match_the_rescanning_detector(trace, window_s, flat, change):
+    cfg = LandmarkConfig(baro_window_s=window_s, baro_flat_threshold=flat,
+                         baro_change_threshold=change)
+    assert detect_baro_landmarks(trace, cfg) == reference_baro_landmarks(trace, cfg)
+
+
+def test_window_arrays_hold_only_occupied_windows():
+    # two samples 1e9 s apart in 1 ms windows: two windows, not 1e12
+    trace = SensorTrace(baro=Channel(t=np.array([0.0, 1e9]), v=np.array([1013.0, 1012.0])))
+    p, ends = _baro_window_means(trace, 1e-3)
+    assert p.tolist() == [1013.0, 1012.0]
+    assert ends[0] == 1e-3 and ends[1] == pytest.approx(1e9, abs=1e-2)
 
 
 # ---------------------------------------------------------------------------

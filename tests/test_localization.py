@@ -209,20 +209,6 @@ def test_nearest_signal_is_nearest_position():
     assert (res.x, res.y) == (2.0, 0.0)
 
 
-def test_vectorized_index_matches_direct_call():
-    cfg = LocalizationConfig(k=3, metric="sorensen")
-    idx = vectorize_map(THREE, cfg)
-    direct = knn_localize({"aa": -55, "bb": -52}, THREE, cfg)
-    indexed = knn_localize({"aa": -55, "bb": -52}, idx, cfg)
-    assert direct == indexed
-
-
-def test_vectorized_index_pins_its_config():
-    idx = vectorize_map(THREE, LocalizationConfig(k=1))
-    with pytest.raises(ValueError, match="config"):
-        knn_localize({"aa": -40}, idx, LocalizationConfig(k=3))
-
-
 def same_report(a, b) -> bool:
     """Equal summaries, per-query columns and kNN fixes."""
     columns = [(a, b, name) for name in ("truth_x", "truth_y", "truth_floor",

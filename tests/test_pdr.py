@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -350,8 +351,53 @@ def test_a_mode_that_turns_by_gyro_refuses_a_trace_without_one(mode):
                     PdrConfig(heading_source=mode))
 
 
+@pytest.mark.parametrize("baro", [None, Channel(np.array([3.0]), np.array([1013.0]))])
+@pytest.mark.parametrize("mode", [HeadingSource.COMPASS, HeadingSource.GYRO])
+def test_without_a_barometer_every_floor_is_the_start_floor(mode, baro):
+    # the pressure reads 0.0 throughout (one sample is no barometer), and a
+    # floor update of no change returns the floor bit for bit, -0.0 included
+    trace = out_and_back_trace()
+    if baro is not None:
+        trace = replace(trace, baro=baro)
+    traj = run_pdr(trace, None, (0.0, 0.0, -0.0), PdrConfig(heading_source=mode))
+    assert len(traj.poses) > 40
+    assert {(p.floor, math.copysign(1.0, p.floor)) for p in traj.poses} == {(0.0, -1.0)}
+
+
+def baro_every(dt: float, n: int = 5) -> Channel:
+    return Channel(np.arange(n) * dt, np.full(n, 1013.0))
+
+
+def test_a_barometer_sampled_too_fast_is_refused():
+    # its smoothing window, 2 s over the median interval, once asked for
+    # 14.2 PiB at 1e-15 s; the window stops at 1 kHz
+    compass = PdrConfig(heading_source=HeadingSource.COMPASS)
+    trace = out_and_back_trace()
+    with pytest.raises(TraceError, match=r"^baro median sample interval 1e-15 s is below "
+                                         r"0\.001 s; pressure smoothing reads at most 1000 Hz$"):
+        run_pdr(replace(trace, baro=baro_every(1e-15)), None, (0.0, 0.0, 1.0), compass)
+    # at the limit, and at an interval of 0, the floor still tracks
+    for dt in (1e-3, 0.0):
+        traj = run_pdr(replace(trace, baro=baro_every(dt)), None, (0.0, 0.0, 1.0), compass)
+        assert {p.floor for p in traj.poses} == {1.0}
+
+
 # ---------------------------------------------------------------------------
 # trajectory io
+
+
+@pytest.mark.parametrize("bad,line", [("x", 2), ("floor", 2), ("period", 1)])
+def test_dump_refuses_a_pose_or_period_that_is_not_finite(tmp_path, bad, line):
+    # load_trajectory would refuse it, and build-map with it
+    first = PathSegment([Pose(0.0, 0.0, 0.0, 1.0)],
+                        periodicities=[math.inf if bad == "period" else 0.5])
+    snap = PathSegment([Pose(1.0, math.inf if bad == "x" else 0.0, 0.0,
+                             math.nan if bad == "floor" else 1.0)], landmark="b")
+    path = tmp_path / "traj.jsonl"
+    with pytest.raises(TraceError, match=rf"^cannot write trajectory: line {line} "
+                                         rf"\(segment {line - 1}\) must hold finite numbers$"):
+        dump_trajectory(Trajectory(segments=[first, snap]), path)
+    assert not path.exists()
 
 
 def test_dump_load_round_trip(tmp_path):

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stridemap import records, sensors
-from stridemap.sensors import (CHANNELS, Channel, MotionState, SensorTrace,
-                               TraceError, TruthChannel, WifiScan,
+from stridemap.sensors import (CHANNELS, T_MAX_S, VALUE_MAX, Channel,
+                               MotionState, SensorTrace, TraceError,
+                               TruthChannel, WifiScan,
                                _magnitudes, classify_motion, detect_steps,
                                dump_trace, load_trace, motion_runs,
                                moving_average)
@@ -198,10 +199,11 @@ def test_dump_load_round_trip(tmp_path):
 
 def _awkward_trace() -> SensorTrace:
     """Floats whose shortest repr takes exponents, negative zero or 17
-    digits, in every channel; no two channels share an array."""
-    t = np.array([0.0, 1e-7, 0.1 + 0.2, 3.0, 1e16])
-    v = np.array([[-0.0, 1e22, 1 / 3], [2.5e-300, -1e-5, 123456789.123],
-                  [0.1, 0.2, 0.3], [7.0, -7.0, 1e15], [5e-324, 1.7976931348623157e308, 0.0]])
+    digits, and the ends of the t and value ranges, in every channel; no
+    two channels share an array."""
+    t = np.array([0.0, 1e-7, 0.1 + 0.2, 3.0, T_MAX_S])
+    v = np.array([[-0.0, VALUE_MAX, 1 / 3], [2.5e-300, -1e-5, 123456.789123],
+                  [0.1, 0.2, 0.3], [7.0, -7.0, -VALUE_MAX], [5e-324, 999999.9999999999, 0.0]])
     return SensorTrace(
         accel=Channel(t.copy(), v.copy()), gyro=Channel(t.copy(), -v),
         mag=Channel(t.copy(), v[::-1].copy()), baro=Channel(t.copy(), v[:, 1].copy()),
@@ -231,6 +233,58 @@ def test_dump_rejects_non_finite(ch, where, tmp_path):
         (chan.t if where == "t" else values).flat[-1] = math.nan
     with pytest.raises(TraceError, match=repr(ch)):
         dump_trace(trace, tmp_path / "t.jsonl")
+
+
+@pytest.mark.parametrize("ch,where", [(ch, where) for ch in ("accel", "gyro", "mag", "baro", "truth")
+                                      for where in ("t", "v")] + [("wifi", "t")])
+def test_dump_rejects_a_number_out_of_its_range(ch, where, tmp_path):
+    # what load_trace would refuse, so simulate never writes a trace that
+    # track cannot read
+    trace = _awkward_trace()
+    if ch == "wifi":
+        trace.wifi = [WifiScan(t=2 * T_MAX_S, readings={})]
+    else:
+        chan = trace.truth if ch == "truth" else getattr(trace, ch)
+        values = chan.floor if ch == "truth" else chan.v
+        if where == "t":
+            chan.t[-1] = 2 * T_MAX_S
+        else:
+            values.flat[-1] = -2 * VALUE_MAX
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(TraceError, match=f"cannot write channel {ch!r}: every t must "
+                                         r"be finite and in \[-1e\+10, 1e\+10\] s"):
+        dump_trace(trace, path)
+    assert not path.exists()
+
+
+# a sample out of range -> its line and the one error its load gives
+OUT_OF_RANGE = {
+    "accel value whose square passes the float range": (
+        '{"ch": "accel", "t": 0.0, "v": [1.3407807929942597e+154, 0.0, 9.8]}',
+        "line 2: accel value must be at most 1e+06, got 1.3407807929942597e+154"),
+    "baro value of 1e308": (
+        '{"ch": "baro", "t": 0.0, "v": 1e+308}',
+        "line 2: baro value must be at most 1e+06, got 1e+308"),
+    "truth floor below the range": (
+        '{"ch": "truth", "t": 0.0, "v": [0.0, 0.0, -1000000.5]}',
+        "line 2: truth value must be at least -1e+06, got -1000000.5"),
+    "gyro t past the range": (
+        '{"ch": "gyro", "t": 1e+11, "v": [0.0, 0.0, 0.0]}',
+        "line 2: gyro t must be at most 1e+10, got 100000000000.0"),
+    "wifi t past the range": (
+        '{"ch": "wifi", "t": -1e+11, "v": []}',
+        "line 2: wifi t must be at least -1e+10, got -100000000000.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_a_number_out_of_its_range_names_its_line(tmp_path, case):
+    line, message = OUT_OF_RANGE[case]
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"ch": "mag", "t": 0.0, "v": [1.0, 0.0, 0.0]}\n' + line + "\n")
+    for load in (fast_path_load, json_path_load):
+        with pytest.raises(TraceError, match="^" + re.escape(message) + "$"):
+            load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +327,12 @@ def outcome(load, path, channels=tuple(CHANNELS)):
         return f"TraceError: {exc}"
 
 
+# numbers within the range of both t and values
 AWKWARD = st.one_of(
     st.sampled_from([5e-324, -5e-324, 1e-300, 2.5e-308, -0.0, 0.0, 0.1 + 0.2,
-                     1 / 3, 2 / 3 * 1e-5, 1e16, 1e22, 123456789.12345679,
-                     1.7976931348623157e308, -1e308]),
-    st.floats(allow_nan=False, allow_infinity=False))
+                     1 / 3, 2 / 3 * 1e-5, 123456.78912345678, 999999.9999999999,
+                     VALUE_MAX, -VALUE_MAX]),
+    st.floats(-VALUE_MAX, VALUE_MAX))
 
 
 @st.composite
@@ -449,14 +504,17 @@ def test_a_skipped_line_before_a_bad_line_does_not_move_the_error(tmp_path):
             load(path, ("accel", "wifi"))
 
 
-def test_timestamps_spanning_the_float_range_load_without_a_warning(tmp_path):
-    # their difference overflows; comparing neighbours does not subtract
+def test_timestamps_spanning_the_float_range_are_refused_without_a_warning(tmp_path):
+    # their difference overflows; the range check does not subtract
     path = tmp_path / "t.jsonl"
     path.write_text('{"ch": "accel", "t": -1e+308, "v": [0.0, 0.0, 9.8]}\n'
                     '{"ch": "accel", "t": 1e+308, "v": [0.0, 0.0, 9.8]}\n')
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert load_trace(path).accel.t.tolist() == [-1e308, 1e308]
+        for load in (load_trace, json_path_load):
+            with pytest.raises(TraceError, match=re.escape(
+                    "line 1: accel t must be at least -1e+10, got -1e+308")):
+                load(path)
 
 
 # tokens that stand where a number does: some JSON reads, some it refuses
@@ -734,8 +792,8 @@ def line_per_sample_dump(trace: SensorTrace) -> str:
 
 # few distinct timestamps, so channels tie at one t and a chunk boundary
 # falls inside a run of equal timestamps; -0.0 ties with 0.0
-TIES = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 0.1 + 0.2, 1.0, 1e16])
-NUMBERS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-308, 1e-5, 1e16, 9.81]),
+TIES = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 0.1 + 0.2, 1.0, T_MAX_S])
+NUMBERS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-308, 1e-5, VALUE_MAX, 9.81]),
                     AWKWARD)
 MACS = st.one_of(st.sampled_from(["%", "%s", "%%", "%(t)s", '"', 'a"b\\c', "é", "ap-%d"]),
                  st.text(st.sampled_from('%s"é\\ab:'), min_size=1, max_size=4))
@@ -760,7 +818,7 @@ def tied_traces(draw) -> SensorTrace:
 
 def all_six_at_one_t() -> SensorTrace:
     t = np.array([0.0, 1.0])
-    v = np.array([[-0.0, 0.0, 5e-324], [1e16, 1e-5, -0.0]])
+    v = np.array([[-0.0, 0.0, 5e-324], [VALUE_MAX, 1e-5, -0.0]])
     return SensorTrace(
         accel=Channel(t.copy(), v.copy()), gyro=Channel(t.copy(), v[::-1].copy()),
         mag=Channel(t.copy(), -v), baro=Channel(t.copy(), v[:, 0].copy()),
