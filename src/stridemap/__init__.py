@@ -25,20 +25,22 @@ _EXPORTS = {
                      "Readings", "VectorizedMap", "evaluate", "knn",
                      "knn_localize", "read_fingerprints", "to_positive",
                      "vectorize_map"),
-    "pdr": ("MatchState", "PathSegment", "Pose", "Trajectory",
-            "attach_periodicities", "dump_trajectory", "landmark_confidence",
-            "load_trajectory", "match_landmark", "run_pdr",
-            "trajectory_errors", "update_step_length"),
+    "pdr": ("MatchState", "attach_periodicities", "landmark_confidence",
+            "match_landmark", "run_pdr", "trajectory_errors",
+            "update_step_length"),
     "radiomap": ("MapFormatError", "RadioMap", "RadioMapEntry",
                  "build_radio_map", "interpolate_rp", "load_radio_map",
                  "save_radio_map", "segment_belief"),
     "sensors": ("Channel", "MotionState", "SensorTrace", "StepEvent",
-                "TraceError", "TruthChannel", "WifiScan", "classify_motion",
-                "detect_steps", "dump_trace", "load_trace"),
+                "TruthChannel", "classify_motion", "detect_steps", "dump_trace",
+                "load_trace"),
     "sim": ("Ap", "CompassZone", "Environment", "NoiseModel", "Scenario",
             "ScenarioError", "WalkScript", "generate_test_queries",
             "generate_trace", "load_scenario", "plan_walk",
             "scenario_from_dict"),
+    "tracefile": ("TraceError", "WifiScan", "load_scans"),
+    "trajectory": ("PathSegment", "Pose", "Trajectory", "dump_trajectory",
+                   "load_trajectory"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -238,21 +238,26 @@ def cmd_simulate(args) -> int:
 
 
 def _start(text: str) -> tuple[float, float, float]:
-    """--start's x,y,floor: finite x and y and an integral floor, read by
-    records.number as every loader reads a pose."""
+    """--start's x,y,floor: x and y within +-VALUE_MAX, the bound of a
+    trace's truth positions, and an integral floor, read by records.number
+    as every loader reads a pose."""
+    from .tracefile import VALUE_MAX
+    bounds = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
     try:
         x, y, floor = (float(part) for part in text.split(","))
-        return (number(x, "x"), number(y, "y"),
+        return (number(x, "x", **bounds), number(y, "y", **bounds),
                 float(number(floor, "floor", integral=True)))
     except ValueError:
-        raise CliError(f"--start must be x,y,floor with finite x and y and an "
-                       f"integer floor, got {shown(text)}")
+        raise CliError(f"--start must be x,y,floor with x and y finite and in "
+                       f"[-{VALUE_MAX:g}, {VALUE_MAX:g}] m and an integer floor, "
+                       f"got {shown(text)}")
 
 
 def cmd_track(args) -> int:
     from .landmarks import load_landmark_graph
-    from .pdr import dump_trajectory, run_pdr, trajectory_errors
+    from .pdr import run_pdr, trajectory_errors
     from .sensors import load_trace
+    from .trajectory import dump_trajectory
 
     tree, overrides = effective_config(args)
     if args.mode:
@@ -303,16 +308,16 @@ def cmd_track(args) -> int:
 
 
 def cmd_build_map(args) -> int:
-    from .pdr import load_trajectory
     from .radiomap import build_radio_map, save_radio_map
-    from .sensors import load_trace
+    from .tracefile import load_scans
+    from .trajectory import load_trajectory
 
     tree, overrides = effective_config(args)
     _, _, _, quality_cfg, _ = _configs(tree)
     traj = load_trajectory(_require_file(args.trajectory, "trajectory file"))
-    trace = load_trace(_require_file(args.trace, "trace file"), ("wifi",))
+    scans = load_scans(_require_file(args.trace, "trace file"))
 
-    radio_map = build_radio_map(traj, trace.wifi, quality_cfg)
+    radio_map = build_radio_map(traj, scans, quality_cfg)
     if not radio_map.entries:
         print("warning: radio map is empty", file=sys.stderr)
     rows = [[str(idx), _fmt(belief), str(accepted)]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import floor, inf, sqrt
 from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -364,6 +364,23 @@ def knn_localize(
         neighbors=tuple((i, dist[i]) for i in nearest))
 
 
+def _percentile(ranked: list[float], p: float) -> float:
+    """np.percentile(ranked, p) of a sorted non-empty list by numpy's
+    default linear method, bit for bit, without the numpy.ma import it
+    costs: the virtual index (n - 1) * q (q = p / 100), and the values
+    at its floor i and at i + 1 lerped by numpy's _lerp, from the nearer
+    of the two; at or past the last index, the last value twice."""
+    at = (len(ranked) - 1) * (p / 100)
+    if at >= len(ranked) - 1:
+        i = j = -1
+    else:
+        i = floor(at)
+        j = i + 1
+    a, b, t = ranked[i], ranked[j], at - i
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 @dataclass(eq=False)
 class EvaluationReport:
     """Per-query outcomes as columns, element i for query i, plus the
@@ -426,10 +443,10 @@ def evaluate(
     correct = np.sort(error_m[floor_correct])
     stats = {}
     if len(correct):
+        ranked = correct.tolist()
         stats = dict(mean_error_m=float(correct.mean()),
-                     p50=float(np.percentile(correct, 50)),
-                     p75=float(np.percentile(correct, 75)),
-                     p90=float(np.percentile(correct, 90)))
+                     p50=_percentile(ranked, 50), p75=_percentile(ranked, 75),
+                     p90=_percentile(ranked, 90))
     return EvaluationReport(
         truth_x=tx, truth_y=ty, truth_floor=tf, fix=nb, error_m=error_m,
         floor_correct=floor_correct,

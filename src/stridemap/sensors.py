@@ -1,49 +1,35 @@
 """Sensor trace ingestion and low-level motion signal processing.
 
-Traces are JSON-lines files with one record per line:
+The trace line format, its channels and ranges (CHANNELS, T_MAX_S,
+VALUE_MAX), TraceError and WifiScan are in stridemap.tracefile, which
+also reads a trace's WiFi scans alone without numpy (load_scans).
+load_trace reads whole traces into arrays, checking every channel it
+reads as tracefile says; a violation raises TraceError naming the first
+bad line.
 
-    {"ch": "accel", "t": 1.234, "v": [ax, ay, az]}
-    {"ch": "gyro",  "t": 1.234, "v": [wx, wy, wz]}
-    {"ch": "mag",   "t": 1.234, "v": [mx, my, mz]}
-    {"ch": "baro",  "t": 1.234, "v": 1013.25}
-    {"ch": "wifi",  "t": 1.234, "v": [["aa:bb:cc:dd:ee:ff", -67], ...]}
-    {"ch": "truth", "t": 1.234, "v": [x, y, floor]}
-
-CHANNELS holds the values per sample (one is a bare number) and the
-channel order at equal timestamps. On load, t (seconds) and every value
-must be finite JSON numbers (never a bool or a string), t within
-+-T_MAX_S and each value within +-VALUE_MAX, samples must have their
-channel's width, t must not decrease within a channel, and a WiFi
-reading must be a [mac, rss] pair (unique non-empty string MAC, RSS as
-read by stridemap.records.rss); a violation raises TraceError naming
-the first bad line.
-
-A file whose every line has the layout dump_trace writes takes a fast
-path, with any JSON number in a number's place (integers, -0 and 1E5
-included), CRLF line ends, and with or without a final newline. It reads
-the bytes a block of about _BLOCK_BYTES at a time, read on to a newline,
-twice: a first pass counts each numeric channel's lines by the byte that
-names a line's channel, and the second parses each channel's numbers
-straight into t and v arrays of that final size, so memory holds the
-arrays and one block's work. Per block, numpy finds the lines and
-checks each line's first _PREFIX_LEN bytes, and the whole head
-'{"ch": "<ch>", "t": ' of each line of a channel it reads, as 8-byte
-words gathered at the line starts; with each run of number
-characters collapsed to one 0, each numeric line's rest must be exactly its
-channel's skeleton, so each number stands alone in its own slot; one
-json.loads parses all the block's numbers, so the number grammar and the
-values are json's own; and each WiFi line gets its own json.loads. Any
-other file (other spacing or key order, blank lines, a lone CR, a token
-json refuses) is read a line at a time with json.loads, with the same
-arrays, and that path names every error. A trace must be UTF-8: a line that
-is not raises TraceError "line N: not valid UTF-8", in any channel.
-load_trace can read a subset of the channels and skip the lines of the
-others unparsed: the CLI's build-map reads only wifi, so a malformed line
-of another channel does not fail it, and skips the count. Both paths
-check a skipped line by its _PREFIXES prefix alone. A WiFi scan of
-distinct non-empty string MACs and in-range int readings is read by one
-dict() and whole-scan tests; any other is read pair by pair, which words
-the error.
+A whole-trace load of a file whose every line has the layout dump_trace
+writes takes a fast path, with any JSON number in a number's place
+(integers, -0 and 1E5 included), CRLF line ends, and with or without a
+final newline. It reads the bytes a block of about
+tracefile._BLOCK_BYTES at a time, read on to a newline, twice: a first
+pass counts each channel's lines by the byte that names a line's
+channel, and the second parses each numeric channel's numbers straight
+into t and v arrays of that final size, so memory holds the arrays and
+one block's work. Per block, numpy finds the lines and checks each
+line's whole head '{"ch": "<ch>", "t": ' as 8-byte words gathered at the
+line starts; with each run of number characters collapsed to one 0, each
+numeric line's rest must be exactly its channel's skeleton, so each
+number stands alone in its own slot; one json.loads parses all the
+block's numbers, so the number grammar and the values are json's own;
+and each WiFi line gets its own json.loads. Any other file (other
+spacing or key order, blank lines, a lone CR, a token json refuses) is
+read a line at a time with json.loads, with the same arrays, and that
+path names every error. A trace must be UTF-8: a line that is not raises
+TraceError "line N: not valid UTF-8", in any channel. load_trace can
+read a subset of the channels: that load goes straight to the json path,
+which skips the lines of the other channels by their _PREFIXES prefix
+alone, unparsed, so a malformed line of another channel does not fail
+it. A WiFi scan is read by tracefile's _scan_readings.
 
 dump_trace writes those lines as a stream: the rows of every channel,
 each channel's t non-decreasing, are merged by (t, channel order) a
@@ -61,7 +47,6 @@ files, and the file writer dump_trace shares, are in stridemap.records.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import sys
 from bisect import bisect_left
@@ -74,36 +59,17 @@ from typing import Iterator
 import numpy as np
 
 from .config import SensorConfig
-from .records import (RSS_MAX_DBM, RSS_MIN_DBM, RSS_RULE, number, read_jsonl,
-                      rss, shown, writing)
+from .records import number, read_jsonl, shown, writing
+from .tracefile import (_PREFIX_LEN, _PREFIXES, CHANNELS, T_MAX_S, VALUE_MAX,
+                        TraceError, WifiScan, _blocks, _head, _scan_readings)
 
 # Width of the centered moving average applied before peak picking, samples.
 SMOOTHING_WIDTH = 5
 # Two accepted step peaks closer than this are jitter, seconds.
 MIN_STEP_GAP_S = 0.3
-# The range of every trace timestamp (seconds; Unix-epoch times fit) and of
-# every numeric sample value, so no square or sum of them leaves the floats.
-T_MAX_S = 1e10
-VALUE_MAX = 1e6
 _FLOAT_MAX = sys.float_info.max
-# The trace format: values per sample of each channel, in write order at
-# equal timestamps; a WiFi sample (None) is a scan of any length.
-CHANNELS = {"accel": 3, "gyro": 3, "mag": 3, "baro": 1, "wifi": None, "truth": 3}
-# Every line dump_trace writes starts '{"ch": "<ch>", '. Its first
-# _PREFIX_LEN characters reach past the closing quote of the longest name,
-# so they name the channel, and the json path skips by them, unparsed, the
-# lines of a channel not asked for.
-_PREFIX_LEN = len('{"ch": "') + max(map(len, CHANNELS)) + 1
-_PREFIXES = {f'{{"ch": "{ch}", '[:_PREFIX_LEN]: ch for ch in CHANNELS}
 # Trace lines dump_trace formats with one template and writes at once.
 _CHUNK_ROWS = 4096
-# Bytes the fast path reads at once; each block is cut after a newline,
-# so memory holds one block's lines, not the file's.
-_BLOCK_BYTES = 1 << 18
-
-
-class TraceError(ValueError):
-    """Raised when a trace or trajectory file violates its format."""
 
 
 class MotionState(enum.Enum):
@@ -121,14 +87,6 @@ class Channel:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-@dataclass(frozen=True)
-class WifiScan:
-    """One WiFi scan: MAC -> RSS dBm (integers in [RSS_MIN_DBM, RSS_MAX_DBM])."""
-
-    t: float
-    readings: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -151,11 +109,6 @@ def _sample_shape(ch: str) -> tuple[int, ...] | None:
 
 def _empty(ch: str) -> Channel:
     return Channel(np.empty(0), np.empty((0, *_sample_shape(ch))))
-
-
-def _head(ch: str) -> str:
-    """The start of every line dump_trace writes for channel ch."""
-    return '{"ch": "' + ch + '", "t": '
 
 
 def _line_format(ch: str) -> str:
@@ -228,41 +181,6 @@ def _magnitudes(channel: Channel) -> np.ndarray:
     mags += y * y
     mags += z * z
     return np.sqrt(mags, out=mags)
-
-
-def _scan_readings(v) -> dict[str, int]:
-    """The readings of one WiFi scan; TraceError, without a line number,
-    unless v is a list of [mac, rss] pairs. A scan of distinct non-empty
-    string MACs and in-range int readings, as files hold them, is read by
-    one dict(v) and whole-scan tests; any other goes pair by pair, which
-    words the error."""
-    if type(v) is list:
-        try:
-            readings = dict(v)
-        except (TypeError, ValueError):  # a pair that is no pair, or an unhashable MAC
-            readings = None
-        if (readings is not None and len(readings) == len(v) and "" not in readings
-                and {str}.issuperset(map(type, readings))
-                and {int}.issuperset(map(type, readings.values()))
-                and (not readings or RSS_MIN_DBM <= min(readings.values())
-                     and max(readings.values()) <= RSS_MAX_DBM)):
-            return readings
-    if not isinstance(v, list):
-        raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {shown(v)}")
-    readings: dict[str, int] = {}
-    for pair in v:
-        if not (isinstance(pair, list) and len(pair) == 2
-                and isinstance(pair[0], str) and pair[0]):
-            raise TraceError("WiFi reading must be a [mac, rss] pair with a "
-                             f"non-empty string MAC, got {shown(pair)}")
-        mac, value = pair
-        if mac in readings:
-            raise TraceError(f"duplicate MAC {shown(mac)} in scan")
-        reading = rss(value)
-        if reading is None:
-            raise TraceError(f"RSS of {shown(mac)} {RSS_RULE}, got {shown(value)}")
-        readings[mac] = reading
-    return readings
 
 
 def _checked(ch: str, t, v, t_max: float = T_MAX_S,
@@ -364,16 +282,6 @@ class _NotCanonical(Exception):
     """A trace the fast path does not read."""
 
 
-def _blocks(fh) -> Iterator[bytes]:
-    """The lines of a binary file in blocks of about _BLOCK_BYTES, each
-    read on to the end of its last line, so a line or a CRLF pair never
-    spans two blocks; the last line gets its newline if it lacks one."""
-    for data in iter(functools.partial(fh.read, _BLOCK_BYTES), b""):
-        if not data.endswith(b"\n"):
-            data += fh.readline()
-        yield data if data.endswith(b"\n") else data + b"\n"
-
-
 def _line_counts(path: str | Path) -> np.ndarray:
     """The lines of each channel in a trace, by channel index in CHANNELS,
     counted by the byte that names a dump_trace line's channel. The counts
@@ -403,13 +311,13 @@ def _words(data: bytes) -> np.ndarray:
     return np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
 
 
-def _block_columns(block: bytes, channels, cols: dict[str, tuple], filled: np.ndarray) -> None:
-    """Parse block's lines of the channels in channels into cols: each
-    numeric channel's t and v from row filled[i] on, advancing filled[i]
-    (i its index in CHANNELS), and each WiFi line's t and readings appended
-    to the WiFi lists. block holds whole lines, each ending in a newline.
-    Any line dump_trace could not have written, or more lines of a channel
-    than its arrays hold, raises _NotCanonical."""
+def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> None:
+    """Parse block's lines into cols: each numeric channel's t and v from
+    row filled[i] on, advancing filled[i] (i its index in CHANNELS), and
+    each WiFi line's t and readings appended to the WiFi lists. block
+    holds whole lines, each ending in a newline. Any line dump_trace could
+    not have written, or more lines of a channel than its arrays hold,
+    raises _NotCanonical."""
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n")
         if b"\r" in block:  # a lone CR, which the json path reads as a line end
@@ -422,24 +330,18 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple], filled: np.nd
     arr = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(arr == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    length = ends - starts  # each prefix, and the byte naming its channel, lie within its line
+    length = ends - starts  # the byte naming each line's channel lies within it
     if length.min() < _PREFIX_LEN:
         raise _NotCanonical
     kind = _KIND[arr[starts + _KIND_AT]]  # each line's channel index
-    if kind.min() < 0:
+    if kind.min() < 0 or (length < _HEAD_LEN[kind]).any():
         raise _NotCanonical
-    # every line's prefix, all the json path reads of a line it skips; then
-    # the rest of the head of each line read
+    # each line's whole head, its last word within the line
     words = _words(block)
-    read = np.array([ch in channels for ch in CHANNELS])[kind]
-    if not ((words[starts] == _WORD0).all() and (words[starts + 6] == _WORD6[kind]).all()):
+    if not ((words[starts] == _WORD0).all() and (words[starts + 6] == _WORD6[kind]).all()
+            and (words[starts + _HEAD_LEN[kind] - 8] == _WORD_END).all()):
         raise _NotCanonical
-    starts, ends, kind = starts[read], ends[read], kind[read]
-    if ((ends - starts < _HEAD_LEN[kind]).any()  # so each head's last word lies in the block
-            or not (words[starts + _HEAD_LEN[kind] - 8] == _WORD_END).all()):
-        raise _NotCanonical
-    want = [CHANNELS[ch] is not None and ch in channels for ch in CHANNELS]
-    numeric = np.array(want)[kind]
+    numeric = kind != _WIFI
     if numeric.any():
         lines = kind[numeric]
         # the rest of each numeric line: bytes from its head's end to its newline
@@ -454,7 +356,7 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple], filled: np.nd
             raise _NotCanonical from None
         owner = np.repeat(lines, _NUMBERS[lines])
         for i, ch in enumerate(CHANNELS):
-            if want[i]:
+            if i != _WIFI:
                 rows = values[owner == i].reshape(-1, _NUMBERS[i])
                 t, v = cols[ch]
                 lo, hi = filled[i], filled[i] + len(rows)
@@ -463,38 +365,33 @@ def _block_columns(block: bytes, channels, cols: dict[str, tuple], filled: np.nd
                 t[lo:hi] = rows[:, 0]
                 v[lo:hi] = rows[:, 1:].reshape(v[lo:hi].shape)
                 filled[i] = hi
-    if "wifi" in channels:
-        wifi = kind == _WIFI
-        ts, vs = cols["wifi"]
-        for s, e in zip(starts[wifi].tolist(), ends[wifi].tolist()):
-            try:
-                rec = json.loads(block[s:e])
-                if rec["ch"] != "wifi":
-                    raise _NotCanonical
-                ts.append(rec["t"])
-                vs.append(_scan_readings(rec["v"]))
-            except (ValueError, KeyError, TypeError, RecursionError):  # TraceError among them
-                raise _NotCanonical from None
+    ts, vs = cols["wifi"]
+    for s, e in zip(starts[~numeric].tolist(), ends[~numeric].tolist()):
+        try:
+            rec = json.loads(block[s:e])
+            if rec["ch"] != "wifi":
+                raise _NotCanonical
+            ts.append(rec["t"])
+            vs.append(_scan_readings(rec["v"]))
+        except (ValueError, KeyError, TypeError, RecursionError):  # TraceError among them
+            raise _NotCanonical from None
+    filled[_WIFI] = len(ts)
 
 
-def _canonical_columns(path: str | Path, channels) -> dict[str, tuple]:
+def _canonical_columns(path: str | Path) -> dict[str, tuple]:
     """The t and v of each channel of a trace whose every line dump_trace
-    could have written, read a block at a time; a line of a channel not in
-    channels is dropped by its head, unparsed. A first pass counts each
-    numeric channel's lines, so its values are parsed straight into arrays
-    of their final size. Any other line raises _NotCanonical, never
-    TraceError: the json path names the faults."""
-    cols = {ch: ([], []) for ch in CHANNELS}
-    want = [CHANNELS[ch] is not None and ch in channels for ch in CHANNELS]
-    counts = _line_counts(path) if any(want) else np.zeros(len(CHANNELS), np.int64)
-    for i, ch in enumerate(CHANNELS):
-        if want[i]:
-            cols[ch] = (np.empty(counts[i]), np.empty((counts[i], *_sample_shape(ch))))
+    could have written, read a block at a time. A first pass counts each
+    channel's lines, so the numeric channels' values are parsed straight
+    into arrays of their final size. Any other line raises _NotCanonical,
+    never TraceError: the json path names the faults."""
+    counts = _line_counts(path)
+    cols = {ch: ([], []) if ch == "wifi" else
+            (np.empty(n), np.empty((n, *_sample_shape(ch)))) for ch, n in zip(CHANNELS, counts)}
     filled = np.zeros(len(CHANNELS), np.int64)
     with open(path, "rb") as fh:
         for block in _blocks(fh):
-            _block_columns(block, channels, cols, filled)
-    if (filled != counts)[want].any():  # fewer lines than counted: the file changed
+            _block_columns(block, cols, filled)
+    if (filled != counts).any():  # fewer lines than counted: the file changed
         raise _NotCanonical
     return cols
 
@@ -504,13 +401,15 @@ def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
     against CHANNELS. The other channels load empty (truth as None), and
     their lines are skipped: by their start before any parse, or by "ch"
     after.
-    A file of dump_trace's lines takes the fast path; any other is read a
-    line at a time with json.loads, with the same arrays and errors."""
+    A whole-trace load of a file of dump_trace's lines takes the fast
+    path; a subset load, or one of any other file, is read a line at a
+    time with json.loads, with the same arrays and errors."""
     unknown = set(channels) - CHANNELS.keys()
     if unknown:
         raise ValueError(f"unknown trace channels {sorted(unknown)}")
+    whole = set(channels) == CHANNELS.keys()
     try:
-        cols = _canonical_columns(path, channels)
+        cols = _canonical_columns(path) if whole else _json_columns(path, channels)
     except _NotCanonical:
         cols = _json_columns(path, channels)
     chans = {ch: _channel(path, ch, *cols.pop(ch), channels) for ch in CHANNELS}

@@ -1,0 +1,142 @@
+"""Trajectory files: the poses of a walk by path segment, as JSON lines.
+
+A Trajectory is its path segments, in time order; each segment holds its
+poses and the step periods of the steps inside it. stridemap.pdr makes
+them from a trace. dump_trajectory writes a trajectory as JSON lines and
+load_trajectory reads them back. The reader tests each pose in one check
+(four finite floats and an int segment, as files hold them) and reads a
+field through number only for another type or to word an error. This
+module needs nothing but the standard library, records and tracefile, so
+build-map reads a trajectory without loading numpy or the tracking
+stages.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+from operator import itemgetter
+from pathlib import Path
+
+from .records import number, read_jsonl, shown, write_text
+from .tracefile import TraceError
+
+
+@dataclass(frozen=True)
+class Pose:
+    t: float
+    x: float
+    y: float
+    floor: float  # continuous; round for discrete floor decisions
+
+
+@dataclass
+class PathSegment:
+    """The poses from one anchor up to the next snap, which opens the next
+    segment; every pose of a walk lives in exactly one segment.
+
+    points[0] is the opening anchor: the initial pose, or the snap pose of
+    the landmark named by landmark (None for the initial anchor).
+    periodicities holds the step periods of the steps inside the segment,
+    in time order: run_pdr fills it, and a trajectory file carries it on
+    the segment's first line.
+    """
+
+    points: list[Pose]
+    periodicities: list[float] = field(default_factory=list)
+    landmark: str | None = None
+
+
+@dataclass
+class Trajectory:
+    """A walk as its path segments, in time order; poses and visits are
+    read from the segments."""
+
+    segments: list[PathSegment]
+
+    @property
+    def poses(self) -> list[Pose]:
+        """Every pose of the walk: the segments' points, in segment order."""
+        return [p for seg in self.segments for p in seg.points]
+
+    @property
+    def visits(self) -> list[tuple[float, str]]:
+        """(time, landmark id) of each snap, in time order."""
+        return [(seg.points[0].t, seg.landmark) for seg in self.segments
+                if seg.landmark is not None]
+
+
+# json.dumps's encoder, refusing NaN and the infinities, which no reader takes.
+_FINITE_JSON = json.JSONEncoder(allow_nan=False).encode
+
+
+def dump_trajectory(traj: Trajectory, path) -> None:
+    """Write a trajectory as JSON lines (path or open file), each pose with
+    the index of the segment that holds it, so every pose is written once;
+    each segment's first line also carries its step periods. A pose or
+    period that is not finite, which load_trajectory would refuse, raises
+    TraceError before a byte is written."""
+    lines = []
+    for k, seg in enumerate(traj.segments):
+        for i, pose in enumerate(seg.points):
+            rec = {"t": pose.t, "x": pose.x, "y": pose.y, "floor": pose.floor,
+                   "segment": k}
+            if i == 0:
+                rec["periods"] = seg.periodicities
+            try:
+                lines.append(_FINITE_JSON(rec))
+            except ValueError:
+                raise TraceError(f"cannot write trajectory: line {len(lines) + 1} "
+                                 f"(segment {k}) must hold finite numbers") from None
+    write_text(path, "".join(line + "\n" for line in lines))
+
+
+# The fields of a trajectory line that make its pose and name its segment.
+_POSE_KEYS = itemgetter("t", "x", "y", "floor", "segment")
+
+
+def load_trajectory(path: str | Path) -> Trajectory:
+    """Read a trajectory export: one segment per segment index, in index
+    order, each with its poses in file order and the step periods its first
+    line carries. A pose earlier than the one before it in its segment is
+    refused, and so is a segment whose first line has no periods (a file
+    written before trajectories carried them), a later line with periods
+    again, or a period that is not a finite number."""
+    segs: dict[int, PathSegment] = {}
+    for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
+        try:
+            t, x, y, floor, segment = _POSE_KEYS(rec)
+            # one test of the whole pose; the sum is finite only when every
+            # field is, and adding segment raises OverflowError where
+            # number would refuse it
+            if not (type(t) is type(x) is type(y) is type(floor) is float
+                    and type(segment) is int and math.isfinite(t + x + y + floor + segment)):
+                t, x, y, floor = (number(rec[k], k) for k in ("t", "x", "y", "floor"))
+                segment = number(segment, "segment", integral=True)
+            pose = Pose(t, x, y, floor)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
+                             f"floor and an integer segment") from None
+        seg = segs.get(segment)
+        if seg is None:
+            if "periods" not in rec:
+                raise TraceError(f"{path}:{ln}: segment {segment} has no step "
+                                 f"periods; the file predates them, re-run track")
+            periods = rec["periods"]
+            if not isinstance(periods, list):
+                raise TraceError(f"{path}:{ln}: periods must be a list, got {shown(periods)}")
+            try:
+                periodicities = (periods if {float}.issuperset(map(type, periods))
+                                 and math.isfinite(sum(periods))
+                                 else [number(v, "period") for v in periods])
+            except ValueError as exc:
+                raise TraceError(f"{path}:{ln}: {exc}") from None
+            seg = segs[segment] = PathSegment(points=[], periodicities=periodicities)
+        elif "periods" in rec:
+            raise TraceError(f"{path}:{ln}: segment {segment} carries periods twice")
+        elif pose.t < seg.points[-1].t:
+            raise TraceError(f"{path}:{ln}: pose t {pose.t!r} goes back in time "
+                             f"from {seg.points[-1].t!r} in segment {segment}")
+        seg.points.append(pose)
+    return Trajectory(segments=[segs[k] for k in sorted(segs)])

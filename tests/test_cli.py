@@ -13,9 +13,10 @@ from stridemap import sensors
 from stridemap.cli import (SECTIONS, CliError, _configs, _Outputs,
                            build_parser, default_config, effective_config,
                            load_queries, main)
-from stridemap.pdr import HeadingSource, Trajectory, load_trajectory
+from stridemap.pdr import HeadingSource
 from stridemap.radiomap import build_radio_map
 from stridemap.sensors import load_trace
+from stridemap.trajectory import Trajectory, load_trajectory
 from test_sim import corridor_dict
 
 
@@ -1019,6 +1020,12 @@ MALFORMED = {
         "", TRACK_FLOW + ["--start", "a,b,c"], "--start must be x,y,floor"),
     "--start has four parts": (
         "", TRACK_FLOW + ["--start", "0,0,1,2"], "got '0,0,1,2'"),
+    # and x and y within the bound of a trace's truth positions
+    "--start x is past the trace's value range": (
+        "", TRACK_FLOW + ["--mode", "pdr-compass", "--start", "1e308,0,1"],
+        "x and y finite and in [-1e+06, 1e+06] m and an integer floor, got '1e308,0,1'"),
+    "--start y is just past the trace's value range": (
+        "", TRACK_FLOW + ["--start", "0,-1000000.0000000001,1"], "got '0,-1000000.0000000001,1'"),
 }
 
 
@@ -1217,15 +1224,17 @@ def test_cli_import_loads_no_scipy():
 
 
 # subcommand -> stridemap modules its process must not load, and numpy
-# packages: a single fix is scored without numpy, and numpy.ma, which
-# np.median and np.percentile import, is left to evaluate and sweep
+# packages: build-map reads its scans and trajectory and a single fix is
+# scored without numpy, and no command loads numpy.ma, which np.median and
+# np.percentile import
 UNLOADED = {
-    "simulate": {"pdr", "radiomap", "localization", "numpy.ma"},
+    "simulate": {"pdr", "radiomap", "localization", "trajectory", "numpy.ma"},
     "track": {"sim", "localization", "numpy.ma"},
-    "build-map": {"sim", "localization", "numpy.ma"},
-    "localize": {"sim", "pdr", "landmarks", "sensors", "numpy"},
-    "evaluate": {"sim", "pdr", "landmarks", "sensors"},
-    "sweep": {"sim", "pdr", "landmarks", "sensors"},
+    "build-map": {"sim", "localization", "pdr", "sensors", "landmarks", "numpy",
+                  "numpy.ma"},
+    "localize": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy"},
+    "evaluate": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma"},
+    "sweep": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma"},
 }
 
 
@@ -1270,6 +1279,23 @@ def test_localize_runs_where_numpy_cannot_be_imported(flow, tmp_path):
             env=env, capture_output=True, text=True, check=True).stdout
             for block in ("import sys; sys.modules['numpy'] = None; ", "")]
         assert outs[0] == outs[1] and json.loads(outs[0])["floor"] == 1
+
+
+def test_build_map_runs_where_numpy_cannot_be_imported(flow, tmp_path):
+    # the same files, byte for byte, as a run that may import numpy
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    outs = []
+    for block in ("import sys; sys.modules['numpy'] = None; ", ""):
+        out = tmp_path / str(len(outs))
+        subprocess.run(
+            [sys.executable, "-c", block + "import sys; from stridemap.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "build-map", str(flow / "trajectory.jsonl"),
+             str(flow / "trace.jsonl"), "--out", str(out)],
+            env=env, capture_output=True, text=True, check=True)
+        outs.append({name: (out / name).read_bytes()
+                     for name in ("map.json", "segments.csv", "manifest.json")})
+    assert outs[0] == outs[1] and b'"fp"' in outs[0]["map.json"]
 
 
 def test_strong_ap_clips_at_zero_dbm_through_the_pipeline(tmp_path):

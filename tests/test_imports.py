@@ -112,7 +112,8 @@ def test_every_private_package_name_is_read():
     assert unreferenced_privates([p.read_text() for p in SOURCES]) == []
 
 
-# every name `from stridemap import ...` offers
+# every name `from stridemap import ...` offers: every name it offered
+# before, and load_scans
 EXPORTS = [
     "Ap", "Channel", "CompassZone", "Edge", "Environment", "EvaluationReport",
     "GraphError", "HeadingSource", "Landmark", "LandmarkConfig",
@@ -127,10 +128,11 @@ EXPORTS = [
     "detect_gyro_landmarks", "detect_steps", "dump_trace", "dump_trajectory",
     "evaluate", "generate_test_queries", "generate_trace", "graph_from_dict",
     "interpolate_rp", "knn", "knn_localize", "landmark_confidence",
-    "load_landmark_graph", "load_radio_map", "load_scenario", "load_trace",
-    "load_trajectory", "match_landmark", "plan_walk", "read_fingerprints",
-    "run_pdr", "save_radio_map", "scenario_from_dict", "segment_belief",
-    "to_positive", "trajectory_errors", "update_step_length", "vectorize_map",
+    "load_landmark_graph", "load_radio_map", "load_scans", "load_scenario",
+    "load_trace", "load_trajectory", "match_landmark", "plan_walk",
+    "read_fingerprints", "run_pdr", "save_radio_map", "scenario_from_dict",
+    "segment_belief", "to_positive", "trajectory_errors", "update_step_length",
+    "vectorize_map",
 ]
 
 

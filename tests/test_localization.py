@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stridemap.localization import (LocalizationConfig, VectorizedMap,
-                                    evaluate, knn, knn_localize,
+                                    _percentile, evaluate, knn, knn_localize,
                                     read_fingerprints, to_positive,
                                     vectorize_map)
 from stridemap.radiomap import RadioMap, RadioMapEntry
@@ -493,3 +493,18 @@ def test_row_bookkeeping():
     assert (rep.fix.x[0], rep.fix.y[0], rep.fix.floor[0]) == (0.0, 0.0, 1)
     assert rep.error_m[0] == pytest.approx(2.0)
     assert rep.floor_correct.dtype == bool and rep.floor_correct[0]
+
+
+# errors with ties; + 0.0 turns -0.0 into 0.0, which no error is
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 2.5]),
+                          st.floats(0.0, 1e6).map(lambda v: v + 0.0)),
+                min_size=1, max_size=300))
+@example([0.0])
+@example([2.5] * 300)
+def test_percentile_is_numpys_without_numpy_ma(values):
+    ranked = sorted(values)
+    for p in (50, 75, 90):
+        got = _percentile(ranked, p)
+        assert type(got) is float
+        assert got.hex() == float(np.percentile(np.array(ranked), p)).hex()

@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 
 from stridemap.landmarks import (Landmark, LandmarkEvent, Rule, RuleKind,
                                  graph_from_dict)
-from stridemap.pdr import (HeadingSource, MatchState, PathSegment, PdrConfig,
-                           Pose, Trajectory, attach_periodicities, dump_trajectory,
-                           landmark_confidence, load_trajectory,
+from stridemap.pdr import (HeadingSource, MatchState, PdrConfig,
+                           attach_periodicities, landmark_confidence,
                            match_landmark, floor_update, pdr_step,
                            round_floor, run_pdr, trajectory_errors,
                            update_step_length, _median)
 from stridemap.records import number, read_jsonl, shown
-from stridemap.sensors import (Channel, SensorTrace, TraceError, TruthChannel,
-                               detect_steps)
+from stridemap.sensors import Channel, SensorTrace, TruthChannel, detect_steps
+from stridemap.tracefile import TraceError
+from stridemap.trajectory import (PathSegment, Pose, Trajectory, dump_trajectory,
+                                  load_trajectory)
 
 from conftest import DT, accel_channel, flat, walking
 
@@ -585,7 +586,6 @@ def test_trajectory_errors_zero_for_exact_truth():
     truth = TruthChannel(t=np.arange(5.0), xy=np.column_stack(
         [np.arange(5.0), np.zeros(5)]), floor=np.ones(5))
     trace = SensorTrace(truth=truth)
-    from stridemap.pdr import Trajectory, PathSegment
     traj = Trajectory(segments=[PathSegment(points=poses, periodicities=[])])
     assert trajectory_errors(traj, trace).max() == 0.0
 

@@ -6,17 +6,18 @@ import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stridemap import radiomap
-from stridemap.pdr import PathSegment, Pose, Trajectory
 from stridemap.radiomap import (MapFormatError, QualityConfig, RadioMap, RadioMapEntry,
                                 build_radio_map, interpolate_rp,
                                 load_radio_map, save_radio_map,
                                 segment_belief)
-from stridemap.sensors import WifiScan
+from stridemap.tracefile import WifiScan
+from stridemap.trajectory import PathSegment, Pose, Trajectory
 
 
 def seg(periods, t0=0.0, t1=10.0, x0=0.0, x1=12.6, floor=1.0, floor1=None):
@@ -91,6 +92,50 @@ def test_belief_band_edges_count():
 def test_belief_bounded(periods):
     b = segment_belief(seg(periods))
     assert 0.0 <= b <= 1.0 / QualityConfig().sigma_floor
+
+
+def numpy_segment_belief(segment, cfg=QualityConfig()):
+    """The reference: segment_belief as it was computed with numpy."""
+    periods = np.asarray(segment.periodicities, dtype=float)
+    if periods.size < 2:
+        return None
+    valid = periods[(periods >= cfg.period_min) & (periods <= cfg.period_max)]
+    if valid.size == 0:
+        return 0.0
+    with np.errstate(all="ignore"):  # a zero period sum divides by zero
+        share = float(valid.sum() / periods.sum())
+        spread = float(valid.std())
+    return share / max(spread, cfg.sigma_floor)
+
+
+# the band edges, the floats next to them, both zeros and a few ties
+PERIODS = st.one_of(
+    st.sampled_from([0.4, 1.0, 0.39999999999999997, 1.0000000000000002, 0.0, -0.0,
+                     0.5, 0.1 + 0.2, -0.5, 5e-324, 1e300, -1e300]),
+    st.floats(0.05, 3.0), st.floats(-1e6, 1e6))
+# lengths on both sides of 8 and of 128, where numpy's pairwise sum changes
+LENGTHS = st.one_of(st.sampled_from([0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129,
+                                     135, 136, 137, 255, 256, 257, 300]),
+                    st.integers(0, 300))
+BANDS = st.sampled_from([QualityConfig(), QualityConfig(period_min=-1.0),
+                         QualityConfig(period_min=-0.0, period_max=0.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), LENGTHS, BANDS)
+def test_belief_is_numpys_bit_for_bit(data, n, cfg):
+    periods = data.draw(st.lists(PERIODS, min_size=n, max_size=n))
+    got = segment_belief(seg(periods), cfg)
+    want = numpy_segment_belief(seg(periods), cfg)
+    assert repr(got) == repr(want) and type(got) is type(want)
+
+
+@pytest.mark.parametrize("periods", [[0.5, -0.5], [-0.0, 0.0], [0.0] * 9,
+                                     [0.4] * 200, [-0.0] * 130])
+def test_belief_divides_as_numpy_does(periods):
+    for cfg in (QualityConfig(), QualityConfig(period_min=-1.0)):
+        assert repr(segment_belief(seg(periods), cfg)) \
+            == repr(numpy_segment_belief(seg(periods), cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stridemap import records, sensors
+from stridemap import records, sensors, tracefile
 from stridemap.sensors import (CHANNELS, T_MAX_S, VALUE_MAX, Channel,
                                MotionState, SensorTrace, TraceError,
                                TruthChannel, WifiScan,
@@ -24,6 +24,7 @@ from stridemap.sensors import (CHANNELS, T_MAX_S, VALUE_MAX, Channel,
                                moving_average)
 
 from stridemap.sim import generate_trace, load_scenario
+from stridemap.tracefile import load_scans
 
 from conftest import DT, GRAVITY, SCENARIOS, flat, trace_from_mags, walking
 
@@ -327,6 +328,27 @@ def outcome(load, path, channels=tuple(CHANNELS)):
         return f"TraceError: {exc}"
 
 
+def json_path_scans(path) -> list[WifiScan]:
+    """The WiFi scans of a json-path load of the wifi channel alone."""
+    return json_path_load(path, ("wifi",)).wifi
+
+
+def front_scans(path) -> list[WifiScan]:
+    """load_scans that fails unless its front reads the whole file."""
+    with mock.patch.object(sensors, "load_trace",
+                           side_effect=AssertionError("left to load_trace")):
+        return load_scans(path)
+
+
+def scans_outcome(load, path):
+    """Each scan's t, as its type and repr (so -0.0 is not 0.0), and its
+    readings; or the TraceError's text."""
+    try:
+        return [(type(s.t), repr(s.t), s.readings) for s in load(path)]
+    except TraceError as exc:
+        return f"TraceError: {exc}"
+
+
 # numbers within the range of both t and values
 AWKWARD = st.one_of(
     st.sampled_from([5e-324, -5e-324, 1e-300, 2.5e-308, -0.0, 0.0, 0.1 + 0.2,
@@ -374,6 +396,7 @@ GOOD = ('{"ch": "accel", "t": 0.0, "v": [0.5, -0.0, 9.8]}\n'
         '{"ch": "gyro", "t": 0.0, "v": [0.1, 0.2, 0.3]}\n'
         '{"ch": "wifi", "t": 0.01, "v": [["aa", -50]]}\n')
 ACC = '{"ch": "accel", "t": 1.0, "v": [1.0, 2.0, 3.0]}'
+DEEP_LIST = "[" * 100000 + "]" * 100000
 
 # case -> trace text on which the fast path and the json path must agree
 READER_CASES = {
@@ -426,6 +449,59 @@ def test_fast_path_agrees_with_json_path(case, channels, tmp_path):
     assert outcome(load_trace, path, channels) == outcome(json_path_load, path, channels)
 
 
+# case -> trace text: READER_CASES, and WiFi t that json reads but the
+# trace format refuses, and files without a scan
+SCAN_CASES = {
+    **READER_CASES,
+    "NaN WiFi t": GOOD + '{"ch": "wifi", "t": NaN, "v": [["aa", -50]]}\n',
+    "Infinity WiFi t": GOOD + '{"ch": "wifi", "t": Infinity, "v": []}\n',
+    "-Infinity WiFi t": GOOD + '{"ch": "wifi", "t": -Infinity, "v": []}\n',
+    "400-digit integer WiFi t": GOOD + '{"ch": "wifi", "t": 1' + "0" * 400 + ', "v": []}\n',
+    "bool WiFi t first": '{"ch": "wifi", "t": false, "v": []}\n' + GOOD,
+    "regressing WiFi t": GOOD + '{"ch": "wifi", "t": 0.005, "v": []}\n',
+    "integer and -0.0 WiFi t": ('{"ch": "wifi", "t": -0.0, "v": []}\n'
+                                '{"ch": "wifi", "t": 0, "v": []}\n' + GOOD),
+    "WiFi t past the range": GOOD + '{"ch": "wifi", "t": 1e+11, "v": []}\n',
+    "string WiFi t": GOOD + '{"ch": "wifi", "t": "1.0", "v": []}\n',
+    "WiFi line without v": GOOD + '{"ch": "wifi", "t": 1.0}\n',
+    "WiFi line nested too deep": GOOD + '{"ch": "wifi", "t": 1.0, "v": ' + DEEP_LIST + '}\n',
+    "not UTF-8 in an accel line": GOOD + ACC[:-1] + "\udcff}\n",
+    "lone CR": GOOD.replace("\n", "\r", 1),
+    "junk first line": "oops\n" + GOOD,
+    "blank first line": "\n" + GOOD,
+    "no WiFi line": GOOD.replace('{"ch": "wifi", "t": 0.01, "v": [["aa", -50]]}\n', ""),
+    "empty file": "",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_load_scans_agrees_with_json_path(case, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(SCAN_CASES[case].encode(errors="surrogateescape"))
+    assert scans_outcome(load_scans, path) == scans_outcome(json_path_scans, path)
+
+
+def test_load_scans_reads_a_dumped_trace_without_load_trace(tmp_path):
+    path = tmp_path / "t.jsonl"
+    dump_trace(_awkward_trace(), path)
+    assert front_scans(path) == _awkward_trace().wifi
+    for case in ("canonical", "missing final newline", "CRLF line ends",
+                 "broken gyro line", "two records on one line",
+                 "integer and -0.0 WiFi t", "no WiFi line", "empty file"):
+        path.write_bytes(SCAN_CASES[case].encode())
+        assert scans_outcome(front_scans, path) == scans_outcome(json_path_scans, path)
+
+
+@pytest.mark.parametrize("channels", [("wifi",), ("accel", "wifi")])
+def test_a_subset_load_takes_the_json_path(channels, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(GOOD)
+    with mock.patch.object(sensors, "_canonical_columns") as fast:
+        trace = load_trace(path, channels)
+    fast.assert_not_called()
+    assert trace_bits(trace) == trace_bits(json_path_load(path, channels))
+
+
 def test_integer_minus_zero_loads_as_json_reads_it(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text(READER_CASES["integer -0, which json reads as +0.0"])
@@ -476,24 +552,24 @@ def test_skipped_channels_load_empty_and_are_never_parsed(tmp_path):
 
 
 def test_a_skipped_line_is_checked_by_its_prefix_alone(tmp_path):
-    # past its first 14 bytes a skipped line is never read, by either path;
-    # a line read needs its whole head
+    # past its first 14 bytes a skipped line is never read, by the json
+    # path or by load_scans's front; a line read needs its whole head
     path = tmp_path / "t.jsonl"
     path.write_text('{"ch": "accel", "t": 1.0, "v": [0.0, 0.0, 9.8]}\n'
                     '{"ch": "gyro",  "time": nope\n'
                     '{"ch": "truth"}\n'
                     '{"ch": "wifi", "t": 1.0, "v": [["aa", -50]]}\n')
-    for load in (fast_path_load, json_path_load):
-        trace = load(path, ("wifi",))
-        assert [(s.t, s.readings) for s in trace.wifi] == [(1.0, {"aa": -50})]
-        assert len(trace.accel) == len(trace.gyro) == 0 and trace.truth is None
+    trace = json_path_load(path, ("wifi",))
+    assert [(s.t, s.readings) for s in trace.wifi] == [(1.0, {"aa": -50})]
+    assert len(trace.accel) == len(trace.gyro) == 0 and trace.truth is None
+    assert front_scans(path) == trace.wifi
     with pytest.raises(TraceError, match="^line 2: invalid JSON"):
         load_trace(path, ("gyro", "wifi"))
     path.write_text('{"ch": "wifi", "t": 1.0, "v": [["aa", -50]]}\n'
                     '{"ch": "wifi",  "t": 2.0, "v": []}\n')
-    with pytest.raises(AssertionError, match="fell back to json"):
-        fast_path_load(path, ("wifi",))
-    assert [s.t for s in load_trace(path, ("wifi",)).wifi] == [1.0, 2.0]
+    with pytest.raises(AssertionError, match="left to load_trace"):
+        front_scans(path)
+    assert [s.t for s in load_scans(path)] == [1.0, 2.0]
 
 
 def test_a_skipped_line_before_a_bad_line_does_not_move_the_error(tmp_path):
@@ -563,21 +639,36 @@ def mutated_trace_files(draw) -> bytes:
 
 
 @settings(max_examples=200, deadline=None)
-@given(mutated_trace_files(), st.integers(1, 96),
-       st.sampled_from([tuple(CHANNELS), ("accel", "wifi"), ("wifi",)]))
-def test_fast_path_accepts_only_what_json_reads_alike(text, block, channels):
+@given(mutated_trace_files(), st.integers(1, 96))
+def test_fast_path_accepts_only_what_json_reads_alike(text, block):
     # blocks of a few bytes, so lines and CRLF pairs straddle the reads
     with tempfile.TemporaryDirectory() as d, \
-            mock.patch.object(sensors, "_BLOCK_BYTES", block):
+            mock.patch.object(tracefile, "_BLOCK_BYTES", block):
         path = Path(d) / "t.jsonl"
         path.write_bytes(text)
-        want = outcome(json_path_load, path, channels)
-        assert outcome(load_trace, path, channels) == want
+        want = outcome(json_path_load, path)
+        assert outcome(load_trace, path) == want
         try:
-            fast = outcome(fast_path_load, path, channels)
+            fast = outcome(fast_path_load, path)
         except AssertionError:  # the fast path did not read this file
             return
         assert fast == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_trace_files(), st.integers(1, 96))
+def test_load_scans_accepts_only_what_json_reads_alike(text, block):
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(tracefile, "_BLOCK_BYTES", block):
+        path = Path(d) / "t.jsonl"
+        path.write_bytes(text)
+        want = scans_outcome(json_path_scans, path)
+        assert scans_outcome(load_scans, path) == want
+        try:
+            front = scans_outcome(front_scans, path)
+        except AssertionError:  # the front left this file to load_trace
+            return
+        assert front == want
 
 
 def traced_peak(call) -> tuple:
@@ -602,11 +693,11 @@ def test_load_memory_is_the_arrays_plus_a_block(tmp_path):
                         wifi=[WifiScan(float(s), {"aa": -50}) for s in t[::50]])
     path = tmp_path / "long.jsonl"
     dump_trace(trace, path)
-    with mock.patch.object(sensors, "_BLOCK_BYTES", 1 << 14):
+    with mock.patch.object(tracefile, "_BLOCK_BYTES", 1 << 14):
         back, kept, peak = traced_peak(lambda: fast_path_load(path))  # kept: the trace
         assert trace_bits(back) == trace_bits(trace)
         assert kept > sum(a.nbytes for c in (back.accel, back.gyro) for a in (c.t, c.v))
-        assert peak < kept + 8 * sensors._BLOCK_BYTES
+        assert peak < kept + 8 * tracefile._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("load", [fast_path_load, json_path_load])
