@@ -28,8 +28,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .config import (HEADING_THRESHOLD_DEG, HeadingSource, LandmarkConfig,
                      LocalizationConfig, PdrConfig, QualityConfig,
                      SensorConfig, in_order)
-from .records import (RSS_RULE, choice, field_reader, fingerprint, members,
-                      number, read_json, read_jsonl, rss, shown, version)
+from .records import (POSITION, RSS_RULE, VALUE_MAX, choice, field_reader,
+                      fingerprint, members, number, read_json, read_jsonl, rss,
+                      shown, version)
 
 # Each subcommand imports the stage functions it calls in its own body, so
 # a process loads only the stages of the command it runs.
@@ -241,11 +242,9 @@ def _start(text: str) -> tuple[float, float, float]:
     """--start's x,y,floor: x and y within +-VALUE_MAX, the bound of a
     trace's truth positions, and an integral floor, read by records.number
     as every loader reads a pose."""
-    from .tracefile import VALUE_MAX
-    bounds = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
     try:
         x, y, floor = (float(part) for part in text.split(","))
-        return (number(x, "x", **bounds), number(y, "y", **bounds),
+        return (number(x, "x", **POSITION), number(y, "y", **POSITION),
                 float(number(floor, "floor", integral=True)))
     except ValueError:
         raise CliError(f"--start must be x,y,floor with x and y finite and in "
@@ -369,6 +368,9 @@ def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[
         except ValueError:
             raise CliError(f"{path}:{ln}: x, y and floor must be finite numbers, "
                            f"floor an integer")
+        if not (-VALUE_MAX <= truth[0] <= VALUE_MAX and -VALUE_MAX <= truth[1] <= VALUE_MAX):
+            for k, v in zip("xy", truth):
+                number(v, f"{path}:{ln}: {k}", CliError, **POSITION)
         queries.append((truth, fp))
     return queries
 

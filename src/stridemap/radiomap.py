@@ -22,13 +22,14 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
+from itertools import count
 from operator import add, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import QualityConfig, in_order
-from .records import (array, field_reader, fingerprint, members, read_json,
-                      record, version, writing)
+from .records import (POSITION, array, field_reader, fingerprint, members,
+                      read_json, record, version, writing)
 
 if TYPE_CHECKING:  # a map reader such as localize loads neither module
     from .tracefile import WifiScan
@@ -36,13 +37,14 @@ if TYPE_CHECKING:  # a map reader such as localize loads neither module
 
 
 class MapFormatError(ValueError):
-    """Radio map file violates the expected schema."""
+    """Radio map file violates the expected schema, or a map cannot be
+    written as one."""
 
 
 @dataclass(frozen=True)
 class RadioMapEntry:
-    x: float
-    y: float
+    x: float = field(metadata=POSITION)
+    y: float = field(metadata=POSITION)
     floor: int
     belief: float
     fp: dict[str, int]  # MAC -> RSS dBm
@@ -220,10 +222,11 @@ _FP = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": ")).encode
 _CHUNK_ENTRIES = 256
 
 
-def _entry_text(e: RadioMapEntry) -> str:
-    """An entry as the map file holds it: through _ENTRY when x, y and
+def _entry_text(e: RadioMapEntry, i: int) -> str:
+    """Entry i as the map file holds it: through _ENTRY when x, y and
     belief are finite floats, floor an int and fp a dict of int readings,
-    whose %r is json's text; any other entry through json.dumps itself."""
+    whose %r is json's text; any other entry through json.dumps itself,
+    which refuses NaN and the infinities."""
     fp = e.fp
     if (type(e.x) is type(e.y) is type(e.belief) is float and type(e.floor) is int
             and math.isfinite(e.x + e.y + e.belief)  # an overflowing sum only falls back
@@ -231,21 +234,26 @@ def _entry_text(e: RadioMapEntry) -> str:
         return _ENTRY % (e.belief, e.floor,
                          "{\n        %s\n      }" % _FP(fp)[1:-1] if fp else "{}", e.x, e.y)
     obj = {"x": e.x, "y": e.y, "floor": e.floor, "belief": e.belief, "fp": fp}
-    return "    " + json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n    ")
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise MapFormatError(f"cannot write map: entry {i} must hold finite numbers") from None
+    return "    " + text.replace("\n", "\n    ")
 
 
 def save_radio_map(radio_map: RadioMap, path) -> None:
     """Write a map as JSON to a path or open file: the text of
     json.dumps(obj, sort_keys=True, indent=2) and a newline, the entries
     formatted and written _CHUNK_ENTRIES at a time, so memory never holds
-    the whole text. An entry json cannot write raises json's TypeError
-    after the entries before it are written."""
+    the whole text. An entry json cannot write raises json's TypeError, or
+    MapFormatError for a number that is not finite, after the entries before
+    it are written."""
     entries = radio_map.entries
     with writing(path) as fh:
         fh.write('{\n  "config": %s,\n  "entries": ['
                  % json.dumps(radio_map.config, sort_keys=True, indent=2).replace("\n", "\n  "))
         for lo in range(0, len(entries), _CHUNK_ENTRIES):
-            chunk = map(_entry_text, entries[lo:lo + _CHUNK_ENTRIES])
+            chunk = map(_entry_text, entries[lo:lo + _CHUNK_ENTRIES], count(lo))
             fh.write(("\n" if lo == 0 else ",\n") + ",\n".join(chunk))
         fh.write('%s],\n  "version": %r\n}\n' % ("\n  " if entries else "", MAP_VERSION))
 

@@ -26,6 +26,14 @@ from typing import Iterator
 RSS_MIN_DBM = -200
 RSS_MAX_DBM = 0
 RSS_RULE = f"must be a non-positive integer of at least {RSS_MIN_DBM} dBm"
+# The range of every timestamp (seconds; Unix-epoch times fit) and of every
+# position coordinate (m) and trace sample value a reader takes, so no
+# square or sum of them leaves the floats; as number's bounds, TIMESTAMP and
+# POSITION.
+T_MAX_S = 1e10
+VALUE_MAX = 1e6
+TIMESTAMP = {"at_least": -T_MAX_S, "at_most": T_MAX_S}
+POSITION = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
 # The most characters of an offending value an error message quotes.
 _SHOWN_CHARS = 100
 
@@ -201,12 +209,19 @@ def record(cls, readers: dict | None = None, keys: dict | None = None):
                                             in read(obj, where, error).items()})
 
 
+def clean_readings(readings: dict) -> bool:
+    """Whether a reader takes a dict of readings as parsed: no empty MAC,
+    and every reading an int in [RSS_MIN_DBM, RSS_MAX_DBM]."""
+    return ("" not in readings and {int}.issuperset(map(type, readings.values()))
+            and (not readings or RSS_MIN_DBM <= min(readings.values())
+                 and max(readings.values()) <= RSS_MAX_DBM))
+
+
 def fingerprint(raw, where: str, error: type[ValueError]) -> dict[str, int]:
     """A {mac: rss} object as the readings of one scan: each MAC non-empty,
-    each RSS as rss reads it. A fingerprint of in-range int readings, as
-    files hold them, is returned as parsed."""
-    if type(raw) is dict and "" not in raw and all(
-            type(v) is int and RSS_MIN_DBM <= v <= RSS_MAX_DBM for v in raw.values()):
+    each RSS as rss reads it. A clean_readings fingerprint is returned as
+    parsed."""
+    if type(raw) is dict and clean_readings(raw):
         return raw
     if not isinstance(raw, dict):
         raise error(f"{where}: fingerprint must be an object of mac: rss")

@@ -1,35 +1,36 @@
 """Sensor trace ingestion and low-level motion signal processing.
 
-The trace line format, its channels and ranges (CHANNELS, T_MAX_S,
-VALUE_MAX), TraceError and WifiScan are in stridemap.tracefile, which
-also reads a trace's WiFi scans alone without numpy (load_scans).
+The trace line format, its channels (CHANNELS), TraceError and WifiScan
+are in stridemap.tracefile, which also reads a trace's WiFi scans alone
+without numpy (load_scans); the ranges of t and values (T_MAX_S,
+VALUE_MAX) are in stridemap.records.
 load_trace reads whole traces into arrays, checking every channel it
 reads as tracefile says; a violation raises TraceError naming the first
 bad line.
 
 A whole-trace load of a file whose every line has the layout dump_trace
 writes takes a fast path, with any JSON number in a number's place
-(integers, -0 and 1E5 included), CRLF line ends, and with or without a
-final newline. It reads the bytes a block of about
-tracefile._BLOCK_BYTES at a time, read on to a newline, twice: a first
-pass counts each channel's lines by the byte that names a line's
-channel, and the second parses each numeric channel's numbers straight
-into t and v arrays of that final size, so memory holds the arrays and
-one block's work. Per block, numpy finds the lines and checks each
-line's whole head '{"ch": "<ch>", "t": ' as 8-byte words gathered at the
-line starts; with each run of number characters collapsed to one 0, each
-numeric line's rest must be exactly its channel's skeleton, so each
-number stands alone in its own slot; one json.loads parses all the
-block's numbers, so the number grammar and the values are json's own;
-and each WiFi line gets its own json.loads. Any other file (other
-spacing or key order, blank lines, a lone CR, a token json refuses) is
-read a line at a time with json.loads, with the same arrays, and that
-path names every error. A trace must be UTF-8: a line that is not raises
-TraceError "line N: not valid UTF-8", in any channel. load_trace can
-read a subset of the channels: that load goes straight to the json path,
-which skips the lines of the other channels by their _PREFIXES prefix
-alone, unparsed, so a malformed line of another channel does not fail
-it. A WiFi scan is read by tracefile's _scan_readings.
+(integers, -0 and 1E5 included), and with or without a final newline.
+It reads the file twice through tracefile._blocks, which takes CRLF as
+LF and doubts a lone CR or a byte that is not UTF-8: a first pass counts
+each channel's lines by the byte that names a line's channel, and the
+second parses each numeric channel's numbers straight into t and v
+arrays of that final size, so memory holds the arrays and one block's
+work. Per block, numpy finds the lines and checks each line's whole head
+'{"ch": "<ch>", "t": ' as 8-byte words gathered at the line starts;
+with each run of number characters collapsed to one 0, each numeric
+line's rest must be exactly its channel's skeleton, so each number
+stands alone in its own slot; one json.loads parses all the block's
+numbers, so the number grammar and the values are json's own; and each
+WiFi line is read by tracefile._wifi_line. A file the fast path doubts
+(tracefile._DOUBTS: other spacing or key order, blank lines, a lone CR,
+a token json refuses) is read a line at a time with json.loads, with the
+same arrays, and that json path names every error. A trace must be
+UTF-8: a line that is not raises TraceError "line N: not valid UTF-8",
+in any channel. load_trace can read a subset of the channels: that load
+goes straight to the json path, which skips the lines of the other
+channels by their _PREFIXES prefix alone, unparsed, so a malformed line
+of another channel does not fail it.
 
 dump_trace writes those lines as a stream: the rows of every channel,
 each channel's t non-decreasing, are merged by (t, channel order) a
@@ -46,6 +47,7 @@ files, and the file writer dump_trace shares, are in stridemap.records.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import sys
@@ -59,9 +61,9 @@ from typing import Iterator
 import numpy as np
 
 from .config import SensorConfig
-from .records import number, read_jsonl, shown, writing
-from .tracefile import (_PREFIX_LEN, _PREFIXES, CHANNELS, T_MAX_S, VALUE_MAX,
-                        TraceError, WifiScan, _blocks, _head, _scan_readings)
+from .records import T_MAX_S, VALUE_MAX, number, read_jsonl, shown, writing
+from .tracefile import (_DOUBTS, _PREFIX_LEN, _PREFIXES, CHANNELS, TraceError,
+                        WifiScan, _blocks, _Doubt, _head, _scan_readings, _wifi_line)
 
 # Width of the centered moving average applied before peak picking, samples.
 SMOOTHING_WIDTH = 5
@@ -278,10 +280,6 @@ def _json_columns(path: str | Path, channels) -> dict[str, tuple[list, list]]:
     return cols
 
 
-class _NotCanonical(Exception):
-    """A trace the fast path does not read."""
-
-
 def _line_counts(path: str | Path) -> np.ndarray:
     """The lines of each channel in a trace, by channel index in CHANNELS,
     counted by the byte that names a dump_trace line's channel. The counts
@@ -314,33 +312,24 @@ def _words(data: bytes) -> np.ndarray:
 def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> None:
     """Parse block's lines into cols: each numeric channel's t and v from
     row filled[i] on, advancing filled[i] (i its index in CHANNELS), and
-    each WiFi line's t and readings appended to the WiFi lists. block
-    holds whole lines, each ending in a newline. Any line dump_trace could
-    not have written, or more lines of a channel than its arrays hold,
-    raises _NotCanonical."""
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")
-        if b"\r" in block:  # a lone CR, which the json path reads as a line end
-            raise _NotCanonical
-    if not block.isascii():
-        try:
-            block.decode()
-        except UnicodeDecodeError:  # the json path names the line
-            raise _NotCanonical from None
+    each WiFi line's t and readings, read by _wifi_line, appended to the
+    WiFi lists. block is one of _blocks. Any line dump_trace could not have
+    written, or more lines of a channel than its arrays hold, raises one
+    of _DOUBTS."""
     arr = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(arr == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
     length = ends - starts  # the byte naming each line's channel lies within it
     if length.min() < _PREFIX_LEN:
-        raise _NotCanonical
+        raise _Doubt
     kind = _KIND[arr[starts + _KIND_AT]]  # each line's channel index
     if kind.min() < 0 or (length < _HEAD_LEN[kind]).any():
-        raise _NotCanonical
+        raise _Doubt
     # each line's whole head, its last word within the line
     words = _words(block)
     if not ((words[starts] == _WORD0).all() and (words[starts + 6] == _WORD6[kind]).all()
             and (words[starts + _HEAD_LEN[kind] - 8] == _WORD_END).all()):
-        raise _NotCanonical
+        raise _Doubt
     numeric = kind != _WIFI
     if numeric.any():
         lines = kind[numeric]
@@ -349,11 +338,10 @@ def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> 
         runs = np.diff(bounds.ravel(), prepend=0, append=len(arr))
         rests = arr[np.repeat(np.arange(len(runs)) % 2 == 1, runs)].tobytes()
         if _skeletons(rests) != b"".join(map(_SKELETONS.__getitem__, lines.tolist())):
-            raise _NotCanonical
-        try:  # json's own number grammar and values, integers and -0 included
-            values = np.array(json.loads(b"[%s]" % rests[:-1].translate(_TO_LIST)), float)
-        except (ValueError, OverflowError):  # invalid JSON, or an int past float
-            raise _NotCanonical from None
+            raise _Doubt
+        # json's own number grammar and values, integers and -0 included; an
+        # int past the float range raises OverflowError
+        values = np.array(json.loads(b"[%s]" % rests[:-1].translate(_TO_LIST)), float)
         owner = np.repeat(lines, _NUMBERS[lines])
         for i, ch in enumerate(CHANNELS):
             if i != _WIFI:
@@ -361,20 +349,15 @@ def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> 
                 t, v = cols[ch]
                 lo, hi = filled[i], filled[i] + len(rows)
                 if hi > len(t):  # more lines than counted: the file changed
-                    raise _NotCanonical
+                    raise _Doubt
                 t[lo:hi] = rows[:, 0]
                 v[lo:hi] = rows[:, 1:].reshape(v[lo:hi].shape)
                 filled[i] = hi
     ts, vs = cols["wifi"]
     for s, e in zip(starts[~numeric].tolist(), ends[~numeric].tolist()):
-        try:
-            rec = json.loads(block[s:e])
-            if rec["ch"] != "wifi":
-                raise _NotCanonical
-            ts.append(rec["t"])
-            vs.append(_scan_readings(rec["v"]))
-        except (ValueError, KeyError, TypeError, RecursionError):  # TraceError among them
-            raise _NotCanonical from None
+        t, readings = _wifi_line(block, s, e)
+        ts.append(t)
+        vs.append(readings)
     filled[_WIFI] = len(ts)
 
 
@@ -382,8 +365,8 @@ def _canonical_columns(path: str | Path) -> dict[str, tuple]:
     """The t and v of each channel of a trace whose every line dump_trace
     could have written, read a block at a time. A first pass counts each
     channel's lines, so the numeric channels' values are parsed straight
-    into arrays of their final size. Any other line raises _NotCanonical,
-    never TraceError: the json path names the faults."""
+    into arrays of their final size. Any other line raises one of _DOUBTS:
+    the json path names the faults."""
     counts = _line_counts(path)
     cols = {ch: ([], []) if ch == "wifi" else
             (np.empty(n), np.empty((n, *_sample_shape(ch)))) for ch, n in zip(CHANNELS, counts)}
@@ -392,7 +375,7 @@ def _canonical_columns(path: str | Path) -> dict[str, tuple]:
         for block in _blocks(fh):
             _block_columns(block, cols, filled)
     if (filled != counts).any():  # fewer lines than counted: the file changed
-        raise _NotCanonical
+        raise _Doubt
     return cols
 
 
@@ -407,10 +390,11 @@ def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
     unknown = set(channels) - CHANNELS.keys()
     if unknown:
         raise ValueError(f"unknown trace channels {sorted(unknown)}")
-    whole = set(channels) == CHANNELS.keys()
-    try:
-        cols = _canonical_columns(path) if whole else _json_columns(path, channels)
-    except _NotCanonical:
+    cols = None
+    if set(channels) == CHANNELS.keys():
+        with contextlib.suppress(*_DOUBTS):
+            cols = _canonical_columns(path)
+    if cols is None:
         cols = _json_columns(path, channels)
     chans = {ch: _channel(path, ch, *cols.pop(ch), channels) for ch in CHANNELS}
     wifi = chans.pop("wifi")

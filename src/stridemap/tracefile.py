@@ -12,41 +12,35 @@ Traces are JSON-lines files with one record per line:
 CHANNELS holds the values per sample (one is a bare number) and the
 channel order at equal timestamps. On load, t (seconds) and every value
 must be finite JSON numbers (never a bool or a string), t within
-+-T_MAX_S and each value within +-VALUE_MAX, samples must have their
-channel's width, t must not decrease within a channel, and a WiFi
-reading must be a [mac, rss] pair (unique non-empty string MAC, RSS as
-read by stridemap.records.rss). stridemap.sensors reads and writes
++-T_MAX_S and each value within +-VALUE_MAX (records holds both),
+samples must have their channel's width, t must not decrease within a
+channel, and a WiFi reading must be a [mac, rss] pair (unique non-empty
+string MAC, RSS as read by stridemap.records.rss). stridemap.sensors reads and writes
 whole traces; this module holds the format they share.
 
-load_scans reads only the WiFi scans, as sensors.load_trace(path,
-("wifi",)) does, for a command that needs nothing else (build-map). Its
-front reads a file of dump_trace's lines a block of about _BLOCK_BYTES
-at a time, as bytes. Per block it refuses a lone CR and a byte that is
-not UTF-8 and takes CRLF as LF. One regex search finds each line that
-does not start with the _PREFIXES prefix of another channel; each must
-be a WiFi line with the whole head '{"ch": "wifi", "t": ', so every line
-is checked by its prefix, and is parsed by json.loads. Each t must be an
-int or a float within +-T_MAX_S and no smaller than the one before it. A
-file the front doubts goes to load_trace, which reads it or words its
-fault, so both give the same scans and the same errors. This module
-needs nothing but the standard library and records.
+This module is the one reader of dump_trace's bytes. _blocks reads a
+file in blocks cut after a newline, takes CRLF as LF and doubts a lone CR
+or a byte that is not UTF-8; _wifi_line reads one WiFi line, leaving its
+t to the caller. sensors.load_trace's fast path reads the blocks with
+numpy. load_scans reads only the WiFi scans, as load_trace(path,
+("wifi",)) does, for build-map: per block one regex search finds each
+line without the _PREFIXES prefix of another channel, which must be a
+WiFi line, and each t must be an int or a float in [the t before it,
+T_MAX_S]. A file a block reader doubts (one of _DOUBTS) goes to
+load_trace's json path, which words its fault, so all readers give the
+same scans and errors. This module needs only the stdlib and records.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .records import RSS_MAX_DBM, RSS_MIN_DBM, RSS_RULE, rss, shown
+from .records import RSS_RULE, T_MAX_S, clean_readings, rss, shown
 
-# The range of every trace timestamp (seconds; Unix-epoch times fit) and of
-# every numeric sample value, so no square or sum of them leaves the floats.
-T_MAX_S = 1e10
-VALUE_MAX = 1e6
 # The trace format: values per sample of each channel, in write order at
 # equal timestamps; a WiFi sample (None) is a scan of any length.
 CHANNELS = {"accel": 3, "gyro": 3, "mag": 3, "baro": 1, "wifi": None, "truth": 3}
@@ -80,20 +74,16 @@ def _head(ch: str) -> str:
 
 def _scan_readings(v) -> dict[str, int]:
     """The readings of one WiFi scan; TraceError, without a line number,
-    unless v is a list of [mac, rss] pairs. A scan of distinct non-empty
-    string MACs and in-range int readings, as files hold them, is read by
-    one dict(v) and whole-scan tests; any other goes pair by pair, which
-    words the error."""
+    unless v is a list of [mac, rss] pairs. A scan of distinct string MACs
+    that clean_readings passes is read by one dict(v); any other goes pair
+    by pair, which words the error."""
     if type(v) is list:
         try:
             readings = dict(v)
         except (TypeError, ValueError):  # a pair that is no pair, or an unhashable MAC
             readings = None
-        if (readings is not None and len(readings) == len(v) and "" not in readings
-                and {str}.issuperset(map(type, readings))
-                and {int}.issuperset(map(type, readings.values()))
-                and (not readings or RSS_MIN_DBM <= min(readings.values())
-                     and max(readings.values()) <= RSS_MAX_DBM)):
+        if (readings is not None and len(readings) == len(v)
+                and {str}.issuperset(map(type, readings)) and clean_readings(readings)):
             return readings
     if not isinstance(v, list):
         raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {shown(v)}")
@@ -113,28 +103,58 @@ def _scan_readings(v) -> dict[str, int]:
     return readings
 
 
+class _Doubt(Exception):
+    """A file a block reader leaves to the json path."""
+
+
+# What a block reader raises on a file it doubts: _Doubt, or the error of a
+# parse (json.loads, float, a key, or _scan_readings's TraceError).
+_DOUBTS = (_Doubt, ValueError, KeyError, TypeError, OverflowError, RecursionError)
+
+
 def _blocks(fh) -> Iterator[bytes]:
     """The lines of a binary file in blocks of about _BLOCK_BYTES, each
-    read on to the end of its last line, so a line or a CRLF pair never
-    spans two blocks; the last line gets its newline if it lacks one."""
-    for data in iter(functools.partial(fh.read, _BLOCK_BYTES), b""):
-        if not data.endswith(b"\n"):
+    read cut after its last newline and the file position set back to the
+    cut, or, if it holds none, read on to one; the last line gets its
+    newline if it lacks one. CRLF reads as LF; a lone CR, which the json
+    path reads as a line end, or a byte that is not UTF-8 raises _Doubt."""
+    while data := fh.read(_BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if not cut:
             data += fh.readline()
+        elif cut < len(data):
+            fh.seek(cut - len(data), 1)
+            data = data[:cut]
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n")
+            if b"\r" in data:
+                raise _Doubt
+        if not data.isascii():
+            try:
+                data.decode()
+            except UnicodeDecodeError:  # the json path names the line
+                raise _Doubt from None
         yield data if data.endswith(b"\n") else data + b"\n"
 
 
-# The front's view of dump_trace's lines, as bytes: a line that starts
-# with no prefix in _OTHERS, those of the channels other than WiFi, must be
-# a WiFi line, which starts with its whole head _WIFI_HEAD. _WIFI_OR_ODD
-# finds the newline before each such line.
+def _wifi_line(block: bytes, start: int, end: int) -> tuple[object, dict[str, int]]:
+    """t, as parsed, and the readings of the WiFi line block[start:end],
+    which must start with its whole head; one of _DOUBTS for any other."""
+    if not block.startswith(_WIFI_HEAD, start):
+        raise _Doubt
+    rec = json.loads(block[start:end])
+    if rec["ch"] != "wifi":
+        raise _Doubt
+    return rec["t"], _scan_readings(rec["v"])
+
+
+# load_scans's view of dump_trace's lines: a line that starts with no prefix
+# in _OTHERS, those of the channels other than WiFi, must be a WiFi line,
+# which starts with _WIFI_HEAD. _WIFI_OR_ODD finds the newline before each.
 _OTHERS = tuple(p.encode() for p, ch in _PREFIXES.items() if ch != "wifi")
 _WIFI_OR_ODD = re.compile(b'\n(?!\\{"ch": "(?:%s))'
                           % b"|".join(re.escape(p[len(b'{"ch": "'):]) for p in _OTHERS))
 _WIFI_HEAD = _head("wifi").encode()
-
-
-class _Doubt(Exception):
-    """A trace the front leaves to load_trace."""
 
 
 def _wifi_lines(block: bytes) -> Iterator[int]:
@@ -148,40 +168,25 @@ def _wifi_lines(block: bytes) -> Iterator[int]:
         yield match.end()
 
 
-def _front_scans(path: str | Path) -> list[WifiScan]:
-    """The WiFi scans of a file of dump_trace's lines; _Doubt, or the
-    error a parse or a scan raises, for any other file."""
-    scans = []
-    last = -T_MAX_S  # each t lies in [last, T_MAX_S]
-    with open(path, "rb") as fh:
-        for block in _blocks(fh):
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n")
-                if b"\r" in block:  # a lone CR, which load_trace reads as a line end
-                    raise _Doubt
-            if not block.isascii():
-                block.decode()  # UnicodeDecodeError, a ValueError, if not UTF-8
-            for start in _wifi_lines(block):
-                if not block.startswith(_WIFI_HEAD, start):
-                    raise _Doubt
-                rec = json.loads(block[start:block.index(b"\n", start)].decode())
-                t = rec["t"]
-                if rec["ch"] != "wifi" or type(t) is not float and type(t) is not int:
-                    raise _Doubt
-                t = float(t)
-                if not last <= t <= T_MAX_S:  # NaN fails too
-                    raise _Doubt
-                last = t
-                scans.append(WifiScan(t, _scan_readings(rec["v"])))
-    return scans
-
-
 def load_scans(path: str | Path) -> list[WifiScan]:
     """The WiFi scans of a trace, as load_trace(path, ("wifi",)).wifi:
     the same scans, or the same TraceError. A file of dump_trace's lines
     is read without numpy; load_trace reads any other."""
+    scans = []
+    last = -T_MAX_S  # each t lies in [last, T_MAX_S]
     try:
-        return _front_scans(path)
-    except (_Doubt, ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        with open(path, "rb") as fh:
+            for block in _blocks(fh):
+                for start in _wifi_lines(block):
+                    t, readings = _wifi_line(block, start, block.index(b"\n", start))
+                    if type(t) is not float and type(t) is not int:
+                        raise _Doubt
+                    t = float(t)
+                    if not last <= t <= T_MAX_S:  # NaN fails too
+                        raise _Doubt
+                    last = t
+                    scans.append(WifiScan(t, readings))
+    except _DOUBTS:
         from .sensors import load_trace
         return load_trace(path, ("wifi",)).wifi
+    return scans

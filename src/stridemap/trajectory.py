@@ -4,8 +4,9 @@ A Trajectory is its path segments, in time order; each segment holds its
 poses and the step periods of the steps inside it. stridemap.pdr makes
 them from a trace. dump_trajectory writes a trajectory as JSON lines and
 load_trajectory reads them back. The reader tests each pose in one check
-(four finite floats and an int segment, as files hold them) and reads a
-field through number only for another type or to word an error. This
+(four finite floats, t within +-T_MAX_S, x and y within +-VALUE_MAX, and
+an int segment, as files hold them) and reads a field through number only
+for another type or to word an error. Step periods are above 0. This
 module needs nothing but the standard library, records and tracefile, so
 build-map reads a trajectory without loading numpy or the tracking
 stages.
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-from .records import number, read_jsonl, shown, write_text
+from .records import (POSITION, T_MAX_S, TIMESTAMP, VALUE_MAX, number,
+                      read_jsonl, shown, write_text)
 from .tracefile import TraceError
 
 
@@ -74,9 +76,10 @@ _FINITE_JSON = json.JSONEncoder(allow_nan=False).encode
 def dump_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as JSON lines (path or open file), each pose with
     the index of the segment that holds it, so every pose is written once;
-    each segment's first line also carries its step periods. A pose or
-    period that is not finite, which load_trajectory would refuse, raises
-    TraceError before a byte is written."""
+    each segment's first line also carries its step periods. A line that
+    load_trajectory would refuse (a number that is not finite, a pose out
+    of its range, a period not above 0) raises TraceError before a byte is
+    written."""
     lines = []
     for k, seg in enumerate(traj.segments):
         for i, pose in enumerate(seg.points):
@@ -89,6 +92,12 @@ def dump_trajectory(traj: Trajectory, path) -> None:
             except ValueError:
                 raise TraceError(f"cannot write trajectory: line {len(lines) + 1} "
                                  f"(segment {k}) must hold finite numbers") from None
+            if not (-T_MAX_S <= pose.t <= T_MAX_S and -VALUE_MAX <= pose.x <= VALUE_MAX
+                    and -VALUE_MAX <= pose.y <= VALUE_MAX
+                    and (i or min(seg.periodicities, default=1) > 0)):  # line 0 has periods
+                raise TraceError(f"cannot write trajectory: line {len(lines)} (segment {k}) "
+                                 f"must hold t within +-{T_MAX_S:g} s, x and y within "
+                                 f"+-{VALUE_MAX:g} m and step periods above 0")
     write_text(path, "".join(line + "\n" for line in lines))
 
 
@@ -102,19 +111,26 @@ def load_trajectory(path: str | Path) -> Trajectory:
     line carries. A pose earlier than the one before it in its segment is
     refused, and so is a segment whose first line has no periods (a file
     written before trajectories carried them), a later line with periods
-    again, or a period that is not a finite number."""
+    again, or a period that is not a finite number above 0."""
     segs: dict[int, PathSegment] = {}
     for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
         try:
             t, x, y, floor, segment = _POSE_KEYS(rec)
-            # one test of the whole pose; the sum is finite only when every
-            # field is, and adding segment raises OverflowError where
-            # number would refuse it
+            # one test of the whole pose: NaN fails every comparison, and
+            # floor + segment is finite only when both are, and raises
+            # OverflowError where number would refuse it
             if not (type(t) is type(x) is type(y) is type(floor) is float
-                    and type(segment) is int and math.isfinite(t + x + y + floor + segment)):
+                    and type(segment) is int and -T_MAX_S <= t <= T_MAX_S
+                    and -VALUE_MAX <= x <= VALUE_MAX and -VALUE_MAX <= y <= VALUE_MAX
+                    and math.isfinite(floor + segment)):
                 t, x, y, floor = (number(rec[k], k) for k in ("t", "x", "y", "floor"))
                 segment = number(segment, "segment", integral=True)
+                t, x, y = (number(v, f"{path}:{ln}: pose {k}", TraceError, **bounds)
+                           for k, v, bounds in (("t", t, TIMESTAMP), ("x", x, POSITION),
+                                                ("y", y, POSITION)))
             pose = Pose(t, x, y, floor)
+        except TraceError:  # a finite number out of its range
+            raise
         except (KeyError, TypeError, ValueError, OverflowError):
             raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
                              f"floor and an integer segment") from None
@@ -128,8 +144,8 @@ def load_trajectory(path: str | Path) -> Trajectory:
                 raise TraceError(f"{path}:{ln}: periods must be a list, got {shown(periods)}")
             try:
                 periodicities = (periods if {float}.issuperset(map(type, periods))
-                                 and math.isfinite(sum(periods))
-                                 else [number(v, "period") for v in periods])
+                                 and math.isfinite(sum(periods)) and min(periods, default=1) > 0
+                                 else [number(v, "period", above=0) for v in periods])
             except ValueError as exc:
                 raise TraceError(f"{path}:{ln}: {exc}") from None
             seg = segs[segment] = PathSegment(points=[], periodicities=periodicities)

@@ -1198,6 +1198,60 @@ def test_build_map_refuses_a_pose_that_goes_back_in_time(flow, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+def test_build_map_refuses_a_step_period_not_above_0(tmp_path, capsys):
+    # periods summing to 0 used to give every segment an infinite belief:
+    # exit 0, "belief": Infinity in map.json and inf in segments.csv
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "mixed_quality_demo.json"
+    write_json(tmp_path / "graph.json", json.loads(scenario.read_text())["environment"]["graph"])
+    assert main(["simulate", str(scenario), "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert main(["track", str(tmp_path / "trace.jsonl"), "--graph", str(tmp_path / "graph.json"),
+                 "--out", str(tmp_path)]) == 0
+    records = [json.loads(line) for line in open(tmp_path / "trajectory.jsonl")]
+    for rec in records:
+        if "periods" in rec:
+            rec["periods"] = [0.5, -0.5]
+    traj = tmp_path / "bad.jsonl"
+    traj.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    assert main(["build-map", str(traj), str(tmp_path / "trace.jsonl"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {traj}:1: period must be above 0, got -0.5"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_map_refuses_a_pose_out_of_its_range(flow, tmp_path, capsys):
+    # x = -1e308 used to go into the map without an error
+    records = [json.loads(line) for line in open(flow / "trajectory.jsonl")]
+    records[3]["x"] = -1e308
+    traj = tmp_path / "trajectory.jsonl"
+    traj.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert main(["build-map", str(traj), str(flow / "trace.jsonl"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {traj}:4: pose x must be at least -1e+06, got -1e+308"]
+
+
+@pytest.mark.parametrize("what", ["map entry", "query truth"])
+def test_evaluate_refuses_a_position_out_of_its_range(flow, tmp_path, capsys, what):
+    # each used to exit 0 and write "mean_error_m": Infinity, which is not JSON
+    data = json.loads((flow / "map.json").read_text())
+    queries = (flow / "queries.jsonl").read_text().splitlines(keepends=True)
+    if what == "map entry":
+        for entry in data["entries"]:
+            entry["x"] = 1e308
+        message = "map.entries[0].x must be at most 1e+06, got 1e+308"
+    else:
+        queries[:2] = [json.dumps({**json.loads(q), "y": 1e308}) + "\n" for q in queries[:2]]
+        message = f"{tmp_path / 'queries.jsonl'}:1: y must be at most 1e+06, got 1e+308"
+    write_json(tmp_path / "map.json", data)
+    (tmp_path / "queries.jsonl").write_text("".join(queries))
+    assert main(["evaluate", str(tmp_path / "map.json"), str(tmp_path / "queries.jsonl"),
+                 "--set", "localization.k=3", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["track", "build-map"])
 def test_a_trace_byte_that_is_not_utf8_names_its_line(flow, tmp_path, capsys, command):
     # the byte sits in a mag line, a channel build-map skips unparsed

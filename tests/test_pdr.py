@@ -17,7 +17,7 @@ from stridemap.pdr import (HeadingSource, MatchState, PdrConfig,
                            match_landmark, floor_update, pdr_step,
                            round_floor, run_pdr, trajectory_errors,
                            update_step_length, _median)
-from stridemap.records import number, read_jsonl, shown
+from stridemap.records import T_MAX_S, VALUE_MAX, number, read_jsonl, shown
 from stridemap.sensors import Channel, SensorTrace, TruthChannel, detect_steps
 from stridemap.tracefile import TraceError
 from stridemap.trajectory import (PathSegment, Pose, Trajectory, dump_trajectory,
@@ -401,6 +401,22 @@ def test_dump_refuses_a_pose_or_period_that_is_not_finite(tmp_path, bad, line):
     assert not path.exists()
 
 
+
+@pytest.mark.parametrize("bad,line", [("t", 2), ("y", 2), ("period", 1), ("zero period", 1)])
+def test_dump_refuses_what_load_would_take_out_of_its_range(tmp_path, bad, line):
+    first = PathSegment([Pose(0.0, 0.0, 0.0, 1.0)], periodicities=[
+        {"period": -0.5, "zero period": 0.0}.get(bad, 0.5), 0.5])
+    snap = PathSegment([Pose(-2e10 if bad == "t" else 1.0, 0.0,
+                             1e308 if bad == "y" else 0.0, 1.0)], landmark="b")
+    path = tmp_path / "traj.jsonl"
+    with pytest.raises(TraceError, match=rf"^cannot write trajectory: line {line} "
+                                         rf"\(segment {line - 1}\) must hold t within "
+                                         r"\+-1e\+10 s, x and y within \+-1e\+06 m and "
+                                         r"step periods above 0$"):
+        dump_trajectory(Trajectory(segments=[first, snap]), path)
+    assert not path.exists()
+
+
 def test_dump_load_round_trip(tmp_path):
     trace = out_and_back_trace()
     traj = run_pdr(trace, straight_graph(), (0.0, 0.0, 1.0))
@@ -463,6 +479,9 @@ def load_trajectory_field_by_field(path) -> Trajectory:
         except (KeyError, TypeError, ValueError):
             raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
                              f"floor and an integer segment") from None
+        for k, bound in (("t", T_MAX_S), ("x", VALUE_MAX), ("y", VALUE_MAX)):
+            number(getattr(pose, k), f"{path}:{ln}: pose {k}", TraceError,
+                   at_least=-bound, at_most=bound)
         seg = segs.get(segment)
         if seg is None:
             if "periods" not in rec:
@@ -472,7 +491,7 @@ def load_trajectory_field_by_field(path) -> Trajectory:
             if not isinstance(periods, list):
                 raise TraceError(f"{path}:{ln}: periods must be a list, got {shown(periods)}")
             try:
-                periodicities = [number(v, "period") for v in periods]
+                periodicities = [number(v, "period", above=0) for v in periods]
             except ValueError as exc:
                 raise TraceError(f"{path}:{ln}: {exc}") from None
             seg = segs[segment] = PathSegment(points=[], periodicities=periodicities)

@@ -352,6 +352,15 @@ def json_map_text(radio_map) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def json_writes_finite(e: RadioMapEntry) -> bool:
+    """Whether json writes an entry without NaN or an infinity."""
+    try:
+        json.dumps([e.x, e.y, e.floor, e.belief, e.fp], allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
 def saved_text(radio_map) -> str:
     buf = io.StringIO()
     save_radio_map(radio_map, buf)
@@ -393,8 +402,14 @@ configs = st.one_of(st.builds(lambda cfg: asdict(cfg), st.just(QualityConfig()))
        st.integers(1, 4))
 def test_save_writes_the_bytes_json_writes(map_entries, config, chunk):
     rm = RadioMap(entries=map_entries, config=config)
+    bad = next((i for i, e in enumerate(map_entries) if not json_writes_finite(e)), None)
     with mock.patch.object(radiomap, "_CHUNK_ENTRIES", chunk):  # chunks of a few entries
-        assert saved_text(rm) == json_map_text(rm)
+        if bad is None:
+            assert saved_text(rm) == json_map_text(rm)
+        else:
+            with pytest.raises(MapFormatError, match=f"^cannot write map: entry {bad} "
+                                                     "must hold finite numbers$"):
+                saved_text(rm)
 
 
 def test_save_writes_the_bytes_json_writes_for_the_sample_maps():

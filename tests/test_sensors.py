@@ -296,7 +296,7 @@ def test_a_number_out_of_its_range_names_its_line(tmp_path, case):
 def json_path_load(path, channels=tuple(CHANNELS)) -> SensorTrace:
     """load_trace with the fast path switched off."""
     with mock.patch.object(sensors, "_canonical_columns",
-                           side_effect=sensors._NotCanonical):
+                           side_effect=tracefile._Doubt):
         return load_trace(path, channels)
 
 
@@ -648,6 +648,9 @@ def test_fast_path_accepts_only_what_json_reads_alike(text, block):
         path.write_bytes(text)
         want = outcome(json_path_load, path)
         assert outcome(load_trace, path) == want
+        if not isinstance(want, str):  # load_trace reads it: track and build-map see one WiFi
+            assert scans_outcome(load_scans, path) == scans_outcome(
+                lambda path: load_trace(path).wifi, path)
         try:
             fast = outcome(fast_path_load, path)
         except AssertionError:  # the fast path did not read this file
