@@ -2,9 +2,11 @@
 
 Subcommands cover the full workflow: simulate a scripted walk, track it
 into a trajectory, build a radio map, and localize or evaluate query
-fingerprints against that map. Every run echoes its effective
-configuration into a manifest so outputs are reproducible; identical
-inputs and flags produce byte-identical files.
+fingerprints against that map. Each cmd_* makes one _Run, which reads
+the effective config and collects the files the command writes; its
+commit adds manifest.json, echoing the config and listing exactly those
+files, and writes them all atomically into --out. Identical inputs and
+flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .config import (HEADING_THRESHOLD_DEG, HeadingSource, LandmarkConfig,
                      LocalizationConfig, PdrConfig, QualityConfig,
                      SensorConfig, in_order)
-from .records import (POSITION, RSS_RULE, VALUE_MAX, choice, field_reader,
-                      fingerprint, members, number, read_json, read_jsonl, rss,
-                      shown, version)
+from .records import (FLOOR, POSITION, RSS_RULE, VALUE_MAX, choice,
+                      field_reader, fingerprint, members, number, read_json,
+                      read_jsonl, rss, shown, version)
 
 # Each subcommand imports the stage functions it calls in its own body, so
 # a process loads only the stages of the command it runs.
@@ -125,19 +127,6 @@ def effective_config(args) -> tuple[dict, dict]:
     return tree, overrides
 
 
-def _configs(tree: dict) -> tuple:
-    """One config object per section of a tree as read, in SECTIONS
-    order; a band out of order raises CliError."""
-    out = []
-    for section, cls in SECTIONS.items():
-        kwargs = {}
-        for f in fields(cls):
-            key, _, convert, _ = _leaf(cls, f)
-            kwargs[f.name] = convert(tree[section][key])
-        out.append(in_order(cls(**kwargs), f"config.{section}", CliError))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # deterministic output plumbing
 
@@ -149,24 +138,31 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Run:
+    """One command's run. Made where the command first reads its config, it
+    holds the effective tree and --set overrides (track's --mode applied),
+    one config object per section as an attribute named after it (run.pdr,
+    run.quality, ...), and the files the command adds. Every section is
+    read, as the manifest records the whole tree: a band out of order raises
+    CliError in any command. commit writes the files and manifest.json."""
 
-
-class _Outputs:
-    """Collects files and writes each atomically: every file is written to
-    a temp file first, and all are renamed into place only once every one
-    is written, so a writer that fails leaves no file and no temp file."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.pending: list[tuple[Path, Callable]] = []
+    def __init__(self, args):
+        self.command = args.command
+        self.tree, self.overrides = effective_config(args)
+        if getattr(args, "mode", None):
+            self.tree["pdr"]["heading_source"] = args.mode
+        for section, cls in SECTIONS.items():
+            kwargs = {}
+            for f in fields(cls):
+                key, _, convert, _ = _leaf(cls, f)
+                kwargs[f.name] = convert(self.tree[section][key])
+            setattr(self, section, in_order(cls(**kwargs), f"config.{section}", CliError))
+        self.out = Path(args.out or ".")
+        self.pending: list[tuple[str, Callable]] = []
 
     def add(self, name: str, write: Callable) -> None:
         """Write the file name with write(fh), fh the open file, at commit."""
-        self.pending.append((self.out_dir / name, write))
+        self.pending.append((name, write))
 
     def add_json(self, name: str, obj) -> None:
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -176,31 +172,28 @@ class _Outputs:
         self.add(name, lambda fh: csv.writer(fh, lineterminator="\n")
                  .writerows([header, *rows]))
 
-    def names(self) -> list[str]:
-        return [p.name for p, _ in self.pending]
-
-    def commit(self) -> None:
-        tmps = [path.with_name(path.name + ".tmp") for path, _ in self.pending]
+    def commit(self, inputs: dict, **extra) -> None:
+        """Add manifest.json, which lists the inputs, every file added, the
+        tree and the overrides, and extra; then create --out and write each
+        file atomically: each goes to a temp file first, and all are renamed
+        into place only once every one is written, so a writer that fails
+        leaves no file and no temp file."""
+        names = [name for name, _ in self.pending] + ["manifest.json"]
+        self.add_json("manifest.json", {
+            "command": self.command, "inputs": inputs,
+            "outputs": sorted(names), "overrides": self.overrides,
+            "config": self.tree, **extra})
+        self.out.mkdir(parents=True, exist_ok=True)
+        tmps = [self.out / f"{name}.tmp" for name in names]
         try:
             for tmp, (_, write) in zip(tmps, self.pending):
                 with open(tmp, "w") as fh:
                     write(fh)
-            for tmp, (path, _) in zip(tmps, self.pending):
-                os.replace(tmp, path)
+            for tmp, name in zip(tmps, names):
+                os.replace(tmp, self.out / name)
         finally:
             for tmp in tmps:
                 tmp.unlink(missing_ok=True)
-
-
-def _manifest(command: str, inputs: dict, outputs: list[str],
-              tree: dict, overrides: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": sorted(outputs),
-        "overrides": overrides,
-        "config": tree,
-    }
 
 
 def _fmt(x) -> str:
@@ -215,8 +208,7 @@ def cmd_simulate(args) -> int:
     from .sensors import dump_trace
     from .sim import generate_trace, load_scenario
 
-    tree, overrides = effective_config(args)
-    _configs(tree)  # the manifest records the tree: refuse a bad one here too
+    run = _Run(args)
     if args.seed is not None:
         number(args.seed, "--seed", CliError, integral=True, at_least=0)
     scn_path = _require_file(args.scenario, "scenario file")
@@ -225,31 +217,25 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         noise = replace(noise, seed=args.seed)
     trace = generate_trace(scenario.environment, scenario.walk, noise)
-    out = _out_dir(args)
-    outs = _Outputs(out)
-    trace_name = "trace.jsonl"
-    outs.add(trace_name, lambda fh: dump_trace(trace, fh))
-    outs.add_json("manifest.json", {**_manifest(
-        "simulate", {"scenario": args.scenario}, outs.names() + ["manifest.json"],
-        tree, overrides), "seed": args.seed})
-    outs.commit()
-    print(f"wrote {out / trace_name} ({len(trace.wifi)} scans, "
+    run.add("trace.jsonl", lambda fh: dump_trace(trace, fh))
+    run.commit({"scenario": args.scenario}, seed=args.seed)
+    print(f"wrote {run.out / 'trace.jsonl'} ({len(trace.wifi)} scans, "
           f"{trace.accel.t[-1]:.1f} s)")
     return 0
 
 
 def _start(text: str) -> tuple[float, float, float]:
-    """--start's x,y,floor: x and y within +-VALUE_MAX, the bound of a
-    trace's truth positions, and an integral floor, read by records.number
-    as every loader reads a pose."""
+    """--start's x,y,floor: x, y and an integral floor within +-VALUE_MAX,
+    the bound of a trace's truth values, read by records.number as every
+    loader reads a pose."""
     try:
         x, y, floor = (float(part) for part in text.split(","))
         return (number(x, "x", **POSITION), number(y, "y", **POSITION),
-                float(number(floor, "floor", integral=True)))
+                float(number(floor, "floor", integral=True, **FLOOR)))
     except ValueError:
         raise CliError(f"--start must be x,y,floor with x and y finite and in "
-                       f"[-{VALUE_MAX:g}, {VALUE_MAX:g}] m and an integer floor, "
-                       f"got {shown(text)}")
+                       f"[-{VALUE_MAX:g}, {VALUE_MAX:g}] m and an integer floor "
+                       f"in the same range, got {shown(text)}")
 
 
 def cmd_track(args) -> int:
@@ -258,13 +244,10 @@ def cmd_track(args) -> int:
     from .sensors import load_trace
     from .trajectory import dump_trajectory
 
-    tree, overrides = effective_config(args)
-    if args.mode:
-        tree["pdr"]["heading_source"] = args.mode
-    sensor_cfg, landmark_cfg, pdr_cfg, quality_cfg, _ = _configs(tree)
+    run = _Run(args)
     trace = load_trace(_require_file(args.trace, "trace file"))
     graph = None
-    if pdr_cfg.heading_source is HeadingSource.LANDMARK:
+    if run.pdr.heading_source is HeadingSource.LANDMARK:
         if not args.graph:
             raise CliError("landmark mode requires --graph")
         graph = load_landmark_graph(_require_file(args.graph, "graph file"))
@@ -276,33 +259,28 @@ def cmd_track(args) -> int:
     else:
         raise CliError("trace has no ground truth; pass --start x,y,floor")
 
-    traj = run_pdr(trace, graph, initial, pdr_cfg, sensor_cfg,
-                   landmark_cfg, quality_cfg)
-    out = _out_dir(args)
-    outs = _Outputs(out)
-    outs.add("trajectory.jsonl", lambda fh: dump_trajectory(traj, fh))
+    traj = run_pdr(trace, graph, initial, run.pdr, run.sensors,
+                   run.landmarks, run.quality)
+    run.add("trajectory.jsonl", lambda fh: dump_trajectory(traj, fh))
 
     have_truth = trace.truth is not None and len(trace.truth) > 0
     if have_truth:
         errors = trajectory_errors(traj, trace)
         mean_error = float(errors.mean()) if len(errors) else None
-        outs.add_json("summary.json", {"mean_error_m": mean_error})
+        run.add_json("summary.json", {"mean_error_m": mean_error})
         ranked = sorted(float(e) for e in errors)
         rows = [[_fmt(e), _fmt((i + 1) / len(ranked))]
                 for i, e in enumerate(ranked)]
-        outs.add_csv("error_cdf.csv", ["error_m", "cdf"], rows)
+        run.add_csv("error_cdf.csv", ["error_m", "cdf"], rows)
     else:
         print("notice: trace has no ground truth; error stats omitted",
               file=sys.stderr)
-    outs.add_json("manifest.json", _manifest(
-        "track", {"trace": args.trace, "graph": args.graph},
-        outs.names() + ["manifest.json"], tree, overrides))
-    outs.commit()
+    run.commit({"trace": args.trace, "graph": args.graph})
     if have_truth:
-        print(f"wrote {out / 'trajectory.jsonl'} (mean error "
+        print(f"wrote {run.out / 'trajectory.jsonl'} (mean error "
               f"{mean_error:.3f} m, {len(traj.visits)} landmark visits)")
     else:
-        print(f"wrote {out / 'trajectory.jsonl'}")
+        print(f"wrote {run.out / 'trajectory.jsonl'}")
     return 0
 
 
@@ -311,25 +289,19 @@ def cmd_build_map(args) -> int:
     from .tracefile import load_scans
     from .trajectory import load_trajectory
 
-    tree, overrides = effective_config(args)
-    _, _, _, quality_cfg, _ = _configs(tree)
+    run = _Run(args)
     traj = load_trajectory(_require_file(args.trajectory, "trajectory file"))
     scans = load_scans(_require_file(args.trace, "trace file"))
 
-    radio_map = build_radio_map(traj, scans, quality_cfg)
+    radio_map = build_radio_map(traj, scans, run.quality)
     if not radio_map.entries:
         print("warning: radio map is empty", file=sys.stderr)
     rows = [[str(idx), _fmt(belief), str(accepted)]
             for idx, (belief, accepted) in enumerate(radio_map.segments)]
-    out = _out_dir(args)
-    outs = _Outputs(out)
-    outs.add("map.json", lambda fh: save_radio_map(radio_map, fh))
-    outs.add_csv("segments.csv", ["segment_id", "belief", "accepted_scans"], rows)
-    outs.add_json("manifest.json", _manifest(
-        "build-map", {"trajectory": args.trajectory, "trace": args.trace},
-        outs.names() + ["manifest.json"], tree, overrides))
-    outs.commit()
-    print(f"wrote {out / 'map.json'} ({len(radio_map.entries)} entries from "
+    run.add("map.json", lambda fh: save_radio_map(radio_map, fh))
+    run.add_csv("segments.csv", ["segment_id", "belief", "accepted_scans"], rows)
+    run.commit({"trajectory": args.trajectory, "trace": args.trace})
+    print(f"wrote {run.out / 'map.json'} ({len(radio_map.entries)} entries from "
           f"{len(traj.segments)} segments)")
     return 0
 
@@ -368,9 +340,9 @@ def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[
         except ValueError:
             raise CliError(f"{path}:{ln}: x, y and floor must be finite numbers, "
                            f"floor an integer")
-        if not (-VALUE_MAX <= truth[0] <= VALUE_MAX and -VALUE_MAX <= truth[1] <= VALUE_MAX):
-            for k, v in zip("xy", truth):
-                number(v, f"{path}:{ln}: {k}", CliError, **POSITION)
+        if not -VALUE_MAX <= min(truth) <= max(truth) <= VALUE_MAX:
+            for k, v, bounds in zip(("x", "y", "floor"), truth, (POSITION, POSITION, FLOOR)):
+                number(v, f"{path}:{ln}: {k}", CliError, **bounds)
         queries.append((truth, fp))
     return queries
 
@@ -381,8 +353,7 @@ def cmd_localize(args) -> int:
 
     if args.rss and args.fingerprint is not None:
         raise CliError("pass a fingerprint via --rss or --fingerprint, not both")
-    tree, overrides = effective_config(args)
-    *_, loc_cfg = _configs(tree)
+    run = _Run(args)
     radio_map = load_radio_map(_require_file(args.map, "map file"))
     if args.rss:
         fp = _parse_rss(args.rss)
@@ -392,18 +363,13 @@ def cmd_localize(args) -> int:
                          f"fingerprint file {path}", CliError)
     else:
         raise CliError("pass a fingerprint via --rss or --fingerprint")
-    result = knn_localize(fp, radio_map, loc_cfg)
+    result = knn_localize(fp, radio_map, run.localization)
     payload = {"x": result.x, "y": result.y, "floor": result.floor}
     print(json.dumps(payload, sort_keys=True))
     if args.out:
-        outs = _Outputs(_out_dir(args))
-        outs.add_json("location.json", payload)
-        outs.add_json("manifest.json", _manifest(
-            "localize",
-            {"map": args.map, "fingerprint": args.fingerprint,
-             "rss": args.rss or []},
-            outs.names() + ["manifest.json"], tree, overrides))
-        outs.commit()
+        run.add_json("location.json", payload)
+        run.commit({"map": args.map, "fingerprint": args.fingerprint,
+                    "rss": args.rss or []})
     return 0
 
 
@@ -426,22 +392,16 @@ def cmd_evaluate(args) -> int:
     from .localization import evaluate
     from .radiomap import load_radio_map
 
-    tree, overrides = effective_config(args)
-    *_, loc_cfg = _configs(tree)
+    run = _Run(args)
     radio_map = load_radio_map(_require_file(args.map, "map file"))
     queries = load_queries(_require_file(args.queries, "queries file"))
-    report = evaluate(queries, radio_map, loc_cfg)
-    out = _out_dir(args)
-    outs = _Outputs(out)
-    outs.add_csv("report.csv", _REPORT_HEADER, _report_rows(report))
-    outs.add_json("summary.json", report.summary())
-    outs.add_json("manifest.json", _manifest(
-        "evaluate", {"map": args.map, "queries": args.queries},
-        outs.names() + ["manifest.json"], tree, overrides))
-    outs.commit()
+    report = evaluate(queries, radio_map, run.localization)
+    run.add_csv("report.csv", _REPORT_HEADER, _report_rows(report))
+    run.add_json("summary.json", report.summary())
+    run.commit({"map": args.map, "queries": args.queries})
     acc = report.floor_accuracy
     mean = "n/a" if report.mean_error_m is None else f"{report.mean_error_m:.3f} m"
-    print(f"wrote {out / 'summary.json'} (floor accuracy {acc:.3f}, "
+    print(f"wrote {run.out / 'summary.json'} (floor accuracy {acc:.3f}, "
           f"mean error {mean})")
     return 0
 
@@ -450,8 +410,7 @@ def cmd_sweep(args) -> int:
     from .localization import evaluate, read_fingerprints, vectorize_map
     from .radiomap import load_radio_map
 
-    tree, overrides = effective_config(args)
-    *_, loc_cfg = _configs(tree)
+    run = _Run(args)
     map_path = _require_file(args.map, "map file")
     queries_path = _require_file(args.queries, "queries file")
     try:
@@ -469,21 +428,16 @@ def cmd_sweep(args) -> int:
     readings = read_fingerprints([fp for _, fp in queries])
     rows = []
     for tau in taus:
-        cfg = replace(loc_cfg, tau=tau)
+        cfg = replace(run.localization, tau=tau)
         index = vectorize_map(radio_map, cfg, map_readings)
         report = evaluate(queries, index, cfg, readings)
         rows.append([_fmt(tau), _fmt(report.floor_accuracy),
                      _fmt(report.mean_error_m), _fmt(report.p50),
                      _fmt(report.p75), _fmt(report.p90)])
-    out = _out_dir(args)
-    outs = _Outputs(out)
-    outs.add_csv("sweep.csv", ["tau", "floor_accuracy", "mean_error_m",
-                               "p50", "p75", "p90"], rows)
-    outs.add_json("manifest.json", _manifest(
-        "sweep", {"map": args.map, "queries": args.queries},
-        outs.names() + ["manifest.json"], tree, overrides))
-    outs.commit()
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} tau values)")
+    run.add_csv("sweep.csv", ["tau", "floor_accuracy", "mean_error_m",
+                              "p50", "p75", "p90"], rows)
+    run.commit({"map": args.map, "queries": args.queries})
+    print(f"wrote {run.out / 'sweep.csv'} ({len(rows)} tau values)")
     return 0
 
 

@@ -32,7 +32,7 @@ from .landmarks import (
     detect_events,
     sgn,
 )
-from .radiomap import segment_belief
+from .radiomap import segment_belief, trusted
 from .records import shown
 from .sensors import (
     MotionState,
@@ -392,8 +392,7 @@ def run_pdr(
             if v1.floor == lm.floor and state.steps >= cfg.min_steps_for_update:
                 new_l, missed = update_step_length(v1, lm, state.steps, step_length)
                 # low-quality walking must not corrupt the step length
-                belief = None if missed else segment_belief(seg, quality_cfg)
-                if belief is not None and belief > quality_cfg.belief_threshold:
+                if not missed and trusted(segment_belief(seg, quality_cfg), quality_cfg):
                     step_length = new_l
 
         # the snap opens a new segment and a new anchor; later turns are

@@ -25,11 +25,11 @@ from functools import reduce
 from itertools import count
 from operator import add, mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .config import QualityConfig, in_order
-from .records import (POSITION, array, field_reader, fingerprint, members,
-                      read_json, record, version, writing)
+from .records import (FLOOR, POSITION, array, field_reader, fingerprint,
+                      members, read_json, record, version, writing)
 
 if TYPE_CHECKING:  # a map reader such as localize loads neither module
     from .tracefile import WifiScan
@@ -45,7 +45,7 @@ class MapFormatError(ValueError):
 class RadioMapEntry:
     x: float = field(metadata=POSITION)
     y: float = field(metadata=POSITION)
-    floor: int
+    floor: int = field(metadata=FLOOR)
     belief: float
     fp: dict[str, int]  # MAC -> RSS dBm
 
@@ -135,6 +135,12 @@ def segment_belief(segment: PathSegment, cfg: QualityConfig = QualityConfig()) -
     return share / max(spread, cfg.sigma_floor)
 
 
+def trusted(belief: float | None, cfg: QualityConfig) -> bool:
+    """Whether a segment's belief clears cfg.belief_threshold: only then do
+    its scans enter the map and its steps recalibrate the step length."""
+    return belief is not None and belief > cfg.belief_threshold
+
+
 def interpolate_rp(p1: Pose, p2: Pose, t: float) -> tuple[float, float, float]:
     """Position and continuous floor at time t between two poses.
 
@@ -159,7 +165,6 @@ def build_radio_map(
     trajectory: Trajectory,
     scans: Sequence[WifiScan],
     cfg: QualityConfig = QualityConfig(),
-    belief_filter: Callable[[float | None], bool] | None = None,
 ) -> RadioMap:
     """Reference points from scans bracketed inside believable segments.
 
@@ -168,9 +173,6 @@ def build_radio_map(
     a segment boundary. Scans outside every kept segment's time span are
     dropped, as are scans whose bracketing poses straddle a snap.
     """
-    if belief_filter is None:
-        belief_filter = lambda b: b is not None and b > cfg.belief_threshold
-
     ordered = sorted(scans, key=lambda s: s.t)
     scan_t = [s.t for s in ordered]
     entries: list[RadioMapEntry] = []
@@ -180,7 +182,7 @@ def build_radio_map(
         placed: set[tuple[float, float, int, float]] = set()
         belief = segment_belief(seg, cfg)
         per_segment.append((belief, placed))
-        if not belief_filter(belief):
+        if not trusted(belief, cfg):
             continue
         pts = seg.points
         if len(pts) < 2:
@@ -197,9 +199,7 @@ def build_radio_map(
                 continue
             seen.add(key)
             entries.append(RadioMapEntry(
-                x=x, y=y, floor=floor,
-                belief=0.0 if belief is None else float(belief),
-                fp=dict(scan.readings)))
+                x=x, y=y, floor=floor, belief=belief, fp=dict(scan.readings)))
     return RadioMap(entries=entries, config=asdict(cfg),
                     segments=[(b, len(p)) for b, p in per_segment])
 

@@ -29,11 +29,13 @@ RSS_RULE = f"must be a non-positive integer of at least {RSS_MIN_DBM} dBm"
 # The range of every timestamp (seconds; Unix-epoch times fit) and of every
 # position coordinate (m) and trace sample value a reader takes, so no
 # square or sum of them leaves the floats; as number's bounds, TIMESTAMP and
-# POSITION.
+# POSITION. A floor (a pose's, a map entry's, a query's) takes a trace
+# value's range, so every truth floor a trace holds passes: FLOOR.
 T_MAX_S = 1e10
 VALUE_MAX = 1e6
 TIMESTAMP = {"at_least": -T_MAX_S, "at_most": T_MAX_S}
 POSITION = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
+FLOOR = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
 # The most characters of an offending value an error message quotes.
 _SHOWN_CHARS = 100
 

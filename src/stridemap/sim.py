@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .landmarks import Edge, GraphError, LandmarkGraph, graph_from_dict
-from .records import (RSS_MAX_DBM, SCALARS, array, members, number,
+from .records import (POSITION, RSS_MAX_DBM, SCALARS, array, members, number,
                       read_json, record, shown, text)
 from .sensors import Channel, SensorTrace, TruthChannel, WifiScan
 
@@ -46,10 +46,6 @@ MAX_WALK_TICKS = 12 * 3600 * 50  # longest walk a plan may hold: 12 h of 50 Hz t
 FLOOR_ATTENUATION_DB = 12.0  # extra path loss per concrete slab crossed
 FALSE_WALK_PERIOD_TICKS = (18, 29, 52, 23)  # arm-shake bump cadence
 CHUNK_ELEMENTS = 1 << 14    # (pose, AP) values per WiFi row chunk: 512 KB as Python floats
-COORD_MAX_M = 1e6           # largest |x| or |y| of an AP, landmark or corridor point, metres
-# The range of a position's x or y, as number's bounds: every distance and
-# its square the model takes stays a float.
-_COORDINATE = {"at_least": -COORD_MAX_M, "at_most": COORD_MAX_M}
 
 
 class ScenarioError(ValueError):
@@ -59,8 +55,8 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Ap:
     mac: str
-    x: float = field(metadata=_COORDINATE)
-    y: float = field(metadata=_COORDINATE)
+    x: float = field(metadata=POSITION)
+    y: float = field(metadata=POSITION)
     floor: int
     tx_power_dbm: float
     path_loss_exponent: float
@@ -164,7 +160,7 @@ def _pairs(readers: dict):
 
 
 def _point(value, where: str, error) -> tuple[float, float]:
-    xy = array(partial(number, **_COORDINATE))(value, where, error)
+    xy = array(partial(number, **POSITION))(value, where, error)
     if len(xy) != 2:
         raise error(f"{where} must be an [x, y] pair")
     return xy
@@ -197,7 +193,7 @@ def _read_graph(value, where: str, error) -> LandmarkGraph:
         raise error(f"{where}: {exc}") from None
     for i, lm in enumerate(graph.nodes.values()):  # in file order
         for key in ("x", "y"):
-            number(getattr(lm, key), f"{where}.nodes[{i}].{key}", error, **_COORDINATE)
+            number(getattr(lm, key), f"{where}.nodes[{i}].{key}", error, **POSITION)
     return graph
 
 

@@ -4,12 +4,12 @@ A Trajectory is its path segments, in time order; each segment holds its
 poses and the step periods of the steps inside it. stridemap.pdr makes
 them from a trace. dump_trajectory writes a trajectory as JSON lines and
 load_trajectory reads them back. The reader tests each pose in one check
-(four finite floats, t within +-T_MAX_S, x and y within +-VALUE_MAX, and
-an int segment, as files hold them) and reads a field through number only
-for another type or to word an error. Step periods are above 0. This
-module needs nothing but the standard library, records and tracefile, so
-build-map reads a trajectory without loading numpy or the tracking
-stages.
+(four finite floats, t within +-T_MAX_S, x, y and floor within
++-VALUE_MAX, and an int segment, as files hold them) and reads a field
+through number only for another type or to word an error. Step periods
+are above 0. This module needs nothing but the standard library, records
+and tracefile, so build-map reads a trajectory without loading numpy or
+the tracking stages.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-from .records import (POSITION, T_MAX_S, TIMESTAMP, VALUE_MAX, number,
-                      read_jsonl, shown, write_text)
+from .records import (FLOOR, POSITION, T_MAX_S, TIMESTAMP, VALUE_MAX,
+                      number, read_jsonl, shown, write_text)
 from .tracefile import TraceError
 
 
@@ -94,10 +94,12 @@ def dump_trajectory(traj: Trajectory, path) -> None:
                                  f"(segment {k}) must hold finite numbers") from None
             if not (-T_MAX_S <= pose.t <= T_MAX_S and -VALUE_MAX <= pose.x <= VALUE_MAX
                     and -VALUE_MAX <= pose.y <= VALUE_MAX
+                    and -VALUE_MAX <= pose.floor <= VALUE_MAX
                     and (i or min(seg.periodicities, default=1) > 0)):  # line 0 has periods
                 raise TraceError(f"cannot write trajectory: line {len(lines)} (segment {k}) "
                                  f"must hold t within +-{T_MAX_S:g} s, x and y within "
-                                 f"+-{VALUE_MAX:g} m and step periods above 0")
+                                 f"+-{VALUE_MAX:g} m, floor within +-{VALUE_MAX:g} and "
+                                 f"step periods above 0")
     write_text(path, "".join(line + "\n" for line in lines))
 
 
@@ -117,17 +119,16 @@ def load_trajectory(path: str | Path) -> Trajectory:
         try:
             t, x, y, floor, segment = _POSE_KEYS(rec)
             # one test of the whole pose: NaN fails every comparison, and
-            # floor + segment is finite only when both are, and raises
-            # OverflowError where number would refuse it
+            # isfinite raises OverflowError for a segment number would refuse
             if not (type(t) is type(x) is type(y) is type(floor) is float
                     and type(segment) is int and -T_MAX_S <= t <= T_MAX_S
                     and -VALUE_MAX <= x <= VALUE_MAX and -VALUE_MAX <= y <= VALUE_MAX
-                    and math.isfinite(floor + segment)):
+                    and -VALUE_MAX <= floor <= VALUE_MAX and math.isfinite(segment)):
                 t, x, y, floor = (number(rec[k], k) for k in ("t", "x", "y", "floor"))
                 segment = number(segment, "segment", integral=True)
-                t, x, y = (number(v, f"{path}:{ln}: pose {k}", TraceError, **bounds)
-                           for k, v, bounds in (("t", t, TIMESTAMP), ("x", x, POSITION),
-                                                ("y", y, POSITION)))
+                t, x, y, floor = (number(v, f"{path}:{ln}: pose {k}", TraceError, **bounds)
+                                  for k, v, bounds in (("t", t, TIMESTAMP), ("x", x, POSITION),
+                                                       ("y", y, POSITION), ("floor", floor, FLOOR)))
             pose = Pose(t, x, y, floor)
         except TraceError:  # a finite number out of its range
             raise

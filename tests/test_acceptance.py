@@ -413,10 +413,12 @@ def test_criterion_4_quality_gate_payoff():
     hi_all, lo_all = [], []
     for seed in range(10):
         sc, trace, traj = mixed_artifacts(seed)
-        hi = build_radio_map(traj, trace.wifi,
-                             belief_filter=lambda b: b is not None and b > 18.0)
-        lo = build_radio_map(traj, trace.wifi,
-                             belief_filter=lambda b: b is not None and b < 10.0)
+        hi = build_radio_map(traj, trace.wifi, QualityConfig(belief_threshold=18.0))
+        # the segments of belief below 10 alone, under a gate each clears
+        lo = build_radio_map(
+            Trajectory(segments=[s for s in traj.segments
+                                 if (b := segment_belief(s)) is not None and b < 10.0]),
+            trace.wifi, QualityConfig(belief_threshold=-math.inf))
         queries = generate_test_queries(
             sc.environment, truth_positions(trace, stride=4), sc.noise)
         e_hi = evaluate(queries, hi).mean_error_m

@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 from stridemap import sensors
-from stridemap.cli import (SECTIONS, CliError, _configs, _Outputs,
-                           build_parser, default_config, effective_config,
-                           load_queries, main)
+from stridemap.cli import (SECTIONS, CliError, _Run, build_parser,
+                           default_config, load_queries, main)
 from stridemap.pdr import HeadingSource
 from stridemap.radiomap import build_radio_map
 from stridemap.sensors import load_trace
@@ -256,10 +255,12 @@ def test_every_set_key_reaches_its_field():
             assignments += ["--set", f"{dotted}={value}"]
     args = build_parser().parse_args(["evaluate", "map.json", "q.jsonl",
                                       *assignments])
-    tree, overrides = effective_config(args)
-    assert len(overrides) == 25
+    run = _Run(args)
+    tree = run.tree
+    assert len(run.overrides) == 25
     assert tree["pdr"]["heading_threshold_deg"] == 31.0
-    for (section, cls), cfg in zip(SECTIONS.items(), _configs(tree)):
+    for section, cls in SECTIONS.items():
+        cfg = getattr(run, section)
         assert type(cfg) is cls
         assert len(tree[section]) == len(fields(cls))
         for f in fields(cls):
@@ -334,6 +335,31 @@ def test_only_simulate_manifest_records_a_seed(flow, tmp_path, capsys):
         assert manifest["command"] == command and "seed" not in manifest
 
 
+@pytest.mark.parametrize("command", ["simulate", "track", "build-map", "localize",
+                                     "evaluate", "sweep"])
+def test_manifest_lists_exactly_the_files_written(flow, tmp_path, capsys, command):
+    argv = {
+        "simulate": ["simulate", str(flow / "scenario.json")],
+        "track": ["track", str(flow / "trace.jsonl"), "--graph", str(flow / "graph.json")],
+        "build-map": ["build-map", str(flow / "trajectory.jsonl"), str(flow / "trace.jsonl")],
+        "localize": ["localize", str(flow / "map.json"), "--rss", "ap-w=-50"],
+        "evaluate": ["evaluate", str(flow / "map.json"), str(flow / "queries.jsonl")],
+        "sweep": ["sweep", str(flow / "map.json"), str(flow / "queries.jsonl"), "--taus=-90"],
+    }[command]
+    out = tmp_path / "fresh" / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == sorted(p.name for p in out.iterdir())
+
+
+def test_localize_without_out_writes_no_file(flow, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["localize", str(flow / "map.json"), "--rss", "ap-w=-50"]) == 0
+    assert json.loads(capsys.readouterr().out).keys() == {"x", "y", "floor"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_prints_scans_and_duration(tmp_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", str(DEMO), "--out", str(out)]) == 0
@@ -381,12 +407,14 @@ def test_a_commit_that_fails_on_a_later_file_leaves_no_file(tmp_path):
         fh.write("{")
         raise OSError("disk full")
 
-    outs = _Outputs(tmp_path)
-    outs.add("trace.jsonl", lambda fh: fh.write("written\n"))
-    outs.add("manifest.json", fails_halfway)
+    out = tmp_path / "out"
+    run = _Run(build_parser().parse_args(["sweep", "map.json", "q.jsonl",
+                                          "--taus=-90", "--out", str(out)]))
+    run.add("sweep.csv", lambda fh: fh.write("written\n"))
+    run.add("report.csv", fails_halfway)
     with pytest.raises(OSError, match="disk full"):
-        outs.commit()
-    assert list(tmp_path.iterdir()) == []
+        run.commit({})
+    assert list(out.iterdir()) == []  # no sweep.csv, .tmp or manifest.json
 
 
 def test_config_file_unknown_key(flow, tmp_path, capsys):
@@ -693,6 +721,10 @@ MALFORMED = {
         GOOD_POSE + '{"t": 2, "x": 0, "y": 0, "floor": 1, "segment": 0}\n'
         '{"t": 1.5, "x": 0, "y": 0, "floor": 1, "segment": 0}\n',
         MAP_BAD, "bad.json:3: pose t 1.5 goes back in time from 2.0 in segment 0"),
+    # used to go into the map as a 301-digit integer floor
+    "trajectory pose floor is past the trace's value range": (
+        GOOD_POSE + '{"t": 1, "x": 0, "y": 0, "floor": 1e300, "segment": 0}\n',
+        MAP_BAD, "bad.json:2: pose floor must be at most 1e+06, got 1e+300"),
     "trajectory segment is fractional": (
         GOOD_POSE + '{"t": 1, "x": 0, "y": 0, "floor": 1, "segment": 0.5}\n',
         MAP_BAD, ":2:"),
@@ -1015,7 +1047,7 @@ MALFORMED = {
     "--start y is inf": (
         "", TRACK_FLOW + ["--start", "0,inf,1"], "got '0,inf,1'"),
     "--start floor is fractional": (
-        "", TRACK_FLOW + ["--start", "0,0,1.5"], "integer floor, got '0,0,1.5'"),
+        "", TRACK_FLOW + ["--start", "0,0,1.5"], "integer floor in the same range, got '0,0,1.5'"),
     "--start is text": (
         "", TRACK_FLOW + ["--start", "a,b,c"], "--start must be x,y,floor"),
     "--start has four parts": (
@@ -1023,7 +1055,11 @@ MALFORMED = {
     # and x and y within the bound of a trace's truth positions
     "--start x is past the trace's value range": (
         "", TRACK_FLOW + ["--mode", "pdr-compass", "--start", "1e308,0,1"],
-        "x and y finite and in [-1e+06, 1e+06] m and an integer floor, got '1e308,0,1'"),
+        "x and y finite and in [-1e+06, 1e+06] m and an integer floor in the same range, "
+        "got '1e308,0,1'"),
+    "--start floor is past the trace's value range": (
+        "", TRACK_FLOW + ["--mode", "pdr-compass", "--start", "0,0,1e300"],
+        "and an integer floor in the same range, got '0,0,1e300'"),
     "--start y is just past the trace's value range": (
         "", TRACK_FLOW + ["--start", "0,-1000000.0000000001,1"], "got '0,-1000000.0000000001,1'"),
 }
@@ -1232,18 +1268,27 @@ def test_build_map_refuses_a_pose_out_of_its_range(flow, tmp_path, capsys):
         f"error: {traj}:4: pose x must be at least -1e+06, got -1e+308"]
 
 
-@pytest.mark.parametrize("what", ["map entry", "query truth"])
+@pytest.mark.parametrize("what", ["map entry", "query truth", "map entry floor",
+                                  "query truth floor"])
 def test_evaluate_refuses_a_position_out_of_its_range(flow, tmp_path, capsys, what):
-    # each used to exit 0 and write "mean_error_m": Infinity, which is not JSON
+    # each used to exit 0: an x or y and the mean error infinite ("mean_error_m":
+    # Infinity is not JSON), a floor compared as a 301-digit integer
     data = json.loads((flow / "map.json").read_text())
     queries = (flow / "queries.jsonl").read_text().splitlines(keepends=True)
     if what == "map entry":
         for entry in data["entries"]:
             entry["x"] = 1e308
         message = "map.entries[0].x must be at most 1e+06, got 1e+308"
-    else:
+    elif what == "map entry floor":
+        for entry in data["entries"]:
+            entry["floor"] = -10**300
+        message = f"map.entries[0].floor must be at least -1e+06, got {str(-10**300)[:100]}..."
+    elif what == "query truth":
         queries[:2] = [json.dumps({**json.loads(q), "y": 1e308}) + "\n" for q in queries[:2]]
         message = f"{tmp_path / 'queries.jsonl'}:1: y must be at most 1e+06, got 1e+308"
+    else:
+        queries[1] = json.dumps({**json.loads(queries[1]), "floor": 1e300}) + "\n"
+        message = f"{tmp_path / 'queries.jsonl'}:2: floor must be at most 1e+06, got 1e+300"
     write_json(tmp_path / "map.json", data)
     (tmp_path / "queries.jsonl").write_text("".join(queries))
     assert main(["evaluate", str(tmp_path / "map.json"), str(tmp_path / "queries.jsonl"),

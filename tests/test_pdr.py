@@ -402,17 +402,18 @@ def test_dump_refuses_a_pose_or_period_that_is_not_finite(tmp_path, bad, line):
 
 
 
-@pytest.mark.parametrize("bad,line", [("t", 2), ("y", 2), ("period", 1), ("zero period", 1)])
+@pytest.mark.parametrize("bad,line", [("t", 2), ("y", 2), ("floor", 2), ("period", 1),
+                                      ("zero period", 1)])
 def test_dump_refuses_what_load_would_take_out_of_its_range(tmp_path, bad, line):
     first = PathSegment([Pose(0.0, 0.0, 0.0, 1.0)], periodicities=[
         {"period": -0.5, "zero period": 0.0}.get(bad, 0.5), 0.5])
-    snap = PathSegment([Pose(-2e10 if bad == "t" else 1.0, 0.0,
-                             1e308 if bad == "y" else 0.0, 1.0)], landmark="b")
+    snap = PathSegment([Pose(-2e10 if bad == "t" else 1.0, 0.0, 1e308 if bad == "y" else 0.0,
+                             -1e300 if bad == "floor" else 1.0)], landmark="b")
     path = tmp_path / "traj.jsonl"
     with pytest.raises(TraceError, match=rf"^cannot write trajectory: line {line} "
                                          rf"\(segment {line - 1}\) must hold t within "
-                                         r"\+-1e\+10 s, x and y within \+-1e\+06 m and "
-                                         r"step periods above 0$"):
+                                         r"\+-1e\+10 s, x and y within \+-1e\+06 m, floor "
+                                         r"within \+-1e\+06 and step periods above 0$"):
         dump_trajectory(Trajectory(segments=[first, snap]), path)
     assert not path.exists()
 
@@ -470,7 +471,8 @@ def test_load_refuses_a_pose_earlier_than_its_segment_predecessor(tmp_path):
 
 def load_trajectory_field_by_field(path) -> Trajectory:
     """The reference: load_trajectory as it read every field through
-    number, before its one test of a whole pose."""
+    number, before its one test of a whole pose, the floor bounded as x
+    and y are."""
     segs: dict[int, PathSegment] = {}
     for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
         try:
@@ -479,7 +481,8 @@ def load_trajectory_field_by_field(path) -> Trajectory:
         except (KeyError, TypeError, ValueError):
             raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
                              f"floor and an integer segment") from None
-        for k, bound in (("t", T_MAX_S), ("x", VALUE_MAX), ("y", VALUE_MAX)):
+        for k, bound in (("t", T_MAX_S), ("x", VALUE_MAX), ("y", VALUE_MAX),
+                         ("floor", VALUE_MAX)):
             number(getattr(pose, k), f"{path}:{ln}: pose {k}", TraceError,
                    at_least=-bound, at_most=bound)
         seg = segs.get(segment)

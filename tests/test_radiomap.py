@@ -204,16 +204,16 @@ def test_everything_filtered_gives_empty_map():
     assert rm.config["belief_threshold"] == pytest.approx(15.0)
 
 
-def test_custom_filter_overrides_threshold():
+def test_lower_threshold_admits_a_poor_segment_but_no_undefined_belief():
     traj = Trajectory(segments=[
         seg(POOR, t0=0, t1=10, x0=0, x1=12.6),
         seg([0.7], t0=10, t1=20, x0=12.6, x1=0),
     ])
-    rm = build_radio_map(traj, scans_at(5.0, 15.0),
-                         belief_filter=lambda b: True)
-    assert len(rm) == 2
+    rm = build_radio_map(traj, scans_at(5.0, 15.0), QualityConfig(belief_threshold=10.0))
+    assert len(rm) == 1
     assert rm.entries[0].belief == pytest.approx(16 / 31 * math.sqrt(450))
-    assert rm.entries[1].belief == 0.0  # undefined belief recorded as zero
+    rm = build_radio_map(traj, scans_at(5.0, 15.0), QualityConfig(belief_threshold=-math.inf))
+    assert [e.belief for e in rm.entries] == [pytest.approx(16 / 31 * math.sqrt(450))]
 
 
 def test_scan_on_pose_timestamp_lands_exactly():
