@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import LandmarkConfig, SensorConfig
-from .records import (array, choice, flag, members, number, read_json,
-                      record, shown, text)
+from .records import (FLOOR, POSITION, array, choice, flag, members, number,
+                      read_json, record, shown, text)
 from .sensors import MotionState, SensorTrace, motion_runs
 
 # Gyro events inside a confirmed stop are phone fidgeting, not corners.
@@ -75,9 +75,9 @@ class LandmarkEvent:
 @dataclass(frozen=True)
 class Landmark:
     id: str
-    x: float
-    y: float
-    floor: int
+    x: float = field(metadata=POSITION)
+    y: float = field(metadata=POSITION)
+    floor: int = field(metadata=FLOOR)
     rules: tuple[Rule, ...] = ()
 
 
@@ -105,17 +105,10 @@ class LandmarkGraph:
     def out_edges(self, landmark_id: str) -> list[Edge]:
         return self._out.get(landmark_id, [])
 
-    def on_floor(self, floor: int) -> list[Landmark]:
-        return [lm for lm in self.nodes.values() if lm.floor == floor]
-
 
 def sgn(x: float) -> int:
     """Sign: 1 for positive, -1 for negative, 0 for zero."""
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return int(x > 0) - int(x < 0)
 
 
 def detect_acc_landmarks(

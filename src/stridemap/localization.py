@@ -173,15 +173,6 @@ def vectorize_map(radio_map: RadioMap, cfg: LocalizationConfig = LocalizationCon
     )
 
 
-def _index(radio_map: RadioMap | VectorizedMap, cfg: LocalizationConfig) -> VectorizedMap:
-    """The map vectorized under cfg; an index passed in must already be."""
-    if not isinstance(radio_map, VectorizedMap):
-        return vectorize_map(radio_map, cfg)
-    if radio_map.cfg != cfg:
-        raise ValueError("index was vectorized under a different config")
-    return radio_map
-
-
 @dataclass(frozen=True, eq=False)
 class Neighbors:
     """The k nearest entries of every query row and the pose they vote for.
@@ -427,7 +418,9 @@ def evaluate(
     import numpy as np
     if not test:
         raise ValueError("no test queries")
-    index = _index(radio_map, cfg)
+    index = radio_map if isinstance(radio_map, VectorizedMap) else vectorize_map(radio_map, cfg)
+    if index.cfg != cfg:
+        raise ValueError("index was vectorized under a different config")
     if readings is None:
         readings = read_fingerprints([fp for _, fp in test])
     elif len(readings.rss) != len(test):

@@ -105,11 +105,6 @@ def update_step_length(
     return math.dist((v1.x, v1.y), (v2.x, v2.y)) / n_steps, False
 
 
-def compass_heading(mx: float, my: float) -> float:
-    """Map-frame azimuth from the calibrated magnetometer vector."""
-    return math.atan2(my, mx) % (2 * math.pi)
-
-
 def landmark_confidence(
     candidate: Landmark,
     detected_kind: RuleKind,
@@ -125,15 +120,8 @@ def landmark_confidence(
     The distance gap is floored at cfg.distance_floor so a perfect distance
     agreement yields a large finite score instead of a division blow-up.
     """
-    delta = 0
-    for rule in candidate.rules:
-        if rule.kind is not detected_kind:
-            continue
-        if rule.turn_sign is not None and rule.turn_sign != detected_sign:
-            continue
-        delta = 1
-        break
-    if not delta:
+    if not any(rule.kind is detected_kind and rule.turn_sign in (None, detected_sign)
+               for rule in candidate.rules):
         return 0.0
     if circular_diff(est_heading, ref_heading) >= cfg.heading_threshold:
         return 0.0
@@ -183,7 +171,7 @@ def match_landmark(
         est_heading = state.mean_heading()
         cand = [(lm, math.dist((state.anchor_x, state.anchor_y), (lm.x, lm.y)),
                  bearing(state.anchor_x, state.anchor_y, lm.x, lm.y))
-                for lm in graph.on_floor(state.floor)]
+                for lm in graph.nodes.values() if lm.floor == state.floor]
 
     best: tuple[float, float, str, Landmark] | None = None
     for lm, d_k, theta_k in cand:
@@ -267,13 +255,11 @@ def _select_heading(
         return (theta0 + turned) % (2 * math.pi)
     if graph is not None and state.last_landmark is not None:
         if abs(turned_since_ref) < cfg.heading_threshold:
-            best: tuple[float, float] | None = None
-            for e in graph.out_edges(state.last_landmark):
-                dh = circular_diff(e.heading, comp)
-                if best is None or dh < best[0]:
-                    best = (dh, e.heading)
-            if best is not None and best[0] < cfg.heading_threshold:
-                return best[1]
+            # the first of the edges whose heading lies nearest the compass
+            edge = min(graph.out_edges(state.last_landmark), default=None,
+                       key=lambda e: circular_diff(e.heading, comp))
+            if edge is not None and circular_diff(edge.heading, comp) < cfg.heading_threshold:
+                return edge.heading
     return comp
 
 
@@ -318,7 +304,7 @@ def run_pdr(
                   + [max(e.t, e.t_end) for e in events])
     mx = np.interp(at[:n + 1], trace.mag.t, trace.mag.v[:, 0]).tolist()
     my = np.interp(at[:n + 1], trace.mag.t, trace.mag.v[:, 1]).tolist()
-    compass = [compass_heading(a, b) for a, b in zip(mx, my)]
+    compass = [math.atan2(b, a) % (2 * math.pi) for a, b in zip(mx, my)]  # map-frame azimuths
     turn = np.interp(at, *_turn_integral(trace)).tolist()
     pressure = (np.interp(at, trace.baro.t, _smoothed_pressure(trace)).tolist()
                 if len(trace.baro) > 1 else [0.0] * len(at))

@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .config import QualityConfig, in_order
-from .records import (FLOOR, POSITION, array, field_reader, fingerprint,
-                      members, read_json, record, version, writing)
+from .records import (FLOOR, POSITION, array, clean_readings, field_reader, fingerprint,
+                      fits, members, read_json, record, version, writing)
 
 if TYPE_CHECKING:  # a map reader such as localize loads neither module
     from .tracefile import WifiScan
@@ -157,10 +157,6 @@ def interpolate_rp(p1: Pose, p2: Pose, t: float) -> tuple[float, float, float]:
             p1.floor + (p2.floor - p1.floor) * frac)
 
 
-def _round_half_up(f: float) -> int:
-    return int(math.floor(f + 0.5))
-
-
 def build_radio_map(
     trajectory: Trajectory,
     scans: Sequence[WifiScan],
@@ -192,7 +188,7 @@ def build_radio_map(
         for scan in ordered[lo:bisect_right(scan_t, times[-1], lo)]:
             j = min(max(bisect_right(times, scan.t) - 1, 0), len(pts) - 2)
             x, y, f = interpolate_rp(pts[j], pts[j + 1], scan.t)
-            floor = _round_half_up(f)
+            floor = math.floor(f + 0.5)  # half up
             key = (x, y, floor, scan.t)
             placed.add(key)
             if key in seen:
@@ -206,11 +202,13 @@ def build_radio_map(
 
 MAP_VERSION = 1
 # A map file's keys and types; its config holds any of QualityConfig's fields.
+_read_entry = record(RadioMapEntry, {"fp": fingerprint})
 _read_map = members({
     "version": version(MAP_VERSION),
     "config": members({f.name: field_reader(f) for f in fields(QualityConfig)}),
-    "entries": array(record(RadioMapEntry, {"fp": fingerprint}), list)},
+    "entries": array(_read_entry, list)},
     ("version", "config", "entries"))
+_entry_fits = fits(RadioMapEntry, skip=("fp",))
 
 
 # _ENTRY is one entry of the "entries" list as indent=2 writes it, and _FP
@@ -223,21 +221,23 @@ _CHUNK_ENTRIES = 256
 
 
 def _entry_text(e: RadioMapEntry, i: int) -> str:
-    """Entry i as the map file holds it: through _ENTRY when x, y and
-    belief are finite floats, floor an int and fp a dict of int readings,
-    whose %r is json's text; any other entry through json.dumps itself,
-    which refuses NaN and the infinities."""
+    """Entry i as the map file holds it: through _ENTRY when it passes
+    _entry_fits and fp is a dict of clean_readings, whose %r is json's
+    text; any other entry through json.dumps itself, which refuses NaN and
+    the infinities, and then only if load_radio_map would read it."""
     fp = e.fp
-    if (type(e.x) is type(e.y) is type(e.belief) is float and type(e.floor) is int
-            and math.isfinite(e.x + e.y + e.belief)  # an overflowing sum only falls back
-            and type(fp) is dict and {int}.issuperset(map(type, fp.values()))):
+    obj = {"x": e.x, "y": e.y, "floor": e.floor, "belief": e.belief, "fp": fp}
+    if _entry_fits(obj) and type(fp) is dict and clean_readings(fp):
         return _ENTRY % (e.belief, e.floor,
                          "{\n        %s\n      }" % _FP(fp)[1:-1] if fp else "{}", e.x, e.y)
-    obj = {"x": e.x, "y": e.y, "floor": e.floor, "belief": e.belief, "fp": fp}
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         raise MapFormatError(f"cannot write map: entry {i} must hold finite numbers") from None
+    try:  # the entry as a map file holds it, keys sorted
+        _read_entry(json.loads(text), f"entry {i}", MapFormatError)
+    except MapFormatError as exc:
+        raise MapFormatError(f"cannot write map: {exc}") from None
     return "    " + text.replace("\n", "\n    ")
 
 

@@ -6,8 +6,10 @@ or raises error naming where: "<where>.<key> must be ..., got <value>"
 "<where> is missing fields [...]". Every number is finite and never a
 bool. A number's range is declared once, as number's bounds (at_least,
 above, at_most) in a reader map or in a dataclass field's metadata, which
-record reads through field_reader. This module needs nothing but the
-standard library.
+record reads through field_reader. fits derives from it one check per
+dataclass, which record tries first: only a record that fails it is read
+field by field, to convert an int in a float field or to word the fault.
+This module needs nothing but the standard library.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 from dataclasses import MISSING, Field, fields
 from functools import partial
 from pathlib import Path
@@ -36,6 +39,7 @@ VALUE_MAX = 1e6
 TIMESTAMP = {"at_least": -T_MAX_S, "at_most": T_MAX_S}
 POSITION = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
 FLOOR = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
+_FLOAT_MAX = sys.float_info.max
 # The most characters of an offending value an error message quotes.
 _SHOWN_CHARS = 100
 
@@ -159,6 +163,31 @@ def field_reader(f: Field):
     return partial(SCALARS[f.type], **f.metadata) if f.metadata else SCALARS[f.type]
 
 
+def _numbers(cls, keys: dict, skip) -> list[tuple[str, type, float, float]]:
+    """(key, type, lo, hi) of each float and int field of cls that number
+    reads and skip does not name: number returns a value of that exact type
+    in [lo, hi] as it is (no bound: the largest float; above: the next)."""
+    return [(keys.get(f.name, f.name), float if f.type == "float" else int,
+             max(f.metadata.get("at_least", -_FLOAT_MAX),
+                 math.nextafter(f.metadata.get("above", -math.inf), math.inf)),
+             f.metadata.get("at_most", _FLOAT_MAX)) for f in fields(cls)
+            if f.type in ("float", "int") and "one_of" not in f.metadata and f.name not in skip]
+
+
+def fits(cls, keys: dict | None = None, skip=()):
+    """The one check of a record of dataclass cls: whether a JSON object that
+    holds every key of _numbers holds there values number returns as they are."""
+    checks = _numbers(cls, keys or {}, skip)
+
+    def check(obj: dict) -> bool:
+        for key, kind, lo, hi in checks:
+            value = obj[key]
+            if type(value) is not kind or not lo <= value <= hi:
+                return False
+        return True
+    return check
+
+
 def version(expected: int):
     """The reader of a file format version: an integer, as number reads
     it, equal to expected."""
@@ -201,14 +230,24 @@ def members(readers: dict, required=()):
 def record(cls, readers: dict | None = None, keys: dict | None = None):
     """The reader of dataclass cls from a JSON object with a key per field
     (keys renames a field's key), required when the field has no default.
-    A field is read by readers[its name], else by its field_reader."""
+    A field is read by readers[its name], else by its field_reader; an
+    object that passes fits takes its float and int fields as they are."""
     readers, keys = readers or {}, keys or {}
     by_key = {keys.get(f.name, f.name): f for f in fields(cls)}
-    read = members({key: readers.get(f.name) or field_reader(f) for key, f in by_key.items()},
-                   [key for key, f in by_key.items()
-                    if f.default is MISSING and f.default_factory is MISSING])
-    return lambda obj, where, error: cls(**{by_key[key].name: value for key, value
-                                            in read(obj, where, error).items()})
+    field_readers = {key: readers.get(f.name) or field_reader(f) for key, f in by_key.items()}
+    required = [key for key, f in by_key.items()
+                if f.default is MISSING and f.default_factory is MISSING]
+    read, check = members(field_readers, required), fits(cls, keys, readers)
+    checked = {key for key, *_ in _numbers(cls, keys, readers)}
+
+    def read_record(obj, where: str, error: type[ValueError]):
+        if type(obj) is dict and obj.keys() == by_key.keys() and check(obj):
+            values = {key: value if key in checked else field_readers[key](
+                value, f"{where}.{key}", error) for key, value in obj.items()}
+        else:
+            values = read(obj, where, error)
+        return cls(**{by_key[key].name: value for key, value in values.items()})
+    return read_record
 
 
 def clean_readings(readings: dict) -> bool:
@@ -244,9 +283,3 @@ def writing(path):
     if hasattr(path, "write"):
         return contextlib.nullcontext(path)
     return open(path, "w")
-
-
-def write_text(path, text: str) -> None:
-    """Write text to an open file, or replace the file at a path."""
-    with writing(path) as fh:
-        fh.write(text)

@@ -50,7 +50,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import json
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
@@ -61,7 +60,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import SensorConfig
-from .records import T_MAX_S, VALUE_MAX, number, read_jsonl, shown, writing
+from .records import _FLOAT_MAX, T_MAX_S, VALUE_MAX, number, read_jsonl, shown, writing
 from .tracefile import (_DOUBTS, _PREFIX_LEN, _PREFIXES, CHANNELS, TraceError,
                         WifiScan, _blocks, _Doubt, _head, _scan_readings, _wifi_line)
 
@@ -69,7 +68,6 @@ from .tracefile import (_DOUBTS, _PREFIX_LEN, _PREFIXES, CHANNELS, TraceError,
 SMOOTHING_WIDTH = 5
 # Two accepted step peaks closer than this are jitter, seconds.
 MIN_STEP_GAP_S = 0.3
-_FLOAT_MAX = sys.float_info.max
 # Trace lines dump_trace formats with one template and writes at once.
 _CHUNK_ROWS = 4096
 
@@ -580,21 +578,24 @@ def detect_steps(
 ) -> list[StepEvent]:
     """Step peaks from the smoothed accelerometer magnitude.
 
-    A candidate is a strict local maximum of the moving-average-smoothed
-    magnitude whose surrounding window variance exceeds the walking
-    threshold; candidates closer than MIN_STEP_GAP_S to the previously
-    accepted peak are rejected as jitter.
+    A candidate is a rise of the moving-average-smoothed magnitude followed
+    by a fall, at the first sample of any flat top between them, whose
+    surrounding window variance exceeds the walking threshold; candidates
+    closer than MIN_STEP_GAP_S to the previously accepted peak are rejected
+    as jitter. A flat stretch that rises on exit is no peak.
     """
     if len(trace.accel) < 3:
         return []
     t = trace.accel.t
     mags = _magnitudes(trace.accel)
-    # the variances first, so their temporaries never coexist with smooth
+    # the peaks first, their temporaries gone before the variances': a
+    # rise of the smoothed magnitude whose next change is a fall
+    steps_up = np.diff(moving_average(mags, SMOOTHING_WIDTH))
+    changes = np.flatnonzero(steps_up)
+    rises = (steps_up > 0)[changes]
+    candidates = changes[:-1][rises[:-1] & ~rises[1:]] + 1
+    del steps_up, changes, rises
     variances = _rolling_variance(mags, cfg.acc_window)
-    smooth = moving_average(mags, SMOOTHING_WIDTH)
-
-    mid = smooth[1:-1]
-    candidates = np.flatnonzero((mid > smooth[:-2]) & (mid > smooth[2:])) + 1
 
     steps: list[StepEvent] = []
     last_t = None

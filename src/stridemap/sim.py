@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress, cycle, repeat
 from pathlib import Path
 
 import numpy as np
@@ -188,13 +188,9 @@ def _read_corridors(value, where: str, error) -> dict[int, list[list[tuple[float
 
 def _read_graph(value, where: str, error) -> LandmarkGraph:
     try:
-        graph = graph_from_dict(value)
+        return graph_from_dict(value)
     except GraphError as exc:
         raise error(f"{where}: {exc}") from None
-    for i, lm in enumerate(graph.nodes.values()):  # in file order
-        for key in ("x", "y"):
-            number(getattr(lm, key), f"{where}.nodes[{i}].{key}", error, **POSITION)
-    return graph
 
 
 _read_scenario = record(Scenario, {
@@ -483,14 +479,11 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
             if w1 <= w0:
                 continue
             tick = w0
-            k = 0
-            while True:
-                pt = FALSE_WALK_PERIOD_TICKS[k % len(FALSE_WALK_PERIOD_TICKS)]
+            for pt in cycle(FALSE_WALK_PERIOD_TICKS):
                 if tick + pt > w1:
                     break
                 tick += pt
                 false_bumps.append((tick, pt))
-                k += 1
     false_bumps.sort()
 
     return WalkPlan(phases=phases, steps=steps_all, false_bumps=false_bumps,
@@ -505,10 +498,7 @@ def _plan_state(plan: WalkPlan, ticks: np.ndarray) -> tuple[np.ndarray, ...]:
     """Ground-truth (x, y, floor, facing) at each requested tick, ticks
     sorted. A phase holds the ticks in [t0, t1), the last one [t0, t1]:
     each is one slice found by bisection."""
-    x = np.empty(len(ticks))
-    y = np.empty(len(ticks))
-    fl = np.empty(len(ticks))
-    hd = np.empty(len(ticks))
+    x, y, fl, hd = (np.empty(len(ticks)) for _ in range(4))
     for i, ph in enumerate(plan.phases):
         last = i == len(plan.phases) - 1
         lo = np.searchsorted(ticks, ph.t0, "left")
@@ -635,13 +625,8 @@ def _compass(plan: WalkPlan, ticks: np.ndarray,
 def _truth(plan: WalkPlan) -> TruthChannel:
     """Ground truth at the walk's ends, every phase boundary, every step
     and every TRUTH_EVERY-th tick."""
-    marks = {0, plan.total_ticks}
-    for ph in plan.phases:
-        marks.add(ph.t0)
-        marks.add(ph.t1)
-    for s in plan.steps:
-        marks.add(s.tick)
-    marks.update(range(0, plan.total_ticks + 1, TRUTH_EVERY))
+    marks = {0, plan.total_ticks, *range(0, plan.total_ticks + 1, TRUTH_EVERY),
+             *(s.tick for s in plan.steps), *(t for ph in plan.phases for t in (ph.t0, ph.t1))}
     ticks = np.array(sorted(marks))
     x, y, fl, _ = _plan_state(plan, ticks)
     return TruthChannel(t=ticks * TICK, xy=np.column_stack([x, y]), floor=fl)

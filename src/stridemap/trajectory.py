@@ -3,34 +3,35 @@
 A Trajectory is its path segments, in time order; each segment holds its
 poses and the step periods of the steps inside it. stridemap.pdr makes
 them from a trace. dump_trajectory writes a trajectory as JSON lines and
-load_trajectory reads them back. The reader tests each pose in one check
-(four finite floats, t within +-T_MAX_S, x, y and floor within
-+-VALUE_MAX, and an int segment, as files hold them) and reads a field
-through number only for another type or to word an error. Step periods
-are above 0. This module needs nothing but the standard library, records
-and tracefile, so build-map reads a trajectory without loading numpy or
-the tracking stages.
+load_trajectory reads them back. A pose's ranges are its fields'
+metadata (records.TIMESTAMP, POSITION and FLOOR), and both test a pose by
+the one check records.fits derives from them: the reader reads a field
+through its reader only for a pose that fails it (another type, or to
+word an error), and the writer refuses what the reader would refuse.
+Step periods are above 0. This module needs nothing but the standard
+library, records and tracefile, so build-map reads a trajectory without
+loading numpy or the tracking stages.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 
-from .records import (FLOOR, POSITION, T_MAX_S, TIMESTAMP, VALUE_MAX,
-                      number, read_jsonl, shown, write_text)
+from .records import (FLOOR, POSITION, T_MAX_S, TIMESTAMP, VALUE_MAX, field_reader,
+                      fits, number, read_jsonl, shown, writing)
 from .tracefile import TraceError
 
 
 @dataclass(frozen=True)
 class Pose:
-    t: float
-    x: float
-    y: float
-    floor: float  # continuous; round for discrete floor decisions
+    t: float = field(metadata=TIMESTAMP)
+    x: float = field(metadata=POSITION)
+    y: float = field(metadata=POSITION)
+    floor: float = field(metadata=FLOOR)  # continuous; round for discrete floor decisions
 
 
 @dataclass
@@ -71,6 +72,31 @@ class Trajectory:
 
 # json.dumps's encoder, refusing NaN and the infinities, which no reader takes.
 _FINITE_JSON = json.JSONEncoder(allow_nan=False).encode
+# The fields of a trajectory line that make its pose and name its segment,
+# the one check of its pose, and each pose field's name and reader.
+_POSE_KEYS = itemgetter("t", "x", "y", "floor", "segment")
+_pose_fits = fits(Pose)
+_POSE_READERS = [(f.name, field_reader(f)) for f in fields(Pose)]
+
+
+def _pose(rec, path, ln: int) -> tuple[float, float, float, float, int]:
+    """t, x, y, floor and segment of line ln: as they are when the pose
+    passes _pose_fits and the segment is an int, else each read by number,
+    then by its field's reader; TraceError naming path and ln if any fails."""
+    try:
+        t, x, y, floor, segment = _POSE_KEYS(rec)
+        # isfinite raises OverflowError for a segment number would refuse
+        if not (_pose_fits(rec) and type(segment) is int and math.isfinite(segment)):
+            t, x, y, floor = (number(rec[k], k) for k in ("t", "x", "y", "floor"))
+            segment = number(segment, "segment", integral=True)
+            t, x, y, floor = (read(v, f"{path}:{ln}: pose {k}", TraceError)
+                              for (k, read), v in zip(_POSE_READERS, (t, x, y, floor)))
+        return t, x, y, floor, segment
+    except TraceError:  # a finite number out of its range
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
+                         f"floor and an integer segment") from None
 
 
 def dump_trajectory(traj: Trajectory, path) -> None:
@@ -92,19 +118,17 @@ def dump_trajectory(traj: Trajectory, path) -> None:
             except ValueError:
                 raise TraceError(f"cannot write trajectory: line {len(lines) + 1} "
                                  f"(segment {k}) must hold finite numbers") from None
-            if not (-T_MAX_S <= pose.t <= T_MAX_S and -VALUE_MAX <= pose.x <= VALUE_MAX
-                    and -VALUE_MAX <= pose.y <= VALUE_MAX
-                    and -VALUE_MAX <= pose.floor <= VALUE_MAX
-                    and (i or min(seg.periodicities, default=1) > 0)):  # line 0 has periods
+            try:
+                if not ((_pose_fits(rec) or _pose(rec, path, 0))
+                        and (i or min(seg.periodicities, default=1) > 0)):  # line 0 has periods
+                    raise TraceError
+            except TraceError:
                 raise TraceError(f"cannot write trajectory: line {len(lines)} (segment {k}) "
                                  f"must hold t within +-{T_MAX_S:g} s, x and y within "
                                  f"+-{VALUE_MAX:g} m, floor within +-{VALUE_MAX:g} and "
-                                 f"step periods above 0")
-    write_text(path, "".join(line + "\n" for line in lines))
-
-
-# The fields of a trajectory line that make its pose and name its segment.
-_POSE_KEYS = itemgetter("t", "x", "y", "floor", "segment")
+                                 f"step periods above 0") from None
+    with writing(path) as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
@@ -116,25 +140,8 @@ def load_trajectory(path: str | Path) -> Trajectory:
     again, or a period that is not a finite number above 0."""
     segs: dict[int, PathSegment] = {}
     for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
-        try:
-            t, x, y, floor, segment = _POSE_KEYS(rec)
-            # one test of the whole pose: NaN fails every comparison, and
-            # isfinite raises OverflowError for a segment number would refuse
-            if not (type(t) is type(x) is type(y) is type(floor) is float
-                    and type(segment) is int and -T_MAX_S <= t <= T_MAX_S
-                    and -VALUE_MAX <= x <= VALUE_MAX and -VALUE_MAX <= y <= VALUE_MAX
-                    and -VALUE_MAX <= floor <= VALUE_MAX and math.isfinite(segment)):
-                t, x, y, floor = (number(rec[k], k) for k in ("t", "x", "y", "floor"))
-                segment = number(segment, "segment", integral=True)
-                t, x, y, floor = (number(v, f"{path}:{ln}: pose {k}", TraceError, **bounds)
-                                  for k, v, bounds in (("t", t, TIMESTAMP), ("x", x, POSITION),
-                                                       ("y", y, POSITION), ("floor", floor, FLOOR)))
-            pose = Pose(t, x, y, floor)
-        except TraceError:  # a finite number out of its range
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise TraceError(f"{path}:{ln}: pose needs finite numbers t, x, y, "
-                             f"floor and an integer segment") from None
+        t, x, y, floor, segment = _pose(rec, path, ln)
+        pose = Pose(t, x, y, floor)
         seg = segs.get(segment)
         if seg is None:
             if "periods" not in rec:

@@ -591,6 +591,17 @@ MALFORMED = {
         '{"nodes": [{"id": "a", "x": NaN, "y": 0, "floor": 1}], "edges": []}',
         ["track", "FLOW/trace.jsonl", "--graph", "BAD"],
         "graph.nodes[0].x must be a finite number, got nan"),
+    # a node's range is a pose's: such a node used to be read, and track
+    # then failed writing a pose, naming neither the graph nor the node
+    "graph node floor is past the value range": (
+        json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 10**300}], "edges": []}),
+        GRAPH_BAD, f"graph.nodes[0].floor must be at most 1e+06, got {str(10**300)[:100]}..."),
+    "graph node x is past the value range": (
+        json.dumps({"nodes": [{"id": "a", "x": 1e300, "y": 0, "floor": 1},
+                              {"id": "b", "x": 0, "y": 0, "floor": 1}],
+                    "edges": [{"from": "a", "to": "b", "heading_deg": 0, "distance_m": 1,
+                               "override": True}]}),
+        GRAPH_BAD, "graph.nodes[0].x must be at most 1e+06, got 1e+300"),
     "graph edge distance overflows": (
         json.dumps({"nodes": [{"id": "a", "x": 0, "y": 0, "floor": 1},
                               {"id": "b", "x": 1, "y": 0, "floor": 1}],

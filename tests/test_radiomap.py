@@ -2,8 +2,10 @@ import io
 import json
 import math
 import re
+import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -361,6 +363,19 @@ def json_writes_finite(e: RadioMapEntry) -> bool:
     return True
 
 
+def load_error(e: RadioMapEntry) -> str | None:
+    """The error load_radio_map gives for a map of entry e alone, as json
+    writes it, its place "map.entries[0]"; None when it reads it."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "map.json"
+        path.write_text(json_map_text(RadioMap(entries=[e])))
+        try:
+            load_radio_map(path)
+        except MapFormatError as exc:
+            return str(exc)
+    return None
+
+
 def saved_text(radio_map) -> str:
     buf = io.StringIO()
     save_radio_map(radio_map, buf)
@@ -379,8 +394,11 @@ macs = st.one_of(st.sampled_from(['a"b', "a\\b", "%s", "%%", "%(x)s", "\x00\x1f\
                                   "\u00e9\u2028", "\U0001f600", "\ud800", ""]),
                  st.text(max_size=6))
 fingerprints = st.dictionaries(macs, st.integers(-200, 0), max_size=5)
-entries = st.builds(RadioMapEntry, x=coordinates, y=coordinates,
-                    floor=st.integers(-(10**20), 10**20), belief=coordinates, fp=fingerprints)
+# x and y within the +-1e6 m a map file takes, and floor within +-1e6
+positions = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if abs(v) <= 1e6] + [1e6, -1e6]),
+                      st.floats(-1e6, 1e6))
+entries = st.builds(RadioMapEntry, x=positions, y=positions,
+                    floor=st.integers(-(10**6), 10**6), belief=coordinates, fp=fingerprints)
 # entries the template does not write: other scalar types, non-finite
 # floats, readings that are not ints, some of them nested
 odd_scalars = st.one_of(st.integers(), st.booleans(), st.none(),
@@ -401,21 +419,47 @@ configs = st.one_of(st.builds(lambda cfg: asdict(cfg), st.just(QualityConfig()))
 @given(st.lists(st.one_of(entries, entries, odd_entries), max_size=7), configs,
        st.integers(1, 4))
 def test_save_writes_the_bytes_json_writes(map_entries, config, chunk):
+    # an entry json writes with NaN or an infinity is refused as such, and
+    # one that load_radio_map refuses by the loader's words
     rm = RadioMap(entries=map_entries, config=config)
-    bad = next((i for i, e in enumerate(map_entries) if not json_writes_finite(e)), None)
+    bad = next((i for i, e in enumerate(map_entries)
+                if not json_writes_finite(e) or load_error(e)), None)
     with mock.patch.object(radiomap, "_CHUNK_ENTRIES", chunk):  # chunks of a few entries
         if bad is None:
             assert saved_text(rm) == json_map_text(rm)
-        else:
+        elif not json_writes_finite(map_entries[bad]):
             with pytest.raises(MapFormatError, match=f"^cannot write map: entry {bad} "
                                                      "must hold finite numbers$"):
                 saved_text(rm)
+        else:
+            error = load_error(map_entries[bad]).replace("map.entries[0]", f"entry {bad}", 1)
+            with pytest.raises(MapFormatError, match=f"^cannot write map: {re.escape(error)}$"):
+                saved_text(rm)
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("x", 2e6, "2000000.0"), ("y", math.nextafter(-1e6, -math.inf), "-1000000.0000000001"),
+    ("floor", 10**7, "10000000"), ("floor", -(10**300), str(-(10**300))[:100] + "...")],
+    ids=["x above", "y below", "floor above", "floor far below"])
+def test_save_refuses_an_entry_out_of_the_range_load_takes(tmp_path, field, value, shown):
+    # such an entry used to be saved, and loading the map then failed
+    entry = replace(RadioMapEntry(0.0, 0.0, 1, 20.0, {"ap": -50}), **{field: value})
+    rm = RadioMap(entries=[RadioMapEntry(0.0, 0.0, 1, 20.0, {})] * 3 + [entry])
+    rule = "at least -1e+06" if value < 0 else "at most 1e+06"
+    path = tmp_path / "map.json"
+    with pytest.raises(MapFormatError, match=re.escape(
+            f"cannot write map: entry 3.{field} must be {rule}, got {shown}")):
+        save_radio_map(rm, path)
+    path.write_text(json_map_text(rm))  # the map as json writes it
+    with pytest.raises(MapFormatError, match=re.escape(
+            f"map.entries[3].{field} must be {rule}, got {shown}")):
+        load_radio_map(path)
 
 
 def test_save_writes_the_bytes_json_writes_for_the_sample_maps():
     for rm in (build_sample_map(), build_radio_map(Trajectory(segments=[]), []),
                RadioMap(entries=[RadioMapEntry(0.0, 0.0, 1, 0.0, {})]),
-               RadioMap(entries=[RadioMapEntry(-0.0, 1e16, 0, 1e-7,
+               RadioMap(entries=[RadioMapEntry(-0.0, 1e-7, 0, 1e16,
                                                {'"': -1, "\\": -2, "%": -3, "\x07": -4,
                                                 "\u00e9": -5})] * 600, config={})):
         assert saved_text(rm) == json_map_text(rm)

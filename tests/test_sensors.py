@@ -844,8 +844,8 @@ def test_steps_carry_positive_variance():
         assert s.accel_variance > 0.5
 
 
-# periods whose peaks never fall exactly midway between samples: a
-# symmetric tie has no strict local maximum and only happens synthetically
+# periods whose peaks never fall exactly midway between samples, so each
+# peak is one sample, not a two-sample flat top
 @settings(max_examples=30)
 @given(st.integers(2, 12), st.sampled_from([0.42, 0.5, 0.74, 0.9]))
 def test_step_count_tracks_cycle_count(cycles, period):
@@ -854,6 +854,45 @@ def test_step_count_tracks_cycle_count(cycles, period):
                            flat(2.0)])
     steps = detect_steps(trace_from_mags(mags))
     assert len(steps) == cycles
+
+
+def bumps(*bump: float, cycles: int = 8, gap: int = 20) -> np.ndarray:
+    """cycles of bump (m/s^2 over a 10 m/s^2 baseline), gap samples apart,
+    between 2 s of baseline: whole numbers, so the smoothing is exact."""
+    cycle = np.concatenate([np.zeros(gap - len(bump)), bump])
+    return 10.0 + np.concatenate([np.zeros(100), np.tile(cycle, cycles), np.zeros(100)])
+
+
+def test_a_flat_top_is_one_peak_at_its_first_sample():
+    # a bump with two equal top samples smooths to a two-sample flat top
+    mags = bumps(0, 2, 4, 6, 6, 4, 2)
+    smooth = moving_average(mags, sensors.SMOOTHING_WIDTH)
+    steps = detect_steps(trace_from_mags(mags))
+    assert len(steps) == 8
+    for s in steps:
+        i = round(s.t / DT)
+        assert smooth[i - 1] < smooth[i] == smooth[i + 1] > smooth[i + 2]
+
+
+def test_a_flat_stretch_that_rises_on_exit_is_no_peak():
+    # each bump rises to a flat shelf, then rises again to its one top
+    mags = bumps(0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 4, 6, 8, 6, 4, 2)
+    smooth = moving_average(mags, sensors.SMOOTHING_WIDTH)
+    steps = detect_steps(trace_from_mags(mags))
+    assert len(steps) == 8
+    for s in steps:
+        i = round(s.t / DT)
+        assert smooth[i - 1] < smooth[i] > smooth[i + 1]
+
+
+def test_a_25_hz_demo_walk_gives_every_step():
+    # at 25 Hz half the demo's step peaks are two-sample flat tops, which
+    # a strict local maximum missed: 180 of its 360 steps
+    sc = load_scenario(SCENARIOS / "two_floor_demo.json")
+    trace = generate_trace(sc.environment, sc.walk, sc.noise)
+    accel = Channel(t=trace.accel.t[::2].copy(), v=trace.accel.v[::2].copy())
+    assert len(detect_steps(trace)) == 360
+    assert len(detect_steps(replace(trace, accel=accel))) == 360
 
 
 # ---------------------------------------------------------------------------
