@@ -7,6 +7,15 @@ the effective config and collects the files the command writes; its
 commit adds manifest.json, echoing the config and listing exactly those
 files, and writes them all atomically into --out. Identical inputs and
 flags produce byte-identical files.
+
+A command runs without cyclic garbage collection. The pipeline's data
+(arrays, lists, dicts, frozen dataclasses) makes no reference cycles, so
+a collection frees only the argparse parser's few hundred objects, the
+same on any walk, yet walks every object the command holds. main pauses
+the collector while its command runs and puts it back as it found it.
+entry, the process entry of both `stridemap` and `python -m
+stridemap.cli`, freezes the heap once main returns, so the collections
+of interpreter shutdown skip it.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
+import gc
 import json
 import math
 import os
@@ -506,15 +516,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code. Automatic garbage
+    collection is paused while it runs and put back as the caller had it on
+    every way out: a return, an error: line or argparse's SystemExit."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
-        # every loader's typed error (TraceError, GraphError...) is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (CliError, ValueError, OSError) as exc:
+            # every loader's typed error (TraceError, GraphError...) is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def entry() -> int:
+    """The process entry of `stridemap` and `python -m stridemap.cli`:
+    main's exit code. Once main returns, gc.freeze moves every object out of
+    the collector's reach, so interpreter shutdown does not collect over the
+    whole heap; atexit handlers, the stdio flush and the finalizers that
+    reference counting runs still run."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -203,9 +203,20 @@ def build_radio_map(
 MAP_VERSION = 1
 # A map file's keys and types; its config holds any of QualityConfig's fields.
 _read_entry = record(RadioMapEntry, {"fp": fingerprint})
+_read_config_fields = members({f.name: field_reader(f) for f in fields(QualityConfig)})
+
+
+def _read_config(obj, where: str, error: type[ValueError]) -> dict:
+    """A map's config: QualityConfig's fields, any of them, each in its
+    range, and with defaults for the keys it lacks, in_order."""
+    config = _read_config_fields(obj, where, error)
+    in_order(QualityConfig(**config), where, error)
+    return config
+
+
 _read_map = members({
     "version": version(MAP_VERSION),
-    "config": members({f.name: field_reader(f) for f in fields(QualityConfig)}),
+    "config": _read_config,
     "entries": array(_read_entry, list)},
     ("version", "config", "entries"))
 _entry_fits = fits(RadioMapEntry, skip=("fp",))
@@ -245,13 +256,18 @@ def save_radio_map(radio_map: RadioMap, path) -> None:
     """Write a map as JSON to a path or open file: the text of
     json.dumps(obj, sort_keys=True, indent=2) and a newline, the entries
     formatted and written _CHUNK_ENTRIES at a time, so memory never holds
-    the whole text. An entry json cannot write raises json's TypeError, or
-    MapFormatError for a number that is not finite, after the entries before
-    it are written."""
+    the whole text. A config load_radio_map would refuse raises
+    MapFormatError before a byte is written. An entry json cannot write
+    raises json's TypeError, or MapFormatError for a number that is not
+    finite, after the entries before it are written."""
     entries = radio_map.entries
+    config = json.dumps(radio_map.config, sort_keys=True, indent=2)
+    try:  # the config as the map file holds it
+        _read_config(json.loads(config), "map.config", MapFormatError)
+    except MapFormatError as exc:
+        raise MapFormatError(f"cannot write map: {exc}") from None
     with writing(path) as fh:
-        fh.write('{\n  "config": %s,\n  "entries": ['
-                 % json.dumps(radio_map.config, sort_keys=True, indent=2).replace("\n", "\n  "))
+        fh.write('{\n  "config": %s,\n  "entries": [' % config.replace("\n", "\n  "))
         for lo in range(0, len(entries), _CHUNK_ENTRIES):
             chunk = map(_entry_text, entries[lo:lo + _CHUNK_ENTRIES], count(lo))
             fh.write(("\n" if lo == 0 else ",\n") + ",\n".join(chunk))
@@ -262,5 +278,4 @@ def load_radio_map(path: str | Path) -> RadioMap:
     """Parse and validate a radio map file; unknown fields are errors, and
     its config, with defaults for the keys it lacks, must be in_order."""
     data = _read_map(read_json(path, MapFormatError), "map", MapFormatError)
-    in_order(QualityConfig(**data["config"]), "map.config", MapFormatError)
     return RadioMap(entries=data["entries"], config=data["config"])

@@ -99,13 +99,23 @@ def _pose(rec, path, ln: int) -> tuple[float, float, float, float, int]:
                          f"floor and an integer segment") from None
 
 
+def _periods(periods: list) -> list:
+    """periods as load_trajectory takes them: as they are when every one is
+    a finite float above 0, else each read by number; ValueError if one is
+    not a finite number above 0."""
+    if ({float}.issuperset(map(type, periods)) and math.isfinite(sum(periods))
+            and min(periods, default=1) > 0):
+        return periods
+    return [number(v, "period", above=0) for v in periods]
+
+
 def dump_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as JSON lines (path or open file), each pose with
     the index of the segment that holds it, so every pose is written once;
     each segment's first line also carries its step periods. A line that
     load_trajectory would refuse (a number that is not finite, a pose out
-    of its range, a period not above 0) raises TraceError before a byte is
-    written."""
+    of its range, a period that is not a finite number above 0) raises
+    TraceError before a byte is written."""
     lines = []
     for k, seg in enumerate(traj.segments):
         for i, pose in enumerate(seg.points):
@@ -119,10 +129,11 @@ def dump_trajectory(traj: Trajectory, path) -> None:
                 raise TraceError(f"cannot write trajectory: line {len(lines) + 1} "
                                  f"(segment {k}) must hold finite numbers") from None
             try:
-                if not ((_pose_fits(rec) or _pose(rec, path, 0))
-                        and (i or min(seg.periodicities, default=1) > 0)):  # line 0 has periods
-                    raise TraceError
-            except TraceError:
+                if not _pose_fits(rec):
+                    _pose(rec, path, 0)
+                if i == 0:
+                    _periods(seg.periodicities)
+            except ValueError:  # TraceError too
                 raise TraceError(f"cannot write trajectory: line {len(lines)} (segment {k}) "
                                  f"must hold t within +-{T_MAX_S:g} s, x and y within "
                                  f"+-{VALUE_MAX:g} m, floor within +-{VALUE_MAX:g} and "
@@ -151,9 +162,7 @@ def load_trajectory(path: str | Path) -> Trajectory:
             if not isinstance(periods, list):
                 raise TraceError(f"{path}:{ln}: periods must be a list, got {shown(periods)}")
             try:
-                periodicities = (periods if {float}.issuperset(map(type, periods))
-                                 and math.isfinite(sum(periods)) and min(periods, default=1) > 0
-                                 else [number(v, "period", above=0) for v in periods])
+                periodicities = _periods(periods)
             except ValueError as exc:
                 raise TraceError(f"{path}:{ln}: {exc}") from None
             seg = segs[segment] = PathSegment(points=[], periodicities=periodicities)

@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import gc
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -9,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stridemap import sensors
+from stridemap import cli, sensors
 from stridemap.cli import (SECTIONS, CliError, _Run, build_parser,
                            default_config, load_queries, main)
 from stridemap.pdr import HeadingSource
@@ -1424,3 +1428,162 @@ def test_strong_ap_clips_at_zero_dbm_through_the_pipeline(tmp_path):
                  str(tmp_path / "trace.jsonl"), "--out", str(tmp_path)]) == 0
     strongest = max(s.readings["ap-w"] for s in load_trace(tmp_path / "trace.jsonl").wifi)
     assert strongest == 0
+
+
+# ---------------------------------------------------------------------------
+# garbage collection: a command runs with the collector paused
+
+COMMANDS = ("simulate", "track", "build-map", "localize", "evaluate", "sweep")
+
+
+def demo_argv(d: Path, loops: int) -> dict[str, list[str]]:
+    """Write two_floor_demo.json with its waypoint loop walked loops times,
+    its graph and, once there is a map, about 1000 queries into d: command
+    -> the argv of that command on this walk."""
+    data = json.loads(DEMO.read_text())
+    wp = data["walk"]["waypoints"]
+    data["walk"]["waypoints"] = wp + wp[1:] * (loops - 1)
+    write_json(d / "scenario.json", data)
+    write_json(d / "graph.json", data["environment"]["graph"])
+    return {"simulate": ["simulate", str(d / "scenario.json"), "--seed", "1"],
+            "track": ["track", str(d / "trace.jsonl"), "--graph", str(d / "graph.json")],
+            "build-map": ["build-map", str(d / "trajectory.jsonl"), str(d / "trace.jsonl")],
+            "localize": ["localize", str(d / "map.json"), "--rss", "ap-01=-60"],
+            "evaluate": ["evaluate", str(d / "map.json"), str(d / "queries.jsonl")],
+            "sweep": ["sweep", str(d / "map.json"), str(d / "queries.jsonl"),
+                      "--taus=-90,-80"]}
+
+
+def write_queries(d: Path, n: int = 1000) -> None:
+    """n queries at the map's own entries, taken in turn."""
+    entries = json.loads((d / "map.json").read_text())["entries"]
+    (d / "queries.jsonl").write_text("".join(
+        json.dumps({"x": e["x"], "y": e["y"], "floor": e["floor"], "fp": e["fp"]}) + "\n"
+        for e, _ in zip(entries * (n // len(entries) + 1), range(n))))
+
+
+@pytest.fixture(scope="module")
+def demo_walks(tmp_path_factory):
+    """Every command on the 1x demo walk and on the walk with its loop
+    walked twice (2x), in-process: loops -> (argv per command, the count of
+    unreachable objects each call left). Each call starts from a collected
+    heap with the collector off, which main leaves off, so gc.collect()
+    after it finds all the cyclic garbage the call made."""
+    runs = {}
+    for loops in (1, 2):
+        d = tmp_path_factory.mktemp(f"demo{loops}x")
+        argv, left = demo_argv(d, loops), {}
+        for command in COMMANDS:
+            if command == "evaluate":
+                write_queries(d)
+            gc.collect()
+            gc.disable()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv[command] + ["--out", str(d)]) == 0
+                assert not gc.isenabled()
+                left[command] = gc.collect()
+            finally:
+                gc.enable()
+        runs[loops] = argv, left
+    return runs
+
+
+@pytest.mark.parametrize("command", ["track", "evaluate"])
+def test_no_collection_runs_during_a_command(demo_walks, tmp_path, command):
+    # with the collector on, track on the 1x walk ran 3 collections and
+    # evaluate over 1000 queries 6, each over every object a command holds
+    argv = demo_walks[1][0][command] + ["--out", str(tmp_path)]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        code = main(argv)
+        collections = len(starts)  # before anything allocates, which may collect
+    finally:
+        gc.callbacks.remove(count)
+    assert code == 0
+    assert collections == 0, starts
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("outcome", ["returns 0", "error exits 1", "usage error"])
+def test_main_puts_the_collector_back_as_it_found_it(monkeypatch, capsys, enabled, outcome):
+    # the collector is off while the command runs, and as the caller had it
+    # after main, on each way out: a return, an error: line, argparse's exit
+    during = []
+
+    def command(args):
+        during.append(gc.isenabled())
+        if outcome == "error exits 1":
+            raise CliError("the map is gone")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_localize", command)
+    argv = ["localize", "map.json"] + (["--bogus"] if outcome == "usage error" else [])
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(SystemExit) if outcome == "usage error" else contextlib.nullcontext():
+            assert main(argv) == (1 if outcome == "error exits 1" else 0)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert after == enabled
+    assert during == ([] if outcome == "usage error" else [False])
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") if outcome == "usage error" else (
+        err == ("error: the map is gone\n" if outcome == "error exits 1" else ""))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_leaves_no_more_cyclic_garbage_on_a_longer_walk(demo_walks, command):
+    # what the collector would free after a command is argparse's parser
+    # alone, the same on a walk twice as long: the pipeline's data (arrays,
+    # lists, dicts, frozen dataclasses) makes no reference cycles, so
+    # pausing the collector holds back nothing that grows with the input
+    assert demo_walks[1][1][command] == demo_walks[2][1][command]
+
+
+def script_target() -> tuple[str, str]:
+    """The module and function of the installed stridemap script, as
+    pyproject.toml declares them."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    return re.search(r'^stridemap = "([\w.]+):(\w+)"$', text, re.M).groups()
+
+
+def test_both_process_entries_exit_with_mains_code_and_write_the_same_bytes(flow, tmp_path):
+    # `python -m stridemap.cli` and the installed script, run as its
+    # wrapper runs it, stdout and stderr pipes that only a flush empties
+    module, func = script_target()
+    heads = {"module": ["-m", "stridemap.cli"],
+             "script": ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]}
+    cases = [
+        (["simulate", str(flow / "scenario.json"), "--out", "out"], 0),
+        (["track", "out/trace.jsonl", "--graph", str(flow / "graph.json"), "--out", "out"], 0),
+        (["localize", str(flow / "map.json"), "--rss", "ap-w=-50"], 0),
+        (["build-map", "missing.jsonl", "out/trace.jsonl"], 1),
+        (["localize"], 2)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = {}
+    for name, head in heads.items():
+        (tmp_path / name).mkdir()
+        results = [subprocess.run([sys.executable, *head, *argv], cwd=tmp_path / name, env=env,
+                                  capture_output=True, timeout=120) for argv, _ in cases]
+        assert [r.returncode for r in results] == [code for _, code in cases]
+        runs[name] = ([(r.stdout, r.stderr) for r in results],
+                      {p.name: p.read_bytes() for p in (tmp_path / name / "out").iterdir()})
+    assert runs["module"] == runs["script"]
+    outputs, files = runs["module"]
+    assert sorted(files) == ["error_cdf.csv", "manifest.json", "summary.json",
+                             "trace.jsonl", "trajectory.jsonl"]
+    assert files["trace.jsonl"] == (flow / "trace.jsonl").read_bytes()
+    assert outputs[0][0].startswith(b"wrote out/trace.jsonl (") and outputs[0][1] == b""
+    assert outputs[2][1] == b"" and json.loads(outputs[2][0])["floor"] == 1
+    assert outputs[3] == (b"", b"error: trajectory file not found: missing.jsonl\n")
+    assert outputs[4][0] == b"" and outputs[4][1].startswith(b"usage: stridemap localize")

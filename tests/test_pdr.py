@@ -418,6 +418,30 @@ def test_dump_refuses_what_load_would_take_out_of_its_range(tmp_path, bad, line)
     assert not path.exists()
 
 
+@pytest.mark.parametrize("period", [True, "x", None, [0.5], 10**400],
+                         ids=["bool", "str", "null", "list", "int past the float range"])
+def test_dump_refuses_a_period_load_would_refuse(tmp_path, period):
+    # a bool period used to be written as true, which load refuses, and a
+    # str one raised a bare TypeError
+    first = PathSegment([Pose(0.0, 0.0, 0.0, 1.0)], periodicities=[0.5, period])
+    path = tmp_path / "traj.jsonl"
+    with pytest.raises(TraceError, match=r"^cannot write trajectory: line 1 \(segment 0\) "
+                                         r"must hold t within .* and step periods above 0$"):
+        dump_trajectory(Trajectory(segments=[first]), path)
+    assert not path.exists()
+    path.write_text(json.dumps({"t": 0.0, "x": 0.0, "y": 0.0, "floor": 1.0, "segment": 0,
+                                "periods": [0.5, period]}) + "\n")
+    with pytest.raises(TraceError, match="period must be a finite number"):
+        load_trajectory(path)
+
+
+def test_dump_writes_an_int_period_load_takes(tmp_path):
+    path = tmp_path / "traj.jsonl"
+    dump_trajectory(Trajectory(segments=[PathSegment([Pose(0.0, 0.0, 0.0, 1.0)],
+                                                     periodicities=[1, 0.5])]), path)
+    assert load_trajectory(path).segments[0].periodicities == [1.0, 0.5]
+
+
 def test_dump_load_round_trip(tmp_path):
     trace = out_and_back_trace()
     traj = run_pdr(trace, straight_graph(), (0.0, 0.0, 1.0))

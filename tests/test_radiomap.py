@@ -363,12 +363,13 @@ def json_writes_finite(e: RadioMapEntry) -> bool:
     return True
 
 
-def load_error(e: RadioMapEntry) -> str | None:
-    """The error load_radio_map gives for a map of entry e alone, as json
-    writes it, its place "map.entries[0]"; None when it reads it."""
+def load_error(e: RadioMapEntry | None = None, config=None) -> str | None:
+    """The error load_radio_map gives for a map of entry e alone (or of no
+    entry) and config (or none), as json writes it, the entry's place
+    "map.entries[0]"; None when it reads it."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "map.json"
-        path.write_text(json_map_text(RadioMap(entries=[e])))
+        path.write_text(json_map_text(RadioMap(entries=[e] if e else [], config=config or {})))
         try:
             load_radio_map(path)
         except MapFormatError as exc:
@@ -410,22 +411,33 @@ odd_entries = st.builds(
     fp=st.one_of(fingerprints, st.dictionaries(macs, st.one_of(
         st.integers(), st.floats(), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)), max_size=3)))
+# configs the map reader takes and configs it refuses: keys of QualityConfig
+# or not, any number, NaN and the infinities among them
+config_values = st.one_of(st.floats(), st.integers(), st.booleans())
 configs = st.one_of(st.builds(lambda cfg: asdict(cfg), st.just(QualityConfig())),
-                    st.dictionaries(st.text(max_size=4), st.one_of(st.floats(), st.integers()),
-                                    max_size=4))
+                    st.dictionaries(st.sampled_from(sorted(asdict(QualityConfig()))),
+                                    st.one_of(st.floats(0.001, 100), config_values)),
+                    st.dictionaries(st.text(max_size=4), config_values, max_size=4))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(entries, entries, odd_entries), max_size=7), configs,
        st.integers(1, 4))
 def test_save_writes_the_bytes_json_writes(map_entries, config, chunk):
-    # an entry json writes with NaN or an infinity is refused as such, and
-    # one that load_radio_map refuses by the loader's words
+    # a config that load_radio_map refuses is refused by the loader's
+    # words, before any entry; an entry json writes with NaN or an infinity
+    # is refused as such, and one that load_radio_map refuses by the
+    # loader's words
     rm = RadioMap(entries=map_entries, config=config)
     bad = next((i for i, e in enumerate(map_entries)
                 if not json_writes_finite(e) or load_error(e)), None)
+    config_error = load_error(config=config)
     with mock.patch.object(radiomap, "_CHUNK_ENTRIES", chunk):  # chunks of a few entries
-        if bad is None:
+        if config_error:
+            with pytest.raises(MapFormatError,
+                               match=f"^cannot write map: {re.escape(config_error)}$"):
+                saved_text(rm)
+        elif bad is None:
             assert saved_text(rm) == json_map_text(rm)
         elif not json_writes_finite(map_entries[bad]):
             with pytest.raises(MapFormatError, match=f"^cannot write map: entry {bad} "
@@ -454,6 +466,23 @@ def test_save_refuses_an_entry_out_of_the_range_load_takes(tmp_path, field, valu
     with pytest.raises(MapFormatError, match=re.escape(
             f"map.entries[3].{field} must be {rule}, got {shown}")):
         load_radio_map(path)
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"sigma_floor": 0.0}, "map.config.sigma_floor must be above 0, got 0.0"),
+    ({"sigma_floor": math.nan}, "map.config.sigma_floor must be a finite number, got nan"),
+    ({"nope": 1}, "map.config has unknown fields ['nope']"),
+    ({"period_min": 2.0}, "map.config.period_min must be at most period_max (1.0), got 2.0")],
+    ids=["sigma_floor 0", "sigma_floor nan", "unknown key", "band out of order"])
+def test_save_refuses_a_config_load_refuses(tmp_path, config, error):
+    # such a config used to be saved (NaN as a bare NaN, which is not
+    # JSON), and loading the map then failed
+    rm = RadioMap(entries=[RadioMapEntry(0.0, 0.0, 1, 20.0, {"ap": -50})], config=config)
+    path = tmp_path / "map.json"
+    with pytest.raises(MapFormatError, match=re.escape(f"cannot write map: {error}")):
+        save_radio_map(rm, path)
+    assert not path.exists()
+    assert load_error(config=config) == error
 
 
 def test_save_writes_the_bytes_json_writes_for_the_sample_maps():
