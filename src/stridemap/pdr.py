@@ -404,7 +404,7 @@ def attach_periodicities(traj: Trajectory, steps) -> None:
     """Fill segment periodicities from detected steps by time span: the
     steps after a segment's first pose up to and including its last.
     run_pdr and load_trajectory already fill them, and no CLI path calls
-    this; the benchmark's set-up map still does, until ROADMAP item 6
+    this; the benchmark's set-up map still does, until ROADMAP item 5
     builds that map from run_pdr's own trajectory."""
     steps = sorted(steps, key=lambda s: s.t)
     times = [s.t for s in steps]

@@ -20,8 +20,9 @@ work. Per block, numpy finds the lines and checks each line's whole head
 '{"ch": "<ch>", "t": ' as 8-byte words gathered at the line starts;
 with each run of number characters collapsed to one 0, each numeric
 line's rest must be exactly its channel's skeleton, so each number
-stands alone in its own slot; one json.loads parses all the block's
-numbers, so the number grammar and the values are json's own; and each
+stands alone in its own slot; one orjson.loads parses all the block's
+numbers, json.loads re-reads a block orjson refuses, and the number
+grammar and the values are json's own, bit for bit (tested); and each
 WiFi line is read by tracefile._wifi_line. A file the fast path doubts
 (tracefile._DOUBTS: other spacing or key order, blank lines, a lone CR,
 a token json refuses) is read a line at a time with json.loads, with the
@@ -337,9 +338,19 @@ def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> 
         rests = arr[np.repeat(np.arange(len(runs)) % 2 == 1, runs)].tobytes()
         if _skeletons(rests) != b"".join(map(_SKELETONS.__getitem__, lines.tolist())):
             raise _Doubt
-        # json's own number grammar and values, integers and -0 included; an
-        # int past the float range raises OverflowError
-        values = np.array(json.loads(b"[%s]" % rests[:-1].translate(_TO_LIST)), float)
+        # orjson parses the numbers and json re-reads a block orjson refuses,
+        # so json decides the grammar (orjson refuses a number past the float
+        # range, which json reads) and the values are json's bit for bit
+        # (tested), integers and -0 included; an int past the float range
+        # raises OverflowError. Imported here, so only a whole-trace load
+        # pays for the import.
+        import orjson
+        numbers = b"[%s]" % rests[:-1].translate(_TO_LIST)
+        try:
+            values = orjson.loads(numbers)
+        except orjson.JSONDecodeError:
+            values = json.loads(numbers)
+        values = np.array(values, float)
         owner = np.repeat(lines, _NUMBERS[lines])
         for i, ch in enumerate(CHANNELS):
             if i != _WIFI:

@@ -77,6 +77,9 @@ _FINITE_JSON = json.JSONEncoder(allow_nan=False).encode
 _POSE_KEYS = itemgetter("t", "x", "y", "floor", "segment")
 _pose_fits = fits(Pose)
 _POSE_READERS = [(f.name, field_reader(f)) for f in fields(Pose)]
+# The containers of a segment's step periods load_trajectory takes: a list,
+# or a tuple, which json writes as one.
+_PERIOD_LISTS = (list, tuple)
 
 
 def _pose(rec, path, ln: int) -> tuple[float, float, float, float, int]:
@@ -99,10 +102,12 @@ def _pose(rec, path, ln: int) -> tuple[float, float, float, float, int]:
                          f"floor and an integer segment") from None
 
 
-def _periods(periods: list) -> list:
+def _periods(periods) -> list:
     """periods as load_trajectory takes them: as they are when every one is
-    a finite float above 0, else each read by number; ValueError if one is
-    not a finite number above 0."""
+    a finite float above 0, else each read by number; ValueError if periods
+    is not one of _PERIOD_LISTS, or one is not a finite number above 0."""
+    if not isinstance(periods, _PERIOD_LISTS):
+        raise ValueError(f"periods must be a list, got {shown(periods)}")
     if ({float}.issuperset(map(type, periods)) and math.isfinite(sum(periods))
             and min(periods, default=1) > 0):
         return periods
@@ -114,14 +119,18 @@ def dump_trajectory(traj: Trajectory, path) -> None:
     the index of the segment that holds it, so every pose is written once;
     each segment's first line also carries its step periods. A line that
     load_trajectory would refuse (a number that is not finite, a pose out
-    of its range, a period that is not a finite number above 0) raises
-    TraceError before a byte is written."""
+    of its range, periods that are not a list, a period that is not a
+    finite number above 0) raises TraceError before a byte is written."""
     lines = []
     for k, seg in enumerate(traj.segments):
         for i, pose in enumerate(seg.points):
             rec = {"t": pose.t, "x": pose.x, "y": pose.y, "floor": pose.floor,
                    "segment": k}
             if i == 0:
+                if not isinstance(seg.periodicities, _PERIOD_LISTS):  # a set fails json too
+                    raise TraceError(f"cannot write trajectory: line {len(lines) + 1} "
+                                     f"(segment {k}) periods must be a list, got "
+                                     f"{shown(seg.periodicities)}")
                 rec["periods"] = seg.periodicities
             try:
                 lines.append(_FINITE_JSON(rec))
@@ -158,11 +167,8 @@ def load_trajectory(path: str | Path) -> Trajectory:
             if "periods" not in rec:
                 raise TraceError(f"{path}:{ln}: segment {segment} has no step "
                                  f"periods; the file predates them, re-run track")
-            periods = rec["periods"]
-            if not isinstance(periods, list):
-                raise TraceError(f"{path}:{ln}: periods must be a list, got {shown(periods)}")
             try:
-                periodicities = _periods(periods)
+                periodicities = _periods(rec["periods"])
             except ValueError as exc:
                 raise TraceError(f"{path}:{ln}: {exc}") from None
             seg = segs[segment] = PathSegment(points=[], periodicities=periodicities)

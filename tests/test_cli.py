@@ -1338,17 +1338,17 @@ def test_cli_import_loads_no_scipy():
 
 
 # subcommand -> stridemap modules its process must not load, and numpy
-# packages: build-map reads its scans and trajectory and a single fix is
-# scored without numpy, and no command loads numpy.ma, which np.median and
-# np.percentile import
+# packages and orjson: build-map reads its scans and trajectory and a single
+# fix is scored without numpy, no command loads numpy.ma, which np.median
+# and np.percentile import, and only track's whole-trace load imports orjson
 UNLOADED = {
-    "simulate": {"pdr", "radiomap", "localization", "trajectory", "numpy.ma"},
+    "simulate": {"pdr", "radiomap", "localization", "trajectory", "numpy.ma", "orjson"},
     "track": {"sim", "localization", "numpy.ma"},
     "build-map": {"sim", "localization", "pdr", "sensors", "landmarks", "numpy",
-                  "numpy.ma"},
-    "localize": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy"},
-    "evaluate": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma"},
-    "sweep": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma"},
+                  "numpy.ma", "orjson"},
+    "localize": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy", "orjson"},
+    "evaluate": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma", "orjson"},
+    "sweep": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma", "orjson"},
 }
 
 
@@ -1371,12 +1371,13 @@ def test_each_subcommand_loads_only_its_stages(flow, tmp_path, command):
         [sys.executable, "-c", "import json, sys; from stridemap.cli import main; "
          "assert main(sys.argv[1:]) == 0; print(json.dumps([m.split('.')[1] "
          "for m in sys.modules if m.startswith('stridemap.')] + [m for m in "
-         "('numpy', 'numpy.ma') if m in sys.modules]))",
+         "('numpy', 'numpy.ma', 'orjson') if m in sys.modules]))",
          *argv, "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, check=True).stdout
     loaded = set(json.loads(out.splitlines()[-1]))
     assert {"cli", "config", "records"} <= loaded
     assert not loaded & UNLOADED[command], sorted(loaded)
+    assert ("orjson" in loaded) == (command == "track")  # simulate's trace takes the fast path
 
 
 def test_localize_runs_where_numpy_cannot_be_imported(flow, tmp_path):

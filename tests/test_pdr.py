@@ -435,6 +435,27 @@ def test_dump_refuses_a_period_load_would_refuse(tmp_path, period):
         load_trajectory(path)
 
 
+@pytest.mark.parametrize("periods,shown_as", [({0.5: 1}, r"\{0\.5: 1\}"), ({0.5}, r"\{0\.5\}")],
+                         ids=["dict", "set"])
+def test_dump_refuses_periods_load_would_not_read_as_a_list(tmp_path, periods, shown_as):
+    # a dict used to be written as an object, which load refuses, and a
+    # set raised json's bare TypeError
+    first = PathSegment([Pose(0.0, 0.0, 0.0, 1.0)], periodicities=[0.5])
+    snap = PathSegment([Pose(1.0, 0.0, 0.0, 1.0)], periodicities=periods, landmark="b")
+    path = tmp_path / "traj.jsonl"
+    with pytest.raises(TraceError, match=r"^cannot write trajectory: line 2 \(segment 1\) "
+                                         rf"periods must be a list, got {shown_as}$"):
+        dump_trajectory(Trajectory(segments=[first, snap]), path)
+    assert not path.exists()
+
+
+def test_dump_writes_tuple_periods_as_the_list_load_reads(tmp_path):
+    path = tmp_path / "traj.jsonl"
+    dump_trajectory(Trajectory(segments=[PathSegment([Pose(0.0, 0.0, 0.0, 1.0)],
+                                                     periodicities=(0.5, 0.25))]), path)
+    assert load_trajectory(path).segments[0].periodicities == [0.5, 0.25]
+
+
 def test_dump_writes_an_int_period_load_takes(tmp_path):
     path = tmp_path / "traj.jsonl"
     dump_trajectory(Trajectory(segments=[PathSegment([Pose(0.0, 0.0, 0.0, 1.0)],

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -411,6 +412,7 @@ READER_CASES = {
     "leading zero": GOOD + '{"ch": "accel", "t": 01.5, "v": [1.0, 2.0, 3.0]}\n',
     "huge integer": GOOD + '{"ch": "accel", "t": 1.0, "v": [1' + "0" * 400 + ', 2.0, 3.0]}\n',
     "exponent past the float range": GOOD + '{"ch": "accel", "t": 1.0, "v": [1e+400, 2.0, 3.0]}\n',
+    "400-digit integer baro value": GOOD + '{"ch": "baro", "t": 1.0, "v": ' + "9" * 400 + '}\n',
     "missing final newline": GOOD + ACC,
     "blank line": GOOD + "\n" + ACC + "\n",
     "CRLF line ends": (GOOD + ACC + "\n").replace("\n", "\r\n"),
@@ -672,6 +674,42 @@ def test_load_scans_accepts_only_what_json_reads_alike(text, block):
         except AssertionError:  # the front left this file to load_trace
             return
         assert front == want
+
+
+# number tokens orjson and json might read apart: past the float range, at
+# its bottom, -0, a capital E, integers past 64 bits, and tokens both refuse
+EDGE_TOKENS = ["4.9e-324", "2e-324", "-0", "-0.0", "1E5", "1e+400", "1" + "0" * 19,
+               "1" + "0" * 399, "1.7976931348623157e308", "1.7976931348623159e308",
+               "01", "1.", "+1", ".5", "1e", "--1", "-"]
+NUMBER_TOKENS = st.one_of(
+    st.sampled_from(EDGE_TOKENS),
+    st.integers(0, 2**64 - 1).map(
+        lambda bits: repr(struct.unpack("<d", struct.pack("<Q", bits))[0])
+    ).filter(lambda token: "n" not in token),  # finite: no nan or inf
+    st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-"]), st.integers(1, 9),
+              st.text("0123456789", min_size=16, max_size=24), st.integers(-340, 320)),
+    st.builds("{}{}".format, st.sampled_from(["", "-"]),
+              st.sampled_from([20, 400]).flatmap(
+                  lambda n: st.integers(10 ** (n - 1), 10 ** n - 1))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(*[NUMBER_TOKENS] * 4), min_size=1, max_size=4))
+def test_block_parse_reads_numbers_as_json_bit_for_bit(rows):
+    # orjson parses the numbers and json re-reads what orjson refuses: the
+    # values json gives, or refused where json refuses
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.jsonl"
+        path.write_text("".join('{"ch": "accel", "t": %s, "v": [%s, %s, %s]}\n' % row
+                                for row in rows))
+        try:
+            want = np.array(json.loads("[%s]" % ", ".join(map(", ".join, rows))), float)
+        except (ValueError, OverflowError):
+            with pytest.raises(tracefile._DOUBTS):
+                sensors._canonical_columns(path)
+            return
+        t, v = sensors._canonical_columns(path)["accel"]
+    assert np.column_stack([t, v]).tobytes() == want.tobytes()
 
 
 def traced_peak(call) -> tuple:
