@@ -35,10 +35,12 @@ of another channel does not fail it.
 
 dump_trace writes those lines as a stream: the rows of every channel,
 each channel's t non-decreasing, are merged by (t, channel order) a
-window of at most _CHUNK_ROWS rows per channel at a time, then formatted a
-chunk of _CHUNK_ROWS lines at a time, the chunk's numbers gathered from
-the channel arrays, with one % template, each distinct number of the
-chunk formatted once. Memory holds the trace, one window of its merge
+window of at most _CHUNK_ROWS rows per channel at a time, then written a
+chunk of _CHUNK_ROWS lines at a time. A chunk's numbers are gathered from
+the channel arrays into one array, and one orjson.dumps of it gives
+their text, which is repr's for every number except the nonzero ones
+below _REPR_BELOW in magnitude: repr writes those. One bytes % template
+fills the chunk's lines. Memory holds the trace, one window of its merge
 order and one chunk.
 
 The step and motion parameters are SensorConfig, which lives with the
@@ -59,6 +61,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+import orjson
 
 from .config import SensorConfig
 from .records import _FLOAT_MAX, T_MAX_S, VALUE_MAX, number, read_jsonl, shown, writing
@@ -70,7 +73,11 @@ SMOOTHING_WIDTH = 5
 # Two accepted step peaks closer than this are jitter, seconds.
 MIN_STEP_GAP_S = 0.3
 # Trace lines dump_trace formats with one template and writes at once.
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 2048
+# orjson writes a float's text as repr does, except for the nonzero ones
+# below this magnitude (0.00001 for 1e-05) and for those of 1e16 and more,
+# which no trace holds (T_MAX_S, VALUE_MAX).
+_REPR_BELOW = 1e-4
 
 
 class MotionState(enum.Enum):
@@ -342,9 +349,7 @@ def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> 
         # so json decides the grammar (orjson refuses a number past the float
         # range, which json reads) and the values are json's bit for bit
         # (tested), integers and -0 included; an int past the float range
-        # raises OverflowError. Imported here, so only a whole-trace load
-        # pays for the import.
-        import orjson
+        # raises OverflowError
         numbers = b"[%s]" % rests[:-1].translate(_TO_LIST)
         try:
             values = orjson.loads(numbers)
@@ -454,22 +459,26 @@ def dump_trace(trace: SensorTrace, path) -> None:
 
     The rows come from _merged and are written _CHUNK_ROWS at a time: each
     numeric row's numbers gathered from its channel's arrays into the
-    chunk's numbers, then one template joined from the rows' templates,
-    filled by one % with each distinct number of the chunk formatted once.
-    A numeric channel's rows share its line
-    format, with %s for each number; a WiFi row has its own template,
-    json.dumps's line with its % doubled. Numbers are told apart by their
-    bits, so -0.0 and 0.0 stay distinct; %r of a finite float is json's
-    text for it."""
-    templates = [_line_format(ch).replace("%r", "%s") + "\n" if CHANNELS[ch] else ""
-                 for ch in CHANNELS]  # template i for channel i; the "" is unused
+    chunk's numbers, then one bytes template joined from the rows'
+    templates, filled by one % with the numbers' texts. One orjson.dumps
+    of the chunk's numbers, split at its commas, gives their texts; a
+    nonzero number below _REPR_BELOW in magnitude gets repr's instead, so
+    every text is repr's (tested), which is json's, and -0.0 stays apart
+    from 0.0. A
+    numeric channel's rows share its line format, with %s for each
+    number; a WiFi row has its own template, json.dumps's line with its %
+    doubled. Templates and texts are bytes, which hold a number's text in
+    fewer bytes than str; a chunk is ASCII (json.dumps escapes the rest)
+    and is decoded once."""
+    templates = [_line_format(ch).replace("%r", "%s").encode() + b"\n" if CHANNELS[ch] else b""
+                 for ch in CHANNELS]  # template i for channel i; the b"" is unused
     columns, times = [], []  # per channel: its columns of numbers, and its t
     for ch, width in CHANNELS.items():
         if ch == "wifi":  # MACs need json's string escaping
             t = np.array([s.t for s in trace.wifi], float)
             templates += [json.dumps({"ch": ch, "t": s.t, "v": [[m, r] for m, r in
                                                                s.readings.items()]})
-                          .replace("%", "%%") + "\n" for s in trace.wifi]
+                          .replace("%", "%%").encode() + b"\n" for s in trace.wifi]
             cols = ()
         else:
             if ch == "truth":
@@ -499,11 +508,15 @@ def dump_trace(trace: SensorTrace, path) -> None:
                     s, j = start[mine], at[mine]
                     for off, col in enumerate(cols):
                         numbers[s + off] = col[j]
-            distinct, which = np.unique(numbers.view(np.uint64), return_inverse=True)
-            text = np.array(list(map(repr, distinct.view(float).tolist())), object)
+            # a chunk of WiFi rows alone has no numbers, and b"".split(b",") is [b""]
+            text = (orjson.dumps(numbers, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+                    if len(numbers) else [])
+            small = np.flatnonzero((np.abs(numbers) < _REPR_BELOW) & (numbers != 0))
+            for k, x in zip(small.tolist(), numbers[small].tolist()):
+                text[k] = repr(x).encode()
             code = np.where(kind == _WIFI, len(CHANNELS) + at, kind)
-            fh.write("".join(map(templates.__getitem__, code.tolist()))
-                     % tuple(text[which].tolist()))
+            fh.write((b"".join(map(templates.__getitem__, code.tolist()))
+                      % tuple(text)).decode())
 
 
 def classify_motion(

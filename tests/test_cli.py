@@ -1340,9 +1340,10 @@ def test_cli_import_loads_no_scipy():
 # subcommand -> stridemap modules its process must not load, and numpy
 # packages and orjson: build-map reads its scans and trajectory and a single
 # fix is scored without numpy, no command loads numpy.ma, which np.median
-# and np.percentile import, and only track's whole-trace load imports orjson
+# and np.percentile import, and only sensors, which track and simulate load
+# to read and write the trace, imports orjson
 UNLOADED = {
-    "simulate": {"pdr", "radiomap", "localization", "trajectory", "numpy.ma", "orjson"},
+    "simulate": {"pdr", "radiomap", "localization", "trajectory", "numpy.ma"},
     "track": {"sim", "localization", "numpy.ma"},
     "build-map": {"sim", "localization", "pdr", "sensors", "landmarks", "numpy",
                   "numpy.ma", "orjson"},
@@ -1377,7 +1378,7 @@ def test_each_subcommand_loads_only_its_stages(flow, tmp_path, command):
     loaded = set(json.loads(out.splitlines()[-1]))
     assert {"cli", "config", "records"} <= loaded
     assert not loaded & UNLOADED[command], sorted(loaded)
-    assert ("orjson" in loaded) == (command == "track")  # simulate's trace takes the fast path
+    assert ("orjson" in loaded) == (command in ("simulate", "track"))
 
 
 def test_localize_runs_where_numpy_cannot_be_imported(flow, tmp_path):

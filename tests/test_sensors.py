@@ -1025,6 +1025,59 @@ def test_dump_keeps_minus_zero_apart_from_zero_in_one_chunk():
         '{"ch": "baro", "t": 0.0, "v": 0.0}\n{"ch": "baro", "t": 0.0, "v": -0.0}\n')
 
 
+def within(bound: float):
+    """Floats within +-bound, drawn by float64 bit pattern (most far below
+    1e-4 in magnitude, where orjson's text is not repr's) or by value."""
+    return st.one_of(
+        st.integers(0, 2**64 - 1).map(
+            lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+        ).filter(lambda x: abs(x) <= bound),  # NaN fails too
+        st.floats(-bound, bound))
+
+
+def exact_text_trace(rows) -> SensorTrace:
+    """An accel channel of rows (t, x, y, z), in t order, and a baro
+    channel of the same t with each row's z."""
+    a = np.array(rows, float).reshape(-1, 4)
+    a = a[np.argsort(a[:, 0], kind="stable")]
+    return SensorTrace(accel=Channel(a[:, 0].copy(), a[:, 1:].copy()),
+                       baro=Channel(a[:, 0].copy(), a[:, 3].copy()))
+
+
+# orjson writes 1e-05 as 0.00001 and 9.999e-05 as 0.00009999, with no "e"
+EXACT_EDGES = [0.0, -0.0, 5e-324, 2.5e-300, *np.nextafter(1e-4, [0, 1]).tolist(), 1e-4,
+               9.999e-05, 1e-05, VALUE_MAX]
+CHUNKS = [1, 2, 3, 4, 5, sensors._CHUNK_ROWS]
+
+
+@pytest.mark.parametrize("rows", CHUNKS)
+def test_dump_writes_each_edge_number_as_repr(rows):
+    # the reference writer formats each number with %r
+    edges = EXACT_EDGES + [-x for x in EXACT_EDGES]
+    t = edges + [T_MAX_S, -T_MAX_S]
+    trace = exact_text_trace(np.column_stack([t, np.resize(edges, (len(t), 3))]))
+    assert dumped_in_chunks(trace, rows) == line_per_sample_dump(trace)
+
+
+@pytest.mark.parametrize("rows", CHUNKS)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(within(T_MAX_S), *[within(VALUE_MAX)] * 3), min_size=1, max_size=8))
+def test_dump_writes_each_number_as_repr(rows, samples):
+    trace = exact_text_trace(samples)
+    assert dumped_in_chunks(trace, rows) == line_per_sample_dump(trace)
+
+
+@pytest.mark.parametrize("trace", [
+    SensorTrace(wifi=[WifiScan(0.0, {"a": -1}), WifiScan(1.0, {})]),
+    SensorTrace(baro=Channel(np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+                wifi=[WifiScan(1.0, {"a": -1}), WifiScan(1.0, {"%s": -2})],
+                truth=TruthChannel(np.array([1.0]), np.array([[0.5, 0.5]]), np.array([1.0])))],
+    ids=["wifi only", "wifi tied between numeric rows"])
+def test_dump_writes_a_chunk_without_numbers(trace):
+    # a chunk of WiFi rows alone has no number to format
+    assert dumped_in_chunks(trace, 1) == line_per_sample_dump(trace)
+
+
 def test_dump_of_a_non_finite_last_channel_writes_nothing(tmp_path):
     trace = _awkward_trace()
     trace.truth.floor[-1] = math.inf  # truth is the last channel written
