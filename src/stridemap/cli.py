@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import Field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -40,9 +40,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .config import (HEADING_THRESHOLD_DEG, HeadingSource, LandmarkConfig,
                      LocalizationConfig, PdrConfig, QualityConfig,
                      SensorConfig, in_order)
-from .records import (FLOOR, POSITION, RSS_RULE, VALUE_MAX, choice,
-                      field_reader, fingerprint, members, number, read_json,
-                      read_jsonl, rss, shown, version)
+from .records import (FLOOR, POSITION, RSS_RULE, SCALARS, VALUE_MAX, choice,
+                      clean_record, field_reader, fingerprint, members, number,
+                      read_json, read_jsonl, rss, shown, version)
 
 # Each subcommand imports the stage functions it calls in its own body, so
 # a process loads only the stages of the command it runs.
@@ -234,14 +234,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@dataclass(init=False, repr=False, eq=False)  # never made: no methods to build
+class _Query:
+    """A query's truth pose and fingerprint, as a query file line holds
+    them; the fields declare the ranges of a query and of --start."""
+
+    x: float = field(metadata=POSITION)
+    y: float = field(metadata=POSITION)
+    floor: int = field(metadata=FLOOR)
+    fp: dict[str, int]
+
+
+_TRUTH = fields(_Query)[:3]  # x, y, floor
+_clean_query = clean_record(_Query)
+
+
 def _start(text: str) -> tuple[float, float, float]:
     """--start's x,y,floor: x, y and an integral floor within +-VALUE_MAX,
-    the bound of a trace's truth values, read by records.number as every
-    loader reads a pose."""
+    the bound of a trace's truth values, each read by the field_reader of
+    its _Query field, as every loader reads a pose."""
     try:
-        x, y, floor = (float(part) for part in text.split(","))
-        return (number(x, "x", **POSITION), number(y, "y", **POSITION),
-                float(number(floor, "floor", integral=True, **FLOOR)))
+        x, y, floor = (field_reader(f)(float(part), f.name, ValueError)
+                       for f, part in zip(_TRUTH, text.split(","), strict=True))
+        return x, y, float(floor)
     except ValueError:
         raise CliError(f"--start must be x,y,floor with x and y finite and in "
                        f"[-{VALUE_MAX:g}, {VALUE_MAX:g}] m and an integer floor "
@@ -337,7 +352,41 @@ def _parse_rss(pairs: list[str]) -> dict[str, int]:
 
 
 def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[str, int]]]:
-    """Query JSONL: one {"x", "y", "floor", "fp"} object per line."""
+    """Query JSONL: one {"x", "y", "floor", "fp"} object per line, read as
+    _json_queries reads it: the same queries, or the same CliError.
+
+    Each line is parsed by orjson, and a query _clean_query passes is taken
+    as parsed. A file with a line orjson refuses (NaN, 1e400, a lone
+    surrogate escape, a BOM, a byte that is not UTF-8, anything not JSON),
+    a query the check doubts (an integral x, an RSS of -50.0, an integer
+    past 64 bits, which orjson 3.8 reads as a float) or a lone CR, which
+    ends a line only in text mode, is read again from its text by
+    _json_queries: json decides what orjson refuses, and words every error
+    from its own values. Blank lines and CRLF are as read_jsonl has them."""
+    import orjson  # only the query readers, which load numpy anyway, pay for it
+
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n")
+    queries = []
+    if b"\r" not in data:
+        for line in data.split(b"\n"):
+            try:
+                rec = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                if line.strip(b" \t"):  # not blank
+                    break
+                continue
+            if not _clean_query(rec):
+                break
+            queries.append(((rec["x"], rec["y"], rec["floor"]), rec["fp"]))
+        else:
+            return queries
+    return _json_queries(path)
+
+
+def _json_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[str, int]]]:
+    """The queries of a file read a line at a time by json.loads
+    (read_jsonl), each field by its reader, which words the first fault."""
     queries = []
     prefix = f"{path}:"  # formatted once: a line's fingerprint is named by it
     for ln, rec in read_jsonl(path, CliError, prefix):
@@ -345,14 +394,12 @@ def load_queries(path: str | Path) -> list[tuple[tuple[float, float, int], dict[
             raise CliError(f"{path}:{ln}: query needs exactly x, y, floor, fp")
         fp = fingerprint(rec["fp"], f"{prefix}{ln}", CliError)
         try:
-            truth = (number(rec["x"], "x"), number(rec["y"], "y"),
-                     number(rec["floor"], "floor", integral=True))
+            truth = tuple(SCALARS[f.type](rec[f.name], f.name, ValueError) for f in _TRUTH)
         except ValueError:
             raise CliError(f"{path}:{ln}: x, y and floor must be finite numbers, "
                            f"floor an integer")
-        if not -VALUE_MAX <= min(truth) <= max(truth) <= VALUE_MAX:
-            for k, v, bounds in zip(("x", "y", "floor"), truth, (POSITION, POSITION, FLOOR)):
-                number(v, f"{path}:{ln}: {k}", CliError, **bounds)
+        for f, value in zip(_TRUTH, truth):
+            number(value, f"{prefix}{ln}: {f.name}", CliError, **f.metadata)
         queries.append((truth, fp))
     return queries
 
@@ -383,15 +430,18 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def _report_rows(report) -> list[list[str]]:
+def _report_rows(report) -> list[tuple[str, ...]]:
+    """report.csv's rows, built a column at a time from each column's
+    tolist(): a float column's numbers written by repr, as _fmt writes
+    them, an integer or bool column's by str, the bools as 1 and 0."""
     fix = report.fix
-    return [[str(qid), _fmt(x0), _fmt(y0), str(f0), _fmt(x), _fmt(y), str(f),
-             _fmt(err), str(int(ok))]
-            for qid, (x0, y0, f0, x, y, f, err, ok) in enumerate(zip(
-                report.truth_x.tolist(), report.truth_y.tolist(),
-                report.truth_floor.tolist(), fix.x.tolist(), fix.y.tolist(),
-                fix.floor.tolist(), report.error_m.tolist(),
-                report.floor_correct.tolist()))]
+    return list(zip(
+        map(str, range(len(report.error_m))),
+        map(repr, report.truth_x.tolist()), map(repr, report.truth_y.tolist()),
+        map(str, report.truth_floor.tolist()),
+        map(repr, fix.x.tolist()), map(repr, fix.y.tolist()),
+        map(str, fix.floor.tolist()), map(repr, report.error_m.tolist()),
+        map(str, report.floor_correct.astype(int).tolist())))
 
 
 _REPORT_HEADER = ["query_id", "truth_x", "truth_y", "truth_floor",

@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .config import QualityConfig, in_order
-from .records import (FLOOR, POSITION, array, clean_readings, field_reader, fingerprint,
-                      fits, members, read_json, record, version, writing)
+from .records import (FLOOR, POSITION, array, clean_record, field_reader, fingerprint,
+                      members, read_json, record, version, writing)
 
 if TYPE_CHECKING:  # a map reader such as localize loads neither module
     from .tracefile import WifiScan
@@ -214,12 +214,26 @@ def _read_config(obj, where: str, error: type[ValueError]) -> dict:
     return config
 
 
+_read_entry_array = array(_read_entry, list)
+_clean_entry = clean_record(RadioMapEntry)
+
+
+def _read_entries(items, where: str, error: type[ValueError]) -> list[RadioMapEntry]:
+    """A map's entries: each made from its object as parsed when every
+    one passes _clean_entry, as a map save_radio_map writes does; else
+    each read by _read_entry, which converts or words the first fault."""
+    if type(items) is list:
+        entries = [RadioMapEntry(**obj) for obj in items if _clean_entry(obj)]
+        if len(entries) == len(items):
+            return entries
+    return _read_entry_array(items, where, error)
+
+
 _read_map = members({
     "version": version(MAP_VERSION),
     "config": _read_config,
-    "entries": array(_read_entry, list)},
+    "entries": _read_entries},
     ("version", "config", "entries"))
-_entry_fits = fits(RadioMapEntry, skip=("fp",))
 
 
 # _ENTRY is one entry of the "entries" list as indent=2 writes it, and _FP
@@ -233,12 +247,12 @@ _CHUNK_ENTRIES = 256
 
 def _entry_text(e: RadioMapEntry, i: int) -> str:
     """Entry i as the map file holds it: through _ENTRY when it passes
-    _entry_fits and fp is a dict of clean_readings, whose %r is json's
-    text; any other entry through json.dumps itself, which refuses NaN and
-    the infinities, and then only if load_radio_map would read it."""
+    _clean_entry, whose %r is json's text; any other entry through
+    json.dumps itself, which refuses NaN and the infinities, and then only
+    if load_radio_map would read it."""
     fp = e.fp
     obj = {"x": e.x, "y": e.y, "floor": e.floor, "belief": e.belief, "fp": fp}
-    if _entry_fits(obj) and type(fp) is dict and clean_readings(fp):
+    if _clean_entry(obj):
         return _ENTRY % (e.belief, e.floor,
                          "{\n        %s\n      }" % _FP(fp)[1:-1] if fp else "{}", e.x, e.y)
     try:

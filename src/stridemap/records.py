@@ -9,6 +9,8 @@ above, at_most) in a reader map or in a dataclass field's metadata, which
 record reads through field_reader. fits derives from it one check per
 dataclass, which record tries first: only a record that fails it is read
 field by field, to convert an int in a float field or to word the fault.
+clean_record adds a fingerprint's check to it, for the records that carry
+one (a map entry, a query), which their readers take as parsed.
 This module needs nothing but the standard library.
 """
 
@@ -40,6 +42,8 @@ TIMESTAMP = {"at_least": -T_MAX_S, "at_most": T_MAX_S}
 POSITION = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
 FLOOR = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
 _FLOAT_MAX = sys.float_info.max
+# The whitespace JSON allows around a value.
+_JSON_SPACE = " \t\r\n"
 # The most characters of an offending value an error message quotes.
 _SHOWN_CHARS = 100
 
@@ -108,7 +112,10 @@ def read_jsonl(path: str | Path, error: type[Exception], prefix: str = "line ",
     """Line number and parsed record of each non-blank line of a JSON-lines
     file, less the lines that start with a string in skip, which are never
     parsed; a line that is not UTF-8 or not JSON, skipped or not, raises
-    error located as f"{prefix}{lineno}"."""
+    error located as f"{prefix}{lineno}". Lines end at LF, CRLF or a lone
+    CR. A line is blank when it holds only JSON's whitespace (space, tab,
+    CR, LF), which is all that is stripped: any other character, such as a
+    form feed or a no-break space, is the line's and json refuses it."""
     # undecodable bytes read as lone surrogates, which no UTF-8 text holds
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -119,7 +126,7 @@ def read_jsonl(path: str | Path, error: type[Exception], prefix: str = "line ",
                     raise error(f"{prefix}{lineno}: not valid UTF-8") from None
             if line.startswith(skip):
                 continue
-            line = line.strip()
+            line = line.strip(_JSON_SPACE)
             if not line:
                 continue
             try:
@@ -256,6 +263,19 @@ def clean_readings(readings: dict) -> bool:
     return ("" not in readings and {int}.issuperset(map(type, readings.values()))
             and (not readings or RSS_MIN_DBM <= min(readings.values())
                  and max(readings.values()) <= RSS_MAX_DBM))
+
+
+def clean_record(cls):
+    """The one check of a parsed JSON object as a record of dataclass cls
+    with a fingerprint field fp: a dict of exactly cls's keys, passing fits
+    but for fp, with fp a dict of clean_readings. Its readers take an
+    object that passes as parsed, its values as they are."""
+    keys, check = {f.name for f in fields(cls)}, fits(cls, skip=("fp",))
+
+    def clean(obj) -> bool:
+        return (type(obj) is dict and obj.keys() == keys and check(obj)
+                and type(obj["fp"]) is dict and clean_readings(obj["fp"]))
+    return clean
 
 
 def fingerprint(raw, where: str, error: type[ValueError]) -> dict[str, int]:

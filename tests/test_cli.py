@@ -8,16 +8,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stridemap import cli, sensors
+from stridemap import cli, radiomap, sensors
 from stridemap.cli import (SECTIONS, CliError, _Run, build_parser,
                            default_config, load_queries, main)
 from stridemap.pdr import HeadingSource
-from stridemap.radiomap import build_radio_map
+from stridemap.radiomap import (MAP_VERSION, MapFormatError, RadioMap, build_radio_map,
+                                load_radio_map)
+from stridemap.records import array, members, read_json, version
 from stridemap.sensors import load_trace
 from stridemap.trajectory import Trajectory, load_trajectory
 from test_sim import corridor_dict
@@ -540,6 +545,216 @@ def test_query_file_reads_an_integral_decimal_rss(tmp_path):
     second = load_queries(path)[1][1]
     assert second == {"ap-w": -50, "ap-x": -60}
     assert type(second["ap-w"]) is int
+
+
+def typed(value):
+    """value with the type of each number in it, so 1 and 1.0 differ."""
+    if isinstance(value, (tuple, list)):
+        return [typed(item) for item in value]
+    if isinstance(value, dict):
+        return [(key, typed(item)) for key, item in value.items()]
+    return value, type(value)
+
+
+def outcome(read, path, error):
+    """What read gives for path: its result, typed, or its error's text."""
+    try:
+        return typed(read(path))
+    except error as exc:
+        return str(exc)
+
+
+# number tokens orjson and json read apart or refuse apart: NaN and the
+# infinities, past the float range, integers at and past 64 bits (orjson
+# 3.8 reads one past them as a float), -0, integral floats, bools
+NUMBER_EDGES = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "-0", "-0.0",
+                "0", "1", "1.0", "true", "null", '"1"', "-50", "-50.0", "-200", "-201",
+                "1e6", "1000000.0000000001", "-1e6", str(2**63), str(2**63 - 1),
+                str(-2**63), str(-2**63 - 1), str(2**64), str(2**64 - 1), str(-2**64),
+                str(10**30), str(-10**30), "1" + "0" * 400]
+MAC_EDGES = ['"ap-1"', '"ap-2"', '""', '"\\ud800"', '"\\u00e9"', '"\\u0000"']
+
+
+def query_line(x="0.5", y="-1.25", floor="1", fp='{"ap-1": -50, "ap-2": -71}') -> str:
+    return '{"x": %s, "y": %s, "floor": %s, "fp": %s}' % (x, y, floor, fp)
+
+
+# query file -> whether orjson alone reads it (a clean file, or one whose
+# lines orjson refuses only where they are blank), else json re-reads it
+QUERY_EDGES = {
+    "clean": (query_line() + "\n" + query_line("-0.0", "1e-05", "-3") + "\n", True),
+    "empty": ("", True),
+    "no final newline": (query_line(), True),
+    "CRLF": (query_line() + "\r\n" + query_line() + "\r\n", True),
+    "blank lines": ("\n \t\n" + query_line() + "\n\n\t \r\n" + query_line() + "\n\n", True),
+    "duplicate keys": ('{"x": 1.5, "y": 0.5, "floor": 2, "x": 0.5, "fp": '
+                       '{"ap-2": -50, "ap-1": -60, "ap-2": -70}}\n', True),
+    "floor -0": (query_line(floor="-0"), True),
+    "x NaN": (query_line(x="NaN"), False),
+    "y Infinity": (query_line(y="Infinity"), False),
+    "x 1e400": (query_line(x="1e400"), False),
+    "x 1e-400": (query_line(x="1e-400"), True),  # 0.0 to both
+    "x -0": (query_line(x="-0"), False),
+    "x is integral": (query_line(x="3"), False),
+    "floor 1.0": (query_line(floor="1.0"), False),
+    "floor true": (query_line(floor="true"), False),
+    "RSS -50.0": (query_line(fp='{"ap-1": -50.0}'), False),
+    "lone surrogate MAC": (query_line(fp='{"\\ud800": -50}'), False),
+    "empty MAC": (query_line(fp='{"": -50}'), False),
+    "BOM on line 1": ("\ufeff" + query_line(), False),
+    "BOM on line 2": (query_line() + "\n\ufeff" + query_line(), False),
+    "lone CR": (query_line() + "\r" + query_line(), False),
+    "CR before CRLF": (query_line() + "\r\r\n" + query_line(), False),
+    "form feed": (query_line() + "\n\x0c" + query_line(), False),
+    "no-break space": (query_line() + "\xa0\n", False),
+    "two queries on a line": (query_line() + " " + query_line(), False),
+    "a list": ("[0.5, 1.5, 1, {}]", False),
+    "missing fp": ('{"x": 0.5, "y": 0.5, "floor": 1}', False),
+    "extra key": (query_line()[:-1] + ', "z": 1}', False),
+    "byte not UTF-8": ((query_line() + "\n" + query_line(fp='{"ap\udcff": -50}'))
+                       .encode("utf-8", "surrogateescape"), False),
+    **{f"{where} {value}": (query_line(**{where: value} if where != "fp" else
+                                       {"fp": '{"ap-1": %s}' % value}), False)
+       for where in ("x", "floor", "fp")
+       for value in (str(2**63), str(-2**63 - 1), str(2**64), str(-2**64), str(10**30))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUERY_EDGES))
+def test_query_reader_is_json_line_by_line(tmp_path, monkeypatch, case):
+    # the same queries, or the same error, as json.loads a line at a time,
+    # orjson's values taken only where json's are the same
+    text, fast = QUERY_EDGES[case]
+    path = tmp_path / "queries.jsonl"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    reference = cli._json_queries
+    want = outcome(reference, path, CliError)
+    reread = []
+    monkeypatch.setattr(cli, "_json_queries", lambda p: reread.append(p) or reference(p))
+    assert outcome(load_queries, path, CliError) == want
+    assert reread == ([] if fast else [path])
+
+
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\n \t\n"]
+QUERY_NUMBERS = st.one_of(
+    st.sampled_from(NUMBER_EDGES),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.one_of(st.integers(2**64, 2**80), st.integers(-2**80, -2**63 - 1)).map(str))
+CLEAN_FP = st.dictionaries(st.sampled_from(["ap-1", "ap-2", "ap-3", "\u00e9"]),
+                           st.integers(-200, 0)).map(json.dumps)
+ANY_FP = st.lists(st.tuples(st.sampled_from(MAC_EDGES), QUERY_NUMBERS), max_size=4).map(
+    lambda pairs: "{%s}" % ", ".join(f"{mac}: {rss}" for mac, rss in pairs))
+CLEAN_QUERY = st.builds(query_line, st.floats(-1e6, 1e6).map(repr), st.floats(-1e6, 1e6).map(repr),
+                        st.integers(-10, 10).map(str), CLEAN_FP)
+ANY_QUERY = st.one_of(
+    st.builds(query_line, QUERY_NUMBERS, QUERY_NUMBERS, QUERY_NUMBERS, st.one_of(CLEAN_FP, ANY_FP)),
+    st.builds(query_line, fp=ANY_FP),
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t", "\ufeff", "\x0c", "\xa0"]),
+              CLEAN_QUERY, st.sampled_from(["", " ", "\t", "\x0c", "\u2028"])),
+    st.sampled_from(["", "[]", "{}", "1", '{"x": 0.5}', "{", query_line() + query_line()]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.one_of(CLEAN_QUERY, CLEAN_QUERY, ANY_QUERY),
+                          st.sampled_from(LINE_ENDS)), max_size=5), st.booleans())
+def test_query_reader_is_json_line_by_line_on_any_file(lines, final_newline):
+    text = "".join(line + end for line, end in lines)
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "queries.jsonl"
+        path.write_bytes(text.encode())
+        assert outcome(load_queries, path, CliError) == outcome(cli._json_queries, path, CliError)
+
+
+def entry_line(x="0.5", y="-1.25", floor="1", belief="2.5", fp='{"ap-1": -50}') -> str:
+    return '{"x": %s, "y": %s, "floor": %s, "belief": %s, "fp": %s}' % (x, y, floor, belief, fp)
+
+
+# the map reader as it read every entry field by field
+_read_map_by_field = members({
+    "version": version(MAP_VERSION), "config": radiomap._read_config,
+    "entries": array(radiomap._read_entry, list)}, ("version", "config", "entries"))
+
+
+def read_map_by_field(path) -> RadioMap:
+    data = _read_map_by_field(read_json(path, MapFormatError), "map", MapFormatError)
+    return RadioMap(entries=data["entries"], config=data["config"])
+
+
+def map_rows(read):
+    """A map reader giving each entry's fields and the map's config."""
+    def rows(path):
+        radio_map = read(path)
+        return [[e.x, e.y, e.floor, e.belief, e.fp] for e in radio_map.entries], radio_map.config
+    return rows
+
+
+def write_map(path, entries) -> None:
+    """A map file of a list of entry texts, or of entries' own text."""
+    text = entries if isinstance(entries, str) else "[%s]" % ", ".join(entries)
+    path.write_text('{"config": {"sigma_floor": 0.05}, "entries": %s, "version": 1}' % text)
+
+
+# map entries -> whether every entry is taken as parsed, else each is read
+# field by field
+MAP_EDGES = {
+    "clean": ([entry_line(), entry_line("-0.0", "1e-05", "-3", "0.0", "{}")], True),
+    "no entries": ([], True),
+    "duplicate keys": (['{"x": 1.5, "y": 0.5, "floor": 2, "belief": 1.0, "x": 0.5, '
+                        '"fp": {"ap-2": -50, "ap-1": -60, "ap-2": -70}}'], True),
+    "x is integral": ([entry_line(), entry_line(x="5")], False),
+    "an integral x before a clean entry": ([entry_line(x="5"), entry_line()], False),
+    "floor 1.0": ([entry_line(floor="1.0")], False),
+    "belief is integral": ([entry_line(belief="3")], False),
+    "RSS -50.0": ([entry_line(fp='{"ap-1": -50.0}')], False),
+    "x NaN": ([entry_line(), entry_line(x="NaN")], False),
+    "y 1e7": ([entry_line(y="1e7")], False),
+    "floor true": ([entry_line(floor="true")], False),
+    "belief Infinity": ([entry_line(belief="Infinity")], False),
+    "empty MAC": ([entry_line(fp='{"": -50}')], False),
+    "fp is a list": ([entry_line(fp='[["ap-1", -50]]')], False),
+    "extra key": ([entry_line()[:-1] + ', "label": 1}'], False),
+    "missing key": (['{"x": 0.5, "y": 0.5, "floor": 1, "fp": {}}'], False),
+    "entry is a list": (["[0.5, 0.5, 1, 1.0, {}]"], False),
+    "entries is an object": ("{}", False),
+    **{f"{where} {value}": ([entry_line(**{where: value} if where != "fp" else
+                                        {"fp": '{"ap-1": %s}' % value})], False)
+       for where in ("x", "floor", "fp")
+       for value in (str(2**63), str(-2**63 - 1), str(2**64), str(10**30))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAP_EDGES))
+def test_map_reader_takes_clean_entries_as_a_field_by_field_read(tmp_path, monkeypatch, case):
+    # the same map, or the same error, as every entry read field by field
+    entries, fast = MAP_EDGES[case]
+    path = tmp_path / "map.json"
+    write_map(path, entries)
+    want = outcome(map_rows(read_map_by_field), path, MapFormatError)
+    reference, reread = radiomap._read_entry_array, []
+    monkeypatch.setattr(radiomap, "_read_entry_array",
+                        lambda *a: reread.append(a[1]) or reference(*a))
+    assert outcome(map_rows(load_radio_map), path, MapFormatError) == want
+    assert reread == ([] if fast else ["map.entries"])
+
+
+CLEAN_ENTRY = st.builds(entry_line, st.floats(-1e6, 1e6).map(repr), st.floats(-1e6, 1e6).map(repr),
+                        st.integers(-10, 10).map(str),
+                        st.floats(allow_nan=False, allow_infinity=False).map(repr), CLEAN_FP)
+ANY_ENTRY = st.builds(entry_line, QUERY_NUMBERS, QUERY_NUMBERS, QUERY_NUMBERS, QUERY_NUMBERS,
+                      st.one_of(CLEAN_FP, ANY_FP))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(CLEAN_ENTRY, CLEAN_ENTRY, ANY_ENTRY), max_size=4))
+def test_map_reader_takes_clean_entries_as_a_field_by_field_read_on_any_map(entries):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "map.json"
+        write_map(path, entries)
+        assert (outcome(map_rows(load_radio_map), path, MapFormatError)
+                == outcome(map_rows(read_map_by_field), path, MapFormatError))
 
 
 def test_sweep_rejects_bad_tau_list(flow, tmp_path, capsys):
@@ -1077,6 +1292,21 @@ MALFORMED = {
         "and an integer floor in the same range, got '0,0,1e300'"),
     "--start y is just past the trace's value range": (
         "", TRACK_FLOW + ["--start", "0,-1000000.0000000001,1"], "got '0,-1000000.0000000001,1'"),
+    # a JSON-lines reader strips a line of JSON's whitespace alone, so any
+    # other space at either end (a form feed, a no-break space, a line
+    # separator) is the line's, and json refuses it, in every such file
+    "query line starts with a form feed": (
+        GOOD_QUERY + "\x0c" + GOOD_QUERY, ["evaluate", "FLOW/map.json", "BAD"],
+        "bad.json:2: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "trace line starts with a no-break space": (
+        (GOOD_ACCEL + "\xa0" + GOOD_ACCEL.replace("0.0", "0.02")).encode(), TRACK_BAD,
+        "error: line 2: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "trace WiFi line ends with a form feed": (
+        '{"ch": "wifi", "t": 0.0, "v": [["aa", -50]]}\x0c\n',
+        ["build-map", "FLOW/trajectory.jsonl", "BAD"], "error: line 1: invalid JSON: Extra data"),
+    "trajectory line ends with a line separator": (
+        (GOOD_POSE.rstrip("\n") + "\u2028\n").encode(), MAP_BAD,
+        "bad.json:1: invalid JSON: Extra data"),
 }
 
 
@@ -1340,16 +1570,17 @@ def test_cli_import_loads_no_scipy():
 # subcommand -> stridemap modules its process must not load, and numpy
 # packages and orjson: build-map reads its scans and trajectory and a single
 # fix is scored without numpy, no command loads numpy.ma, which np.median
-# and np.percentile import, and only sensors, which track and simulate load
-# to read and write the trace, imports orjson
+# and np.percentile import, and orjson is loaded only where numpy is: by
+# sensors, which track and simulate load to read and write the trace, and
+# by the query reader of evaluate and sweep
 UNLOADED = {
     "simulate": {"pdr", "radiomap", "localization", "trajectory", "numpy.ma"},
     "track": {"sim", "localization", "numpy.ma"},
     "build-map": {"sim", "localization", "pdr", "sensors", "landmarks", "numpy",
                   "numpy.ma", "orjson"},
     "localize": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy", "orjson"},
-    "evaluate": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma", "orjson"},
-    "sweep": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma", "orjson"},
+    "evaluate": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma"},
+    "sweep": {"sim", "pdr", "landmarks", "sensors", "trajectory", "numpy.ma"},
 }
 
 
@@ -1378,7 +1609,7 @@ def test_each_subcommand_loads_only_its_stages(flow, tmp_path, command):
     loaded = set(json.loads(out.splitlines()[-1]))
     assert {"cli", "config", "records"} <= loaded
     assert not loaded & UNLOADED[command], sorted(loaded)
-    assert ("orjson" in loaded) == (command in ("simulate", "track"))
+    assert ("orjson" in loaded) == (command in ("simulate", "track", "evaluate", "sweep"))
 
 
 def test_localize_runs_where_numpy_cannot_be_imported(flow, tmp_path):
