@@ -23,8 +23,7 @@ _EXPORTS = {
                   "graph_from_dict", "load_landmark_graph"),
     "localization": ("EvaluationReport", "LocalizationResult", "Neighbors",
                      "Readings", "VectorizedMap", "evaluate", "knn",
-                     "knn_localize", "read_fingerprints", "to_positive",
-                     "vectorize_map"),
+                     "knn_localize", "read_fingerprints", "vectorize_map"),
     "pdr": ("MatchState", "attach_periodicities", "landmark_confidence",
             "match_landmark", "run_pdr", "trajectory_errors",
             "update_step_length"),

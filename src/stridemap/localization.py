@@ -110,17 +110,6 @@ def _vector(fp: dict[str, int], universe: Sequence[str], tau: float,
     return list(map(_Components(tau, min_rss).__getitem__, map(fp.get, universe)))
 
 
-def to_positive(
-    fp: dict[str, int],
-    universe: Sequence[str],
-    tau: float,
-    min_rss: float,
-) -> np.ndarray:
-    """Non-negative vector form of one raw fingerprint (Readings.vectors)."""
-    import numpy as np
-    return np.array(_vector(fp, universe, tau, min_rss), dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class VectorizedMap:
     """Immutable matching index: vectorized entries plus their poses."""

@@ -5,9 +5,9 @@ bracket them inside a single path segment, and kept only when the segment's
 walking-quality belief clears a threshold. Belief rewards step periods that
 sit inside the plausible human cadence band and walks with steady cadence.
 The belief parameters are QualityConfig, in stridemap.config; a map file
-records them. The belief is computed in plain Python with the bits numpy
-gave it (np.sum's pairwise sum and np.std), and the module needs no
-numpy, so build-map and the map readers load none.
+records them. The belief's sums are exactly rounded (math.fsum), so it
+has the same bits on every Python, and the module needs no numpy, so
+build-map and the map readers load none.
 
 A map file is the text json.dumps(obj, sort_keys=True, indent=2) writes.
 save_radio_map formats it without json's pure-Python indent encoder: each
@@ -21,9 +21,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, fields
-from functools import reduce
 from itertools import count
-from operator import add, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -69,45 +67,6 @@ class RadioMap:
         return len(self.entries)
 
 
-# numpy's pairwise sum adds blocks of up to this many items in 8 running sums.
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise(x: list[float]) -> float:
-    """numpy's pairwise sum of x: fewer than 8 items added in order to
-    0.0; up to _PAIRWISE_BLOCK items in 8 running sums, item j into sum
-    j % 8, joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the items past the
-    last multiple of 8 added in order; more split in two, the first part a
-    multiple of 8 long, each part summed so."""
-    n = len(x)
-    if n < 8:
-        return reduce(add, x, 0.0)
-    if n <= _PAIRWISE_BLOCK:
-        end = n - n % 8
-        r = [reduce(add, x[j:end:8]) for j in range(8)]
-        return reduce(add, x[end:], ((r[0] + r[1]) + (r[2] + r[3]))
-                      + ((r[4] + r[5]) + (r[6] + r[7])))
-    half = n // 2
-    half -= half % 8
-    return _pairwise(x[:half]) + _pairwise(x[half:])
-
-
-def _np_sum(x: list[float]) -> float:
-    """np.sum of x as float64, bit for bit: numpy adds the pairwise sum to
-    0.0, so a zero sum is never -0.0."""
-    return 0.0 + _pairwise(x)
-
-
-def _divide(a: float, b: float) -> float:
-    """a / b as a float64 division gives it: by a zero, an infinity signed
-    by the signs of a and b, or NaN when a is 0 or NaN."""
-    if b:
-        return a / b
-    if not a or a != a:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
 def segment_belief(segment: PathSegment, cfg: QualityConfig = QualityConfig()) -> float | None:
     """Walking-quality belief of a path segment, or None when undefined.
 
@@ -116,23 +75,24 @@ def segment_belief(segment: PathSegment, cfg: QualityConfig = QualityConfig()) -
     so perfectly steady cadence stays finite). Fewer than two measured
     periods leave the spread meaningless, so the belief is undefined.
 
-    Computed in plain Python with numpy's bits: each sum is np.sum's, and
-    the spread is np.std's, the square root of the mean squared deviation
-    from the mean.
+    Each of the three sums (of the plausible periods, of their squared
+    deviations from their mean, of all periods) is math.fsum's, exactly
+    rounded, so the belief has the same bits on every Python. Periods lie
+    in records.PERIOD, as every reader and run_pdr give them, so no sum
+    is 0 or overflows.
     """
-    periods = list(map(float, segment.periodicities))
+    periods = segment.periodicities
     if len(periods) < 2:
         return None
     valid = [p for p in periods if cfg.period_min <= p <= cfg.period_max]
     if not valid:
         return 0.0
     n = len(valid)
-    total = _np_sum(valid)
+    total = math.fsum(valid)
     mean = total / n
     deviations = [p - mean for p in valid]
-    spread = math.sqrt(_np_sum(list(map(mul, deviations, deviations))) / n)
-    share = _divide(total, _np_sum(periods))
-    return share / max(spread, cfg.sigma_floor)
+    spread = math.sqrt(math.fsum([d * d for d in deviations]) / n)
+    return total / math.fsum(periods) / max(spread, cfg.sigma_floor)
 
 
 def trusted(belief: float | None, cfg: QualityConfig) -> bool:

@@ -35,10 +35,13 @@ RSS_RULE = f"must be a non-positive integer of at least {RSS_MIN_DBM} dBm"
 # position coordinate (m) and trace sample value a reader takes, so no
 # square or sum of them leaves the floats; as number's bounds, TIMESTAMP and
 # POSITION. A floor (a pose's, a map entry's, a query's) takes a trace
-# value's range, so every truth floor a trace holds passes: FLOOR.
+# value's range, so every truth floor a trace holds passes: FLOOR. A step
+# period is the gap between two timestamps, so above 0 and at most twice
+# T_MAX_S: PERIOD.
 T_MAX_S = 1e10
 VALUE_MAX = 1e6
 TIMESTAMP = {"at_least": -T_MAX_S, "at_most": T_MAX_S}
+PERIOD = {"above": 0, "at_most": 2 * T_MAX_S}
 POSITION = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
 FLOOR = {"at_least": -VALUE_MAX, "at_most": VALUE_MAX}
 _FLOAT_MAX = sys.float_info.max

@@ -30,6 +30,7 @@ from .records import (POSITION, RSS_MAX_DBM, SCALARS, array, members, number,
 from .sensors import Channel, SensorTrace, TruthChannel, WifiScan
 
 TICK = 0.02                 # s per tick: 50 Hz inertial sampling
+TICKS_PER_S = round(1 / TICK)  # 50
 MAG_EVERY = 5               # ticks between magnetometer samples (10 Hz)
 BARO_EVERY = 5              # ticks between pressure samples (10 Hz)
 TRUTH_EVERY = 50            # ticks between periodic ground-truth records
@@ -42,7 +43,7 @@ TURN_ROT_TICKS = 20         # central interval of a turn that rotates
 STAIR_STEP_TICKS = 75       # slow stair cadence (1.5 s per step)
 MIN_STEP_TICKS = 16         # shortest step period whose peaks the detector separates
 RSS_CUTOFF_DBM = -100       # weaker APs are absent from a scan
-MAX_WALK_TICKS = 12 * 3600 * 50  # longest walk a plan may hold: 12 h of 50 Hz ticks
+MAX_WALK_TICKS = 12 * 3600 * TICKS_PER_S  # longest walk a plan may hold: 12 h of ticks
 FLOOR_ATTENUATION_DB = 12.0  # extra path loss per concrete slab crossed
 FALSE_WALK_PERIOD_TICKS = (18, 29, 52, 23)  # arm-shake bump cadence
 CHUNK_ELEMENTS = 1 << 14    # (pose, AP) values per WiFi row chunk: 512 KB as Python floats
@@ -433,7 +434,7 @@ def plan_walk(env: Environment, script: WalkScript) -> WalkPlan:
                 raise ScenarioError(
                     f"stair leg {shown(a)}->{shown(b)} must span exactly one floor")
             emit_turn(edge.heading)
-            pad = (-state["tick"]) % 50  # climbs start on whole seconds
+            pad = (-state["tick"]) % TICKS_PER_S  # climbs start on whole seconds
             emit_still(pad, "walk.waypoints")
             n = stride_count(edge, STAIR_STEP_TICKS)
             emit_leg(edge, "climb", [STAIR_STEP_TICKS] * n,

@@ -8,9 +8,9 @@ metadata (records.TIMESTAMP, POSITION and FLOOR), and both test a pose by
 the one check records.fits derives from them: the reader reads a field
 through its reader only for a pose that fails it (another type, or to
 word an error), and the writer refuses what the reader would refuse.
-Step periods are above 0. This module needs nothing but the standard
-library, records and tracefile, so build-map reads a trajectory without
-loading numpy or the tracking stages.
+Step periods lie in records.PERIOD. This module needs nothing but the
+standard library, records and tracefile, so build-map reads a trajectory
+without loading numpy or the tracking stages.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 
-from .records import (FLOOR, POSITION, T_MAX_S, TIMESTAMP, VALUE_MAX, field_reader,
-                      fits, number, read_jsonl, shown, writing)
+from .records import (FLOOR, PERIOD, POSITION, T_MAX_S, TIMESTAMP, VALUE_MAX,
+                      field_reader, fits, number, read_jsonl, shown, writing)
 from .tracefile import TraceError
 
 
@@ -104,14 +104,15 @@ def _pose(rec, path, ln: int) -> tuple[float, float, float, float, int]:
 
 def _periods(periods) -> list:
     """periods as load_trajectory takes them: as they are when every one is
-    a finite float above 0, else each read by number; ValueError if periods
-    is not one of _PERIOD_LISTS, or one is not a finite number above 0."""
+    a finite float in PERIOD's range, else each read by number; ValueError
+    if periods is not one of _PERIOD_LISTS, or one is not a finite number
+    in that range."""
     if not isinstance(periods, _PERIOD_LISTS):
         raise ValueError(f"periods must be a list, got {shown(periods)}")
     if ({float}.issuperset(map(type, periods)) and math.isfinite(sum(periods))
-            and min(periods, default=1) > 0):
+            and min(periods, default=1) > 0 and max(periods, default=1) <= PERIOD["at_most"]):
         return periods
-    return [number(v, "period", above=0) for v in periods]
+    return [number(v, "period", **PERIOD) for v in periods]
 
 
 def dump_trajectory(traj: Trajectory, path) -> None:
@@ -120,7 +121,8 @@ def dump_trajectory(traj: Trajectory, path) -> None:
     each segment's first line also carries its step periods. A line that
     load_trajectory would refuse (a number that is not finite, a pose out
     of its range, periods that are not a list, a period that is not a
-    finite number above 0) raises TraceError before a byte is written."""
+    finite number in PERIOD's range) raises TraceError before a byte is
+    written."""
     lines = []
     for k, seg in enumerate(traj.segments):
         for i, pose in enumerate(seg.points):
@@ -146,7 +148,8 @@ def dump_trajectory(traj: Trajectory, path) -> None:
                 raise TraceError(f"cannot write trajectory: line {len(lines)} (segment {k}) "
                                  f"must hold t within +-{T_MAX_S:g} s, x and y within "
                                  f"+-{VALUE_MAX:g} m, floor within +-{VALUE_MAX:g} and "
-                                 f"step periods above 0") from None
+                                 f"step periods above 0 and at most "
+                                 f"{PERIOD['at_most']:g} s") from None
     with writing(path) as fh:
         fh.write("".join(line + "\n" for line in lines))
 
@@ -157,7 +160,7 @@ def load_trajectory(path: str | Path) -> Trajectory:
     line carries. A pose earlier than the one before it in its segment is
     refused, and so is a segment whose first line has no periods (a file
     written before trajectories carried them), a later line with periods
-    again, or a period that is not a finite number above 0."""
+    again, or a period that is not a finite number in PERIOD's range."""
     segs: dict[int, PathSegment] = {}
     for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
         t, x, y, floor, segment = _pose(rec, path, ln)

@@ -16,7 +16,8 @@ from conftest import ACCEPTANCE_RESULTS, demo_scenario
 from stridemap.cli import main as cli_main
 from stridemap.landmarks import Landmark, Rule, RuleKind
 from stridemap.localization import (LocalizationConfig, VectorizedMap,
-                                    evaluate, knn, to_positive, vectorize_map)
+                                    evaluate, knn, read_fingerprints,
+                                    vectorize_map)
 from stridemap.pdr import (HeadingSource, PathSegment, PdrConfig, Pose,
                            Trajectory, landmark_confidence, run_pdr,
                            trajectory_errors)
@@ -79,9 +80,9 @@ def oracle_belief(periods, cfg):
     valid = [p for p in periods if cfg.period_min <= p <= cfg.period_max]
     if not valid:
         return 0.0
-    share = sum(valid) / sum(periods)
-    mean = sum(valid) / len(valid)
-    sigma = math.sqrt(sum((v - mean) ** 2 for v in valid) / len(valid))
+    share = math.fsum(valid) / math.fsum(periods)
+    mean = math.fsum(valid) / len(valid)
+    sigma = math.sqrt(math.fsum((v - mean) ** 2 for v in valid) / len(valid))
     return share / max(sigma, cfg.sigma_floor)
 
 
@@ -117,7 +118,7 @@ def oracle_interp(p1, p2, t):
             p1.floor * (1 - w) + p2.floor * w)
 
 
-def oracle_to_positive(fp, universe, tau, min_rss):
+def oracle_vector(fp, universe, tau, min_rss):
     out = []
     for mac in universe:
         rss = fp.get(mac)
@@ -216,11 +217,11 @@ def test_criterion_1_closed_form_oracles():
                                   replace=False)}
         tau = float(rng.uniform(-100, -40))
         min_rss = float(rng.integers(-106, -96))
-        got = to_positive(fp, universe, tau, min_rss)
-        want = oracle_to_positive(fp, universe, tau, min_rss)
+        got = read_fingerprints([fp]).vectors(universe, tau, min_rss)[0]
+        want = oracle_vector(fp, universe, tau, min_rss)
         diff = max(diff, float(np.abs(got - np.array(want)).max()))
         n += 1
-    worst["to_positive"] = (n, diff)
+    worst["vectors"] = (n, diff)
 
     # the kNN kernel on one-entry maps, over vectors built as the pipeline
     # builds them: RSS in [-200, 0] dBm minus one below the weakest reading
@@ -265,8 +266,8 @@ def test_criterion_1_closed_form_oracles():
 
 
 def reference_radio_map(traj, scans, cfg):
-    # pure-python belief; instances keep segments at <= 7 periods, where
-    # numpy reductions accumulate in the same serial order as sum()
+    # pure-python belief, each sum exactly rounded and each square one
+    # rounded product: x ** 2 calls libm's pow, which may round differently
     def belief(periods):
         if len(periods) < 2:
             return None
@@ -274,9 +275,9 @@ def reference_radio_map(traj, scans, cfg):
                  if cfg.period_min <= p <= cfg.period_max]
         if not valid:
             return 0.0
-        share = sum(valid) / sum(periods)
-        mean = sum(valid) / len(valid)
-        sigma = math.sqrt(sum((v - mean) ** 2 for v in valid) / len(valid))
+        share = math.fsum(valid) / math.fsum(periods)
+        mean = math.fsum(valid) / len(valid)
+        sigma = math.sqrt(math.fsum((v - mean) * (v - mean) for v in valid) / len(valid))
         return share / max(sigma, cfg.sigma_floor)
 
     ordered = sorted(scans, key=lambda s: s.t)
@@ -491,7 +492,7 @@ def test_criterion_6_threshold_monotonicity():
                                   replace=False)}
         prev = None
         for tau in taus:
-            v = to_positive(fp, tuple(macs), tau, -101.0)
+            v = read_fingerprints([fp]).vectors(tuple(macs), tau, -101.0)[0]
             if prev is not None and not np.all(v <= prev):
                 vec_mono = False
             prev = v

@@ -976,6 +976,12 @@ MALFORMED = {
     "trajectory period is a bool": (
         '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": [true]}\n',
         MAP_BAD, "bad.json:1: period must be a finite number, got True"),
+    # a period is the gap between two timestamps; the exactly rounded sum
+    # in segment_belief would overflow on these
+    "trajectory period is past twice the timestamp range": (
+        '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, '
+        '"periods": [0.5, 0.5, 1e308, 1e308]}\n',
+        MAP_BAD, "bad.json:1: period must be at most 2e+10, got 1e+308"),
     "trajectory periods is a long string": (
         '{"t": 0, "x": 0, "y": 0, "floor": 1, "segment": 0, "periods": "' + "x" * 50000 + '"}\n',
         MAP_BAD, "bad.json:1: periods must be a list, got 'xxx"),

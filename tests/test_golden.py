@@ -151,7 +151,7 @@ GOLDEN = {
         "map/landmark/map.json":
             "e33a352c91a942748d17e57389470484a76d5d522fff4d21db26c39ffcda7dfd",
         "map/landmark/segments.csv":
-            "a0e2e07afe181460627857b0d11e0bd9ae9b52ebe4a6b92324a57422c9e47663",
+            "f9b03b5599fcc6f0ca2b8990b4f94140ea6e6ebef6acb548540a44eee8c1c90a",
         "map/pdr-compass/manifest.json":
             "d316e1bb98a6c9d0f7cd8ab2e2bd15c4e9fd44f6d85e8218f1200740537638cc",
         "map/pdr-compass/map.json":

@@ -113,7 +113,7 @@ def test_every_private_package_name_is_read():
 
 
 # every name `from stridemap import ...` offers: every name it offered
-# before, and load_scans
+# before, and load_scans, less to_positive, which only tests called
 EXPORTS = [
     "Ap", "Channel", "CompassZone", "Edge", "Environment", "EvaluationReport",
     "GraphError", "HeadingSource", "Landmark", "LandmarkConfig",
@@ -131,8 +131,7 @@ EXPORTS = [
     "load_landmark_graph", "load_radio_map", "load_scans", "load_scenario",
     "load_trace", "load_trajectory", "match_landmark", "plan_walk",
     "read_fingerprints", "run_pdr", "save_radio_map", "scenario_from_dict",
-    "segment_belief", "to_positive", "trajectory_errors", "update_step_length",
-    "vectorize_map",
+    "segment_belief", "trajectory_errors", "update_step_length", "vectorize_map",
 ]
 
 

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stridemap.localization import (LocalizationConfig, VectorizedMap,
-                                    _percentile, evaluate, knn, knn_localize,
-                                    read_fingerprints, to_positive,
+                                    _percentile, _vector, evaluate, knn,
+                                    knn_localize, read_fingerprints,
                                     vectorize_map)
 from stridemap.radiomap import RadioMap, RadioMapEntry
 from stridemap.records import record
@@ -61,40 +61,32 @@ def test_min_rss_requires_readings():
         vectorize_map(make_map((0, 0, 1, {})))
 
 
-def test_to_positive_offsets_present_aps():
-    fp = to_positive({"aa": -60}, ("aa", "bb"), tau=-90.0, min_rss=-96.0)
-    assert fp.tolist() == [36.0, 0.0]
+def test_readings_vectors_offset_readings_at_or_above_tau():
+    # fp, universe, tau, min_rss and its vector: an AP read at or above tau
+    # and above min_rss gives RSS - min_rss, any other AP of the universe 0
+    cases = [
+        ({"aa": -60}, ("aa", "bb"), -90.0, -96.0, [36.0, 0.0]),
+        ({"aa": -93}, ("aa",), -90.0, -96.0, [0.0]),             # below tau
+        ({"aa": -90}, ("aa",), -90.0, -96.0, [6.0]),             # at tau
+        ({"zz": -30}, ("aa", "bb"), -90.0, -96.0, [0.0, 0.0]),   # outside the universe
+        # a query may read as weak as min_rss or weaker: never negative
+        ({"aa": -96, "bb": -99}, ("aa", "bb"), -100.0, -96.0, [0.0, 0.0]),
+    ]
+    for fp, universe, tau, min_rss, want in cases:
+        assert read_fingerprints([fp]).vectors(universe, tau, min_rss).tolist() == [want]
 
 
-def test_to_positive_zeroes_below_tau():
-    fp = to_positive({"aa": -93}, ("aa",), tau=-90.0, min_rss=-96.0)
-    assert fp.tolist() == [0.0]
-
-
-def test_to_positive_keeps_reading_at_tau():
-    fp = to_positive({"aa": -90}, ("aa",), tau=-90.0, min_rss=-96.0)
-    assert fp.tolist() == [6.0]
-
-
-def test_to_positive_ignores_aps_outside_universe():
-    fp = to_positive({"zz": -30}, ("aa", "bb"), tau=-90.0, min_rss=-96.0)
-    assert fp.tolist() == [0.0, 0.0]
-
-
-@given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
-                       st.integers(-200, 0), max_size=4),
+@given(st.lists(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
+                                st.integers(-200, 0), max_size=4), max_size=4),
        st.integers(-100, -40), st.integers(-201, -1))
-def test_to_positive_never_negative(fp, tau, min_rss):
-    # a query may read weaker than the map's weakest reading, min_rss + 1
-    out = to_positive(fp, ("a", "b", "c", "d"), float(tau), float(min_rss))
-    assert (out >= 0).all()
-
-
-def test_readings_vectorize_a_batch_like_each_fingerprint():
-    fps = [{"aa": -60, "zz": -30}, {}, {"bb": -91, "aa": -90}]
-    batch = read_fingerprints(fps).vectors(("aa", "bb", "cc"), -90.0, -96.0)
-    assert batch.tolist() == [to_positive(fp, ("aa", "bb", "cc"), -90.0, -96.0).tolist()
+@example([{"aa": -60, "zz": -30}, {}, {"bb": -91, "aa": -90}], -90, -96)
+def test_readings_vectorize_a_batch_like_each_fingerprint(fps, tau, min_rss):
+    # the batch rule against knn_localize's one-query rule, never negative
+    universe = ("a", "aa", "b", "bb", "c", "cc", "d")
+    batch = read_fingerprints(fps).vectors(universe, float(tau), float(min_rss))
+    assert batch.tolist() == [_vector(fp, universe, float(tau), float(min_rss))
                               for fp in fps]
+    assert (batch >= 0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -403,17 +403,18 @@ def test_dump_refuses_a_pose_or_period_that_is_not_finite(tmp_path, bad, line):
 
 
 @pytest.mark.parametrize("bad,line", [("t", 2), ("y", 2), ("floor", 2), ("period", 1),
-                                      ("zero period", 1)])
+                                      ("zero period", 1), ("long period", 1)])
 def test_dump_refuses_what_load_would_take_out_of_its_range(tmp_path, bad, line):
     first = PathSegment([Pose(0.0, 0.0, 0.0, 1.0)], periodicities=[
-        {"period": -0.5, "zero period": 0.0}.get(bad, 0.5), 0.5])
+        {"period": -0.5, "zero period": 0.0, "long period": 2.5e10}.get(bad, 0.5), 0.5])
     snap = PathSegment([Pose(-2e10 if bad == "t" else 1.0, 0.0, 1e308 if bad == "y" else 0.0,
                              -1e300 if bad == "floor" else 1.0)], landmark="b")
     path = tmp_path / "traj.jsonl"
     with pytest.raises(TraceError, match=rf"^cannot write trajectory: line {line} "
                                          rf"\(segment {line - 1}\) must hold t within "
                                          r"\+-1e\+10 s, x and y within \+-1e\+06 m, floor "
-                                         r"within \+-1e\+06 and step periods above 0$"):
+                                         r"within \+-1e\+06 and step periods above 0 and at "
+                                         r"most 2e\+10 s$"):
         dump_trajectory(Trajectory(segments=[first, snap]), path)
     assert not path.exists()
 
@@ -426,7 +427,8 @@ def test_dump_refuses_a_period_load_would_refuse(tmp_path, period):
     first = PathSegment([Pose(0.0, 0.0, 0.0, 1.0)], periodicities=[0.5, period])
     path = tmp_path / "traj.jsonl"
     with pytest.raises(TraceError, match=r"^cannot write trajectory: line 1 \(segment 0\) "
-                                         r"must hold t within .* and step periods above 0$"):
+                                         r"must hold t within .* and step periods above 0 "
+                                         r"and at most 2e\+10 s$"):
         dump_trajectory(Trajectory(segments=[first]), path)
     assert not path.exists()
     path.write_text(json.dumps({"t": 0.0, "x": 0.0, "y": 0.0, "floor": 1.0, "segment": 0,
@@ -517,7 +519,7 @@ def test_load_refuses_a_pose_earlier_than_its_segment_predecessor(tmp_path):
 def load_trajectory_field_by_field(path) -> Trajectory:
     """The reference: load_trajectory as it read every field through
     number, before its one test of a whole pose, the floor bounded as x
-    and y are."""
+    and y are and a period by twice T_MAX_S."""
     segs: dict[int, PathSegment] = {}
     for ln, rec in read_jsonl(path, TraceError, f"{path}:"):
         try:
@@ -539,7 +541,8 @@ def load_trajectory_field_by_field(path) -> Trajectory:
             if not isinstance(periods, list):
                 raise TraceError(f"{path}:{ln}: periods must be a list, got {shown(periods)}")
             try:
-                periodicities = [number(v, "period", above=0) for v in periods]
+                periodicities = [number(v, "period", above=0, at_most=2 * T_MAX_S)
+                                 for v in periods]
             except ValueError as exc:
                 raise TraceError(f"{path}:{ln}: {exc}") from None
             seg = segs[segment] = PathSegment(points=[], periodicities=periodicities)
