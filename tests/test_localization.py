@@ -61,19 +61,40 @@ def test_min_rss_requires_readings():
         vectorize_map(make_map((0, 0, 1, {})))
 
 
-def test_readings_vectors_offset_readings_at_or_above_tau():
-    # fp, universe, tau, min_rss and its vector: an AP read at or above tau
-    # and above min_rss gives RSS - min_rss, any other AP of the universe 0
-    cases = [
-        ({"aa": -60}, ("aa", "bb"), -90.0, -96.0, [36.0, 0.0]),
-        ({"aa": -93}, ("aa",), -90.0, -96.0, [0.0]),             # below tau
-        ({"aa": -90}, ("aa",), -90.0, -96.0, [6.0]),             # at tau
-        ({"zz": -30}, ("aa", "bb"), -90.0, -96.0, [0.0, 0.0]),   # outside the universe
-        # a query may read as weak as min_rss or weaker: never negative
-        ({"aa": -96, "bb": -99}, ("aa", "bb"), -100.0, -96.0, [0.0, 0.0]),
-    ]
-    for fp, universe, tau, min_rss, want in cases:
-        assert read_fingerprints([fp]).vectors(universe, tau, min_rss).tolist() == [want]
+def _positive(fp, universe, tau, min_rss):
+    # one query's vector through the batch path Readings.vectors
+    return read_fingerprints([fp]).vectors(universe, tau, min_rss)[0]
+
+
+def test_to_positive_offsets_present_aps():
+    fp = _positive({"aa": -60}, ("aa", "bb"), tau=-90.0, min_rss=-96.0)
+    assert fp.tolist() == [36.0, 0.0]
+
+
+def test_to_positive_zeroes_below_tau():
+    fp = _positive({"aa": -93}, ("aa",), tau=-90.0, min_rss=-96.0)
+    assert fp.tolist() == [0.0]
+
+
+def test_to_positive_keeps_reading_at_tau():
+    fp = _positive({"aa": -90}, ("aa",), tau=-90.0, min_rss=-96.0)
+    assert fp.tolist() == [6.0]
+
+
+def test_to_positive_ignores_aps_outside_universe():
+    fp = _positive({"zz": -30}, ("aa", "bb"), tau=-90.0, min_rss=-96.0)
+    assert fp.tolist() == [0.0, 0.0]
+
+
+@given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
+                       st.integers(-200, 0), max_size=4),
+       st.integers(-100, -40), st.integers(-201, -1))
+@example({"a": -96, "b": -99}, -100, -96)
+def test_to_positive_never_negative(fp, tau, min_rss):
+    # a query may read as weak as min_rss or weaker than the map's weakest
+    # reading, min_rss + 1
+    out = _positive(fp, ("a", "b", "c", "d"), float(tau), float(min_rss))
+    assert (out >= 0).all()
 
 
 @given(st.lists(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
