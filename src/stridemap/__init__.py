@@ -15,8 +15,8 @@ from importlib import import_module
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "config": ("HeadingSource", "LandmarkConfig", "LocalizationConfig",
-               "PdrConfig", "QualityConfig", "SensorConfig"),
+    "config": ("LandmarkConfig", "LocalizationConfig", "PdrConfig",
+               "QualityConfig", "SensorConfig"),
     "landmarks": ("Edge", "GraphError", "Landmark", "LandmarkEvent",
                   "LandmarkGraph", "Rule", "RuleKind", "detect_acc_landmarks",
                   "detect_baro_landmarks", "detect_gyro_landmarks",

@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import enum
 import gc
 import json
-import math
 import os
 import sys
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -37,10 +35,10 @@ from typing import Callable
 # some runs stalled for a second. A value the user exports still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .config import (HEADING_THRESHOLD_DEG, HeadingSource, LandmarkConfig,
-                     LocalizationConfig, PdrConfig, QualityConfig,
-                     SensorConfig, in_order)
-from .records import (FLOOR, POSITION, RSS_RULE, SCALARS, VALUE_MAX, choice,
+from .config import (HEADING_SOURCES, LandmarkConfig, LocalizationConfig,
+                     PdrConfig, QualityConfig, SensorConfig, in_order,
+                     section_reader)
+from .records import (FLOOR, POSITION, RSS_RULE, SCALARS, VALUE_MAX,
                       clean_record, field_reader, fingerprint, members, number,
                       read_json, read_jsonl, rss, shown, version)
 
@@ -61,25 +59,10 @@ SECTIONS = {
 }
 
 
-def _leaf(cls: type, f: Field) -> tuple[str, object, Callable, Callable]:
-    """Tree key, tree default, tree-to-field conversion and tree reader of
-    one config field. The heading gate is set in degrees and an enum field
-    by its value, one of its values; any other leaf is read by field_reader."""
-    if (cls, f.name) == (PdrConfig, "heading_threshold"):
-        return "heading_threshold_deg", HEADING_THRESHOLD_DEG, math.radians, number
-    if isinstance(f.default, enum.Enum):
-        kind = type(f.default)
-        return f.name, f.default.value, kind, choice({m.value: m.value for m in kind})
-    return f.name, f.default, lambda value: value, field_reader(f)
-
-
 def default_config() -> dict:
     """Fresh copy of the full parameter tree."""
-    tree: dict = {"version": CONFIG_VERSION}
-    for section, cls in SECTIONS.items():
-        tree[section] = {key: default for key, default, *_ in
-                         (_leaf(cls, f) for f in fields(cls))}
-    return tree
+    return {"version": CONFIG_VERSION,
+            **{section: asdict(cls()) for section, cls in SECTIONS.items()}}
 
 
 class CliError(Exception):
@@ -88,8 +71,7 @@ class CliError(Exception):
 
 # The reader of a partial config tree: every section and leaf optional.
 _read_tree = members({"version": version(CONFIG_VERSION), **{
-    section: members({key: read for key, _, _, read in (_leaf(cls, f) for f in fields(cls))})
-    for section, cls in SECTIONS.items()}})
+    section: section_reader(cls) for section, cls in SECTIONS.items()}})
 
 
 def _overlay(tree: dict, data, prefix: str = "") -> dict:
@@ -154,19 +136,22 @@ class _Run:
     one config object per section as an attribute named after it (run.pdr,
     run.quality, ...), and the files the command adds. Every section is
     read, as the manifest records the whole tree: a band out of order raises
-    CliError in any command. commit writes the files and manifest.json."""
+    CliError in any command. --mode overrides a --config file's heading
+    source, and a --set of another one is refused. commit writes the files
+    and manifest.json."""
 
     def __init__(self, args):
         self.command = args.command
         self.tree, self.overrides = effective_config(args)
-        if getattr(args, "mode", None):
-            self.tree["pdr"]["heading_source"] = args.mode
+        mode = getattr(args, "mode", None)
+        if mode:
+            chosen = self.overrides.get("pdr.heading_source", mode)
+            if chosen != mode:
+                raise CliError(f"--mode {mode} contradicts --set pdr.heading_source={chosen}")
+            self.tree["pdr"]["heading_source"] = mode
         for section, cls in SECTIONS.items():
-            kwargs = {}
-            for f in fields(cls):
-                key, _, convert, _ = _leaf(cls, f)
-                kwargs[f.name] = convert(self.tree[section][key])
-            setattr(self, section, in_order(cls(**kwargs), f"config.{section}", CliError))
+            setattr(self, section, in_order(cls(**self.tree[section]), f"config.{section}",
+                                            CliError))
         self.out = Path(args.out or ".")
         self.pending: list[tuple[str, Callable]] = []
 
@@ -272,15 +257,14 @@ def cmd_track(args) -> int:
     run = _Run(args)
     trace = load_trace(_require_file(args.trace, "trace file"))
     graph = None
-    if run.pdr.heading_source is HeadingSource.LANDMARK:
+    if run.pdr.heading_source == "landmark":
         if not args.graph:
             raise CliError("landmark mode requires --graph")
         graph = load_landmark_graph(_require_file(args.graph, "graph file"))
     if args.start:
         initial = _start(args.start)
-    elif trace.truth is not None and len(trace.truth):
-        initial = (float(trace.truth.xy[0, 0]), float(trace.truth.xy[0, 1]),
-                   float(trace.truth.floor[0]))
+    elif len(trace.truth):
+        initial = tuple(trace.truth.v[0].tolist())  # x, y, floor
     else:
         raise CliError("trace has no ground truth; pass --start x,y,floor")
 
@@ -288,7 +272,7 @@ def cmd_track(args) -> int:
                    run.landmarks, run.quality)
     run.add("trajectory.jsonl", lambda fh: dump_trajectory(traj, fh))
 
-    have_truth = trace.truth is not None and len(trace.truth) > 0
+    have_truth = len(trace.truth) > 0
     if have_truth:
         errors = trajectory_errors(traj, trace)
         mean_error = float(errors.mean()) if len(errors) else None
@@ -528,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("track", help="dead-reckon a trace into a trajectory")
     p.add_argument("trace", help="sensor trace JSONL")
     p.add_argument("--graph", help="landmark graph JSON (landmark mode)")
-    p.add_argument("--mode", choices=[m.value for m in HeadingSource],
+    p.add_argument("--mode", choices=HEADING_SOURCES,
                    help="heading source (default: config pdr.heading_source)")
     p.add_argument("--start", help="initial pose x,y,floor "
                                    "(default: first truth record)")

@@ -7,26 +7,24 @@ landmark matching), QualityConfig (segment belief) and LocalizationConfig
 key per field, with the field default as the key's default.
 
 The dataclasses are plain data, checked by no code when made. Their
-reader checks a config read from a file or a flag (the config tree, a
-map's stored quality config): each field's range is declared once, in
-its metadata, as stridemap.records.field_reader reads it, and in_order
-checks the one rule that spans two fields, a band (the stop duration
-window, the step period band) whose lower end must not lie above its
-upper end. This module needs nothing but the standard library and
-records, so a command can read and check the whole tree without loading
-the stages it does not run.
+section_reader checks a config read from a file or a flag (the config
+tree, a map's stored quality config): each field's range or names are
+declared once, in its metadata, as stridemap.records.field_reader reads
+it, and in_order checks the one rule that spans two fields, a band (the
+stop duration window, the step period band) whose lower end must not lie
+above its upper end. This module needs nothing but the standard library
+and records, so a command can read and check the whole tree without
+loading the stages it does not run.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .records import shown
+from .records import field_reader, members, shown
 
-# Heading agreement gate, degrees; PdrConfig holds it in radians.
-HEADING_THRESHOLD_DEG = 30.0
+HEADING_SOURCES = ("pdr-compass", "pdr-gyro", "landmark")
 METRICS = ("euclidean", "sorensen")
 TAU_SCOPES = ("both", "map", "query")
 
@@ -53,23 +51,22 @@ class LandmarkConfig:
     baro_change_threshold: float = 0.3  # hPa, total ramp change
 
 
-class HeadingSource(enum.Enum):
-    COMPASS = "pdr-compass"
-    GYRO = "pdr-gyro"
-    LANDMARK = "landmark"
-
-
 @dataclass(frozen=True)
 class PdrConfig:
     """Dead reckoning and landmark matching parameters."""
 
     initial_step_length: float = field(default=0.63, metadata={"above": 0, "at_most": 5})  # meters
     pressure_per_floor: float = field(default=0.45, metadata={"at_least": 1e-3})  # hPa per floor
-    heading_threshold: float = math.radians(HEADING_THRESHOLD_DEG)
+    heading_threshold_deg: float = 30.0   # heading agreement gate, degrees
     confidence_threshold: float = 0.25    # minimum landmark match score
     distance_floor: float = field(default=0.1, metadata={"above": 0})  # m, caps the distance term
     min_steps_for_update: int = field(default=3, metadata={"at_least": 0})  # calibration gate
-    heading_source: HeadingSource = HeadingSource.LANDMARK
+    heading_source: str = field(default="landmark", metadata={"one_of": HEADING_SOURCES})
+
+    @property
+    def heading_threshold(self) -> float:
+        """The heading agreement gate in radians."""
+        return math.radians(self.heading_threshold_deg)
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,12 @@ class LocalizationConfig:
     metric: str = field(default="euclidean", metadata={"one_of": METRICS})
     tau: float = -90.0            # dBm detection threshold
     tau_scope: str = field(default="both", metadata={"one_of": TAU_SCOPES})  # where tau filters
+
+
+def section_reader(cls):
+    """The reader of a config section, the config tree's or a map's: an
+    object holding any of cls's fields, each read by its field_reader."""
+    return members({f.name: field_reader(f) for f in fields(cls)})
 
 
 # The band of each config whose lower end may not lie above its upper end.

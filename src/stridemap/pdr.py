@@ -6,9 +6,9 @@ landmark signature fires and matches a graph node with enough confidence,
 the pose snaps to that node and the snap opens a new path segment. The
 segments are the only store of the poses, the visits and the snap
 landmarks; a Trajectory derives its pose list and its visits from them.
-Its parameters are PdrConfig and the heading sources HeadingSource, both in
-stridemap.config. Pose, PathSegment and Trajectory, and the trajectory
-file's writer and reader, are in stridemap.trajectory.
+Its parameters are PdrConfig, in stridemap.config, whose heading_source
+is one of config.HEADING_SOURCES. Pose, PathSegment and Trajectory, and
+the trajectory file's writer and reader, are in stridemap.trajectory.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (HeadingSource, LandmarkConfig, PdrConfig, QualityConfig,
-                     SensorConfig)
+from .config import LandmarkConfig, PdrConfig, QualityConfig, SensorConfig
 from .landmarks import (
     Landmark,
     LandmarkEvent,
@@ -238,7 +237,7 @@ def _smoothed_pressure(trace: SensorTrace) -> np.ndarray:
 
 
 def _select_heading(
-    mode: HeadingSource,
+    mode: str,
     comp: float,
     turned: float,
     turned_since_ref: float,
@@ -249,9 +248,9 @@ def _select_heading(
 ) -> float:
     """Heading of one step from its compass azimuth and the rotation since
     the walk started and since the last landmark."""
-    if mode is HeadingSource.COMPASS:
+    if mode == "pdr-compass":
         return comp
-    if mode is HeadingSource.GYRO:
+    if mode == "pdr-gyro":
         return (theta0 + turned) % (2 * math.pi)
     if graph is not None and state.last_landmark is not None:
         if abs(turned_since_ref) < cfg.heading_threshold:
@@ -280,19 +279,19 @@ def run_pdr(
     if len(trace.accel) == 0:
         raise TraceError("trace has no accelerometer channel")
     mode = cfg.heading_source
-    if mode is HeadingSource.LANDMARK and graph is None:
+    if mode == "landmark" and graph is None:
         raise ValueError("landmark heading mode requires a landmark graph")
 
     if len(trace.mag) == 0:
         raise TraceError("trace has no magnetometer channel")
-    if mode is not HeadingSource.COMPASS and len(trace.gyro) < 2:
-        raise TraceError(f"{mode.value} mode needs at least two gyro samples, "
+    if mode != "pdr-compass" and len(trace.gyro) < 2:
+        raise TraceError(f"{mode} mode needs at least two gyro samples, "
                          f"trace has {len(trace.gyro)}")
 
     steps = detect_steps(trace, sensor_cfg)
     motion = classify_motion(trace, sensor_cfg)
     events = (detect_events(trace, motion, landmark_cfg, sensor_cfg)
-              if mode is HeadingSource.LANDMARK else [])
+              if mode == "landmark" else [])
     t_start = float(trace.accel.t[0])
     # every time a signal is read at is known up front: the start of the
     # walk (index 0), each step (1 to n), each event (n + 1 on) and where
@@ -419,7 +418,7 @@ def attach_periodicities(traj: Trajectory, steps) -> None:
 
 def trajectory_errors(traj: Trajectory, trace: SensorTrace) -> np.ndarray:
     """Planar error of each pose against time-interpolated embedded truth."""
-    if trace.truth is None or len(trace.truth) == 0:
+    if len(trace.truth) == 0:
         raise ValueError("trace carries no ground truth")
     tt = trace.truth.t
     tx = trace.truth.xy[:, 0]

@@ -20,14 +20,14 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .config import QualityConfig, in_order
-from .records import (FLOOR, POSITION, array, clean_record, field_reader, fingerprint,
-                      members, read_json, record, version, writing)
+from .config import QualityConfig, in_order, section_reader
+from .records import (FLOOR, POSITION, array, clean_record, fingerprint, members,
+                      read_json, record, version, writing)
 
 if TYPE_CHECKING:  # a map reader such as localize loads neither module
     from .tracefile import WifiScan
@@ -163,7 +163,7 @@ def build_radio_map(
 MAP_VERSION = 1
 # A map file's keys and types; its config holds any of QualityConfig's fields.
 _read_entry = record(RadioMapEntry, {"fp": fingerprint})
-_read_config_fields = members({f.name: field_reader(f) for f in fields(QualityConfig)})
+_read_config_fields = section_reader(QualityConfig)
 
 
 def _read_config(obj, where: str, error: type[ValueError]) -> dict:

@@ -97,16 +97,17 @@ class Channel:
         return len(self.t)
 
 
-@dataclass(frozen=True)
-class TruthChannel:
-    """Embedded ground truth: planar position and floor per timestamp."""
+class TruthChannel(Channel):
+    """Embedded ground truth: v holds each timestamp's [x, y, floor], and
+    xy and floor are views of it."""
 
-    t: np.ndarray
-    xy: np.ndarray
-    floor: np.ndarray
+    @property
+    def xy(self) -> np.ndarray:
+        return self.v[:, :2]
 
-    def __len__(self) -> int:
-        return len(self.t)
+    @property
+    def floor(self) -> np.ndarray:
+        return self.v[:, 2]
 
 
 def _sample_shape(ch: str) -> tuple[int, ...] | None:
@@ -115,8 +116,8 @@ def _sample_shape(ch: str) -> tuple[int, ...] | None:
     return None if width is None else () if width == 1 else (width,)
 
 
-def _empty(ch: str) -> Channel:
-    return Channel(np.empty(0), np.empty((0, *_sample_shape(ch))))
+def _empty(ch: str, kind: type[Channel] = Channel) -> Channel:
+    return kind(np.empty(0), np.empty((0, *_sample_shape(ch))))
 
 
 def _line_format(ch: str) -> str:
@@ -165,7 +166,7 @@ class SensorTrace:
     mag: Channel = field(default_factory=lambda: _empty("mag"))
     baro: Channel = field(default_factory=lambda: _empty("baro"))
     wifi: list[WifiScan] = field(default_factory=list)
-    truth: TruthChannel | None = None
+    truth: TruthChannel = field(default_factory=lambda: _empty("truth", TruthChannel))
 
 
 @dataclass(frozen=True)
@@ -395,9 +396,8 @@ def _canonical_columns(path: str | Path) -> dict[str, tuple]:
 
 def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
     """Parse a JSONL trace file, validating each channel in channels
-    against CHANNELS. The other channels load empty (truth as None), and
-    their lines are skipped: by their start before any parse, or by "ch"
-    after.
+    against CHANNELS. The other channels load empty, truth too, and their
+    lines are skipped: by their start before any parse, or by "ch" after.
     A whole-trace load of a file of dump_trace's lines takes the fast
     path; a subset load, or one of any other file, is read a line at a
     time with json.loads, with the same arrays and errors."""
@@ -411,13 +411,11 @@ def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
     if cols is None:
         cols = _json_columns(path, channels)
     chans = {ch: _channel(path, ch, *cols.pop(ch), channels) for ch in CHANNELS}
-    wifi = chans.pop("wifi")
-    truth = chans.pop("truth")
+    wifi, truth = chans.pop("wifi"), chans.pop("truth")
     return SensorTrace(
         **chans,
         wifi=[WifiScan(t, r) for t, r in zip(wifi.t.tolist(), wifi.v)],
-        truth=TruthChannel(truth.t, truth.v[:, :2].copy(),
-                           truth.v[:, 2].copy()) if len(truth) else None,
+        truth=TruthChannel(truth.t, truth.v),
     )
 
 
@@ -481,13 +479,9 @@ def dump_trace(trace: SensorTrace, path) -> None:
                           .replace("%", "%%").encode() + b"\n" for s in trace.wifi]
             cols = ()
         else:
-            if ch == "truth":
-                tr = trace.truth
-                cols = () if tr is None else (tr.t, *tr.xy.T, tr.floor)
-            else:
-                c = getattr(trace, ch)
-                cols = (c.t, *c.v.reshape(len(c), width).T)
-            t = cols[0] if cols else np.empty(0)
+            c = getattr(trace, ch)
+            cols = (c.t, *c.v.reshape(len(c), width).T)
+            t = c.t
         if not (_within(t, T_MAX_S) and all(_within(col, VALUE_MAX) for col in cols[1:])):
             raise TraceError(f"cannot write channel {ch!r}: every t must be finite and in "
                              f"[-{T_MAX_S:g}, {T_MAX_S:g}] s, every number value in "

@@ -630,7 +630,7 @@ def _truth(plan: WalkPlan) -> TruthChannel:
              *(s.tick for s in plan.steps), *(t for ph in plan.phases for t in (ph.t0, ph.t1))}
     ticks = np.array(sorted(marks))
     x, y, fl, _ = _plan_state(plan, ticks)
-    return TruthChannel(t=ticks * TICK, xy=np.column_stack([x, y]), floor=fl)
+    return TruthChannel(t=ticks * TICK, v=np.column_stack([x, y, fl]))
 
 
 def generate_trace(env: Environment, script: WalkScript,

@@ -18,9 +18,9 @@ from stridemap.landmarks import Landmark, Rule, RuleKind
 from stridemap.localization import (LocalizationConfig, VectorizedMap,
                                     evaluate, knn, read_fingerprints,
                                     vectorize_map)
-from stridemap.pdr import (HeadingSource, PathSegment, PdrConfig, Pose,
-                           Trajectory, landmark_confidence, run_pdr,
-                           trajectory_errors)
+from stridemap.config import HEADING_SOURCES
+from stridemap.pdr import (PathSegment, PdrConfig, Pose, Trajectory,
+                           landmark_confidence, run_pdr, trajectory_errors)
 from stridemap.radiomap import (QualityConfig, RadioMap, RadioMapEntry,
                                 build_radio_map, interpolate_rp,
                                 segment_belief)
@@ -173,7 +173,8 @@ def test_criterion_1_closed_form_oracles():
         est_h, ref_h = (float(v) for v in rng.uniform(-2 * math.pi,
                                                       2 * math.pi, 2))
         traveled, ref_d = (float(v) for v in rng.uniform(0.0, 60.0, 2))
-        cfg = PdrConfig(heading_threshold=float(rng.uniform(0.3, 0.8)),
+        r = float(rng.uniform(0.3, 0.8))  # the heading gate, radians
+        cfg = PdrConfig(heading_threshold_deg=math.degrees(r),
                         distance_floor=float(rng.uniform(0.05, 0.2)))
         # regenerate draws sitting on the heading gate: the two folds may
         # disagree there by one ulp; the gate boundary is unit-tested exactly
@@ -375,7 +376,7 @@ def test_criterion_2_map_builder_reference():
 
 def test_criterion_3_heading_mode_comparison():
     t0 = perf_counter()
-    means = {m: [] for m in HeadingSource}
+    means = {m: [] for m in HEADING_SOURCES}
     wins = 0
     for seed in range(10):
         # the demo file's noise: gyro bias and drift, 15 degree compass zones
@@ -383,20 +384,18 @@ def test_criterion_3_heading_mode_comparison():
         trace = generate_trace(sc.environment, sc.walk, sc.noise)
         init = first_pose(trace)
         errs = {}
-        for mode in HeadingSource:
-            graph = sc.environment.graph \
-                if mode is HeadingSource.LANDMARK else None
+        for mode in HEADING_SOURCES:
+            graph = sc.environment.graph if mode == "landmark" else None
             traj = run_pdr(trace, graph, init,
                            PdrConfig(heading_source=mode))
             errs[mode] = float(trajectory_errors(traj, trace).mean())
             means[mode].append(errs[mode])
-        if (errs[HeadingSource.LANDMARK] < errs[HeadingSource.COMPASS]
-                and errs[HeadingSource.LANDMARK] < errs[HeadingSource.GYRO]):
+        if errs["landmark"] < errs["pdr-compass"] and errs["landmark"] < errs["pdr-gyro"]:
             wins += 1
     elapsed = perf_counter() - t0
-    lm = float(np.mean(means[HeadingSource.LANDMARK]))
-    co = float(np.mean(means[HeadingSource.COMPASS]))
-    gy = float(np.mean(means[HeadingSource.GYRO]))
+    lm = float(np.mean(means["landmark"]))
+    co = float(np.mean(means["pdr-compass"]))
+    gy = float(np.mean(means["pdr-gyro"]))
     ok = lm <= 1.5 and wins == 10 and elapsed < 30.0
     line = record(3, "heading mode comparison", ok,
                   f"landmark {lm:.2f} m vs compass {co:.2f} m / gyro "

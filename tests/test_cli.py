@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from stridemap import cli, radiomap, sensors
 from stridemap.cli import (SECTIONS, CliError, _Run, build_parser,
                            default_config, load_queries, main)
-from stridemap.pdr import HeadingSource
+from stridemap.config import HEADING_SOURCES
 from stridemap.radiomap import (MAP_VERSION, MapFormatError, RadioMap, build_radio_map,
                                 load_radio_map)
 from stridemap.records import array, members, read_json, version
@@ -234,7 +234,7 @@ def test_evaluate_empty_map_fails(flow, tmp_path, capsys):
     "localization.k=3.5",        # non-integral for an int key
     "localization.k=true",       # bools never coerce
     "localization.k",            # missing value
-    "pdr.heading_source=sextant",  # not a HeadingSource value
+    "pdr.heading_source=sextant",  # not one of HEADING_SOURCES
     "sensors.walking_threshold_s=2.0",  # removed: nothing read them
     "sensors.still_min_s=1.0",
     "sensors.still_max_s=8.0",
@@ -265,22 +265,13 @@ def test_every_set_key_reaches_its_field():
     args = build_parser().parse_args(["evaluate", "map.json", "q.jsonl",
                                       *assignments])
     run = _Run(args)
-    tree = run.tree
     assert len(run.overrides) == 25
-    assert tree["pdr"]["heading_threshold_deg"] == 31.0
     for section, cls in SECTIONS.items():
         cfg = getattr(run, section)
         assert type(cfg) is cls
-        assert len(tree[section]) == len(fields(cls))
-        for f in fields(cls):
-            value = getattr(cfg, f.name)
-            assert value != f.default, f.name
-            if f.name == "heading_threshold":
-                assert value == math.radians(31.0)
-            elif f.name == "heading_source":
-                assert value is HeadingSource.GYRO
-            else:
-                assert value == tree[section][f.name]
+        # a section is its dataclass: the tree's leaves are the fields' values
+        assert asdict(cfg) == run.tree[section]
+        assert all(getattr(cfg, f.name) != f.default for f in fields(cls))
 
 
 def test_default_tree_is_exact():
@@ -289,6 +280,9 @@ def test_default_tree_is_exact():
     assert tree["pdr"]["heading_source"] == "landmark"
     assert sorted(tree["sensors"]) == ["acc_window", "gyro_window",
                                        "variance_threshold"]
+    for section, cls in SECTIONS.items():
+        assert tree[section] == asdict(cls())
+        assert list(tree[section]) == [f.name for f in fields(cls)]
 
 
 # one minimal argv per subcommand, simulate first
@@ -455,6 +449,45 @@ def test_gyro_mode_needs_no_graph(flow, tmp_path):
     assert main(["track", str(flow / "trace.jsonl"), "--mode", "pdr-gyro",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "trajectory.jsonl").is_file()
+
+
+@pytest.mark.parametrize("mode", HEADING_SOURCES)
+def test_mode_takes_an_equal_set_and_overrides_a_config_file(flow, tmp_path, capsys, mode):
+    other = next(m for m in HEADING_SOURCES if m != mode)
+    write_json(tmp_path / "config.json", {"pdr": {"heading_source": other}})
+    track = ["track", str(flow / "trace.jsonl"), "--graph", str(flow / "graph.json"),
+             "--mode", mode]
+    assert main(track + ["--out", str(tmp_path / "mode")]) == 0
+    for name, extra in [("set", ["--set", f"pdr.heading_source={mode}"]),
+                        ("config", ["--config", str(tmp_path / "config.json")])]:
+        assert main(track + extra + ["--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config"]["pdr"]["heading_source"] == mode
+        assert ((tmp_path / name / "trajectory.jsonl").read_bytes()
+                == (tmp_path / "mode" / "trajectory.jsonl").read_bytes())
+    capsys.readouterr()
+    out = tmp_path / "contradiction"
+    assert main(track + ["--set", f"pdr.heading_source={other}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --mode {mode} contradicts --set pdr.heading_source={other}\n")
+    assert not out.exists()
+
+
+def test_a_manifest_replays_its_run(demo_walks, tmp_path):
+    # the manifest's config, given back as --config with no --set or
+    # --mode, runs the same track
+    trace = demo_walks[1][0]["track"][1]  # the 1x demo walk
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["track", trace, "--mode", "pdr-gyro",
+                 "--set", "pdr.heading_threshold_deg=45", "--set", "sensors.acc_window=40",
+                 "--out", str(first)]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    write_json(tmp_path / "config.json", config)
+    assert main(["track", trace, "--config", str(tmp_path / "config.json"),
+                 "--out", str(again)]) == 0
+    for name in ("trajectory.jsonl", "summary.json", "error_cdf.csv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    assert json.loads((again / "manifest.json").read_text())["config"] == config
 
 
 def test_malformed_start(flow, tmp_path, capsys):
@@ -1199,6 +1232,11 @@ MALFORMED = {
     "pdr.heading_threshold_deg is inf": (
         "", TRACK_FLOW + ["--set", "pdr.heading_threshold_deg=Infinity"],
         "config.pdr.heading_threshold_deg must be a finite number, got inf"),
+    # --mode once ran its own source, the manifest's overrides naming another
+    "--mode contradicts --set pdr.heading_source": (
+        "", ["track", "FLOW/trace.jsonl", "--mode", "pdr-gyro",
+             "--set", "pdr.heading_source=landmark"],
+        "error: --mode pdr-gyro contradicts --set pdr.heading_source=landmark"),
     "pdr.pressure_per_floor is 0": (
         "", TRACK_FLOW + ["--set", "pdr.pressure_per_floor=0"],
         "config.pdr.pressure_per_floor must be at least 0.001, got 0.0"),

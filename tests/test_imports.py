@@ -113,10 +113,11 @@ def test_every_private_package_name_is_read():
 
 
 # every name `from stridemap import ...` offers: every name it offered
-# before, and load_scans, less to_positive, which only tests called
+# before, and load_scans, less to_positive, which only tests called, and
+# HeadingSource, whose values are now the strings of config.HEADING_SOURCES
 EXPORTS = [
     "Ap", "Channel", "CompassZone", "Edge", "Environment", "EvaluationReport",
-    "GraphError", "HeadingSource", "Landmark", "LandmarkConfig",
+    "GraphError", "Landmark", "LandmarkConfig",
     "LandmarkEvent", "LandmarkGraph", "LocalizationConfig",
     "LocalizationResult", "MapFormatError", "MatchState", "MotionState",
     "Neighbors", "NoiseModel", "PathSegment", "PdrConfig", "Pose",
@@ -151,7 +152,7 @@ def test_package_exports_every_name_it_did():
 
 @pytest.mark.parametrize("module,name", [
     ("sensors", "SensorConfig"), ("landmarks", "LandmarkConfig"),
-    ("pdr", "PdrConfig"), ("pdr", "HeadingSource"),
+    ("pdr", "PdrConfig"),
     ("radiomap", "QualityConfig"), ("localization", "LocalizationConfig")])
 def test_config_classes_keep_their_stage_module_names(module, name):
     config = importlib.import_module("stridemap.config")

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from stridemap.landmarks import (Landmark, LandmarkEvent, Rule, RuleKind,
                                  graph_from_dict)
-from stridemap.pdr import (HeadingSource, MatchState, PdrConfig,
+from stridemap.config import HEADING_SOURCES
+from stridemap.pdr import (MatchState, PdrConfig,
                            attach_periodicities, landmark_confidence,
                            match_landmark, floor_update, pdr_step,
                            round_floor, run_pdr, trajectory_errors,
@@ -24,6 +25,10 @@ from stridemap.trajectory import (PathSegment, Pose, Trajectory, dump_trajectory
                                   load_trajectory)
 
 from conftest import DT, accel_channel, flat, walking
+
+# each heading source's test id, the name these tests have always run under
+MODE_ID = {"pdr-compass": "HeadingSource.COMPASS", "pdr-gyro": "HeadingSource.GYRO",
+           "landmark": "HeadingSource.LANDMARK"}
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +255,8 @@ def out_and_back_trace(steps_out=20, period=0.5, compass_bias=0.0):
     tt = np.arange(0.0, t[-1], 0.5)
     trace = SensorTrace(
         accel=trace.accel, gyro=trace.gyro, mag=trace.mag,
-        truth=TruthChannel(t=tt, xy=np.column_stack(
-            [np.interp(tt, knots_t, knots_x), np.zeros(len(tt))]),
-            floor=np.ones(len(tt))))
+        truth=TruthChannel(t=tt, v=np.column_stack(
+            [np.interp(tt, knots_t, knots_x), np.zeros(len(tt)), np.ones(len(tt))])))
     return trace
 
 
@@ -291,9 +295,9 @@ def test_landmark_mode_beats_compass_under_bias():
     trace = out_and_back_trace(compass_bias=math.radians(15))
     graph = straight_graph()
     lm = run_pdr(trace, graph, (0.0, 0.0, 1.0),
-                 PdrConfig(heading_source=HeadingSource.LANDMARK))
+                 PdrConfig(heading_source="landmark"))
     co = run_pdr(trace, None, (0.0, 0.0, 1.0),
-                 PdrConfig(heading_source=HeadingSource.COMPASS))
+                 PdrConfig(heading_source="pdr-compass"))
     err_lm = trajectory_errors(lm, trace).mean()
     err_co = trajectory_errors(co, trace).mean()
     assert err_lm < err_co
@@ -327,7 +331,7 @@ def test_missed_landmark_defers_calibration():
 
 def test_gyro_mode_ignores_graph():
     trace = out_and_back_trace()
-    cfg = PdrConfig(heading_source=HeadingSource.GYRO)
+    cfg = PdrConfig(heading_source="pdr-gyro")
     traj = run_pdr(trace, None, (0.0, 0.0, 1.0), cfg)
     assert traj.visits == []
     final = traj.poses[-1]
@@ -340,20 +344,20 @@ def test_landmark_mode_requires_graph():
         run_pdr(trace, None, (0.0, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("mode", [HeadingSource.LANDMARK, HeadingSource.GYRO])
+@pytest.mark.parametrize("mode", ["landmark", "pdr-gyro"], ids=MODE_ID.get)
 def test_a_mode_that_turns_by_gyro_refuses_a_trace_without_one(mode):
     trace = out_and_back_trace()
     for gyro in (Channel(np.empty(0), np.empty((0, 3))),
                  Channel(trace.gyro.t[:1], trace.gyro.v[:1])):
         bare = SensorTrace(accel=trace.accel, gyro=gyro, mag=trace.mag)
-        with pytest.raises(TraceError, match=rf"^{mode.value} mode needs at least "
+        with pytest.raises(TraceError, match=rf"^{mode} mode needs at least "
                            rf"two gyro samples, trace has {len(gyro)}$"):
             run_pdr(bare, straight_graph(), (0.0, 0.0, 1.0),
                     PdrConfig(heading_source=mode))
 
 
 @pytest.mark.parametrize("baro", [None, Channel(np.array([3.0]), np.array([1013.0]))])
-@pytest.mark.parametrize("mode", [HeadingSource.COMPASS, HeadingSource.GYRO])
+@pytest.mark.parametrize("mode", ["pdr-compass", "pdr-gyro"], ids=MODE_ID.get)
 def test_without_a_barometer_every_floor_is_the_start_floor(mode, baro):
     # the pressure reads 0.0 throughout (one sample is no barometer), and a
     # floor update of no change returns the floor bit for bit, -0.0 included
@@ -372,7 +376,7 @@ def baro_every(dt: float, n: int = 5) -> Channel:
 def test_a_barometer_sampled_too_fast_is_refused():
     # its smoothing window, 2 s over the median interval, once asked for
     # 14.2 PiB at 1e-15 s; the window stops at 1 kHz
-    compass = PdrConfig(heading_source=HeadingSource.COMPASS)
+    compass = PdrConfig(heading_source="pdr-compass")
     trace = out_and_back_trace()
     with pytest.raises(TraceError, match=r"^baro median sample interval 1e-15 s is below "
                                          r"0\.001 s; pressure smoothing reads at most 1000 Hz$"):
@@ -477,7 +481,7 @@ def test_dump_load_round_trip(tmp_path):
         assert (a.t, a.x, a.y, a.floor) == (b.t, b.x, b.y, b.floor)
 
 
-@pytest.mark.parametrize("mode", list(HeadingSource))
+@pytest.mark.parametrize("mode", HEADING_SOURCES, ids=MODE_ID.get)
 def test_round_trip_keeps_each_segments_periods(tmp_path, mode):
     trace = out_and_back_trace()
     traj = run_pdr(trace, straight_graph(), (0.0, 0.0, 1.0),
@@ -653,8 +657,8 @@ def test_attach_periodicities_splits_by_segment(tmp_path):
 def test_trajectory_errors_zero_for_exact_truth():
     poses = [Pose(t=float(i), x=float(i), y=0.0, floor=1.0) for i in range(5)]
     # truth sampled exactly at pose times and positions
-    truth = TruthChannel(t=np.arange(5.0), xy=np.column_stack(
-        [np.arange(5.0), np.zeros(5)]), floor=np.ones(5))
+    truth = TruthChannel(t=np.arange(5.0), v=np.column_stack(
+        [np.arange(5.0), np.zeros(5), np.ones(5)]))
     trace = SensorTrace(truth=truth)
     traj = Trajectory(segments=[PathSegment(points=poses, periodicities=[])])
     assert trajectory_errors(traj, trace).max() == 0.0

@@ -94,7 +94,7 @@ def test_load_empty_file(tmp_path):
     p.write_text("")
     trace = load_trace(p)
     assert len(trace.accel) == 0
-    assert trace.truth is None
+    assert len(trace.truth) == 0
 
 
 def test_load_rejects_positive_rss(tmp_path):
@@ -181,8 +181,8 @@ def test_dump_load_round_trip(tmp_path):
         baro=Channel(t[:5], 1013.0 + np.arange(5) * 0.01),
         wifi=[WifiScan(t=0.1, readings={"aa:bb": -60, "cc:dd": -72}),
               WifiScan(t=0.3, readings={})],
-        truth=TruthChannel(t[::2], rng.normal(size=(10, 2)),
-                           np.repeat([1.0, 2.0], 5)),
+        truth=TruthChannel(t[::2], np.column_stack([rng.normal(size=(10, 2)),
+                                                    np.repeat([1.0, 2.0], 5)])),
     )
     path = tmp_path / "round.jsonl"
     dump_trace(trace, path)
@@ -190,7 +190,7 @@ def test_dump_load_round_trip(tmp_path):
     for ch in ("accel", "gyro", "mag", "baro"):
         assert np.array_equal(getattr(back, ch).t, getattr(trace, ch).t)
         assert np.array_equal(getattr(back, ch).v, getattr(trace, ch).v)
-    for field in ("t", "xy", "floor"):
+    for field in ("t", "v", "xy", "floor"):
         assert np.array_equal(getattr(back.truth, field),
                               getattr(trace.truth, field))
     assert back.wifi == trace.wifi
@@ -210,7 +210,7 @@ def _awkward_trace() -> SensorTrace:
         accel=Channel(t.copy(), v.copy()), gyro=Channel(t.copy(), -v),
         mag=Channel(t.copy(), v[::-1].copy()), baro=Channel(t.copy(), v[:, 1].copy()),
         wifi=[WifiScan(t=0.1 + 0.2, readings={'a"b\\c': -1, "é": 0})],
-        truth=TruthChannel(t.copy(), v[:, :2].copy(), v[:, 2].copy()),
+        truth=TruthChannel(t.copy(), v.copy()),
     )
 
 
@@ -230,9 +230,8 @@ def test_dump_rejects_non_finite(ch, where, tmp_path):
     if ch == "wifi":
         trace.wifi = [WifiScan(t=math.nan, readings={})]
     else:
-        chan = trace.truth if ch == "truth" else getattr(trace, ch)
-        values = chan.floor if ch == "truth" else chan.v
-        (chan.t if where == "t" else values).flat[-1] = math.nan
+        chan = getattr(trace, ch)
+        (chan.t if where == "t" else chan.v).flat[-1] = math.nan
     with pytest.raises(TraceError, match=repr(ch)):
         dump_trace(trace, tmp_path / "t.jsonl")
 
@@ -246,12 +245,11 @@ def test_dump_rejects_a_number_out_of_its_range(ch, where, tmp_path):
     if ch == "wifi":
         trace.wifi = [WifiScan(t=2 * T_MAX_S, readings={})]
     else:
-        chan = trace.truth if ch == "truth" else getattr(trace, ch)
-        values = chan.floor if ch == "truth" else chan.v
+        chan = getattr(trace, ch)
         if where == "t":
             chan.t[-1] = 2 * T_MAX_S
         else:
-            values.flat[-1] = -2 * VALUE_MAX
+            chan.v.flat[-1] = -2 * VALUE_MAX
     path = tmp_path / "t.jsonl"
     with pytest.raises(TraceError, match=f"cannot write channel {ch!r}: every t must "
                                          r"be finite and in \[-1e\+10, 1e\+10\] s"):
@@ -314,11 +312,9 @@ def trace_bits(trace: SensorTrace):
     def bits(a):
         return a.dtype.str, a.shape, a.tobytes()
     out = [(bits(c.t), bits(c.v)) for c in
-           (trace.accel, trace.gyro, trace.mag, trace.baro)]
+           (trace.accel, trace.gyro, trace.mag, trace.baro, trace.truth)]
     out.append((bits(np.array([s.t for s in trace.wifi], float)),
                 [s.readings for s in trace.wifi]))
-    tr = trace.truth
-    out.append(None if tr is None else (bits(tr.t), bits(tr.xy), bits(tr.floor)))
     return out
 
 
@@ -373,8 +369,7 @@ def traces(draw) -> SensorTrace:
              for t in sorted(draw(st.lists(AWKWARD, max_size=2)))]
     return SensorTrace(**{ch: Channel(*tv_) for ch, tv_ in ax.items()},
                        baro=Channel(bt, bv[:, 0].copy()), wifi=scans,
-                       truth=TruthChannel(tt, tv[:, :2].copy(), tv[:, 2].copy())
-                       if len(tt) else None)
+                       truth=TruthChannel(tt, tv))
 
 
 @settings(max_examples=80, deadline=None)
@@ -548,7 +543,7 @@ def test_skipped_channels_load_empty_and_are_never_parsed(tmp_path):
         trace = load(path, ("accel", "wifi"))
         assert len(trace.accel) == 2 and len(trace.wifi) == 1
         assert len(trace.gyro) == len(trace.mag) == len(trace.baro) == 0
-        assert trace.gyro.v.shape == (0, 3) and trace.truth is None
+        assert trace.gyro.v.shape == trace.truth.v.shape == (0, 3)
     with pytest.raises(TraceError, match="line 4: invalid JSON"):
         load_trace(path)
 
@@ -563,7 +558,7 @@ def test_a_skipped_line_is_checked_by_its_prefix_alone(tmp_path):
                     '{"ch": "wifi", "t": 1.0, "v": [["aa", -50]]}\n')
     trace = json_path_load(path, ("wifi",))
     assert [(s.t, s.readings) for s in trace.wifi] == [(1.0, {"aa": -50})]
-    assert len(trace.accel) == len(trace.gyro) == 0 and trace.truth is None
+    assert len(trace.accel) == len(trace.gyro) == len(trace.truth) == 0
     assert front_scans(path) == trace.wifi
     with pytest.raises(TraceError, match="^line 2: invalid JSON"):
         load_trace(path, ("gyro", "wifi"))
@@ -748,12 +743,13 @@ def test_loaded_arrays_are_exact_and_own_their_memory(load, tmp_path):
     dump_trace(trace, path)
     back = load(path)
     assert trace_bits(back) == trace_bits(trace)
-    tr = back.truth
-    arrays = [a for c in (back.accel, back.gyro, back.mag, back.baro)
-              for a in (c.t, c.v)] + [tr.t, tr.xy, tr.floor]
+    arrays = [a for c in (back.accel, back.gyro, back.mag, back.baro, back.truth)
+              for a in (c.t, c.v)]
     for a in arrays:
         assert a.flags.c_contiguous and a.flags.owndata and a.base is None
         assert len(a) == 5 and a.nbytes == a.size * 8
+    # truth's xy and floor are views of its v, no copies
+    assert back.truth.xy.base is back.truth.v and back.truth.floor.base is back.truth.v
 
 
 def test_a_file_that_changes_after_its_count_is_read_by_json(tmp_path):
@@ -947,14 +943,8 @@ def line_per_sample_dump(trace: SensorTrace) -> str:
             rows += [(s.t, order, json.dumps({"ch": ch, "t": s.t, "v": [
                 [m, r] for m, r in s.readings.items()]})) for s in trace.wifi]
             continue
-        if ch == "truth":
-            tr = trace.truth
-            if tr is None:
-                continue
-            t, v = tr.t, np.column_stack([tr.xy, tr.floor])
-        else:
-            c = getattr(trace, ch)
-            t, v = c.t, c.v.reshape(len(c), CHANNELS[ch])
+        c = getattr(trace, ch)
+        t, v = c.t, c.v.reshape(len(c), CHANNELS[ch])
         fmt = sensors._line_format(ch)
         rows += [(ti, order, fmt % (ti, *row)) for ti, row in zip(t.tolist(), v.tolist())]
     rows.sort(key=lambda row: row[:2])
@@ -983,8 +973,7 @@ def tied_traces(draw) -> SensorTrace:
     scans = [WifiScan(t, draw(st.dictionaries(MACS, st.integers(-200, 0), max_size=3)))
              for t in sorted(draw(st.lists(TIES, max_size=3)))]
     return SensorTrace(**chans, baro=Channel(bt, bv[:, 0].copy()), wifi=scans,
-                       truth=TruthChannel(tt, tv[:, :2].copy(), tv[:, 2].copy())
-                       if len(tt) else None)
+                       truth=TruthChannel(tt, tv))
 
 
 def all_six_at_one_t() -> SensorTrace:
@@ -994,7 +983,7 @@ def all_six_at_one_t() -> SensorTrace:
         accel=Channel(t.copy(), v.copy()), gyro=Channel(t.copy(), v[::-1].copy()),
         mag=Channel(t.copy(), -v), baro=Channel(t.copy(), v[:, 0].copy()),
         wifi=[WifiScan(0.0, {"%s": -1, '"%"': -2}), WifiScan(1.0, {"é%%": 0})],
-        truth=TruthChannel(t.copy(), v[:, :2].copy(), v[:, 2].copy()))
+        truth=TruthChannel(t.copy(), v.copy()))
 
 
 def dumped_in_chunks(trace: SensorTrace, rows: int) -> str:
@@ -1071,7 +1060,7 @@ def test_dump_writes_each_number_as_repr(rows, samples):
     SensorTrace(wifi=[WifiScan(0.0, {"a": -1}), WifiScan(1.0, {})]),
     SensorTrace(baro=Channel(np.array([0.0, 1.0]), np.array([1.0, 2.0])),
                 wifi=[WifiScan(1.0, {"a": -1}), WifiScan(1.0, {"%s": -2})],
-                truth=TruthChannel(np.array([1.0]), np.array([[0.5, 0.5]]), np.array([1.0])))],
+                truth=TruthChannel(np.array([1.0]), np.array([[0.5, 0.5, 1.0]])))],
     ids=["wifi only", "wifi tied between numeric rows"])
 def test_dump_writes_a_chunk_without_numbers(trace):
     # a chunk of WiFi rows alone has no number to format
@@ -1102,9 +1091,8 @@ def test_dump_memory_is_below_the_trace_arrays():
     # the writer holds a window of the merge order and one chunk, never a
     # second copy of the trace's numbers
     trace = generate_trace(*six_loop_walk())
-    truth = trace.truth
-    arrays = sum(a.nbytes for c in (trace.accel, trace.gyro, trace.mag, trace.baro)
-                 for a in (c.t, c.v)) + truth.t.nbytes + truth.xy.nbytes + truth.floor.nbytes
+    arrays = sum(a.nbytes for c in (trace.accel, trace.gyro, trace.mag, trace.baro, trace.truth)
+                 for a in (c.t, c.v))
     _, _, peak = traced_peak(lambda: dump_trace(trace, os.devnull))
     assert peak < arrays / 2
 
@@ -1126,8 +1114,7 @@ def test_dump_refuses_a_channel_whose_t_regresses(tmp_path):
         if ch == "wifi":
             trace.wifi = [WifiScan(1.0, {}), WifiScan(0.5, {})]
         else:
-            chan = trace.truth if ch == "truth" else getattr(trace, ch)
-            chan.t[2] = -1.0
+            getattr(trace, ch).t[2] = -1.0
         path = tmp_path / "t.jsonl"
         with pytest.raises(TraceError, match=f"cannot write channel {ch!r}: t must not decrease"):
             dump_trace(trace, path)
