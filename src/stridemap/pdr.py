@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LandmarkConfig, PdrConfig, QualityConfig, SensorConfig
+from .config import HEADING_SOURCES, LandmarkConfig, PdrConfig, QualityConfig, SensorConfig
 from .landmarks import (
     Landmark,
     LandmarkEvent,
@@ -32,7 +32,7 @@ from .landmarks import (
     sgn,
 )
 from .radiomap import segment_belief, trusted
-from .records import shown
+from .records import choice, shown
 from .sensors import (
     MotionState,
     SensorTrace,
@@ -274,11 +274,13 @@ def run_pdr(
     """Fold a sensor trace into a calibrated trajectory.
 
     initial is the starting (x, y, floor). In landmark mode a graph is
-    required; compass and gyro modes ignore it and never calibrate.
+    required; compass and gyro modes ignore it and never calibrate. A
+    heading_source outside HEADING_SOURCES raises ValueError.
     """
+    mode = choice({s: s for s in HEADING_SOURCES})(cfg.heading_source, "heading_source",
+                                                   ValueError)
     if len(trace.accel) == 0:
         raise TraceError("trace has no accelerometer channel")
-    mode = cfg.heading_source
     if mode == "landmark" and graph is None:
         raise ValueError("landmark heading mode requires a landmark graph")
 

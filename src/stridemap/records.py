@@ -7,10 +7,10 @@ or raises error naming where: "<where>.<key> must be ..., got <value>"
 bool. A number's range is declared once, as number's bounds (at_least,
 above, at_most) in a reader map or in a dataclass field's metadata, which
 record reads through field_reader. fits derives from it one check per
-dataclass, which record tries first: only a record that fails it is read
-field by field, to convert an int in a float field or to word the fault.
-clean_record adds a fingerprint's check to it, for the records that carry
-one (a map entry, a query), which their readers take as parsed.
+dataclass, which the readers of many records try first: a pose, and,
+with clean_record's check of a fingerprint, a map entry or a query that
+passes it is taken as parsed; only one that fails it is read field by
+field, to convert an int in a float field or to word the fault.
 This module needs nothing but the standard library.
 """
 
@@ -173,21 +173,21 @@ def field_reader(f: Field):
     return partial(SCALARS[f.type], **f.metadata) if f.metadata else SCALARS[f.type]
 
 
-def _numbers(cls, keys: dict, skip) -> list[tuple[str, type, float, float]]:
-    """(key, type, lo, hi) of each float and int field of cls that number
+def _numbers(cls, skip) -> list[tuple[str, type, float, float]]:
+    """(name, type, lo, hi) of each float and int field of cls that number
     reads and skip does not name: number returns a value of that exact type
     in [lo, hi] as it is (no bound: the largest float; above: the next)."""
-    return [(keys.get(f.name, f.name), float if f.type == "float" else int,
+    return [(f.name, float if f.type == "float" else int,
              max(f.metadata.get("at_least", -_FLOAT_MAX),
                  math.nextafter(f.metadata.get("above", -math.inf), math.inf)),
              f.metadata.get("at_most", _FLOAT_MAX)) for f in fields(cls)
             if f.type in ("float", "int") and "one_of" not in f.metadata and f.name not in skip]
 
 
-def fits(cls, keys: dict | None = None, skip=()):
+def fits(cls, skip=()):
     """The one check of a record of dataclass cls: whether a JSON object that
     holds every key of _numbers holds there values number returns as they are."""
-    checks = _numbers(cls, keys or {}, skip)
+    checks = _numbers(cls, skip)
 
     def check(obj: dict) -> bool:
         for key, kind, lo, hi in checks:
@@ -240,23 +240,15 @@ def members(readers: dict, required=()):
 def record(cls, readers: dict | None = None, keys: dict | None = None):
     """The reader of dataclass cls from a JSON object with a key per field
     (keys renames a field's key), required when the field has no default.
-    A field is read by readers[its name], else by its field_reader; an
-    object that passes fits takes its float and int fields as they are."""
+    A field is read by readers[its name], else by its field_reader."""
     readers, keys = readers or {}, keys or {}
     by_key = {keys.get(f.name, f.name): f for f in fields(cls)}
-    field_readers = {key: readers.get(f.name) or field_reader(f) for key, f in by_key.items()}
-    required = [key for key, f in by_key.items()
-                if f.default is MISSING and f.default_factory is MISSING]
-    read, check = members(field_readers, required), fits(cls, keys, readers)
-    checked = {key for key, *_ in _numbers(cls, keys, readers)}
+    read = members({key: readers.get(f.name) or field_reader(f) for key, f in by_key.items()},
+                   [key for key, f in by_key.items()
+                    if f.default is MISSING and f.default_factory is MISSING])
 
     def read_record(obj, where: str, error: type[ValueError]):
-        if type(obj) is dict and obj.keys() == by_key.keys() and check(obj):
-            values = {key: value if key in checked else field_readers[key](
-                value, f"{where}.{key}", error) for key, value in obj.items()}
-        else:
-            values = read(obj, where, error)
-        return cls(**{by_key[key].name: value for key, value in values.items()})
+        return cls(**{by_key[key].name: value for key, value in read(obj, where, error).items()})
     return read_record
 
 
@@ -283,10 +275,7 @@ def clean_record(cls):
 
 def fingerprint(raw, where: str, error: type[ValueError]) -> dict[str, int]:
     """A {mac: rss} object as the readings of one scan: each MAC non-empty,
-    each RSS as rss reads it. A clean_readings fingerprint is returned as
-    parsed."""
-    if type(raw) is dict and clean_readings(raw):
-        return raw
+    each RSS as rss reads it."""
     if not isinstance(raw, dict):
         raise error(f"{where}: fingerprint must be an object of mac: rss")
     if "" in raw:

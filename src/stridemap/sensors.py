@@ -5,8 +5,10 @@ are in stridemap.tracefile, which also reads a trace's WiFi scans alone
 without numpy (load_scans); the ranges of t and values (T_MAX_S,
 VALUE_MAX) are in stridemap.records.
 load_trace reads whole traces into arrays, checking every channel it
-reads as tracefile says; a violation raises TraceError naming the first
-bad line.
+reads as tracefile says. A load that fails reads the file again a line
+at a time and raises TraceError "line N: ..." naming the first faulty
+line in file order, whatever its fault: a line that is not UTF-8, in
+any channel, is one.
 
 A whole-trace load of a file whose every line has the layout dump_trace
 writes takes a fast path, with any JSON number in a number's place
@@ -21,17 +23,14 @@ work. Per block, numpy finds the lines and checks each line's whole head
 with each run of number characters collapsed to one 0, each numeric
 line's rest must be exactly its channel's skeleton, so each number
 stands alone in its own slot; one orjson.loads parses all the block's
-numbers, json.loads re-reads a block orjson refuses, and the number
-grammar and the values are json's own, bit for bit (tested); and each
-WiFi line is read by tracefile._wifi_line. A file the fast path doubts
-(tracefile._DOUBTS: other spacing or key order, blank lines, a lone CR,
-a token json refuses) is read a line at a time with json.loads, with the
-same arrays, and that json path names every error. A trace must be
-UTF-8: a line that is not raises TraceError "line N: not valid UTF-8",
-in any channel. load_trace can read a subset of the channels: that load
-goes straight to the json path, which skips the lines of the other
-channels by their _PREFIXES prefix alone, unparsed, so a malformed line
-of another channel does not fail it.
+numbers, json's values bit for bit (tested); and each WiFi line is read
+by tracefile._wifi_line. A file the fast path doubts (tracefile._DOUBTS:
+other spacing or key order, blank lines, a lone CR, a number orjson
+refuses, which lies past every bound) is read a line at a time with
+json.loads, into the same arrays. load_trace can read a subset of the
+channels: that load goes straight to the json path, which skips the
+lines of the other channels by their _PREFIXES prefix alone, unparsed,
+so a malformed line of another channel does not fail it.
 
 dump_trace writes those lines as a stream: the rows of every channel,
 each channel's t non-decreasing, are merged by (t, channel order) a
@@ -53,18 +52,17 @@ from __future__ import annotations
 import contextlib
 import enum
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 import numpy as np
 import orjson
 
 from .config import SensorConfig
-from .records import _FLOAT_MAX, T_MAX_S, VALUE_MAX, number, read_jsonl, shown, writing
+from .records import T_MAX_S, VALUE_MAX, number, read_jsonl, shown, writing
 from .tracefile import (_DOUBTS, _PREFIX_LEN, _PREFIXES, CHANNELS, TraceError,
                         WifiScan, _blocks, _Doubt, _head, _scan_readings, _wifi_line)
 
@@ -192,28 +190,26 @@ def _magnitudes(channel: Channel) -> np.ndarray:
     return np.sqrt(mags, out=mags)
 
 
-def _checked(ch: str, t, v, t_max: float = T_MAX_S,
-             value_max: float = VALUE_MAX) -> Channel | None:
-    """The samples of channel ch as arrays, or None unless every t and
-    value is a number (never a bool) within +-t_max and +-value_max, every
-    sample has the channel's width and t is non-decreasing. WiFi values
-    are scans and pass through."""
+def _checked(ch: str, t, v) -> Channel:
+    """The samples of channel ch as arrays; one of _DOUBTS unless every t
+    and value is a number (never a bool) within +-T_MAX_S and +-VALUE_MAX,
+    every sample has the channel's width and t is non-decreasing. WiFi
+    values are scans and pass through."""
     shape = _sample_shape(ch)
     if not len(t):
         return Channel(np.empty(0), v if shape is None else _empty(ch).v)
-    try:
-        ta = np.asarray(t, float)
-        va = v if shape is None else np.asarray(v, float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    ok = (ta.shape == (len(t),) and _within(ta, t_max)
+    ta = np.asarray(t, float)  # a value numpy cannot read raises
+    va = v if shape is None else np.asarray(v, float)
+    ok = (ta.shape == (len(t),) and _within(ta, T_MAX_S)
           and not (ta[1:] < ta[:-1]).any())
     if ok and shape is not None:
-        ok = va.shape == (len(t), *shape) and _within(va, value_max)
+        ok = va.shape == (len(t), *shape) and _within(va, VALUE_MAX)
     if ok and isinstance(t, list):  # parsed JSON: numpy reads true or "1.0" as a number
         ok = _numbers_only(t) and (shape is None or _numbers_only(
             v if shape == () else chain.from_iterable(v)))
-    return Channel(ta, va) if ok else None
+    if not ok:
+        raise _Doubt
+    return Channel(ta, va)
 
 
 def _within(x: np.ndarray, bound: float) -> bool:
@@ -228,53 +224,20 @@ def _numbers_only(values) -> bool:
     return set(map(type, values)) <= {int, float}
 
 
-def _channel(path: str | Path, ch: str, t, v, channels) -> Channel:
-    """_checked over the whole channel; when that fails, the error names
-    the first bad record, found by bisecting for the shortest failing
-    prefix (a prefix that fails keeps failing as it grows) and rereading
-    the lines a load of channels reads."""
-    chan = _checked(ch, t, v)
-    if chan is not None:
-        return chan
-    k = bisect_left(range(len(t)), True,
-                    key=lambda k: _checked(ch, t[:k + 1], v[:k + 1]) is None)
-    lines = (n for n, rec in _trace_records(path, channels) if rec["ch"] == ch)
-    lineno = next(islice(lines, k, None), "?")  # "?" if the file changed
-    if _checked(ch, t[k:k + 1], v[k:k + 1]) is not None:
-        raise TraceError(f"line {lineno}: timestamps regress in channel {ch!r}")
-    width = CHANNELS[ch]
-    if _checked(ch, t[k:k + 1], v[k:k + 1], _FLOAT_MAX, _FLOAT_MAX) is not None:
-        # finite numbers, one of them out of its range: number words it
-        sample = [("t", float(t[k]), T_MAX_S)] + [
-            ("value", x, VALUE_MAX) for x in np.ravel(v[k] if width else []).tolist()]
-        for name, x, bound in sample:
-            number(x, f"line {lineno}: {ch} {name}", TraceError,
-                   at_least=-bound, at_most=bound)
-    values = "" if width is None else f" and {width} finite value{'s' * (width > 1)}"
-    raise TraceError(f"line {lineno}: {ch} sample must be a finite t{values}")
-
-
-def _trace_records(path: str | Path, channels) -> Iterator[tuple[int, object]]:
-    """read_jsonl over a trace, less the lines whose prefix names a channel
-    not in channels: the lines the fast path drops too."""
+def _trace_lines(path: str | Path, channels) -> Iterator[tuple[int, str, object, object]]:
+    """(line number, channel, t, v) of each line of a trace whose channel
+    is in channels, by json.loads, a WiFi v read by _scan_readings; other
+    channels' lines are skipped by their _PREFIXES prefix unparsed, or by
+    "ch". The first line not UTF-8 or not JSON, without ch, t or v, of no
+    channel or with a faulty scan raises TraceError naming it."""
     skip = tuple(p for p, ch in _PREFIXES.items() if ch not in channels)
-    return read_jsonl(path, TraceError, skip=skip)
-
-
-def _json_columns(path: str | Path, channels) -> dict[str, tuple[list, list]]:
-    """The t and v lists of each channel, one json.loads per line; a record
-    of a channel not in channels is dropped once parsed, and the first
-    faulty line raises TraceError naming it."""
-    cols: dict[str, tuple[list, list]] = {ch: ([], []) for ch in CHANNELS}
-    for lineno, rec in _trace_records(path, channels):
+    for lineno, rec in read_jsonl(path, TraceError, skip=skip):
         try:
             ch, t, v = rec["ch"], rec["t"], rec["v"]
         except (KeyError, TypeError) as exc:
             raise TraceError(f"line {lineno}: missing ch/t/v") from exc
-        try:
-            ts, vs = cols[ch]
-        except (KeyError, TypeError):
-            raise TraceError(f"line {lineno}: unknown channel {shown(ch)}") from None
+        if type(ch) is not str or ch not in CHANNELS:
+            raise TraceError(f"line {lineno}: unknown channel {shown(ch)}")
         if ch not in channels:
             continue
         if ch == "wifi":
@@ -282,9 +245,47 @@ def _json_columns(path: str | Path, channels) -> dict[str, tuple[list, list]]:
                 v = _scan_readings(v)
             except TraceError as exc:
                 raise TraceError(f"line {lineno}: {exc}") from None
-        ts.append(t)
-        vs.append(v)
+        yield lineno, ch, t, v
+
+
+def _json_columns(path: str | Path, channels) -> dict[str, tuple[list, list]]:
+    """The t and v lists of each channel, read by _trace_lines."""
+    cols: dict[str, tuple[list, list]] = {ch: ([], []) for ch in CHANNELS}
+    for _, ch, t, v in _trace_lines(path, channels):
+        cols[ch][0].append(t)
+        cols[ch][1].append(v)
     return cols
+
+
+def _check_sample(where: str, ch: str, t, v, last) -> None:
+    """Raise TraceError, its text starting with where, unless a parsed
+    sample of channel ch after one at t last passes _checked's checks, in
+    this order: a finite t and width of values, their ranges, t >= last."""
+    width = CHANNELS[ch]
+    values = [] if width is None else [v] if width == 1 else v
+    try:
+        if type(values) is not list or len(values) != (width or 0):
+            raise TraceError
+        for x in [t, *values]:
+            number(x, where, TraceError)
+    except TraceError:
+        shape = "" if width is None else f" and {width} finite value{'s' * (width > 1)}"
+        raise TraceError(f"{where}: {ch} sample must be a finite t{shape}") from None
+    for name, x, bound in [("t", t, T_MAX_S), *(("value", x, VALUE_MAX) for x in values)]:
+        number(x, f"{where}: {ch} {name}", TraceError, at_least=-bound, at_most=bound)
+    if t < last:
+        raise TraceError(f"{where}: timestamps regress in channel {ch!r}")
+
+
+def _name_first_fault(path: str | Path, channels) -> NoReturn:
+    """Raise TraceError naming the first faulty line, in file order and of
+    any kind, among the lines of a trace a load of channels reads: the file
+    read again by _trace_lines, each sample checked by _check_sample."""
+    last = dict.fromkeys(CHANNELS, -T_MAX_S)
+    for lineno, ch, t, v in _trace_lines(path, channels):
+        _check_sample(f"line {lineno}", ch, t, v, last[ch])
+        last[ch] = t
+    raise TraceError(f"{path} changed while it was read")
 
 
 def _line_counts(path: str | Path) -> np.ndarray:
@@ -346,17 +347,10 @@ def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> 
         rests = arr[np.repeat(np.arange(len(runs)) % 2 == 1, runs)].tobytes()
         if _skeletons(rests) != b"".join(map(_SKELETONS.__getitem__, lines.tolist())):
             raise _Doubt
-        # orjson parses the numbers and json re-reads a block orjson refuses,
-        # so json decides the grammar (orjson refuses a number past the float
-        # range, which json reads) and the values are json's bit for bit
-        # (tested), integers and -0 included; an int past the float range
-        # raises OverflowError
-        numbers = b"[%s]" % rests[:-1].translate(_TO_LIST)
-        try:
-            values = orjson.loads(numbers)
-        except orjson.JSONDecodeError:
-            values = json.loads(numbers)
-        values = np.array(values, float)
+        # orjson parses the numbers, json's values bit for bit (tested),
+        # integers and -0 included; a number it refuses (past the float
+        # range, so past every bound) raises orjson.JSONDecodeError
+        values = np.array(orjson.loads(b"[%s]" % rests[:-1].translate(_TO_LIST)), float)
         owner = np.repeat(lines, _NUMBERS[lines])
         for i, ch in enumerate(CHANNELS):
             if i != _WIFI:
@@ -408,9 +402,12 @@ def load_trace(path: str | Path, channels=tuple(CHANNELS)) -> SensorTrace:
     if set(channels) == CHANNELS.keys():
         with contextlib.suppress(*_DOUBTS):
             cols = _canonical_columns(path)
-    if cols is None:
-        cols = _json_columns(path, channels)
-    chans = {ch: _channel(path, ch, *cols.pop(ch), channels) for ch in CHANNELS}
+    try:
+        if cols is None:
+            cols = _json_columns(path, channels)
+        chans = {ch: _checked(ch, *cols.pop(ch)) for ch in CHANNELS}
+    except _DOUBTS:
+        _name_first_fault(path, channels)
     wifi, truth = chans.pop("wifi"), chans.pop("truth")
     return SensorTrace(
         **chans,

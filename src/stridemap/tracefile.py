@@ -18,17 +18,17 @@ channel, and a WiFi reading must be a [mac, rss] pair (unique non-empty
 string MAC, RSS as read by stridemap.records.rss). stridemap.sensors reads and writes
 whole traces; this module holds the format they share.
 
-This module is the one reader of dump_trace's bytes. _blocks reads a
-file in blocks cut after a newline, takes CRLF as LF and doubts a lone CR
-or a byte that is not UTF-8; _wifi_line reads one WiFi line, leaving its
-t to the caller. sensors.load_trace's fast path reads the blocks with
-numpy. load_scans reads only the WiFi scans, as load_trace(path,
-("wifi",)) does, for build-map: per block one regex search finds each
-line without the _PREFIXES prefix of another channel, which must be a
-WiFi line, and each t must be an int or a float in [the t before it,
-T_MAX_S]. A file a block reader doubts (one of _DOUBTS) goes to
-load_trace's json path, which words its fault, so all readers give the
-same scans and errors. This module needs only the stdlib and records.
+_blocks reads a file in blocks cut after a newline for both block
+readers, sensors.load_trace's fast path (with numpy) and load_scans; it
+takes CRLF as LF and doubts a lone CR or a byte that is not UTF-8, and
+_wifi_line reads one WiFi line for both, leaving its t to the caller.
+load_scans reads only the WiFi scans, as load_trace(path, ("wifi",))
+does, for build-map: per block one regex search finds each line without
+the _PREFIXES prefix of another channel, which must be a WiFi line, and
+each t must be an int or a float in [the t before it, T_MAX_S]. A file
+a block reader doubts (one of _DOUBTS) goes to load_trace's json path,
+so all readers give the same scans and errors. This module needs only
+the stdlib and records.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class _Doubt(Exception):
 
 
 # What a block reader raises on a file it doubts: _Doubt, or the error of a
-# parse (json.loads, float, a key, or _scan_readings's TraceError).
+# parse (json.loads, orjson.loads, float, a key, _scan_readings's TraceError).
 _DOUBTS = (_Doubt, ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 

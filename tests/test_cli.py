@@ -1351,6 +1351,14 @@ MALFORMED = {
     "trajectory line ends with a line separator": (
         (GOOD_POSE.rstrip("\n") + "\u2028\n").encode(), MAP_BAD,
         "bad.json:1: invalid JSON: Extra data"),
+    # the first faulty line in file order is named, whatever its kind
+    "trace WiFi t is a bool, then an RSS is out of range": (
+        '{"ch": "accel", "t": 0.0, "v": [0.0, 0.0, 9.8]}\n'
+        '{"ch": "wifi", "t": 0.0, "v": [["aa", -50]]}\n'
+        '{"ch": "wifi", "t": true, "v": [["aa", -50]]}\n'
+        '{"ch": "wifi", "t": 1.0, "v": [["aa", 5]]}\n',
+        ["build-map", "FLOW/trajectory.jsonl", "BAD"],
+        "error: line 3: wifi sample must be a finite t"),
 }
 
 

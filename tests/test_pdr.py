@@ -344,6 +344,16 @@ def test_landmark_mode_requires_graph():
         run_pdr(trace, None, (0.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("source", ["gyro", "Landmark", "", None, 1])
+def test_an_unknown_heading_source_is_refused_before_any_stage(source):
+    # a source none of HEADING_SOURCES names would detect no events and
+    # fall through to the compass; the check comes before the trace's
+    for trace in (out_and_back_trace(), SensorTrace()):
+        with pytest.raises(ValueError, match=re.escape(
+                f"heading_source must be one of {sorted(HEADING_SOURCES)}, got {source!r}")):
+            run_pdr(trace, straight_graph(), (0.0, 0.0, 1.0), PdrConfig(heading_source=source))
+
+
 @pytest.mark.parametrize("mode", ["landmark", "pdr-gyro"], ids=MODE_ID.get)
 def test_a_mode_that_turns_by_gyro_refuses_a_trace_without_one(mode):
     trace = out_and_back_trace()

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -510,10 +512,14 @@ def test_fast_path_reads_the_canonical_cases(tmp_path):
     for case in ("canonical", "25-digit float", "missing final newline",
                  "CRLF line ends", "regressing canonical t",
                  "integer -0, which json reads as +0.0", "capital exponent",
-                 "25-digit integer", "exponent past the float range"):
+                 "25-digit integer"):
         path = tmp_path / "t.jsonl"
         path.write_bytes(READER_CASES[case].encode())
         assert outcome(fast_path_load, path) == outcome(json_path_load, path)
+    # a number orjson refuses lies past every bound: the fast path doubts it
+    path.write_bytes(READER_CASES["exponent past the float range"].encode())
+    with pytest.raises(tracefile._DOUBTS):
+        sensors._canonical_columns(path)
 
 
 def test_load_names_the_faulty_line(tmp_path):
@@ -532,6 +538,48 @@ def test_load_names_the_faulty_line(tmp_path):
         path.write_text(READER_CASES[case])
         with pytest.raises(TraceError, match="^" + message):
             load_trace(path)
+    # an integer past the float range is no finite number, as t or as value
+    huge = "1" + "0" * 400
+    for line in ('{"ch": "baro", "t": 0.0, "v": %s}' % huge,
+                 '{"ch": "baro", "t": %s, "v": 0.0}' % huge):
+        path.write_text(line + "\n")
+        with pytest.raises(TraceError, match="^" + re.escape(
+                "line 1: baro sample must be a finite t and 1 finite value") + "$"):
+            load_trace(path)
+
+
+# the first faulty line in file order is named, whatever its kind: lines 1
+# and 2 are clean, and each fault kind's line is faulty after either
+FIRST_LINES = ('{"ch": "accel", "t": 0.0, "v": [0.0, 0.0, 9.8]}\n'
+               '{"ch": "accel", "t": 2.0, "v": [0.0, 0.0, 9.8]}\n')
+FAULTS = {
+    "out of range": ('{"ch": "gyro", "t": 0.5, "v": [0.0, 0.0, 1e300]}',
+                     "gyro value must be at most 1e+06, got 1e+300"),
+    "bool": ('{"ch": "accel", "t": 3.0, "v": [true, 0.0, 9.8]}',
+             "accel sample must be a finite t and 3 finite values"),
+    "regressing t": ('{"ch": "accel", "t": 1.0, "v": [0.0, 0.0, 9.8]}',
+                     "timestamps regress in channel 'accel'"),
+    "bad scan": ('{"ch": "wifi", "t": 1.0, "v": [["aa", 5]]}', "RSS of 'aa' must be"),
+    "invalid JSON": ('{"ch": "accel", oops', "invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("third,fourth", list(itertools.product(FAULTS, repeat=2)))
+def test_the_first_faulty_line_is_named_whatever_follows(third, fourth, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(FIRST_LINES + FAULTS[third][0] + "\n" + FAULTS[fourth][0] + "\n")
+    for load in (load_trace, json_path_load):
+        with pytest.raises(TraceError, match="^" + re.escape("line 3: " + FAULTS[third][1])):
+            load(path)
+
+
+def test_every_wifi_reader_names_a_bad_t_before_a_bad_scan(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(FIRST_LINES + '{"ch": "wifi", "t": true, "v": []}\n'
+                    '{"ch": "wifi", "t": 1.0, "v": [["aa", 5]]}\n')
+    for load in (load_trace, lambda path: load_trace(path, ("wifi",)), load_scans):
+        with pytest.raises(TraceError, match="^line 3: wifi sample must be a finite t$"):
+            load(path)
 
 
 def test_skipped_channels_load_empty_and_are_never_parsed(tmp_path):
@@ -691,14 +739,16 @@ NUMBER_TOKENS = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.tuples(*[NUMBER_TOKENS] * 4), min_size=1, max_size=4))
 def test_block_parse_reads_numbers_as_json_bit_for_bit(rows):
-    # orjson parses the numbers and json re-reads what orjson refuses: the
-    # values json gives, or refused where json refuses
+    # orjson parses the numbers: the values json gives, or a doubt where
+    # orjson or json refuses
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.jsonl"
         path.write_text("".join('{"ch": "accel", "t": %s, "v": [%s, %s, %s]}\n' % row
                                 for row in rows))
+        numbers = "[%s]" % ", ".join(map(", ".join, rows))
         try:
-            want = np.array(json.loads("[%s]" % ", ".join(map(", ".join, rows))), float)
+            orjson.loads(numbers)
+            want = np.array(json.loads(numbers), float)
         except (ValueError, OverflowError):
             with pytest.raises(tracefile._DOUBTS):
                 sensors._canonical_columns(path)
