@@ -467,14 +467,15 @@ def cmd_sweep(args) -> int:
         number(tau, "--taus value", CliError)
     radio_map = load_radio_map(map_path)
     queries = load_queries(queries_path)
-    # each fingerprint read once, for every tau
+    # each fingerprint read, and each pose column built, once for every tau
     map_readings = read_fingerprints([e.fp for e in radio_map.entries])
     readings = read_fingerprints([fp for _, fp in queries])
     rows = []
+    index = report = None
     for tau in taus:
         cfg = replace(run.localization, tau=tau)
-        index = vectorize_map(radio_map, cfg, map_readings)
-        report = evaluate(queries, index, cfg, readings)
+        index = vectorize_map(radio_map, cfg, map_readings, index)
+        report = evaluate(queries, index, cfg, readings, report)
         rows.append([_fmt(tau), _fmt(report.floor_accuracy),
                      _fmt(report.mean_error_m), _fmt(report.p50),
                      _fmt(report.p75), _fmt(report.p90)])

@@ -16,7 +16,10 @@ longer than the fix itself on a map of up to about 30,000 entries. Since
 every loader bounds RSS to [RSS_MIN_DBM, RSS_MAX_DBM], vector components
 are small integers and every distance sum is exact in any order; both
 scorers add the centroid left to right, nearest neighbour first. So the
-two return the same bits.
+two return the same bits. knn forms its sums in float32, half the memory
+traffic, when the arrays it is given show every component an integer and
+no sum past 2^24 in magnitude, so that float32 holds each sum exactly, and
+in float64 otherwise; the distances it returns are float64 either way.
 The matching parameters (k, metric, tau and its scope) are
 LocalizationConfig, in stridemap.config.
 """
@@ -133,10 +136,13 @@ def _scope_taus(cfg: LocalizationConfig) -> tuple[float, float]:
 
 
 def vectorize_map(radio_map: RadioMap, cfg: LocalizationConfig = LocalizationConfig(),
-                  readings: Readings | None = None) -> VectorizedMap:
+                  readings: Readings | None = None,
+                  reuse: VectorizedMap | None = None) -> VectorizedMap:
     """The matching index of radio_map under cfg. readings, when given,
-    must be read_fingerprints of the map's entries; a caller vectorizing
-    one map under several configs reads them once."""
+    must be read_fingerprints of the map's entries, and reuse an index of
+    the same map under another config, whose min_rss and pose columns are
+    taken as they are; a caller vectorizing one map under several configs
+    reads and builds those once."""
     import numpy as np
     if not radio_map.entries:
         raise ValueError("radio map is empty")
@@ -145,21 +151,23 @@ def vectorize_map(radio_map: RadioMap, cfg: LocalizationConfig = LocalizationCon
         readings = read_fingerprints([e.fp for e in radio_map.entries])
     elif len(readings.rss) != len(radio_map.entries):
         raise ValueError("readings do not match the map entries")
-    if not np.isfinite(readings.rss).any():
-        raise ValueError("radio map has no RSS readings")
-    # one below the weakest reading anywhere in the map, so every detected
-    # AP vectorizes to a strictly positive value
-    min_rss = float(np.nanmin(readings.rss)) - 1.0
+    if reuse is None:
+        if not np.isfinite(readings.rss).any():
+            raise ValueError("radio map has no RSS readings")
+        # one below the weakest reading anywhere in the map, so every
+        # detected AP vectorizes to a strictly positive value
+        min_rss = float(np.nanmin(readings.rss)) - 1.0
+        xs = np.array([e.x for e in radio_map.entries])
+        ys = np.array([e.y for e in radio_map.entries])
+        floors = np.array([e.floor for e in radio_map.entries])
+    elif len(reuse) != len(radio_map.entries):
+        raise ValueError("reused index does not match the map entries")
+    else:
+        min_rss, xs, ys, floors = reuse.min_rss, reuse.xs, reuse.ys, reuse.floors
     universe = readings.universe(map_tau)
-    return VectorizedMap(
-        cfg=cfg,
-        universe=universe,
-        min_rss=min_rss,
-        matrix=readings.vectors(universe, map_tau, min_rss),
-        xs=np.array([e.x for e in radio_map.entries]),
-        ys=np.array([e.y for e in radio_map.entries]),
-        floors=np.array([e.floor for e in radio_map.entries]),
-    )
+    return VectorizedMap(cfg=cfg, universe=universe, min_rss=min_rss,
+                         matrix=readings.vectors(universe, map_tau, min_rss),
+                         xs=xs, ys=ys, floors=floors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,23 +192,25 @@ def _scorer(m: np.ndarray, metric: str) -> tuple[
     """The (rank, finish) pair that scores query rows q against the rows
     of m. rank(q) is a (queries, entries) score whose order along each
     row, ties included, is the order of the distances; finish(q, picked)
-    turns the scores picked from each row into distances.
+    turns the float64 scores picked from each row into distances.
 
     Every component is 0 or an RSS in [-200, 0] dBm minus an integral
     min_rss in [-201, -1] below it, so an integer in [0, 201]. Each sum below
-    is then an exact float64 integer, whatever order BLAS adds in, and the
-    result has the same bits as summing (m - q)**2, or |m - q| over m + q,
-    entry by entry. Euclidean ranks on the partial score |m|^2 - 2 q.m,
-    exact in the same way: it is the squared distance less |q|^2, which is
-    the same along a row, and sqrt keeps distinct integers distinct. So
-    the neighbours and their ties are those of the distance, and only the
-    k picked get |q|^2 added and the root taken. Sorensen ranks on the
-    distance itself.
+    is then an exact integer, whatever order BLAS adds in: always in float64,
+    and in float32 too, the dtype of m and q where knn finds _fits_float32,
+    as none then passes 2^24. So the result has the same bits as summing
+    (m - q)**2, or |m - q| over m + q, entry by entry in float64. Euclidean
+    ranks on the partial score |m|^2 - 2 q.m, exact in the same way: it is
+    the squared distance less |q|^2, which is the same along a row, and
+    sqrt keeps distinct integers distinct. So the neighbours and their ties
+    are those of the distance, and only the k picked get |q|^2, summed in
+    float64 from the float64 rows, added and the root taken. Sorensen ranks
+    on the distance itself, its integer sums divided in float64.
     """
     import numpy as np
     if metric == "euclidean":
         m_sq = (m * m).sum(axis=1)
-        minus_2mt = -2.0 * m.T
+        minus_2mt = -2 * m.T
 
         def partial(q: np.ndarray) -> np.ndarray:
             part = q @ minus_2mt
@@ -215,46 +225,84 @@ def _scorer(m: np.ndarray, metric: str) -> tuple[
 
     def sorensen(q: np.ndarray) -> np.ndarray:
         # sum |a - b| = sum a + sum b - 2 sum min(a, b), one AP at a time
-        shared = np.zeros((len(q), len(m)))
+        shared = np.zeros((len(q), len(m)), m.dtype)
         low = np.empty_like(shared)
         for j, column in enumerate(columns):
             shared += np.minimum(q[:, j, None], column, out=low)
         total = m_sum + q.sum(axis=1)[:, None]
-        diff = total - 2.0 * shared
+        diff = total - 2 * shared
         # two empty fingerprints are indistinguishable: distance zero
-        return np.divide(diff, total, out=np.zeros_like(diff), where=total != 0)
+        return np.divide(diff, total, out=np.zeros(diff.shape),
+                         where=total != 0, dtype=np.float64)
     return sorensen, lambda q, score: score
+
+
+# float32 holds every integer of at most this magnitude exactly
+FLOAT32_EXACT = 2.0 ** 24
+
+
+def _fits_float32(m: np.ndarray, q: np.ndarray, metric: str) -> bool:
+    """Whether _scorer may score the rows of q against those of m in
+    float32 and get float64's bits: every component of both is an integer
+    and no sum it forms, partial sums in any order included, can pass
+    FLOAT32_EXACT in magnitude. The bounds are over the largest rows, not
+    over pairs, so they can only err towards float64."""
+    import numpy as np
+    if not ((np.rint(m) == m).all() and (np.rint(q) == q).all()):
+        return False
+    if metric == "euclidean":
+        # each partial sum of q.(-2 m), and |m|^2 - 2 q.m itself, lies
+        # within |m|^2 + 2 |q| |m| of 0 (Cauchy-Schwarz). With M and Q the
+        # largest |m|^2 and |q|^2: M + 2 sqrt(Q M) <= 2^24, squared so that
+        # it is checked exactly, and Q <= 2^24 keeps q exact where M is 0
+        m_sq = float((m * m).sum(axis=1).max(initial=0.0))
+        q_sq = float((q * q).sum(axis=1).max(initial=0.0))
+        return (m_sq <= FLOAT32_EXACT and q_sq <= FLOAT32_EXACT
+                and (FLOAT32_EXACT - m_sq) ** 2 >= 4 * q_sq * m_sq)
+    # each partial sum of sum a, sum b and sum min(a, b) lies within
+    # sum |a| + sum |b| of 0, and so does sum a + sum b - 2 sum min(a, b)
+    # when no component is negative, else within three times that
+    reach = (float(np.abs(m).sum(axis=1).max(initial=0.0))
+             + float(np.abs(q).sum(axis=1).max(initial=0.0)))
+    if m.min(initial=0.0) < 0 or q.min(initial=0.0) < 0:
+        reach *= 3
+    return reach <= FLOAT32_EXACT
 
 
 def _nearest(score: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the indices of the k smallest scores in ascending order,
-    ties in index order (a stable argsort cut at k), and those scores.
-    Each of k argmin passes takes the first of the row's remaining minima,
-    then sets it to inf in score, which is overwritten."""
+    ties in index order (a stable argsort cut at k), and those scores in
+    float64, which holds a float32 score exactly. Each of k argmin passes
+    takes the first of the row's remaining minima, and every pass but the
+    last sets it to inf in score, which is overwritten."""
     import numpy as np
     rows = np.arange(len(score))
     index = np.empty((len(score), k), dtype=np.intp)
     picked = np.empty((len(score), k))
     for j in range(k):
+        if j:
+            score[rows, col] = inf
         col = score.argmin(axis=1)
         index[:, j] = col
         picked[:, j] = score[rows, col]
-        score[rows, col] = inf
     return index, picked
 
 
-# Elements per row-chunk temporary of the kNN kernel: 512 KB of float64,
-# small enough that sorensen's per-AP passes stay in cache.
-CHUNK_ELEMENTS = 1 << 16
+# float32 elements per row-chunk temporary of the kNN kernel: 512 KB, small
+# enough that sorensen's per-AP passes stay in cache. A float64 score, when
+# the inputs do not fit float32, takes half as many rows.
+CHUNK_ELEMENTS = 1 << 17
 
 
 def knn(index: VectorizedMap, queries: np.ndarray) -> Neighbors:
     """The kNN fix of every row of queries (vectors over index.universe).
 
-    Rows are scored in chunks whose temporaries, the (rows, entries)
-    score matrix and the (rows, k, floors) vote, each hold about
-    CHUNK_ELEMENTS elements, so memory does not grow with the
-    number of queries. A k beyond the map size uses every entry.
+    Rows are scored in float32 where _fits_float32 finds every sum exact
+    in it, else in float64, in chunks whose temporaries, the (rows,
+    entries) score matrix and the (rows, k, floors) vote, hold about
+    CHUNK_ELEMENTS elements between them, half as many when the score is
+    float64, so memory does not grow with the number of queries. A k
+    beyond the map size uses every entry.
     """
     import numpy as np
     if queries.ndim != 2 or queries.shape[1] != len(index.universe):
@@ -262,13 +310,17 @@ def knn(index: VectorizedMap, queries: np.ndarray) -> Neighbors:
                          f"({len(index.universe)}), got shape {queries.shape}")
     k = min(index.cfg.k, len(index))
     labels, codes = np.unique(index.floors, return_inverse=True)
-    rank, finish = _scorer(index.matrix, index.cfg.metric)
-    step = max(1, CHUNK_ELEMENTS // (len(index) + k * len(labels)))
+    dtype = (np.float32 if _fits_float32(index.matrix, queries, index.cfg.metric)
+             else np.float64)
+    rank, finish = _scorer(index.matrix.astype(dtype, copy=False), index.cfg.metric)
+    scored = queries.astype(dtype, copy=False)
+    elements = CHUNK_ELEMENTS if dtype is np.float32 else CHUNK_ELEMENTS // 2
+    step = max(1, elements // (len(index) + k * len(labels)))
     parts = []
     # at least one chunk, so that an empty batch still gives (0, k) arrays
     for lo in range(0, max(len(queries), 1), step):
         chunk = queries[lo:lo + step]
-        nearest, picked = _nearest(rank(chunk), k)
+        nearest, picked = _nearest(rank(scored[lo:lo + step]), k)
         votes = (codes[nearest][:, :, None] == np.arange(len(labels))).sum(axis=1)
         top = votes.max(axis=1, keepdims=True)
         sole = (votes == top).sum(axis=1) == 1
@@ -399,11 +451,13 @@ def evaluate(
     radio_map: RadioMap | VectorizedMap,
     cfg: LocalizationConfig = LocalizationConfig(),
     readings: Readings | None = None,
+    reuse: EvaluationReport | None = None,
 ) -> EvaluationReport:
     """Run every (truth pose, fingerprint) query against the map in one knn
     call. readings, when given, must be read_fingerprints of the test
-    fingerprints; a caller scoring the same queries under several configs
-    reads them once."""
+    fingerprints, and reuse a report on the same queries, whose truth
+    columns are taken as they are; a caller scoring the same queries under
+    several configs reads and builds those once."""
     import numpy as np
     if not test:
         raise ValueError("no test queries")
@@ -414,12 +468,16 @@ def evaluate(
         readings = read_fingerprints([fp for _, fp in test])
     elif len(readings.rss) != len(test):
         raise ValueError("readings do not match the test queries")
+    if reuse is None:
+        tx = np.array([float(t[0]) for t, _ in test])
+        ty = np.array([float(t[1]) for t, _ in test])
+        tf = np.array([int(t[2]) for t, _ in test])
+    elif len(reuse.error_m) != len(test):
+        raise ValueError("reused report does not match the test queries")
+    else:
+        tx, ty, tf = reuse.truth_x, reuse.truth_y, reuse.truth_floor
     _, query_tau = _scope_taus(cfg)
     nb = knn(index, readings.vectors(index.universe, query_tau, index.min_rss))
-
-    tx = np.array([float(t[0]) for t, _ in test])
-    ty = np.array([float(t[1]) for t, _ in test])
-    tf = np.array([int(t[2]) for t, _ in test])
     error_m = np.hypot(nb.x - tx, nb.y - ty)
     floor_correct = nb.floor == tf
     correct = np.sort(error_m[floor_correct])

@@ -264,6 +264,25 @@ def test_vectorize_map_reuses_given_readings():
                       read_fingerprints([e.fp for e in THREE.entries[:1]]))
 
 
+def test_sweep_reuses_pose_columns_across_taus():
+    test = [((0.0, 0.0, 1), {"aa": -40, "bb": -60}), ((5.0, 0.0, 1), {"cc": -50})]
+    index = report = None
+    for tau in (-90.0, -55.0):
+        cfg = LocalizationConfig(k=2, tau=tau)
+        index = vectorize_map(THREE, cfg, reuse=index)
+        fresh = vectorize_map(THREE, cfg)
+        assert (index.cfg, index.universe, index.min_rss) == (fresh.cfg, fresh.universe,
+                                                              fresh.min_rss)
+        for name in ("matrix", "xs", "ys", "floors"):
+            assert np.array_equal(getattr(index, name), getattr(fresh, name))
+        report = evaluate(test, index, cfg, reuse=report)
+        assert same_report(report, evaluate(test, THREE, cfg))
+    with pytest.raises(ValueError, match="reused index does not match"):
+        vectorize_map(RadioMap(entries=THREE.entries[:1]), reuse=index)
+    with pytest.raises(ValueError, match="reused report does not match"):
+        evaluate(test[:1], THREE, LocalizationConfig(k=2), reuse=report)
+
+
 def test_vectorize_rejects_empty_map():
     with pytest.raises(ValueError, match="empty"):
         vectorize_map(RadioMap())
@@ -420,6 +439,82 @@ def test_kernel_across_chunk_boundaries(monkeypatch, k):
         neighbors, x, y, floor = reference_fix(fp, CHUNKED_MAP, cfg)
         assert tuple(zip(est.index[i].tolist(), est.dist[i].tolist())) == neighbors
         assert (est.x[i], est.y[i], est.floor[i]) == (x, y, floor)
+
+
+# ---------------------------------------------------------------------------
+# float32 scoring and its float64 fallback
+
+
+def scored_dtypes(monkeypatch):
+    """A list that gets the dtype of each map matrix knn scores against."""
+    import stridemap.localization as loc
+    seen, scorer = [], loc._scorer
+    monkeypatch.setattr(loc, "_scorer",
+                        lambda m, metric: seen.append(m.dtype) or scorer(m, metric))
+    return seen
+
+
+def test_non_integral_components_score_in_float64(monkeypatch):
+    seen = scored_dtypes(monkeypatch)
+    # float32 would round 0.1 and 1 + 2^-30, and so every distance below
+    # but the first
+    assert dist([0.5, 0], [0, 0.25]) == math.sqrt(0.5 ** 2 + 0.25 ** 2)
+    assert dist([1, 0], [0, 0.1]) == math.sqrt(1 ** 2 + 0.1 ** 2)
+    assert dist([1 + 2 ** -30, 0], [2, 0]) == 1 - 2 ** -30
+    total = (0.2 + 0.1) + (0.1 + 0.3)
+    assert dist([0.1, 0.3], [0.2, 0.1], "sorensen") == (total - 2 * (0.1 + 0.1)) / total
+    assert seen == [np.float64] * 4
+
+
+def test_integral_components_score_in_float32(monkeypatch):
+    seen = scored_dtypes(monkeypatch)
+    assert dist([3, 0], [0, 4]) == 5.0
+    assert dist([3, 1], [1, 4], "sorensen") == 5 / 9
+    assert seen == [np.float32] * 2
+
+
+def component_map(*rows):
+    """Entry i, at (i, 0) on floor i, reads AP j at rows[i][j] - 201 dBm,
+    and no AP whose component is 0. An entry reading -200 dBm (component
+    1) makes min_rss -201, so that under tau -200 every component is the
+    row's own."""
+    return make_map(*[(float(i), 0.0, i, {f"ap{j:05d}": c - 201 for j, c in enumerate(row) if c})
+                      for i, row in enumerate(rows)])
+
+
+# Squared norms 2^24 + 5 and 2^24 + 4, which float32 rounds alike, and
+# 2^24 and 2^24 - 1, which it holds: 415 * 201^2 is 2^24 - 10801. An empty
+# query is nearer the second entry of each pair.
+SQUARES = [201] * 415
+EUCLIDEAN_PAST = (SQUARES + [103, 14, 1], SQUARES + [103, 14])
+EUCLIDEAN_UNDER = (SQUARES + [103, 8, 8, 8], SQUARES + [103, 13, 4, 2, 1, 1])
+# Sorensen: a query whose one component, at the last AP, is 200, against
+# entries holding 201 and 200 there. sum a + sum b is 2^24 + 5 and 2^24 + 4
+# past the bound, 2^24 and 2^24 - 1 under it, as 83466 * 201 + 1 is
+# 2^24 - 549. sum min(a, b) is 200 for both, so the second is the nearer.
+SUMS = [201] * 83466 + [1]
+SORENSEN_PAST = (SUMS + [153, 201], SUMS + [153, 200])
+SORENSEN_UNDER = (SUMS + [148, 201], SUMS + [148, 200])
+
+
+@pytest.mark.parametrize("metric, rows, query, dtype", [
+    ("euclidean", EUCLIDEAN_PAST, {}, np.float64),
+    ("euclidean", EUCLIDEAN_UNDER, {}, np.float32),
+    ("sorensen", SORENSEN_PAST, {f"ap{len(SUMS) + 1:05d}": -1}, np.float64),
+    ("sorensen", SORENSEN_UNDER, {f"ap{len(SUMS) + 1:05d}": -1}, np.float32),
+], ids=["euclidean-past", "euclidean-under", "sorensen-past", "sorensen-under"])
+def test_float32_only_while_every_sum_fits(monkeypatch, metric, rows, query, dtype):
+    rm = component_map(*rows)
+    cfg = LocalizationConfig(k=2, metric=metric, tau=-200.0)
+    seen = scored_dtypes(monkeypatch)
+    est = evaluate([((0.0, 0.0, 1), query)], rm, cfg).fix
+    assert seen == [dtype]
+    neighbors, x, y, floor = reference_fix(query, rm, cfg)
+    assert [i for i, _ in neighbors] == [1, 0]
+    fix = knn_localize(query, rm, cfg)
+    assert (fix.neighbors, fix.x, fix.y, fix.floor) == (neighbors, x, y, floor)
+    assert tuple(zip(est.index[0].tolist(), est.dist[0].tolist())) == neighbors
+    assert (est.x[0], est.y[0], est.floor[0]) == (x, y, floor) == (0.5, 0.0, 1)
 
 
 # ---------------------------------------------------------------------------
