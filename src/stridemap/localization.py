@@ -211,11 +211,22 @@ def _scorer(m: np.ndarray, metric: str) -> tuple[
     if metric == "euclidean":
         m_sq = (m * m).sum(axis=1)
         minus_2mt = -2 * m.T
+        if m.dtype == np.float32:
+            # |m|^2 folded into the product: q with a column of ones against
+            # -2 m.T with a row of |m|^2, so BLAS adds it in any order; only
+            # integer sums within 2^24 keep that exact, so float64 adds it
+            # in a second pass
+            folded = np.vstack([minus_2mt, m_sq])
 
-        def partial(q: np.ndarray) -> np.ndarray:
-            part = q @ minus_2mt
-            part += m_sq
-            return part
+            def partial(q: np.ndarray) -> np.ndarray:
+                ones = np.ones((len(q), q.shape[1] + 1), q.dtype)
+                ones[:, :-1] = q
+                return ones @ folded
+        else:
+            def partial(q: np.ndarray) -> np.ndarray:
+                part = q @ minus_2mt
+                part += m_sq
+                return part
 
         def distance(q: np.ndarray, picked: np.ndarray) -> np.ndarray:
             return np.sqrt(picked + (q * q).sum(axis=1)[:, None])
@@ -251,8 +262,8 @@ def _fits_float32(m: np.ndarray, q: np.ndarray, metric: str) -> bool:
     if not ((np.rint(m) == m).all() and (np.rint(q) == q).all()):
         return False
     if metric == "euclidean":
-        # each partial sum of q.(-2 m), and |m|^2 - 2 q.m itself, lies
-        # within |m|^2 + 2 |q| |m| of 0 (Cauchy-Schwarz). With M and Q the
+        # each partial sum of q.(-2 m), |m|^2 added or not, lies within
+        # |m|^2 + 2 |q| |m| of 0 (Cauchy-Schwarz). With M and Q the
         # largest |m|^2 and |q|^2: M + 2 sqrt(Q M) <= 2^24, squared so that
         # it is checked exactly, and Q <= 2^24 keeps q exact where M is 0
         m_sq = float((m * m).sum(axis=1).max(initial=0.0))

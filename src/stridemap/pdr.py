@@ -150,6 +150,7 @@ def match_landmark(
     graph: LandmarkGraph,
     state: MatchState,
     cfg: PdrConfig = PdrConfig(),
+    paths: dict[str, dict[str, tuple[float, float]]] | None = None,
 ) -> tuple[Landmark, float] | None:
     """Best-scoring graph landmark for a detected event, or None.
 
@@ -159,13 +160,21 @@ def match_landmark(
     no prior match, every landmark on the current floor is scored against
     the initial anchor by straight-line bearing. Ties break toward the
     smaller distance gap, then the lexicographically smaller id.
+
+    paths, when given, memoizes _reachable by source landmark for this one
+    graph: a caller matching many events against one graph passes the same
+    dict each time, and a new dict for another graph.
     """
     sign = sgn(event.auxiliary) if event.kind is RuleKind.GYRO else 0
 
     if state.last_landmark is not None:
         est_heading = state.fallback_heading
+        if paths is None:
+            paths = {}
+        if state.last_landmark not in paths:
+            paths[state.last_landmark] = _reachable(graph, state.last_landmark)
         cand = [(graph.nodes[lid], d, h)
-                for lid, (d, h) in _reachable(graph, state.last_landmark).items()]
+                for lid, (d, h) in paths[state.last_landmark].items()]
     else:
         est_heading = state.mean_heading()
         cand = [(lm, math.dist((state.anchor_x, state.anchor_y), (lm.x, lm.y)),
@@ -330,6 +339,7 @@ def run_pdr(
     seg = PathSegment(points=[pose])  # the open segment
     traj = Trajectory(segments=[seg])
     pending_hold: Pose | None = None
+    paths: dict[str, dict[str, tuple[float, float]]] = {}  # match_landmark's memo for graph
 
     for ts, prio, item in items:
         if pending_hold is not None:
@@ -369,7 +379,7 @@ def run_pdr(
 
         j = item
         ev = events[j]
-        res = match_landmark(ev, graph, state, cfg)
+        res = match_landmark(ev, graph, state, cfg, paths)
         if res is None:
             continue
         lm, _conf = res

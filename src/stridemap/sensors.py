@@ -18,16 +18,20 @@ LF and doubts a lone CR or a byte that is not UTF-8: a first pass counts
 each channel's lines by the byte that names a line's channel, and the
 second parses each numeric channel's numbers straight into t and v
 arrays of that final size, so memory holds the arrays and one block's
-work. Per block, numpy finds the lines and checks each line's whole head
+work; the block-sized masks of both passes are buffers one load reuses
+(_Scratch), so blocks do not map and fault in fresh memory. Per block,
+numpy finds the lines and checks each line's whole head
 '{"ch": "<ch>", "t": ' as 8-byte words gathered at the line starts;
 with each run of number characters collapsed to one 0, each numeric
-line's rest must be exactly its channel's skeleton, so each number
-stands alone in its own slot; one orjson.loads parses all the block's
-numbers, json's values bit for bit (tested); and each WiFi line is read
-by tracefile._wifi_line. A file the fast path doubts (tracefile._DOUBTS:
-other spacing or key order, blank lines, a lone CR, a number orjson
-refuses, which lies past every bound) is read a line at a time with
-json.loads, into the same arrays. load_trace can read a subset of the
+line's rest must be exactly its channel's skeleton, checked as words
+too, so each number stands alone in its own slot; one orjson.loads
+parses all the block's numbers, json's values bit for bit (tested); and
+orjson parses each WiFi line (_wifi_record), which must hold the keys
+ch, t and v alone and a scan tracefile._clean_scan takes. A file the
+fast path doubts (tracefile._DOUBTS: other spacing or key order, blank
+lines, a lone CR, a number orjson refuses, which lies past every bound,
+a WiFi line orjson refuses or whose scan is not clean) is read a line at
+a time with json.loads, into the same arrays. load_trace can read a subset of the
 channels: that load goes straight to the json path, which skips the
 lines of the other channels by their _PREFIXES prefix alone, unparsed,
 so a malformed line of another channel does not fail it.
@@ -61,10 +65,11 @@ from typing import Iterator, NoReturn
 import numpy as np
 import orjson
 
+from . import tracefile
 from .config import SensorConfig
 from .records import T_MAX_S, VALUE_MAX, number, read_jsonl, shown, writing
 from .tracefile import (_DOUBTS, _PREFIX_LEN, _PREFIXES, CHANNELS, TraceError,
-                        WifiScan, _blocks, _Doubt, _head, _scan_readings, _wifi_line)
+                        WifiScan, _blocks, _clean_scan, _Doubt, _head, _scan_readings)
 
 # Width of the centered moving average applied before peak picking, samples.
 SMOOTHING_WIDTH = 5
@@ -135,16 +140,26 @@ def _line_format(ch: str) -> str:
 # every head, at offset _HEAD_LEN[i] - 8.
 # A numeric line's rest, each run of number characters (_NUMBER) collapsed to
 # one 0 (_MARK), is its skeleton: its line format with 0 for each number.
+# Skeletons are checked as words too: channel i's, _SKELETON_LEN[i] bytes
+# long, is tiled by its words _SKELETON_WORDS[:, i] at the offsets
+# _SKELETON_AT[:, i] (0, 8 or less, and its length less 8).
 # _TO_LIST turns rests into the items of a JSON list of numbers, _NUMBERS per
-# line. WiFi has no skeleton: json.loads reads its lines.
+# line. WiFi has no skeleton: orjson reads its lines (_wifi_record).
 _HEAD_LEN = np.array([len(_head(ch)) for ch in CHANNELS])
 _WORD0 = int.from_bytes(_head("")[:8].encode(), "little")
 _WORD_END = int.from_bytes(_head("")[-8:].encode(), "little")
 _WORD6 = np.array([int.from_bytes(_head(ch)[6:_PREFIX_LEN].encode(), "little")
                    for ch in CHANNELS], np.uint64)
 _SKELETONS = [_line_format(ch)[len(_head(ch)):].replace("%r", "0").encode() + b"\n"
-              if CHANNELS[ch] else None for ch in CHANNELS]
+              if CHANNELS[ch] else b"\n" * 8 for ch in CHANNELS]  # WiFi's is unused
+_SKELETON_LEN = np.array(list(map(len, _SKELETONS)))
+_SKELETON_AT = np.array([[0] * len(CHANNELS), np.minimum(8, _SKELETON_LEN - 8),
+                         _SKELETON_LEN - 8])
+_SKELETON_WORDS = np.array([[int.from_bytes(s[at:at + 8], "little")
+                             for s, at in zip(_SKELETONS, row)] for row in _SKELETON_AT],
+                           np.uint64)
 _NUMBERS = np.array([1 + (CHANNELS[ch] or 0) for ch in CHANNELS])
+_WIFI_KEYS = {"ch", "t", "v"}
 _KIND_AT = len('{"ch": "')
 _KIND = np.full(256, -1)
 _KIND[[ord(ch[0]) for ch in CHANNELS]] = range(len(CHANNELS))
@@ -288,44 +303,95 @@ def _name_first_fault(path: str | Path, channels) -> NoReturn:
     raise TraceError(f"{path} changed while it was read")
 
 
-def _line_counts(path: str | Path) -> np.ndarray:
+class _Scratch:
+    """The block-sized bool buffers of one load, reused from block to block
+    so that a block does not map and fault in fresh memory: bools(k, n) is
+    n items of buffer k. A buffer is allocated at its first use, at least
+    _BLOCK_BYTES + 1 long (the longest block of lines no longer than
+    _BLOCK_BYTES), and again only for a longer block."""
+
+    def __init__(self):
+        self._buffers = [np.empty(0, bool)] * 2
+
+    def bools(self, k: int, n: int) -> np.ndarray:
+        if len(self._buffers[k]) < n:
+            self._buffers[k] = np.empty(max(n, tracefile._BLOCK_BYTES + 1), bool)
+        return self._buffers[k][:n]
+
+
+def _line_ends(arr: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """The offset of each newline of a block's bytes."""
+    return np.flatnonzero(np.equal(arr, ord("\n"), out=scratch.bools(0, len(arr))))
+
+
+def _line_counts(path: str | Path, scratch: _Scratch | None = None) -> np.ndarray:
     """The lines of each channel in a trace, by channel index in CHANNELS,
     counted by the byte that names a dump_trace line's channel. The counts
     are exact for a file of dump_trace's lines and meaningless for any
     other, which the parse refuses."""
+    scratch = scratch or _Scratch()
     counts = np.zeros(len(CHANNELS) + 1, np.int64)  # counts[0]: bytes naming none
     with open(path, "rb") as fh:
         for block in _blocks(fh):
             arr = np.frombuffer(block, np.uint8)
-            at = np.flatnonzero(arr[:-1] == ord("\n")) + (1 + _KIND_AT)
+            at = _line_ends(arr[:-1], scratch) + (1 + _KIND_AT)
             kind = _KIND[arr[np.minimum(np.append(_KIND_AT, at), len(arr) - 1)]]
             counts += np.bincount(kind + 1, minlength=len(counts))
     return counts[1:]
 
 
-def _skeletons(rests: bytes) -> bytes:
-    """rests with each run of number characters collapsed to one 0."""
-    marked = np.frombuffer(rests.translate(_MARK), np.uint8)
-    isnum = marked == ord("0")
-    first = np.append(True, ~(isnum[1:] & isnum[:-1]))  # each run's start, and all else
-    return marked[first].tobytes()
-
-
-def _words(data: bytes) -> np.ndarray:
-    """The little-endian 8-byte word at each byte offset of data: a view of
-    data's bytes, item k its bytes k to k + 7."""
+def _words(data) -> np.ndarray:
+    """The little-endian 8-byte word at each byte offset of data (bytes, or
+    a writable array, whose view is writable): a view of data's bytes, item
+    k its bytes k to k + 7."""
     return np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
 
 
-def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> None:
+def _skeletons_fit(rests: bytes, lines: np.ndarray, scratch: _Scratch) -> bool:
+    """Whether rests, with each run of number characters collapsed to one
+    0, is the skeletons of the channels in lines, one after another: its
+    length theirs, and its words where each skeleton's lie theirs."""
+    marked = np.frombuffer(rests.translate(_MARK), np.uint8)
+    isnum = np.equal(marked, ord("0"), out=scratch.bools(0, len(marked)))
+    first = scratch.bools(1, len(marked))  # each run's start, and all else
+    first[0] = True
+    np.logical_not(np.logical_and(isnum[1:], isnum[:-1], out=first[1:]), out=first[1:])
+    collapsed = marked[first]
+    length = _SKELETON_LEN[lines]
+    at = np.cumsum(length) - length
+    if len(collapsed) != at[-1] + length[-1]:
+        return False
+    words = _words(collapsed)
+    return all((words[at + offset[lines]] == want[lines]).all()
+               for offset, want in zip(_SKELETON_AT, _SKELETON_WORDS))
+
+
+def _wifi_record(line: bytes) -> tuple[object, dict[str, int]]:
+    """t and the readings of a WiFi line whose head _block_columns checked,
+    parsed by orjson: json's values for a line of the keys ch, t and v
+    alone whose scan is clean (tracefile._clean_scan). Any other line, or
+    one orjson refuses, raises one of _DOUBTS. t is json's but for an
+    integer past 64 bits, which orjson 3.8 reads as a float; it lies past
+    T_MAX_S, so _checked refuses it and the json path names it."""
+    rec = orjson.loads(line)
+    if rec.keys() != _WIFI_KEYS or rec["ch"] != "wifi":
+        raise _Doubt
+    readings = _clean_scan(rec["v"])
+    if readings is None:
+        raise _Doubt
+    return rec["t"], readings
+
+
+def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray,
+                   scratch: _Scratch) -> None:
     """Parse block's lines into cols: each numeric channel's t and v from
     row filled[i] on, advancing filled[i] (i its index in CHANNELS), and
-    each WiFi line's t and readings, read by _wifi_line, appended to the
+    each WiFi line's t and readings, read by _wifi_record, appended to the
     WiFi lists. block is one of _blocks. Any line dump_trace could not have
     written, or more lines of a channel than its arrays hold, raises one
     of _DOUBTS."""
     arr = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(arr == ord("\n"))
+    ends = _line_ends(arr, scratch)
     starts = np.concatenate(([0], ends[:-1] + 1))
     length = ends - starts  # the byte naming each line's channel lies within it
     if length.min() < _PREFIX_LEN:
@@ -335,22 +401,32 @@ def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> 
         raise _Doubt
     # each line's whole head, its last word within the line
     words = _words(block)
+    head_end = starts + _HEAD_LEN[kind] - 8
     if not ((words[starts] == _WORD0).all() and (words[starts + 6] == _WORD6[kind]).all()
-            and (words[starts + _HEAD_LEN[kind] - 8] == _WORD_END).all()):
+            and (words[head_end] == _WORD_END).all()):
         raise _Doubt
-    numeric = kind != _WIFI
-    if numeric.any():
-        lines = kind[numeric]
-        # the rest of each numeric line: bytes from its head's end to its newline
-        bounds = np.column_stack([starts[numeric] + _HEAD_LEN[lines], ends[numeric] + 1])
-        runs = np.diff(bounds.ravel(), prepend=0, append=len(arr))
-        rests = arr[np.repeat(np.arange(len(runs)) % 2 == 1, runs)].tobytes()
-        if _skeletons(rests) != b"".join(map(_SKELETONS.__getitem__, lines.tolist())):
+    wifi = kind == _WIFI
+    wifi_lines = list(zip(starts[wifi].tolist(), ends[wifi].tolist()))
+    if len(wifi_lines) < len(kind):
+        lines = kind[~wifi]
+        # the rest of each numeric line, from its head's end to its newline:
+        # every byte but the heads, cleared as the words that tile them
+        # (each head is at most 24 bytes long), and the WiFi lines
+        rest = scratch.bools(0, len(arr))
+        rest.fill(True)
+        heads = _words(rest)
+        for at in (starts, starts + 8, head_end):
+            heads[at] = 0
+        for s, e in wifi_lines:
+            rest[s:e + 1] = False
+        rests = arr[rest].tobytes()
+        if not _skeletons_fit(rests, lines, scratch):
             raise _Doubt
         # orjson parses the numbers, json's values bit for bit (tested),
         # integers and -0 included; a number it refuses (past the float
         # range, so past every bound) raises orjson.JSONDecodeError
-        values = np.array(orjson.loads(b"[%s]" % rests[:-1].translate(_TO_LIST)), float)
+        numbers = orjson.loads(b"[%s]" % memoryview(rests.translate(_TO_LIST))[:-1])
+        values = np.fromiter(numbers, float, len(numbers))
         owner = np.repeat(lines, _NUMBERS[lines])
         for i, ch in enumerate(CHANNELS):
             if i != _WIFI:
@@ -363,8 +439,8 @@ def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray) -> 
                 v[lo:hi] = rows[:, 1:].reshape(v[lo:hi].shape)
                 filled[i] = hi
     ts, vs = cols["wifi"]
-    for s, e in zip(starts[~numeric].tolist(), ends[~numeric].tolist()):
-        t, readings = _wifi_line(block, s, e)
+    for s, e in wifi_lines:
+        t, readings = _wifi_record(block[s:e])
         ts.append(t)
         vs.append(readings)
     filled[_WIFI] = len(ts)
@@ -376,13 +452,14 @@ def _canonical_columns(path: str | Path) -> dict[str, tuple]:
     channel's lines, so the numeric channels' values are parsed straight
     into arrays of their final size. Any other line raises one of _DOUBTS:
     the json path names the faults."""
-    counts = _line_counts(path)
+    scratch = _Scratch()
+    counts = _line_counts(path, scratch)
     cols = {ch: ([], []) if ch == "wifi" else
             (np.empty(n), np.empty((n, *_sample_shape(ch)))) for ch, n in zip(CHANNELS, counts)}
     filled = np.zeros(len(CHANNELS), np.int64)
     with open(path, "rb") as fh:
         for block in _blocks(fh):
-            _block_columns(block, cols, filled)
+            _block_columns(block, cols, filled, scratch)
     if (filled != counts).any():  # fewer lines than counted: the file changed
         raise _Doubt
     return cols

@@ -20,8 +20,10 @@ whole traces; this module holds the format they share.
 
 _blocks reads a file in blocks cut after a newline for both block
 readers, sensors.load_trace's fast path (with numpy) and load_scans; it
-takes CRLF as LF and doubts a lone CR or a byte that is not UTF-8, and
-_wifi_line reads one WiFi line for both, leaving its t to the caller.
+takes CRLF as LF and doubts a lone CR or a byte that is not UTF-8. Both
+take a scan by one _clean_scan test, and the fast path parses each WiFi
+line with orjson, while _wifi_line parses load_scans's with json, so
+build-map never loads orjson; each leaves its t to the caller.
 load_scans reads only the WiFi scans, as load_trace(path, ("wifi",))
 does, for build-map: per block one regex search finds each line without
 the _PREFIXES prefix of another channel, which must be a WiFi line, and
@@ -51,8 +53,10 @@ CHANNELS = {"accel": 3, "gyro": 3, "mag": 3, "baro": 1, "wifi": None, "truth": 3
 _PREFIX_LEN = len('{"ch": "') + max(map(len, CHANNELS)) + 1
 _PREFIXES = {f'{{"ch": "{ch}", '[:_PREFIX_LEN]: ch for ch in CHANNELS}
 # Bytes a block reader reads at once; each block is cut after a newline,
-# so memory holds one block's lines, not the file's.
-_BLOCK_BYTES = 1 << 18
+# so memory holds one block's lines, not the file's. At 128 KiB a block's
+# temporaries stay near glibc's default mmap threshold, so few of them are
+# mapped and faulted in afresh for each block; at 256 KiB many were.
+_BLOCK_BYTES = 1 << 17
 
 
 class TraceError(ValueError):
@@ -72,19 +76,30 @@ def _head(ch: str) -> str:
     return '{"ch": "' + ch + '", "t": '
 
 
+def _clean_scan(v) -> dict[str, int] | None:
+    """The readings of a parsed WiFi scan read by one dict(v), when v is a
+    list of [mac, rss] pairs of distinct string MACs that clean_readings
+    passes; None for any other v."""
+    if type(v) is not list:
+        return None
+    try:
+        readings = dict(v)
+    except (TypeError, ValueError):  # a pair that is no pair, or an unhashable MAC
+        return None
+    if (len(readings) == len(v) and {str}.issuperset(map(type, readings))
+            and clean_readings(readings)):
+        return readings
+    return None
+
+
 def _scan_readings(v) -> dict[str, int]:
     """The readings of one WiFi scan; TraceError, without a line number,
-    unless v is a list of [mac, rss] pairs. A scan of distinct string MACs
-    that clean_readings passes is read by one dict(v); any other goes pair
-    by pair, which words the error."""
-    if type(v) is list:
-        try:
-            readings = dict(v)
-        except (TypeError, ValueError):  # a pair that is no pair, or an unhashable MAC
-            readings = None
-        if (readings is not None and len(readings) == len(v)
-                and {str}.issuperset(map(type, readings)) and clean_readings(readings)):
-            return readings
+    unless v is a list of [mac, rss] pairs. A clean scan (_clean_scan) is
+    read by one dict(v); any other goes pair by pair, which words the
+    error."""
+    readings = _clean_scan(v)
+    if readings is not None:
+        return readings
     if not isinstance(v, list):
         raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {shown(v)}")
     readings: dict[str, int] = {}

@@ -102,17 +102,30 @@ def _pose(rec, path, ln: int) -> tuple[float, float, float, float, int]:
                          f"floor and an integer segment") from None
 
 
+def _clean_periods(periods) -> bool:
+    """Whether every step period of one of _PERIOD_LISTS is a finite float
+    in PERIOD's range, so that load_trajectory takes them as they are."""
+    return ({float}.issuperset(map(type, periods)) and math.isfinite(sum(periods))
+            and min(periods, default=1) > 0 and max(periods, default=1) <= PERIOD["at_most"])
+
+
 def _periods(periods) -> list:
-    """periods as load_trajectory takes them: as they are when every one is
-    a finite float in PERIOD's range, else each read by number; ValueError
-    if periods is not one of _PERIOD_LISTS, or one is not a finite number
-    in that range."""
+    """periods as load_trajectory takes them: as they are when they are
+    clean (_clean_periods), else each read by number; ValueError if periods
+    is not one of _PERIOD_LISTS, or one is not a finite number in that
+    range."""
     if not isinstance(periods, _PERIOD_LISTS):
         raise ValueError(f"periods must be a list, got {shown(periods)}")
-    if ({float}.issuperset(map(type, periods)) and math.isfinite(sum(periods))
-            and min(periods, default=1) > 0 and max(periods, default=1) <= PERIOD["at_most"]):
+    if _clean_periods(periods):
         return periods
     return [number(v, "period", **PERIOD) for v in periods]
+
+
+# A trajectory line of a pose that passes _pose_fits, as _FINITE_JSON writes
+# it, %r being json's text of a float and %d of an int; a segment's first
+# line also carries its periods, each a float, joined by ", " (_FIRST_LINE).
+_LINE = '{"t": %r, "x": %r, "y": %r, "floor": %r, "segment": %d}'
+_FIRST_LINE = _LINE[:-1] + ', "periods": [%s]}'
 
 
 def dump_trajectory(traj: Trajectory, path) -> None:
@@ -122,12 +135,22 @@ def dump_trajectory(traj: Trajectory, path) -> None:
     load_trajectory would refuse (a number that is not finite, a pose out
     of its range, periods that are not a list, a period that is not a
     finite number in PERIOD's range) raises TraceError before a byte is
-    written."""
+    written. A pose that passes _pose_fits, with clean periods on a
+    segment's first line, is written through the _LINE or _FIRST_LINE
+    template; any other line goes through _FINITE_JSON and the checks of
+    load_trajectory's readers, which word the error."""
     lines = []
     for k, seg in enumerate(traj.segments):
+        periods = seg.periodicities
+        clean = isinstance(periods, _PERIOD_LISTS) and _clean_periods(periods)
         for i, pose in enumerate(seg.points):
             rec = {"t": pose.t, "x": pose.x, "y": pose.y, "floor": pose.floor,
                    "segment": k}
+            if _pose_fits(rec) and (i or clean):
+                lines.append(_LINE % (pose.t, pose.x, pose.y, pose.floor, k) if i else
+                             _FIRST_LINE % (pose.t, pose.x, pose.y, pose.floor, k,
+                                            ", ".join(map(repr, periods))))
+                continue
             if i == 0:
                 if not isinstance(seg.periodicities, _PERIOD_LISTS):  # a set fails json too
                     raise TraceError(f"cannot write trajectory: line {len(lines) + 1} "

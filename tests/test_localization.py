@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stridemap.localization import (LocalizationConfig, VectorizedMap,
-                                    _percentile, _vector, evaluate, knn,
+                                    _fits_float32, _percentile, _scorer, _vector,
+                                    evaluate, knn,
                                     knn_localize, read_fingerprints,
                                     vectorize_map)
 from stridemap.radiomap import RadioMap, RadioMapEntry
@@ -515,6 +516,37 @@ def test_float32_only_while_every_sum_fits(monkeypatch, metric, rows, query, dty
     assert (fix.neighbors, fix.x, fix.y, fix.floor) == (neighbors, x, y, floor)
     assert tuple(zip(est.index[0].tolist(), est.dist[0].tolist())) == neighbors
     assert (est.x[0], est.y[0], est.floor[0]) == (x, y, floor) == (0.5, 0.0, 1)
+
+
+def closed_form_scores(m: list, q: list, metric: str) -> np.ndarray:
+    """What _scorer's rank gives each query row against each map row, in
+    exact integers: |m|^2 - 2 q.m for euclidean, and for sorensen
+    (sum a + sum b - 2 sum min(a, b)) / (sum a + sum b), 0 where that is 0/0,
+    divided once in float64."""
+    def score(a, b):
+        if metric == "euclidean":
+            return float(sum(y * y for y in b) - 2 * sum(x * y for x, y in zip(a, b)))
+        total = sum(a) + sum(b)
+        return (total - 2 * sum(map(min, a, b))) / total if total else 0.0
+    return np.array([[score(a, b) for b in m] for a in q], float).reshape(len(q), len(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda aps: st.tuples(*[
+    st.lists(st.lists(st.integers(-201, 201), min_size=aps, max_size=aps),
+             min_size=size, max_size=8) for size in (1, 0)])),
+       st.sampled_from(["euclidean", "sorensen"]))
+@example(([[201] * 415 + [103, 8, 8, 8, 0, 0], [201] * 415 + [103, 13, 4, 2, 1, 1]],
+          [[0] * 421]), "euclidean")  # |m|^2 at 2^24 and under it
+def test_float32_scores_are_their_closed_forms(rows, metric):
+    m, q = rows
+    m32 = np.array(m, np.float32)
+    q32 = np.array(q, np.float32).reshape(len(q), m32.shape[1])
+    assert _fits_float32(m32, q32, metric)
+    rank, _ = _scorer(m32, metric)
+    got = rank(q32)
+    assert got.dtype == (np.float32 if metric == "euclidean" else np.float64)
+    assert got.astype(float).tobytes() == closed_form_scores(m, q, metric).tobytes()
 
 
 # ---------------------------------------------------------------------------

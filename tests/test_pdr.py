@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +24,7 @@ from stridemap.pdr import (MatchState, PdrConfig,
 from stridemap.records import T_MAX_S, VALUE_MAX, number, read_jsonl, shown
 from stridemap.sensors import Channel, SensorTrace, TruthChannel, detect_steps
 from stridemap.tracefile import TraceError
+from stridemap import pdr, trajectory
 from stridemap.trajectory import (PathSegment, Pose, Trajectory, dump_trajectory,
                                   load_trajectory)
 
@@ -379,6 +383,53 @@ def test_without_a_barometer_every_floor_is_the_start_floor(mode, baro):
     assert {(p.floor, math.copysign(1.0, p.floor)) for p in traj.poses} == {(0.0, -1.0)}
 
 
+# the demo walk tracked on its graph scaled by SCALE, printed as JSON: each
+# segment's landmark, periods and poses
+TRACK_ON_SCALED_GRAPH = """
+import json, sys
+from conftest import SCENARIOS, demo_scenario
+from stridemap.landmarks import graph_from_dict
+from stridemap.pdr import run_pdr
+from stridemap.sim import generate_trace
+
+def scaled_graph(scale):
+    data = json.loads((SCENARIOS / "two_floor_demo.json").read_text())["environment"]["graph"]
+    return graph_from_dict({
+        **data,
+        "nodes": [{**n, "x": n["x"] * scale, "y": n["y"] * scale} for n in data["nodes"]],
+        "edges": [{**e, "distance_m": e["distance_m"] * scale} for e in data["edges"]]})
+
+def tracked(scale):
+    sc = demo_scenario("two_floor_demo")
+    trace = generate_trace(sc.environment, sc.walk, sc.noise)
+    traj = run_pdr(trace, scaled_graph(scale), tuple(trace.truth.v[0].tolist()))
+    return json.dumps([[s.landmark, list(s.periodicities),
+                        [[p.t, p.x, p.y, p.floor] for p in s.points]] for s in traj.segments])
+"""
+
+
+def test_reachable_paths_are_memoized_per_run_and_never_across_graphs(monkeypatch):
+    # each run in one process, on the graph and then on a moved copy, is
+    # what the same run gives in a process of its own
+    scales = (1.0, 2.0)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = [subprocess.run([sys.executable, "-c", TRACK_ON_SCALED_GRAPH
+                             + f"print(tracked({scale}))"], env=env, capture_output=True,
+                            text=True, check=True).stdout.strip() for scale in scales]
+    code = {}
+    exec(TRACK_ON_SCALED_GRAPH, code)
+    runs = [code["tracked"](scale) for scale in scales]
+    assert runs == fresh
+    assert runs[0] != runs[1]
+    # one run finds the paths from each landmark once
+    sources = []
+    reachable = pdr._reachable
+    monkeypatch.setattr(pdr, "_reachable",
+                        lambda graph, src: sources.append(src) or reachable(graph, src))
+    code["tracked"](1.0)
+    assert len(sources) == len(set(sources)) > 1
+
+
 def baro_every(dt: float, n: int = 5) -> Channel:
     return Channel(np.arange(n) * dt, np.full(n, 1013.0))
 
@@ -477,6 +528,87 @@ def test_dump_writes_an_int_period_load_takes(tmp_path):
     dump_trajectory(Trajectory(segments=[PathSegment([Pose(0.0, 0.0, 0.0, 1.0)],
                                                      periodicities=[1, 0.5])]), path)
     assert load_trajectory(path).segments[0].periodicities == [1.0, 0.5]
+
+
+def dump_trajectory_by_json(traj: Trajectory) -> str:
+    """The reference: dump_trajectory as it wrote every line, by json.dumps
+    and load_trajectory's checks, before its template for clean poses; the
+    text it writes, or the TraceError's text."""
+    lines = []
+    try:
+        for k, seg in enumerate(traj.segments):
+            for i, pose in enumerate(seg.points):
+                rec = {"t": pose.t, "x": pose.x, "y": pose.y, "floor": pose.floor,
+                       "segment": k}
+                if i == 0:
+                    if not isinstance(seg.periodicities, (list, tuple)):
+                        raise TraceError(f"cannot write trajectory: line {len(lines) + 1} "
+                                         f"(segment {k}) periods must be a list, got "
+                                         f"{shown(seg.periodicities)}")
+                    rec["periods"] = seg.periodicities
+                try:
+                    lines.append(json.dumps(rec, allow_nan=False))
+                except ValueError:
+                    raise TraceError(f"cannot write trajectory: line {len(lines) + 1} "
+                                     f"(segment {k}) must hold finite numbers") from None
+                try:
+                    trajectory._pose(rec, "", 0)
+                    if i == 0:
+                        trajectory._periods(seg.periodicities)
+                except ValueError:
+                    raise TraceError(f"cannot write trajectory: line {len(lines)} (segment "
+                                     f"{k}) must hold t within +-{T_MAX_S:g} s, x and y "
+                                     f"within +-{VALUE_MAX:g} m, floor within "
+                                     f"+-{VALUE_MAX:g} and step periods above 0 and at "
+                                     f"most {2 * T_MAX_S:g} s") from None
+    except TraceError as exc:
+        return f"TraceError: {exc}"
+    return "".join(line + "\n" for line in lines)
+
+
+# pose fields and periods: floats the template writes (-0.0, subnormals,
+# the range's ends) and values that go through json (ints, and ones
+# load_trajectory refuses: NaN, the infinities, past the range, a bool)
+TRAJECTORY_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1 + 0.2,
+                     VALUE_MAX, -VALUE_MAX, T_MAX_S, 1e-7]),
+    st.floats(-VALUE_MAX, VALUE_MAX))
+ODD_VALUES = st.sampled_from([0, 3, -2, True, math.nan, math.inf, -math.inf, 1e300,
+                              -1e11, 2.5e10])
+
+
+@st.composite
+def trajectories(draw) -> Trajectory:
+    """Up to four segments of up to four poses, their fields mostly floats,
+    and periods empty, short or long, in a list or a tuple; at times one
+    field or period is odd."""
+    odd = draw(st.booleans())
+
+    def value(floats=TRAJECTORY_FLOATS):
+        return draw(ODD_VALUES if odd and draw(st.integers(0, 9)) == 0 else floats)
+
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        points = [Pose(*(value() for _ in range(4))) for _ in range(draw(st.integers(1, 4)))]
+        periods = [value(st.one_of(st.sampled_from([5e-324, 2 * T_MAX_S, 0.5]),
+                                   st.floats(1e-300, 2 * T_MAX_S)))
+                   for _ in range(draw(st.sampled_from([0, 1, 3, 200])))]
+        segments.append(PathSegment(points, draw(st.sampled_from([list, tuple]))(periods)))
+    return Trajectory(segments)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectories())
+def test_dump_writes_what_the_per_line_json_writer_writes(traj):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "traj.jsonl"
+        try:
+            dump_trajectory(traj, path)
+            got = path.read_text()
+        except TraceError as exc:
+            got = f"TraceError: {exc}"
+            assert not path.exists()
+    assert got == dump_trajectory_by_json(traj)
 
 
 def test_dump_load_round_trip(tmp_path):

@@ -8,6 +8,7 @@ import struct
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -390,6 +391,45 @@ def test_both_readers_load_a_dumped_trace_bit_equal(trace, pick):
         assert trace_bits(load_trace(path)) == want
 
 
+def wifi_line(t="1.0", scan='[["aa", -50], ["bb", -60]]', extra="") -> str:
+    return '{"ch": "wifi", "t": %s, "v": %s%s}' % (t, scan, extra)
+
+
+# WiFi lines on which orjson and json might part: integers at and past 64
+# bits, which orjson 3.8 reads as floats, as t or RSS; integral and
+# non-finite floats; duplicate keys, which both read as the last one;
+# duplicate MACs; MACs json reads and orjson refuses (a lone surrogate) or
+# reads alike (escaped or raw non-ASCII, an escaped NUL); keys beyond ch,
+# t and v
+WIFI_EDGES = {
+    **{f"{name} {value}": line for value in (str(2**63), str(2**63 - 1), str(2**64),
+                                             str(2**64 - 1), str(-2**63 - 1), str(-2**64))
+       for name, line in (("t", wifi_line(t=value)),
+                          ("RSS", wifi_line(scan='[["aa", %s]]' % value)))},
+    "RSS -50.0": wifi_line(scan='[["aa", -50.0]]'),
+    "RSS NaN": wifi_line(scan='[["aa", NaN]]'),
+    "RSS -Infinity": wifi_line(scan='[["aa", -Infinity]]'),
+    "t Infinity": wifi_line(t="Infinity"),
+    "t -0": wifi_line(t="-0"),
+    "t 1E5": wifi_line(t="1E5"),
+    "a duplicate v": wifi_line(extra=', "v": [["cc", -70]]'),
+    "a duplicate v that is no scan": wifi_line(extra=', "v": 5'),
+    "a duplicate t": wifi_line(extra=', "t": 2.0'),
+    "a duplicate t past the range": wifi_line(extra=', "t": 1e+11'),
+    "a duplicate ch": wifi_line(extra=', "ch": "wifi"'),
+    "a duplicate MAC": wifi_line(scan='[["aa", -50], ["aa", -60]]'),
+    "a lone surrogate MAC": wifi_line(scan='[["\\ud800", -50]]'),
+    "an escaped non-ASCII MAC": wifi_line(scan='[["\\u00e9", -50]]'),
+    "a raw non-ASCII MAC": wifi_line(scan='[["\u00e9\u4e2d", -50]]'),
+    "an escaped NUL MAC": wifi_line(scan='[["\\u0000", -50]]'),
+    "an empty MAC": wifi_line(scan='[["", -50]]'),
+    "a scan that is an object": wifi_line(scan='{"aa": -50}'),
+    "a pair that is a string": wifi_line(scan='["ab"]'),
+    "an extra key": wifi_line(extra=', "x": 1'),
+    "an extra key nested deep": wifi_line(extra=', "x": ' + "[" * 1010 + "]" * 1010),
+}
+
+
 GOOD = ('{"ch": "accel", "t": 0.0, "v": [0.5, -0.0, 9.8]}\n'
         '{"ch": "gyro", "t": 0.0, "v": [0.1, 0.2, 0.3]}\n'
         '{"ch": "wifi", "t": 0.01, "v": [["aa", -50]]}\n')
@@ -437,7 +477,32 @@ READER_CASES = {
     "bool WiFi t": GOOD + '{"ch": "wifi", "t": true, "v": [["aa", -50]]}\n',
     "bool truth floor": GOOD + '{"ch": "truth", "t": 1.0, "v": [0.0, 0.0, true]}\n',
     "string t": GOOD + '{"ch": "accel", "t": "1.0", "v": [0.0, 0.0, 9.8]}\n',
+    **{f"WiFi line with {name}": GOOD + line + "\n" for name, line in WIFI_EDGES.items()},
 }
+
+
+@pytest.mark.parametrize("name", sorted(WIFI_EDGES))
+def test_fast_path_reads_a_wifi_line_as_json_does_or_doubts_it(name):
+    line = WIFI_EDGES[name].encode()
+    try:
+        t, readings = sensors._wifi_record(line)
+    except tracefile._DOUBTS:
+        return
+    rec = json.loads(line)
+    assert readings == tracefile._scan_readings(rec["v"])
+    if type(t) is not type(rec["t"]):  # an integer past 64 bits: refused either way
+        assert abs(t) > T_MAX_S and abs(rec["t"]) > T_MAX_S
+    else:
+        assert repr(t) == repr(rec["t"])
+
+
+def test_fast_path_reads_clean_wifi_lines_itself(tmp_path):
+    # escaped and raw non-ASCII MACs, integer t, duplicate keys, -0
+    path = tmp_path / "t.jsonl"
+    for name in ("an escaped non-ASCII MAC", "a raw non-ASCII MAC", "an escaped NUL MAC",
+                 "t -0", "t 1E5", "a duplicate v", "a duplicate t", "a duplicate ch"):
+        path.write_bytes(READER_CASES[f"WiFi line with {name}"].encode())
+        assert outcome(fast_path_load, path) == outcome(json_path_load, path)
 
 
 @pytest.mark.parametrize("channels", [tuple(CHANNELS), ("accel", "wifi"), ("wifi",)])
@@ -640,7 +705,14 @@ def test_timestamps_spanning_the_float_range_are_refused_without_a_warning(tmp_p
 
 # tokens that stand where a number does: some JSON reads, some it refuses
 TOKENS = ["01.5", "1.", ".5", "+1.5", "1.2.3", "1e", "--1", "1_0", "true", "NaN",
-          "1e999", "1" + "0" * 400, "-0", "1E5"]
+          "1e999", "1" + "0" * 400, "-0", "1E5", str(2**63), str(2**64), str(-2**64),
+          "-50.0", "Infinity", "-Infinity"]
+# what stands where a WiFi line's MAC or key does: a lone surrogate, escaped
+# and raw non-ASCII, empty, a MAC its scan may hold already; and keys that
+# repeat one of the line's
+MAC_TOKENS = ['"\\ud800"', '"\\u00e9"', '"\u00e9"', '""', '"ap0"', '"ap1"']
+KEY_TOKENS = [', "v": [["ap0", -61]]', ', "v": []', ', "t": 2.0', ', "t": 1e+400',
+              ', "ch": "wifi"', ', "ch": "gyro"', ', "x": null']
 NUMBER_CHARS = "0123456789.eE+-"
 
 
@@ -649,7 +721,8 @@ def mutated_trace_files(draw) -> bytes:
     """A dumped trace with a few lines mutated: a number replaced by a
     token or moved elsewhere between the commas around it, a skeleton byte
     dropped, doubled or swapped with the next, or a CR or a number
-    character inserted anywhere; maybe no final newline."""
+    character inserted anywhere; in a WiFi line, a MAC replaced or a key
+    repeated; maybe no final newline."""
     buf = io.StringIO()
     dump_trace(draw(traces()), buf)
     lines = buf.getvalue().splitlines(keepends=True)
@@ -657,9 +730,18 @@ def mutated_trace_files(draw) -> bytes:
         k = draw(st.integers(0, len(lines) - 1))
         line = lines[k]
         spans = [m.span() for m in re.finditer(r"(?<=[ \[])-?[0-9][0-9.e+-]*", line)]
+        macs = [m.span() for m in re.finditer(r'(?<=\[)"ap[0-9]"', line)]
+        wifi = line.startswith('{"ch": "wifi"')
         how = draw(st.sampled_from(["drop", "double", "swap", "insert"]
-                                   + ["number", "move"] * bool(spans)))
-        if how == "number":
+                                   + ["number", "move"] * bool(spans)
+                                   + ["mac"] * bool(macs) + ["key"] * wifi))
+        if how == "mac":
+            a, b = draw(st.sampled_from(macs))
+            line = line[:a] + draw(st.sampled_from(MAC_TOKENS)) + line[b:]
+        elif how == "key":
+            end = line.rindex("}")
+            line = line[:end] + draw(st.sampled_from(KEY_TOKENS)) + line[end:]
+        elif how == "number":
             a, b = draw(st.sampled_from(spans))
             line = line[:a] + draw(st.sampled_from(TOKENS)) + line[b:]
         elif how == "move":  # its slot left empty, the bytes around it intact
@@ -815,6 +897,30 @@ def test_a_file_that_changes_after_its_count_is_read_by_json(tmp_path):
                                   wraps=sensors._json_columns) as json_columns:
             assert outcome(load_trace, path) == want
         json_columns.assert_called_once()
+
+
+def counts_by_json(path) -> list:
+    """The reference: each channel's lines, by channel index in CHANNELS,
+    read by json.loads."""
+    seen = Counter(json.loads(line)["ch"] for line in Path(path).read_text().splitlines())
+    return [seen[ch] for ch in CHANNELS]
+
+
+@pytest.mark.parametrize("block", [None, 64], ids=["default blocks", "64-byte blocks"])
+def test_reused_block_buffers_grow_for_a_line_longer_than_a_block(tmp_path, block):
+    # two scans longer than a block, the second longer still: _blocks reads
+    # on to each one's newline, so the load's buffers must grow twice
+    trace = _awkward_trace()
+    long_scans = [WifiScan(t=1.0 + k, readings={"m" * n: -50, "n": -60})
+                  for k, n in enumerate([(1 << 17) + 100, 3 << 17])]
+    trace = replace(trace, wifi=trace.wifi + long_scans)
+    path = tmp_path / "t.jsonl"
+    dump_trace(trace, path)
+    with mock.patch.object(tracefile, "_BLOCK_BYTES", block or tracefile._BLOCK_BYTES):
+        scratch = sensors._Scratch()
+        assert sensors._line_counts(path, scratch).tolist() == counts_by_json(path)
+        assert len(scratch.bools(0, 0).base) > 3 << 17
+        assert trace_bits(fast_path_load(path)) == trace_bits(trace)
 
 
 def test_an_error_quotes_a_value_by_its_first_100_characters():
