@@ -18,6 +18,7 @@ length is its run's, never rescanned window by window.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -96,6 +97,9 @@ class LandmarkGraph:
     nodes: dict[str, Landmark]
     edges: list[Edge]
     _out: dict[str, list[Edge]] = field(default_factory=dict, repr=False)
+    # reachable's result by source landmark, found once per graph object
+    _paths: dict[str, dict[str, tuple[float, float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._out = {}
@@ -104,6 +108,26 @@ class LandmarkGraph:
 
     def out_edges(self, landmark_id: str) -> list[Edge]:
         return self._out.get(landmark_id, [])
+
+    def reachable(self, src: str) -> dict[str, tuple[float, float]]:
+        """Shortest directed path distance to every landmark reachable from
+        src, with the heading of the path's final (arriving) edge."""
+        if src in self._paths:
+            return self._paths[src]
+        dist: dict[str, tuple[float, float]] = {src: (0.0, 0.0)}
+        pq = [(0.0, src)]
+        while pq:
+            d, u = heapq.heappop(pq)
+            if d > dist.get(u, (math.inf,))[0]:
+                continue
+            for e in self.out_edges(u):
+                nd = d + e.distance
+                if nd < dist.get(e.to_id, (math.inf,))[0] - 1e-12:
+                    dist[e.to_id] = (nd, e.heading)
+                    heapq.heappush(pq, (nd, e.to_id))
+        dist.pop(src, None)
+        self._paths[src] = dist
+        return dist
 
 
 def sgn(x: float) -> int:

@@ -199,34 +199,25 @@ def _scorer(m: np.ndarray, metric: str) -> tuple[
     is then an exact integer, whatever order BLAS adds in: always in float64,
     and in float32 too, the dtype of m and q where knn finds _fits_float32,
     as none then passes 2^24. So the result has the same bits as summing
-    (m - q)**2, or |m - q| over m + q, entry by entry in float64. Euclidean
-    ranks on the partial score |m|^2 - 2 q.m, exact in the same way: it is
-    the squared distance less |q|^2, which is the same along a row, and
-    sqrt keeps distinct integers distinct. So the neighbours and their ties
-    are those of the distance, and only the k picked get |q|^2, summed in
-    float64 from the float64 rows, added and the root taken. Sorensen ranks
-    on the distance itself, its integer sums divided in float64.
+    (m - q)**2, or |m - q| over m + q, entry by entry in float64. Only
+    components that are not integers, which only a direct call can give,
+    round in BLAS's order. Euclidean ranks on the partial score
+    |m|^2 - 2 q.m, one product of q with a column of ones against -2 m.T
+    with a row of |m|^2, exact in the same way: it is the squared distance
+    less |q|^2, which is the same along a row, and sqrt keeps distinct
+    integers distinct. So the neighbours and their ties are those of the
+    distance, and only the k picked get |q|^2, summed in float64 from the
+    float64 rows, added and the root taken. Sorensen ranks on the distance
+    itself, its integer sums divided in float64.
     """
     import numpy as np
     if metric == "euclidean":
-        m_sq = (m * m).sum(axis=1)
-        minus_2mt = -2 * m.T
-        if m.dtype == np.float32:
-            # |m|^2 folded into the product: q with a column of ones against
-            # -2 m.T with a row of |m|^2, so BLAS adds it in any order; only
-            # integer sums within 2^24 keep that exact, so float64 adds it
-            # in a second pass
-            folded = np.vstack([minus_2mt, m_sq])
+        folded = np.vstack([-2 * m.T, (m * m).sum(axis=1)])
 
-            def partial(q: np.ndarray) -> np.ndarray:
-                ones = np.ones((len(q), q.shape[1] + 1), q.dtype)
-                ones[:, :-1] = q
-                return ones @ folded
-        else:
-            def partial(q: np.ndarray) -> np.ndarray:
-                part = q @ minus_2mt
-                part += m_sq
-                return part
+        def partial(q: np.ndarray) -> np.ndarray:
+            ones = np.ones((len(q), q.shape[1] + 1), q.dtype)
+            ones[:, :-1] = q
+            return ones @ folded
 
         def distance(q: np.ndarray, picked: np.ndarray) -> np.ndarray:
             return np.sqrt(picked + (q * q).sum(axis=1)[:, None])

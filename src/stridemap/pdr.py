@@ -13,7 +13,6 @@ the trajectory file's writer and reader, are in stridemap.trajectory.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -127,30 +126,11 @@ def landmark_confidence(
     return 1.0 / max(abs(ref_distance - traveled), cfg.distance_floor)
 
 
-def _reachable(graph: LandmarkGraph, src: str) -> dict[str, tuple[float, float]]:
-    """Shortest directed path distance to every landmark reachable from src,
-    with the heading of the path's final (arriving) edge."""
-    dist: dict[str, tuple[float, float]] = {src: (0.0, 0.0)}
-    pq = [(0.0, src)]
-    while pq:
-        d, u = heapq.heappop(pq)
-        if d > dist.get(u, (math.inf,))[0]:
-            continue
-        for e in graph.out_edges(u):
-            nd = d + e.distance
-            if nd < dist.get(e.to_id, (math.inf,))[0] - 1e-12:
-                dist[e.to_id] = (nd, e.heading)
-                heapq.heappush(pq, (nd, e.to_id))
-    dist.pop(src, None)
-    return dist
-
-
 def match_landmark(
     event: LandmarkEvent,
     graph: LandmarkGraph,
     state: MatchState,
     cfg: PdrConfig = PdrConfig(),
-    paths: dict[str, dict[str, tuple[float, float]]] | None = None,
 ) -> tuple[Landmark, float] | None:
     """Best-scoring graph landmark for a detected event, or None.
 
@@ -160,21 +140,13 @@ def match_landmark(
     no prior match, every landmark on the current floor is scored against
     the initial anchor by straight-line bearing. Ties break toward the
     smaller distance gap, then the lexicographically smaller id.
-
-    paths, when given, memoizes _reachable by source landmark for this one
-    graph: a caller matching many events against one graph passes the same
-    dict each time, and a new dict for another graph.
     """
     sign = sgn(event.auxiliary) if event.kind is RuleKind.GYRO else 0
 
     if state.last_landmark is not None:
         est_heading = state.fallback_heading
-        if paths is None:
-            paths = {}
-        if state.last_landmark not in paths:
-            paths[state.last_landmark] = _reachable(graph, state.last_landmark)
         cand = [(graph.nodes[lid], d, h)
-                for lid, (d, h) in paths[state.last_landmark].items()]
+                for lid, (d, h) in graph.reachable(state.last_landmark).items()]
     else:
         est_heading = state.mean_heading()
         cand = [(lm, math.dist((state.anchor_x, state.anchor_y), (lm.x, lm.y)),
@@ -339,7 +311,6 @@ def run_pdr(
     seg = PathSegment(points=[pose])  # the open segment
     traj = Trajectory(segments=[seg])
     pending_hold: Pose | None = None
-    paths: dict[str, dict[str, tuple[float, float]]] = {}  # match_landmark's memo for graph
 
     for ts, prio, item in items:
         if pending_hold is not None:
@@ -379,7 +350,7 @@ def run_pdr(
 
         j = item
         ev = events[j]
-        res = match_landmark(ev, graph, state, cfg, paths)
+        res = match_landmark(ev, graph, state, cfg)
         if res is None:
             continue
         lm, _conf = res

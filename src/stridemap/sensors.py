@@ -26,15 +26,15 @@ with each run of number characters collapsed to one 0, each numeric
 line's rest must be exactly its channel's skeleton, checked as words
 too, so each number stands alone in its own slot; one orjson.loads
 parses all the block's numbers, json's values bit for bit (tested); and
-orjson parses each WiFi line (_wifi_record), which must hold the keys
-ch, t and v alone and a scan tracefile._clean_scan takes. A file the
-fast path doubts (tracefile._DOUBTS: other spacing or key order, blank
-lines, a lone CR, a number orjson refuses, which lies past every bound,
-a WiFi line orjson refuses or whose scan is not clean) is read a line at
-a time with json.loads, into the same arrays. load_trace can read a subset of the
-channels: that load goes straight to the json path, which skips the
-lines of the other channels by their _PREFIXES prefix alone, unparsed,
-so a malformed line of another channel does not fail it.
+orjson parses each WiFi line for tracefile._wifi_record, which reads it
+as load_scans does. A file the fast path doubts (tracefile._DOUBTS:
+other spacing or key order, blank lines, a lone CR, a number orjson
+refuses, which lies past every bound, a WiFi line orjson refuses or
+_wifi_record doubts) is read a line at a time with json.loads, into the
+same arrays. load_trace can read a subset of the channels: that load
+goes straight to the json path, which skips the lines of the other
+channels by their _PREFIXES prefix alone, unparsed, so a malformed line
+of another channel does not fail it.
 
 dump_trace writes those lines as a stream: the rows of every channel,
 each channel's t non-decreasing, are merged by (t, channel order) a
@@ -69,7 +69,7 @@ from . import tracefile
 from .config import SensorConfig
 from .records import T_MAX_S, VALUE_MAX, number, read_jsonl, shown, writing
 from .tracefile import (_DOUBTS, _PREFIX_LEN, _PREFIXES, CHANNELS, TraceError,
-                        WifiScan, _blocks, _clean_scan, _Doubt, _head, _scan_readings)
+                        WifiScan, _blocks, _Doubt, _head, _scan_readings, _wifi_record)
 
 # Width of the centered moving average applied before peak picking, samples.
 SMOOTHING_WIDTH = 5
@@ -144,7 +144,7 @@ def _line_format(ch: str) -> str:
 # long, is tiled by its words _SKELETON_WORDS[:, i] at the offsets
 # _SKELETON_AT[:, i] (0, 8 or less, and its length less 8).
 # _TO_LIST turns rests into the items of a JSON list of numbers, _NUMBERS per
-# line. WiFi has no skeleton: orjson reads its lines (_wifi_record).
+# line. WiFi has no skeleton: _wifi_record reads its lines.
 _HEAD_LEN = np.array([len(_head(ch)) for ch in CHANNELS])
 _WORD0 = int.from_bytes(_head("")[:8].encode(), "little")
 _WORD_END = int.from_bytes(_head("")[-8:].encode(), "little")
@@ -159,7 +159,6 @@ _SKELETON_WORDS = np.array([[int.from_bytes(s[at:at + 8], "little")
                              for s, at in zip(_SKELETONS, row)] for row in _SKELETON_AT],
                            np.uint64)
 _NUMBERS = np.array([1 + (CHANNELS[ch] or 0) for ch in CHANNELS])
-_WIFI_KEYS = {"ch", "t", "v"}
 _KIND_AT = len('{"ch": "')
 _KIND = np.full(256, -1)
 _KIND[[ord(ch[0]) for ch in CHANNELS]] = range(len(CHANNELS))
@@ -366,30 +365,16 @@ def _skeletons_fit(rests: bytes, lines: np.ndarray, scratch: _Scratch) -> bool:
                for offset, want in zip(_SKELETON_AT, _SKELETON_WORDS))
 
 
-def _wifi_record(line: bytes) -> tuple[object, dict[str, int]]:
-    """t and the readings of a WiFi line whose head _block_columns checked,
-    parsed by orjson: json's values for a line of the keys ch, t and v
-    alone whose scan is clean (tracefile._clean_scan). Any other line, or
-    one orjson refuses, raises one of _DOUBTS. t is json's but for an
-    integer past 64 bits, which orjson 3.8 reads as a float; it lies past
-    T_MAX_S, so _checked refuses it and the json path names it."""
-    rec = orjson.loads(line)
-    if rec.keys() != _WIFI_KEYS or rec["ch"] != "wifi":
-        raise _Doubt
-    readings = _clean_scan(rec["v"])
-    if readings is None:
-        raise _Doubt
-    return rec["t"], readings
-
-
 def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray,
                    scratch: _Scratch) -> None:
     """Parse block's lines into cols: each numeric channel's t and v from
     row filled[i] on, advancing filled[i] (i its index in CHANNELS), and
-    each WiFi line's t and readings, read by _wifi_record, appended to the
-    WiFi lists. block is one of _blocks. Any line dump_trace could not have
-    written, or more lines of a channel than its arrays hold, raises one
-    of _DOUBTS."""
+    each WiFi line's t and readings, parsed by orjson and read by
+    _wifi_record, appended to the WiFi lists; a t is json's but for an
+    integer past 64 bits, which orjson 3.8 reads as a float and _checked
+    refuses, as it lies past T_MAX_S. block is one of _blocks. Any line
+    dump_trace could not have written, or more lines of a channel than its
+    arrays hold, raises one of _DOUBTS."""
     arr = np.frombuffer(block, np.uint8)
     ends = _line_ends(arr, scratch)
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -440,9 +425,9 @@ def _block_columns(block: bytes, cols: dict[str, tuple], filled: np.ndarray,
                 filled[i] = hi
     ts, vs = cols["wifi"]
     for s, e in wifi_lines:
-        t, readings = _wifi_record(block[s:e])
-        ts.append(t)
-        vs.append(readings)
+        rec = orjson.loads(block[s:e])
+        vs.append(_wifi_record(rec))
+        ts.append(rec["t"])
     filled[_WIFI] = len(ts)
 
 

@@ -21,9 +21,9 @@ whole traces; this module holds the format they share.
 _blocks reads a file in blocks cut after a newline for both block
 readers, sensors.load_trace's fast path (with numpy) and load_scans; it
 takes CRLF as LF and doubts a lone CR or a byte that is not UTF-8. Both
-take a scan by one _clean_scan test, and the fast path parses each WiFi
-line with orjson, while _wifi_line parses load_scans's with json, so
-build-map never loads orjson; each leaves its t to the caller.
+read each WiFi line by one _wifi_record, which takes the line parsed:
+the fast path parses it with orjson and load_scans with json, so
+build-map never loads orjson; each checks the line's t itself.
 load_scans reads only the WiFi scans, as load_trace(path, ("wifi",))
 does, for build-map: per block one regex search finds each line without
 the _PREFIXES prefix of another channel, which must be a WiFi line, and
@@ -76,30 +76,19 @@ def _head(ch: str) -> str:
     return '{"ch": "' + ch + '", "t": '
 
 
-def _clean_scan(v) -> dict[str, int] | None:
-    """The readings of a parsed WiFi scan read by one dict(v), when v is a
-    list of [mac, rss] pairs of distinct string MACs that clean_readings
-    passes; None for any other v."""
-    if type(v) is not list:
-        return None
-    try:
-        readings = dict(v)
-    except (TypeError, ValueError):  # a pair that is no pair, or an unhashable MAC
-        return None
-    if (len(readings) == len(v) and {str}.issuperset(map(type, readings))
-            and clean_readings(readings)):
-        return readings
-    return None
-
-
 def _scan_readings(v) -> dict[str, int]:
     """The readings of one WiFi scan; TraceError, without a line number,
-    unless v is a list of [mac, rss] pairs. A clean scan (_clean_scan) is
-    read by one dict(v); any other goes pair by pair, which words the
-    error."""
-    readings = _clean_scan(v)
-    if readings is not None:
-        return readings
+    unless v is a list of [mac, rss] pairs. A list of distinct string MACs
+    that clean_readings passes is read by one dict(v); any other v goes
+    pair by pair, which words the error."""
+    if type(v) is list:
+        try:
+            readings = dict(v)
+        except (TypeError, ValueError):  # a pair that is no pair, or an unhashable MAC
+            readings = None
+        if (readings is not None and len(readings) == len(v)
+                and {str}.issuperset(map(type, readings)) and clean_readings(readings)):
+            return readings
     if not isinstance(v, list):
         raise TraceError(f"WiFi scan must be a list of [mac, rss] pairs, got {shown(v)}")
     readings: dict[str, int] = {}
@@ -152,15 +141,13 @@ def _blocks(fh) -> Iterator[bytes]:
         yield data if data.endswith(b"\n") else data + b"\n"
 
 
-def _wifi_line(block: bytes, start: int, end: int) -> tuple[object, dict[str, int]]:
-    """t, as parsed, and the readings of the WiFi line block[start:end],
-    which must start with its whole head; one of _DOUBTS for any other."""
-    if not block.startswith(_WIFI_HEAD, start):
+def _wifi_record(rec) -> dict[str, int]:
+    """The readings of a parsed WiFi line rec: a dict of the keys ch, t
+    and v alone, ch "wifi" and v a scan _scan_readings reads. Any other
+    rec raises one of _DOUBTS. Its t is left to the caller."""
+    if type(rec) is not dict or rec.keys() != {"ch", "t", "v"} or rec["ch"] != "wifi":
         raise _Doubt
-    rec = json.loads(block[start:end])
-    if rec["ch"] != "wifi":
-        raise _Doubt
-    return rec["t"], _scan_readings(rec["v"])
+    return _scan_readings(rec["v"])
 
 
 # load_scans's view of dump_trace's lines: a line that starts with no prefix
@@ -193,7 +180,11 @@ def load_scans(path: str | Path) -> list[WifiScan]:
         with open(path, "rb") as fh:
             for block in _blocks(fh):
                 for start in _wifi_lines(block):
-                    t, readings = _wifi_line(block, start, block.index(b"\n", start))
+                    if not block.startswith(_WIFI_HEAD, start):
+                        raise _Doubt
+                    rec = json.loads(block[start:block.index(b"\n", start)])
+                    readings = _wifi_record(rec)
+                    t = rec["t"]
                     if type(t) is not float and type(t) is not int:
                         raise _Doubt
                     t = float(t)

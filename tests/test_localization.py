@@ -531,11 +531,14 @@ def closed_form_scores(m: list, q: list, metric: str) -> np.ndarray:
     return np.array([[score(a, b) for b in m] for a in q], float).reshape(len(q), len(m))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda aps: st.tuples(*[
+# map rows and query rows of 1 to 6 integer components in [-201, 201]
+INTEGER_ROWS = st.integers(1, 6).flatmap(lambda aps: st.tuples(*[
     st.lists(st.lists(st.integers(-201, 201), min_size=aps, max_size=aps),
-             min_size=size, max_size=8) for size in (1, 0)])),
-       st.sampled_from(["euclidean", "sorensen"]))
+             min_size=size, max_size=8) for size in (1, 0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(INTEGER_ROWS, st.sampled_from(["euclidean", "sorensen"]))
 @example(([[201] * 415 + [103, 8, 8, 8, 0, 0], [201] * 415 + [103, 13, 4, 2, 1, 1]],
           [[0] * 421]), "euclidean")  # |m|^2 at 2^24 and under it
 def test_float32_scores_are_their_closed_forms(rows, metric):
@@ -547,6 +550,21 @@ def test_float32_scores_are_their_closed_forms(rows, metric):
     got = rank(q32)
     assert got.dtype == (np.float32 if metric == "euclidean" else np.float64)
     assert got.astype(float).tobytes() == closed_form_scores(m, q, metric).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(INTEGER_ROWS, st.sampled_from(["euclidean", "sorensen"]))
+@example(([EUCLIDEAN_PAST[0], EUCLIDEAN_PAST[1] + [0]], [[0] * 418, [201] * 418]),
+         "euclidean")  # |m|^2 past 2^24
+@example((list(SORENSEN_PAST), [[0] * len(SORENSEN_PAST[0])]), "sorensen")
+def test_float64_scores_are_their_closed_forms(rows, metric):
+    m, q = rows
+    m64 = np.array(m, float)
+    q64 = np.array(q, float).reshape(len(q), m64.shape[1])
+    rank, _ = _scorer(m64, metric)
+    got = rank(q64)
+    assert got.dtype == np.float64
+    assert got.tobytes() == closed_form_scores(m, q, metric).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,8 @@
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +20,13 @@ from stridemap.pdr import (MatchState, PdrConfig,
                            update_step_length, _median)
 from stridemap.records import T_MAX_S, VALUE_MAX, number, read_jsonl, shown
 from stridemap.sensors import Channel, SensorTrace, TruthChannel, detect_steps
+from stridemap.sim import generate_trace
 from stridemap.tracefile import TraceError
-from stridemap import pdr, trajectory
+from stridemap import trajectory
 from stridemap.trajectory import (PathSegment, Pose, Trajectory, dump_trajectory,
                                   load_trajectory)
 
-from conftest import DT, accel_channel, flat, walking
+from conftest import DT, SCENARIOS, accel_channel, demo_scenario, flat, walking
 
 # each heading source's test id, the name these tests have always run under
 MODE_ID = {"pdr-compass": "HeadingSource.COMPASS", "pdr-gyro": "HeadingSource.GYRO",
@@ -383,51 +381,49 @@ def test_without_a_barometer_every_floor_is_the_start_floor(mode, baro):
     assert {(p.floor, math.copysign(1.0, p.floor)) for p in traj.poses} == {(0.0, -1.0)}
 
 
-# the demo walk tracked on its graph scaled by SCALE, printed as JSON: each
-# segment's landmark, periods and poses
-TRACK_ON_SCALED_GRAPH = """
-import json, sys
-from conftest import SCENARIOS, demo_scenario
-from stridemap.landmarks import graph_from_dict
-from stridemap.pdr import run_pdr
-from stridemap.sim import generate_trace
-
-def scaled_graph(scale):
+def scaled_graph(scale: float):
+    """The demo scenario's graph, every position and distance times scale."""
     data = json.loads((SCENARIOS / "two_floor_demo.json").read_text())["environment"]["graph"]
     return graph_from_dict({
         **data,
         "nodes": [{**n, "x": n["x"] * scale, "y": n["y"] * scale} for n in data["nodes"]],
         "edges": [{**e, "distance_m": e["distance_m"] * scale} for e in data["edges"]]})
 
-def tracked(scale):
+
+def test_a_graph_finds_the_paths_from_each_landmark_once():
     sc = demo_scenario("two_floor_demo")
     trace = generate_trace(sc.environment, sc.walk, sc.noise)
-    traj = run_pdr(trace, scaled_graph(scale), tuple(trace.truth.v[0].tolist()))
-    return json.dumps([[s.landmark, list(s.periodicities),
-                        [[p.t, p.x, p.y, p.floor] for p in s.points]] for s in traj.segments])
-"""
+    start = tuple(trace.truth.v[0].tolist())
 
+    def tracked(graph):
+        traj = run_pdr(trace, graph, start)
+        return [[s.landmark, s.periodicities, [astuple(p) for p in s.points]]
+                for s in traj.segments]
 
-def test_reachable_paths_are_memoized_per_run_and_never_across_graphs(monkeypatch):
-    # each run in one process, on the graph and then on a moved copy, is
-    # what the same run gives in a process of its own
-    scales = (1.0, 2.0)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    fresh = [subprocess.run([sys.executable, "-c", TRACK_ON_SCALED_GRAPH
-                             + f"print(tracked({scale}))"], env=env, capture_output=True,
-                            text=True, check=True).stdout.strip() for scale in scales]
-    code = {}
-    exec(TRACK_ON_SCALED_GRAPH, code)
-    runs = [code["tracked"](scale) for scale in scales]
-    assert runs == fresh
+    # one run finds the paths from each landmark once, and the graph keeps them
+    found = []
+
+    class Found(dict):
+        def __setitem__(self, src, paths):
+            found.append(src)
+            super().__setitem__(src, paths)
+
+    graph = scaled_graph(1.0)
+    graph._paths = Found()
+    runs = [tracked(graph)]
+    assert len(found) == len(set(found)) > 1
+    assert graph.reachable(found[0]) is graph.reachable(found[0])
+    # a run on the graph and then on a moved copy is what runs on fresh
+    # graphs give, and the copy finds its own paths
+    moved = replace(graph, nodes={i: replace(n, x=2 * n.x, y=2 * n.y)
+                                  for i, n in graph.nodes.items()},
+                    edges=[replace(e, distance=2 * e.distance) for e in graph.edges])
+    runs.append(tracked(moved))
+    assert runs == [tracked(scaled_graph(scale)) for scale in (1.0, 2.0)]
     assert runs[0] != runs[1]
-    # one run finds the paths from each landmark once
-    sources = []
-    reachable = pdr._reachable
-    monkeypatch.setattr(pdr, "_reachable",
-                        lambda graph, src: sources.append(src) or reachable(graph, src))
-    code["tracked"](1.0)
-    assert len(sources) == len(set(sources)) > 1
+    for src in found:
+        assert moved.reachable(src) == {lid: (2 * d, h)
+                                        for lid, (d, h) in graph.reachable(src).items()}
 
 
 def baro_every(dt: float, n: int = 5) -> Channel:

@@ -481,19 +481,37 @@ READER_CASES = {
 }
 
 
+# the WIFI_EDGES tracefile._wifi_record reads as json.loads parses them:
+# all but those whose scan _scan_readings refuses and those of a key
+# beyond ch, t and v; orjson.loads, as the fast path parses them, gives it
+# all of these but the two orjson refuses
+JSON_READS = {"RSS -50.0", "a duplicate ch", "a duplicate t", "a duplicate t past the range",
+              "a duplicate v", "a lone surrogate MAC", "a raw non-ASCII MAC",
+              "an escaped NUL MAC", "an escaped non-ASCII MAC", "t -0", "t 1E5",
+              "t Infinity", *(f"t {v}" for v in (2**63, 2**63 - 1, 2**64, 2**64 - 1,
+                                                 -2**63 - 1, -2**64))}
+ORJSON_READS = JSON_READS - {"a lone surrogate MAC", "t Infinity"}
+
+
 @pytest.mark.parametrize("name", sorted(WIFI_EDGES))
 def test_fast_path_reads_a_wifi_line_as_json_does_or_doubts_it(name):
     line = WIFI_EDGES[name].encode()
-    try:
-        t, readings = sensors._wifi_record(line)
-    except tracefile._DOUBTS:
-        return
-    rec = json.loads(line)
-    assert readings == tracefile._scan_readings(rec["v"])
-    if type(t) is not type(rec["t"]):  # an integer past 64 bits: refused either way
-        assert abs(t) > T_MAX_S and abs(rec["t"]) > T_MAX_S
-    else:
-        assert repr(t) == repr(rec["t"])
+    read = {}
+    for parse in (orjson.loads, json.loads):
+        try:
+            rec = parse(line)
+            read[parse] = rec["t"], tracefile._wifi_record(rec)
+        except tracefile._DOUBTS:
+            pass
+    assert (orjson.loads in read, json.loads in read) == (name in ORJSON_READS,
+                                                          name in JSON_READS)
+    if orjson.loads in read:
+        (t, readings), (json_t, json_readings) = read[orjson.loads], read[json.loads]
+        assert scan_outcome(dict, readings) == scan_outcome(dict, json_readings)
+        if type(t) is not type(json_t):  # an integer past 64 bits: refused either way
+            assert abs(t) > T_MAX_S and abs(json_t) > T_MAX_S
+        else:
+            assert repr(t) == repr(json_t)
 
 
 def test_fast_path_reads_clean_wifi_lines_itself(tmp_path):
